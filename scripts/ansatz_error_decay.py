@@ -14,25 +14,18 @@ import argparse
 import numpy as np
 
 from rarefan.gas import GasParams, PrimState
-from rarefan.fields import SlabGrid, FieldSet
+from rarefan.fields import SlabGrid
 from rarefan.waves import WaveSpec
 from rarefan.solver import SolverConfig, run
 from rarefan.analysis import fit_rate
-from rarefan.ansatz import (PerturbationSpec, make_perturbation, build_ansatz,
-                            ansatz_errors, constant_conserved, tile_deviation)
+from rarefan.ansatz import (PerturbationSpec, build_ansatz, ansatz_errors,
+                            constant_conserved, perturbed_constant_state, tile_deviation)
 
 
 def background_snapshots(state, pspec, g, scfg, torus, times):
     """March one periodic background through the sorted sample times."""
     base = constant_conserved(state, g)
-    u0 = np.zeros((3,) + torus.shape)
-    u0[0] = state.u1
-    fs = FieldSet.from_primitives(torus, g, np.full(torus.shape, state.rho), u0,
-                                  np.full(torus.shape, state.theta))
-    v0, w0, z0 = make_perturbation(pspec, torus)
-    fs.rho = fs.rho + v0
-    fs.m = fs.m + w0
-    fs.E = fs.E + z0
+    fs = perturbed_constant_state(state, pspec, torus, g)
     snaps = {}
     t_now = 0.0
     for t in times:

@@ -4,8 +4,7 @@ finite-volume solver with temperature-dependent transport, mode-decomposition
 and energy diagnostics, and batch experiment drivers."""
 
 from .gas import GasParams, PrimState, pressure, sound_speed, transport
-from .waves import WaveSpec, WaveSample, exact_rarefaction, cutoff_rarefaction, \
-    burgers_smooth, smooth_profile, riemann_invariants
+from .waves import WaveSpec, burgers_smooth, smooth_profile, riemann_invariants
 from .fields import SlabGrid, FieldSet
 from .solver import SolverConfig, StepDiagnostics, RunAbort, rhs, step, run
 from .analysis import decompose, ModeSplit, energy_report, gn_check, sup_distance, fit_rate

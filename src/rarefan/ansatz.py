@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gas import GasParams, PrimState
-from .fields import FieldSet, SlabGrid
+from .fields import FieldSet, SlabGrid, conserved
 from .waves import WaveSpec, smooth_profile
 from .solver import SolverConfig, run
 from .analysis import fit_rate
@@ -118,6 +118,21 @@ def x1_window(grid: SlabGrid, margin: float, width: float) -> np.ndarray:
     return w[:, None, None]
 
 
+def _add_perturbation(fs: FieldSet, pspec: PerturbationSpec, modes: str,
+                      window: np.ndarray | None) -> FieldSet:
+    """Add the (optionally x1-windowed) perturbation of pspec to fs in place."""
+    if pspec.eta > 0.0:
+        v0, w0, z0 = make_perturbation(pspec, fs.grid, modes=modes)
+        if window is not None:
+            v0 = v0 * window
+            w0 = w0 * window
+            z0 = z0 * window
+        fs.rho = fs.rho + v0
+        fs.m = fs.m + w0
+        fs.E = fs.E + z0
+    return fs
+
+
 def wave_conserved(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float,
                    shift: bool = True) -> FieldSet:
     """Smooth-wave conserved fields sampled at cell centers."""
@@ -139,16 +154,8 @@ def assemble_initial(spec: WaveSpec, pspec: PerturbationSpec, grid: SlabGrid,
     An optional x1 window tapers the perturbation to zero at the pinned ends.
     Positivity of the resulting (rho, theta) is checked cell by cell.
     """
-    fs = wave_conserved(spec, grid, g, 0.0, shift=shift)
-    if pspec.eta > 0.0:
-        v0, w0, z0 = make_perturbation(pspec, grid, modes=modes)
-        if window is not None:
-            v0 = v0 * window
-            w0 = w0 * window
-            z0 = z0 * window
-        fs.rho = fs.rho + v0
-        fs.m = fs.m + w0
-        fs.E = fs.E + z0
+    fs = _add_perturbation(wave_conserved(spec, grid, g, 0.0, shift=shift), pspec,
+                           modes, window)
     theta = fs.temperature(g)
     if np.any(fs.rho <= 0.0) or np.any(theta <= 0.0):
         worst = np.unravel_index(int(np.argmin(np.minimum(fs.rho, theta))), grid.shape)
@@ -164,27 +171,30 @@ def assemble_initial(spec: WaveSpec, pspec: PerturbationSpec, grid: SlabGrid,
 
 def constant_conserved(state: PrimState, g: GasParams) -> np.ndarray:
     """Stacked conserved values (rho, m1, m2, m3, E) of a constant state."""
-    rho, u1, th = state.rho, state.u1, state.theta
-    return np.array([rho, rho * u1, 0.0, 0.0,
-                     rho * (g.R / (g.gamma - 1.0) * th + 0.5 * u1 ** 2)])
+    return conserved(g, state.rho, (state.u1, 0.0, 0.0), state.theta)
+
+
+def perturbed_constant_state(state: PrimState, pspec: PerturbationSpec,
+                             grid: SlabGrid, g: GasParams) -> FieldSet:
+    """Constant state plus the periodic perturbation of pspec, unwindowed."""
+    u = np.array([state.u1, 0.0, 0.0])[:, None, None, None]
+    return _add_perturbation(FieldSet.from_primitives(grid, g, state.rho, u, state.theta),
+                             pspec, "all", None)
 
 
 @dataclass
 class BackgroundReport:
     taus: np.ndarray
     dev_sup: np.ndarray        # (nt,) max over the 5 conserved deviations
-    dev_sup_fields: np.ndarray  # (nt, 5)
     mean_drift: float           # worst cell-average drift of any deviation
     rate: float
     r2: float
     final: FieldSet
-    snapshots: list[FieldSet]
 
 
 def evolve_periodic_background(state: PrimState, pspec: PerturbationSpec,
                                g: GasParams, cfg: SolverConfig, grid: SlabGrid,
-                               horizon: float, n_samples: int = 40,
-                               keep_snapshots: bool = False) -> BackgroundReport:
+                               horizon: float, n_samples: int = 40) -> BackgroundReport:
     """Evolve constant state + periodic perturbation on one torus cell.
 
     Tracks the sup norm and the cell averages of the conserved deviations;
@@ -193,30 +203,15 @@ def evolve_periodic_background(state: PrimState, pspec: PerturbationSpec,
     if cfg.boundary != "fully-periodic":
         raise ValueError("background evolution must run on the torus")
     base = constant_conserved(state, g)
-    rho0 = np.full(grid.shape, base[0])
-    u0 = np.zeros((3,) + grid.shape)
-    u0[0] = state.u1
-    th0 = np.full(grid.shape, state.theta)
-    fs = FieldSet.from_primitives(grid, g, rho0, u0, th0)
-    if pspec.eta > 0.0:
-        v0, w0, z0 = make_perturbation(pspec, grid)
-        fs.rho = fs.rho + v0
-        fs.m = fs.m + w0
-        fs.E = fs.E + z0
+    fs = perturbed_constant_state(state, pspec, grid, g)
 
-    taus, sups, sups_fields, means = [], [], [], []
-    snapshots: list[FieldSet] = []
+    taus, sups, means = [], [], []
 
     def observe(f: FieldSet, gg: GasParams) -> dict:
-        U = f.stacked()
-        dev = U - base[:, None, None, None]
+        dev = f.stacked() - base[:, None, None, None]
         taus.append(f.time)
-        per_field = np.max(np.abs(dev), axis=(1, 2, 3))
-        sups_fields.append(per_field)
-        sups.append(float(np.max(per_field)))
+        sups.append(float(np.max(np.abs(dev))))
         means.append(np.abs(dev.mean(axis=(1, 2, 3))))
-        if keep_snapshots:
-            snapshots.append(f.copy())
         return {}
 
     sample_dt = horizon / n_samples
@@ -229,8 +224,7 @@ def evolve_periodic_background(state: PrimState, pspec: PerturbationSpec,
     tail = taus_a > taus_a[-1] / 2.0
     if pspec.eta > 0.0 and np.count_nonzero(tail) >= 3 and np.all(sups_a[tail] > 0.0):
         rate, r2 = fit_rate(taus_a[tail], sups_a[tail], model="exponential")
-    return BackgroundReport(taus_a, sups_a, np.array(sups_fields), mean_drift,
-                            rate, r2, final, snapshots)
+    return BackgroundReport(taus_a, sups_a, mean_drift, rate, r2, final)
 
 
 def tile_deviation(torus_fs: FieldSet, base: np.ndarray, slab_grid: SlabGrid) -> np.ndarray:
@@ -322,7 +316,7 @@ def ansatz_errors(prev: FieldSet, now: FieldSet, nxt: FieldSet,
         raise ValueError("ansatz snapshots must be time-ordered")
 
     def prim(fs: FieldSet):
-        return fs.rho, fs.m / fs.rho, fs.temperature(g)
+        return fs.rho, fs.velocity(), fs.temperature(g)
 
     rho_p, u_p, th_p = prim(prev)
     rho, u, th = prim(now)

@@ -1,6 +1,7 @@
 """Command-line entry point: batch studies and wave/simulation dumps.
 
-Exit codes: 0 all checks pass, 1 any check fails, 2 configuration error.
+Exit codes: 0 all checks pass, 1 any check fails, 2 configuration error,
+3 numerical abort (the solver hit a positivity floor or a step-size underflow).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from .gas import GasParams, PrimState
 from .waves import WaveSpec
 from .config import ConfigError, parse_config
 from .experiments import DRIVERS, run_wave_dump
+from .solver import RunAbort
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
@@ -82,6 +84,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except RunAbort as exc:
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ import hashlib
 import json
 import math
 import subprocess
-from dataclasses import dataclass, asdict
+import typing
+from dataclasses import dataclass, asdict, fields
 
 from .gas import GasParams, PrimState
+from .solver import SolverConfig
 from .waves import WaveSpec
 
 
@@ -24,18 +26,6 @@ class ConfigError(ValueError):
 
 
 _SECTIONS = ("gas", "wave", "grid", "solver", "experiment", "output")
-
-_KEYS = {
-    "gas": {"gamma", "alpha", "mu1", "lambda1", "kappa1", "normalized", "R", "A"},
-    "wave": {"rho_plus", "u1_plus", "theta_plus", "nu", "delta",
-             "nu_coeff", "nu_exp", "delta_coeff", "delta_exp"},
-    "grid": {"L", "n1", "period", "n2", "n3", "dims"},
-    "solver": {"eps", "cfl", "visc_safety", "floor_rho", "floor_theta",
-               "boundary", "scaled"},
-    "experiment": {"kind", "sweep", "horizon", "h", "eta", "b", "seed", "mode_cap",
-                   "paper_scaling", "band_factor", "exp_tol", "r2_min", "samples"},
-    "output": {"dir"},
-}
 
 KINDS = ("wave", "simulate", "cutoff-study", "profile-study", "eps-sweep",
          "decay", "background", "gn-check")
@@ -61,6 +51,13 @@ class SolverBlock:
     boundary: str = "pinned-profile"
     scaled: bool = False
 
+    def solver_config(self, **overrides) -> SolverConfig:
+        """The one config-to-solver map: this block, with a driver's overrides."""
+        try:
+            return SolverConfig(**{**asdict(self), **overrides})
+        except ValueError as exc:
+            raise ConfigError(f"[solver] {exc}") from exc
+
 
 @dataclass
 class ExperimentBlock:
@@ -69,7 +66,6 @@ class ExperimentBlock:
     horizon: float = 1.0
     h: float = 0.25
     eta: float = 0.0
-    b: float = 1.0
     seed: int = 0
     mode_cap: int = 3
     paper_scaling: bool = False
@@ -177,7 +173,7 @@ def _get(cp, section, key, cast, default):
     raw = cp.get(section, key)
     try:
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            return cp.getboolean(section, key)
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
@@ -185,6 +181,28 @@ def _get(cp, section, key, cast, default):
 
 def _sweep(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+# sections read straight from their dataclass: each key, type and default
+# is written once, on the field
+_BLOCKS = {"grid": GridBlock, "solver": SolverBlock, "experiment": ExperimentBlock}
+_CASTS = {float | None: float, tuple[float, ...]: _sweep}
+
+_KEYS = {
+    "gas": {"gamma", "alpha", "mu1", "lambda1", "kappa1", "normalized", "R", "A"},
+    "wave": {"rho_plus", "u1_plus", "theta_plus", "nu", "delta",
+             "nu_coeff", "nu_exp", "delta_coeff", "delta_exp"},
+    **{sec: {f.name for f in fields(cls)} for sec, cls in _BLOCKS.items()},
+    "output": {"dir"},
+}
+
+
+def _block(cp, section: str):
+    cls = _BLOCKS[section]
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _get(cp, section, f.name, _CASTS.get(hints[f.name], hints[f.name]),
+                               f.default)
+                  for f in fields(cls)})
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -226,38 +244,12 @@ def parse_config(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"[wave] invalid right state: {exc}") from exc
 
-    grid = GridBlock(
-        L=_get(cp, "grid", "L", float, None),
-        n1=_get(cp, "grid", "n1", int, 512),
-        period=_get(cp, "grid", "period", float, 0.5),
-        n2=_get(cp, "grid", "n2", int, 1),
-        n3=_get(cp, "grid", "n3", int, 1),
-        dims=_get(cp, "grid", "dims", int, 1))
-    solver = SolverBlock(
-        eps=_get(cp, "solver", "eps", float, 0.02),
-        cfl=_get(cp, "solver", "cfl", float, 0.4),
-        visc_safety=_get(cp, "solver", "visc_safety", float, 0.4),
-        floor_rho=_get(cp, "solver", "floor_rho", float, 1e-9),
-        floor_theta=_get(cp, "solver", "floor_theta", float, 1e-9),
-        boundary=_get(cp, "solver", "boundary", str, "pinned-profile"),
-        scaled=_get(cp, "solver", "scaled", bool, False))
-    kind = _get(cp, "experiment", "kind", str, "simulate")
-    if kind not in KINDS:
-        raise ConfigError(f"[experiment] kind must be one of {KINDS}, got {kind!r}")
-    exp = ExperimentBlock(
-        kind=kind,
-        sweep=_get(cp, "experiment", "sweep", _sweep, ()),
-        horizon=_get(cp, "experiment", "horizon", float, 1.0),
-        h=_get(cp, "experiment", "h", float, 0.25),
-        eta=_get(cp, "experiment", "eta", float, 0.0),
-        b=_get(cp, "experiment", "b", float, 1.0),
-        seed=_get(cp, "experiment", "seed", int, 0),
-        mode_cap=_get(cp, "experiment", "mode_cap", int, 3),
-        paper_scaling=_get(cp, "experiment", "paper_scaling", bool, False),
-        band_factor=_get(cp, "experiment", "band_factor", float, 2.0),
-        exp_tol=_get(cp, "experiment", "exp_tol", float, 0.15),
-        r2_min=_get(cp, "experiment", "r2_min", float, 0.95),
-        samples=_get(cp, "experiment", "samples", int, 50))
+    grid = _block(cp, "grid")
+    solver = _block(cp, "solver")
+    solver.solver_config()  # an invalid [solver] block fails here, not mid-run
+    exp = _block(cp, "experiment")
+    if exp.kind not in KINDS:
+        raise ConfigError(f"[experiment] kind must be one of {KINDS}, got {exp.kind!r}")
 
     cfg = ExperimentConfig(
         gas=gas, right=right,

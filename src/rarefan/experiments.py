@@ -20,7 +20,7 @@ from .gas import GasParams
 from .fields import FieldSet, SlabGrid, save_fields
 from .waves import (WaveSpec, cutoff_exact_distance, profile_lp_norm, velocity_span,
                     smooth_cutoff_distance, sample_exact, sample_cutoff, smooth_profile)
-from .solver import SolverConfig, RunAbort, run, profile_ghost_source
+from .solver import RunAbort, run, profile_ghost_source
 from .analysis import (decompose, sup_distance, fit_rate, gn_check, GN_CASES,
                        nonzero_mode_energy)
 from .ansatz import (PerturbationSpec, assemble_initial, x1_window,
@@ -216,6 +216,11 @@ def sweep_grid(spec: WaveSpec, cfg: ExperimentConfig, horizon: float,
                     n2=cfg.grid.n2, n3=cfg.grid.n3, dims=cfg.grid.dims)
 
 
+def _pinned_window(spec: WaveSpec, grid: SlabGrid) -> np.ndarray:
+    """x1 window keeping the perturbation clear of the pinned ghost cells."""
+    return x1_window(grid, margin=10.0 * spec.delta + 0.5, width=max(0.1, 5.0 * grid.dx1))
+
+
 def _distance_observer(spec: WaveSpec, g: GasParams, h: float):
     def obs(fs: FieldSet, gg: GasParams) -> dict:
         return sup_distance(fs, spec, gg, exclude_t_below=h)
@@ -230,11 +235,8 @@ def _eps_sweep_point(cfg: ExperimentConfig, eps: float, n1: int | None = None,
     spec = cfg.wave_spec(eps)
     horizon, h = cfg.experiment.horizon, cfg.experiment.h
     grid = sweep_grid(spec, cfg, horizon, n1)
-    scfg = SolverConfig(eps=eps, cfl=cfg.solver.cfl, visc_safety=cfg.solver.visc_safety,
-                        floor_rho=cfg.solver.floor_rho, floor_theta=cfg.solver.floor_theta,
-                        boundary="pinned-profile", scaled=False)
-    window = (x1_window(grid, margin=10.0 * spec.delta + 0.5, width=max(0.1, 5.0 * grid.dx1))
-              if eta > 0.0 else None)
+    scfg = cfg.solver.solver_config(eps=eps, boundary="pinned-profile", scaled=False)
+    window = _pinned_window(spec, grid) if eta > 0.0 else None
     pspec = PerturbationSpec(eta=eta, mode_cap=cfg.experiment.mode_cap,
                              seed=cfg.experiment.seed)
     initial = assemble_initial(spec, pspec, grid, g, shift=False, window=window)
@@ -329,20 +331,24 @@ def run_viscosity_sweep(cfg: ExperimentConfig, jobs: int = 1) -> StudyReport:
 # non-zero-mode decay
 # ---------------------------------------------------------------------------
 
+def _smooth_background(spec: WaveSpec, fs: FieldSet):
+    """(rho, u1, theta) of the unshifted smooth wave at fs.time, broadcast to the grid."""
+    grid = fs.grid
+    pr = smooth_profile(spec, fs.time, grid.x1(), shift=False)
+    return tuple(np.broadcast_to(f[:, None, None], grid.shape)
+                 for f in (pr.rho, pr.u1, pr.theta))
+
+
 def energy_observer(spec: WaveSpec, g: GasParams):
     """Observer emitting EnergyReport rows against the smooth-wave background."""
     from .analysis import energy_report
 
     def obs(fs: FieldSet, gg: GasParams) -> dict:
-        grid = fs.grid
-        pr = smooth_profile(spec, fs.time, grid.x1(), shift=False)
-        rho_bar = np.broadcast_to(pr.rho[:, None, None], grid.shape)
-        th_bar = np.broadcast_to(pr.theta[:, None, None], grid.shape)
-        u = fs.velocity()
-        psi = u.copy()
-        psi[0] -= np.broadcast_to(pr.u1[:, None, None], grid.shape)
+        rho_bar, u1_bar, th_bar = _smooth_background(spec, fs)
+        psi = fs.velocity()
+        psi[0] -= u1_bar
         rep = energy_report(fs.rho - rho_bar, psi, fs.temperature(gg) - th_bar,
-                            rho_bar, th_bar, grid, gg, tau=fs.time)
+                            rho_bar, th_bar, fs.grid, gg, tau=fs.time)
         row = rep.as_row()
         row.pop("tau", None)  # the base record already carries the time
         return row
@@ -357,9 +363,7 @@ def _dneq_observer(spec: WaveSpec, g: GasParams):
         d_rho = decompose(fs.rho, grid).nonzero
         d_u = max(float(np.max(np.abs(decompose(u[c], grid).nonzero))) for c in range(3))
         d_th = decompose(theta, grid).nonzero
-        pr = smooth_profile(spec, fs.time, grid.x1(), shift=False)
-        rho_bar = np.broadcast_to(pr.rho[:, None, None], grid.shape)
-        th_bar = np.broadcast_to(pr.theta[:, None, None], grid.shape)
+        rho_bar, _, th_bar = _smooth_background(spec, fs)
         h_energy = nonzero_mode_energy(fs.rho - rho_bar, u, theta - th_bar,
                                        rho_bar, th_bar, grid, gg)
         return {"rho": float(np.max(np.abs(d_rho))), "u": d_u,
@@ -374,11 +378,8 @@ def _decay_run(cfg: ExperimentConfig, modes: str) -> tuple[list[dict], SlabGrid]
     grid = sweep_grid(spec, cfg, horizon)
     if grid.dims < 2:
         raise ConfigError("non-zero-mode decay needs a transverse direction (grid.dims >= 2)")
-    scfg = SolverConfig(eps=cfg.solver.eps, cfl=cfg.solver.cfl,
-                        visc_safety=cfg.solver.visc_safety,
-                        floor_rho=cfg.solver.floor_rho, floor_theta=cfg.solver.floor_theta,
-                        boundary="pinned-profile", scaled=cfg.solver.scaled)
-    window = x1_window(grid, margin=10.0 * spec.delta + 0.5, width=max(0.1, 5.0 * grid.dx1))
+    scfg = cfg.solver.solver_config(boundary="pinned-profile")
+    window = _pinned_window(spec, grid)
     pspec = PerturbationSpec(eta=cfg.experiment.eta, mode_cap=cfg.experiment.mode_cap,
                              seed=cfg.experiment.seed)
     initial = assemble_initial(spec, pspec, grid, g, shift=False, window=window,
@@ -448,10 +449,7 @@ def run_background_decay(cfg: ExperimentConfig) -> StudyReport:
     g = cfg.gas
     grid = SlabGrid.torus(cfg.grid.period, cfg.grid.n1, cfg.grid.n2, cfg.grid.n3,
                           dims=max(cfg.grid.dims, 2))
-    scfg = SolverConfig(eps=cfg.solver.eps, cfl=cfg.solver.cfl,
-                        visc_safety=cfg.solver.visc_safety, boundary="fully-periodic",
-                        floor_rho=cfg.solver.floor_rho, floor_theta=cfg.solver.floor_theta,
-                        scaled=cfg.solver.scaled)
+    scfg = cfg.solver.solver_config(boundary="fully-periodic")
     etas = list(cfg.experiment.sweep) or [cfg.experiment.eta, cfg.experiment.eta / 2.0]
     rows = []
     for eta in etas:
@@ -594,13 +592,10 @@ def run_simulate(cfg: ExperimentConfig) -> StudyReport:
     spec = cfg.wave_spec(cfg.solver.eps)
     horizon = cfg.experiment.horizon
     grid = sweep_grid(spec, cfg, horizon)
-    scfg = SolverConfig(eps=cfg.solver.eps, cfl=cfg.solver.cfl,
-                        visc_safety=cfg.solver.visc_safety,
-                        floor_rho=cfg.solver.floor_rho, floor_theta=cfg.solver.floor_theta,
-                        boundary=cfg.solver.boundary, scaled=cfg.solver.scaled)
+    scfg = cfg.solver.solver_config()
     window = None
     if cfg.experiment.eta > 0.0 and scfg.boundary == "pinned-profile":
-        window = x1_window(grid, margin=10.0 * spec.delta + 0.5, width=max(0.1, 5.0 * grid.dx1))
+        window = _pinned_window(spec, grid)
     pspec = PerturbationSpec(eta=cfg.experiment.eta, mode_cap=cfg.experiment.mode_cap,
                              seed=cfg.experiment.seed)
     initial = assemble_initial(spec, pspec, grid, g, shift=False, window=window)

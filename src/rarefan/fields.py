@@ -86,6 +86,19 @@ class SlabGrid:
         return cls(L=period / 2.0, n1=n1, period=period, n2=n2, n3=n3, dims=dims)
 
 
+def conserved(g: GasParams, rho, u, theta) -> np.ndarray:
+    """Stacked conserved fields (rho, m1, m2, m3, E) of primitives (rho, u, theta).
+
+    The one primitive-to-conserved map: m = rho u, E = rho (R theta/(gamma-1) + |u|^2/2).
+    u carries its three components on the leading axis.
+    """
+    rho = np.asarray(rho, dtype=float)
+    u = np.asarray(u, dtype=float)
+    m = rho * u
+    E = rho * (g.R / (g.gamma - 1.0) * theta + 0.5 * np.sum(u * u, axis=0))
+    return np.concatenate([rho[None], m, E[None]], axis=0)
+
+
 @dataclass
 class FieldSet:
     """Cell-averaged conserved fields (rho, m, E) on a SlabGrid."""
@@ -125,12 +138,10 @@ class FieldSet:
     @classmethod
     def from_primitives(cls, grid: SlabGrid, g: GasParams, rho, u, theta,
                         time: float = 0.0) -> "FieldSet":
-        rho = np.broadcast_to(np.asarray(rho, dtype=float), grid.shape).copy()
-        u = np.broadcast_to(np.asarray(u, dtype=float), (3,) + grid.shape).copy()
-        theta = np.broadcast_to(np.asarray(theta, dtype=float), grid.shape).copy()
-        m = rho * u
-        E = rho * (g.R / (g.gamma - 1.0) * theta + 0.5 * np.sum(u * u, axis=0))
-        return cls(grid, rho, m, E, time)
+        shp = grid.shape
+        return cls.from_stacked(grid, conserved(g, np.broadcast_to(rho, shp),
+                                                np.broadcast_to(u, (3,) + shp),
+                                                np.broadcast_to(theta, shp)), time)
 
     def totals(self) -> dict[str, float]:
         dv = self.grid.cell_volume

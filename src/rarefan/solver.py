@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .gas import GasParams
-from .fields import FieldSet, SlabGrid
+from .fields import FieldSet, SlabGrid, conserved
 
 # SSP-RK3 expands to a convex combination of Euler steps with these weights
 _RK3_WEIGHTS = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
@@ -28,8 +28,6 @@ class SolverConfig:
     eps: float = 1.0
     cfl: float = 0.4
     visc_safety: float = 0.4
-    conv_scheme: str = "rusanov"
-    visc_scheme: str = "central2"
     floor_rho: float = 1e-10
     floor_theta: float = 1e-10
     boundary: str = "pinned-profile"   # or "fully-periodic"
@@ -42,8 +40,6 @@ class SolverConfig:
             raise ValueError("eps must be nonnegative")
         if self.boundary not in ("pinned-profile", "fully-periodic"):
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
-        if self.conv_scheme != "rusanov" or self.visc_scheme != "central2":
-            raise ValueError("only rusanov/central2 schemes are implemented")
 
     @property
     def visc_mult(self) -> float:
@@ -116,7 +112,7 @@ def _pad_primitives(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     grid = fs.grid
     prim = np.empty((5,) + grid.shape)
     prim[0] = fs.rho
-    prim[1:4] = fs.m / fs.rho
+    prim[1:4] = fs.velocity()
     prim[4] = fs.temperature(g)
 
     if cfg.boundary == "fully-periodic":
@@ -132,12 +128,6 @@ def _pad_primitives(fs: FieldSet, g: GasParams, cfg: SolverConfig,
             prim[c, 0] = left[c]
             prim[c, -1] = right[c]
     return prim
-
-
-def _conserved(rho, u, theta, g: GasParams):
-    m = rho * u
-    E = rho * (g.R / (g.gamma - 1.0) * theta + 0.5 * np.sum(u * u, axis=0))
-    return np.concatenate([rho[None], m, E[None]], axis=0)
 
 
 def _face_views(arr: np.ndarray, ax: int, padded: list[int]):
@@ -192,7 +182,7 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     rhoP, uP, thP = prim[0], prim[1:4], prim[4]
     if np.any(thP <= 0.0):
         raise RunAbort("nonpositive temperature entering rhs")
-    UP = _conserved(rhoP, uP, thP, g)
+    UP = conserved(g, rhoP, uP, thP)
     pP = g.R * rhoP * thP
     cP = np.sqrt(g.gamma * g.R * thP)
 
@@ -275,10 +265,10 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
     """(dt, max wave speed) from the convective CFL and diffusive limits."""
     grid = fs.grid
-    u = fs.m / fs.rho
+    u = fs.velocity()
     theta = fs.temperature(g)
     c = np.sqrt(g.gamma * g.R * np.maximum(theta, 0.0))
-    active = [0] + [ax for ax, n in ((1, grid.n2), (2, grid.n3)) if n > 1]
+    active = _active_axes(grid)
     spacing = grid.spacing
 
     max_speed = 0.0

@@ -71,16 +71,6 @@ class WaveSpec:
         return left.u1 + sound_speed(self.g, left.theta)
 
 
-@dataclass(frozen=True)
-class WaveSample:
-    """One wave evaluation: primitive state, momentum, internal energy, branch tag."""
-
-    state: PrimState
-    m: float
-    n: float
-    in_fan: str  # "left" | "fan" | "right"
-
-
 @dataclass
 class WaveTable:
     """Vectorized wave evaluation over a xi grid."""
@@ -154,22 +144,6 @@ def sample_cutoff(spec: WaveSpec, xi) -> WaveTable:
     theta = np.where(left, leftst.theta, np.where(right, spec.right.theta, th_f))
     branch = np.where(left, -1, np.where(right, 1, 0))
     return WaveTable(xi, rho, u1, theta, rho * u1, rho * theta, branch)
-
-
-def _scalar_sample(table: WaveTable) -> WaveSample:
-    tags = {-1: "left", 0: "fan", 1: "right"}
-    st = PrimState(float(table.rho[0]), float(table.u1[0]), float(table.theta[0]))
-    return WaveSample(st, float(table.m[0]), float(table.n[0]), tags[int(table.branch[0])])
-
-
-def exact_rarefaction(spec: WaveSpec, xi: float) -> WaveSample:
-    """Exact wave at a single similarity coordinate xi = x1/t."""
-    return _scalar_sample(sample_exact(spec, float(xi)))
-
-
-def cutoff_rarefaction(spec: WaveSpec, xi: float) -> WaveSample:
-    """Cut-off wave at a single similarity coordinate."""
-    return _scalar_sample(sample_cutoff(spec, float(xi)))
 
 
 def cutoff_exact_distance(spec: WaveSpec, n: int = 4001, pad: float = 1.0) -> dict[str, float]:

@@ -8,7 +8,8 @@ from rarefan.solver import SolverConfig
 from rarefan.ansatz import (PerturbationSpec, make_perturbation, x1_window,
                             assemble_initial, wave_conserved, build_ansatz,
                             ansatz_weights, ansatz_errors, constant_conserved,
-                            evolve_periodic_background, tile_deviation)
+                            evolve_periodic_background, perturbed_constant_state,
+                            tile_deviation)
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
 RIGHT = PrimState(1.0, 0.0, 1.0)
@@ -233,6 +234,18 @@ def test_background_zero_perturbation_is_exact():
     assert rep.mean_drift < 1e-14
 
 
+def test_background_initial_deviation_exactly_zero():
+    # the constant state and its field share one primitive-to-conserved map,
+    # so an unperturbed start deviates by exactly nothing; this u1 is one where
+    # u1 ** 2 and u1 * u1 differ in the last bit
+    grid = SlabGrid.torus(0.5, 16, 8, dims=2)
+    cfg = SolverConfig(eps=0.2, boundary="fully-periodic")
+    rep = evolve_periodic_background(PrimState(1.0, -1.4394943995478604, 1.0),
+                                     PerturbationSpec(0.0, 2, 0), GAS, cfg,
+                                     grid, horizon=0.05, n_samples=5)
+    assert rep.dev_sup[0] == 0.0
+
+
 def test_background_decay_and_mean_conservation():
     grid = SlabGrid.torus(0.5, 24, 24, dims=2)
     cfg = SolverConfig(eps=0.2, boundary="fully-periodic")
@@ -279,14 +292,7 @@ def test_ansatz_error_terms_decay():
     snaps = {}
     for tag, state in (("plus", spec.right), ("minus", spec.left_state())):
         base = constant_conserved(state, GAS)
-        u0 = np.zeros((3,) + torus.shape)
-        u0[0] = state.u1
-        fs = FieldSet.from_primitives(torus, GAS, np.full(torus.shape, state.rho), u0,
-                                      np.full(torus.shape, state.theta))
-        v0, w0, z0 = make_perturbation(ps, torus)
-        fs.rho = fs.rho + v0
-        fs.m = fs.m + w0
-        fs.E = fs.E + z0
+        fs = perturbed_constant_state(state, ps, torus, GAS)
         held, t_now = {}, 0.0
         for t in times:
             fs, _ = run(fs, GAS, scfg, horizon=t - t_now)

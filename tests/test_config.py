@@ -145,6 +145,31 @@ def test_cli_exit_codes(tmp_path):
     assert main(["cutoff-study", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("line, named", [
+    ("scaled = ture", "scaled"),
+    ("boundary = wrapped", "wrapped"),
+    ("cfl = 1.5", "cfl"),
+])
+def test_bad_solver_value_refused_at_parse(tmp_path, line, named):
+    from rarefan.cli import main
+    path = write(tmp_path, BASE.replace("eps = 0.02", f"eps = 0.02\n{line}"))
+    with pytest.raises(ConfigError, match=named):
+        parse_config(path)
+    assert main(["cutoff-study", "--config", str(path)]) == 2
+
+
+def test_cli_numerical_abort_exit_code(tmp_path, capsys):
+    # the cut-off density 0.05 sits below floor_rho, so the first step aborts
+    from rarefan.cli import main
+    text = (BASE.replace("kind = cutoff-study", "kind = simulate")
+                .replace("n1 = 256", "n1 = 64")
+                .replace("eps = 0.02", "eps = 0.02\nfloor_rho = 0.5")
+                .replace("dir = out", f"dir = {tmp_path}/out"))
+    assert main(["simulate", "--config", str(write(tmp_path, text))]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical abort: positivity floor hit")
+
+
 def test_cli_wave_dump(tmp_path):
     from rarefan.cli import main
     out = tmp_path / "wave.csv"

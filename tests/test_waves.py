@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rarefan.gas import GasParams, PrimState, sound_speed
-from rarefan.waves import (WaveSpec, riemann_invariants, exact_rarefaction,
-                           cutoff_rarefaction, sample_exact, sample_cutoff,
+from rarefan.waves import (WaveSpec, riemann_invariants, sample_exact, sample_cutoff,
                            cutoff_exact_distance, burgers_data, burgers_smooth,
                            smooth_profile, profile_lp_norm, velocity_span,
                            smooth_cutoff_distance, planar_wave_residual)
@@ -57,19 +56,20 @@ def test_left_state_on_wave_curve():
 
 def test_exact_branches():
     spec = make_spec(nu=0.0)
-    vac = exact_rarefaction(spec, -10.0)
-    assert (vac.state.rho, vac.state.u1, vac.state.theta) == \
+    vac = sample_exact(spec, -10.0)
+    assert (vac.rho[0], vac.u1[0], vac.theta[0]) == \
         pytest.approx((0.0, -3.162278, 0.0), abs=1e-6)
-    assert vac.m == 0.0 and vac.n == 0.0 and vac.in_fan == "left"
+    assert vac.m[0] == 0.0 and vac.n[0] == 0.0 and vac.branch[0] == -1
 
-    rgt = exact_rarefaction(spec, 2.0)
-    assert (rgt.state.rho, rgt.state.u1, rgt.state.theta) == (1.0, 0.0, 1.0)
-    assert rgt.in_fan == "right"
+    rgt = sample_exact(spec, 2.0)
+    assert (rgt.rho[0], rgt.u1[0], rgt.theta[0]) == (1.0, 0.0, 1.0)
+    assert rgt.branch[0] == 1
 
-    fan = exact_rarefaction(spec, 0.0)
-    assert fan.state.rho == pytest.approx(0.421875, abs=1e-9)
-    assert fan.state.u1 == pytest.approx(-0.790569, abs=1e-6)
-    assert fan.state.theta == pytest.approx(0.5625, abs=1e-9)
+    fan = sample_exact(spec, 0.0)
+    assert fan.rho[0] == pytest.approx(0.421875, abs=1e-9)
+    assert fan.u1[0] == pytest.approx(-0.790569, abs=1e-6)
+    assert fan.theta[0] == pytest.approx(0.5625, abs=1e-9)
+    assert fan.branch[0] == 0
 
 
 def _fan_state_bisect(xi):
@@ -96,11 +96,11 @@ def _fan_state_bisect(xi):
 
 @pytest.mark.parametrize("xi", [-2.5, -1.0, 0.0, 0.5, 1.0])
 def test_fan_inversion_vs_bisection(xi):
-    got = exact_rarefaction(make_spec(nu=0.0), xi).state
+    got = sample_exact(make_spec(nu=0.0), xi)
     rho, u1, theta = _fan_state_bisect(xi)
-    assert got.rho == pytest.approx(rho, abs=1e-10)
-    assert got.u1 == pytest.approx(u1, abs=1e-10)
-    assert got.theta == pytest.approx(theta, abs=1e-10)
+    assert got.rho[0] == pytest.approx(rho, abs=1e-10)
+    assert got.u1[0] == pytest.approx(u1, abs=1e-10)
+    assert got.theta[0] == pytest.approx(theta, abs=1e-10)
 
 
 def test_fan_consistency_identity():
@@ -133,10 +133,10 @@ def test_exact_monotone_in_xi():
 def test_cutoff_left_branch_constant():
     spec = make_spec(nu=0.01)
     left = spec.left_state()
-    s = cutoff_rarefaction(spec, spec.w_minus - 5.0)
-    assert (s.state.rho, s.state.u1, s.state.theta) == \
+    s = sample_cutoff(spec, spec.w_minus - 5.0)
+    assert (s.rho[0], s.u1[0], s.theta[0]) == \
         pytest.approx((left.rho, left.u1, left.theta), abs=1e-14)
-    assert s.in_fan == "left"
+    assert s.branch[0] == -1
 
 
 def test_cutoff_matches_exact_above_cut():
