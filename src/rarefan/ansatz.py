@@ -120,17 +120,14 @@ def x1_window(grid: SlabGrid, margin: float, width: float) -> np.ndarray:
 
 def _add_perturbation(fs: FieldSet, pspec: PerturbationSpec, modes: str,
                       window: np.ndarray | None) -> FieldSet:
-    """Add the (optionally x1-windowed) perturbation of pspec to fs in place."""
-    if pspec.eta > 0.0:
-        v0, w0, z0 = make_perturbation(pspec, fs.grid, modes=modes)
-        if window is not None:
-            v0 = v0 * window
-            w0 = w0 * window
-            z0 = z0 * window
-        fs.rho = fs.rho + v0
-        fs.m = fs.m + w0
-        fs.E = fs.E + z0
-    return fs
+    """fs plus the (optionally x1-windowed) perturbation of pspec, as a new FieldSet."""
+    if pspec.eta <= 0.0:
+        return fs
+    v0, w0, z0 = make_perturbation(pspec, fs.grid, modes=modes)
+    dU = np.concatenate([v0[None], w0, z0[None]])
+    if window is not None:
+        dU = dU * window
+    return FieldSet(fs.grid, fs.U + dU, fs.time)
 
 
 def wave_conserved(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float,
@@ -268,33 +265,35 @@ def build_ansatz(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float,
     dp = zeros if dev_plus is None else np.asarray(dev_plus, dtype=float)
     dm = zeros if dev_minus is None else np.asarray(dev_minus, dtype=float)
 
-    left = constant_conserved(spec.left_state(), g)
-    right = constant_conserved(spec.right, g)
     U = wave.stacked()
+    w = _blend_weights(spec, g, U)
     out = np.empty_like(U)
     # weight components: rho from rho, all m from m1, E from E
-    widx = [0, 1, 1, 1, 4]
-    for c in range(5):
-        wc = widx[c]
-        den = right[wc] - left[wc]
-        if den == 0.0:
-            raise ValueError(f"degenerate weight: component {wc} equal at both end states")
-        eta_w = (U[wc] - left[wc]) / den
-        out[c] = U[c] + (1.0 - eta_w) * dm[c] + eta_w * dp[c]
+    for c, wc in enumerate((0, 1, 1, 1, 2)):
+        out[c] = U[c] + (1.0 - w[wc]) * dm[c] + w[wc] * dp[c]
     fs = FieldSet.from_stacked(grid, out, time=t)
     if np.any(fs.rho <= 0.0) or np.any(fs.temperature(g) <= 0.0):
         raise ValueError("ansatz left the positive cone")
     return fs
 
 
+def _blend_weights(spec: WaveSpec, g: GasParams, U: np.ndarray) -> np.ndarray:
+    """Blend weights (rho, m1, E channels) of stacked conserved U between the end states."""
+    left = constant_conserved(spec.left_state(), g)
+    right = constant_conserved(spec.right, g)
+    weights = []
+    for c in (0, 1, 4):
+        den = right[c] - left[c]
+        if den == 0.0:
+            raise ValueError(f"degenerate weight: component {c} equal at both end states")
+        weights.append((U[c] - left[c]) / den)
+    return np.stack(weights, axis=0)
+
+
 def ansatz_weights(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float,
                    shift: bool = True) -> np.ndarray:
     """The three blending weights (rho, m, E channels) on the grid."""
-    wave = wave_conserved(spec, grid, g, t, shift=shift)
-    left = constant_conserved(spec.left_state(), g)
-    right = constant_conserved(spec.right, g)
-    U = wave.stacked()
-    return np.stack([(U[c] - left[c]) / (right[c] - left[c]) for c in (0, 1, 4)], axis=0)
+    return _blend_weights(spec, g, wave_conserved(spec, grid, g, t, shift=shift).stacked())
 
 
 def ansatz_errors(prev: FieldSet, now: FieldSet, nxt: FieldSet,

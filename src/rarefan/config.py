@@ -108,7 +108,10 @@ class ExperimentConfig:
         return d
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode()
+        """Hash of the run-defining settings; the output directory is not one of them."""
+        d = self.as_dict()
+        del d["output"]
+        blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     # ------------------------------------------------------------------

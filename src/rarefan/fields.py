@@ -9,7 +9,7 @@ keeps discrete integrals over the slab R x T^2 consistent across dims.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,59 +99,71 @@ def conserved(g: GasParams, rho, u, theta) -> np.ndarray:
     return np.concatenate([rho[None], m, E[None]], axis=0)
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldSet:
-    """Cell-averaged conserved fields (rho, m, E) on a SlabGrid."""
+    """Cell-averaged conserved fields on a SlabGrid, stacked as U = (rho, m1, m2, m3, E).
+
+    rho, m and E are views into U.  The primitives are computed once per
+    FieldSet and cached, so a FieldSet must not be modified in place once
+    they have been read: build a new one instead (the solver always does).
+    """
 
     grid: SlabGrid
-    rho: np.ndarray          # (n1, n2, n3)
-    m: np.ndarray            # (3, n1, n2, n3)
-    E: np.ndarray            # (n1, n2, n3)
+    U: np.ndarray            # (5, n1, n2, n3)
     time: float = 0.0
 
     def __post_init__(self):
-        shp = self.grid.shape
-        if self.rho.shape != shp or self.E.shape != shp or self.m.shape != (3,) + shp:
+        if self.U.shape != (5,) + self.grid.shape:
             raise ValueError("field shapes do not match the grid")
+        self._prim: tuple[GasParams, np.ndarray] | None = None
+
+    rho = property(lambda self: self.U[0], doc="(n1, n2, n3) view into U")
+    m = property(lambda self: self.U[1:4], doc="(3, n1, n2, n3) view into U")
+    E = property(lambda self: self.U[4], doc="(n1, n2, n3) view into U")
 
     def copy(self) -> "FieldSet":
-        return FieldSet(self.grid, self.rho.copy(), self.m.copy(), self.E.copy(), self.time)
+        return FieldSet(self.grid, self.U.copy(), self.time)
+
+    def primitives(self, g: GasParams) -> np.ndarray:
+        """Read-only stacked (rho, u1, u2, u3, theta), computed once per FieldSet."""
+        if self._prim is None or self._prim[0] is not g:
+            prim = np.empty_like(self.U)
+            prim[0] = self.rho
+            u = prim[1:4]
+            np.divide(self.m, self.rho, out=u)
+            prim[4] = (g.gamma - 1.0) / g.R * (self.E / self.rho - 0.5 * np.sum(u * u, axis=0))
+            prim.flags.writeable = False
+            self._prim = (g, prim)
+        return self._prim[1]
 
     def velocity(self) -> np.ndarray:
         return self.m / self.rho
 
     def temperature(self, g: GasParams) -> np.ndarray:
-        u = self.velocity()
-        return (g.gamma - 1.0) / g.R * (self.E / self.rho - 0.5 * np.sum(u * u, axis=0))
+        return self.primitives(g)[4].copy()
 
     def internal_energy_density(self, g: GasParams) -> np.ndarray:
         """n = rho * theta."""
-        return self.rho * self.temperature(g)
+        return self.rho * self.primitives(g)[4]
 
     def stacked(self) -> np.ndarray:
-        return np.concatenate([self.rho[None], self.m, self.E[None]], axis=0)
+        return self.U
 
     @classmethod
     def from_stacked(cls, grid: SlabGrid, U: np.ndarray, time: float = 0.0) -> "FieldSet":
-        return cls(grid, U[0].copy(), U[1:4].copy(), U[4].copy(), time)
+        return cls(grid, U, time)
 
     @classmethod
     def from_primitives(cls, grid: SlabGrid, g: GasParams, rho, u, theta,
                         time: float = 0.0) -> "FieldSet":
         shp = grid.shape
-        return cls.from_stacked(grid, conserved(g, np.broadcast_to(rho, shp),
-                                                np.broadcast_to(u, (3,) + shp),
-                                                np.broadcast_to(theta, shp)), time)
+        return cls(grid, conserved(g, np.broadcast_to(rho, shp), np.broadcast_to(u, (3,) + shp),
+                                   np.broadcast_to(theta, shp)), time)
 
     def totals(self) -> dict[str, float]:
-        dv = self.grid.cell_volume
-        return {
-            "mass": float(np.sum(self.rho) * dv),
-            "momentum1": float(np.sum(self.m[0]) * dv),
-            "momentum2": float(np.sum(self.m[1]) * dv),
-            "momentum3": float(np.sum(self.m[2]) * dv),
-            "energy": float(np.sum(self.E) * dv),
-        }
+        sums = self.U.reshape(5, -1).sum(axis=1) * self.grid.cell_volume
+        return dict(zip(("mass", "momentum1", "momentum2", "momentum3", "energy"),
+                        sums.tolist()))
 
 
 _MAGIC = b"SLAB"
@@ -166,8 +178,7 @@ def save_fields(fs: FieldSet, path) -> None:
         g.L, g.period, g.dx1, fs.time, 0.0)
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (fs.rho, fs.m[0], fs.m[1], fs.m[2], fs.E):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(fs.U, dtype="<f8").tobytes())
 
 
 def load_fields(path) -> FieldSet:
@@ -181,10 +192,8 @@ def load_fields(path) -> FieldSet:
             raise ValueError(f"unsupported snapshot version {version}")
         grid = SlabGrid(L=L, n1=n1, period=period, n2=n2, n3=n3, dims=dims)
         count = n1 * n2 * n3
-        arrs = [np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(grid.shape).copy()
-                for _ in range(5)]
-    m = np.stack(arrs[1:4], axis=0)
-    return FieldSet(grid, arrs[0], m, arrs[4], time)
+        U = np.frombuffer(fh.read(8 * 5 * count), dtype="<f8").reshape((5,) + grid.shape)
+    return FieldSet(grid, U.astype(float), time)
 
 
 def fields_to_csv(fs: FieldSet, path) -> None:

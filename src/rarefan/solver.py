@@ -82,11 +82,11 @@ def profile_ghost_source(spec, grid: SlabGrid, shift: bool = True) -> GhostSourc
     lstate = spec.left_state()
     left_const = (lstate.rho, lstate.u1, 0.0, 0.0, lstate.theta)
     right_const = (spec.right.rho, spec.right.u1, 0.0, 0.0, spec.right.theta)
+    w_minus, w_plus, margin = spec.w_minus, spec.w_plus, 15.0 * spec.delta
 
     def source(t: float):
         tb = (1.0 + t) if shift else t
-        margin = 15.0 * spec.delta
-        if (xg[0] - spec.w_minus * tb < -margin) and (xg[1] - spec.w_plus * tb > margin):
+        if (xg[0] - w_minus * tb < -margin) and (xg[1] - w_plus * tb > margin):
             return left_const, right_const
         pr = smooth_profile(spec, t, xg, shift=shift)
         left = (pr.rho[0], pr.u1[0], 0.0, 0.0, pr.theta[0])
@@ -100,51 +100,60 @@ def _active_axes(grid: SlabGrid) -> list[int]:
     return [0] + [ax for ax, n in ((1, grid.n2), (2, grid.n3)) if n > 1]
 
 
-def _pad_primitives(fs: FieldSet, g: GasParams, cfg: SolverConfig,
-                    ghost_source: GhostSource | None, t: float,
-                    active: list[int]) -> np.ndarray:
+def _ringed_primitives(fs: FieldSet, g: GasParams, cfg: SolverConfig,
+                       ghost_source: GhostSource | None, t: float,
+                       active: list[int]) -> np.ndarray:
     """Stacked primitives (rho, u, theta) with one ghost ring on active axes.
 
     Transverse directions wrap; x1 wraps on fully-periodic runs and otherwise
     carries the ghost values supplied by ghost_source (edge copy without one).
-    Inactive axes stay single-cell wide.
+    Axes are filled in order over the full ring, so corner cells are
+    wrap-of-wrap on the torus and x1 ghost values on pinned runs.  Inactive
+    axes stay single-cell wide.
     """
-    grid = fs.grid
-    prim = np.empty((5,) + grid.shape)
-    prim[0] = fs.rho
-    prim[1:4] = fs.velocity()
-    prim[4] = fs.temperature(g)
-
+    ring = [1 if ax in active else 0 for ax in range(3)]
+    shape = fs.grid.shape
+    prim = np.empty((5,) + tuple(n + 2 * r for n, r in zip(shape, ring)))
+    prim[(slice(None),) + tuple(slice(r, n + r) for n, r in zip(shape, ring))] = \
+        fs.primitives(g)
+    periodic = active if cfg.boundary == "fully-periodic" else active[1:]
+    for ax in periodic:
+        planes = np.moveaxis(prim, 1 + ax, 0)  # a view: ghost planes at 0 and -1
+        planes[0], planes[-1] = planes[-2], planes[1]
     if cfg.boundary == "fully-periodic":
-        pads = [(0, 0)] + [(1, 1) if ax in active else (0, 0) for ax in range(3)]
-        return np.pad(prim, pads, mode="wrap")
-
-    tpads = [(0, 0), (0, 0)] + [(1, 1) if ax in active else (0, 0) for ax in (1, 2)]
-    prim = np.pad(prim, tpads, mode="wrap")
-    prim = np.pad(prim, [(0, 0), (1, 1), (0, 0), (0, 0)], mode="edge")
-    if ghost_source is not None:
+        return prim
+    if ghost_source is None:
+        prim[:, 0] = prim[:, 1]
+        prim[:, -1] = prim[:, -2]
+    else:
         left, right = ghost_source(t)  # (rho, u1, u2, u3, theta), matching prim
-        for c in range(5):
-            prim[c, 0] = left[c]
-            prim[c, -1] = right[c]
+        prim[:, 0] = np.reshape(left, (5, 1, 1))
+        prim[:, -1] = np.reshape(right, (5, 1, 1))
     return prim
 
 
-def _face_views(arr: np.ndarray, ax: int, padded: list[int]):
-    """(left, right) cell views across all faces along ax.
+def _face_index(ax: int, active: list[int]) -> tuple[tuple, tuple]:
+    """(left, right) indices of the two cells of every face along ax.
 
-    The ax axis keeps its ghost extent so there is one view pair per face
-    (n_ax + 1 of them); other padded axes are cut to the interior.
+    They apply to the spatial axes of any ghost-ringed array: the ax axis keeps
+    its ghost extent so there is one pair per face (n_ax + 1 of them); other
+    ringed axes are cut to the interior.
     """
-    off = arr.ndim - 3  # leading component axes of vector/stacked arrays
-    idx_l = [slice(None)] * arr.ndim
-    for sp in padded:
-        if sp != ax:
-            idx_l[off + sp] = slice(1, -1)
-    idx_r = list(idx_l)
-    idx_l[off + ax] = slice(0, -1)
-    idx_r[off + ax] = slice(1, None)
-    return arr[tuple(idx_l)], arr[tuple(idx_r)]
+    lo = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
+    hi = list(lo)
+    lo[ax] = slice(0, -1)
+    hi[ax] = slice(1, None)
+    return (Ellipsis, *lo), (Ellipsis, *hi)
+
+
+def _euler_flux(U: np.ndarray, un: np.ndarray, p: np.ndarray, ax: int) -> np.ndarray:
+    """Stacked Euler flux along ax of conserved U with normal velocity un, pressure p."""
+    f = np.empty_like(U)
+    f[0] = U[1 + ax]
+    np.multiply(U[1:4], un, out=f[1:4])
+    f[1 + ax] += p
+    f[4] = (U[4] + p) * un
+    return f
 
 
 def _face_cross_diff(uP: np.ndarray, ax: int, bx: int, dxb: float, padded: list[int]):
@@ -178,7 +187,7 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     if np.any(fs.rho <= 0.0):
         raise RunAbort("nonpositive density entering rhs")
     active = _active_axes(grid)
-    prim = _pad_primitives(fs, g, cfg, ghost_source, tt, active)
+    prim = _ringed_primitives(fs, g, cfg, ghost_source, tt, active)
     rhoP, uP, thP = prim[0], prim[1:4], prim[4]
     if np.any(thP <= 0.0):
         raise RunAbort("nonpositive temperature entering rhs")
@@ -193,27 +202,17 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
     for ax in active:
         dx = spacing[ax]
+        L, R = _face_index(ax, active)
 
-        UL, UR = _face_views(UP, ax, active)
-        uLall, uRall = _face_views(uP, ax, active)
-        thL, thR = _face_views(thP, ax, active)
-        pL, pR = _face_views(pP, ax, active)
-        cL, cR = _face_views(cP, ax, active)
-        uL, uR = uLall[ax], uRall[ax]
-
-        def euler_flux(U, un, p):
-            f = np.empty_like(U)
-            f[0] = U[1 + ax]
-            for c in range(3):
-                f[1 + c] = U[1 + c] * un
-            f[1 + ax] = f[1 + ax] + p
-            f[4] = (U[4] + p) * un
-            return f
-
-        s = np.maximum(np.abs(uL) + cL, np.abs(uR) + cR)
-        F = 0.5 * (euler_flux(UL, uL, pL) + euler_flux(UR, uR, pR)) - 0.5 * s * (UR - UL)
+        # cell fluxes and signal speeds once on the ringed array, then per face
+        FP = _euler_flux(UP, uP[ax], pP, ax)
+        aP = np.abs(uP[ax]) + cP
+        s = np.maximum(aP[L], aP[R])
+        F = 0.5 * (FP[L] + FP[R]) - 0.5 * s * (UP[R] - UP[L])
 
         if visc > 0.0:
+            thL, thR = thP[L], thP[R]
+            uLall, uRall = uP[L], uP[R]
             thF = 0.5 * (thL + thR)
             pw = thF ** g.alpha
             muF, lamF, kapF = g.mu1 * pw, g.lambda1 * pw, g.kappa1 * pw
@@ -225,39 +224,25 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
             dn_u = (uRall - uLall) / dx              # d u_c / d x_ax
             cross = {bx: _face_cross_diff(uP, ax, bx, spacing[bx], active)
                      for bx in active if bx != ax}   # d u_c / d x_bx
-            divu = dn_u[ax].copy()
+            divu = dn_u[ax]
+            dc_uax = np.zeros_like(dn_u)             # d u_ax / d x_c
+            dc_uax[ax] = dn_u[ax]
             for bx, cd in cross.items():
-                divu += cd[bx]
-            tau = np.empty((3,) + thF.shape)  # stress column T[:, ax]
-            for c in range(3):
-                if c == ax:
-                    dc_uax = dn_u[ax]
-                elif c in cross:
-                    dc_uax = cross[c][ax]
-                else:
-                    dc_uax = 0.0
-                tau[c] = muF * (dn_u[c] + dc_uax)
+                divu = divu + cd[bx]
+                dc_uax[bx] = cd[ax]
+            tau = muF * (dn_u + dc_uax)              # stress column T[:, ax]
             tau[ax] += lamF * divu
             dthdn = (thR - thL) / dx
 
-            for c in range(3):
-                F[1 + c] -= visc * tau[c]
+            F[1:4] -= visc * tau
             F[4] -= visc * (np.sum(uF * tau, axis=0) + kapF * dthdn)
 
-        lo = [slice(None)] * 4
-        hi = [slice(None)] * 4
-        lo[1 + ax] = slice(0, -1)
-        hi[1 + ax] = slice(1, None)
-        tend -= (F[tuple(hi)] - F[tuple(lo)]) / dx
+        tend -= np.diff(F, axis=1 + ax) / dx
 
         if ax == 0:
             face_area = grid.cell_volume / dx
-            first = [slice(None)] * 4
-            last = [slice(None)] * 4
-            first[1] = 0
-            last[1] = -1
-            bflux += (F[tuple(first)].reshape(5, -1).sum(axis=1)
-                      - F[tuple(last)].reshape(5, -1).sum(axis=1)) * face_area
+            bflux += (F[:, 0].reshape(5, -1).sum(axis=1)
+                      - F[:, -1].reshape(5, -1).sum(axis=1)) * face_area
 
     return tend, bflux
 
@@ -265,8 +250,8 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
     """(dt, max wave speed) from the convective CFL and diffusive limits."""
     grid = fs.grid
-    u = fs.velocity()
-    theta = fs.temperature(g)
+    prim = fs.primitives(g)
+    u, theta = prim[1:4], prim[4]
     c = np.sqrt(g.gamma * g.R * np.maximum(theta, 0.0))
     active = _active_axes(grid)
     spacing = grid.spacing
@@ -297,7 +282,12 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
          ghost_source: GhostSource | None = None,
          dt: float | None = None,
          dt_cap: float | None = None) -> tuple[FieldSet, StepDiagnostics]:
-    """One SSP-RK3 step; dt may be forced (paired-run tests), else from stable_dt."""
+    """One SSP-RK3 step; dt may be forced (paired-run tests), else from stable_dt.
+
+    The stages are FieldSets over fresh stacked arrays, so each computes its
+    primitives once; the result's primitives feed the diagnostics here and
+    the next step's stable_dt and first rhs.
+    """
     auto_dt, max_speed = stable_dt(fs, g, cfg)
     if dt is None:
         dt = auto_dt if dt_cap is None else min(auto_dt, dt_cap)
@@ -305,26 +295,23 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
         raise RunAbort(f"time step underflow: dt = {dt:.3e}")
 
     t0 = fs.time
-    U0 = fs.stacked()
+    U0 = fs.U
     bflux = np.zeros(5)
 
     k1, b1 = rhs(fs, g, cfg, ghost_source, t=t0)
     U1 = U0 + dt * k1
-    f1 = FieldSet.from_stacked(fs.grid, U1, t0 + dt)
-    k2, b2 = rhs(f1, g, cfg, ghost_source, t=t0 + dt)
+    k2, b2 = rhs(FieldSet(fs.grid, U1, t0 + dt), g, cfg, ghost_source, t=t0 + dt)
     U2 = 0.75 * U0 + 0.25 * (U1 + dt * k2)
-    f2 = FieldSet.from_stacked(fs.grid, U2, t0 + 0.5 * dt)
-    k3, b3 = rhs(f2, g, cfg, ghost_source, t=t0 + 0.5 * dt)
+    k3, b3 = rhs(FieldSet(fs.grid, U2, t0 + 0.5 * dt), g, cfg, ghost_source, t=t0 + 0.5 * dt)
     U3 = (U0 + 2.0 * (U2 + dt * k3)) / 3.0
 
     for w, b in zip(_RK3_WEIGHTS, (b1, b2, b3)):
         bflux += w * dt * b
 
-    out = FieldSet.from_stacked(fs.grid, U3, t0 + dt)
-    theta = out.temperature(g)
+    out = FieldSet(fs.grid, U3, t0 + dt)
     diag = StepDiagnostics(
         dt=dt, max_speed=max_speed,
-        min_rho=float(np.min(out.rho)), min_theta=float(np.min(theta)),
+        min_rho=float(np.min(out.rho)), min_theta=float(np.min(out.primitives(g)[4])),
         totals=out.totals(), boundary_flux=bflux)
     if not np.isfinite(out.rho).all() or not np.isfinite(out.E).all():
         raise RunAbort("non-finite state after step", diag)
@@ -355,7 +342,7 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
         row = {"tau": fs.time,
                "dt": diag.dt if diag else 0.0,
                "min_rho": float(np.min(fs.rho)),
-               "min_theta": float(np.min(fs.temperature(g)))}
+               "min_theta": float(np.min(fs.primitives(g)[4]))}
         row.update(fs.totals())
         for name, fn in observers.items():
             out = fn(fs, g)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rarefan.gas import GasParams, PrimState
+from rarefan.gas import GasParams, PrimState, sound_speed
 from rarefan.fields import SlabGrid, FieldSet
 from rarefan.waves import WaveSpec, smooth_profile
 from rarefan.solver import SolverConfig
@@ -148,6 +148,22 @@ def test_ansatz_weight_sandwich():
     assert W.min() > -1e-12 and W.max() < 1.0 + 1e-12
     # far right the rho weight saturates at 1
     assert W[0, -1, 0, 0] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_ansatz_weights_refuse_shared_momentum():
+    # end states with equal m1: u1_nu = u1_plus - D with D = 2 (c_plus - c_nu)/(gamma-1),
+    # so nu u1_nu = rho_plus u1_plus at u1_plus = -nu D / (rho_plus - nu)
+    nu = 0.1
+    left0 = WaveSpec(RIGHT, GAS, nu=nu, delta=0.2).left_state()
+    D = 2.0 * (sound_speed(GAS, RIGHT.theta) - sound_speed(GAS, left0.theta)) / (GAS.gamma - 1.0)
+    spec = WaveSpec(PrimState(RIGHT.rho, -nu * D / (RIGHT.rho - nu), RIGHT.theta), GAS,
+                    nu=nu, delta=0.2)
+    assert constant_conserved(spec.left_state(), GAS)[1] == constant_conserved(spec.right, GAS)[1]
+    grid = SlabGrid(L=6.0, n1=64)
+    with pytest.raises(ValueError, match="degenerate weight: component 1"):
+        ansatz_weights(spec, grid, GAS, 0.5)
+    with pytest.raises(ValueError, match="degenerate weight: component 1"):
+        build_ansatz(spec, grid, GAS, 0.5, dev_plus=np.zeros((5,) + grid.shape))
 
 
 def test_ansatz_weight_limits_far_field():

@@ -1,3 +1,4 @@
+import dataclasses
 import numpy as np
 import pytest
 
@@ -86,6 +87,19 @@ def test_config_hash_stable(tmp_path):
     cfg3 = parse_config(write(tmp_path, BASE.replace("nu = 0.05", "nu = 0.04"),
                               name="c3.ini"))
     assert cfg3.config_hash() != cfg.config_hash()
+
+
+def test_config_hash_ignores_output_dir(tmp_path):
+    cfg = parse_config(write(tmp_path, BASE))
+    moved = parse_config(write(tmp_path, BASE.replace("dir = out", "dir = elsewhere"),
+                               name="moved.ini"))
+    assert moved.as_dict()["output"]["dir"] == "elsewhere"  # the sidecar keeps it
+    assert moved.config_hash() == cfg.config_hash()
+    # the CLI's --out override goes the same way
+    assert dataclasses.replace(cfg, out_dir=str(tmp_path)).config_hash() == cfg.config_hash()
+    recfl = parse_config(write(tmp_path, BASE.replace("eps = 0.02", "eps = 0.02\ncfl = 0.3"),
+                               name="cfl.ini"))
+    assert recfl.config_hash() != cfg.config_hash()
 
 
 def test_paper_scaling_arithmetic(tmp_path):

@@ -101,3 +101,32 @@ def test_eps_sweep_partial_report_on_failure():
     assert not rep.passed
     assert not rep.checks["no_run_failures"]
     assert any("failed" in r for r in rep.rows)
+
+
+def test_diff_study_outputs_masks_run_fields(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+    from rarefan.experiments import StudyReport
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "diff_study_outputs.py"
+
+    def emit(name, hash_, wall, value):
+        rows = [{"eps": 0.1, "distance": value, "config_hash": hash_, "wall_time": wall}]
+        StudyReport("eps-sweep", rows, {"ok": True}, hash_, 0, wall).emit(str(tmp_path / name))
+
+    def diff(a, b):
+        return subprocess.run([sys.executable, str(script), str(tmp_path / a),
+                               str(tmp_path / b)], capture_output=True, text=True)
+
+    emit("a", "aaaa", 1.0, 0.25)
+    emit("b", "bbbb", 2.0, 0.25)
+    csv_b = tmp_path / "b" / "eps_sweep.csv"
+    text = csv_b.read_text()
+    commit = next(l for l in text.splitlines() if l.startswith("# commit="))
+    csv_b.write_text(text.replace(commit, "# commit=0123abc"))
+    assert diff("a", "b").returncode == 0
+    emit("c", "aaaa", 1.0, 0.2500001)
+    res = diff("a", "c")
+    assert res.returncode == 1
+    assert "0.2500001" in res.stdout

@@ -4,7 +4,7 @@ import pytest
 from rarefan.gas import GasParams, PrimState
 from rarefan.fields import SlabGrid, FieldSet
 from rarefan.waves import WaveSpec, smooth_profile
-from rarefan.solver import (SolverConfig, RunAbort, rhs, step, run,
+from rarefan.solver import (SolverConfig, RunAbort, rhs, step, run, stable_dt,
                             profile_ghost_source)
 from rarefan.analysis import sup_distance
 
@@ -115,6 +115,66 @@ def test_manufactured_full_rhs_first_order():
         errs.append(np.sqrt(np.mean((t0[0] - e_rho) ** 2 + (t0[1] - e_mom) ** 2
                                     + (t0[4] - e_en) ** 2)))
     assert np.log2(errs[0] / errs[1]) >= 0.9
+
+
+def _transverse_state(grid, seed):
+    """Smooth-in-x1 state with random x2/x3 variation, including the end cells."""
+    rng = np.random.default_rng(seed)
+    x = grid.x1()[:, None, None]
+    tshape = (1,) + grid.shape[1:]
+    rho = 1.0 + 0.1 * np.cos(x) + 0.05 * rng.random(tshape)
+    u = 0.05 * rng.standard_normal((3,) + tshape) + np.zeros((3,) + grid.shape)
+    theta = 1.0 + 0.1 * np.sin(x) + 0.05 * rng.random(tshape)
+    return FieldSet.from_primitives(grid, GAS, rho, u, theta)
+
+
+def test_pinned_rhs_commutes_with_transverse_roll():
+    # the corner ghosts (x1 ghost x x2 ghost) enter the cross derivatives at
+    # the x1 faces; filled consistently, a roll along x2 commutes with rhs
+    grid = SlabGrid(L=2.0, n1=12, n2=8, dims=2)
+    spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
+    fs = _transverse_state(grid, 11)
+    rolled = FieldSet.from_stacked(grid, np.roll(fs.stacked(), 3, axis=2))
+    cfg = SolverConfig(eps=0.05, boundary="pinned-profile")
+    for ghost in (profile_ghost_source(spec, grid), None):
+        tend, _ = rhs(fs, GAS, cfg, ghost, t=0.0)
+        tend_rolled, _ = rhs(rolled, GAS, cfg, ghost, t=0.0)
+        assert np.array_equal(tend_rolled, np.roll(tend, 3, axis=2))
+
+
+def test_x3_constant_state_matches_2d_rhs():
+    spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
+    grid2 = SlabGrid(L=2.0, n1=12, n2=6, dims=2)
+    grid3 = SlabGrid(L=2.0, n1=12, n2=6, n3=4, dims=3)
+    fs2 = _transverse_state(grid2, 12)
+    fs3 = FieldSet.from_stacked(grid3, np.repeat(fs2.stacked(), 4, axis=3))
+    for cfg in (SolverConfig(eps=0.05, boundary="pinned-profile"), periodic_cfg(0.05)):
+        t2, _ = rhs(fs2, GAS, cfg, profile_ghost_source(spec, grid2), t=0.0)
+        t3, _ = rhs(fs3, GAS, cfg, profile_ghost_source(spec, grid3), t=0.0)
+        assert np.max(np.abs(t3 - t2)) <= 1e-14 * np.max(np.abs(t2))
+
+
+def test_step_dt_is_stable_dt():
+    grid = SlabGrid.torus(1.0, 32, 4, dims=2)
+    _, rho, u, theta = smooth_fields(grid)
+    fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
+    cfg = periodic_cfg(eps=0.05)
+    _, diag = step(fs, GAS, cfg)
+    assert diag.dt == stable_dt(fs, GAS, cfg)[0]
+
+
+def test_rhs_unaffected_by_caller_mutation():
+    grid = SlabGrid.torus(1.0, 32, 4, dims=2)
+    _, rho, u, theta = smooth_fields(grid)
+    fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
+    cfg = periodic_cfg(eps=0.05)
+    tend0, bflux0 = rhs(fs, GAS, cfg)
+    fs.velocity()[0] -= 1.0
+    fs.temperature(GAS)[:] = -1.0
+    tend1, bflux1 = rhs(fs, GAS, cfg)
+    assert np.array_equal(tend0, tend1) and np.array_equal(bflux0, bflux1)
+    assert not np.shares_memory(tend0, tend1)
+    assert not np.shares_memory(bflux0, bflux1)
 
 
 # ---------------------------------------------------------------------------
