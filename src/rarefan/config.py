@@ -45,7 +45,6 @@ class GridBlock:
 class SolverBlock:
     eps: float = 0.02
     cfl: float = 0.4
-    visc_safety: float = 0.4
     floor_rho: float = 1e-9
     floor_theta: float = 1e-9
     boundary: str = "pinned-profile"

@@ -20,6 +20,16 @@ from .fields import FieldSet, SlabGrid, conserved
 # SSP-RK3 expands to a convex combination of Euler steps with these weights
 _RK3_WEIGHTS = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
 
+# SSP-RK3 is stable on the negative real axis down to -2.5127..., the real
+# root of 1 + z + z^2/2 + z^3/6 = -1 (Gottlieb, Shu & Tadmor, SIAM Rev. 43
+# (2001) 89-112); the viscous dt keeps this fraction of that limit
+_RK3_REAL_LIMIT = 2.5127453266183286
+_VISC_FRACTION = 0.8
+
+# smallest step taken; a sample or horizon time counts as reached within this
+# gap, so landing on it never asks for a smaller step
+_DT_MIN = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -27,7 +37,6 @@ class SolverConfig:
 
     eps: float = 1.0
     cfl: float = 0.4
-    visc_safety: float = 0.4
     floor_rho: float = 1e-10
     floor_theta: float = 1e-10
     boundary: str = "pinned-profile"   # or "fully-periodic"
@@ -65,8 +74,16 @@ class RunAbort(RuntimeError):
         self.diagnostics = diagnostics
 
 
-# ghost_source(t) -> (left, right), each a 5-tuple (rho, u1, u2, u3, theta)
-GhostSource = Callable[[float], tuple[tuple, tuple]]
+# ghost_source(t) -> (10, 2) array whose columns are the left and right x1
+# ghost cells: primitives (rho, u1, u2, u3, theta) over conserved values
+GhostSource = Callable[[float], np.ndarray]
+
+
+def _ghost_columns(g: GasParams, rho, u1, theta) -> np.ndarray:
+    """Ghost columns of planar (rho, u1, theta) pairs, conserved part from fields.conserved."""
+    prim = np.zeros((5, 2))
+    prim[0], prim[1], prim[4] = rho, u1, theta
+    return np.concatenate([prim, conserved(g, prim[0], prim[1:4], prim[4])])
 
 
 def profile_ghost_source(spec, grid: SlabGrid, shift: bool = True) -> GhostSource:
@@ -79,19 +96,18 @@ def profile_ghost_source(spec, grid: SlabGrid, shift: bool = True) -> GhostSourc
     from .waves import smooth_profile
 
     xg = np.array([-grid.L - 0.5 * grid.dx1, grid.L + 0.5 * grid.dx1])
-    lstate = spec.left_state()
-    left_const = (lstate.rho, lstate.u1, 0.0, 0.0, lstate.theta)
-    right_const = (spec.right.rho, spec.right.u1, 0.0, 0.0, spec.right.theta)
-    w_minus, w_plus, margin = spec.w_minus, spec.w_plus, 15.0 * spec.delta
+    lstate, rstate = spec.left_state(), spec.right
+    const = _ghost_columns(spec.g, (lstate.rho, rstate.rho), (lstate.u1, rstate.u1),
+                           (lstate.theta, rstate.theta))
+    const.flags.writeable = False
+    margin = 15.0 * spec.delta
 
-    def source(t: float):
+    def source(t: float) -> np.ndarray:
         tb = (1.0 + t) if shift else t
-        if (xg[0] - w_minus * tb < -margin) and (xg[1] - w_plus * tb > margin):
-            return left_const, right_const
+        if (xg[0] - spec.w_minus * tb < -margin) and (xg[1] - spec.w_plus * tb > margin):
+            return const
         pr = smooth_profile(spec, t, xg, shift=shift)
-        left = (pr.rho[0], pr.u1[0], 0.0, 0.0, pr.theta[0])
-        right = (pr.rho[1], pr.u1[1], 0.0, 0.0, pr.theta[1])
-        return left, right
+        return _ghost_columns(spec.g, pr.rho, pr.u1, pr.theta)
 
     return source
 
@@ -100,36 +116,37 @@ def _active_axes(grid: SlabGrid) -> list[int]:
     return [0] + [ax for ax, n in ((1, grid.n2), (2, grid.n3)) if n > 1]
 
 
-def _ringed_primitives(fs: FieldSet, g: GasParams, cfg: SolverConfig,
-                       ghost_source: GhostSource | None, t: float,
-                       active: list[int]) -> np.ndarray:
-    """Stacked primitives (rho, u, theta) with one ghost ring on active axes.
+def _ringed_state(fs: FieldSet, g: GasParams, cfg: SolverConfig,
+                  ghost_source: GhostSource | None, t: float,
+                  active: list[int]) -> np.ndarray:
+    """Primitives (rho, u, theta) stacked over U, with one ghost ring on active axes.
 
     Transverse directions wrap; x1 wraps on fully-periodic runs and otherwise
-    carries the ghost values supplied by ghost_source (edge copy without one).
-    Axes are filled in order over the full ring, so corner cells are
+    carries the ghost columns supplied by ghost_source (edge copy without
+    one).  Axes are filled in order over the full ring, so corner cells are
     wrap-of-wrap on the torus and x1 ghost values on pinned runs.  Inactive
-    axes stay single-cell wide.
+    axes stay single-cell wide.  The interior of the last five rows is fs.U.
     """
     ring = [1 if ax in active else 0 for ax in range(3)]
     shape = fs.grid.shape
-    prim = np.empty((5,) + tuple(n + 2 * r for n, r in zip(shape, ring)))
-    prim[(slice(None),) + tuple(slice(r, n + r) for n, r in zip(shape, ring))] = \
-        fs.primitives(g)
+    state = np.empty((10,) + tuple(n + 2 * r for n, r in zip(shape, ring)))
+    inner = tuple(slice(r, n + r) for n, r in zip(shape, ring))
+    state[(slice(0, 5),) + inner] = fs.primitives(g)
+    state[(slice(5, 10),) + inner] = fs.U
     periodic = active if cfg.boundary == "fully-periodic" else active[1:]
     for ax in periodic:
-        planes = np.moveaxis(prim, 1 + ax, 0)  # a view: ghost planes at 0 and -1
+        planes = np.moveaxis(state, 1 + ax, 0)  # a view: ghost planes at 0 and -1
         planes[0], planes[-1] = planes[-2], planes[1]
     if cfg.boundary == "fully-periodic":
-        return prim
+        return state
     if ghost_source is None:
-        prim[:, 0] = prim[:, 1]
-        prim[:, -1] = prim[:, -2]
+        state[:, 0] = state[:, 1]
+        state[:, -1] = state[:, -2]
     else:
-        left, right = ghost_source(t)  # (rho, u1, u2, u3, theta), matching prim
-        prim[:, 0] = np.reshape(left, (5, 1, 1))
-        prim[:, -1] = np.reshape(right, (5, 1, 1))
-    return prim
+        ghosts = ghost_source(t)
+        state[:, 0] = ghosts[:, 0, None, None]
+        state[:, -1] = ghosts[:, 1, None, None]
+    return state
 
 
 def _face_index(ax: int, active: list[int]) -> tuple[tuple, tuple]:
@@ -187,11 +204,10 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     if np.any(fs.rho <= 0.0):
         raise RunAbort("nonpositive density entering rhs")
     active = _active_axes(grid)
-    prim = _ringed_primitives(fs, g, cfg, ghost_source, tt, active)
-    rhoP, uP, thP = prim[0], prim[1:4], prim[4]
+    state = _ringed_state(fs, g, cfg, ghost_source, tt, active)
+    rhoP, uP, thP, UP = state[0], state[1:4], state[4], state[5:]
     if np.any(thP <= 0.0):
         raise RunAbort("nonpositive temperature entering rhs")
-    UP = conserved(g, rhoP, uP, thP)
     pP = g.R * rhoP * thP
     cP = np.sqrt(g.gamma * g.R * thP)
 
@@ -248,7 +264,7 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
 
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
-    """(dt, max wave speed) from the convective CFL and diffusive limits."""
+    """(dt, max wave speed) from the convective CFL and SSP-RK3 viscous limits."""
     grid = fs.grid
     prim = fs.primitives(g)
     u, theta = prim[1:4], prim[4]
@@ -264,6 +280,8 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
         if sp > 0.0:
             dt_conv = min(dt_conv, cfg.cfl * spacing[ax] / sp)
 
+    # the central viscous/heat operator with diffusivity D has spectral radius
+    # at most 4 D_max sum_ax h_ax^-2
     dt_visc = np.inf
     if cfg.visc_mult > 0.0:
         pw = theta ** g.alpha
@@ -272,8 +290,8 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
             g.kappa1 * pw * (g.gamma - 1.0) / g.R) / fs.rho
         dmax = float(np.max(diff))
         if dmax > 0.0:
-            hmin = min(spacing[ax] for ax in active)
-            dt_visc = cfg.visc_safety * hmin ** 2 / (2.0 * len(active) * dmax)
+            inv_h2 = sum(spacing[ax] ** -2 for ax in active)
+            dt_visc = _VISC_FRACTION * _RK3_REAL_LIMIT / (4.0 * dmax * inv_h2)
 
     return min(dt_conv, dt_visc), max_speed
 
@@ -291,7 +309,7 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     auto_dt, max_speed = stable_dt(fs, g, cfg)
     if dt is None:
         dt = auto_dt if dt_cap is None else min(auto_dt, dt_cap)
-    if dt < 1e-12:
+    if dt < _DT_MIN:
         raise RunAbort(f"time step underflow: dt = {dt:.3e}")
 
     t0 = fs.time
@@ -329,8 +347,10 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
         max_steps: int = 10_000_000) -> tuple[FieldSet, list[dict]]:
     """Advance to the horizon, sampling diagnostics every sample_dt time units.
 
-    Each record carries the base diagnostic columns plus whatever the observer
-    callbacks return; records are plain dicts ready for CSV emission.
+    Steps are capped so that every sample lands on its time t0 + k sample_dt
+    and the last on the horizon.  Each record carries the base diagnostic
+    columns plus whatever the observer callbacks return; records are plain
+    dicts ready for CSV emission.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
@@ -356,15 +376,21 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
     if horizon == 0.0:
         return fs, records
 
-    next_sample = fs.time + sample_dt if sample_dt else np.inf
-    t_end = fs.time + horizon
+    t0 = fs.time
+    t_end = t0 + horizon
+    n_sample = 1
+    next_sample = t0 + sample_dt if sample_dt else np.inf
     for _ in range(max_steps):
-        fs, diag = step(fs, g, cfg, ghost_source, dt_cap=t_end - fs.time)
-        if fs.time >= next_sample - 1e-12:
+        # land on the next sample or the horizon; a gap left open here exceeds
+        # _DT_MIN, so the cap never forces a step below the underflow limit
+        target = min(t_end, next_sample)
+        fs, diag = step(fs, g, cfg, ghost_source, dt_cap=target - fs.time)
+        if next_sample - fs.time <= _DT_MIN:
             record(diag)
-            next_sample += sample_dt
-        if fs.time >= t_end - 1e-12:
-            if not records or records[-1]["tau"] < fs.time:
+            n_sample += 1
+            next_sample = t0 + n_sample * sample_dt
+        if t_end - fs.time <= _DT_MIN:
+            if records[-1]["tau"] < fs.time:
                 record(diag)
             return fs, records
     raise RunAbort(f"max_steps={max_steps} exhausted before reaching horizon")

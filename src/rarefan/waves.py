@@ -11,6 +11,7 @@ tanh-smoothed data of width delta, solved by the method of characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -35,11 +36,14 @@ class WaveSpec:
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
 
-    @property
+    # the derived constants below are cached per spec: the characteristic
+    # solve reads the end speeds in every bisection and Newton step
+
+    @cached_property
     def s_plus(self) -> float:
         return self.right.entropy(self.g)
 
-    @property
+    @cached_property
     def r31_plus(self) -> float:
         r31, _ = riemann_invariants(self.g, self.right)
         return r31
@@ -59,12 +63,12 @@ class WaveSpec:
         u1_nu = self.r31_plus + 2.0 * c_nu / (g.gamma - 1.0)
         return PrimState(self.nu, u1_nu, theta_nu)
 
-    @property
+    @cached_property
     def w_plus(self) -> float:
         """Fast wave speed at the right state."""
         return self.right.u1 + sound_speed(self.g, self.right.theta)
 
-    @property
+    @cached_property
     def w_minus(self) -> float:
         """Fast wave speed at the left (cut-off or vacuum) state."""
         left = self.left_state()

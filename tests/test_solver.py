@@ -1,12 +1,17 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rarefan.gas import GasParams, PrimState
 from rarefan.fields import SlabGrid, FieldSet
 from rarefan.waves import WaveSpec, smooth_profile
+from rarefan import solver
 from rarefan.solver import (SolverConfig, RunAbort, rhs, step, run, stable_dt,
                             profile_ghost_source)
 from rarefan.analysis import sup_distance
+from rarefan.ansatz import PerturbationSpec, assemble_initial, x1_window
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
 K = 2.0 * np.pi
@@ -177,6 +182,55 @@ def test_rhs_unaffected_by_caller_mutation():
     assert not np.shares_memory(bflux0, bflux1)
 
 
+def _viscous_spectral_radius(fs, cfg, ghost, iters=300):
+    """|lambda_max| of the linearised viscous rhs by power iteration.
+
+    The viscous rhs is rhs(eps) - rhs(eps=0); its Jacobian is applied by
+    central differences with a perturbation relative to each cell's density
+    (density and momenta) or energy, a diagonal similarity that leaves the
+    eigenvalues unchanged.
+    """
+    inviscid = dataclasses.replace(cfg, eps=0.0)
+    U = fs.U
+    scale = np.concatenate([np.repeat(U[:1], 4, axis=0), U[4:]])
+    amp = 1e-7
+
+    def visc(W):
+        f = FieldSet(fs.grid, W, fs.time)
+        return (rhs(f, GAS, cfg, ghost, t=fs.time)[0]
+                - rhs(f, GAS, inviscid, ghost, t=fs.time)[0])
+
+    v = np.random.default_rng(0).standard_normal(U.shape)
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        w = (visc(U + amp * scale * v) - visc(U - amp * scale * v)) / (2.0 * amp * scale)
+        lam = np.linalg.norm(w)
+        v = w / lam
+    return lam
+
+
+def test_viscous_dt_within_rk3_stability_limit():
+    # the limiting cells sit in the near-vacuum cut-off state; the viscous dt
+    # must use most of SSP-RK3's real-axis interval without leaving it.  The
+    # slab is the decay study's (nu 0.1, delta 0.2, eps 0.08, eta 1e-3) on
+    # 64x8 cells, the line the eps-sweep's eps = 0.01 point
+    limit = solver._RK3_REAL_LIMIT
+    slab_spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
+    slab = SlabGrid(L=5.669381546010115, n1=64, n2=8, dims=2)
+    fs_slab = assemble_initial(slab_spec, PerturbationSpec(eta=1e-3, mode_cap=1), slab, GAS,
+                               shift=False, window=x1_window(slab, 2.5, 0.2))
+    line_spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.05, delta=0.1)
+    line = SlabGrid(L=2.0 * max(-line_spec.w_minus, line_spec.w_plus) + 2.0, n1=192)
+    fs_line = assemble_initial(line_spec, PerturbationSpec(eta=0.0), line, GAS, shift=False)
+    for spec, fs, eps in ((slab_spec, fs_slab, 0.08), (line_spec, fs_line, 0.01)):
+        cfg = SolverConfig(eps=eps, boundary="pinned-profile")
+        ghost = profile_ghost_source(spec, fs.grid, shift=False)
+        dt_visc, _ = stable_dt(fs, GAS, cfg)
+        assert dt_visc < stable_dt(fs, GAS, dataclasses.replace(cfg, eps=0.0))[0]
+        reach = dt_visc * _viscous_spectral_radius(fs, cfg, ghost)
+        assert 0.4 * limit <= reach <= solver._VISC_FRACTION * limit * (1.0 + 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # step / conservation / abort
 # ---------------------------------------------------------------------------
@@ -273,6 +327,42 @@ def test_run_reaches_horizon_and_samples():
     assert out.time == pytest.approx(0.02, abs=1e-12)
     assert len(records) >= 4
     assert all("mass" in r for r in records)
+
+
+def test_run_records_land_on_sample_times():
+    # a viscous-limited pinned run takes many steps per sample; every record
+    # lands on its sample time and the last on the horizon, which need not be
+    # a multiple of sample_dt
+    spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
+    grid = SlabGrid(L=4.0, n1=128)
+    fs = assemble_initial(spec, PerturbationSpec(eta=0.0), grid, GAS, shift=False)
+    cfg = SolverConfig(eps=0.05, boundary="pinned-profile")
+    ghost = profile_ghost_source(spec, grid, shift=False)
+    for horizon, sample_dt in ((0.05, 0.0125), (0.05, 0.007)):
+        out, records = run(fs, GAS, cfg, horizon, ghost_source=ghost, sample_dt=sample_dt)
+        taus = [r["tau"] for r in records]
+        n_samples = int(horizon / sample_dt + 1e-9)
+        expected = [k * sample_dt for k in range(n_samples + 1)]
+        if expected[-1] < horizon - 1e-12:
+            expected.append(horizon)
+        assert len(taus) == len(expected)
+        assert np.max(np.abs(np.array(taus) - expected)) <= 1e-12
+        assert taus[-1] == out.time and abs(out.time - horizon) <= 1e-12
+        assert max(r["dt"] for r in records) < sample_dt / 3.0
+
+
+def test_sweep_distance_independent_of_dt(monkeypatch):
+    # with samples landing on their times, halving the viscous dt moves the
+    # sup distance only by the SSP-RK3 time error
+    from rarefan.config import parse_config
+    from rarefan.experiments import _eps_sweep_point
+
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "eps_sweep.ini")
+    full = _eps_sweep_point(cfg, 0.04, n1=192)["distance"]
+    monkeypatch.setattr(solver, "_VISC_FRACTION", 0.5 * solver._VISC_FRACTION)
+    half = _eps_sweep_point(cfg, 0.04, n1=192)["distance"]
+    assert full != half
+    assert abs(half - full) < 1e-5 * full
 
 
 def test_galilean_shift_advection():

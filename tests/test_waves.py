@@ -242,6 +242,19 @@ def test_profile_invariants_constant():
     assert np.max(np.abs(r31 - spec.r31_plus)) < 1e-11
 
 
+def test_profile_reads_cached_wave_constants(monkeypatch):
+    # the characteristic solve reads the end speeds in every bisection and
+    # Newton step; they are derived once per spec, not once per read
+    calls = []
+    real = WaveSpec.left_state
+    monkeypatch.setattr(WaveSpec, "left_state",
+                        lambda self: calls.append(1) or real(self))
+    spec = make_spec()
+    smooth_profile(spec, 1.0, np.linspace(-3.0, 3.0, 64))
+    smooth_profile(spec, 2.0, np.linspace(-3.0, 3.0, 64))
+    assert len(calls) <= 1
+
+
 def _fd4(vals, h):
     """4th-order central first derivative from 5 samples."""
     return (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12.0 * h)
