@@ -1,4 +1,9 @@
-"""Command-line entry point: batch studies and wave/simulation dumps.
+"""Command-line entry point: a wave dump, or the study an INI config names.
+
+    rarefan wave --nu 0.05 --delta 0.1 [--t 2.0] --grid 1001 --out wave.csv
+    rarefan run --config configs/decay.ini [--out DIR] [--seed N]
+
+``run`` calls the driver of the config's ``[experiment] kind``.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 configuration error,
 3 numerical abort (the solver hit a positivity floor or a step-size underflow).
@@ -15,15 +20,6 @@ from .waves import WaveSpec
 from .config import ConfigError, parse_config
 from .experiments import DRIVERS, run_wave_dump
 from .solver import RunAbort
-
-
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True):
-    p.add_argument("--config", required=config_required, help="INI experiment config")
-    p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--seed", type=int, default=None, help="override experiment seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
-    p.add_argument("--paper-scaling", action="store_true",
-                   help="derive nu and delta from the coupled eps scalings")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,10 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar=("RHO", "U1", "THETA"))
     wave.add_argument("--out", default="wave.csv")
 
-    for name in ("simulate", "cutoff-study", "profile-study", "eps-sweep",
-                 "decay", "background", "gn-check"):
-        p = sub.add_parser(name, help=f"run the {name} driver")
-        _add_common(p)
+    study = sub.add_parser("run", help="run the study named by the config's [experiment] kind")
+    study.add_argument("--config", required=True, help="INI experiment config")
+    study.add_argument("--out", default=None, help="output directory (overrides config)")
+    study.add_argument("--seed", type=int, default=None, help="override experiment seed")
     return ap
 
 
@@ -66,14 +62,8 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         if args.seed is not None:
             cfg.experiment = dataclasses.replace(cfg.experiment, seed=args.seed)
-        if args.paper_scaling:
-            cfg.experiment = dataclasses.replace(cfg.experiment, paper_scaling=True)
 
-        driver = DRIVERS[args.command]
-        if args.command == "eps-sweep":
-            report = driver(cfg, jobs=args.jobs)
-        else:
-            report = driver(cfg)
+        report = DRIVERS[cfg.experiment.kind](cfg)
         path = report.emit(cfg.out_dir)
         print(report.summary())
         print(f"wrote {path}")

@@ -25,10 +25,19 @@ class ConfigError(ValueError):
     """Malformed or infeasible configuration; maps to exit code 2."""
 
 
-_SECTIONS = ("gas", "wave", "grid", "solver", "experiment", "output")
-
-KINDS = ("wave", "simulate", "cutoff-study", "profile-study", "eps-sweep",
-         "decay", "background", "gn-check")
+@dataclass
+class WaveBlock:
+    rho_plus: float = 1.0
+    u1_plus: float = 0.0
+    theta_plus: float = 1.0
+    # the cut-off density and smoothing width: literal, or coeff * eps^exp
+    # (exp defaults to 1/2); paper_scaling overrides both
+    nu: float | None = None
+    delta: float | None = None
+    nu_coeff: float | None = None
+    nu_exp: float | None = None
+    delta_coeff: float | None = None
+    delta_exp: float | None = None
 
 
 @dataclass
@@ -79,32 +88,26 @@ class ExperimentBlock:
 @dataclass
 class ExperimentConfig:
     gas: GasParams
-    right: PrimState
-    nu: float | None
-    delta: float | None
-    nu_coeff: float | None
-    nu_exp: float | None
-    delta_coeff: float | None
-    delta_exp: float | None
+    wave: WaveBlock
     grid: GridBlock
     solver: SolverBlock
     experiment: ExperimentBlock
     out_dir: str = "out"
 
+    @property
+    def right(self) -> PrimState:
+        """The wave's right end state."""
+        w = self.wave
+        try:
+            return PrimState(w.rho_plus, w.u1_plus, w.theta_plus)
+        except ValueError as exc:
+            raise ConfigError(f"[wave] invalid right state: {exc}") from exc
+
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
-        d = {
-            "gas": asdict(self.gas),
-            "wave": {"rho_plus": self.right.rho, "u1_plus": self.right.u1,
-                     "theta_plus": self.right.theta, "nu": self.nu, "delta": self.delta,
-                     "nu_coeff": self.nu_coeff, "nu_exp": self.nu_exp,
-                     "delta_coeff": self.delta_coeff, "delta_exp": self.delta_exp},
-            "grid": asdict(self.grid),
-            "solver": asdict(self.solver),
-            "experiment": asdict(self.experiment),
-            "output": {"dir": self.out_dir},
-        }
-        return d
+        return {"gas": asdict(self.gas),
+                **{sec: asdict(getattr(self, sec)) for sec in _BLOCKS},
+                "output": {"dir": self.out_dir}}
 
     def config_hash(self) -> str:
         """Hash of the run-defining settings; the output directory is not one of them."""
@@ -137,16 +140,17 @@ class ExperimentConfig:
             if not 0.0 < delta:
                 raise ConfigError(f"paper-scaling produced invalid delta = {delta:.6g}")
             return nu, delta
-        if self.nu_coeff is not None:
-            nu = self.nu_coeff * eps ** (self.nu_exp if self.nu_exp is not None else 0.5)
-        elif self.nu is not None:
-            nu = self.nu
+        w = self.wave
+        if w.nu_coeff is not None:
+            nu = w.nu_coeff * eps ** (w.nu_exp if w.nu_exp is not None else 0.5)
+        elif w.nu is not None:
+            nu = w.nu
         else:
             raise ConfigError("wave.nu missing: set nu, nu_coeff, or paper_scaling")
-        if self.delta_coeff is not None:
-            delta = self.delta_coeff * eps ** (self.delta_exp if self.delta_exp is not None else 0.5)
-        elif self.delta is not None:
-            delta = self.delta
+        if w.delta_coeff is not None:
+            delta = w.delta_coeff * eps ** (w.delta_exp if w.delta_exp is not None else 0.5)
+        elif w.delta is not None:
+            delta = w.delta
         else:
             raise ConfigError("wave.delta missing: set delta, delta_coeff, or paper_scaling")
         if not 0.0 < nu < self.right.rho:
@@ -187,13 +191,12 @@ def _sweep(raw: str) -> tuple[float, ...]:
 
 # sections read straight from their dataclass: each key, type and default
 # is written once, on the field
-_BLOCKS = {"grid": GridBlock, "solver": SolverBlock, "experiment": ExperimentBlock}
+_BLOCKS = {"wave": WaveBlock, "grid": GridBlock, "solver": SolverBlock,
+           "experiment": ExperimentBlock}
 _CASTS = {float | None: float, tuple[float, ...]: _sweep}
 
 _KEYS = {
     "gas": {"gamma", "alpha", "mu1", "lambda1", "kappa1", "normalized", "R", "A"},
-    "wave": {"rho_plus", "u1_plus", "theta_plus", "nu", "delta",
-             "nu_coeff", "nu_exp", "delta_coeff", "delta_exp"},
     **{sec: {f.name for f in fields(cls)} for sec, cls in _BLOCKS.items()},
     "output": {"dir"},
 }
@@ -218,7 +221,7 @@ def parse_config(path) -> ExperimentConfig:
         if not cp.has_section(sec):
             raise ConfigError(f"missing required section [{sec}]")
     for sec in cp.sections():
-        if sec not in _SECTIONS:
+        if sec not in _KEYS:
             raise ConfigError(f"unknown section [{sec}]")
         for key in cp.options(sec):
             if key not in _KEYS[sec]:
@@ -239,35 +242,25 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError("[gas] non-normalized runs need explicit R and A")
         gas = GasParams(gamma, R, A, alpha, mu1, lambda1, kappa1)
 
-    try:
-        right = PrimState(_get(cp, "wave", "rho_plus", float, 1.0),
-                          _get(cp, "wave", "u1_plus", float, 0.0),
-                          _get(cp, "wave", "theta_plus", float, 1.0))
-    except ValueError as exc:
-        raise ConfigError(f"[wave] invalid right state: {exc}") from exc
+    from .experiments import DRIVERS  # the one list of study kinds
 
-    grid = _block(cp, "grid")
-    solver = _block(cp, "solver")
-    solver.solver_config()  # an invalid [solver] block fails here, not mid-run
-    exp = _block(cp, "experiment")
-    if exp.kind not in KINDS:
-        raise ConfigError(f"[experiment] kind must be one of {KINDS}, got {exp.kind!r}")
-
-    cfg = ExperimentConfig(
-        gas=gas, right=right,
-        nu=_get(cp, "wave", "nu", float, None),
-        delta=_get(cp, "wave", "delta", float, None),
-        nu_coeff=_get(cp, "wave", "nu_coeff", float, None),
-        nu_exp=_get(cp, "wave", "nu_exp", float, None),
-        delta_coeff=_get(cp, "wave", "delta_coeff", float, None),
-        delta_exp=_get(cp, "wave", "delta_exp", float, None),
-        grid=grid, solver=solver, experiment=exp,
-        out_dir=_get(cp, "output", "dir", str, "out"))
+    cfg = ExperimentConfig(gas=gas, **{sec: _block(cp, sec) for sec in _BLOCKS},
+                           out_dir=_get(cp, "output", "dir", str, "out"))
+    # an invalid right state, [solver] block or kind fails here, not mid-run
+    cfg.right
+    cfg.solver.solver_config()
+    if cfg.experiment.kind not in DRIVERS:
+        raise ConfigError(f"[experiment] kind must be one of {tuple(DRIVERS)}, "
+                          f"got {cfg.experiment.kind!r}")
     return cfg
 
 
 def _ini_value(v) -> str:
-    return v if isinstance(v, str) else repr(v)
+    if isinstance(v, str):
+        return v
+    if isinstance(v, tuple):
+        return ", ".join(repr(x) for x in v)
+    return repr(v)
 
 
 def emit_config(cfg: ExperimentConfig, path) -> None:
@@ -282,13 +275,9 @@ def emit_config(cfg: ExperimentConfig, path) -> None:
         gas["R"] = cfg.gas.R
         gas["A"] = cfg.gas.A
     cp["gas"] = {k: _ini_value(v) for k, v in gas.items()}
-    cp["wave"] = {k: _ini_value(v) for k, v in d["wave"].items() if v is not None}
-    cp["grid"] = {k: _ini_value(v) for k, v in d["grid"].items() if v is not None}
-    cp["solver"] = {k: _ini_value(v) for k, v in d["solver"].items()}
-    exp = dict(d["experiment"])
-    exp["sweep"] = ", ".join(repr(v) for v in cfg.experiment.sweep)
-    cp["experiment"] = {k: _ini_value(v) for k, v in exp.items()}
-    cp["output"] = {"dir": cfg.out_dir}
+    for sec in _BLOCKS:
+        cp[sec] = {k: _ini_value(v) for k, v in d[sec].items() if v is not None}
+    cp["output"] = d["output"]
     with open(path, "w") as fh:
         cp.write(fh)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ from .gas import GasParams
 from .fields import FieldSet, SlabGrid, save_fields
 from .waves import (WaveSpec, cutoff_exact_distance, profile_lp_norm, velocity_span,
                     smooth_cutoff_distance, sample_exact, sample_cutoff, smooth_profile)
-from .solver import RunAbort, run, profile_ghost_source
+from .solver import run, profile_ghost_source
 from .analysis import (decompose, sup_distance, fit_rate, gn_check, GN_CASES,
                        nonzero_mode_energy)
 from .ansatz import (PerturbationSpec, assemble_initial, x1_window,
@@ -99,6 +98,18 @@ def _band_ok(values, factor: float) -> bool:
     return lo > 0.0 and hi / lo <= factor
 
 
+def _report(kind: str, cfg: ExperimentConfig, t0: float, rows: list[dict],
+            checks: dict[str, bool], notes: list[str] | None = None) -> StudyReport:
+    """The study's report, stamped with its config; rows lacking the config hash
+    or a wall time get this config's hash and the time since t0."""
+    config_hash, wall_time = cfg.config_hash(), time.time() - t0
+    for r in rows:
+        r.setdefault("config_hash", config_hash)
+        r.setdefault("wall_time", wall_time)
+    return StudyReport(kind, rows, checks, config_hash, cfg.experiment.seed, wall_time,
+                       cfg.as_dict(), notes or [])
+
+
 # ---------------------------------------------------------------------------
 # cut-off error law
 # ---------------------------------------------------------------------------
@@ -112,7 +123,7 @@ def run_cutoff_study(cfg: ExperimentConfig) -> StudyReport:
     """
     t0 = time.time()
     nus = list(cfg.experiment.sweep) or [0.1, 0.05, 0.025, 0.0125]
-    delta = cfg.delta if cfg.delta is not None else 0.1
+    delta = cfg.wave.delta if cfg.wave.delta is not None else 0.1
     rows = []
     for nu in nus:
         spec = WaveSpec(cfg.right, cfg.gas, nu=nu, delta=delta)
@@ -121,7 +132,7 @@ def run_cutoff_study(cfg: ExperimentConfig) -> StudyReport:
         dmax = max(d.values())
         rows.append({"nu": nu, "dist_rho": d["rho"], "dist_m": d["m"],
                      "dist_n": d["n"], "dist_max": dmax, "ratio": dmax / nu,
-                     "config_hash": cfg.config_hash(), "wall_time": time.time() - tic})
+                     "wall_time": time.time() - tic})
     rows.sort(key=lambda r: -r["nu"])
     power_rho, r2_rho = fit_rate([r["nu"] for r in rows], [r["dist_rho"] for r in rows], "power")
     power_max, _ = fit_rate([r["nu"] for r in rows], [r["dist_max"] for r in rows], "power")
@@ -135,10 +146,9 @@ def run_cutoff_study(cfg: ExperimentConfig) -> StudyReport:
         "rho_power_is_one": abs(power_rho - 1.0) <= cfg.experiment.exp_tol,
         "distance_monotone_in_nu": all(a >= b - 1e-14 for a, b in zip(dist_sorted, dist_sorted[1:])),
     }
-    return StudyReport("cutoff-study", rows, checks, cfg.config_hash(),
-                       cfg.experiment.seed, time.time() - t0, cfg.as_dict(),
-                       notes=[f"max-component fitted power {power_max:.3f} "
-                              "(prefactor drifts with the cut state at desk scale)"])
+    return _report("cutoff-study", cfg, t0, rows, checks,
+                   [f"max-component fitted power {power_max:.3f} "
+                    "(prefactor drifts with the cut state at desk scale)"])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +184,7 @@ def run_profile_study(cfg: ExperimentConfig) -> StudyReport:
                      "L1_minus_span": l1 - span,
                      "Linf_times_env": linf * (delta + t),
                      "L2_times_env": l2 * (delta + t) ** 0.5,
-                     "config_hash": cfg.config_hash(), "wall_time": time.time() - tic})
+                     "wall_time": time.time() - tic})
 
     # smooth-vs-cut-off distance under delta halving at fixed t
     t_dist = 2.0
@@ -185,8 +195,7 @@ def run_profile_study(cfg: ExperimentConfig) -> StudyReport:
         dist = max(smooth_cutoff_distance(sp, t_dist).values())
         env = dk * (np.log(1.0 + t_dist) + abs(np.log(dk))) / t_dist
         dist_rows.append({"t": t_dist, "delta": dk, "dist": dist, "envelope": env,
-                          "dist_over_env": dist / env,
-                          "config_hash": cfg.config_hash(), "wall_time": 0.0})
+                          "dist_over_env": dist / env})
     rows.extend(dist_rows)
 
     checks = {
@@ -196,21 +205,20 @@ def run_profile_study(cfg: ExperimentConfig) -> StudyReport:
         "delta_log_delta_scaling": _band_ok([r["dist_over_env"] for r in dist_rows],
                                             cfg.experiment.band_factor),
     }
-    return StudyReport("profile-study", rows, checks, cfg.config_hash(),
-                       cfg.experiment.seed, time.time() - t0, cfg.as_dict())
+    return _report("profile-study", cfg, t0, rows, checks)
 
 
 # ---------------------------------------------------------------------------
 # vanishing-viscosity sweep
 # ---------------------------------------------------------------------------
 
-def sweep_grid(spec: WaveSpec, cfg: ExperimentConfig, horizon: float,
-               n1: int | None = None) -> SlabGrid:
-    """Slab wide enough that the fan plus tanh tails stay away from the pins."""
+def sweep_grid(spec: WaveSpec, cfg: ExperimentConfig, n1: int | None = None) -> SlabGrid:
+    """Slab wide enough that the fan plus tanh tails stay away from the pins
+    up to the horizon."""
     if cfg.grid.L is not None:
         L = cfg.grid.L
     else:
-        L = max(abs(spec.w_minus), abs(spec.w_plus)) * (horizon + 1.0) \
+        L = max(abs(spec.w_minus), abs(spec.w_plus)) * (cfg.experiment.horizon + 1.0) \
             + 15.0 * spec.delta + 0.5
     return SlabGrid(L=L, n1=n1 or cfg.grid.n1, period=cfg.grid.period,
                     n2=cfg.grid.n2, n3=cfg.grid.n3, dims=cfg.grid.dims)
@@ -221,49 +229,56 @@ def _pinned_window(spec: WaveSpec, grid: SlabGrid) -> np.ndarray:
     return x1_window(grid, margin=10.0 * spec.delta + 0.5, width=max(0.1, 5.0 * grid.dx1))
 
 
-def _distance_observer(spec: WaveSpec, g: GasParams, h: float):
-    def obs(fs: FieldSet, gg: GasParams) -> dict:
-        return sup_distance(fs, spec, gg, exclude_t_below=h)
+def _distance_observer(spec: WaveSpec, h: float):
+    def obs(fs: FieldSet, g: GasParams) -> dict:
+        return sup_distance(fs, spec, g, exclude_t_below=h)
     return obs
+
+
+def _perturbation(cfg: ExperimentConfig, eta: float) -> PerturbationSpec:
+    return PerturbationSpec(eta=eta, mode_cap=cfg.experiment.mode_cap,
+                            seed=cfg.experiment.seed)
+
+
+def _pinned_run(cfg: ExperimentConfig, spec: WaveSpec, grid: SlabGrid, eta: float,
+                observers: dict, sample_dt: float, modes: str = "all",
+                **solver_overrides) -> tuple[FieldSet, list[dict]]:
+    """Run to the horizon from the unshifted smooth wave plus the x1-windowed
+    perturbation of amplitude eta, ghosts pinned to the profile."""
+    scfg = cfg.solver.solver_config(boundary="pinned-profile", **solver_overrides)
+    initial = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
+                               window=_pinned_window(spec, grid), modes=modes)
+    return run(initial, cfg.gas, scfg, cfg.experiment.horizon, observers=observers,
+               ghost_source=profile_ghost_source(spec, grid), sample_dt=sample_dt)
 
 
 def _eps_sweep_point(cfg: ExperimentConfig, eps: float, n1: int | None = None,
                      eta: float = 0.0) -> dict:
-    """One sweep run: evolve from the smooth profile and take sup_{h<=t} distance."""
+    """One sweep run: evolve from the smooth profile and take sup_{h<=t} distance.
+
+    A solver abort, or a run with no sample at t >= h, becomes a failure row.
+    """
     tic = time.time()
-    g = cfg.gas
     spec = cfg.wave_spec(eps)
     horizon, h = cfg.experiment.horizon, cfg.experiment.h
-    grid = sweep_grid(spec, cfg, horizon, n1)
-    scfg = cfg.solver.solver_config(eps=eps, boundary="pinned-profile", scaled=False)
-    window = _pinned_window(spec, grid) if eta > 0.0 else None
-    pspec = PerturbationSpec(eta=eta, mode_cap=cfg.experiment.mode_cap,
-                             seed=cfg.experiment.seed)
-    initial = assemble_initial(spec, pspec, grid, g, shift=False, window=window)
-    ghost = profile_ghost_source(spec, grid, shift=False)
-    obs = {"dist": _distance_observer(spec, g, h)}
-    final, records = run(initial, g, scfg, horizon, observers=obs,
-                         ghost_source=ghost, sample_dt=max((horizon - h) / 3.0, h / 2.0))
-    dists = [r["dist.max"] for r in records if np.isfinite(r.get("dist.max", np.nan))]
-    if not dists:
-        raise RuntimeError("no samples at t >= h; lower sample_dt or h")
+    grid = sweep_grid(spec, cfg, n1)
+    try:
+        final, records = _pinned_run(cfg, spec, grid, eta, {"dist": _distance_observer(spec, h)},
+                                     sample_dt=max((horizon - h) / 3.0, h / 2.0),
+                                     eps=eps, scaled=False)
+        dists = [r["dist.max"] for r in records if np.isfinite(r.get("dist.max", np.nan))]
+        if not dists:
+            raise RuntimeError("no samples at t >= h; lower sample_dt or h")
+    except RuntimeError as exc:  # a RunAbort, or no sample at t >= h
+        return {"eps": eps, "distance": float("nan"), "eta": eta, "failed": str(exc),
+                "wall_time": time.time() - tic}
     return {"eps": eps, "nu": spec.nu, "delta": spec.delta, "n1": grid.n1,
             "distance": float(max(dists)), "distance_final": float(dists[-1]),
             "min_rho": float(np.min(final.rho)), "eta": eta,
             "wall_time": time.time() - tic}
 
 
-def _eps_sweep_point_safe(cfg: ExperimentConfig, eps: float, n1: int | None = None,
-                          eta: float = 0.0) -> dict:
-    """Worker-pool-safe sweep point: a solver abort becomes a failure row."""
-    try:
-        return _eps_sweep_point(cfg, eps, n1=n1, eta=eta)
-    except (RunAbort, RuntimeError) as exc:
-        return {"eps": eps, "distance": float("nan"), "failed": str(exc),
-                "wall_time": 0.0}
-
-
-def run_viscosity_sweep(cfg: ExperimentConfig, jobs: int = 1) -> StudyReport:
+def run_viscosity_sweep(cfg: ExperimentConfig) -> StudyReport:
     """Sup-distance to the exact wave for a decreasing viscosity sequence.
 
     The cut-off density and smoothing width shrink with eps through the
@@ -274,21 +289,13 @@ def run_viscosity_sweep(cfg: ExperimentConfig, jobs: int = 1) -> StudyReport:
     t0 = time.time()
     eps_list = sorted(cfg.experiment.sweep or (0.04, 0.02, 0.01), reverse=True)
 
-    coarse = _eps_sweep_point_safe(cfg, eps_list[0])
-    fine = _eps_sweep_point_safe(cfg, eps_list[0], n1=2 * cfg.grid.n1)
+    coarse = _eps_sweep_point(cfg, eps_list[0])
+    fine = _eps_sweep_point(cfg, eps_list[0], n1=2 * cfg.grid.n1)
     ok_pair = np.isfinite(coarse["distance"]) and np.isfinite(fine["distance"])
     refine_rel = (abs(coarse["distance"] - fine["distance"]) / coarse["distance"]
                   if ok_pair else float("inf"))
 
-    rows = [dict(coarse)]
-    points = eps_list[1:]
-    if jobs > 1 and points:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows.extend(ex.map(_eps_sweep_point_safe, [cfg] * len(points), points))
-    else:
-        rows.extend(_eps_sweep_point_safe(cfg, e) for e in points)
-    rows.sort(key=lambda r: -r["eps"])
-
+    rows = [coarse] + [_eps_sweep_point(cfg, e) for e in eps_list[1:]]
     failures = [r for r in rows if not np.isfinite(r["distance"])]
     dvals = [r["distance"] for r in rows if np.isfinite(r["distance"])]
     if len(dvals) >= 3:
@@ -315,16 +322,15 @@ def run_viscosity_sweep(cfg: ExperimentConfig, jobs: int = 1) -> StudyReport:
         base = next(r for r in rows if r["eps"] == mid and r.get("eta", 0.0) == 0.0)
         paired["distance_gap_vs_unperturbed"] = abs(paired["distance"] - base["distance"])
         rows.append(paired)
+        checks["no_run_failures"] &= "failed" not in paired
         checks["perturbation_influence_bounded"] = (
             paired["distance_gap_vs_unperturbed"] <= 10.0 * cfg.experiment.eta
             + 0.05 * base["distance"])
 
     for r in rows:
-        r.setdefault("config_hash", cfg.config_hash())
         r["fit_exponent"] = exponent
         r["fit_r2"] = r2
-    return StudyReport("eps-sweep", rows, checks, cfg.config_hash(),
-                       cfg.experiment.seed, time.time() - t0, cfg.as_dict(), notes)
+    return _report("eps-sweep", cfg, t0, rows, checks, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -339,55 +345,46 @@ def _smooth_background(spec: WaveSpec, fs: FieldSet):
                  for f in (pr.rho, pr.u1, pr.theta))
 
 
-def energy_observer(spec: WaveSpec, g: GasParams):
+def energy_observer(spec: WaveSpec):
     """Observer emitting EnergyReport rows against the smooth-wave background."""
     from .analysis import energy_report
 
-    def obs(fs: FieldSet, gg: GasParams) -> dict:
+    def obs(fs: FieldSet, g: GasParams) -> dict:
         rho_bar, u1_bar, th_bar = _smooth_background(spec, fs)
         psi = fs.velocity()
         psi[0] -= u1_bar
-        rep = energy_report(fs.rho - rho_bar, psi, fs.temperature(gg) - th_bar,
-                            rho_bar, th_bar, fs.grid, gg, tau=fs.time)
+        rep = energy_report(fs.rho - rho_bar, psi, fs.temperature(g) - th_bar,
+                            rho_bar, th_bar, fs.grid, g, tau=fs.time)
         row = rep.as_row()
         row.pop("tau", None)  # the base record already carries the time
         return row
     return obs
 
 
-def _dneq_observer(spec: WaveSpec, g: GasParams):
-    def obs(fs: FieldSet, gg: GasParams) -> dict:
+def _dneq_observer(spec: WaveSpec):
+    def obs(fs: FieldSet, g: GasParams) -> dict:
         grid = fs.grid
         u = fs.velocity()
-        theta = fs.temperature(gg)
+        theta = fs.temperature(g)
         d_rho = decompose(fs.rho, grid).nonzero
         d_u = max(float(np.max(np.abs(decompose(u[c], grid).nonzero))) for c in range(3))
         d_th = decompose(theta, grid).nonzero
         rho_bar, _, th_bar = _smooth_background(spec, fs)
         h_energy = nonzero_mode_energy(fs.rho - rho_bar, u, theta - th_bar,
-                                       rho_bar, th_bar, grid, gg)
+                                       rho_bar, th_bar, grid, g)
         return {"rho": float(np.max(np.abs(d_rho))), "u": d_u,
                 "theta": float(np.max(np.abs(d_th))), "H": h_energy}
     return obs
 
 
 def _decay_run(cfg: ExperimentConfig, modes: str) -> tuple[list[dict], SlabGrid]:
-    g = cfg.gas
     spec = cfg.wave_spec(cfg.solver.eps)
-    horizon = cfg.experiment.horizon
-    grid = sweep_grid(spec, cfg, horizon)
+    grid = sweep_grid(spec, cfg)
     if grid.dims < 2:
         raise ConfigError("non-zero-mode decay needs a transverse direction (grid.dims >= 2)")
-    scfg = cfg.solver.solver_config(boundary="pinned-profile")
-    window = _pinned_window(spec, grid)
-    pspec = PerturbationSpec(eta=cfg.experiment.eta, mode_cap=cfg.experiment.mode_cap,
-                             seed=cfg.experiment.seed)
-    initial = assemble_initial(spec, pspec, grid, g, shift=False, window=window,
-                               modes=modes)
-    ghost = profile_ghost_source(spec, grid, shift=False)
-    obs = {"dneq": _dneq_observer(spec, g), "dist": _distance_observer(spec, g, cfg.experiment.h)}
-    _, records = run(initial, g, scfg, horizon, observers=obs,
-                     ghost_source=ghost, sample_dt=horizon / 24.0)
+    obs = {"dneq": _dneq_observer(spec), "dist": _distance_observer(spec, cfg.experiment.h)}
+    _, records = _pinned_run(cfg, spec, grid, cfg.experiment.eta, obs,
+                             sample_dt=cfg.experiment.horizon / 24.0, modes=modes)
     return records, grid
 
 
@@ -404,13 +401,9 @@ def run_nonzero_decay(cfg: ExperimentConfig) -> StudyReport:
     for r in records:
         rows.append({"tau": r["tau"], "dneq_rho": r["dneq.rho"], "dneq_u": r["dneq.u"],
                      "dneq_theta": r["dneq.theta"], "H": r["dneq.H"],
-                     "dist_max": r.get("dist.max", float("nan")),
-                     "run": "perturbed", "config_hash": cfg.config_hash(),
-                     "wall_time": time.time() - t0})
+                     "dist_max": r.get("dist.max", float("nan")), "run": "perturbed"})
     control_max = max(max(r["dneq.rho"], r["dneq.u"], r["dneq.theta"]) for r in control)
-    rows.append({"tau": control[-1]["tau"], "dneq_rho": control_max,
-                 "run": "planar-control", "config_hash": cfg.config_hash(),
-                 "wall_time": time.time() - t0})
+    rows.append({"tau": control[-1]["tau"], "dneq_rho": control_max, "run": "planar-control"})
 
     taus = np.array([r["tau"] for r in records])
     vals = np.array([r["dneq.rho"] for r in records])
@@ -432,8 +425,7 @@ def run_nonzero_decay(cfg: ExperimentConfig) -> StudyReport:
         "dneq_rho_fit_r2": r2 >= cfg.experiment.r2_min,
     }
     notes = [f"rates: " + ", ".join(f"{k}={v[0]:.3g} (R2 {v[1]:.3f})" for k, v in fits.items())]
-    return StudyReport("decay", rows, checks, cfg.config_hash(),
-                       cfg.experiment.seed, time.time() - t0, cfg.as_dict(), notes)
+    return _report("decay", cfg, t0, rows, checks, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +438,17 @@ def run_background_decay(cfg: ExperimentConfig) -> StudyReport:
     t0 = time.time()
     if cfg.experiment.eta <= 0.0:
         raise ConfigError("background experiment needs experiment.eta > 0")
-    g = cfg.gas
     grid = SlabGrid.torus(cfg.grid.period, cfg.grid.n1, cfg.grid.n2, cfg.grid.n3,
                           dims=max(cfg.grid.dims, 2))
     scfg = cfg.solver.solver_config(boundary="fully-periodic")
     etas = list(cfg.experiment.sweep) or [cfg.experiment.eta, cfg.experiment.eta / 2.0]
     rows = []
     for eta in etas:
-        pspec = PerturbationSpec(eta=eta, mode_cap=cfg.experiment.mode_cap,
-                                 seed=cfg.experiment.seed)
-        rep = evolve_periodic_background(cfg.right, pspec, g, scfg, grid,
-                                         cfg.experiment.horizon)
+        rep = evolve_periodic_background(cfg.right, _perturbation(cfg, eta), cfg.gas, scfg,
+                                         grid, cfg.experiment.horizon)
         rows.append({"eta": eta, "rate": rep.rate, "r2": rep.r2,
                      "mean_drift": rep.mean_drift, "amp0": float(rep.dev_sup[0]),
-                     "amp_final": float(rep.dev_sup[-1]),
-                     "config_hash": cfg.config_hash(), "wall_time": time.time() - t0})
+                     "amp_final": float(rep.dev_sup[-1]), "wall_time": time.time() - t0})
     rows.sort(key=lambda r: -r["eta"])
     checks = {
         "mean_conserved": all(r["mean_drift"] <= 1e-10 for r in rows),
@@ -473,8 +461,7 @@ def run_background_decay(cfg: ExperimentConfig) -> StudyReport:
         rate_rel = abs(rows[1]["rate"] - rows[0]["rate"]) / abs(rows[0]["rate"])
         checks["onset_amplitude_linear_in_eta"] = abs(amp_ratio - eta_ratio) <= 0.1 * eta_ratio
         checks["rate_eta_independent"] = rate_rel <= 0.2
-    return StudyReport("background", rows, checks, cfg.config_hash(),
-                       cfg.experiment.seed, time.time() - t0, cfg.as_dict())
+    return _report("background", cfg, t0, rows, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +536,12 @@ def run_gn_check(cfg: ExperimentConfig) -> StudyReport:
         spread = max(spread_src) / min(spread_src) if spread_src else float("inf")
         for lam in lambdas:
             rows.append({"case": case, "Lambda": lam, "max_ratio": per_lam[lam],
-                         "empirical_constant": worst, "lambda_spread": spread,
-                         "config_hash": cfg.config_hash(),
-                         "wall_time": time.time() - t0})
+                         "empirical_constant": worst, "lambda_spread": spread})
     checks = {f"{case}_no_width_blowup":
               (max(case_ratios[case].values()) / min(case_ratios[case].values())) <= 3.0
               for case in GN_CASES}
     checks["all_ratios_finite"] = all(np.isfinite(r["max_ratio"]) for r in rows)
-    return StudyReport("gn-check", rows, checks, cfg.config_hash(),
-                       cfg.experiment.seed, time.time() - t0, cfg.as_dict())
+    return _report("gn-check", cfg, t0, rows, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -588,33 +572,20 @@ def run_wave_dump(spec: WaveSpec, t: float | None, n: int, out_path: str) -> str
 def run_simulate(cfg: ExperimentConfig) -> StudyReport:
     """Generic run from a config: observer CSV rows plus a final snapshot."""
     t0 = time.time()
-    g = cfg.gas
     spec = cfg.wave_spec(cfg.solver.eps)
-    horizon = cfg.experiment.horizon
-    grid = sweep_grid(spec, cfg, horizon)
-    scfg = cfg.solver.solver_config()
-    window = None
-    if cfg.experiment.eta > 0.0 and scfg.boundary == "pinned-profile":
-        window = _pinned_window(spec, grid)
-    pspec = PerturbationSpec(eta=cfg.experiment.eta, mode_cap=cfg.experiment.mode_cap,
-                             seed=cfg.experiment.seed)
-    initial = assemble_initial(spec, pspec, grid, g, shift=False, window=window)
-    ghost = None
-    obs = {}
-    if scfg.boundary == "pinned-profile":
-        ghost = profile_ghost_source(spec, grid, shift=False)
-        obs["dist"] = _distance_observer(spec, g, cfg.experiment.h)
-        obs["energy"] = energy_observer(spec, g)
-    final, records = run(initial, g, scfg, horizon, observers=obs,
-                         ghost_source=ghost, sample_dt=horizon / 20.0)
+    horizon, eta = cfg.experiment.horizon, cfg.experiment.eta
+    grid = sweep_grid(spec, cfg)
+    if cfg.solver.boundary == "pinned-profile":
+        obs = {"dist": _distance_observer(spec, cfg.experiment.h),
+               "energy": energy_observer(spec)}
+        final, records = _pinned_run(cfg, spec, grid, eta, obs, sample_dt=horizon / 20.0)
+    else:
+        initial = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas)
+        final, records = run(initial, cfg.gas, cfg.solver.solver_config(), horizon,
+                             sample_dt=horizon / 20.0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_fields(final, os.path.join(cfg.out_dir, "final.bin"))
-    for r in records:
-        r["config_hash"] = cfg.config_hash()
-        r["wall_time"] = time.time() - t0
-    checks = {"completed": True}
-    return StudyReport("simulate", records, checks, cfg.config_hash(),
-                       cfg.experiment.seed, time.time() - t0, cfg.as_dict())
+    return _report("simulate", cfg, t0, records, {"completed": True})
 
 
 DRIVERS = {

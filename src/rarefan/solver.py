@@ -86,8 +86,8 @@ def _ghost_columns(g: GasParams, rho, u1, theta) -> np.ndarray:
     return np.concatenate([prim, conserved(g, prim[0], prim[1:4], prim[4])])
 
 
-def profile_ghost_source(spec, grid: SlabGrid, shift: bool = True) -> GhostSource:
-    """Pin ghost cells to the time-dependent smooth wave at the ghost centers.
+def profile_ghost_source(spec, grid: SlabGrid) -> GhostSource:
+    """Pin ghost cells to the unshifted smooth wave w(t, .) at the ghost centers.
 
     While the tanh transition zone stays clear of the boundaries the profile
     there equals the end states to round-off, so the evaluation short-circuits
@@ -103,10 +103,9 @@ def profile_ghost_source(spec, grid: SlabGrid, shift: bool = True) -> GhostSourc
     margin = 15.0 * spec.delta
 
     def source(t: float) -> np.ndarray:
-        tb = (1.0 + t) if shift else t
-        if (xg[0] - spec.w_minus * tb < -margin) and (xg[1] - spec.w_plus * tb > margin):
+        if (xg[0] - spec.w_minus * t < -margin) and (xg[1] - spec.w_plus * t > margin):
             return const
-        pr = smooth_profile(spec, t, xg, shift=shift)
+        pr = smooth_profile(spec, t, xg, shift=False)
         return _ghost_columns(spec.g, pr.rho, pr.u1, pr.theta)
 
     return source

@@ -14,8 +14,8 @@ from rarefan.fields import SlabGrid, FieldSet
 from rarefan.waves import WaveSpec, sample_exact, riemann_invariants
 from rarefan.solver import SolverConfig, rhs, step
 from rarefan.analysis import decompose, lp_slab, lp_line, fit_rate
-from rarefan.config import (ExperimentConfig, GridBlock, SolverBlock, ExperimentBlock,
-                            ConfigError, paper_constants)
+from rarefan.config import (ExperimentConfig, WaveBlock, GridBlock, SolverBlock,
+                            ExperimentBlock, ConfigError, paper_constants)
 from rarefan.experiments import (run_cutoff_study, run_profile_study, run_viscosity_sweep,
                                  run_nonzero_decay, run_background_decay, run_gn_check)
 
@@ -31,13 +31,9 @@ def _report(num, name, ok, detail=""):
 def _config(**exp_kwargs) -> ExperimentConfig:
     grid = exp_kwargs.pop("grid", GridBlock())
     solver = exp_kwargs.pop("solver", SolverBlock())
-    wave = exp_kwargs.pop("wave", {})
-    return ExperimentConfig(
-        gas=GAS, right=wave.get("right", RIGHT),
-        nu=wave.get("nu"), delta=wave.get("delta"),
-        nu_coeff=wave.get("nu_coeff"), nu_exp=wave.get("nu_exp"),
-        delta_coeff=wave.get("delta_coeff"), delta_exp=wave.get("delta_exp"),
-        grid=grid, solver=solver, experiment=ExperimentBlock(**exp_kwargs))
+    wave = exp_kwargs.pop("wave", WaveBlock())
+    return ExperimentConfig(gas=GAS, wave=wave, grid=grid, solver=solver,
+                            experiment=ExperimentBlock(**exp_kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +57,7 @@ def test_criterion_01_exact_wave_self_consistency():
 def test_criterion_02_cutoff_error_law():
     t0 = time.time()
     cfg = _config(kind="cutoff-study", sweep=(0.1, 0.05, 0.025, 0.0125),
-                  wave={"nu": 0.05, "delta": 0.1})
+                  wave=WaveBlock(nu=0.05, delta=0.1))
     rep = run_cutoff_study(cfg)
     power = rep.rows[0]["power_rho"]
     ratios = [r["ratio"] for r in rep.rows]
@@ -72,7 +68,7 @@ def test_criterion_02_cutoff_error_law():
 
 def test_criterion_03_profile_laws():
     t0 = time.time()
-    cfg = _config(kind="profile-study", wave={"nu": 0.05, "delta": 0.1})
+    cfg = _config(kind="profile-study", wave=WaveBlock(nu=0.05, delta=0.1))
     rep = run_profile_study(cfg)
     ok = rep.checks["L1_equals_velocity_span"] and rep.checks["burgers_L1_equals_w_span"] \
         and rep.checks["Linf_envelope_band"]
@@ -84,7 +80,7 @@ def test_criterion_03_profile_laws():
 
 def test_criterion_04_smooth_cutoff_distance_scaling():
     t0 = time.time()
-    cfg = _config(kind="profile-study", wave={"nu": 0.05, "delta": 0.2})
+    cfg = _config(kind="profile-study", wave=WaveBlock(nu=0.05, delta=0.2))
     rep = run_profile_study(cfg)
     ok = rep.checks["delta_log_delta_scaling"]
     ratios = [r["dist_over_env"] for r in rep.rows if "dist_over_env" in r]
@@ -186,8 +182,8 @@ def test_criterion_07_solver_conservation_and_mms():
 def test_criterion_08_vanishing_viscosity_trend():
     t0 = time.time()
     cfg = _config(kind="eps-sweep", sweep=(0.04, 0.02, 0.01), horizon=1.0, h=0.25,
-                  wave={"nu_coeff": 0.5, "nu_exp": 0.5, "delta_coeff": 1.0,
-                        "delta_exp": 0.5},
+                  wave=WaveBlock(nu_coeff=0.5, nu_exp=0.5, delta_coeff=1.0,
+                                 delta_exp=0.5),
                   grid=GridBlock(n1=384))
     rep = run_viscosity_sweep(cfg)
     dists = [r["distance"] for r in rep.rows if r.get("eta", 0.0) == 0.0
@@ -201,7 +197,7 @@ def test_criterion_08_vanishing_viscosity_trend():
 def test_criterion_09_nonzero_mode_decay():
     t0 = time.time()
     cfg = _config(kind="decay", eta=1e-3, horizon=0.8, h=0.2, mode_cap=3, seed=5,
-                  wave={"nu": 0.1, "delta": 0.2},
+                  wave=WaveBlock(nu=0.1, delta=0.2),
                   grid=GridBlock(n1=256, n2=32, period=1.0, dims=2),
                   solver=SolverBlock(eps=0.08))
     rep = run_nonzero_decay(cfg)
@@ -216,8 +212,7 @@ def test_criterion_09_nonzero_mode_decay():
 def test_criterion_10_background_decay():
     t0 = time.time()
     cfg = _config(kind="background", eta=1e-2, horizon=0.6, mode_cap=3, seed=11,
-                  wave={"nu": 0.1, "delta": 0.2,
-                        "right": PrimState(1.0, 0.2, 1.0)},
+                  wave=WaveBlock(u1_plus=0.2, nu=0.1, delta=0.2),
                   grid=GridBlock(n1=32, n2=32, period=1.0, dims=2),
                   solver=SolverBlock(eps=0.2))
     rep = run_background_decay(cfg)

@@ -89,7 +89,7 @@ def slab_grid():
 
 def test_assemble_zero_perturbation_is_profile():
     spec, grid = slab_spec(), slab_grid()
-    fs = assemble_initial(spec, PerturbationSpec(0.0, 2, 0), grid, GAS, shift=False)
+    fs = assemble_initial(spec, PerturbationSpec(0.0, 2, 0), grid, GAS)
     pr = smooth_profile(spec, 0.0, grid.x1(), shift=False)
     assert np.allclose(fs.rho[:, 0, 0], pr.rho, atol=1e-14)
     assert np.allclose(fs.m[0][:, 0, 0], pr.rho * pr.u1, atol=1e-14)
@@ -98,7 +98,7 @@ def test_assemble_zero_perturbation_is_profile():
 def test_assemble_transverse_average_recovers_zero_mode():
     spec, grid = slab_spec(), slab_grid()
     ps = PerturbationSpec(1e-3, 2, seed=4)
-    fs = assemble_initial(spec, ps, grid, GAS, shift=False)
+    fs = assemble_initial(spec, ps, grid, GAS)
     base = wave_conserved(spec, grid, GAS, 0.0, shift=False)
     v0, w0, z0 = make_perturbation(ps, grid)
     diff = fs.rho - base.rho
@@ -107,14 +107,14 @@ def test_assemble_transverse_average_recovers_zero_mode():
 
 def test_assemble_positivity_bound():
     spec, grid = slab_spec(), slab_grid()
-    fs = assemble_initial(spec, PerturbationSpec(1e-3, 2, seed=4), grid, GAS, shift=False)
+    fs = assemble_initial(spec, PerturbationSpec(1e-3, 2, seed=4), grid, GAS)
     assert float(np.min(fs.rho)) >= spec.nu - 1e-3
 
 
 def test_assemble_positivity_violation_reported():
     spec, grid = slab_spec(), slab_grid()
     with pytest.raises(ValueError, match="positivity"):
-        assemble_initial(spec, PerturbationSpec(5.0, 2, seed=4), grid, GAS, shift=False)
+        assemble_initial(spec, PerturbationSpec(5.0, 2, seed=4), grid, GAS)
 
 
 def test_window_vanishes_at_ends():

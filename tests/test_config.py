@@ -1,4 +1,6 @@
 import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ def test_parse_basic(tmp_path):
     assert cfg.gas.is_normalized
     assert cfg.right.rho == 1.0
     assert cfg.experiment.sweep == (0.1, 0.05, 0.025)
-    assert cfg.nu == 0.05
+    assert cfg.wave.nu == 0.05
 
 
 def test_missing_section_named(tmp_path):
@@ -72,8 +74,15 @@ def test_missing_file():
         parse_config("/nonexistent/path.ini")
 
 
-def test_roundtrip_equality(tmp_path):
-    cfg = parse_config(write(tmp_path, BASE))
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted(ROOT.glob("configs/*.ini")) + [ROOT / "perfbench/configs/slab2d_decay.ini"]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_roundtrip_equality(tmp_path, path):
+    from rarefan.experiments import DRIVERS
+    cfg = parse_config(path)
+    assert cfg.experiment.kind in DRIVERS
     out = tmp_path / "echo.ini"
     emit_config(cfg, out)
     cfg2 = parse_config(out)
@@ -120,13 +129,10 @@ def test_paper_scaling_arithmetic(tmp_path):
 
 def test_paper_scaling_feasible_when_small():
     # a synthetic right state large enough that the scaling fits
-    from rarefan.gas import GasParams, PrimState
-    from rarefan.config import GridBlock, SolverBlock, ExperimentBlock
+    from rarefan.gas import GasParams
+    from rarefan.config import WaveBlock, GridBlock, SolverBlock, ExperimentBlock
     cfg = ExperimentConfig(
-        gas=GasParams.normalized(5.0 / 3.0, 0.5),
-        right=PrimState(10.0, 0.0, 1.0),
-        nu=None, delta=None, nu_coeff=None, nu_exp=None,
-        delta_coeff=None, delta_exp=None,
+        gas=GasParams.normalized(5.0 / 3.0, 0.5), wave=WaveBlock(rho_plus=10.0),
         grid=GridBlock(), solver=SolverBlock(),
         experiment=ExperimentBlock(paper_scaling=True))
     nu, delta = cfg.resolve_nu_delta(0.01)
@@ -153,10 +159,10 @@ def test_missing_nu_refused(tmp_path):
 def test_cli_exit_codes(tmp_path):
     from rarefan.cli import main
     cfgpath = write(tmp_path, BASE.replace("dir = out", f"dir = {tmp_path}/out"))
-    assert main(["cutoff-study", "--config", str(cfgpath)]) == 0
-    assert main(["cutoff-study", "--config", str(tmp_path / "missing.ini")]) == 2
+    assert main(["run", "--config", str(cfgpath)]) == 0
+    assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
     bad = write(tmp_path, BASE + "\n[bogus]\nx = 1\n", name="bad.ini")
-    assert main(["cutoff-study", "--config", str(bad)]) == 2
+    assert main(["run", "--config", str(bad)]) == 2
 
 
 @pytest.mark.parametrize("line, named", [
@@ -169,7 +175,7 @@ def test_bad_solver_value_refused_at_parse(tmp_path, line, named):
     path = write(tmp_path, BASE.replace("eps = 0.02", f"eps = 0.02\n{line}"))
     with pytest.raises(ConfigError, match=named):
         parse_config(path)
-    assert main(["cutoff-study", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path)]) == 2
 
 
 def test_cli_numerical_abort_exit_code(tmp_path, capsys):
@@ -179,7 +185,7 @@ def test_cli_numerical_abort_exit_code(tmp_path, capsys):
                 .replace("n1 = 256", "n1 = 64")
                 .replace("eps = 0.02", "eps = 0.02\nfloor_rho = 0.5")
                 .replace("dir = out", f"dir = {tmp_path}/out"))
-    assert main(["simulate", "--config", str(write(tmp_path, text))]) == 3
+    assert main(["run", "--config", str(write(tmp_path, text))]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numerical abort: positivity floor hit")
 

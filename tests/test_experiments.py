@@ -1,27 +1,22 @@
 import numpy as np
 import pytest
 
-from rarefan.gas import GasParams, PrimState
-from rarefan.config import (ExperimentConfig, GridBlock, SolverBlock, ExperimentBlock,
-                            ConfigError)
+from rarefan.gas import GasParams
+from rarefan.config import (ExperimentConfig, WaveBlock, GridBlock, SolverBlock,
+                            ExperimentBlock, ConfigError)
 from rarefan.experiments import (run_cutoff_study, run_profile_study, run_viscosity_sweep,
                                  run_nonzero_decay, run_background_decay, run_gn_check,
-                                 _decay_run)
+                                 run_simulate, _decay_run)
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
-RIGHT = PrimState(1.0, 0.0, 1.0)
 
 
 def config(**exp_kwargs) -> ExperimentConfig:
     grid = exp_kwargs.pop("grid", GridBlock())
     solver = exp_kwargs.pop("solver", SolverBlock())
-    wave = exp_kwargs.pop("wave", {"nu": 0.05, "delta": 0.1})
-    return ExperimentConfig(
-        gas=GAS, right=wave.get("right", RIGHT),
-        nu=wave.get("nu"), delta=wave.get("delta"),
-        nu_coeff=wave.get("nu_coeff"), nu_exp=wave.get("nu_exp"),
-        delta_coeff=wave.get("delta_coeff"), delta_exp=wave.get("delta_exp"),
-        grid=grid, solver=solver, experiment=ExperimentBlock(**exp_kwargs))
+    wave = exp_kwargs.pop("wave", WaveBlock(nu=0.05, delta=0.1))
+    return ExperimentConfig(gas=GAS, wave=wave, grid=grid, solver=solver,
+                            experiment=ExperimentBlock(**exp_kwargs))
 
 
 def test_cutoff_study_passes_and_reports():
@@ -55,16 +50,15 @@ def test_decay_requires_transverse():
 
 
 @pytest.mark.slow
-def test_eps_sweep_small_with_jobs_and_pairing():
+def test_eps_sweep_small_with_pairing():
     cfg = config(kind="eps-sweep", sweep=(0.05, 0.035, 0.02), horizon=0.4, h=0.15,
                  eta=1e-3, mode_cap=2, seed=3,
-                 wave={"nu_coeff": 0.5, "nu_exp": 0.5, "delta_coeff": 1.0,
-                       "delta_exp": 0.5},
+                 wave=WaveBlock(nu_coeff=0.5, nu_exp=0.5, delta_coeff=1.0, delta_exp=0.5),
                  grid=GridBlock(n1=160, period=0.8))
-    rep = run_viscosity_sweep(cfg, jobs=2)
-    # this short-horizon smoke run exercises the worker pool and the paired
-    # perturbed run; the monotone-in-eps property needs the full horizon and
-    # is asserted by the acceptance sweep
+    rep = run_viscosity_sweep(cfg)
+    # this short-horizon smoke run exercises the paired perturbed run; the
+    # monotone-in-eps property needs the full horizon and is asserted by the
+    # acceptance sweep
     assert rep.checks["no_run_failures"]
     assert rep.checks["grid_prevalidated"]
     assert rep.checks["perturbation_influence_bounded"]
@@ -81,7 +75,7 @@ def test_decay_zero_mode_unaffected_by_transverse_resolution():
     dists = {}
     for n2 in (12, 24):
         cfg = config(kind="decay", eta=5e-4, horizon=0.3, h=0.1, mode_cap=2, seed=7,
-                     wave={"nu": 0.1, "delta": 0.2},
+                     wave=WaveBlock(nu=0.1, delta=0.2),
                      grid=GridBlock(n1=128, n2=n2, period=0.8, dims=2),
                      solver=SolverBlock(eps=0.08))
         records, grid = _decay_run(cfg, modes="all")
@@ -93,8 +87,7 @@ def test_eps_sweep_partial_report_on_failure():
     # a floor tight enough to abort every run must yield failure rows and a
     # FAIL verdict, not an exception
     cfg = config(kind="eps-sweep", sweep=(0.05, 0.035, 0.02), horizon=0.3, h=0.1,
-                 wave={"nu_coeff": 0.5, "nu_exp": 0.5, "delta_coeff": 1.0,
-                       "delta_exp": 0.5},
+                 wave=WaveBlock(nu_coeff=0.5, nu_exp=0.5, delta_coeff=1.0, delta_exp=0.5),
                  grid=GridBlock(n1=96, period=0.8),
                  solver=SolverBlock(floor_rho=0.5))
     rep = run_viscosity_sweep(cfg)
@@ -134,3 +127,52 @@ def test_diff_study_outputs_masks_run_fields(tmp_path):
     # masked columns are not listed
     report = res.stdout.split("largest relative difference per numeric column")[1]
     assert report.split() == ["distance:", "4.000e-07"]
+
+
+def test_eps_sweep_paired_run_abort_is_a_failure_row():
+    # every run aborts on the floor, the paired perturbed one included: its
+    # abort must become a failure row and a FAIL verdict, not an exception
+    cfg = config(kind="eps-sweep", sweep=(0.05, 0.035, 0.02), horizon=0.3, h=0.1,
+                 eta=1e-3, mode_cap=2,
+                 wave=WaveBlock(nu_coeff=0.5, nu_exp=0.5, delta_coeff=1.0, delta_exp=0.5),
+                 grid=GridBlock(n1=160, period=0.8),
+                 solver=SolverBlock(floor_rho=0.5))
+    rep = run_viscosity_sweep(cfg)
+    assert not rep.passed
+    assert not rep.checks["no_run_failures"]
+    assert not rep.checks["perturbation_influence_bounded"]
+    paired = [r for r in rep.rows if r.get("eta", 0.0) > 0.0]
+    assert len(paired) == 1 and paired[0]["failed"].startswith("positivity floor hit")
+
+
+@pytest.mark.parametrize("boundary", ["pinned-profile", "fully-periodic"])
+def test_run_simulate(tmp_path, monkeypatch, boundary):
+    import rarefan.experiments as ex
+    from rarefan.fields import load_fields
+
+    finals = []
+
+    def keep_final(*args, **kwargs):
+        final, records = real_run(*args, **kwargs)
+        finals.append(final)
+        return final, records
+    real_run = ex.run
+    monkeypatch.setattr(ex, "run", keep_final)
+
+    horizon = 0.05
+    cfg = config(kind="simulate", horizon=horizon, h=0.02, grid=GridBlock(n1=64),
+                 solver=SolverBlock(boundary=boundary))
+    cfg.out_dir = str(tmp_path)
+    rep = run_simulate(cfg)
+    assert rep.passed
+    assert [r["tau"] for r in rep.rows] == pytest.approx(
+        [k * horizon / 20 for k in range(21)], abs=1e-12)
+    cols = {c for r in rep.rows for c in r}
+    pinned = boundary == "pinned-profile"
+    assert any(c.startswith("dist.") for c in cols) == pinned
+    assert any(c.startswith("energy.") for c in cols) == pinned
+
+    snap = load_fields(tmp_path / "final.bin")
+    assert len(finals) == 1
+    assert snap.time == finals[0].time == pytest.approx(horizon, abs=1e-12)
+    np.testing.assert_array_equal(snap.U, finals[0].U)

@@ -218,13 +218,13 @@ def test_viscous_dt_within_rk3_stability_limit():
     slab_spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
     slab = SlabGrid(L=5.669381546010115, n1=64, n2=8, dims=2)
     fs_slab = assemble_initial(slab_spec, PerturbationSpec(eta=1e-3, mode_cap=1), slab, GAS,
-                               shift=False, window=x1_window(slab, 2.5, 0.2))
+                               window=x1_window(slab, 2.5, 0.2))
     line_spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.05, delta=0.1)
     line = SlabGrid(L=2.0 * max(-line_spec.w_minus, line_spec.w_plus) + 2.0, n1=192)
-    fs_line = assemble_initial(line_spec, PerturbationSpec(eta=0.0), line, GAS, shift=False)
+    fs_line = assemble_initial(line_spec, PerturbationSpec(eta=0.0), line, GAS)
     for spec, fs, eps in ((slab_spec, fs_slab, 0.08), (line_spec, fs_line, 0.01)):
         cfg = SolverConfig(eps=eps, boundary="pinned-profile")
-        ghost = profile_ghost_source(spec, fs.grid, shift=False)
+        ghost = profile_ghost_source(spec, fs.grid)
         dt_visc, _ = stable_dt(fs, GAS, cfg)
         assert dt_visc < stable_dt(fs, GAS, dataclasses.replace(cfg, eps=0.0))[0]
         reach = dt_visc * _viscous_spectral_radius(fs, cfg, ghost)
@@ -271,7 +271,7 @@ def test_pinned_boundary_flux_bookkeeping():
     u[0] = pr.u1[:, None, None]
     fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u, pr.theta[:, None, None])
     cfg = SolverConfig(eps=0.02, boundary="pinned-profile")
-    ghost = profile_ghost_source(spec, grid, shift=False)
+    ghost = profile_ghost_source(spec, grid)
     tot0 = fs.totals()
     acc = np.zeros(5)
     f = fs
@@ -335,9 +335,9 @@ def test_run_records_land_on_sample_times():
     # a multiple of sample_dt
     spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
     grid = SlabGrid(L=4.0, n1=128)
-    fs = assemble_initial(spec, PerturbationSpec(eta=0.0), grid, GAS, shift=False)
+    fs = assemble_initial(spec, PerturbationSpec(eta=0.0), grid, GAS)
     cfg = SolverConfig(eps=0.05, boundary="pinned-profile")
-    ghost = profile_ghost_source(spec, grid, shift=False)
+    ghost = profile_ghost_source(spec, grid)
     for horizon, sample_dt in ((0.05, 0.0125), (0.05, 0.007)):
         out, records = run(fs, GAS, cfg, horizon, ghost_source=ghost, sample_dt=sample_dt)
         taus = [r["tau"] for r in records]
@@ -403,7 +403,7 @@ def test_riemann_run_monotone_in_fan():
     u[0] = pr.u1[:, None, None]
     fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u, pr.theta[:, None, None])
     cfg = SolverConfig(eps=0.02, boundary="pinned-profile")
-    ghost = profile_ghost_source(spec, grid, shift=False)
+    ghost = profile_ghost_source(spec, grid)
     out, _ = run(fs, GAS, cfg, horizon=1.0, ghost_source=ghost)
     x = grid.x1()
     fan = (x / 1.0 > spec.w_minus + 0.2) & (x / 1.0 < spec.w_plus - 0.2)
@@ -423,7 +423,7 @@ def test_refinement_subdominant():
         fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u,
                                       pr.theta[:, None, None])
         cfg = SolverConfig(eps=0.04, boundary="pinned-profile")
-        ghost = profile_ghost_source(spec, grid, shift=False)
+        ghost = profile_ghost_source(spec, grid)
         out, _ = run(fs, GAS, cfg, horizon=1.0, ghost_source=ghost)
         dists[n1] = sup_distance(out, spec, GAS)["max"]
     assert abs(dists[192] - dists[384]) < 0.25 * dists[192]
@@ -455,7 +455,7 @@ def test_domain_truncation_subdominant():
         fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u,
                                       pr.theta[:, None, None])
         cfg = SolverConfig(eps=0.04, boundary="pinned-profile")
-        ghost = profile_ghost_source(spec, grid, shift=False)
+        ghost = profile_ghost_source(spec, grid)
         out, _ = run(fs, GAS, cfg, horizon=0.5, ghost_source=ghost)
         dists[fac] = sup_distance(out, spec, GAS)["max"]
     assert abs(dists[1.0] - dists[2.0]) < 1e-6
