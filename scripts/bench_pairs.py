@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Run the benchmark of two checkouts in alternating pairs and summarise them.
+
+    python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload slab2d-decay \
+        --pairs 10 --topic rhs_workspace [--seconds 12] [--out BENCH_DIR]
+
+Pair i runs each tree's ``perfbench/run.py --workload W --seed i --seconds S
+--trace 0`` once from that tree's root, the parent first on even pairs and
+the change first on odd ones, so that drift of the machine's speed falls on
+both sides. Minor page faults of an invocation are the growth of
+``getrusage(RUSAGE_CHILDREN).ru_minflt`` across it: every process the run
+starts (set-up probes and operations) is counted once.
+
+Adds the workload's entry to ``BENCH_<topic>.json`` (in --out, default the
+current directory), so that one file holds several workloads: the machine,
+each side's median and quartiles of every end-to-end metric and of the
+faults, per pair the values and which side was better, and per metric the
+number of pairs the change won (ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def invoke(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run.py invocation: its end-to-end metrics, provenance and minor faults."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{root}: run.py exited {proc.returncode}: "
+                           f"{(proc.stderr.strip().splitlines() or ['no output'])[-1]}")
+    result = json.loads(lines[-1])
+    provenance = next(json.loads(ln.split(" ", 1)[1]) for ln in lines
+                      if ln.startswith("provenance "))
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    metrics["minor_faults"] = faults
+    return {"metrics": metrics, "correct": result["correct"],
+            "operations": sum(1 for ln in lines if ln.startswith("op ")),
+            "provenance": provenance}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def winner(pair: dict, name: str, direction: str) -> str:
+    a, b = pair["parent"]["metrics"][name], pair["change"]["metrics"][name]
+    if a == b:
+        return "tie"
+    return "change" if (b < a) == (direction == "lower") else "parent"
+
+
+def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's quartiles, the change's wins and the median change."""
+    out = {}
+    for name, direction in better.items():
+        side = {s: quartiles([p[s]["metrics"][name] for p in pairs]) for s in SIDES}
+        wins = sum(p["better"][name] == "change" for p in pairs)
+        base = side["parent"]["median"]
+        out[name] = {"better": direction, **side, "change_wins": wins, "pairs": len(pairs),
+                     "median_change": (side["change"]["median"] - base) / base if base else 0.0,
+                     "parent_iqr": side["parent"]["q3"] - side["parent"]["q1"]}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--topic", required=True, help="names the output BENCH_<topic>.json")
+    ap.add_argument("--seconds", type=float, default=12.0)
+    ap.add_argument("--out", type=Path, default=Path("."))
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better["minor_faults"] = "lower"
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    pairs = []
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": i, "first": order[0]}
+        for side in order:
+            pair[side] = invoke(roots[side], args.workload, i, args.seconds)
+        provenance = {s: pair[s].pop("provenance") for s in SIDES}
+        pair["better"] = {name: winner(pair, name, d) for name, d in better.items()}
+        pairs.append(pair)
+        print(f"pair {i}: " + ", ".join(
+            f"{s} wall {pair[s]['metrics']['wall_s']:.3f} s, "
+            f"faults {pair[s]['metrics']['minor_faults']}" for s in SIDES), flush=True)
+
+    machine = {k: provenance["change"][k] for k in ("cpu_model", "nproc", "caches", "python",
+                                                    "numpy", "scipy", "blas_threads")}
+    machine["platform"] = platform.platform()
+    record = {
+        "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+        "command": "perfbench/run.py --workload W --seed <pair> --seconds S --trace 0",
+        "machine": machine,
+        "commits": {s: provenance[s]["commit"] for s in SIDES},
+        "src_py_lines": {s: provenance[s]["src_py_lines"] for s in SIDES},
+        "summary": summarise(pairs, better),
+        "per_pair": pairs,
+    }
+    path = args.out / f"BENCH_{args.topic}.json"
+    existing = json.loads(path.read_text()) if path.exists() else {}
+    existing[args.workload] = record
+    path.write_text(json.dumps(existing, indent=1) + "\n")
+    for name, s in record["summary"].items():
+        print(f"{name}: parent {s['parent']['median']:.6g} (q1 {s['parent']['q1']:.6g}, "
+              f"q3 {s['parent']['q3']:.6g}), change {s['change']['median']:.6g} "
+              f"({s['median_change']:+.1%}), change better in {s['change_wins']}/{s['pairs']}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import subprocess
 import typing
 from dataclasses import dataclass, asdict, fields
@@ -252,6 +253,9 @@ def parse_config(path) -> ExperimentConfig:
     if cfg.experiment.kind not in DRIVERS:
         raise ConfigError(f"[experiment] kind must be one of {tuple(DRIVERS)}, "
                           f"got {cfg.experiment.kind!r}")
+    if cfg.experiment.kind == "simulate" and cfg.solver.boundary == "fully-periodic":
+        raise ConfigError("[solver] boundary = fully-periodic would wrap x1 across the "
+                          "wave's two end states; simulate runs pin the x1 ghosts")
     return cfg
 
 
@@ -283,8 +287,10 @@ def emit_config(cfg: ExperimentConfig, path) -> None:
 
 
 def git_commit() -> str:
+    """Short HEAD of the checkout this package is imported from, else "unknown"."""
     try:
         out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
                              capture_output=True, text=True, timeout=5)
         return out.stdout.strip() or "unknown"
     except Exception:

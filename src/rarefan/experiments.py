@@ -570,19 +570,14 @@ def run_wave_dump(spec: WaveSpec, t: float | None, n: int, out_path: str) -> str
 
 
 def run_simulate(cfg: ExperimentConfig) -> StudyReport:
-    """Generic run from a config: observer CSV rows plus a final snapshot."""
+    """Pinned run from a config: observer CSV rows plus a final snapshot."""
     t0 = time.time()
     spec = cfg.wave_spec(cfg.solver.eps)
-    horizon, eta = cfg.experiment.horizon, cfg.experiment.eta
-    grid = sweep_grid(spec, cfg)
-    if cfg.solver.boundary == "pinned-profile":
-        obs = {"dist": _distance_observer(spec, cfg.experiment.h),
-               "energy": energy_observer(spec)}
-        final, records = _pinned_run(cfg, spec, grid, eta, obs, sample_dt=horizon / 20.0)
-    else:
-        initial = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas)
-        final, records = run(initial, cfg.gas, cfg.solver.solver_config(), horizon,
-                             sample_dt=horizon / 20.0)
+    horizon = cfg.experiment.horizon
+    obs = {"dist": _distance_observer(spec, cfg.experiment.h),
+           "energy": energy_observer(spec)}
+    final, records = _pinned_run(cfg, spec, sweep_grid(spec, cfg), cfg.experiment.eta, obs,
+                                 sample_dt=horizon / 20.0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_fields(final, os.path.join(cfg.out_dir, "final.bin"))
     return _report("simulate", cfg, t0, records, {"completed": True})

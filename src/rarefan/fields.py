@@ -195,11 +195,3 @@ def load_fields(path) -> FieldSet:
         U = np.frombuffer(fh.read(8 * 5 * count), dtype="<f8").reshape((5,) + grid.shape)
     return FieldSet(grid, U.astype(float), time)
 
-
-def fields_to_csv(fs: FieldSet, path) -> None:
-    """Plain-text dump for small grids: one row per cell."""
-    X1, X2, X3 = fs.grid.meshgrid()
-    cols = [X1, X2, X3, fs.rho, fs.m[0], fs.m[1], fs.m[2], fs.E]
-    data = np.column_stack([c.ravel() for c in cols])
-    np.savetxt(path, data, delimiter=",",
-               header="x1,x2,x3,rho,m1,m2,m3,E", comments="")

@@ -5,10 +5,21 @@ near-vacuum cut-off state; viscous and heat fluxes are 2nd-order central with
 temperature-dependent coefficients evaluated at face-averaged temperature.
 Time stepping is 3-stage SSP Runge-Kutta.  The energy equation is integrated
 in conserved total-energy form; temperature is always a derived view.
+
+Each grid shape has one work area (the ghost-ringed state, its pressure,
+sound speed and Euler flux, and the face terms of each axis pass), allocated
+on the first rhs and reused by every stage of every step, so that a run does
+not hand its temporaries to the allocator and fault them in again each
+stage.  rhs fills it in place and returns a new tendency and boundary flux
+that the caller owns; step forms each SSP-RK3 stage in place on the tendency
+it got for it.  The work area makes rhs unsafe to call from concurrent
+threads on grids of one shape.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -115,21 +126,98 @@ def _active_axes(grid: SlabGrid) -> list[int]:
     return [0] + [ax for ax, n in ((1, grid.n2), (2, grid.n3)) if n > 1]
 
 
-def _ringed_state(fs: FieldSet, g: GasParams, cfg: SolverConfig,
+def _face_index(ax: int, active: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """(left, right) indices of the two cells of every face along ax.
+
+    They apply to the spatial axes of any ghost-ringed array: the ax axis keeps
+    its ghost extent so there is one pair per face (n_ax + 1 of them); other
+    ringed axes are cut to the interior.
+    """
+    lo = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
+    hi = list(lo)
+    lo[ax] = slice(0, -1)
+    hi[ax] = slice(1, None)
+    return (Ellipsis, *lo), (Ellipsis, *hi)
+
+
+class _AxisWork:
+    """Work arrays and indices of one axis pass of rhs.
+
+    Shapes: faces along ax are (n_ax + 1) wide on ax and interior elsewhere;
+    cd keeps the ghost ring on ax only.  coef holds one of the face
+    coefficients mu, lambda, kappa at a time.
+    """
+
+    FACE = {"F": 5, "dU": 5, "s": 1, "pw": 1, "coef": 1, "uF": 3, "dn_u": 3,
+            "dc_uax": 3, "tau": 3, "divu": 1, "dthdn": 1, "heat": 1, "cd_face": 3}
+
+    def __init__(self, ax: int, active: tuple[int, ...], arrays: dict[str, np.ndarray]):
+        self.L, self.R = _face_index(ax, active)
+        along = [slice(None)] * 3        # lo, hi: all but the last, the first entry along ax
+        along[ax] = slice(0, -1)
+        self.lo = (Ellipsis, *along)
+        along[ax] = slice(1, None)
+        self.hi = (Ellipsis, *along)
+        self.cross = {}                  # bx -> (plus, minus) cells of the central difference
+        for bx in active:
+            if bx != ax:
+                plus = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
+                plus[ax] = slice(None)
+                minus = list(plus)
+                plus[bx], minus[bx] = slice(2, None), slice(0, -2)
+                self.cross[bx] = (Ellipsis, *plus), (Ellipsis, *minus)
+        vars(self).update(arrays)
+
+
+class _Workspace:
+    """The arrays rhs and step fill on one grid, allocated once per grid shape.
+
+    Ring-sized arrays hold the ghost-ringed state and its cell quantities.
+    Each face-sized array of _AxisWork is a view of one flat buffer sized for
+    the widest axis: the axes take turns on it, so an axis pass writes every
+    entry it reads.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], active: tuple[int, ...]):
+        ring = tuple(n + 2 if ax in active else n for ax, n in enumerate(shape))
+        self.state = np.empty((10,) + ring)
+        self.p, self.c, self.speed = np.empty(ring), np.empty(ring), np.empty(ring)
+        self.flux = np.empty((5,) + ring)
+        self.ddx = np.empty((5,) + shape)
+
+        def along(ax, extra):
+            return tuple(n + extra if sp == ax else n for sp, n in enumerate(shape))
+
+        def views(k, shapes):
+            flat = np.empty(k * max(math.prod(sh) for sh in shapes.values()))
+            return {ax: flat[:k * math.prod(sh)].reshape(((k,) if k > 1 else ()) + sh)
+                    for ax, sh in shapes.items()}
+
+        faces = {ax: along(ax, 1) for ax in active}
+        pools = {name: views(k, faces) for name, k in _AxisWork.FACE.items()}
+        pools["cd"] = views(3, {ax: along(ax, 2) for ax in active})
+        self.axes = {ax: _AxisWork(ax, active, {name: v[ax] for name, v in pools.items()})
+                     for ax in active}
+
+
+@functools.lru_cache(maxsize=8)
+def _workspace(shape: tuple[int, int, int], active: tuple[int, ...]) -> _Workspace:
+    return _Workspace(shape, active)
+
+
+def _ringed_state(state: np.ndarray, fs: FieldSet, g: GasParams, cfg: SolverConfig,
                   ghost_source: GhostSource | None, t: float,
-                  active: list[int]) -> np.ndarray:
-    """Primitives (rho, u, theta) stacked over U, with one ghost ring on active axes.
+                  active: tuple[int, ...]) -> np.ndarray:
+    """Fill state with primitives (rho, u, theta) over U, one ghost ring on active axes.
 
     Transverse directions wrap; x1 wraps on fully-periodic runs and otherwise
     carries the ghost columns supplied by ghost_source (edge copy without
     one).  Axes are filled in order over the full ring, so corner cells are
     wrap-of-wrap on the torus and x1 ghost values on pinned runs.  Inactive
     axes stay single-cell wide.  The interior of the last five rows is fs.U.
+    Every entry is written, so whatever state held before does not matter.
     """
-    ring = [1 if ax in active else 0 for ax in range(3)]
-    shape = fs.grid.shape
-    state = np.empty((10,) + tuple(n + 2 * r for n, r in zip(shape, ring)))
-    inner = tuple(slice(r, n + r) for n, r in zip(shape, ring))
+    inner = tuple(slice(1, -1) if ax in active else slice(None) for ax in range(3))
     state[(slice(0, 5),) + inner] = fs.primitives(g)
     state[(slice(5, 10),) + inner] = fs.U
     periodic = active if cfg.boundary == "fully-periodic" else active[1:]
@@ -148,45 +236,25 @@ def _ringed_state(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     return state
 
 
-def _face_index(ax: int, active: list[int]) -> tuple[tuple, tuple]:
-    """(left, right) indices of the two cells of every face along ax.
-
-    They apply to the spatial axes of any ghost-ringed array: the ax axis keeps
-    its ghost extent so there is one pair per face (n_ax + 1 of them); other
-    ringed axes are cut to the interior.
-    """
-    lo = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
-    hi = list(lo)
-    lo[ax] = slice(0, -1)
-    hi[ax] = slice(1, None)
-    return (Ellipsis, *lo), (Ellipsis, *hi)
-
-
-def _euler_flux(U: np.ndarray, un: np.ndarray, p: np.ndarray, ax: int) -> np.ndarray:
-    """Stacked Euler flux along ax of conserved U with normal velocity un, pressure p."""
-    f = np.empty_like(U)
+def _euler_flux(f: np.ndarray, U: np.ndarray, un: np.ndarray, p: np.ndarray,
+                ax: int) -> np.ndarray:
+    """Fill f with the stacked Euler flux along ax of U with normal velocity un, pressure p."""
     f[0] = U[1 + ax]
     np.multiply(U[1:4], un, out=f[1:4])
     f[1 + ax] += p
-    f[4] = (U[4] + p) * un
+    np.add(U[4], p, out=f[4])
+    f[4] *= un
     return f
 
 
-def _face_cross_diff(uP: np.ndarray, ax: int, bx: int, dxb: float, padded: list[int]):
-    """d u / d x_b at the faces along ax: central in b, averaged across the face."""
-    idx_p = [slice(None)] * 4
-    for sp in padded:
-        if sp not in (ax, bx):
-            idx_p[1 + sp] = slice(1, -1)
-    idx_m = list(idx_p)
-    idx_p[1 + bx] = slice(2, None)
-    idx_m[1 + bx] = slice(0, -2)
-    cd = (uP[tuple(idx_p)] - uP[tuple(idx_m)]) / (2.0 * dxb)
-    idx_l = [slice(None)] * 4
-    idx_r = [slice(None)] * 4
-    idx_l[1 + ax] = slice(0, -1)
-    idx_r[1 + ax] = slice(1, None)
-    return 0.5 * (cd[tuple(idx_l)] + cd[tuple(idx_r)])
+def _face_cross_diff(w: _AxisWork, uP: np.ndarray, bx: int, dxb: float) -> np.ndarray:
+    """d u / d x_b at the faces of w's axis: central in b, averaged across the face."""
+    plus, minus = w.cross[bx]
+    cd = np.subtract(uP[plus], uP[minus], out=w.cd)
+    cd /= 2.0 * dxb
+    out = np.add(cd[w.lo], cd[w.hi], out=w.cd_face)
+    out *= 0.5
+    return out
 
 
 def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
@@ -197,62 +265,96 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     Returns (tendency(5, n1, n2, n3), boundary_flux(5,)) where boundary_flux is
     the instantaneous net inflow rate through the two x1 boundaries, so that
     d/dt of each conserved total equals the matching entry on pinned runs.
+    Both are new arrays the caller owns; the work arrays are the grid's.
     """
     tt = fs.time if t is None else t
     grid = fs.grid
     if np.any(fs.rho <= 0.0):
         raise RunAbort("nonpositive density entering rhs")
-    active = _active_axes(grid)
-    state = _ringed_state(fs, g, cfg, ghost_source, tt, active)
+    active = tuple(_active_axes(grid))
+    ws = _workspace(grid.shape, active)
+    state = _ringed_state(ws.state, fs, g, cfg, ghost_source, tt, active)
     rhoP, uP, thP, UP = state[0], state[1:4], state[4], state[5:]
     if np.any(thP <= 0.0):
         raise RunAbort("nonpositive temperature entering rhs")
-    pP = g.R * rhoP * thP
-    cP = np.sqrt(g.gamma * g.R * thP)
+    pP = np.multiply(g.R, rhoP, out=ws.p)
+    pP *= thP
+    cP = np.multiply(g.gamma * g.R, thP, out=ws.c)
+    np.sqrt(cP, out=cP)
 
     visc = cfg.visc_mult
     spacing = grid.spacing
     tend = np.zeros((5,) + grid.shape)
     bflux = np.zeros(5)
 
+    # each in-place sequence below performs its formula's operations in the
+    # order the plain expression would, so the work arrays change no bit
     for ax in active:
         dx = spacing[ax]
-        L, R = _face_index(ax, active)
+        w = ws.axes[ax]
+        L, R = w.L, w.R
 
-        # cell fluxes and signal speeds once on the ringed array, then per face
-        FP = _euler_flux(UP, uP[ax], pP, ax)
-        aP = np.abs(uP[ax]) + cP
-        s = np.maximum(aP[L], aP[R])
-        F = 0.5 * (FP[L] + FP[R]) - 0.5 * s * (UP[R] - UP[L])
+        # cell fluxes and signal speeds once on the ringed array, then per face:
+        # F = 0.5 (FP[L] + FP[R]) - 0.5 s (UP[R] - UP[L])
+        FP = _euler_flux(ws.flux, UP, uP[ax], pP, ax)
+        aP = np.abs(uP[ax], out=ws.speed)
+        aP += cP
+        s = np.maximum(aP[L], aP[R], out=w.s)
+        s *= 0.5
+        F = np.add(FP[L], FP[R], out=w.F)
+        F *= 0.5
+        dU = np.subtract(UP[R], UP[L], out=w.dU)
+        dU *= s
+        F -= dU
 
         if visc > 0.0:
             thL, thR = thP[L], thP[R]
-            uLall, uRall = uP[L], uP[R]
-            thF = 0.5 * (thL + thR)
-            pw = thF ** g.alpha
-            muF, lamF, kapF = g.mu1 * pw, g.lambda1 * pw, g.kappa1 * pw
-            uF = 0.5 * (uLall + uRall)
+            uL, uR = uP[L], uP[R]
+            pw = np.add(thL, thR, out=w.pw)          # thF ** alpha
+            pw *= 0.5
+            pw **= g.alpha
+            uF = np.add(uL, uR, out=w.uF)
+            uF *= 0.5
 
             # velocity gradient at the face: exact normal difference,
             # averaged central differences in the transverse directions;
             # derivatives along inactive axes vanish identically
-            dn_u = (uRall - uLall) / dx              # d u_c / d x_ax
-            cross = {bx: _face_cross_diff(uP, ax, bx, spacing[bx], active)
-                     for bx in active if bx != ax}   # d u_c / d x_bx
-            divu = dn_u[ax]
-            dc_uax = np.zeros_like(dn_u)             # d u_ax / d x_c
+            dn_u = np.subtract(uR, uL, out=w.dn_u)   # d u_c / d x_ax
+            dn_u /= dx
+            divu, dc_uax = w.divu, w.dc_uax          # dc_uax: d u_ax / d x_c
+            divu[...] = dn_u[ax]
             dc_uax[ax] = dn_u[ax]
-            for bx, cd in cross.items():
-                divu = divu + cd[bx]
-                dc_uax[bx] = cd[ax]
-            tau = muF * (dn_u + dc_uax)              # stress column T[:, ax]
-            tau[ax] += lamF * divu
-            dthdn = (thR - thL) / dx
+            for bx in range(3):
+                if bx in w.cross:
+                    cd = _face_cross_diff(w, uP, bx, spacing[bx])  # d u_c / d x_bx
+                    divu += cd[bx]
+                    dc_uax[bx] = cd[ax]
+                elif bx != ax:
+                    dc_uax[bx] = 0.0
+            # stress column T[:, ax] = mu (dn_u + dc_uax), plus lambda divu on ax
+            tau = np.add(dn_u, dc_uax, out=w.tau)
+            coef = np.multiply(g.mu1, pw, out=w.coef)
+            tau *= coef
+            np.multiply(g.lambda1, pw, out=coef)
+            divu *= coef
+            tau[ax] += divu
+            dthdn = np.subtract(thR, thL, out=w.dthdn)
+            dthdn /= dx
+            np.multiply(g.kappa1, pw, out=coef)
+            dthdn *= coef
 
-            F[1:4] -= visc * tau
-            F[4] -= visc * (np.sum(uF * tau, axis=0) + kapF * dthdn)
+            # F[4] -= visc (sum_c uF_c tau_c + kappa dthdn); F[1:4] -= visc tau
+            uF *= tau
+            heat = np.sum(uF, axis=0, out=w.heat)
+            heat += dthdn
+            heat *= visc
+            F[4] -= heat
+            tau *= visc
+            F[1:4] -= tau
 
-        tend -= np.diff(F, axis=1 + ax) / dx
+        ddx = np.subtract(F[w.hi], F[w.lo], out=ws.ddx)   # np.diff along ax
+        ddx /= dx
+        tend -= ddx
 
         if ax == 0:
             face_area = grid.cell_volume / dx
@@ -301,9 +403,12 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
          dt_cap: float | None = None) -> tuple[FieldSet, StepDiagnostics]:
     """One SSP-RK3 step; dt may be forced (paired-run tests), else from stable_dt.
 
-    The stages are FieldSets over fresh stacked arrays, so each computes its
-    primitives once; the result's primitives feed the diagnostics here and
-    the next step's stable_dt and first rhs.
+    Each stage is formed in place on the tendency rhs returned for it and
+    wrapped in a FieldSet, so each computes its primitives once; the result's
+    primitives feed the diagnostics here and the next step's stable_dt and
+    first rhs.  The in-place forms evaluate U0 + dt k1,
+    0.75 U0 + 0.25 (U1 + dt k2) and (U0 + 2 (U2 + dt k3)) / 3 operation by
+    operation in that order.
     """
     auto_dt, max_speed = stable_dt(fs, g, cfg)
     if dt is None:
@@ -315,12 +420,21 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     U0 = fs.U
     bflux = np.zeros(5)
 
-    k1, b1 = rhs(fs, g, cfg, ghost_source, t=t0)
-    U1 = U0 + dt * k1
-    k2, b2 = rhs(FieldSet(fs.grid, U1, t0 + dt), g, cfg, ghost_source, t=t0 + dt)
-    U2 = 0.75 * U0 + 0.25 * (U1 + dt * k2)
-    k3, b3 = rhs(FieldSet(fs.grid, U2, t0 + 0.5 * dt), g, cfg, ghost_source, t=t0 + 0.5 * dt)
-    U3 = (U0 + 2.0 * (U2 + dt * k3)) / 3.0
+    U1, b1 = rhs(fs, g, cfg, ghost_source, t=t0)
+    U1 *= dt
+    U1 += U0
+    U2, b2 = rhs(FieldSet(fs.grid, U1, t0 + dt), g, cfg, ghost_source, t=t0 + dt)
+    U2 *= dt
+    U2 += U1
+    U2 *= 0.25
+    np.multiply(0.75, U0, out=U1)  # U1 is spent: it now holds 0.75 U0
+    U2 += U1
+    U3, b3 = rhs(FieldSet(fs.grid, U2, t0 + 0.5 * dt), g, cfg, ghost_source, t=t0 + 0.5 * dt)
+    U3 *= dt
+    U3 += U2
+    U3 *= 2.0
+    U3 += U0
+    U3 /= 3.0
 
     for w, b in zip(_RK3_WEIGHTS, (b1, b2, b3)):
         bflux += w * dt * b

@@ -178,6 +178,29 @@ def test_bad_solver_value_refused_at_parse(tmp_path, line, named):
     assert main(["run", "--config", str(path)]) == 2
 
 
+def test_simulate_fully_periodic_refused_at_parse(tmp_path):
+    # a torus run of the wave would wrap x1 across its two end states
+    from rarefan.cli import main
+    text = (BASE.replace("kind = cutoff-study", "kind = simulate")
+                .replace("eps = 0.02", "eps = 0.02\nboundary = fully-periodic")
+                .replace("dir = out", f"dir = {tmp_path}/out"))
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match="fully-periodic"):
+        parse_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_git_commit_names_own_checkout(tmp_path, monkeypatch):
+    from rarefan.config import git_commit
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    here = git_commit()
+    if here == "unknown":
+        pytest.skip("not a git checkout")
+    monkeypatch.chdir(tmp_path)
+    assert git_commit() == here
+
+
 def test_cli_numerical_abort_exit_code(tmp_path, capsys):
     # the cut-off density 0.05 sits below floor_rho, so the first step aborts
     from rarefan.cli import main

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rarefan.gas import GasParams
-from rarefan.fields import SlabGrid, FieldSet, save_fields, load_fields, fields_to_csv
+from rarefan.fields import SlabGrid, FieldSet, save_fields, load_fields
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
 
@@ -69,16 +69,6 @@ def test_binary_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(ValueError):
         load_fields(path)
-
-
-def test_csv_dump(tmp_path):
-    grid = SlabGrid.torus(1.0, 4, 2, dims=2)
-    fs = FieldSet.from_primitives(grid, GAS, 1.0, np.zeros((3,) + grid.shape), 1.0)
-    path = tmp_path / "f.csv"
-    fields_to_csv(fs, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,x3,rho,m1,m2,m3,E"
-    assert len(lines) == 1 + 8
 
 
 def test_totals():

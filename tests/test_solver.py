@@ -182,6 +182,73 @@ def test_rhs_unaffected_by_caller_mutation():
     assert not np.shares_memory(bflux0, bflux1)
 
 
+def _workspace_cases():
+    """(fs, cfg, ghost) on 1-D and 2-D pinned, 2-D and 3-D torus grids, eps 0 and > 0.
+
+    The 2-D pinned and torus grids have one shape, so they share work arrays.
+    """
+    spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
+    layouts = ((SlabGrid(L=2.0, n1=16), "pinned-profile"),
+               (SlabGrid(L=2.0, n1=12, n2=6, dims=2), "pinned-profile"),
+               (SlabGrid.torus(1.0, 12, 6, dims=2), "fully-periodic"),
+               (SlabGrid.torus(1.0, 8, 4, 6, dims=3), "fully-periodic"))
+    cases = []
+    for eps in (0.0, 0.05):
+        for grid, boundary in layouts:
+            ghost = profile_ghost_source(spec, grid) if boundary == "pinned-profile" else None
+            cases.append((_transverse_state(grid, len(cases)),
+                          SolverConfig(eps=eps, boundary=boundary), ghost))
+    return cases
+
+
+def _rhs_then_step(fs, cfg, ghost):
+    tend, bflux = rhs(fs, GAS, cfg, ghost, t=fs.time)
+    out, diag = step(fs, GAS, cfg, ghost)
+    return [tend, bflux, out.U, diag.boundary_flux]
+
+
+def _same_bytes(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
+
+
+def test_workspace_reuse_is_bitwise_neutral():
+    # rhs and step reuse one set of work arrays per grid shape: any interleaving
+    # of layouts and viscosities must give bitwise the results of a first call
+    cases = _workspace_cases()
+    first = []
+    for case in cases:
+        solver._workspace.cache_clear()
+        first.append(_rhs_then_step(*case))
+    order = list(range(len(cases))) * 2
+    np.random.default_rng(3).shuffle(order)
+    for i in order:
+        assert _same_bytes(_rhs_then_step(*cases[i]), first[i]), i
+
+
+def test_rhs_result_survives_next_rhs():
+    grid = SlabGrid.torus(1.0, 12, 6, dims=2)
+    cfg = periodic_cfg(eps=0.05)
+    tend, bflux = rhs(_transverse_state(grid, 1), GAS, cfg)
+    kept = [tend.copy(), bflux.copy()]
+    again = rhs(_transverse_state(grid, 2), GAS, cfg)
+    assert _same_bytes([tend, bflux], kept)
+    assert not _same_bytes(again, kept)
+
+
+def test_pinned_ghosts_do_not_leak_into_torus_run():
+    # a pinned run leaves its ghost columns in the shared ring; the torus run
+    # that follows must rebuild every ghost cell from its own interior
+    spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
+    pinned, torus = SlabGrid(L=2.0, n1=12, n2=6, dims=2), SlabGrid.torus(1.0, 12, 6, dims=2)
+    fs = _transverse_state(torus, 4)
+    cfg = periodic_cfg(eps=0.05)
+    solver._workspace.cache_clear()
+    fresh = _rhs_then_step(fs, cfg, None)
+    run(_transverse_state(pinned, 5), GAS, SolverConfig(eps=0.05, boundary="pinned-profile"),
+        0.01, ghost_source=profile_ghost_source(spec, pinned))
+    assert _same_bytes(_rhs_then_step(fs, cfg, None), fresh)
+
+
 def _viscous_spectral_radius(fs, cfg, ghost, iters=300):
     """|lambda_max| of the linearised viscous rhs by power iteration.
 
