@@ -93,7 +93,10 @@ def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.nda
             continue
         dx = spacing[ax]
         if ax > 0 or periodic_x1:
-            out[ax] = (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * dx)
+            v, o = np.moveaxis(f, ax, 0), np.moveaxis(out[ax], ax, 0)
+            np.subtract(v[2:], v[:-2], out=o[1:-1])
+            o[0], o[-1] = v[1] - v[-1], v[0] - v[-2]   # the wrapped end cells
+            o /= 2.0 * dx
         else:
             out[ax] = np.gradient(f, dx, axis=ax, edge_order=2)
     return out

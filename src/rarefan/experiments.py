@@ -284,7 +284,7 @@ def run_viscosity_sweep(cfg: ExperimentConfig) -> StudyReport:
     The cut-off density and smoothing width shrink with eps through the
     configured desk-scale links, mirroring the coupled scalings' structure;
     the distance floor sits at nu, so fixed nu would flatten the trend.
-    A refinement pre-check validates the grid at the stiffest eps.
+    A refinement pre-check validates the grid at eps_list[0], the largest (best-resolved) eps.
     """
     t0 = time.time()
     eps_list = sorted(cfg.experiment.sweep or (0.04, 0.02, 0.01), reverse=True)

@@ -365,7 +365,7 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
 
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
-    """(dt, max wave speed) from the convective CFL and SSP-RK3 viscous limits."""
+    """(dt, max wave speed): min of the CFL step and the per-axis SSP-RK3 viscous step."""
     grid = fs.grid
     prim = fs.primitives(g)
     u, theta = prim[1:4], prim[4]
@@ -381,17 +381,24 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
         if sp > 0.0:
             dt_conv = min(dt_conv, cfg.cfl * spacing[ax] / sp)
 
-    # the central viscous/heat operator with diffusivity D has spectral radius
-    # at most 4 D_max sum_ax h_ax^-2
+    # Viscous/heat symbol at the largest theta^alpha/rho, with q_a = 4/h_a^2, y_a =
+    # sin^2(k_a h_a/2), s_a = sin(k_a h_a)/h_a, c = mu + lambda: velocity mu S I +
+    # c (diag(q_a y_a^2) + s s^T), S = sum q_a y_a; theta kappa (gamma-1)/R S.  At
+    # y = 1 (s = 0) entry a is ((2 mu + lambda) f_a + mu (1 - f_a)) sum q, f_a =
+    # q_a / sum q, largest on the finest axis; the cross terms lift it by at most
+    # max(1, d c / (2c + d mu)), > 1 only in 3-D with lambda > 2 mu (README proof).
     dt_visc = np.inf
     if cfg.visc_mult > 0.0:
+        inv_h2 = sum(spacing[ax] ** -2 for ax in active)
+        f = min(spacing[ax] for ax in active) ** -2 / inv_h2
+        d, c = len(active), g.mu1 + g.lambda1
+        longitudinal = max(1.0, d * c / (2.0 * c + d * g.mu1)) * (
+            (2.0 * g.mu1 + g.lambda1) * f + g.mu1 * (1.0 - f))
         pw = theta ** g.alpha
         diff = cfg.visc_mult * np.maximum(
-            (2.0 * g.mu1 + g.lambda1) * pw,
-            g.kappa1 * pw * (g.gamma - 1.0) / g.R) / fs.rho
+            longitudinal * pw, g.kappa1 * pw * (g.gamma - 1.0) / g.R) / fs.rho
         dmax = float(np.max(diff))
         if dmax > 0.0:
-            inv_h2 = sum(spacing[ax] ** -2 for ax in active)
             dt_visc = _VISC_FRACTION * _RK3_REAL_LIMIT / (4.0 * dmax * inv_h2)
 
     return min(dt_conv, dt_visc), max_speed

@@ -7,7 +7,7 @@ from rarefan.gas import GasParams
 from rarefan.fields import SlabGrid
 from rarefan.analysis import (decompose, lp_slab, lp_line, projection_bounds_check,
                               energy_report, nonzero_mode_energy, gn_check,
-                              sup_distance, fit_rate)
+                              sup_distance, fit_rate, gradient)
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
 
@@ -187,6 +187,20 @@ def test_nonzero_mode_energy_vanishes_on_planar_fields():
 # ---------------------------------------------------------------------------
 # interpolation inequality checks
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(24, 8, 8), (5, 2, 3), (6, 1, 1)])
+def test_periodic_gradient_matches_roll_form(shape):
+    # the slice fills do the roll form's arithmetic, so they agree to the bit
+    grid = SlabGrid(L=2.0, n1=shape[0], period=0.5, n2=shape[1], n3=shape[2],
+                    dims=1 + sum(n > 1 for n in shape[1:]))
+    f = random_field(grid, 3)
+    for periodic_x1 in (False, True):
+        got = gradient(f, grid, periodic_x1)
+        for ax in range(0 if periodic_x1 else 1, 3):
+            want = ((np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * grid.spacing[ax])
+                    if shape[ax] > 1 else np.zeros(shape))
+            assert got[ax].tobytes() == want.tobytes()
+
 
 def test_gn_zero_field():
     grid = slab()

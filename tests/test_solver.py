@@ -249,7 +249,7 @@ def test_pinned_ghosts_do_not_leak_into_torus_run():
     assert _same_bytes(_rhs_then_step(fs, cfg, None), fresh)
 
 
-def _viscous_spectral_radius(fs, cfg, ghost, iters=300):
+def _viscous_spectral_radius(fs, cfg, ghost, g=GAS, iters=300):
     """|lambda_max| of the linearised viscous rhs by power iteration.
 
     The viscous rhs is rhs(eps) - rhs(eps=0); its Jacobian is applied by
@@ -264,8 +264,8 @@ def _viscous_spectral_radius(fs, cfg, ghost, iters=300):
 
     def visc(W):
         f = FieldSet(fs.grid, W, fs.time)
-        return (rhs(f, GAS, cfg, ghost, t=fs.time)[0]
-                - rhs(f, GAS, inviscid, ghost, t=fs.time)[0])
+        return (rhs(f, g, cfg, ghost, t=fs.time)[0]
+                - rhs(f, g, inviscid, ghost, t=fs.time)[0])
 
     v = np.random.default_rng(0).standard_normal(U.shape)
     v /= np.linalg.norm(v)
@@ -280,7 +280,9 @@ def test_viscous_dt_within_rk3_stability_limit():
     # the limiting cells sit in the near-vacuum cut-off state; the viscous dt
     # must use most of SSP-RK3's real-axis interval without leaving it.  The
     # slab is the decay study's (nu 0.1, delta 0.2, eps 0.08, eta 1e-3) on
-    # 64x8 cells, the line the eps-sweep's eps = 0.01 point
+    # 64x8 cells, the line the eps-sweep's eps = 0.01 point; the slab's step
+    # charges each axis its own share of the stress, so it reaches as far as
+    # the line's
     limit = solver._RK3_REAL_LIMIT
     slab_spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
     slab = SlabGrid(L=5.669381546010115, n1=64, n2=8, dims=2)
@@ -296,6 +298,32 @@ def test_viscous_dt_within_rk3_stability_limit():
         assert dt_visc < stable_dt(fs, GAS, dataclasses.replace(cfg, eps=0.0))[0]
         reach = dt_visc * _viscous_spectral_radius(fs, cfg, ghost)
         assert 0.4 * limit <= reach <= solver._VISC_FRACTION * limit * (1.0 + 1e-3)
+        if fs.grid.dims == 2:
+            assert reach >= 0.75 * limit
+
+
+@pytest.mark.parametrize("mu1,lambda1,kappa1", [(1.0, -1.0, 1.0), (1.0, 5.0, 1.0),
+                                                (1.0, 0.0, 10.0), (0.3, 2.0, 0.1)])
+@pytest.mark.parametrize("grid", [SlabGrid.torus(1.0, 16, 6, dims=2),
+                                  SlabGrid.torus(1.0, 8, 8, 8, dims=3)],
+                         ids=["2d-unequal", "3d"])
+def test_viscous_dt_bounds_operator_for_any_coefficients(mu1, lambda1, kappa1, grid):
+    # a nearly uniform torus state puts the operator's largest modes where
+    # the step's bound is sharpest: the stress, bulk and heat coefficients
+    # trade places as the largest entry, and on the cube lambda1 > 2 mu1 lets
+    # the cross-derivative terms beat the checkerboard mode
+    g = GasParams.normalized(5.0 / 3.0, 0.5, mu1, lambda1, kappa1)
+    x = [grid.x1()[:, None, None], grid.x2()[None, :, None], grid.x3()[None, None, :]]
+    wave = np.sin(K * x[0]) * np.cos(K * x[1] + 0.3) * np.cos(K * x[2] + 0.6)
+    rho = 1.0 + 0.01 * wave
+    theta = 1.0 - 0.01 * wave
+    u = 0.01 * np.stack([wave, np.roll(wave, 1, axis=0), np.roll(wave, 2, axis=0)])
+    fs = FieldSet.from_primitives(grid, g, rho, u, theta)
+    cfg = periodic_cfg(eps=0.1)
+    dt_visc, _ = stable_dt(fs, g, cfg)
+    assert dt_visc < stable_dt(fs, g, dataclasses.replace(cfg, eps=0.0))[0]
+    reach = dt_visc * _viscous_spectral_radius(fs, cfg, None, g)
+    assert reach <= solver._VISC_FRACTION * solver._RK3_REAL_LIMIT * (1.0 + 1e-3)
 
 
 # ---------------------------------------------------------------------------
