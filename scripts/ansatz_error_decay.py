@@ -73,8 +73,9 @@ def main():
             tk = round(t + k * dt_fd, 9)
             dev_p = tile_deviation(snaps["plus"][1][tk], snaps["plus"][0], slab)
             dev_m = tile_deviation(snaps["minus"][1][tk], snaps["minus"][0], slab)
-            trip.append(build_ansatz(spec, slab, g, tk, dev_plus=dev_p, dev_minus=dev_m))
-            base_trip.append(build_ansatz(spec, slab, g, tk))
+            # the ansatz takes the wave's Burgers time, 1 + t
+            trip.append(build_ansatz(spec, slab, g, 1.0 + tk, dev_plus=dev_p, dev_minus=dev_m))
+            base_trip.append(build_ansatz(spec, slab, g, 1.0 + tk))
         e0, evec, e4 = ansatz_errors(*trip, g, args.eps)
         b0, bvec, b4 = ansatz_errors(*base_trip, g, args.eps)
         row = {"t": float(t),

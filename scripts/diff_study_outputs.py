@@ -4,8 +4,10 @@
 Every <kind>.csv found in either directory is compared line by line after
 masking the wall_time and config_hash columns and the '# commit=' and
 '# config_hash=' header lines. Each other differing line is printed, and for
-each differing CSV the largest relative difference |b - a| / |a| of every
-numeric column that moved, rows paired in order. The exit status is 1 if
+each differing CSV the largest relative difference |b - a| / |a| and the
+largest absolute difference |b - a| of every numeric column that moved, rows
+paired in order; the absolute one tells a round-off column (a conservation
+drift near 1e-16, say) from a physical move. The exit status is 1 if
 there is any differing line (a CSV present on one side only counts), else 0.
 
 Usage: python scripts/diff_study_outputs.py DIR_A DIR_B
@@ -42,10 +44,10 @@ def table(path: Path) -> tuple[list[str], list[list[str]]]:
     return (lines[0], lines[1:]) if lines else ([], [])
 
 
-def relative_differences(a: Path, b: Path) -> dict[str, float]:
-    """Largest |b - a| / |a| per numeric column of both CSVs that is not masked."""
+def column_differences(a: Path, b: Path) -> dict[str, tuple[float, float]]:
+    """Largest (|b - a| / |a|, |b - a|) per numeric column of both CSVs that is not masked."""
     (cols_a, rows_a), (cols_b, rows_b) = table(a), table(b)
-    worst: dict[str, float] = {}
+    worst: dict[str, tuple[float, float]] = {}
     for col in cols_a:
         if col in MASKED_COLUMNS or col not in cols_b:
             continue
@@ -56,12 +58,14 @@ def relative_differences(a: Path, b: Path) -> dict[str, float]:
             except (IndexError, ValueError):  # empty or non-numeric cell
                 continue
             if x == y or (math.isnan(x) and math.isnan(y)):
-                rel = 0.0
-            elif x == 0.0 or not (math.isfinite(x) and math.isfinite(y)):
-                rel = math.inf
+                rel = gap = 0.0
+            elif not (math.isfinite(x) and math.isfinite(y)):
+                rel = gap = math.inf
             else:
-                rel = abs(y - x) / abs(x)
-            worst[col] = max(worst.get(col, 0.0), rel)
+                gap = abs(y - x)
+                rel = gap / abs(x) if x != 0.0 else math.inf
+            old_rel, old_gap = worst.get(col, (0.0, 0.0))
+            worst[col] = (max(old_rel, rel), max(old_gap, gap))
     return worst
 
 
@@ -84,11 +88,11 @@ def main(argv: list[str]) -> int:
             if line[:1] in "+-" and not line.startswith(("+++", "---")):
                 differing += 1
         if differing > before:
-            moved = {c: r for c, r in relative_differences(a, b).items() if r > 0.0}
-            print(f"{name}: largest relative difference per numeric column"
+            moved = {c: d for c, d in column_differences(a, b).items() if d[0] > 0.0}
+            print(f"{name}: largest relative and absolute difference per numeric column"
                   + ("" if moved else ": none"))
-            for col, rel in moved.items():
-                print(f"  {col}: {rel:.3e}")
+            for col, (rel, gap) in moved.items():
+                print(f"  {col}: relative {rel:.3e}, absolute {gap:.3e}")
     print(f"{differing} differing line(s)", file=sys.stderr)
     return 1 if differing else 0
 

@@ -130,10 +130,9 @@ def _add_perturbation(fs: FieldSet, pspec: PerturbationSpec, modes: str,
     return FieldSet(fs.grid, fs.U + dU, fs.time)
 
 
-def wave_conserved(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float,
-                   shift: bool = True) -> FieldSet:
-    """Smooth-wave conserved fields sampled at cell centers."""
-    pr = smooth_profile(spec, t, grid.x1(), shift=shift)
+def wave_conserved(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float) -> FieldSet:
+    """Smooth-wave conserved fields at Burgers time t, sampled at cell centers."""
+    pr = smooth_profile(spec, t, grid.x1())
     rho = np.broadcast_to(pr.rho[:, None, None], grid.shape)
     u = np.zeros((3,) + grid.shape)
     u[0] = np.broadcast_to(pr.u1[:, None, None], grid.shape)
@@ -145,13 +144,12 @@ def wave_conserved(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float,
 def assemble_initial(spec: WaveSpec, pspec: PerturbationSpec, grid: SlabGrid,
                      g: GasParams, window: np.ndarray | None = None,
                      modes: str = "all") -> FieldSet:
-    """Initial data: the unshifted smooth wave at t = 0 plus the periodic perturbation.
+    """Initial data: the smooth wave at t = 0 plus the periodic perturbation.
 
     An optional x1 window tapers the perturbation to zero at the pinned ends.
     Positivity of the resulting (rho, theta) is checked cell by cell.
     """
-    fs = _add_perturbation(wave_conserved(spec, grid, g, 0.0, shift=False), pspec,
-                           modes, window)
+    fs = _add_perturbation(wave_conserved(spec, grid, g, 0.0), pspec, modes, window)
     theta = fs.temperature(g)
     if np.any(fs.rho <= 0.0) or np.any(theta <= 0.0):
         worst = np.unravel_index(int(np.argmin(np.minimum(fs.rho, theta))), grid.shape)
@@ -200,7 +198,7 @@ def evolve_periodic_background(state: PrimState, pspec: PerturbationSpec,
     fs = perturbed_constant_state(state, pspec, grid, g)
 
     def observe(f: FieldSet, gg: GasParams) -> dict:
-        dev = f.stacked() - base[:, None, None, None]
+        dev = f.U - base[:, None, None, None]
         return {"sup": float(np.max(np.abs(dev))),
                 "drift": float(np.max(np.abs(dev.mean(axis=(1, 2, 3)))))}
 
@@ -227,7 +225,7 @@ def tile_deviation(torus_fs: FieldSet, base: np.ndarray, slab_grid: SlabGrid) ->
         raise ValueError("torus and slab x1 spacings must match for exact tiling")
     if slab_grid.n2 != tg.n2 or slab_grid.n3 != tg.n3:
         raise ValueError("transverse cell counts must match")
-    dev = torus_fs.stacked() - base[:, None, None, None]
+    dev = torus_fs.U - base[:, None, None, None]
     offsets = (slab_grid.x1() - tg.x1()[0]) / tg.dx1
     if np.max(np.abs(offsets - np.round(offsets))) > 1e-6:
         raise ValueError("slab cell centers do not land on torus cell centers")
@@ -241,29 +239,29 @@ def tile_deviation(torus_fs: FieldSet, base: np.ndarray, slab_grid: SlabGrid) ->
 
 def build_ansatz(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float,
                  dev_plus: np.ndarray | None = None,
-                 dev_minus: np.ndarray | None = None,
-                 shift: bool = True) -> FieldSet:
-    """Smooth wave plus weight-blended background deviations.
+                 dev_minus: np.ndarray | None = None) -> FieldSet:
+    """Smooth wave at Burgers time t plus weight-blended background deviations.
 
-    dev_plus/dev_minus are stacked conserved deviations ((5, n1, n2, n3),
-    already tiled on the grid) of the +/- periodic solutions from their
-    constant states; the weights ramp each conserved component between its
-    cut-off left and right values across the wave.
+    The paper's ansatz at time s is build_ansatz(..., 1 + s). dev_plus/dev_minus
+    are stacked conserved deviations ((5, n1, n2, n3), already tiled on the
+    grid) of the +/- periodic solutions from their constant states; the weights
+    ramp each conserved component between its cut-off left and right values
+    across the wave.
     """
-    wave = wave_conserved(spec, grid, g, t, shift=shift)
+    wave = wave_conserved(spec, grid, g, t)
     if dev_plus is None and dev_minus is None:
         return wave
     zeros = np.zeros((5,) + grid.shape)
     dp = zeros if dev_plus is None else np.asarray(dev_plus, dtype=float)
     dm = zeros if dev_minus is None else np.asarray(dev_minus, dtype=float)
 
-    U = wave.stacked()
+    U = wave.U
     w = _blend_weights(spec, g, U)
     out = np.empty_like(U)
     # weight components: rho from rho, all m from m1, E from E
     for c, wc in enumerate((0, 1, 1, 1, 2)):
         out[c] = U[c] + (1.0 - w[wc]) * dm[c] + w[wc] * dp[c]
-    fs = FieldSet.from_stacked(grid, out, time=t)
+    fs = FieldSet(grid, out, time=t)
     if np.any(fs.rho <= 0.0) or np.any(fs.temperature(g) <= 0.0):
         raise ValueError("ansatz left the positive cone")
     return fs
@@ -282,10 +280,9 @@ def _blend_weights(spec: WaveSpec, g: GasParams, U: np.ndarray) -> np.ndarray:
     return np.stack(weights, axis=0)
 
 
-def ansatz_weights(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float,
-                   shift: bool = True) -> np.ndarray:
-    """The three blending weights (rho, m, E channels) on the grid."""
-    return _blend_weights(spec, g, wave_conserved(spec, grid, g, t, shift=shift).stacked())
+def ansatz_weights(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float) -> np.ndarray:
+    """The three blending weights (rho, m, E channels) on the grid at Burgers time t."""
+    return _blend_weights(spec, g, wave_conserved(spec, grid, g, t).U)
 
 
 def ansatz_errors(prev: FieldSet, now: FieldSet, nxt: FieldSet,

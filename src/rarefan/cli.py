@@ -1,6 +1,6 @@
 """Command-line entry point: a wave dump, or the study an INI config names.
 
-    rarefan wave --nu 0.05 --delta 0.1 [--t 2.0] --grid 1001 --out wave.csv
+    rarefan wave [--nu 0.05] [--delta 0.1] [--t 2.0] [--grid 1001] [--out wave.csv]
     rarefan run --config configs/decay.ini [--out DIR] [--seed N]
 
 ``run`` calls the driver of the config's ``[experiment] kind``.
@@ -28,11 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
                                              "wave construction, viscous runs, studies")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    wave = sub.add_parser("wave", help="dump a wave profile to CSV")
-    wave.add_argument("--nu", type=float, default=0.0)
+    wave = sub.add_parser("wave", help="dump the exact, cut-off and smooth waves to CSV")
+    wave.add_argument("--nu", type=float, default=0.05)
     wave.add_argument("--delta", type=float, default=0.1)
-    wave.add_argument("--t", type=float, default=None,
-                      help="smooth-profile time; self-similar dump when omitted")
+    wave.add_argument("--t", type=float, default=2.0, help="time, > 0")
     wave.add_argument("--grid", type=int, default=1001, help="number of sample points")
     wave.add_argument("--gamma", type=float, default=5.0 / 3.0)
     wave.add_argument("--alpha", type=float, default=0.5)

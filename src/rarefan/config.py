@@ -58,7 +58,6 @@ class SolverBlock:
     floor_rho: float = 1e-9
     floor_theta: float = 1e-9
     boundary: str = "pinned-profile"
-    scaled: bool = False
 
     def solver_config(self, **overrides) -> SolverConfig:
         """The one config-to-solver map: this block, with a driver's overrides."""

@@ -158,9 +158,8 @@ def run_cutoff_study(cfg: ExperimentConfig) -> StudyReport:
 def run_profile_study(cfg: ExperimentConfig) -> StudyReport:
     """L^p laws of the velocity slope and the smooth-vs-cut-off distance.
 
-    Uses the unshifted Burgers convention w(t, .), where (delta + t)^(-1+1/p)
-    is the tight envelope and the distance to the self-similar wave carries
-    the delta |log delta| scaling.
+    At Burgers time t, (delta + t)^(-1+1/p) is the tight envelope, and the
+    distance to the self-similar wave carries the delta |log delta| scaling.
     """
     t0 = time.time()
     nu, delta = cfg.resolve_nu_delta(cfg.solver.eps)
@@ -174,9 +173,9 @@ def run_profile_study(cfg: ExperimentConfig) -> StudyReport:
     l1_errs, w1_errs, linf_band = [], [], []
     for t in ts:
         tic = time.time()
-        l1 = profile_lp_norm(spec, t, 1, shift=False)
-        l2 = profile_lp_norm(spec, t, 2, shift=False)
-        linf = profile_lp_norm(spec, t, np.inf, shift=False)
+        l1 = profile_lp_norm(spec, t, 1)
+        l2 = profile_lp_norm(spec, t, 2)
+        linf = profile_lp_norm(spec, t, np.inf)
         l1_errs.append(abs(l1 - span))
         w1_errs.append(abs(fac * l1 - w_span))
         linf_band.append(linf * (delta + t))
@@ -243,7 +242,7 @@ def _perturbation(cfg: ExperimentConfig, eta: float) -> PerturbationSpec:
 def _pinned_run(cfg: ExperimentConfig, spec: WaveSpec, grid: SlabGrid, eta: float,
                 observers: dict, sample_dt: float, modes: str = "all",
                 **solver_overrides) -> tuple[FieldSet, list[dict]]:
-    """Run to the horizon from the unshifted smooth wave plus the x1-windowed
+    """Run to the horizon from the smooth wave at t = 0 plus the x1-windowed
     perturbation of amplitude eta, ghosts pinned to the profile."""
     scfg = cfg.solver.solver_config(boundary="pinned-profile", **solver_overrides)
     initial = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
@@ -265,7 +264,7 @@ def _eps_sweep_point(cfg: ExperimentConfig, eps: float, n1: int | None = None,
     try:
         final, records = _pinned_run(cfg, spec, grid, eta, {"dist": _distance_observer(spec, h)},
                                      sample_dt=max((horizon - h) / 3.0, h / 2.0),
-                                     eps=eps, scaled=False)
+                                     eps=eps)
         dists = [r["dist.max"] for r in records if np.isfinite(r.get("dist.max", np.nan))]
         if not dists:
             raise RuntimeError("no samples at t >= h; lower sample_dt or h")
@@ -338,9 +337,9 @@ def run_viscosity_sweep(cfg: ExperimentConfig) -> StudyReport:
 # ---------------------------------------------------------------------------
 
 def _smooth_background(spec: WaveSpec, fs: FieldSet):
-    """(rho, u1, theta) of the unshifted smooth wave at fs.time, broadcast to the grid."""
+    """(rho, u1, theta) of the smooth wave at fs.time, broadcast to the grid."""
     grid = fs.grid
-    pr = smooth_profile(spec, fs.time, grid.x1(), shift=False)
+    pr = smooth_profile(spec, fs.time, grid.x1())
     return tuple(np.broadcast_to(f[:, None, None], grid.shape)
                  for f in (pr.rho, pr.u1, pr.theta))
 
@@ -548,22 +547,18 @@ def run_gn_check(cfg: ExperimentConfig) -> StudyReport:
 # wave dump and plain simulation
 # ---------------------------------------------------------------------------
 
-def run_wave_dump(spec: WaveSpec, t: float | None, n: int, out_path: str) -> str:
-    """CSV of the wave: self-similar in xi when t is None, smooth profile at t."""
-    if t is None:
-        lo = min(spec.u1_vacuum, spec.w_minus) - 1.0
-        hi = spec.w_plus + 1.0
-        xi = np.linspace(lo, hi, n)
-        tab = sample_cutoff(spec, xi) if spec.nu > 0.0 else sample_exact(spec, xi)
-        data = np.column_stack([tab.xi, tab.rho, tab.u1, tab.theta, tab.m, tab.n])
-        header = "xi,rho,u1,theta,m,n"
-    else:
-        span = max(abs(spec.w_minus), abs(spec.w_plus)) * (1.0 + t) + 20.0 * spec.delta
-        x1 = np.linspace(-span, span, n)
-        pr = smooth_profile(spec, t, x1)
-        data = np.column_stack([x1, pr.rho, pr.u1, pr.theta,
-                                pr.rho * pr.u1, pr.rho * pr.theta])
-        header = "x1,rho,u1,theta,m,n"
+def run_wave_dump(spec: WaveSpec, t: float, n: int, out_path: str) -> str:
+    """CSV over x1 of the exact, cut-off and smooth (rho, u1, theta) at time t > 0;
+    the exact and cut-off waves are sampled at x1/t."""
+    if t <= 0.0:
+        raise ValueError(f"the wave dump needs t > 0, got {t}")
+    x1 = np.linspace(spec.w_minus * t - 20.0 * spec.delta - 1.0,
+                     spec.w_plus * t + 20.0 * spec.delta + 1.0, n)
+    waves = {"exact": sample_exact(spec, x1 / t), "cutoff": sample_cutoff(spec, x1 / t),
+             "smooth": smooth_profile(spec, t, x1)}
+    names = ("rho", "u1", "theta")
+    data = np.column_stack([x1] + [getattr(w, f) for w in waves.values() for f in names])
+    header = ",".join(["x1"] + [f"{f}_{k}" for k in waves for f in names])
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     np.savetxt(out_path, data, delimiter=",", header=header, comments="")
     return out_path

@@ -146,13 +146,6 @@ class FieldSet:
         """n = rho * theta."""
         return self.rho * self.primitives(g)[4]
 
-    def stacked(self) -> np.ndarray:
-        return self.U
-
-    @classmethod
-    def from_stacked(cls, grid: SlabGrid, U: np.ndarray, time: float = 0.0) -> "FieldSet":
-        return cls(grid, U, time)
-
     @classmethod
     def from_primitives(cls, grid: SlabGrid, g: GasParams, rho, u, theta,
                         time: float = 0.0) -> "FieldSet":

@@ -98,7 +98,7 @@ def _ghost_columns(g: GasParams, rho, u1, theta) -> np.ndarray:
 
 
 def profile_ghost_source(spec, grid: SlabGrid) -> GhostSource:
-    """Pin ghost cells to the unshifted smooth wave w(t, .) at the ghost centers.
+    """Pin ghost cells to the smooth wave w(t, .) at the ghost centers.
 
     While the tanh transition zone stays clear of the boundaries the profile
     there equals the end states to round-off, so the evaluation short-circuits
@@ -116,7 +116,7 @@ def profile_ghost_source(spec, grid: SlabGrid) -> GhostSource:
     def source(t: float) -> np.ndarray:
         if (xg[0] - spec.w_minus * t < -margin) and (xg[1] - spec.w_plus * t > margin):
             return const
-        pr = smooth_profile(spec, t, xg, shift=False)
+        pr = smooth_profile(spec, t, xg)
         return _ghost_columns(spec.g, pr.rho, pr.u1, pr.theta)
 
     return source

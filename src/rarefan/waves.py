@@ -199,6 +199,8 @@ def _burgers_base_point(spec: WaveSpec, t: float, x1: np.ndarray,
     increasing and has a unique root in [x1 - w_plus t, x1 - w_minus t].
     Bracketed bisection followed by a Newton polish, vectorized over x1.
     """
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
     x1 = np.asarray(x1, dtype=float)
     if t == 0.0:
         return x1.copy()
@@ -233,8 +235,6 @@ def _burgers_base_point(spec: WaveSpec, t: float, x1: np.ndarray,
 
 def burgers_smooth(spec: WaveSpec, t: float, x1):
     """Smooth Burgers solution w(t, x1) of the tanh initial-value problem."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
     scalar = np.isscalar(x1) or np.asarray(x1).ndim == 0
     x1v = np.atleast_1d(np.asarray(x1, dtype=float))
     x0 = _burgers_base_point(spec, t, x1v)
@@ -258,12 +258,9 @@ class SmoothProfile:
     t: float = 0.0
 
 
-def smooth_profile(spec: WaveSpec, t: float, x1, shift: bool = True) -> SmoothProfile:
-    """Smooth approximate rarefaction profile at time t on an x1 grid.
+def smooth_profile(spec: WaveSpec, t: float, x1) -> SmoothProfile:
+    """Smooth approximate rarefaction profile at Burgers time t on an x1 grid.
 
-    With shift=True the Burgers solution is evaluated at time 1 + t (the
-    convention used when the profile serves as an ansatz background, so the
-    initial profile is already spread); with shift=False at time t.
     All derivatives come from differentiating the implicit characteristic
     relation analytically, not from nested differencing.
     """
@@ -271,15 +268,14 @@ def smooth_profile(spec: WaveSpec, t: float, x1, shift: bool = True) -> SmoothPr
         raise ValueError("smooth profile requires nu > 0")
     g = spec.g
     x1v = np.atleast_1d(np.asarray(x1, dtype=float))
-    tb = (1.0 + t) if shift else t
-    x0 = _burgers_base_point(spec, tb, x1v)
+    x0 = _burgers_base_point(spec, t, x1v)
     w = burgers_data(spec, x0)
     w0p = _burgers_data_d1(spec, x0)
     w0pp = _burgers_data_d2(spec, x0)
 
     rho, u1, theta = _fan_state(g, w, spec.r31_plus, spec.s_plus)
-    dw = w0p / (1.0 + tb * w0p)
-    d2w = w0pp / (1.0 + tb * w0p) ** 3
+    dw = w0p / (1.0 + t * w0p)
+    d2w = w0pp / (1.0 + t * w0p) ** 3
     du1 = 2.0 / (g.gamma + 1.0) * dw
     d2u1 = 2.0 / (g.gamma + 1.0) * d2w
     # Riemann-invariant constancy ties the other slopes to du1
@@ -288,28 +284,29 @@ def smooth_profile(spec: WaveSpec, t: float, x1, shift: bool = True) -> SmoothPr
     return SmoothProfile(x1v, w, rho, u1, theta, du1, drho, dtheta, d2u1, t=t)
 
 
-def profile_lp_norm(spec: WaveSpec, t: float, p: float, shift: bool = True) -> float:
-    """L^p(R) norm of d(u1)/dx1 of the smooth profile at time t.
+def profile_lp_norm(spec: WaveSpec, t: float, p: float) -> float:
+    """L^p(R) norm of d(u1)/dx1 of the smooth profile at Burgers time t.
 
     Substituting the characteristic base point x0 turns the integral into
-    int w0'(x0)^p (1 + T w0'(x0))^(1-p) dx0 over the fixed tanh transition
+    int w0'(x0)^p (1 + t w0'(x0))^(1-p) dx0 over the fixed tanh transition
     zone, which adaptive quadrature resolves independently of t.
     """
     if spec.nu <= 0.0:
         raise ValueError("profile norms require nu > 0")
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
     g = spec.g
-    tb = (1.0 + t) if shift else t
     fac = 2.0 / (g.gamma + 1.0)
     if np.isinf(p):
         # integrand is increasing in w0', so the sup sits at the tanh midpoint
         s0 = _burgers_data_d1(spec, 0.0)
-        return fac * s0 / (1.0 + tb * s0)
+        return fac * s0 / (1.0 + t * s0)
     if p < 1:
         raise ValueError("p must be >= 1")
 
     def integrand(x0):
         s = _burgers_data_d1(spec, x0)
-        return (fac * s) ** p * (1.0 + tb * s) ** (1.0 - p)
+        return (fac * s) ** p * (1.0 + t * s) ** (1.0 - p)
 
     lim = 45.0 * spec.delta
     val, _ = integrate.quad(integrand, -lim, lim, limit=200,
@@ -323,19 +320,14 @@ def velocity_span(spec: WaveSpec) -> float:
 
 
 def smooth_cutoff_distance(spec: WaveSpec, t: float, n: int = 4001,
-                           shift: bool = False, pad: float = 1.0) -> dict[str, float]:
-    """Sup over x1 of |smooth profile(t) - cutoff wave(x1/t)| per component.
-
-    Compared in the w(t, .) convention by default: with the ansatz 1+t shift
-    the fan positions of the two waves are offset by one Burgers time unit and
-    the gap is O(1/t) independently of delta.
-    """
+                           pad: float = 1.0) -> dict[str, float]:
+    """Sup over x1 of |smooth profile(t) - cutoff wave(x1/t)| per component."""
     if t <= 0.0:
         raise ValueError("distance to the self-similar wave needs t > 0")
     lo = spec.w_minus * t - pad - 50.0 * spec.delta
     hi = spec.w_plus * t + pad + 50.0 * spec.delta
     x1 = np.linspace(lo, hi, n)
-    pr = smooth_profile(spec, t, x1, shift=shift)
+    pr = smooth_profile(spec, t, x1)
     cu = sample_cutoff(spec, x1 / t)
     return {
         "rho": float(np.max(np.abs(pr.rho - cu.rho))),
@@ -344,8 +336,8 @@ def smooth_cutoff_distance(spec: WaveSpec, t: float, n: int = 4001,
     }
 
 
-def planar_wave_residual(spec: WaveSpec, t: float, x1, h: float,
-                         shift: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def planar_wave_residual(spec: WaveSpec, t: float, x1,
+                         h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual of the inviscid planar-wave equations on the smooth profile.
 
     Central differences of width h in both t and x1; the profile solves the
@@ -357,7 +349,7 @@ def planar_wave_residual(spec: WaveSpec, t: float, x1, h: float,
     g = spec.g
 
     def fields(tt, xx):
-        pr = smooth_profile(spec, tt, xx, shift=shift)
+        pr = smooth_profile(spec, tt, xx)
         return pr.rho, pr.u1, pr.theta
 
     rho, u1, theta = fields(t, x1v)

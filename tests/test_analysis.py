@@ -159,7 +159,7 @@ def test_energy_weights_positive_on_cutoff_wave():
     right = PrimState(1.0, 0.0, 1.0)
     spec = WaveSpec(right, GAS, nu=0.05, delta=0.2)
     grid = SlabGrid(L=6.0, n1=512)
-    pr = smooth_profile(spec, 1.0, grid.x1())
+    pr = smooth_profile(spec, 2.0, grid.x1())
     left = spec.left_state()
     g, al = GAS.gamma, GAS.alpha
     weights = (

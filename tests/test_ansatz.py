@@ -90,7 +90,7 @@ def slab_grid():
 def test_assemble_zero_perturbation_is_profile():
     spec, grid = slab_spec(), slab_grid()
     fs = assemble_initial(spec, PerturbationSpec(0.0, 2, 0), grid, GAS)
-    pr = smooth_profile(spec, 0.0, grid.x1(), shift=False)
+    pr = smooth_profile(spec, 0.0, grid.x1())
     assert np.allclose(fs.rho[:, 0, 0], pr.rho, atol=1e-14)
     assert np.allclose(fs.m[0][:, 0, 0], pr.rho * pr.u1, atol=1e-14)
 
@@ -99,7 +99,7 @@ def test_assemble_transverse_average_recovers_zero_mode():
     spec, grid = slab_spec(), slab_grid()
     ps = PerturbationSpec(1e-3, 2, seed=4)
     fs = assemble_initial(spec, ps, grid, GAS)
-    base = wave_conserved(spec, grid, GAS, 0.0, shift=False)
+    base = wave_conserved(spec, grid, GAS, 0.0)
     v0, w0, z0 = make_perturbation(ps, grid)
     diff = fs.rho - base.rho
     assert np.allclose(diff.mean(axis=(1, 2)), v0.mean(axis=(1, 2)), atol=1e-14)
@@ -136,15 +136,15 @@ def monotone_spec():
 def test_ansatz_zero_deviation_is_wave():
     spec = monotone_spec()
     grid = SlabGrid(L=10.0, n1=128)
-    an = build_ansatz(spec, grid, GAS, 0.5)
-    wv = wave_conserved(spec, grid, GAS, 0.5)
-    assert np.array_equal(an.stacked(), wv.stacked())
+    an = build_ansatz(spec, grid, GAS, 1.5)
+    wv = wave_conserved(spec, grid, GAS, 1.5)
+    assert np.array_equal(an.U, wv.U)
 
 
 def test_ansatz_weight_sandwich():
     spec = monotone_spec()
     grid = SlabGrid(L=14.0, n1=512)
-    W = ansatz_weights(spec, grid, GAS, 1.0)
+    W = ansatz_weights(spec, grid, GAS, 2.0)
     assert W.min() > -1e-12 and W.max() < 1.0 + 1e-12
     # far right the rho weight saturates at 1
     assert W[0, -1, 0, 0] == pytest.approx(1.0, abs=1e-10)
@@ -161,9 +161,9 @@ def test_ansatz_weights_refuse_shared_momentum():
     assert constant_conserved(spec.left_state(), GAS)[1] == constant_conserved(spec.right, GAS)[1]
     grid = SlabGrid(L=6.0, n1=64)
     with pytest.raises(ValueError, match="degenerate weight: component 1"):
-        ansatz_weights(spec, grid, GAS, 0.5)
+        ansatz_weights(spec, grid, GAS, 1.5)
     with pytest.raises(ValueError, match="degenerate weight: component 1"):
-        build_ansatz(spec, grid, GAS, 0.5, dev_plus=np.zeros((5,) + grid.shape))
+        build_ansatz(spec, grid, GAS, 1.5, dev_plus=np.zeros((5,) + grid.shape))
 
 
 def test_ansatz_weight_limits_far_field():
@@ -171,8 +171,8 @@ def test_ansatz_weight_limits_far_field():
     grid = SlabGrid(L=14.0, n1=512)
     dev_p = 1e-3 * np.ones((5,) + grid.shape)
     dev_m = -2e-3 * np.ones((5,) + grid.shape)
-    an = build_ansatz(spec, grid, GAS, 1.0, dev_plus=dev_p, dev_minus=dev_m)
-    wv = wave_conserved(spec, grid, GAS, 1.0)
+    an = build_ansatz(spec, grid, GAS, 2.0, dev_plus=dev_p, dev_minus=dev_m)
+    wv = wave_conserved(spec, grid, GAS, 2.0)
     # far right: ansatz - wave -> dev_plus; far left -> dev_minus
     assert an.rho[-1, 0, 0] - wv.rho[-1, 0, 0] == pytest.approx(1e-3, abs=1e-9)
     assert an.rho[0, 0, 0] - wv.rho[0, 0, 0] == pytest.approx(-2e-3, abs=1e-9)
@@ -185,9 +185,9 @@ def test_ansatz_convexity_bound():
     rng = np.random.default_rng(8)
     dev_p = 1e-3 * rng.standard_normal((5,) + grid.shape)
     dev_m = 1e-3 * rng.standard_normal((5,) + grid.shape)
-    an = build_ansatz(spec, grid, GAS, 0.7, dev_plus=dev_p, dev_minus=dev_m)
-    wv = wave_conserved(spec, grid, GAS, 0.7)
-    gap = np.abs(an.stacked() - wv.stacked())
+    an = build_ansatz(spec, grid, GAS, 1.7, dev_plus=dev_p, dev_minus=dev_m)
+    wv = wave_conserved(spec, grid, GAS, 1.7)
+    gap = np.abs(an.U - wv.U)
     bound = np.maximum(np.abs(dev_p), np.abs(dev_m))
     assert np.all(gap <= bound + 1e-15)
 
@@ -198,7 +198,7 @@ def test_ansatz_positivity_guard():
     dev = np.zeros((5,) + grid.shape)
     dev[0] = -spec.nu  # wipes out the density near the cut state
     with pytest.raises(ValueError):
-        build_ansatz(spec, grid, GAS, 0.5, dev_plus=dev, dev_minus=dev)
+        build_ansatz(spec, grid, GAS, 1.5, dev_plus=dev, dev_minus=dev)
 
 
 def test_ansatz_errors_zero_perturbation_structure():
@@ -209,9 +209,9 @@ def test_ansatz_errors_zero_perturbation_structure():
     eps = 0.05
     grid = SlabGrid(L=16.0, n1=2048)
     dt = 1e-3
-    snaps = [build_ansatz(spec, grid, GAS, 0.5 + k * dt) for k in (-1, 0, 1)]
+    snaps = [build_ansatz(spec, grid, GAS, 1.5 + k * dt) for k in (-1, 0, 1)]
     e0, evec, e4 = ansatz_errors(*snaps, GAS, eps)
-    pr = smooth_profile(spec, 0.5, grid.x1())
+    pr = smooth_profile(spec, 1.5, grid.x1())
     x = grid.x1()
     f1 = (2 * GAS.mu1 + GAS.lambda1) * pr.theta ** GAS.alpha * pr.du1
     t1 = -eps * np.gradient(f1, x, edge_order=2)
@@ -229,7 +229,7 @@ def test_ansatz_errors_vanish_in_constant_region():
     spec = monotone_spec()
     grid = SlabGrid(L=16.0, n1=512)
     dt = 1e-3
-    snaps = [build_ansatz(spec, grid, GAS, 0.5 + k * dt) for k in (-1, 0, 1)]
+    snaps = [build_ansatz(spec, grid, GAS, 1.5 + k * dt) for k in (-1, 0, 1)]
     e0, evec, e4 = ansatz_errors(*snaps, GAS, 0.05)
     x = grid.x1()
     const = x > 0.8 * grid.L  # right constant state, away from the fan
@@ -278,8 +278,7 @@ def test_tile_deviation_exact_map():
     tg = SlabGrid.torus(0.5, 8, 4, dims=2)
     base = constant_conserved(RIGHT, GAS)
     rng = np.random.default_rng(1)
-    fs = FieldSet.from_stacked(tg, base[:, None, None, None]
-                               + 1e-3 * rng.standard_normal((5,) + tg.shape))
+    fs = FieldSet(tg, base[:, None, None, None] + 1e-3 * rng.standard_normal((5,) + tg.shape))
     slab = SlabGrid(L=2.0, n1=64, period=0.5, n2=4, dims=2)  # dx1 matches 0.0625
     dev = tile_deviation(fs, base, slab)
     # periodicity: columns one full period apart are identical
@@ -323,8 +322,8 @@ def test_ansatz_error_terms_decay():
             tk = round(t + k * dt_fd, 9)
             dev_p = tile_deviation(snaps["plus"][1][tk], snaps["plus"][0], slab)
             dev_m = tile_deviation(snaps["minus"][1][tk], snaps["minus"][0], slab)
-            trip.append(build_ansatz(spec, slab, GAS, tk, dev_plus=dev_p, dev_minus=dev_m))
-            base_trip.append(build_ansatz(spec, slab, GAS, tk))
+            trip.append(build_ansatz(spec, slab, GAS, 1.0 + tk, dev_plus=dev_p, dev_minus=dev_m))
+            base_trip.append(build_ansatz(spec, slab, GAS, 1.0 + tk))
         e0, evec, e4 = ansatz_errors(*trip, GAS, eps)
         b0, bvec, b4 = ansatz_errors(*base_trip, GAS, eps)
         sups["e0"].append(float(np.max(np.abs(e0 - b0))))

@@ -166,7 +166,6 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("line, named", [
-    ("scaled = ture", "scaled"),
     ("boundary = wrapped", "wrapped"),
     ("cfl = 1.5", "cfl"),
 ])
@@ -174,6 +173,15 @@ def test_bad_solver_value_refused_at_parse(tmp_path, line, named):
     from rarefan.cli import main
     path = write(tmp_path, BASE.replace("eps = 0.02", f"eps = 0.02\n{line}"))
     with pytest.raises(ConfigError, match=named):
+        parse_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+
+
+def test_bad_boolean_refused_at_parse(tmp_path):
+    from rarefan.cli import main
+    path = write(tmp_path, BASE.replace("kind = cutoff-study",
+                                        "kind = cutoff-study\npaper_scaling = ture"))
+    with pytest.raises(ConfigError, match="paper_scaling"):
         parse_config(path)
     assert main(["run", "--config", str(path)]) == 2
 
@@ -215,11 +223,31 @@ def test_cli_numerical_abort_exit_code(tmp_path, capsys):
 
 def test_cli_wave_dump(tmp_path):
     from rarefan.cli import main
+    from rarefan.gas import GasParams, PrimState
+    from rarefan.waves import WaveSpec, sample_exact, smooth_profile
     out = tmp_path / "wave.csv"
-    assert main(["wave", "--nu", "0.05", "--grid", "101", "--out", str(out)]) == 0
+    assert main(["wave", "--nu", "0.05", "--t", "1.5", "--grid", "101", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "xi,rho,u1,theta,m,n"
+    assert lines[0] == ("x1,rho_exact,u1_exact,theta_exact,rho_cutoff,u1_cutoff,theta_cutoff,"
+                        "rho_smooth,u1_smooth,theta_smooth")
     assert len(lines) == 102
+    # a row inside the fan, against the library at the same x1 and time
+    row = np.array(lines[1 + 50].split(","), dtype=float)
+    spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GasParams.normalized(5.0 / 3.0, 0.5),
+                    nu=0.05, delta=0.1)
+    ex = sample_exact(spec, row[:1] / 1.5)
+    pr = smooth_profile(spec, 1.5, row[:1])
+    assert ex.branch[0] == 0
+    assert np.array_equal(row[1:4], [ex.rho[0], ex.u1[0], ex.theta[0]])
+    assert np.allclose(row[7:10], [pr.rho[0], pr.u1[0], pr.theta[0]], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_cli_wave_dump_refuses_nonpositive_time(tmp_path, t):
+    from rarefan.cli import main
+    out = tmp_path / "wave.csv"
+    assert main(["wave", "--t", t, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_report_determinism(tmp_path):

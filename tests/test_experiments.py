@@ -123,10 +123,10 @@ def test_diff_study_outputs_masks_run_fields(tmp_path):
     res = diff("a", "c")
     assert res.returncode == 1
     assert "0.2500001" in res.stdout
-    # the moved column with its largest relative difference; unmoved and
-    # masked columns are not listed
-    report = res.stdout.split("largest relative difference per numeric column")[1]
-    assert report.split() == ["distance:", "4.000e-07"]
+    # the moved column with its largest relative and absolute difference;
+    # unmoved and masked columns are not listed
+    report = res.stdout.split("largest relative and absolute difference per numeric column")[1]
+    assert report.split() == ["distance:", "relative", "4.000e-07,", "absolute", "1.000e-07"]
 
 
 def test_eps_sweep_paired_run_abort_is_a_failure_row():

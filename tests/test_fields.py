@@ -39,15 +39,6 @@ def test_primitive_views_roundtrip():
     assert np.allclose(fs.internal_energy_density(GAS), rho * theta, atol=1e-13)
 
 
-def test_stacked_roundtrip():
-    grid = SlabGrid.torus(1.0, 8)
-    fs = FieldSet.from_primitives(grid, GAS, 1.0, np.zeros((3,) + grid.shape), 1.0)
-    fs2 = FieldSet.from_stacked(grid, fs.stacked(), fs.time)
-    assert np.array_equal(fs.rho, fs2.rho)
-    assert np.array_equal(fs.m, fs2.m)
-    assert np.array_equal(fs.E, fs2.E)
-
-
 def test_binary_roundtrip(tmp_path):
     grid = SlabGrid(L=1.5, n1=12, period=0.5, n2=6, dims=2)
     rng = np.random.default_rng(7)

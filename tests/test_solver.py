@@ -139,7 +139,7 @@ def test_pinned_rhs_commutes_with_transverse_roll():
     grid = SlabGrid(L=2.0, n1=12, n2=8, dims=2)
     spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
     fs = _transverse_state(grid, 11)
-    rolled = FieldSet.from_stacked(grid, np.roll(fs.stacked(), 3, axis=2))
+    rolled = FieldSet(grid, np.roll(fs.U, 3, axis=2))
     cfg = SolverConfig(eps=0.05, boundary="pinned-profile")
     for ghost in (profile_ghost_source(spec, grid), None):
         tend, _ = rhs(fs, GAS, cfg, ghost, t=0.0)
@@ -152,7 +152,7 @@ def test_x3_constant_state_matches_2d_rhs():
     grid2 = SlabGrid(L=2.0, n1=12, n2=6, dims=2)
     grid3 = SlabGrid(L=2.0, n1=12, n2=6, n3=4, dims=3)
     fs2 = _transverse_state(grid2, 12)
-    fs3 = FieldSet.from_stacked(grid3, np.repeat(fs2.stacked(), 4, axis=3))
+    fs3 = FieldSet(grid3, np.repeat(fs2.U, 4, axis=3))
     for cfg in (SolverConfig(eps=0.05, boundary="pinned-profile"), periodic_cfg(0.05)):
         t2, _ = rhs(fs2, GAS, cfg, profile_ghost_source(spec, grid2), t=0.0)
         t3, _ = rhs(fs3, GAS, cfg, profile_ghost_source(spec, grid3), t=0.0)
@@ -361,7 +361,7 @@ def test_constant_state_unchanged():
 def test_pinned_boundary_flux_bookkeeping():
     spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
     grid = SlabGrid(L=4.0, n1=128)
-    pr = smooth_profile(spec, 0.0, grid.x1(), shift=False)
+    pr = smooth_profile(spec, 0.0, grid.x1())
     u = np.zeros((3,) + grid.shape)
     u[0] = pr.u1[:, None, None]
     fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u, pr.theta[:, None, None])
@@ -493,7 +493,7 @@ def test_riemann_run_monotone_in_fan():
     spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.15)
     L = max(abs(spec.w_minus), abs(spec.w_plus)) * 2.0 + 15 * spec.delta + 0.5
     grid = SlabGrid(L=L, n1=384)
-    pr = smooth_profile(spec, 0.0, grid.x1(), shift=False)
+    pr = smooth_profile(spec, 0.0, grid.x1())
     u = np.zeros((3,) + grid.shape)
     u[0] = pr.u1[:, None, None]
     fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u, pr.theta[:, None, None])
@@ -512,7 +512,7 @@ def test_refinement_subdominant():
     for n1 in (192, 384):
         L = max(abs(spec.w_minus), abs(spec.w_plus)) * 2.0 + 15 * spec.delta + 0.5
         grid = SlabGrid(L=L, n1=n1)
-        pr = smooth_profile(spec, 0.0, grid.x1(), shift=False)
+        pr = smooth_profile(spec, 0.0, grid.x1())
         u = np.zeros((3,) + grid.shape)
         u[0] = pr.u1[:, None, None]
         fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u,
@@ -544,7 +544,7 @@ def test_domain_truncation_subdominant():
     for fac in (1.0, 2.0):
         L = base_L * fac
         grid = SlabGrid(L=L, n1=int(round(192 * fac)))
-        pr = smooth_profile(spec, 0.0, grid.x1(), shift=False)
+        pr = smooth_profile(spec, 0.0, grid.x1())
         u = np.zeros((3,) + grid.shape)
         u[0] = pr.u1[:, None, None]
         fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u,
@@ -566,7 +566,7 @@ def test_eps_cauchy_consistency():
         fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
         out, _ = run(fs, GAS, SolverConfig(eps=eps, boundary="fully-periodic"),
                      horizon=0.15)
-        return out.stacked()
+        return out.U
 
     sols = {eps: solve(eps) for eps in (0.2, 0.1, 0.05)}
     d1 = np.max(np.abs(sols[0.2] - sols[0.1]))

@@ -224,19 +224,28 @@ def test_burgers_strictly_increasing():
 # ---------------------------------------------------------------------------
 
 def test_profile_defining_relation():
-    # lambda3(profile)(t, x) = w(1 + t, x) with the ansatz shift on
+    # lambda3(profile)(t, x) = w(t, x)
     spec = make_spec()
     x = np.linspace(-3.0, 3.0, 101)
-    for t in (0.0, 1.0, 2.5):
-        pr = smooth_profile(spec, t, x, shift=True)
-        w = burgers_smooth(spec, 1.0 + t, x)
+    for t in (1.0, 2.0, 3.5):
+        pr = smooth_profile(spec, t, x)
+        w = burgers_smooth(spec, t, x)
         lam3 = pr.u1 + sound_speed(GAS, pr.theta)
         assert np.max(np.abs(lam3 - w)) < 1e-10
 
 
+def test_profile_refuses_negative_time():
+    # the characteristics cross before t = 0: no solution to sample
+    spec = make_spec()
+    with pytest.raises(ValueError, match="nonnegative"):
+        smooth_profile(spec, -1.0, np.linspace(-1.0, 1.0, 5))
+    with pytest.raises(ValueError, match="nonnegative"):
+        profile_lp_norm(spec, -1.0, 2)
+
+
 def test_profile_invariants_constant():
     spec = make_spec()
-    pr = smooth_profile(spec, 1.0, np.linspace(-3, 3, 64))
+    pr = smooth_profile(spec, 2.0, np.linspace(-3, 3, 64))
     c = sound_speed(GAS, pr.theta)
     r31 = pr.u1 - 2.0 * c / (GAS.gamma - 1.0)
     assert np.max(np.abs(r31 - spec.r31_plus)) < 1e-11
@@ -250,8 +259,8 @@ def test_profile_reads_cached_wave_constants(monkeypatch):
     monkeypatch.setattr(WaveSpec, "left_state",
                         lambda self: calls.append(1) or real(self))
     spec = make_spec()
-    smooth_profile(spec, 1.0, np.linspace(-3.0, 3.0, 64))
     smooth_profile(spec, 2.0, np.linspace(-3.0, 3.0, 64))
+    smooth_profile(spec, 3.0, np.linspace(-3.0, 3.0, 64))
     assert len(calls) <= 1
 
 
@@ -263,7 +272,7 @@ def _fd4(vals, h):
 def test_profile_derivatives_vs_finite_differences():
     spec = make_spec(delta=0.2)
     xs = np.array([-0.7, -0.1, 0.4, 1.3])
-    t = 0.8
+    t = 1.8
     h = 2e-3 * spec.delta
     stencils = [smooth_profile(spec, t, xs + k * h) for k in (-2, -1, 0, 1, 2)]
     pr = stencils[2]
@@ -278,7 +287,7 @@ def test_profile_derivatives_vs_finite_differences():
 
 def test_profile_slopes_positive():
     spec = make_spec()
-    pr = smooth_profile(spec, 0.5, np.linspace(-4, 4, 201))
+    pr = smooth_profile(spec, 1.5, np.linspace(-4, 4, 201))
     assert np.all(pr.du1 > 0.0)
     assert np.all(pr.drho > 0.0)
     assert np.all(pr.dtheta > 0.0)
@@ -290,7 +299,7 @@ def test_second_derivative_identities():
     # the first-derivative weight, as differentiating the slope relation shows
     spec = make_spec(delta=0.25)
     x = np.linspace(-1.5, 1.5, 41)
-    pr = smooth_profile(spec, 1.0, x)
+    pr = smooth_profile(spec, 2.0, x)
     g = GAS
     coef = 1.0 / np.sqrt(g.R * g.gamma * RIGHT.rho ** (1.0 - g.gamma) * RIGHT.theta)
     d2rho_pred = coef * pr.rho ** ((3.0 - g.gamma) / 2.0) * pr.d2u1 \
@@ -299,8 +308,8 @@ def test_second_derivative_identities():
     d2th_pred = (g.gamma - 1.0) / np.sqrt(g.R * g.gamma) * np.sqrt(pr.theta) * pr.d2u1 \
         + (g.gamma - 1.0) ** 2 / (2.0 * g.R * g.gamma) * pr.du1 ** 2
     h = 4e-4
-    sten_r = [smooth_profile(spec, 1.0, x + k * h).drho for k in (-2, -1, 0, 1, 2)]
-    sten_t = [smooth_profile(spec, 1.0, x + k * h).dtheta for k in (-2, -1, 0, 1, 2)]
+    sten_r = [smooth_profile(spec, 2.0, x + k * h).drho for k in (-2, -1, 0, 1, 2)]
+    sten_t = [smooth_profile(spec, 2.0, x + k * h).dtheta for k in (-2, -1, 0, 1, 2)]
     assert np.max(np.abs(_fd4(sten_r, h) - d2rho_pred)) < 1e-6 * max(1.0, np.max(np.abs(d2rho_pred)))
     assert np.max(np.abs(_fd4(sten_t, h) - d2th_pred)) < 1e-6 * max(1.0, np.max(np.abs(d2th_pred)))
 
@@ -309,8 +318,8 @@ def test_profile_lp_norms():
     spec = make_spec()
     span = velocity_span(spec)
     for t in (0.0, 1.0, 2.0, 4.0, 8.0):
-        assert profile_lp_norm(spec, t, 1, shift=False) == pytest.approx(span, abs=1e-8)
-    prods = [profile_lp_norm(spec, t, np.inf, shift=False) * (spec.delta + t)
+        assert profile_lp_norm(spec, t, 1) == pytest.approx(span, abs=1e-8)
+    prods = [profile_lp_norm(spec, t, np.inf) * (spec.delta + t)
              for t in (0.0, 1.0, 2.0, 4.0, 8.0)]
     assert max(prods) / min(prods) < 2.0
 
@@ -333,8 +342,8 @@ def test_smooth_cutoff_distance_scaling():
 def test_residual_refinement_order():
     spec = make_spec(delta=0.2)
     x = np.linspace(-1.5, 1.5, 9)
-    n_h = max(np.max(np.abs(r)) for r in planar_wave_residual(spec, 2.0, x, 1e-2))
-    n_h2 = max(np.max(np.abs(r)) for r in planar_wave_residual(spec, 2.0, x, 5e-3))
+    n_h = max(np.max(np.abs(r)) for r in planar_wave_residual(spec, 3.0, x, 1e-2))
+    n_h2 = max(np.max(np.abs(r)) for r in planar_wave_residual(spec, 3.0, x, 5e-3))
     order = np.log2(n_h / n_h2)
     assert 1.7 <= order <= 2.3
 
@@ -342,6 +351,6 @@ def test_residual_refinement_order():
 def test_residual_constant_region():
     spec = make_spec()
     far = spec.w_plus * 3.0 + 30.0 * spec.delta + 5.0
-    res = planar_wave_residual(spec, 2.0, np.array([far, far + 1.0]), 1e-3)
+    res = planar_wave_residual(spec, 3.0, np.array([far, far + 1.0]), 1e-3)
     for r in res:
         assert np.max(np.abs(r)) < 1e-12
