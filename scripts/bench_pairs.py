@@ -119,6 +119,7 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --workload W --seed <pair> --seconds S --trace 0",
         "machine": machine,
         "commits": {s: provenance[s]["commit"] for s in SIDES},
+        "src_sha256": {s: provenance[s]["src_sha256"] for s in SIDES},
         "src_py_lines": {s: provenance[s]["src_py_lines"] for s in SIDES},
         "summary": summarise(pairs, better),
         "per_pair": pairs,

@@ -82,23 +82,32 @@ def projection_bounds_check(f: np.ndarray, grid: SlabGrid, p: float) -> dict[str
 # gradients
 # ---------------------------------------------------------------------------
 
+def _on(ax: int, s) -> tuple:
+    """Index tuple that applies s to axis ax of a field."""
+    return (slice(None),) * ax + (s,)
+
+
 def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndarray:
     """2nd-order central gradient (3, n1, n2, n3); transverse axes periodic,
-    x1 one-sided 2nd-order at the ends unless periodic_x1."""
+    x1 one-sided 2nd-order at the ends unless periodic_x1.
+
+    The pinned x1 closure uses np.gradient's uniform-spacing edge_order=2
+    formulas in its operation order, so it matches np.gradient to the bit.
+    """
     f = np.asarray(f, dtype=float)
     out = np.zeros((3,) + f.shape)
-    spacing = grid.spacing
-    for ax, n in ((0, grid.n1), (1, grid.n2), (2, grid.n3)):
+    for ax, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
         if n == 1:
             continue
-        dx = spacing[ax]
+        o, first, last, mid = out[ax], _on(ax, 0), _on(ax, -1), _on(ax, slice(1, -1))
+        np.subtract(f[_on(ax, slice(2, None))], f[_on(ax, slice(None, -2))], out=o[mid])
         if ax > 0 or periodic_x1:
-            v, o = np.moveaxis(f, ax, 0), np.moveaxis(out[ax], ax, 0)
-            np.subtract(v[2:], v[:-2], out=o[1:-1])
-            o[0], o[-1] = v[1] - v[-1], v[0] - v[-2]   # the wrapped end cells
-            o /= 2.0 * dx
+            o[first], o[last] = f[_on(ax, 1)] - f[last], f[first] - f[_on(ax, -2)]  # wrapped ends
+            o /= 2.0 * h
         else:
-            out[ax] = np.gradient(f, dx, axis=ax, edge_order=2)
+            o[mid] /= 2.0 * h
+            o[first] = (-1.5 / h) * f[first] + (2.0 / h) * f[_on(ax, 1)] + (-0.5 / h) * f[_on(ax, 2)]
+            o[last] = (0.5 / h) * f[_on(ax, -3)] + (-2.0 / h) * f[_on(ax, -2)] + (1.5 / h) * f[last]
     return out
 
 
@@ -108,14 +117,16 @@ def grad_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndar
     return np.sum(gr * gr, axis=0)
 
 
-def hessian_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndarray:
-    """Frobenius |grad^2 f|^2 cellwise by repeated central differences."""
+def derivative_sq(f: np.ndarray, grid: SlabGrid,
+                  periodic_x1: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """|grad f|^2 and the Frobenius |grad^2 f|^2 cellwise, both from one
+    gradient of f; the second differentiates each of its components again."""
     gr = gradient(f, grid, periodic_x1)
-    out = np.zeros(f.shape)
+    hess = np.zeros(grid.shape)
     for b in range(3):
         g2 = gradient(gr[b], grid, periodic_x1)
-        out += np.sum(g2 * g2, axis=0)
-    return out
+        hess += np.sum(g2 * g2, axis=0)
+    return np.sum(gr * gr, axis=0), hess
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +183,12 @@ def energy_report(phi: np.ndarray, psi: np.ndarray, zeta: np.ndarray,
     basic = float(np.sum(rho_bar ** (gm - 2.0) * phi ** 2 + rho_bar * psi2
                          + rho_bar ** (2.0 - gm) * zeta ** 2) * dv)
 
-    gphi2 = grad_sq(phi, grid)
-    gpsi2 = sum(grad_sq(psi[c], grid) for c in range(3))
-    gzeta2 = grad_sq(zeta, grid)
+    gphi2, h_phi = derivative_sq(phi, grid)
+    d_psi = [derivative_sq(psi[c], grid) for c in range(3)]
+    gpsi2, h_psi = sum(d[0] for d in d_psi), sum(d[1] for d in d_psi)
+    gzeta2, h_zeta = derivative_sq(zeta, grid)
     grad1 = float(np.sum(theta_bar / rho_bar * gphi2 + rho_bar * gpsi2
                          + rho_bar / theta_bar * gzeta2) * dv)
-
-    h_phi = hessian_sq(phi, grid)
-    h_psi = sum(hessian_sq(psi[c], grid) for c in range(3))
-    h_zeta = hessian_sq(zeta, grid)
     grad2 = float(np.sum(theta_bar / rho_bar * h_phi + rho_bar * h_psi
                          + rho_bar / theta_bar * h_zeta) * dv)
 
@@ -229,7 +237,28 @@ def nonzero_mode_energy(phi: np.ndarray, psi: np.ndarray, zeta: np.ndarray,
 GN_CASES = ("L4-slab", "L6-slab", "Linf-slab", "L4-torus", "L6-torus", "Linf-torus")
 
 
-def gn_check(u: np.ndarray, grid: SlabGrid, case: str, Lambda: float | None = None) -> dict:
+@dataclass(frozen=True)
+class GNSample:
+    """One sample on one grid with the L^2 norms all its cases share: of u,
+    of grad u and of grad^2 u.  Slab cases take the pinned x1 closure, torus
+    cases the periodic one."""
+
+    u: np.ndarray
+    grid: SlabGrid
+    torus: bool
+    l2: float
+    g1: float
+    g2: float
+
+
+def gn_sample(u: np.ndarray, grid: SlabGrid, torus: bool) -> GNSample:
+    """The shared norms of u, from one gradient and the gradient of that gradient."""
+    gsq, hsq = derivative_sq(u, grid, periodic_x1=torus)
+    return GNSample(u, grid, torus, lp_slab(u, grid, 2),
+                    lp_slab(np.sqrt(gsq), grid, 2), lp_slab(np.sqrt(hsq), grid, 2))
+
+
+def gn_check(s: GNSample, case: str, Lambda: float | None = None) -> dict:
     """Ratio LHS/RHS of one interpolation-inequality special case.
 
     Slab cases live on R x T^2 with torus width Lambda and sum the k=1..3
@@ -239,12 +268,13 @@ def gn_check(u: np.ndarray, grid: SlabGrid, case: str, Lambda: float | None = No
     """
     if case not in GN_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {GN_CASES}")
-    lam = grid.period if Lambda is None else Lambda
-    periodic_x1 = case.endswith("torus")
-    l2 = lp_slab(u, grid, 2)
+    domain = case.rsplit("-", 1)[1]
+    if (domain == "torus") != s.torus:
+        raise ValueError(f"case {case!r} needs a {domain} sample")
+    lam = s.grid.period if Lambda is None else Lambda
+    u, grid, l2, g1, g2 = s.u, s.grid, s.l2, s.g1, s.g2
     if l2 == 0.0:
         return {"case": case, "Lambda": lam, "lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
-    g1 = lp_slab(np.sqrt(grad_sq(u, grid, periodic_x1)), grid, 2)
     if case == "L4-slab":
         lhs = lp_slab(u, grid, 4)
         rhs = (lam ** -0.5 * g1 ** 0.25 * l2 ** 0.75
@@ -256,7 +286,6 @@ def gn_check(u: np.ndarray, grid: SlabGrid, case: str, Lambda: float | None = No
                + lam ** (-1.0 / 3.0) * g1 ** (2.0 / 3.0) * l2 ** (1.0 / 3.0)
                + g1)
     elif case == "Linf-slab":
-        g2 = lp_slab(np.sqrt(hessian_sq(u, grid, periodic_x1)), grid, 2)
         lhs = lp_slab(u, grid, np.inf)
         rhs = lam ** -1.0 * g1 ** 0.5 * l2 ** 0.5 + lam ** -0.5 * g1 + g2 ** 0.75 * l2 ** 0.25
     elif case == "L4-torus":
@@ -266,7 +295,6 @@ def gn_check(u: np.ndarray, grid: SlabGrid, case: str, Lambda: float | None = No
         lhs = lp_slab(u, grid, 6)
         rhs = g1 + lam ** -1.0 * l2
     else:  # Linf-torus
-        g2 = lp_slab(np.sqrt(hessian_sq(u, grid, periodic_x1)), grid, 2)
         lhs = lp_slab(u, grid, np.inf)
         rhs = g2 ** 0.75 * l2 ** 0.25 + lam ** -1.5 * l2
     return {"case": case, "Lambda": lam, "lhs": lhs, "rhs": rhs,

@@ -20,7 +20,7 @@ from .fields import FieldSet, SlabGrid, save_fields
 from .waves import (WaveSpec, cutoff_exact_distance, profile_lp_norm, velocity_span,
                     smooth_cutoff_distance, sample_exact, sample_cutoff, smooth_profile)
 from .solver import run, profile_ghost_source
-from .analysis import (decompose, sup_distance, fit_rate, gn_check, GN_CASES,
+from .analysis import (decompose, sup_distance, fit_rate, gn_check, gn_sample, GN_CASES,
                        nonzero_mode_energy)
 from .ansatz import (PerturbationSpec, assemble_initial, x1_window,
                      evolve_periodic_background)
@@ -471,13 +471,13 @@ def _slab_sample(rng: np.random.Generator, grid: SlabGrid, lam: float,
                  transverse_constant: bool) -> np.ndarray:
     """Band-limited decaying sample: Gaussian envelopes times a transverse
     trigonometric factor with modes bounded independently of lambda."""
-    X1, X2, X3 = grid.meshgrid()
+    x1, x2, x3 = np.ix_(grid.x1(), grid.x2(), grid.x3())
     u = np.zeros(grid.shape)
     for _ in range(rng.integers(1, 4)):
         amp = rng.normal()
         c = rng.uniform(-1.5, 1.5)
         sig = rng.uniform(0.3, 1.0)
-        env = amp * np.exp(-((X1 - c) ** 2) / (2.0 * sig ** 2))
+        env = amp * np.exp(-((x1 - c) ** 2) / (2.0 * sig ** 2))
         if transverse_constant:
             trig = 1.0
         else:
@@ -486,20 +486,20 @@ def _slab_sample(rng: np.random.Generator, grid: SlabGrid, lam: float,
                 k2, k3 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 trig = trig + rng.normal() * np.cos(
-                    2.0 * np.pi * (k2 * X2 + k3 * X3) / lam + phase)
+                    2.0 * np.pi * (k2 * x2 + k3 * x3) / lam + phase)
         u += env * trig
     return u
 
 
 def _torus_sample(rng: np.random.Generator, grid: SlabGrid, lam: float) -> np.ndarray:
-    X1, X2, X3 = grid.meshgrid()
+    x1, x2, x3 = np.ix_(grid.x1(), grid.x2(), grid.x3())
     u = np.full(grid.shape, rng.normal())
     for _ in range(rng.integers(2, 6)):
         ks = rng.integers(-3, 4, size=3)
         if not np.any(ks):
             continue
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        u += rng.normal() * np.cos(2.0 * np.pi * (ks[0] * X1 + ks[1] * X2 + ks[2] * X3) / lam + phase)
+        u += rng.normal() * np.cos(2.0 * np.pi * (ks[0] * x1 + ks[1] * x2 + ks[2] * x3) / lam + phase)
     return u
 
 
@@ -520,12 +520,11 @@ def run_gn_check(cfg: ExperimentConfig) -> StudyReport:
         torus = SlabGrid.torus(lam, 16, 16, 16, dims=3)
         rng = np.random.default_rng(seed)
         for i in range(nsamples):
-            u_slab = _slab_sample(rng, slab, lam, transverse_constant=(i % 5 == 0))
-            u_torus = _torus_sample(rng, torus, lam)
+            # each grid's derivative norms once, shared by its three cases
+            samples = {"slab": gn_sample(_slab_sample(rng, slab, lam, i % 5 == 0), slab, False),
+                       "torus": gn_sample(_torus_sample(rng, torus, lam), torus, True)}
             for case in GN_CASES:
-                g = torus if case.endswith("torus") else slab
-                u = u_torus if case.endswith("torus") else u_slab
-                res = gn_check(u, g, case, Lambda=lam)
+                res = gn_check(samples[case.rsplit("-", 1)[1]], case, Lambda=lam)
                 cur = case_ratios[case].get(lam, 0.0)
                 case_ratios[case][lam] = max(cur, res["ratio"])
     for case in GN_CASES:

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 from rarefan.gas import GasParams
 from rarefan.fields import SlabGrid
 from rarefan.analysis import (decompose, lp_slab, lp_line, projection_bounds_check,
-                              energy_report, nonzero_mode_energy, gn_check,
+                              energy_report, nonzero_mode_energy, gn_check, gn_sample,
                               sup_distance, fit_rate, gradient)
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
@@ -200,17 +200,22 @@ def test_periodic_gradient_matches_roll_form(shape):
             want = ((np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * grid.spacing[ax])
                     if shape[ax] > 1 else np.zeros(shape))
             assert got[ax].tobytes() == want.tobytes()
+    # the pinned x1 closure is np.gradient's, to the bit
+    want = np.gradient(f, grid.dx1, axis=0, edge_order=2)
+    assert gradient(f, grid, False)[0].tobytes() == want.tobytes()
 
 
 def test_gn_zero_field():
     grid = slab()
-    res = gn_check(np.zeros(grid.shape), grid, "L4-slab", Lambda=0.5)
+    res = gn_check(gn_sample(np.zeros(grid.shape), grid, False), "L4-slab", Lambda=0.5)
     assert res["ratio"] == 0.0
 
 
 def test_gn_unknown_case():
     with pytest.raises(ValueError):
-        gn_check(np.ones(slab().shape), slab(), "L3-slab")
+        gn_check(gn_sample(np.ones(slab().shape), slab(), False), "L3-slab")
+    with pytest.raises(ValueError):  # a torus case on a slab sample
+        gn_check(gn_sample(np.ones(slab().shape), slab(), False), "L4-torus")
 
 
 def test_gn_gaussian_bump_scaling():
@@ -219,9 +224,9 @@ def test_gn_gaussian_bump_scaling():
     for lam in (1.0, 0.5, 0.25):
         grid = SlabGrid(L=4.0, n1=96, period=lam, n2=8, n3=8, dims=3)
         x1 = grid.x1()[:, None, None]
-        u = np.exp(-x1 ** 2) * np.ones(grid.shape)
+        u = gn_sample(np.exp(-x1 ** 2) * np.ones(grid.shape), grid, False)
         for case in ratios:
-            r = gn_check(u, grid, case, Lambda=lam)["ratio"]
+            r = gn_check(u, case, Lambda=lam)["ratio"]
             assert np.isfinite(r) and r > 0.0
             ratios[case].append(r)
     for case, rs in ratios.items():
@@ -232,10 +237,10 @@ def test_gn_torus_single_mode():
     lam = 0.5
     grid = SlabGrid.torus(lam, 16, 16, 16, dims=3)
     X1, X2, _ = grid.meshgrid()
-    u = np.cos(2 * np.pi * (X1 + 2 * X2) / lam)
-    res = gn_check(u, grid, "L6-torus", Lambda=lam)
+    u = gn_sample(np.cos(2 * np.pi * (X1 + 2 * X2) / lam), grid, True)
+    res = gn_check(u, "L6-torus", Lambda=lam)
     assert 0.0 < res["ratio"] < 3.0
-    res4 = gn_check(u, grid, "L4-torus", Lambda=lam)
+    res4 = gn_check(u, "L4-torus", Lambda=lam)
     assert 0.0 < res4["ratio"] < 3.0
 
 

@@ -39,6 +39,26 @@ def test_gn_check_small_battery():
     assert len(cases) == 6
 
 
+def test_gn_check_shares_derivatives_across_cases(monkeypatch):
+    # one gradient and three of its components per sample and grid, one
+    # gn_check call per case: 6 samples x 3 widths x 2 grids
+    import rarefan.analysis as an
+    import rarefan.experiments as ex
+    calls = {"gradient": 0, "gn_check": 0}
+
+    def counted(mod, name):
+        real = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapper)
+    counted(an, "gradient")
+    counted(ex, "gn_check")
+    assert run_gn_check(config(kind="gn-check", samples=6, seed=1)).passed
+    assert calls == {"gradient": 4 * 6 * 3 * 2, "gn_check": 6 * 6 * 3}
+
+
 def test_background_requires_eta():
     with pytest.raises(ConfigError):
         run_background_decay(config(kind="background", eta=0.0))
