@@ -104,6 +104,8 @@ def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.nda
         if ax > 0 or periodic_x1:
             o[first], o[last] = f[_on(ax, 1)] - f[last], f[first] - f[_on(ax, -2)]  # wrapped ends
             o /= 2.0 * h
+        elif n < 3:
+            raise ValueError("the one-sided x1 closure needs n1 >= 3")
         else:
             o[mid] /= 2.0 * h
             o[first] = (-1.5 / h) * f[first] + (2.0 / h) * f[_on(ax, 1)] + (-0.5 / h) * f[_on(ax, 2)]

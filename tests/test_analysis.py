@@ -205,6 +205,13 @@ def test_periodic_gradient_matches_roll_form(shape):
     assert gradient(f, grid, False)[0].tobytes() == want.tobytes()
 
 
+def test_pinned_gradient_needs_three_cells():
+    grid = SlabGrid(L=2.0, n1=2, period=0.5, n2=1, n3=1, dims=1)
+    with pytest.raises(ValueError):
+        gradient(np.ones(grid.shape), grid)
+    assert np.all(gradient(np.ones(grid.shape), grid, periodic_x1=True) == 0.0)
+
+
 def test_gn_zero_field():
     grid = slab()
     res = gn_check(gn_sample(np.zeros(grid.shape), grid, False), "L4-slab", Lambda=0.5)
