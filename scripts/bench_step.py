@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Time one solver rhs and one SSP-RK3 step on the eps-sweep line and the decay slab.
+
+    python scripts/bench_step.py DIR [--repeats 7]
+
+Imports rarefan from DIR/src, so one copy of this script times any checkout
+(the parent and a change, say) on the same inputs. The states are the
+initial states the studies start from:
+
+- ``line384`` and ``line768``: the eps-sweep of DIR/configs/eps_sweep.ini at
+  its first (largest) eps, on its n1 = 384 grid and on the 768-cell grid of
+  its refinement pre-check;
+- ``slab256x32``: the decay study of DIR/perfbench/configs/slab2d_decay.ini
+  (256 x 32 cells, perturbed).
+
+Each call is timed with ``timeit``: the number of calls per repeat is the one
+``Timer.autorange`` picks (at least 0.2 s), and the best of --repeats
+repeats is reported, in microseconds per call and nanoseconds per cell.
+``step`` is called on the same state every time, so each call does the same
+work: one ``stable_dt`` and three ``rhs``. Prints one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+import timeit
+from pathlib import Path
+
+
+def cases(root: Path) -> dict:
+    """name -> (FieldSet, GasParams, SolverConfig, ghost source) of each timed state."""
+    from rarefan.config import parse_config
+    from rarefan.experiments import _perturbation, _pinned_window, sweep_grid
+    from rarefan.ansatz import assemble_initial
+    from rarefan.solver import profile_ghost_source
+
+    def pinned(cfg, eps, eta, n1=None):
+        spec = cfg.wave_spec(eps)
+        grid = sweep_grid(spec, cfg, n1)
+        fs = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
+                              window=_pinned_window(spec, grid))
+        scfg = cfg.solver.solver_config(boundary="pinned-profile", eps=eps)
+        return fs, cfg.gas, scfg, profile_ghost_source(spec, grid)
+
+    sweep = parse_config(root / "configs" / "eps_sweep.ini")
+    eps = max(sweep.experiment.sweep)
+    slab = parse_config(root / "perfbench" / "configs" / "slab2d_decay.ini")
+    return {"line384": pinned(sweep, eps, 0.0),
+            "line768": pinned(sweep, eps, 0.0, 2 * sweep.grid.n1),
+            "slab256x32": pinned(slab, slab.solver.eps, slab.experiment.eta)}
+
+
+def best_us(fn, repeats: int) -> float:
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(timer.repeat(repeat=repeats, number=number)) / number * 1e6
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("dir", type=Path, help="checkout whose src/rarefan is timed")
+    ap.add_argument("--repeats", type=int, default=7)
+    args = ap.parse_args(argv)
+    root = args.dir.resolve()
+    sys.path.insert(0, str(root / "src"))
+    import numpy as np
+    import rarefan
+    from rarefan.solver import rhs, step
+    if Path(rarefan.__file__).resolve().parent != root / "src" / "rarefan":
+        ap.error(f"imported rarefan from {rarefan.__file__}, not from {root}/src")
+
+    out = {"dir": str(root), "machine": platform.machine(), "processor": platform.processor(),
+           "python": platform.python_version(), "numpy": np.__version__,
+           "repeats": args.repeats, "cases": {}}
+    for name, (fs, g, cfg, ghost) in cases(root).items():
+        cells = fs.rho.size
+        rhs_us = best_us(lambda: rhs(fs, g, cfg, ghost, t=fs.time), args.repeats)
+        step_us = best_us(lambda: step(fs, g, cfg, ghost), args.repeats)
+        out["cases"][name] = {"shape": list(fs.grid.shape), "cells": cells,
+                              "rhs_us": round(rhs_us, 2), "step_us": round(step_us, 2),
+                              "rhs_ns_per_cell": round(rhs_us * 1e3 / cells, 1),
+                              "step_ns_per_cell": round(step_us * 1e3 / cells, 1)}
+    print(json.dumps(out, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,7 @@ keeps discrete integrals over the slab R x T^2 consistent across dims.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -55,11 +56,12 @@ class SlabGrid:
     def dx3(self) -> float:
         return self.period / self.n3 if self.dims == 3 else self.period
 
-    @property
+    # computed once per grid: the solver reads them on every rhs
+    @functools.cached_property
     def spacing(self) -> tuple[float, float, float]:
         return (self.dx1, self.dx2, self.dx3)
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return self.dx1 * self.dx2 * self.dx3
 
@@ -127,11 +129,19 @@ class FieldSet:
     def primitives(self, g: GasParams) -> np.ndarray:
         """Read-only stacked (rho, u1, u2, u3, theta), computed once per FieldSet."""
         if self._prim is None or self._prim[0] is not g:
-            prim = np.empty_like(self.U)
-            prim[0] = self.rho
-            u = prim[1:4]
-            np.divide(self.m, self.rho, out=u)
-            prim[4] = (g.gamma - 1.0) / g.R * (self.E / self.rho - 0.5 * np.sum(u * u, axis=0))
+            # (gamma - 1)/R (E/rho - 0.5 sum_c u_c u_c), filled in place in that order
+            U = self.U
+            rho = U[0]
+            prim = np.empty_like(U)
+            prim[0] = rho
+            u, theta = prim[1:4], prim[4]
+            np.divide(U[1:4], rho, out=u)
+            uu = np.multiply(u, u)
+            np.add.reduce(uu, axis=0, out=theta)
+            theta *= 0.5
+            e = np.divide(U[4], rho, out=uu[0])
+            np.subtract(e, theta, out=theta)
+            theta *= (g.gamma - 1.0) / g.R
             prim.flags.writeable = False
             self._prim = (g, prim)
         return self._prim[1]

@@ -14,6 +14,13 @@ stage.  rhs fills it in place and returns a new tendency and boundary flux
 that the caller owns; step forms each SSP-RK3 stage in place on the tendency
 it got for it.  The work area makes rhs unsafe to call from concurrent
 threads on grids of one shape.
+
+On small grids (the 1-D sweep lines) a call costs its numpy dispatches more
+than its arithmetic, so the work area also binds, once, every view rhs reads
+or writes: face pairs, ring interior and ghost planes, flux rows.  rhs
+builds no index and no view per call.  The face terms of (u1, u2, u3, theta)
+are stored as the four rows state[1:5], so their face average and their
+normal difference are one operation each.
 """
 
 from __future__ import annotations
@@ -73,7 +80,6 @@ class StepDiagnostics:
     max_speed: float
     min_rho: float
     min_theta: float
-    totals: dict[str, float]
     boundary_flux: np.ndarray  # (5,) net inflow through x1 boundaries this step
 
 
@@ -122,8 +128,8 @@ def profile_ghost_source(spec, grid: SlabGrid) -> GhostSource:
     return source
 
 
-def _active_axes(grid: SlabGrid) -> list[int]:
-    return [0] + [ax for ax, n in ((1, grid.n2), (2, grid.n3)) if n > 1]
+def _active_axes(shape: tuple[int, int, int]) -> tuple[int, ...]:
+    return (0,) + tuple(ax for ax in (1, 2) if shape[ax] > 1)
 
 
 def _face_index(ax: int, active: tuple[int, ...]) -> tuple[tuple, tuple]:
@@ -140,37 +146,87 @@ def _face_index(ax: int, active: tuple[int, ...]) -> tuple[tuple, tuple]:
     return (Ellipsis, *lo), (Ellipsis, *hi)
 
 
-class _AxisWork:
-    """Work arrays and indices of one axis pass of rhs.
+def _along(ax: int, index) -> tuple:
+    """Index of a stacked array picking index on spatial axis ax and everything elsewhere."""
+    out = [slice(None)] * 3
+    out[ax] = index
+    return (Ellipsis, *out)
 
-    Shapes: faces along ax are (n_ax + 1) wide on ax and interior elsewhere;
-    cd keeps the ghost ring on ax only.  coef holds one of the face
-    coefficients mu, lambda, kappa at a time.
+
+class _CrossWork:
+    """Views of one transverse pair (ax, bx) of an axis pass: d u_c / d x_bx at the faces
+    along ax for the two components c = ax, bx that the stress column reads.
+
+    The rows are the stepped slice lo:hi+1:hi-lo of (u1, u2, u3), a view.
     """
 
-    FACE = {"F": 5, "dU": 5, "s": 1, "pw": 1, "coef": 1, "uF": 3, "dn_u": 3,
-            "dc_uax": 3, "tau": 3, "divu": 1, "dthdn": 1, "heat": 1, "cd_face": 3}
+    def __init__(self, ax: int, bx: int, active: tuple[int, ...], uP: np.ndarray,
+                 cd: np.ndarray, face: np.ndarray, dc_uax: np.ndarray):
+        lo, hi = min(ax, bx), max(ax, bx)
+        rows = uP[lo:hi + 1:hi - lo]
+        plus = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
+        plus[ax] = slice(None)
+        minus = list(plus)
+        plus[bx], minus[bx] = slice(2, None), slice(0, -2)
+        self.bx = bx
+        self.plus, self.minus = rows[(Ellipsis, *plus)], rows[(Ellipsis, *minus)]
+        self.cd, self.face = cd, face
+        self.cd_lo, self.cd_hi = cd[_along(ax, slice(0, -1))], cd[_along(ax, slice(1, None))]
+        self.d_bx, self.d_ax = face[int(bx > ax)], face[int(ax > bx)]  # d u_bx, d u_ax / d x_bx
+        self.dc_bx = dc_uax[bx]
 
-    def __init__(self, ax: int, active: tuple[int, ...], arrays: dict[str, np.ndarray]):
-        self.L, self.R = _face_index(ax, active)
-        along = [slice(None)] * 3        # lo, hi: all but the last, the first entry along ax
-        along[ax] = slice(0, -1)
-        self.lo = (Ellipsis, *along)
-        along[ax] = slice(1, None)
-        self.hi = (Ellipsis, *along)
-        self.cross = {}                  # bx -> (plus, minus) cells of the central difference
-        for bx in active:
-            if bx != ax:
-                plus = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
-                plus[ax] = slice(None)
-                minus = list(plus)
-                plus[bx], minus[bx] = slice(2, None), slice(0, -2)
-                self.cross[bx] = (Ellipsis, *plus), (Ellipsis, *minus)
+
+class _AxisWork:
+    """Work arrays of one axis pass of rhs, and every view of them and of the
+    ring that the pass reads or writes, bound once.
+
+    Shapes: faces along ax are (n_ax + 1) wide on ax and interior elsewhere;
+    cd keeps the ghost ring on ax only.  q holds the face averages of the four
+    rows (u1, u2, u3, theta), dq their normal differences; coef holds one of
+    the face coefficients mu, lambda, kappa at a time.
+    """
+
+    FACE = {"F": 5, "dU": 5, "s": 1, "q": 4, "dq": 4, "coef": 1, "tau": 3, "divu": 1,
+            "heat": 1, "cd_face": 2}
+
+    def __init__(self, ax: int, active: tuple[int, ...], ws: "_Workspace",
+                 arrays: dict[str, np.ndarray]):
         vars(self).update(arrays)
+        self.ax = ax
+        state, flux, U, uP = ws.state, ws.flux, ws.state[5:], ws.state[1:4]
+        L, R = _face_index(ax, active)
+
+        # Euler flux on the ring: f[0] = U[1+ax], f[1:4] = U[1:4] un with p
+        # added on row 1+ax, f[4] = (U[4] + p) un
+        self.un = state[1 + ax]
+        self.f_mass, self.U_normal = flux[0], U[1 + ax]
+        self.f_mom, self.U_mom, self.f_ax = flux[1:4], U[1:4], flux[1 + ax]
+        self.f_E, self.U_E = flux[4], U[4]
+
+        # the two cells of every face
+        self.FL, self.FR = flux[L], flux[R]
+        self.UL, self.UR = U[L], U[R]
+        self.aL, self.aR = ws.speed[L], ws.speed[R]
+        self.qL, self.qR = state[1:5][L], state[1:5][R]
+        self.uF, self.pw = self.q[:3], self.q[3]
+        self.dn_u, self.dthdn, self.dn_uax = self.dq[:3], self.dq[3], self.dq[ax]
+        self.F_mom, self.F_E, self.tau_ax = self.F[1:4], self.F[4], self.tau[ax]
+        self.F_lo, self.F_hi = self.F[_along(ax, slice(0, -1))], self.F[_along(ax, slice(1, None))]
+        if ax == 0:   # the first and last x1 faces, a (5, 2, n2 n3) view of a contiguous F
+            self.F_ends = self.F[:, ::self.F.shape[1] - 1].reshape(5, 2, -1)
+            self.ends = np.empty((5, 2))                # their sums
+            self.ends_first, self.ends_last = self.ends[:, 0], self.ends[:, 1]
+
+        # d u_ax / d x_c has its own array: rows of inactive axes stay zero
+        self.dc_uax = np.zeros_like(self.dn_u)
+        self.dc_ax = self.dc_uax[ax]
+        self.cross = [_CrossWork(ax, bx, active, uP, self.cd, self.cd_face, self.dc_uax)
+                      for bx in active if bx != ax]
 
 
 class _Workspace:
-    """The arrays rhs and step fill on one grid, allocated once per grid shape.
+    """The arrays rhs and step fill on one grid, allocated once per grid shape,
+    with the views rhs reads and writes, bound once.
 
     Ring-sized arrays hold the ghost-ringed state and its cell quantities.
     Each face-sized array of _AxisWork is a view of one flat buffer sized for
@@ -178,12 +234,27 @@ class _Workspace:
     entry it reads.
     """
 
-    def __init__(self, shape: tuple[int, int, int], active: tuple[int, ...]):
+    def __init__(self, shape: tuple[int, int, int]):
+        self.tend_shape = (5,) + shape
+        active = _active_axes(shape)
         ring = tuple(n + 2 if ax in active else n for ax, n in enumerate(shape))
-        self.state = np.empty((10,) + ring)
+        self.state = state = np.empty((10,) + ring)
         self.p, self.c, self.speed = np.empty(ring), np.empty(ring), np.empty(ring)
         self.flux = np.empty((5,) + ring)
         self.ddx = np.empty((5,) + shape)
+
+        inner = tuple(slice(1, -1) if ax in active else slice(None) for ax in range(3))
+        self.prim_in, self.U_in = state[(slice(0, 5),) + inner], state[(slice(5, 10),) + inner]
+        self.rhoP, self.thP = state[0], state[4]
+        # ghost planes 0 and n + 1 of each active axis and their periodic
+        # sources n and 1, as one stepped view each
+        self.wraps = [(state[_along(ax, slice(0, None, n + 1))],
+                       state[_along(ax, slice(n, 0, 1 - n))])
+                      for ax, n in ((ax, shape[ax]) for ax in active)]
+        n1 = shape[0]
+        self.x1_ghosts = state[:, ::n1 + 1]           # pinned: planes 0 and n1 + 1 ...
+        self.x1_edges = state[:, 1:n1 + 1:n1 - 1]     # ... copy planes 1 and n1 ...
+        self.x1_columns = self.x1_ghosts.transpose(2, 3, 0, 1)  # ... or the (10, 2) ghost columns
 
         def along(ax, extra):
             return tuple(n + extra if sp == ax else n for sp, n in enumerate(shape))
@@ -195,20 +266,19 @@ class _Workspace:
 
         faces = {ax: along(ax, 1) for ax in active}
         pools = {name: views(k, faces) for name, k in _AxisWork.FACE.items()}
-        pools["cd"] = views(3, {ax: along(ax, 2) for ax in active})
-        self.axes = {ax: _AxisWork(ax, active, {name: v[ax] for name, v in pools.items()})
-                     for ax in active}
+        pools["cd"] = views(2, {ax: along(ax, 2) for ax in active})
+        self.axes = [_AxisWork(ax, active, self, {name: v[ax] for name, v in pools.items()})
+                     for ax in active]
 
 
 @functools.lru_cache(maxsize=8)
-def _workspace(shape: tuple[int, int, int], active: tuple[int, ...]) -> _Workspace:
-    return _Workspace(shape, active)
+def _workspace(shape: tuple[int, int, int]) -> _Workspace:
+    return _Workspace(shape)
 
 
-def _ringed_state(state: np.ndarray, fs: FieldSet, g: GasParams, cfg: SolverConfig,
-                  ghost_source: GhostSource | None, t: float,
-                  active: tuple[int, ...]) -> np.ndarray:
-    """Fill state with primitives (rho, u, theta) over U, one ghost ring on active axes.
+def _ringed_state(ws: _Workspace, fs: FieldSet, g: GasParams, cfg: SolverConfig,
+                  ghost_source: GhostSource | None, t: float) -> None:
+    """Fill ws.state with primitives (rho, u, theta) over U, one ghost ring on active axes.
 
     Transverse directions wrap; x1 wraps on fully-periodic runs and otherwise
     carries the ghost columns supplied by ghost_source (edge copy without
@@ -217,44 +287,26 @@ def _ringed_state(state: np.ndarray, fs: FieldSet, g: GasParams, cfg: SolverConf
     axes stay single-cell wide.  The interior of the last five rows is fs.U.
     Every entry is written, so whatever state held before does not matter.
     """
-    inner = tuple(slice(1, -1) if ax in active else slice(None) for ax in range(3))
-    state[(slice(0, 5),) + inner] = fs.primitives(g)
-    state[(slice(5, 10),) + inner] = fs.U
-    periodic = active if cfg.boundary == "fully-periodic" else active[1:]
-    for ax in periodic:
-        planes = np.moveaxis(state, 1 + ax, 0)  # a view: ghost planes at 0 and -1
-        planes[0], planes[-1] = planes[-2], planes[1]
-    if cfg.boundary == "fully-periodic":
-        return state
+    ws.prim_in[...] = fs.primitives(g)
+    ws.U_in[...] = fs.U
+    periodic = cfg.boundary == "fully-periodic"
+    for ghosts, source in (ws.wraps if periodic else ws.wraps[1:]):
+        ghosts[...] = source
+    if periodic:
+        return
     if ghost_source is None:
-        state[:, 0] = state[:, 1]
-        state[:, -1] = state[:, -2]
+        ws.x1_ghosts[...] = ws.x1_edges
     else:
-        ghosts = ghost_source(t)
-        state[:, 0] = ghosts[:, 0, None, None]
-        state[:, -1] = ghosts[:, 1, None, None]
-    return state
+        ws.x1_columns[...] = ghost_source(t)
 
 
-def _euler_flux(f: np.ndarray, U: np.ndarray, un: np.ndarray, p: np.ndarray,
-                ax: int) -> np.ndarray:
-    """Fill f with the stacked Euler flux along ax of U with normal velocity un, pressure p."""
-    f[0] = U[1 + ax]
-    np.multiply(U[1:4], un, out=f[1:4])
-    f[1 + ax] += p
-    np.add(U[4], p, out=f[4])
-    f[4] *= un
-    return f
-
-
-def _face_cross_diff(w: _AxisWork, uP: np.ndarray, bx: int, dxb: float) -> np.ndarray:
-    """d u / d x_b at the faces of w's axis: central in b, averaged across the face."""
-    plus, minus = w.cross[bx]
-    cd = np.subtract(uP[plus], uP[minus], out=w.cd)
-    cd /= 2.0 * dxb
-    out = np.add(cd[w.lo], cd[w.hi], out=w.cd_face)
-    out *= 0.5
-    return out
+def _face_cross_diff(c: _CrossWork, dxb: float) -> np.ndarray:
+    """d u_(ax, bx) / d x_bx at the faces: central in bx, averaged across the face."""
+    np.subtract(c.plus, c.minus, out=c.cd)
+    c.cd /= 2.0 * dxb
+    np.add(c.cd_lo, c.cd_hi, out=c.face)
+    c.face *= 0.5
+    return c.face
 
 
 def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
@@ -269,97 +321,101 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     """
     tt = fs.time if t is None else t
     grid = fs.grid
-    if np.any(fs.rho <= 0.0):
+    if (fs.rho <= 0.0).any():
         raise RunAbort("nonpositive density entering rhs")
-    active = tuple(_active_axes(grid))
-    ws = _workspace(grid.shape, active)
-    state = _ringed_state(ws.state, fs, g, cfg, ghost_source, tt, active)
-    rhoP, uP, thP, UP = state[0], state[1:4], state[4], state[5:]
-    if np.any(thP <= 0.0):
+    ws = _workspace(grid.shape)
+    _ringed_state(ws, fs, g, cfg, ghost_source, tt)
+    thP = ws.thP
+    if (thP <= 0.0).any():
         raise RunAbort("nonpositive temperature entering rhs")
-    pP = np.multiply(g.R, rhoP, out=ws.p)
+    pP = np.multiply(g.R, ws.rhoP, out=ws.p)
     pP *= thP
     cP = np.multiply(g.gamma * g.R, thP, out=ws.c)
     np.sqrt(cP, out=cP)
+    aP = ws.speed
 
     visc = cfg.visc_mult
     spacing = grid.spacing
-    tend = np.zeros((5,) + grid.shape)
+    tend = np.empty(ws.tend_shape)
     bflux = np.zeros(5)
 
     # each in-place sequence below performs its formula's operations in the
     # order the plain expression would, so the work arrays change no bit
-    for ax in active:
-        dx = spacing[ax]
-        w = ws.axes[ax]
-        L, R = w.L, w.R
+    for w in ws.axes:
+        dx = spacing[w.ax]
 
         # cell fluxes and signal speeds once on the ringed array, then per face:
         # F = 0.5 (FP[L] + FP[R]) - 0.5 s (UP[R] - UP[L])
-        FP = _euler_flux(ws.flux, UP, uP[ax], pP, ax)
-        aP = np.abs(uP[ax], out=ws.speed)
+        w.f_mass[...] = w.U_normal
+        np.multiply(w.U_mom, w.un, out=w.f_mom)
+        w.f_ax += pP
+        np.add(w.U_E, pP, out=w.f_E)
+        w.f_E *= w.un
+        np.abs(w.un, out=aP)
         aP += cP
-        s = np.maximum(aP[L], aP[R], out=w.s)
+        s = np.maximum(w.aL, w.aR, out=w.s)
         s *= 0.5
-        F = np.add(FP[L], FP[R], out=w.F)
+        F = np.add(w.FL, w.FR, out=w.F)
         F *= 0.5
-        dU = np.subtract(UP[R], UP[L], out=w.dU)
+        dU = np.subtract(w.UR, w.UL, out=w.dU)
         dU *= s
         F -= dU
 
         if visc > 0.0:
-            thL, thR = thP[L], thP[R]
-            uL, uR = uP[L], uP[R]
-            pw = np.add(thL, thR, out=w.pw)          # thF ** alpha
-            pw *= 0.5
+            # face average and normal difference of (u1, u2, u3, theta) at once:
+            # uF, thF ** alpha and dn_u = d u_c / d x_ax, dthdn are their rows
+            q = np.add(w.qL, w.qR, out=w.q)
+            q *= 0.5
+            pw = w.pw
             pw **= g.alpha
-            uF = np.add(uL, uR, out=w.uF)
-            uF *= 0.5
+            dq = np.subtract(w.qR, w.qL, out=w.dq)
+            dq /= dx
 
             # velocity gradient at the face: exact normal difference,
             # averaged central differences in the transverse directions;
             # derivatives along inactive axes vanish identically
-            dn_u = np.subtract(uR, uL, out=w.dn_u)   # d u_c / d x_ax
-            dn_u /= dx
-            divu, dc_uax = w.divu, w.dc_uax          # dc_uax: d u_ax / d x_c
-            divu[...] = dn_u[ax]
-            dc_uax[ax] = dn_u[ax]
-            for bx in range(3):
-                if bx in w.cross:
-                    cd = _face_cross_diff(w, uP, bx, spacing[bx])  # d u_c / d x_bx
-                    divu += cd[bx]
-                    dc_uax[bx] = cd[ax]
-                elif bx != ax:
-                    dc_uax[bx] = 0.0
+            divu = w.divu                            # dc_uax: d u_ax / d x_c
+            divu[...] = w.dn_uax
+            w.dc_ax[...] = w.dn_uax
+            for c in w.cross:
+                _face_cross_diff(c, spacing[c.bx])
+                divu += c.d_bx
+                c.dc_bx[...] = c.d_ax
             # stress column T[:, ax] = mu (dn_u + dc_uax), plus lambda divu on ax
-            tau = np.add(dn_u, dc_uax, out=w.tau)
+            tau = np.add(w.dn_u, w.dc_uax, out=w.tau)
             coef = np.multiply(g.mu1, pw, out=w.coef)
             tau *= coef
             np.multiply(g.lambda1, pw, out=coef)
             divu *= coef
-            tau[ax] += divu
-            dthdn = np.subtract(thR, thL, out=w.dthdn)
-            dthdn /= dx
+            w.tau_ax += divu
+            dthdn = w.dthdn
             np.multiply(g.kappa1, pw, out=coef)
             dthdn *= coef
 
             # F[4] -= visc (sum_c uF_c tau_c + kappa dthdn); F[1:4] -= visc tau
+            uF = w.uF
             uF *= tau
-            heat = np.sum(uF, axis=0, out=w.heat)
+            heat = np.add.reduce(uF, axis=0, out=w.heat)
             heat += dthdn
             heat *= visc
-            F[4] -= heat
+            w.F_E -= heat
             tau *= visc
-            F[1:4] -= tau
+            w.F_mom -= tau
 
-        ddx = np.subtract(F[w.hi], F[w.lo], out=ws.ddx)   # np.diff along ax
-        ddx /= dx
-        tend -= ddx
-
-        if ax == 0:
+        # tend -= np.diff(F) / dx along ax, from tend = 0: on the first axis
+        # that is 0 - np.diff(F) / dx, which keeps the +0 that (F_lo - F_hi) / dx
+        # would turn into -0 where F_lo = -0 meets F_hi = +0
+        if w.ax == 0:
+            np.subtract(w.F_hi, w.F_lo, out=tend)
+            tend /= dx
+            np.subtract(0.0, tend, out=tend)
             face_area = grid.cell_volume / dx
-            bflux += (F[:, 0].reshape(5, -1).sum(axis=1)
-                      - F[:, -1].reshape(5, -1).sum(axis=1)) * face_area
+            np.add.reduce(w.F_ends, axis=2, out=w.ends)
+            bflux += (w.ends_first - w.ends_last) * face_area
+        else:
+            ddx = np.subtract(w.F_hi, w.F_lo, out=ws.ddx)
+            ddx /= dx
+            tend -= ddx
 
     return tend, bflux
 
@@ -369,14 +425,19 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
     grid = fs.grid
     prim = fs.primitives(g)
     u, theta = prim[1:4], prim[4]
-    c = np.sqrt(g.gamma * g.R * np.maximum(theta, 0.0))
-    active = _active_axes(grid)
+    c = np.maximum(theta, 0.0)
+    c *= g.gamma * g.R
+    np.sqrt(c, out=c)
+    active = _active_axes(grid.shape)
     spacing = grid.spacing
 
     max_speed = 0.0
     dt_conv = np.inf
+    speed = np.empty_like(c)
     for ax in active:
-        sp = float(np.max(np.abs(u[ax]) + c))
+        np.abs(u[ax], out=speed)
+        speed += c
+        sp = float(speed.max())
         max_speed = max(max_speed, sp)
         if sp > 0.0:
             dt_conv = min(dt_conv, cfg.cfl * spacing[ax] / sp)
@@ -394,10 +455,16 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
         d, c = len(active), g.mu1 + g.lambda1
         longitudinal = max(1.0, d * c / (2.0 * c + d * g.mu1)) * (
             (2.0 * g.mu1 + g.lambda1) * f + g.mu1 * (1.0 - f))
+        # diff = visc max(longitudinal pw, kappa pw (gamma - 1) / R) / rho
         pw = theta ** g.alpha
-        diff = cfg.visc_mult * np.maximum(
-            longitudinal * pw, g.kappa1 * pw * (g.gamma - 1.0) / g.R) / fs.rho
-        dmax = float(np.max(diff))
+        diff = np.multiply(longitudinal, pw, out=speed)
+        heat = np.multiply(g.kappa1, pw, out=pw)
+        heat *= g.gamma - 1.0
+        heat /= g.R
+        np.maximum(diff, heat, out=diff)
+        diff *= cfg.visc_mult
+        diff /= fs.rho
+        dmax = float(diff.max())
         if dmax > 0.0:
             dt_visc = _VISC_FRACTION * _RK3_REAL_LIMIT / (4.0 * dmax * inv_h2)
 
@@ -448,10 +515,9 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
     out = FieldSet(fs.grid, U3, t0 + dt)
     diag = StepDiagnostics(
-        dt=dt, max_speed=max_speed,
-        min_rho=float(np.min(out.rho)), min_theta=float(np.min(out.primitives(g)[4])),
-        totals=out.totals(), boundary_flux=bflux)
-    if not np.isfinite(out.rho).all() or not np.isfinite(out.E).all():
+        dt=dt, max_speed=max_speed, min_rho=float(out.rho.min()),
+        min_theta=float(out.primitives(g)[4].min()), boundary_flux=bflux)
+    if not np.isfinite(U3[::4]).all():    # rows rho and E
         raise RunAbort("non-finite state after step", diag)
     if diag.min_rho < cfg.floor_rho or diag.min_theta < cfg.floor_theta:
         raise RunAbort(

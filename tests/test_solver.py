@@ -235,6 +235,148 @@ def test_rhs_result_survives_next_rhs():
     assert not _same_bytes(again, kept)
 
 
+# The allocating kernel from before the work area: every index, view and
+# temporary is made afresh on each call, each formula written as one plain
+# expression.  rhs and step must reproduce it to the bit.
+
+def _ref_face_index(ax, active):
+    lo = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
+    hi = list(lo)
+    lo[ax] = slice(0, -1)
+    hi[ax] = slice(1, None)
+    return (Ellipsis, *lo), (Ellipsis, *hi)
+
+
+def _ref_ringed_state(fs, cfg, ghost_source, t, active):
+    ring = [1 if ax in active else 0 for ax in range(3)]
+    shape = fs.grid.shape
+    state = np.empty((10,) + tuple(n + 2 * r for n, r in zip(shape, ring)))
+    inner = tuple(slice(r, n + r) for n, r in zip(shape, ring))
+    state[(slice(0, 5),) + inner] = fs.primitives(GAS)
+    state[(slice(5, 10),) + inner] = fs.U
+    periodic = active if cfg.boundary == "fully-periodic" else active[1:]
+    for ax in periodic:
+        planes = np.moveaxis(state, 1 + ax, 0)
+        planes[0], planes[-1] = planes[-2], planes[1]
+    if cfg.boundary == "fully-periodic":
+        return state
+    if ghost_source is None:
+        state[:, 0] = state[:, 1]
+        state[:, -1] = state[:, -2]
+    else:
+        ghosts = ghost_source(t)
+        state[:, 0] = ghosts[:, 0, None, None]
+        state[:, -1] = ghosts[:, 1, None, None]
+    return state
+
+
+def _ref_euler_flux(U, un, p, ax):
+    f = np.empty_like(U)
+    f[0] = U[1 + ax]
+    np.multiply(U[1:4], un, out=f[1:4])
+    f[1 + ax] += p
+    f[4] = (U[4] + p) * un
+    return f
+
+
+def _ref_face_cross_diff(uP, ax, bx, dxb, padded):
+    idx_p = [slice(None)] * 4
+    for sp in padded:
+        if sp not in (ax, bx):
+            idx_p[1 + sp] = slice(1, -1)
+    idx_m = list(idx_p)
+    idx_p[1 + bx] = slice(2, None)
+    idx_m[1 + bx] = slice(0, -2)
+    cd = (uP[tuple(idx_p)] - uP[tuple(idx_m)]) / (2.0 * dxb)
+    idx_l = [slice(None)] * 4
+    idx_r = [slice(None)] * 4
+    idx_l[1 + ax] = slice(0, -1)
+    idx_r[1 + ax] = slice(1, None)
+    return 0.5 * (cd[tuple(idx_l)] + cd[tuple(idx_r)])
+
+
+def _ref_rhs(fs, cfg, ghost_source, t):
+    g, grid = GAS, fs.grid
+    active = [0] + [ax for ax, n in ((1, grid.n2), (2, grid.n3)) if n > 1]
+    state = _ref_ringed_state(fs, cfg, ghost_source, t, active)
+    rhoP, uP, thP, UP = state[0], state[1:4], state[4], state[5:]
+    pP = g.R * rhoP * thP
+    cP = np.sqrt(g.gamma * g.R * thP)
+    visc = cfg.visc_mult
+    spacing = grid.spacing
+    tend = np.zeros((5,) + grid.shape)
+    bflux = np.zeros(5)
+    for ax in active:
+        dx = spacing[ax]
+        L, R = _ref_face_index(ax, active)
+        FP = _ref_euler_flux(UP, uP[ax], pP, ax)
+        aP = np.abs(uP[ax]) + cP
+        s = np.maximum(aP[L], aP[R])
+        F = 0.5 * (FP[L] + FP[R]) - 0.5 * s * (UP[R] - UP[L])
+        if visc > 0.0:
+            thL, thR = thP[L], thP[R]
+            uLall, uRall = uP[L], uP[R]
+            pw = (0.5 * (thL + thR)) ** g.alpha
+            muF, lamF, kapF = g.mu1 * pw, g.lambda1 * pw, g.kappa1 * pw
+            uF = 0.5 * (uLall + uRall)
+            dn_u = (uRall - uLall) / dx
+            cross = {bx: _ref_face_cross_diff(uP, ax, bx, spacing[bx], active)
+                     for bx in active if bx != ax}
+            divu = dn_u[ax]
+            dc_uax = np.zeros_like(dn_u)
+            dc_uax[ax] = dn_u[ax]
+            for bx, cd in cross.items():
+                divu = divu + cd[bx]
+                dc_uax[bx] = cd[ax]
+            tau = muF * (dn_u + dc_uax)
+            tau[ax] += lamF * divu
+            dthdn = (thR - thL) / dx
+            F[1:4] -= visc * tau
+            F[4] -= visc * (np.sum(uF * tau, axis=0) + kapF * dthdn)
+        tend -= np.diff(F, axis=1 + ax) / dx
+        if ax == 0:
+            face_area = grid.cell_volume / dx
+            bflux += (F[:, 0].reshape(5, -1).sum(axis=1)
+                      - F[:, -1].reshape(5, -1).sum(axis=1)) * face_area
+    return tend, bflux
+
+
+def _ref_step(fs, cfg, ghost_source):
+    dt = stable_dt(fs, GAS, cfg)[0]
+    t0, U0 = fs.time, fs.U
+    k1, b1 = _ref_rhs(fs, cfg, ghost_source, t0)
+    U1 = U0 + dt * k1
+    k2, b2 = _ref_rhs(FieldSet(fs.grid, U1, t0 + dt), cfg, ghost_source, t0 + dt)
+    U2 = 0.75 * U0 + 0.25 * (U1 + dt * k2)
+    k3, b3 = _ref_rhs(FieldSet(fs.grid, U2, t0 + 0.5 * dt), cfg, ghost_source, t0 + 0.5 * dt)
+    U3 = (U0 + 2.0 * (U2 + dt * k3)) / 3.0
+    bflux = np.zeros(5)
+    for w, b in zip((1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0), (b1, b2, b3)):
+        bflux += w * dt * b
+    return U3, bflux
+
+
+def _planar_line_cases():
+    """The eps-sweep's layout: a pinned 1-D line whose u2 = u3 = 0 exactly, and
+    whose u1 changes sign, so signed zeros meet in the flux differences."""
+    grid = SlabGrid(L=2.0, n1=16)
+    spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
+    x = grid.x1()[:, None, None]
+    u = np.zeros((3,) + grid.shape)
+    u[0] = 0.3 * np.sin(x)
+    fs = FieldSet.from_primitives(grid, GAS, 1.0 + 0.2 * np.tanh(x), u, 1.0 + 0.1 * np.cos(x))
+    return [(fs, SolverConfig(eps=eps, boundary="pinned-profile"), ghost)
+            for eps in (0.0, 0.05) for ghost in (profile_ghost_source(spec, grid), None)]
+
+
+def test_rhs_matches_allocating_reference():
+    for fs, cfg, ghost in _workspace_cases() + _planar_line_cases():
+        tend, bflux = rhs(fs, GAS, cfg, ghost, t=fs.time)
+        assert _same_bytes([tend, bflux], _ref_rhs(fs, cfg, ghost, fs.time))
+        out, diag = step(fs, GAS, cfg, ghost)
+        assert _same_bytes([out.U, diag.boundary_flux], _ref_step(fs, cfg, ghost))
+
+
 def test_pinned_ghosts_do_not_leak_into_torus_run():
     # a pinned run leaves its ghost columns in the shared ring; the torus run
     # that follows must rebuild every ghost cell from its own interior
