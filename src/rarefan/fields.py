@@ -8,7 +8,6 @@ keeps discrete integrals over the slab R x T^2 consistent across dims.
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 
@@ -56,12 +55,11 @@ class SlabGrid:
     def dx3(self) -> float:
         return self.period / self.n3 if self.dims == 3 else self.period
 
-    # computed once per grid: the solver reads them on every rhs
-    @functools.cached_property
+    @property
     def spacing(self) -> tuple[float, float, float]:
         return (self.dx1, self.dx2, self.dx3)
 
-    @functools.cached_property
+    @property
     def cell_volume(self) -> float:
         return self.dx1 * self.dx2 * self.dx3
 
