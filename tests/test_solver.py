@@ -237,7 +237,7 @@ def test_rhs_result_survives_next_rhs():
 
 # The allocating kernel from before the work area: every index, view and
 # temporary is made afresh on each call, each formula written as one plain
-# expression.  rhs and step must reproduce it to the bit.
+# expression.  primitives, stable_dt, rhs and step must reproduce it to the bit.
 
 def _ref_face_index(ax, active):
     lo = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
@@ -247,12 +247,21 @@ def _ref_face_index(ax, active):
     return (Ellipsis, *lo), (Ellipsis, *hi)
 
 
+def _ref_primitives(fs, g=GAS):
+    prim = np.empty_like(fs.U)
+    prim[0] = fs.rho
+    u = prim[1:4]
+    np.divide(fs.m, fs.rho, out=u)
+    prim[4] = (g.gamma - 1.0) / g.R * (fs.E / fs.rho - 0.5 * np.sum(u * u, axis=0))
+    return prim
+
+
 def _ref_ringed_state(fs, cfg, ghost_source, t, active):
     ring = [1 if ax in active else 0 for ax in range(3)]
     shape = fs.grid.shape
     state = np.empty((10,) + tuple(n + 2 * r for n, r in zip(shape, ring)))
     inner = tuple(slice(r, n + r) for n, r in zip(shape, ring))
-    state[(slice(0, 5),) + inner] = fs.primitives(GAS)
+    state[(slice(0, 5),) + inner] = _ref_primitives(fs)
     state[(slice(5, 10),) + inner] = fs.U
     periodic = active if cfg.boundary == "fully-periodic" else active[1:]
     for ax in periodic:
@@ -341,8 +350,36 @@ def _ref_rhs(fs, cfg, ghost_source, t):
     return tend, bflux
 
 
+def _ref_stable_dt(fs, cfg, g=GAS):
+    grid = fs.grid
+    prim = _ref_primitives(fs, g)
+    u, theta = prim[1:4], prim[4]
+    c = np.sqrt(g.gamma * g.R * np.maximum(theta, 0.0))
+    active = [0] + [ax for ax, n in ((1, grid.n2), (2, grid.n3)) if n > 1]
+    spacing = grid.spacing
+    max_speed, dt_conv, dt_visc = 0.0, np.inf, np.inf
+    for ax in active:
+        sp = float(np.max(np.abs(u[ax]) + c))
+        max_speed = max(max_speed, sp)
+        if sp > 0.0:
+            dt_conv = min(dt_conv, cfg.cfl * spacing[ax] / sp)
+    if cfg.visc_mult > 0.0:
+        inv_h2 = sum(spacing[ax] ** -2 for ax in active)
+        f = min(spacing[ax] for ax in active) ** -2 / inv_h2
+        d, c = len(active), g.mu1 + g.lambda1
+        longitudinal = max(1.0, d * c / (2.0 * c + d * g.mu1)) * (
+            (2.0 * g.mu1 + g.lambda1) * f + g.mu1 * (1.0 - f))
+        pw = theta ** g.alpha
+        diff = cfg.visc_mult * np.maximum(
+            longitudinal * pw, g.kappa1 * pw * (g.gamma - 1.0) / g.R) / fs.rho
+        dmax = float(np.max(diff))
+        if dmax > 0.0:
+            dt_visc = solver._VISC_FRACTION * solver._RK3_REAL_LIMIT / (4.0 * dmax * inv_h2)
+    return min(dt_conv, dt_visc), max_speed
+
+
 def _ref_step(fs, cfg, ghost_source):
-    dt = stable_dt(fs, GAS, cfg)[0]
+    dt = _ref_stable_dt(fs, cfg)[0]
     t0, U0 = fs.time, fs.U
     k1, b1 = _ref_rhs(fs, cfg, ghost_source, t0)
     U1 = U0 + dt * k1
@@ -369,8 +406,30 @@ def _planar_line_cases():
             for eps in (0.0, 0.05) for ghost in (profile_ghost_source(spec, grid), None)]
 
 
+def _cellwise_random_cases():
+    """Every field varies from cell to cell, so a reordered sum changes some bit."""
+    spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
+    rng = np.random.default_rng(7)
+    cases = []
+    for grid, boundary in ((SlabGrid(L=2.0, n1=12, n2=6, dims=2), "pinned-profile"),
+                           (SlabGrid.torus(1.0, 8, 4, 6, dims=3), "fully-periodic")):
+        shp = grid.shape
+        fs = FieldSet.from_primitives(grid, GAS, 1.0 + 0.2 * rng.random(shp),
+                                      0.3 * (rng.random((3,) + shp) - 0.5),
+                                      1.0 + 0.2 * rng.random(shp))
+        ghost = profile_ghost_source(spec, grid) if boundary == "pinned-profile" else None
+        cases.append((fs, SolverConfig(eps=0.05, boundary=boundary), ghost))
+    return cases
+
+
 def test_rhs_matches_allocating_reference():
-    for fs, cfg, ghost in _workspace_cases() + _planar_line_cases():
+    # a gas whose heat entry sets the viscous step, with R != gamma - 1
+    heat_bound = GasParams(gamma=1.4, R=0.287, A=1.0, alpha=0.7, lambda1=0.0, kappa1=10.0)
+    for fs, cfg, ghost in _workspace_cases() + _planar_line_cases() + _cellwise_random_cases():
+        assert _same_bytes([fs.primitives(GAS)], [_ref_primitives(fs)])
+        assert stable_dt(fs, GAS, cfg) == _ref_stable_dt(fs, cfg)
+        assert stable_dt(FieldSet(fs.grid, fs.U), heat_bound, cfg) == \
+            _ref_stable_dt(fs, cfg, heat_bound)
         tend, bflux = rhs(fs, GAS, cfg, ghost, t=fs.time)
         assert _same_bytes([tend, bflux], _ref_rhs(fs, cfg, ghost, fs.time))
         out, diag = step(fs, GAS, cfg, ghost)
