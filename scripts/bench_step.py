@@ -11,7 +11,9 @@ initial states the studies start from:
   its first (largest) eps, on its n1 = 384 grid and on the 768-cell grid of
   its refinement pre-check;
 - ``slab256x32``: the decay study of DIR/perfbench/configs/slab2d_decay.ini
-  (256 x 32 cells, perturbed).
+  (256 x 32 cells, perturbed);
+- ``box160x16x16``: the same study on a 3-D grid, ``[grid] n1 = 160,
+  n2 = n3 = 16, dims = 3``.
 
 Each call is timed with ``timeit``: the number of calls per repeat is the one
 ``Timer.autorange`` picks (at least 0.2 s), and the best of --repeats
@@ -23,6 +25,7 @@ work: one ``stable_dt`` and three ``rhs``. Prints one JSON object.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import sys
@@ -48,9 +51,12 @@ def cases(root: Path) -> dict:
     sweep = parse_config(root / "configs" / "eps_sweep.ini")
     eps = max(sweep.experiment.sweep)
     slab = parse_config(root / "perfbench" / "configs" / "slab2d_decay.ini")
+    box = dataclasses.replace(slab, grid=dataclasses.replace(slab.grid, n1=160, n2=16, n3=16,
+                                                             dims=3))
     return {"line384": pinned(sweep, eps, 0.0),
             "line768": pinned(sweep, eps, 0.0, 2 * sweep.grid.n1),
-            "slab256x32": pinned(slab, slab.solver.eps, slab.experiment.eta)}
+            "slab256x32": pinned(slab, slab.solver.eps, slab.experiment.eta),
+            "box160x16x16": pinned(box, box.solver.eps, box.experiment.eta)}
 
 
 def best_us(fn, repeats: int) -> float:

@@ -19,7 +19,7 @@ from .gas import GasParams
 from .fields import FieldSet, SlabGrid, save_fields
 from .waves import (WaveSpec, cutoff_exact_distance, profile_lp_norm, velocity_span,
                     smooth_cutoff_distance, sample_exact, sample_cutoff, smooth_profile)
-from .solver import run, profile_ghost_source
+from .solver import RunAbort, run, profile_ghost_source
 from .analysis import (decompose, sup_distance, fit_rate, gn_check, gn_sample, GN_CASES,
                        nonzero_mode_energy)
 from .ansatz import (PerturbationSpec, assemble_initial, x1_window,
@@ -352,8 +352,11 @@ def energy_observer(spec: WaveSpec):
         rho_bar, u1_bar, th_bar = _smooth_background(spec, fs)
         psi = fs.velocity()
         psi[0] -= u1_bar
-        rep = energy_report(fs.rho - rho_bar, psi, fs.temperature(g) - th_bar,
-                            rho_bar, th_bar, fs.grid, g, tau=fs.time)
+        try:
+            rep = energy_report(fs.rho - rho_bar, psi, fs.temperature(g) - th_bar,
+                                rho_bar, th_bar, fs.grid, g, tau=fs.time)
+        except ValueError as exc:
+            raise RunAbort(f"energy observer at t = {fs.time:.6g}: {exc}") from exc
         row = rep.as_row()
         row.pop("tau", None)  # the base record already carries the time
         return row

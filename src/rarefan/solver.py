@@ -15,12 +15,15 @@ that the caller owns; step forms each SSP-RK3 stage in place on the tendency
 it got for it.  The work area makes rhs unsafe to call from concurrent
 threads on grids of one shape.
 
-On small grids (the 1-D sweep lines) a call costs its numpy dispatches more
-than its arithmetic, so the work area also binds, once, every view rhs reads
-or writes: face pairs, ring interior and ghost planes, flux rows.  rhs
-builds no index and no view per call.  The face terms of (u1, u2, u3, theta)
-are stored as the four rows state[1:5], so their face average and their
-normal difference are one operation each.
+rhs builds no index and no view per call: the work area binds, once, every
+view rhs reads or writes, since on the 1-D sweep lines a call costs its numpy
+dispatches more than its arithmetic.  The ring is flat, (rows, N) over its N
+cells, with strides (r2 r3, r3, 1) for ring extents (r1, r2, r3): along an
+axis of stride s face j lies between cells j and j + s, so each face pair is
+the contiguous slice pair [:N - s], [s:], not a view of short runs.  Pairs
+across a row end or on a transverse ghost are computed and never read.  The
+face terms of (u1, u2, u3, theta) are the rows state[1:5], so their face
+average and normal difference are one operation each.
 """
 
 from __future__ import annotations
@@ -132,20 +135,6 @@ def _active_axes(shape: tuple[int, int, int]) -> tuple[int, ...]:
     return (0,) + tuple(ax for ax in (1, 2) if shape[ax] > 1)
 
 
-def _face_index(ax: int, active: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """(left, right) indices of the two cells of every face along ax.
-
-    They apply to the spatial axes of any ghost-ringed array: the ax axis keeps
-    its ghost extent so there is one pair per face (n_ax + 1 of them); other
-    ringed axes are cut to the interior.
-    """
-    lo = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
-    hi = list(lo)
-    lo[ax] = slice(0, -1)
-    hi[ax] = slice(1, None)
-    return (Ellipsis, *lo), (Ellipsis, *hi)
-
-
 def _along(ax: int, index) -> tuple:
     """Index of a stacked array picking index on spatial axis ax and everything elsewhere."""
     out = [slice(None)] * 3
@@ -157,44 +146,43 @@ class _CrossWork:
     """Views of one transverse pair (ax, bx) of an axis pass: d u_c / d x_bx at the faces
     along ax for the two components c = ax, bx that the stress column reads.
 
-    The rows are the stepped slice lo:hi+1:hi-lo of (u1, u2, u3), a view.
+    The rows are the stepped slice lo:hi+1:hi-lo of (u1, u2, u3), a view.  cd
+    is central in bx on cells [sb, N - sb); its face average covers faces
+    [sb, N - sa - sb), which hold every face of the grid.
     """
 
-    def __init__(self, ax: int, bx: int, active: tuple[int, ...], uP: np.ndarray,
-                 cd: np.ndarray, face: np.ndarray, dc_uax: np.ndarray):
+    def __init__(self, ax: int, bx: int, sa: int, sb: int, uP: np.ndarray, take,
+                 divu: np.ndarray, dc_uax: np.ndarray):
+        n = uP.shape[1] - 2 * sb              # the cells with both bx neighbours
         lo, hi = min(ax, bx), max(ax, bx)
         rows = uP[lo:hi + 1:hi - lo]
-        plus = [slice(1, -1) if sp in active else slice(None) for sp in range(3)]
-        plus[ax] = slice(None)
-        minus = list(plus)
-        plus[bx], minus[bx] = slice(2, None), slice(0, -2)
         self.bx = bx
-        self.plus, self.minus = rows[(Ellipsis, *plus)], rows[(Ellipsis, *minus)]
-        self.cd, self.face = cd, face
-        self.cd_lo, self.cd_hi = cd[_along(ax, slice(0, -1))], cd[_along(ax, slice(1, None))]
+        self.plus, self.minus = rows[:, 2 * sb:], rows[:, :n]
+        self.cd, self.face = cd, face = take("cd", n), take("cd_face", n - sa)
+        self.cd_lo, self.cd_hi = cd[:, :n - sa], cd[:, sa:]
         self.d_bx, self.d_ax = face[int(bx > ax)], face[int(ax > bx)]  # d u_bx, d u_ax / d x_bx
-        self.dc_bx = dc_uax[bx]
+        self.divu, self.dc_bx = divu[sb:sb + n - sa], dc_uax[bx, sb:sb + n - sa]
 
 
 class _AxisWork:
     """Work arrays of one axis pass of rhs, and every view of them and of the
     ring that the pass reads or writes, bound once.
 
-    Shapes: faces along ax are (n_ax + 1) wide on ax and interior elsewhere;
-    cd keeps the ghost ring on ax only.  q holds the face averages of the four
-    rows (u1, u2, u3, theta), dq their normal differences; coef holds one of
-    the face coefficients mu, lambda, kappa at a time.
+    Face arrays hold the N - s faces j between flat cells j and j + s.  q holds
+    the face averages of the four rows (u1, u2, u3, theta), dq their normal
+    differences; coef holds one of the face coefficients mu, lambda, kappa at
+    a time.
     """
 
     FACE = {"F": 5, "dU": 5, "s": 1, "q": 4, "dq": 4, "coef": 1, "tau": 3, "divu": 1,
-            "heat": 1, "cd_face": 2}
+            "heat": 1, "cd": 2, "cd_face": 2}
 
-    def __init__(self, ax: int, active: tuple[int, ...], ws: "_Workspace",
-                 arrays: dict[str, np.ndarray]):
-        vars(self).update(arrays)
+    def __init__(self, ax: int, ws: "_Workspace", take):
         self.ax = ax
+        s, s0, N = ws.stride[ax], ws.stride[0], ws.state.shape[1]
+        nf = N - s
+        vars(self).update({name: take(name, nf) for name in self.FACE})
         state, flux, U, uP = ws.state, ws.flux, ws.state[5:], ws.state[1:4]
-        L, R = _face_index(ax, active)
 
         # Euler flux on the ring: f[0] = U[1+ax], f[1:4] = U[1:4] un with p
         # added on row 1+ax, f[4] = (U[4] + p) un
@@ -204,31 +192,38 @@ class _AxisWork:
         self.f_E, self.U_E = flux[4], U[4]
 
         # the two cells of every face
-        self.FL, self.FR = flux[L], flux[R]
-        self.UL, self.UR = U[L], U[R]
-        self.aL, self.aR = ws.speed[L], ws.speed[R]
-        self.qL, self.qR = state[1:5][L], state[1:5][R]
+        self.FL, self.FR = flux[:, :nf], flux[:, s:]
+        self.UL, self.UR = U[:, :nf], U[:, s:]
+        self.aL, self.aR = ws.speed[:nf], ws.speed[s:]
+        self.qL, self.qR = state[1:5, :nf], state[1:5, s:]
         self.uF, self.pw = self.q[:3], self.q[3]
         self.dn_u, self.dthdn, self.dn_uax = self.dq[:3], self.dq[3], self.dq[ax]
         self.F_mom, self.F_E, self.tau_ax = self.F[1:4], self.F[4], self.tau[ax]
-        self.F_lo, self.F_hi = self.F[_along(ax, slice(0, -1))], self.F[_along(ax, slice(1, None))]
-        if ax == 0:   # the first and last x1 faces, a (5, 2, n2 n3) view of a contiguous F
-            self.F_ends = self.F[:, ::self.F.shape[1] - 1].reshape(5, 2, -1)
+        # the faces i - s and i of the x1-interior cells i in [s0, N - s0)
+        self.F_lo = self.F[:, s0 - s:N - s0 - s].reshape(ws.slab_shape)
+        self.F_hi = self.F[:, s0:N - s0].reshape(ws.slab_shape)
+        if ax == 0:   # the first and last x1 faces, summed from a contiguous copy
+            n1, n2, n3 = ws.tend_shape[1:]
+            self.F_ends = self.F.reshape((5, n1 + 1) + ws.slab_shape[2:])[:, ::n1][ws.slab_in]
+            self.ends_in = np.empty((5, 2, n2 * n3))
+            self.ends_copy = self.ends_in.reshape(5, 2, n2, n3)
             self.ends = np.empty((5, 2))                # their sums
             self.ends_first, self.ends_last = self.ends[:, 0], self.ends[:, 1]
 
         # d u_ax / d x_c has its own array: rows of inactive axes stay zero
-        self.dc_uax = np.zeros_like(self.dn_u)
+        self.dc_uax = np.zeros((3, nf))
         self.dc_ax = self.dc_uax[ax]
-        self.cross = [_CrossWork(ax, bx, active, uP, self.cd, self.cd_face, self.dc_uax)
-                      for bx in active if bx != ax]
+        self.cross = [_CrossWork(ax, bx, s, ws.stride[bx], uP, take, self.divu, self.dc_uax)
+                      for bx in ws.active if bx != ax]
 
 
 class _Workspace:
     """The arrays rhs and step fill on one grid, allocated once per grid shape,
     with the views rhs reads and writes, bound once.
 
-    Ring-sized arrays hold the ghost-ringed state and its cell quantities.
+    The ring-sized arrays are flat and filled through a (rows,) + ring view.
+    The divergence runs over the x1-interior cells [s0, N - s0), accumulated
+    in T (the tendency itself in 1-D) whose transverse ghosts are never read.
     Each face-sized array of _AxisWork is a view of one flat buffer sized for
     the widest axis: the axes take turns on it, so an axis pass writes every
     entry it reads.
@@ -236,16 +231,19 @@ class _Workspace:
 
     def __init__(self, shape: tuple[int, int, int]):
         self.tend_shape = (5,) + shape
-        active = _active_axes(shape)
+        self.active = active = _active_axes(shape)
         ring = tuple(n + 2 if ax in active else n for ax, n in enumerate(shape))
-        self.state = state = np.empty((10,) + ring)
-        self.p, self.c, self.speed = np.empty(ring), np.empty(ring), np.empty(ring)
-        self.flux = np.empty((5,) + ring)
-        self.ddx = np.empty((5,) + shape)
-
+        N = math.prod(ring)
+        self.stride = (ring[1] * ring[2], ring[2], 1)
+        self.state = np.empty((10, N))
+        self.p, self.c, self.speed = np.empty(N), np.empty(N), np.empty(N)
+        self.flux = np.empty((5, N))
+        self.slab_shape = (5, shape[0]) + ring[1:]
         inner = tuple(slice(1, -1) if ax in active else slice(None) for ax in range(3))
+        self.slab_in = (slice(None), slice(None)) + inner[1:]   # a slab's interior
+        state = self.state.reshape((10,) + ring)
         self.prim_in, self.U_in = state[(slice(0, 5),) + inner], state[(slice(5, 10),) + inner]
-        self.rhoP, self.thP = state[0], state[4]
+        self.rhoP, self.thP = self.state[0], self.state[4]
         # ghost planes 0 and n + 1 of each active axis and their periodic
         # sources n and 1, as one stepped view each
         self.wraps = [(state[_along(ax, slice(0, None, n + 1))],
@@ -256,19 +254,20 @@ class _Workspace:
         self.x1_edges = state[:, 1:n1 + 1:n1 - 1]     # ... copy planes 1 and n1 ...
         self.x1_columns = self.x1_ghosts.transpose(2, 3, 0, 1)  # ... or the (10, 2) ghost columns
 
-        def along(ax, extra):
-            return tuple(n + extra if sp == ax else n for sp, n in enumerate(shape))
+        widest = N - min(self.stride[ax] for ax in active)
+        pools = {name: np.empty(k * widest) for name, k in _AxisWork.FACE.items()}
 
-        def views(k, shapes):
-            flat = np.empty(k * max(math.prod(sh) for sh in shapes.values()))
-            return {ax: flat[:k * math.prod(sh)].reshape(((k,) if k > 1 else ()) + sh)
-                    for ax, sh in shapes.items()}
+        def take(name, n):
+            k = _AxisWork.FACE[name]
+            flat = pools[name][:k * n]
+            return flat.reshape(k, n) if k > 1 else flat
 
-        faces = {ax: along(ax, 1) for ax in active}
-        pools = {name: views(k, faces) for name, k in _AxisWork.FACE.items()}
-        pools["cd"] = views(2, {ax: along(ax, 2) for ax in active})
-        self.axes = [_AxisWork(ax, active, self, {name: v[ax] for name, v in pools.items()})
-                     for ax in active]
+        self.axes = [_AxisWork(ax, self, take) for ax in active]
+        self.T = None   # ddx shares dU's buffer, free once an axis pass has formed F
+        if len(active) > 1:
+            self.T, self.ddx = np.empty(self.slab_shape), take("dU", N - 2 * self.stride[0])
+            self.ddx = self.ddx.reshape(self.slab_shape)
+            self.T_inner, self.ddx_inner = self.T[self.slab_in], self.ddx[self.slab_in]
 
 
 @functools.lru_cache(maxsize=8)
@@ -300,15 +299,6 @@ def _ringed_state(ws: _Workspace, fs: FieldSet, g: GasParams, cfg: SolverConfig,
         ws.x1_columns[...] = ghost_source(t)
 
 
-def _face_cross_diff(c: _CrossWork, dxb: float) -> np.ndarray:
-    """d u_(ax, bx) / d x_bx at the faces: central in bx, averaged across the face."""
-    np.subtract(c.plus, c.minus, out=c.cd)
-    c.cd /= 2.0 * dxb
-    np.add(c.cd_lo, c.cd_hi, out=c.face)
-    c.face *= 0.5
-    return c.face
-
-
 def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
         ghost_source: GhostSource | None = None,
         t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -337,6 +327,7 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     visc = cfg.visc_mult
     spacing = grid.spacing
     tend = np.empty(ws.tend_shape)
+    T = tend if ws.T is None else ws.T
     bflux = np.zeros(5)
 
     # each in-place sequence below performs its formula's operations in the
@@ -377,9 +368,12 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
             divu = w.divu                            # dc_uax: d u_ax / d x_c
             divu[...] = w.dn_uax
             w.dc_ax[...] = w.dn_uax
-            for c in w.cross:
-                _face_cross_diff(c, spacing[c.bx])
-                divu += c.d_bx
+            for c in w.cross:   # central in bx, averaged across the face
+                cd = np.subtract(c.plus, c.minus, out=c.cd)
+                cd /= 2.0 * spacing[c.bx]
+                np.add(c.cd_lo, c.cd_hi, out=c.face)
+                c.face *= 0.5
+                c.divu += c.d_bx
                 c.dc_bx[...] = c.d_ax
             # stress column T[:, ax] = mu (dn_u + dc_uax), plus lambda divu on ax
             tau = np.add(w.dn_u, w.dc_uax, out=w.tau)
@@ -402,20 +396,21 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
             tau *= visc
             w.F_mom -= tau
 
-        # tend -= np.diff(F) / dx along ax, from tend = 0: on the first axis
-        # that is 0 - np.diff(F) / dx, which keeps the +0 that (F_lo - F_hi) / dx
-        # would turn into -0 where F_lo = -0 meets F_hi = +0
+        # tend -= np.diff(F) / dx along ax, from tend = 0, summed on the slab T
+        # whose interior the last axis writes into tend.  The first axis takes
+        # 0 - np.diff(F) / dx, which keeps the +0 that (F_lo - F_hi) / dx would
+        # turn into -0 where F_lo = -0 meets F_hi = +0
+        ddx = np.subtract(w.F_hi, w.F_lo, out=T if w.ax == 0 else ws.ddx)
+        ddx /= dx
         if w.ax == 0:
-            np.subtract(w.F_hi, w.F_lo, out=tend)
-            tend /= dx
-            np.subtract(0.0, tend, out=tend)
-            face_area = grid.cell_volume / dx
-            np.add.reduce(w.F_ends, axis=2, out=w.ends)
-            bflux += (w.ends_first - w.ends_last) * face_area
+            np.subtract(0.0, T, out=T)
+            w.ends_copy[...] = w.F_ends
+            np.add.reduce(w.ends_in, axis=2, out=w.ends)
+            bflux += (w.ends_first - w.ends_last) * (grid.cell_volume / dx)
+        elif w.ax == ws.active[-1]:
+            np.subtract(ws.T_inner, ws.ddx_inner, out=tend)
         else:
-            ddx = np.subtract(w.F_hi, w.F_lo, out=ws.ddx)
-            ddx /= dx
-            tend -= ddx
+            T -= ddx
 
     return tend, bflux
 

@@ -221,6 +221,22 @@ def test_cli_numerical_abort_exit_code(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("numerical abort: positivity floor hit")
 
 
+def test_cli_observer_positivity_break_exit_code(tmp_path, capsys, monkeypatch):
+    # the energy observer's positivity check fails mid-run: exit 3, one line
+    import rarefan.analysis as an
+    from rarefan.cli import main
+
+    def broken(*args, **kwargs):
+        raise ValueError("perturbed state left the positive cone")
+    monkeypatch.setattr(an, "energy_report", broken)
+    text = (BASE.replace("kind = cutoff-study", "kind = simulate")
+                .replace("n1 = 256", "n1 = 64")
+                .replace("dir = out", f"dir = {tmp_path}/out"))
+    assert main(["run", "--config", str(write(tmp_path, text))]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical abort: energy observer")
+
+
 def test_cli_wave_dump(tmp_path):
     from rarefan.cli import main
     from rarefan.gas import GasParams, PrimState

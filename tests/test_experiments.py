@@ -165,6 +165,21 @@ def test_eps_sweep_paired_run_abort_is_a_failure_row():
     assert len(paired) == 1 and paired[0]["failed"].startswith("positivity floor hit")
 
 
+def test_energy_observer_positivity_break_is_a_run_abort():
+    # a state outside the positive cone met by the observer in the middle of a
+    # run is a numerical abort (exit 3), not a configuration error
+    from rarefan.experiments import energy_observer
+    from rarefan.fields import FieldSet, SlabGrid
+    from rarefan.solver import RunAbort
+    cfg = config(kind="simulate")
+    grid = SlabGrid(L=2.0, n1=16)
+    theta = np.ones(grid.shape)
+    theta[5] = -0.1
+    fs = FieldSet.from_primitives(grid, GAS, 1.0, np.zeros((3,) + grid.shape), theta, time=0.3)
+    with pytest.raises(RunAbort, match="left the positive cone"):
+        energy_observer(cfg.wave_spec(0.05))(fs, GAS)
+
+
 def test_run_simulate(tmp_path, monkeypatch):
     import rarefan.experiments as ex
     from rarefan.fields import load_fields

@@ -183,15 +183,21 @@ def test_rhs_unaffected_by_caller_mutation():
 
 
 def _workspace_cases():
-    """(fs, cfg, ghost) on 1-D and 2-D pinned, 2-D and 3-D torus grids, eps 0 and > 0.
+    """(fs, cfg, ghost) on 1-D, 2-D and 3-D pinned and torus grids, eps 0 and > 0.
 
     The 2-D pinned and torus grids have one shape, so they share work arrays.
+    The flat ring is tried where its strides are least regular: n2 != n3, an
+    inactive x2 between active x1 and x3, and a two-cell transverse axis.
     """
     spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
     layouts = ((SlabGrid(L=2.0, n1=16), "pinned-profile"),
                (SlabGrid(L=2.0, n1=12, n2=6, dims=2), "pinned-profile"),
                (SlabGrid.torus(1.0, 12, 6, dims=2), "fully-periodic"),
-               (SlabGrid.torus(1.0, 8, 4, 6, dims=3), "fully-periodic"))
+               (SlabGrid.torus(1.0, 8, 4, 6, dims=3), "fully-periodic"),
+               (SlabGrid(L=2.0, n1=10, n2=4, n3=6, dims=3), "pinned-profile"),
+               (SlabGrid(L=2.0, n1=10, n2=1, n3=5, dims=3), "pinned-profile"),
+               (SlabGrid.torus(1.0, 6, 1, 4, dims=3), "fully-periodic"),
+               (SlabGrid(L=2.0, n1=10, n2=2, dims=2), "pinned-profile"))
     cases = []
     for eps in (0.0, 0.05):
         for grid, boundary in layouts:
@@ -214,15 +220,18 @@ def _same_bytes(a, b):
 def test_workspace_reuse_is_bitwise_neutral():
     # rhs and step reuse one set of work arrays per grid shape: any interleaving
     # of layouts and viscosities must give bitwise the results of a first call
+    # (under errstate raise, so that no entry rhs computes and never reads
+    # overflows or turns into NaN)
     cases = _workspace_cases()
     first = []
-    for case in cases:
-        solver._workspace.cache_clear()
-        first.append(_rhs_then_step(*case))
-    order = list(range(len(cases))) * 2
-    np.random.default_rng(3).shuffle(order)
-    for i in order:
-        assert _same_bytes(_rhs_then_step(*cases[i]), first[i]), i
+    with np.errstate(all="raise"):
+        for case in cases:
+            solver._workspace.cache_clear()
+            first.append(_rhs_then_step(*case))
+        order = list(range(len(cases))) * 2
+        np.random.default_rng(3).shuffle(order)
+        for i in order:
+            assert _same_bytes(_rhs_then_step(*cases[i]), first[i]), i
 
 
 def test_rhs_result_survives_next_rhs():
@@ -425,15 +434,17 @@ def _cellwise_random_cases():
 def test_rhs_matches_allocating_reference():
     # a gas whose heat entry sets the viscous step, with R != gamma - 1
     heat_bound = GasParams(gamma=1.4, R=0.287, A=1.0, alpha=0.7, lambda1=0.0, kappa1=10.0)
-    for fs, cfg, ghost in _workspace_cases() + _planar_line_cases() + _cellwise_random_cases():
-        assert _same_bytes([fs.primitives(GAS)], [_ref_primitives(fs)])
-        assert stable_dt(fs, GAS, cfg) == _ref_stable_dt(fs, cfg)
-        assert stable_dt(FieldSet(fs.grid, fs.U), heat_bound, cfg) == \
-            _ref_stable_dt(fs, cfg, heat_bound)
-        tend, bflux = rhs(fs, GAS, cfg, ghost, t=fs.time)
-        assert _same_bytes([tend, bflux], _ref_rhs(fs, cfg, ghost, fs.time))
-        out, diag = step(fs, GAS, cfg, ghost)
-        assert _same_bytes([out.U, diag.boundary_flux], _ref_step(fs, cfg, ghost))
+    cases = _workspace_cases() + _planar_line_cases() + _cellwise_random_cases()
+    with np.errstate(all="raise"):
+        for fs, cfg, ghost in cases:
+            assert _same_bytes([fs.primitives(GAS)], [_ref_primitives(fs)])
+            assert stable_dt(fs, GAS, cfg) == _ref_stable_dt(fs, cfg)
+            assert stable_dt(FieldSet(fs.grid, fs.U), heat_bound, cfg) == \
+                _ref_stable_dt(fs, cfg, heat_bound)
+            tend, bflux = rhs(fs, GAS, cfg, ghost, t=fs.time)
+            assert _same_bytes([tend, bflux], _ref_rhs(fs, cfg, ghost, fs.time))
+            out, diag = step(fs, GAS, cfg, ghost)
+            assert _same_bytes([out.U, diag.boundary_flux], _ref_step(fs, cfg, ghost))
 
 
 def test_pinned_ghosts_do_not_leak_into_torus_run():
