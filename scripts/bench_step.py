@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one solver rhs and one SSP-RK3 step on the eps-sweep line and the decay slab.
+"""Time one solver rhs and one SSP-RK3 step on the eps-sweep lines, the decay slab and a box.
 
     python scripts/bench_step.py DIR [--repeats 7]
 

@@ -263,10 +263,10 @@ class _Workspace:
             return flat.reshape(k, n) if k > 1 else flat
 
         self.axes = [_AxisWork(ax, self, take) for ax in active]
-        self.T = None   # ddx shares dU's buffer, free once an axis pass has formed F
-        if len(active) > 1:
-            self.T, self.ddx = np.empty(self.slab_shape), take("dU", N - 2 * self.stride[0])
-            self.ddx = self.ddx.reshape(self.slab_shape)
+        self.T = None
+        if len(active) > 1:   # ddx shares dU's buffer, free once an axis pass has formed F
+            self.T = np.empty(self.slab_shape)
+            self.ddx = take("dU", N - 2 * self.stride[0]).reshape(self.slab_shape)
             self.T_inner, self.ddx_inner = self.T[self.slab_in], self.ddx[self.slab_in]
 
 
