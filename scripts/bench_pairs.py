@@ -7,9 +7,14 @@
 Pair i runs each tree's ``perfbench/run.py --workload W --seed i --seconds S
 --trace 0`` once from that tree's root, the parent first on even pairs and
 the change first on odd ones, so that drift of the machine's speed falls on
-both sides. Minor page faults of an invocation are the growth of
-``getrusage(RUSAGE_CHILDREN).ru_minflt`` across it: every process the run
-starts (set-up probes and operations) is counted once.
+both sides. Each invocation also records the usage of its whole process
+tree (run.py, its set-up probes and operations, and the operations' forked
+workers), as ``os.wait4`` reports it: ``minor_faults`` and ``tree_cpu_s``
+(user plus system seconds) are what the invocation adds to
+``getrusage(RUSAGE_CHILDREN)``, and ``tree_max_rss_mb`` is the largest
+resident set of any one process in the tree. ``peak_rss_mb`` sees only an
+operation's own process, so these show what a wall-time gain costs in CPU
+and in worker memory.
 
 Adds the workload's entry to ``BENCH_<topic>.json`` (in --out, default the
 current directory), so that one file holds several workloads: the machine,
@@ -22,32 +27,43 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
 
 
 def invoke(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run.py invocation: its end-to-end metrics, provenance and minor faults."""
+    """One run.py invocation: its end-to-end metrics, provenance and the usage
+    of its process tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
-    lines = proc.stdout.strip().splitlines()
+    with tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=err, text=True)
+        out = proc.stdout.read()
+        proc.stdout.close()
+        # wait4 reports the invocation's own tree, where RUSAGE_CHILDREN's
+        # ru_maxrss would be the largest child of every invocation so far
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        err_lines = err.read().strip().splitlines()
+    lines = out.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: run.py exited {proc.returncode}: "
-                           f"{(proc.stderr.strip().splitlines() or ['no output'])[-1]}")
+                           f"{(err_lines or ['no output'])[-1]}")
     result = json.loads(lines[-1])
     provenance = next(json.loads(ln.split(" ", 1)[1]) for ln in lines
                       if ln.startswith("provenance "))
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    metrics["minor_faults"] = faults
+    metrics["minor_faults"] = usage.ru_minflt
+    metrics["tree_cpu_s"] = usage.ru_utime + usage.ru_stime
+    metrics["tree_max_rss_mb"] = usage.ru_maxrss * 1024 / 1e6
     return {"metrics": metrics, "correct": result["correct"],
             "operations": sum(1 for ln in lines if ln.startswith("op ")),
             "provenance": provenance}
@@ -95,7 +111,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    better["minor_faults"] = "lower"
+    better.update(minor_faults="lower", tree_cpu_s="lower", tree_max_rss_mb="lower")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     pairs = []
@@ -109,6 +125,7 @@ def main(argv=None) -> int:
         pairs.append(pair)
         print(f"pair {i}: " + ", ".join(
             f"{s} wall {pair[s]['metrics']['wall_s']:.3f} s, "
+            f"cpu {pair[s]['metrics']['tree_cpu_s']:.2f} s, "
             f"faults {pair[s]['metrics']['minor_faults']}" for s in SIDES), flush=True)
 
     machine = {k: provenance["change"][k] for k in ("cpu_model", "nproc", "caches", "python",

@@ -110,6 +110,26 @@ def _report(kind: str, cfg: ExperimentConfig, t0: float, rows: list[dict],
                        cfg.as_dict(), notes or [])
 
 
+def _concurrently(here, elsewhere) -> list:
+    """[here(), fn(*args) for each (fn, args) of elsewhere], in that order.
+
+    here() runs in this process while forked workers, min(len(elsewhere),
+    usable CPUs - 1) but at least one, run the others. The fn must pickle by
+    name and the args and results by value; each worker takes them through
+    the same code as this process, so the results are bitwise the serial
+    ones. An exception of here() or of a worker is raised here (here's first,
+    then the workers' in the order of elsewhere), and no worker outlives the
+    call.
+    """
+    import multiprocessing
+
+    workers = max(1, min(len(elsewhere), len(os.sched_getaffinity(0)) - 1))
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        pending = [pool.apply_async(fn, args) for fn, args in elsewhere]
+        mine = here()
+        return [mine] + [p.get() for p in pending]
+
+
 # ---------------------------------------------------------------------------
 # cut-off error law
 # ---------------------------------------------------------------------------
@@ -284,17 +304,25 @@ def run_viscosity_sweep(cfg: ExperimentConfig) -> StudyReport:
     configured desk-scale links, mirroring the coupled scalings' structure;
     the distance floor sits at nu, so fixed nu would flatten the trend.
     A refinement pre-check validates the grid at eps_list[0], the largest (best-resolved) eps.
+    The pre-check's 2*n1 run, the longest, stays in this process; the other
+    runs go to workers.
     """
     t0 = time.time()
     eps_list = sorted(cfg.experiment.sweep or (0.04, 0.02, 0.01), reverse=True)
+    eta = cfg.experiment.eta
+    mid = eps_list[len(eps_list) // 2]
+    points = [(_eps_sweep_point, (cfg, e)) for e in eps_list]
+    if eta > 0.0:
+        points.append((_eps_sweep_point, (cfg, mid, None, eta)))
+    fine, *rows = _concurrently(lambda: _eps_sweep_point(cfg, eps_list[0], n1=2 * cfg.grid.n1),
+                                points)
+    paired = rows.pop() if eta > 0.0 else None
 
-    coarse = _eps_sweep_point(cfg, eps_list[0])
-    fine = _eps_sweep_point(cfg, eps_list[0], n1=2 * cfg.grid.n1)
+    coarse = rows[0]
     ok_pair = np.isfinite(coarse["distance"]) and np.isfinite(fine["distance"])
     refine_rel = (abs(coarse["distance"] - fine["distance"]) / coarse["distance"]
                   if ok_pair else float("inf"))
 
-    rows = [coarse] + [_eps_sweep_point(cfg, e) for e in eps_list[1:]]
     failures = [r for r in rows if not np.isfinite(r["distance"])]
     dvals = [r["distance"] for r in rows if np.isfinite(r["distance"])]
     if len(dvals) >= 3:
@@ -315,15 +343,13 @@ def run_viscosity_sweep(cfg: ExperimentConfig) -> StudyReport:
     }
     notes = [f"power_log exponent {exponent:.3f} (R^2 {r2:.3f})"]
 
-    if cfg.experiment.eta > 0.0:
-        mid = eps_list[len(eps_list) // 2]
-        paired = _eps_sweep_point(cfg, mid, eta=cfg.experiment.eta)
+    if paired is not None:
         base = next(r for r in rows if r["eps"] == mid and r.get("eta", 0.0) == 0.0)
         paired["distance_gap_vs_unperturbed"] = abs(paired["distance"] - base["distance"])
         rows.append(paired)
         checks["no_run_failures"] &= "failed" not in paired
         checks["perturbation_influence_bounded"] = (
-            paired["distance_gap_vs_unperturbed"] <= 10.0 * cfg.experiment.eta
+            paired["distance_gap_vs_unperturbed"] <= 10.0 * eta
             + 0.05 * base["distance"])
 
     for r in rows:
@@ -396,8 +422,9 @@ def run_nonzero_decay(cfg: ExperimentConfig) -> StudyReport:
     t0 = time.time()
     if cfg.experiment.eta <= 0.0:
         raise ConfigError("decay experiment needs experiment.eta > 0")
-    records, grid = _decay_run(cfg, modes="all")
-    control, _ = _decay_run(cfg, modes="planar")
+    # the perturbed run here, the planar control in a worker
+    (records, grid), (control, _) = _concurrently(lambda: _decay_run(cfg, "all"),
+                                                  [(_decay_run, (cfg, "planar"))])
 
     rows = []
     for r in records:
@@ -434,6 +461,16 @@ def run_nonzero_decay(cfg: ExperimentConfig) -> StudyReport:
 # periodic-background decay
 # ---------------------------------------------------------------------------
 
+def _background_row(cfg: ExperimentConfig, grid: SlabGrid, scfg, eta: float) -> dict:
+    """One torus run at amplitude eta; wall_time is this run's own."""
+    tic = time.time()
+    rep = evolve_periodic_background(cfg.right, _perturbation(cfg, eta), cfg.gas, scfg,
+                                     grid, cfg.experiment.horizon)
+    return {"eta": eta, "rate": rep.rate, "r2": rep.r2,
+            "mean_drift": rep.mean_drift, "amp0": float(rep.dev_sup[0]),
+            "amp_final": float(rep.dev_sup[-1]), "wall_time": time.time() - tic}
+
+
 def run_background_decay(cfg: ExperimentConfig) -> StudyReport:
     """Torus run: deviations from the constant state decay exponentially and
     their cell averages are conserved; onset amplitude is linear in eta."""
@@ -444,13 +481,9 @@ def run_background_decay(cfg: ExperimentConfig) -> StudyReport:
                           dims=max(cfg.grid.dims, 2))
     scfg = cfg.solver.solver_config(boundary="fully-periodic")
     etas = list(cfg.experiment.sweep) or [cfg.experiment.eta, cfg.experiment.eta / 2.0]
-    rows = []
-    for eta in etas:
-        rep = evolve_periodic_background(cfg.right, _perturbation(cfg, eta), cfg.gas, scfg,
-                                         grid, cfg.experiment.horizon)
-        rows.append({"eta": eta, "rate": rep.rate, "r2": rep.r2,
-                     "mean_drift": rep.mean_drift, "amp0": float(rep.dev_sup[0]),
-                     "amp_final": float(rep.dev_sup[-1]), "wall_time": time.time() - t0})
+    # the first eta's run here, one run per other eta in a worker
+    rows = _concurrently(lambda: _background_row(cfg, grid, scfg, etas[0]),
+                         [(_background_row, (cfg, grid, scfg, eta)) for eta in etas[1:]])
     rows.sort(key=lambda r: -r["eta"])
     checks = {
         "mean_conserved": all(r["mean_drift"] <= 1e-10 for r in rows),

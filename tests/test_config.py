@@ -237,6 +237,33 @@ def test_cli_observer_positivity_break_exit_code(tmp_path, capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("numerical abort: energy observer")
 
 
+def test_cli_worker_abort_exit_code(tmp_path, capsys, monkeypatch):
+    # the decay study's planar control runs in a forked worker; its abort
+    # must reach the CLI as exit 3 with one line, and leave no worker behind
+    import multiprocessing
+    import os
+    import rarefan.experiments as ex
+    from rarefan.cli import main
+    from rarefan.solver import RunAbort
+
+    caller, real_run = os.getpid(), ex.run
+
+    def abort_in_worker(*args, **kwargs):
+        if os.getpid() != caller:
+            raise RunAbort("positivity floor hit in the worker")
+        return real_run(*args, **kwargs)
+    monkeypatch.setattr(ex, "run", abort_in_worker)
+    text = (BASE.replace("kind = cutoff-study\nsweep = 0.1, 0.05, 0.025",
+                         "kind = decay\neta = 1e-3\nhorizon = 0.002\nmode_cap = 2")
+                .replace("n1 = 256", "n1 = 128\nn2 = 8")
+                .replace("dims = 1", "dims = 2")
+                .replace("dir = out", f"dir = {tmp_path}/out"))
+    assert main(["run", "--config", str(write(tmp_path, text))]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numerical abort: positivity floor hit in the worker"]
+    assert multiprocessing.active_children() == []
+
+
 def test_cli_wave_dump(tmp_path):
     from rarefan.cli import main
     from rarefan.gas import GasParams, PrimState

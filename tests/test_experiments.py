@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import pickle
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +11,7 @@ from rarefan.config import (ExperimentConfig, WaveBlock, GridBlock, SolverBlock,
                             ExperimentBlock, ConfigError)
 from rarefan.experiments import (run_cutoff_study, run_profile_study, run_viscosity_sweep,
                                  run_nonzero_decay, run_background_decay, run_gn_check,
-                                 run_simulate, _decay_run)
+                                 run_simulate, _decay_run, _concurrently)
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
 
@@ -208,3 +213,83 @@ def test_run_simulate(tmp_path, monkeypatch):
     assert len(finals) == 1
     assert snap.time == finals[0].time == pytest.approx(horizon, abs=1e-12)
     np.testing.assert_array_equal(snap.U, finals[0].U)
+
+
+# workers take their function by name, so the helpers they run live here
+def _pid_tagged(tag):
+    return tag, os.getpid()
+
+
+def _raise_value_error(message):
+    raise ValueError(message)
+
+
+def _abort_with_diagnostics():
+    from rarefan.solver import RunAbort, StepDiagnostics
+    raise RunAbort("positivity floor hit", StepDiagnostics(1e-4, 2.0, 0.5, 0.25,
+                                                           np.arange(5.0)))
+
+
+def test_concurrently_keeps_call_order_and_runs_here_in_caller():
+    out = _concurrently(lambda: ("here", os.getpid()),
+                        [(_pid_tagged, ("a",)), (_pid_tagged, ("b",))])
+    assert [tag for tag, _ in out] == ["here", "a", "b"]
+    assert out[0][1] == os.getpid()
+    assert os.getpid() not in {pid for _, pid in out[1:]}
+    assert multiprocessing.active_children() == []
+
+
+def test_concurrently_raises_worker_exception_and_leaves_no_worker():
+    with pytest.raises(ValueError, match="from the worker"):
+        _concurrently(lambda: 1, [(_raise_value_error, ("from the worker",))])
+    assert multiprocessing.active_children() == []
+
+
+def test_concurrently_stops_workers_when_here_raises():
+    # the worker would sleep for a minute; the caller's exception ends it
+    def here():
+        raise ValueError("from the caller")
+    tic = time.time()
+    with pytest.raises(ValueError, match="from the caller"):
+        _concurrently(here, [(time.sleep, (60.0,))])
+    assert time.time() - tic < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_run_abort_keeps_message_and_diagnostics_across_processes():
+    from rarefan.solver import RunAbort, StepDiagnostics
+    diag = StepDiagnostics(1e-4, 2.0, 0.5, 0.25, np.arange(5.0))
+    back = pickle.loads(pickle.dumps(RunAbort("positivity floor hit", diag)))
+    assert str(back) == "positivity floor hit"
+    assert back.diagnostics.min_theta == 0.25
+    np.testing.assert_array_equal(back.diagnostics.boundary_flux, np.arange(5.0))
+    assert pickle.loads(pickle.dumps(RunAbort("no diagnostics"))).diagnostics is None
+
+    with pytest.raises(RunAbort, match="positivity floor hit") as err:
+        _concurrently(lambda: 1, [(_abort_with_diagnostics, ())])
+    assert err.value.diagnostics.dt == 1e-4
+    np.testing.assert_array_equal(err.value.diagnostics.boundary_flux, np.arange(5.0))
+    assert multiprocessing.active_children() == []
+
+
+def test_background_rows_carry_their_own_wall_time(monkeypatch):
+    # every evolve call takes one tick of a fake clock; serially the second
+    # row used to read two ticks, the time since the study began
+    import rarefan.experiments as ex
+    from rarefan.ansatz import BackgroundReport
+
+    class Clock:
+        now = 0.0
+
+        def time(self):
+            return self.now
+    clock = Clock()
+
+    def one_tick(state, pspec, g, cfg, grid, horizon):
+        clock.now += 1.0
+        return BackgroundReport(np.array([pspec.eta, 0.1 * pspec.eta]), 0.0, -1.0, 1.0)
+    monkeypatch.setattr(ex, "time", clock)
+    monkeypatch.setattr(ex, "evolve_periodic_background", one_tick)
+    rep = run_background_decay(config(kind="background", eta=1e-3, sweep=(1e-3, 5e-4, 2.5e-4)))
+    assert [r["eta"] for r in rep.rows] == [1e-3, 5e-4, 2.5e-4]
+    assert [r["wall_time"] for r in rep.rows] == [1.0, 1.0, 1.0]
