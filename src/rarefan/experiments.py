@@ -118,16 +118,18 @@ def _concurrently(here, elsewhere) -> list:
     name and the args and results by value; each worker takes them through
     the same code as this process, so the results are bitwise the serial
     ones. An exception of here() or of a worker is raised here (here's first,
-    then the workers' in the order of elsewhere), and no worker outlives the
-    call.
+    then the workers' in the order of elsewhere), a worker that dies raises
+    BrokenProcessPool, and the call returns or raises only once every worker
+    has exited.
     """
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     workers = max(1, min(len(elsewhere), len(os.sched_getaffinity(0)) - 1))
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        pending = [pool.apply_async(fn, args) for fn, args in elsewhere]
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        pending = [pool.submit(fn, *args) for fn, args in elsewhere]
         mine = here()
-        return [mine] + [p.get() for p in pending]
+        return [mine] + [f.result() for f in pending]
 
 
 # ---------------------------------------------------------------------------

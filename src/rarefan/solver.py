@@ -93,11 +93,6 @@ class RunAbort(RuntimeError):
         super().__init__(message)
         self.diagnostics = diagnostics
 
-    def __reduce__(self):
-        # rebuilt through __init__, so an abort raised in a worker process
-        # reaches the caller with its message and its diagnostics
-        return type(self), (self.args[0], self.diagnostics)
-
 
 # ghost_source(t) -> (10, 2) array whose columns are the left and right x1
 # ghost cells: primitives (rho, u1, u2, u3, theta) over conserved values
