@@ -19,7 +19,7 @@ from .gas import GasParams
 from .fields import FieldSet, SlabGrid, save_fields
 from .waves import (WaveSpec, cutoff_exact_distance, profile_lp_norm, velocity_span,
                     smooth_cutoff_distance, sample_exact, sample_cutoff, smooth_profile)
-from .solver import RunAbort, run, profile_ghost_source
+from .solver import RunAbort, SolverConfig, run, profile_ghost_source
 from .analysis import (decompose, sup_distance, fit_rate, gn_check, gn_sample, GN_CASES,
                        nonzero_mode_energy)
 from .ansatz import (PerturbationSpec, assemble_initial, x1_window,
@@ -463,7 +463,8 @@ def run_nonzero_decay(cfg: ExperimentConfig) -> StudyReport:
 # periodic-background decay
 # ---------------------------------------------------------------------------
 
-def _background_row(cfg: ExperimentConfig, grid: SlabGrid, scfg, eta: float) -> dict:
+def _background_row(cfg: ExperimentConfig, grid: SlabGrid, scfg: SolverConfig,
+                    eta: float) -> dict:
     """One torus run at amplitude eta; wall_time is this run's own."""
     tic = time.time()
     rep = evolve_periodic_background(cfg.right, _perturbation(cfg, eta), cfg.gas, scfg,
