@@ -55,7 +55,7 @@ def main():
     n1 = int(round(2 * L / (period / nt)))
     slab = SlabGrid(L=L, n1=n1, period=period, n2=nt, dims=2)
 
-    scfg = SolverConfig(eps=args.eps, boundary="fully-periodic")
+    scfg = SolverConfig(eps=args.eps)
     pspec = PerturbationSpec(eta=args.eta, mode_cap=3, seed=args.seed)
     ladder = np.linspace(0.05, 0.65, 7)
     dt_fd = 2e-3

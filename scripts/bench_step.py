@@ -45,7 +45,7 @@ def cases(root: Path) -> dict:
         grid = sweep_grid(spec, cfg, n1)
         fs = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
                               window=_pinned_window(spec, grid))
-        scfg = cfg.solver.solver_config(boundary="pinned-profile", eps=eps)
+        scfg = cfg.solver.solver_config(eps=eps)
         return fs, cfg.gas, scfg, profile_ghost_source(spec, grid)
 
     sweep = parse_config(root / "configs" / "eps_sweep.ini")

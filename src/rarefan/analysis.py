@@ -63,21 +63,6 @@ def lp_line(f0: np.ndarray, grid: SlabGrid, p: float) -> float:
     return float((np.sum(np.abs(f0) ** p) * grid.dx1 * grid.transverse_area) ** (1.0 / p))
 
 
-def projection_bounds_check(f: np.ndarray, grid: SlabGrid, p: float) -> dict[str, float]:
-    """Projection L^p bounds: |D0 f| <= |f| and |Dneq f| <= 2 |f|.
-
-    The non-zero-mode side uses the triangle-inequality constant 2; the sharp
-    constant is 1 but only the boundedness enters anywhere downstream.
-    """
-    ms = decompose(f, grid)
-    nf = lp_slab(f, grid, p)
-    n0 = lp_line(ms.zero, grid, p)
-    nq = lp_slab(ms.nonzero, grid, p)
-    return {"f": nf, "zero": n0, "nonzero": nq,
-            "zero_ok": n0 <= nf * (1.0 + 1e-12) + 1e-300,
-            "nonzero_ok": nq <= 2.0 * nf * (1.0 + 1e-12) + 1e-300}
-
-
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------

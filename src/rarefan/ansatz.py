@@ -192,8 +192,6 @@ def evolve_periodic_background(state: PrimState, pspec: PerturbationSpec,
     Tracks the sup norm and the cell averages of the conserved deviations;
     the decay rate is a semilog fit over the second half of the samples.
     """
-    if cfg.boundary != "fully-periodic":
-        raise ValueError("background evolution must run on the torus")
     base = constant_conserved(state, g)
     fs = perturbed_constant_state(state, pspec, grid, g)
 
@@ -278,11 +276,6 @@ def _blend_weights(spec: WaveSpec, g: GasParams, U: np.ndarray) -> np.ndarray:
             raise ValueError(f"degenerate weight: component {c} equal at both end states")
         weights.append((U[c] - left[c]) / den)
     return np.stack(weights, axis=0)
-
-
-def ansatz_weights(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float) -> np.ndarray:
-    """The three blending weights (rho, m, E channels) on the grid at Burgers time t."""
-    return _blend_weights(spec, g, wave_conserved(spec, grid, g, t).U)
 
 
 def ansatz_errors(prev: FieldSet, now: FieldSet, nxt: FieldSet,

@@ -17,7 +17,7 @@ import sys
 
 from .gas import GasParams, PrimState
 from .waves import WaveSpec
-from .config import ConfigError, parse_config
+from .config import parse_config
 from .experiments import DRIVERS, run_wave_dump
 from .solver import RunAbort
 
@@ -67,10 +67,7 @@ def main(argv=None) -> int:
         print(report.summary())
         print(f"wrote {path}")
         return 0 if report.passed else 1
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:   # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except RunAbort as exc:

@@ -57,7 +57,6 @@ class SolverBlock:
     cfl: float = 0.4
     floor_rho: float = 1e-9
     floor_theta: float = 1e-9
-    boundary: str = "pinned-profile"
 
     def solver_config(self, **overrides) -> SolverConfig:
         """The one config-to-solver map: this block, with a driver's overrides."""
@@ -124,37 +123,34 @@ class ExperimentConfig:
     def resolve_nu_delta(self, eps: float) -> tuple[float, float]:
         """Cut-off density and smoothing width for one viscosity value.
 
-        paper_scaling uses nu = eps^(Z a) |log eps|, delta = eps^a and refuses
-        infeasible values; the desk-scale link uses user powers of eps; plain
-        literals otherwise.
+        paper_scaling uses nu = eps^(Z a) |log eps|, delta = eps^a for eps > 0;
+        the desk-scale link uses user powers of eps; plain literals otherwise.
+        A nu outside (0, rho_plus) is refused, not clamped.
         """
-        if self.experiment.paper_scaling:
+        paper = self.experiment.paper_scaling
+        if paper:
+            if eps <= 0.0:
+                raise ConfigError(f"paper-scaling needs eps > 0 for log eps, got eps = {eps:.6g}")
             a, Z = self.paper_constants()
-            nu = eps ** (Z * a) * abs(math.log(eps))
-            delta = eps ** a
-            if nu >= self.right.rho:
-                raise ConfigError(
-                    f"paper-scaling infeasible: nu = eps^(Z a)|log eps| = {nu:.6g} "
-                    f">= rho_plus = {self.right.rho:.6g} at eps = {eps:.6g}; "
-                    "the coupled scalings only bite asymptotically, set nu explicitly")
-            if not 0.0 < delta:
-                raise ConfigError(f"paper-scaling produced invalid delta = {delta:.6g}")
-            return nu, delta
-        w = self.wave
-        if w.nu_coeff is not None:
-            nu = w.nu_coeff * eps ** (w.nu_exp if w.nu_exp is not None else 0.5)
-        elif w.nu is not None:
-            nu = w.nu
+            nu, delta = eps ** (Z * a) * abs(math.log(eps)), eps ** a
         else:
-            raise ConfigError("wave.nu missing: set nu, nu_coeff, or paper_scaling")
-        if w.delta_coeff is not None:
-            delta = w.delta_coeff * eps ** (w.delta_exp if w.delta_exp is not None else 0.5)
-        elif w.delta is not None:
-            delta = w.delta
-        else:
-            raise ConfigError("wave.delta missing: set delta, delta_coeff, or paper_scaling")
+            w = self.wave
+            if w.nu_coeff is not None:
+                nu = w.nu_coeff * eps ** (w.nu_exp if w.nu_exp is not None else 0.5)
+            elif w.nu is not None:
+                nu = w.nu
+            else:
+                raise ConfigError("wave.nu missing: set nu, nu_coeff, or paper_scaling")
+            if w.delta_coeff is not None:
+                delta = w.delta_coeff * eps ** (w.delta_exp if w.delta_exp is not None else 0.5)
+            elif w.delta is not None:
+                delta = w.delta
+            else:
+                raise ConfigError("wave.delta missing: set delta, delta_coeff, or paper_scaling")
         if not 0.0 < nu < self.right.rho:
-            raise ConfigError(f"resolved nu = {nu:.6g} outside (0, rho_plus)")
+            what = "paper-scaling infeasible: nu = eps^(Z a)|log eps|" if paper else "resolved nu"
+            raise ConfigError(f"{what} = {nu:.6g} outside (0, rho_plus = {self.right.rho:.6g}) "
+                              f"at eps = {eps:.6g}")
         return nu, delta
 
     def wave_spec(self, eps: float | None = None) -> WaveSpec:
@@ -252,9 +248,6 @@ def parse_config(path) -> ExperimentConfig:
     if cfg.experiment.kind not in DRIVERS:
         raise ConfigError(f"[experiment] kind must be one of {tuple(DRIVERS)}, "
                           f"got {cfg.experiment.kind!r}")
-    if cfg.experiment.kind == "simulate" and cfg.solver.boundary == "fully-periodic":
-        raise ConfigError("[solver] boundary = fully-periodic would wrap x1 across the "
-                          "wave's two end states; simulate runs pin the x1 ghosts")
     return cfg
 
 

@@ -266,7 +266,7 @@ def _pinned_run(cfg: ExperimentConfig, spec: WaveSpec, grid: SlabGrid, eta: floa
                 **solver_overrides) -> tuple[FieldSet, list[dict]]:
     """Run to the horizon from the smooth wave at t = 0 plus the x1-windowed
     perturbation of amplitude eta, ghosts pinned to the profile."""
-    scfg = cfg.solver.solver_config(boundary="pinned-profile", **solver_overrides)
+    scfg = cfg.solver.solver_config(**solver_overrides)
     initial = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
                                window=_pinned_window(spec, grid), modes=modes)
     return run(initial, cfg.gas, scfg, cfg.experiment.horizon, observers=observers,
@@ -482,7 +482,7 @@ def run_background_decay(cfg: ExperimentConfig) -> StudyReport:
         raise ConfigError("background experiment needs experiment.eta > 0")
     grid = SlabGrid.torus(cfg.grid.period, cfg.grid.n1, cfg.grid.n2, cfg.grid.n3,
                           dims=max(cfg.grid.dims, 2))
-    scfg = cfg.solver.solver_config(boundary="fully-periodic")
+    scfg = cfg.solver.solver_config()
     etas = list(cfg.experiment.sweep) or [cfg.experiment.eta, cfg.experiment.eta / 2.0]
     # the first eta's run here, one run per other eta in a worker
     rows = _concurrently(lambda: _background_row(cfg, grid, scfg, etas[0]),

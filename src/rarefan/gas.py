@@ -103,15 +103,6 @@ def pressure(g: GasParams, rho, theta):
     return float(p) if p.ndim == 0 else p
 
 
-def pressure_from_entropy(g: GasParams, rho, S):
-    """The equivalent adiabatic form p = A rho^gamma exp((gamma-1) S / R)."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0):
-        raise ValueError("pressure_from_entropy: rho must be nonnegative")
-    p = g.A * rho ** g.gamma * np.exp((g.gamma - 1.0) / g.R * np.asarray(S, dtype=float))
-    return float(p) if p.ndim == 0 else p
-
-
 def sound_speed(g: GasParams, theta):
     """c = sqrt(gamma R theta) = sqrt(p_rho at fixed entropy); zero at vacuum."""
     theta = np.asarray(theta, dtype=float)
@@ -119,21 +110,6 @@ def sound_speed(g: GasParams, theta):
         raise ValueError("sound_speed: theta must be nonnegative")
     c = np.sqrt(g.gamma * g.R * theta)
     return float(c) if c.ndim == 0 else c
-
-
-def eigenvalues(g: GasParams, u1, theta):
-    """Characteristic speeds (u1 - c, u1, u1 + c)."""
-    c = sound_speed(g, theta)
-    u1 = np.asarray(u1, dtype=float)
-    lam1, lam2, lam3 = u1 - c, u1 + 0.0 * c, u1 + c
-    if lam2.ndim == 0:
-        return float(lam1), float(lam2), float(lam3)
-    return lam1, lam2, lam3
-
-
-def lambda3(g: GasParams, state: PrimState) -> float:
-    """Fast characteristic speed u1 + c of a primitive state."""
-    return state.u1 + sound_speed(g, state.theta)
 
 
 def transport(g: GasParams, theta):

@@ -60,7 +60,6 @@ class SolverConfig:
     cfl: float = 0.4
     floor_rho: float = 1e-10
     floor_theta: float = 1e-10
-    boundary: str = "pinned-profile"   # or "fully-periodic"
     scaled: bool = False               # tau/y variables: unit viscous multiplier
 
     def __post_init__(self):
@@ -68,8 +67,6 @@ class SolverConfig:
             raise ValueError("cfl must be in (0, 1)")
         if self.eps < 0.0:
             raise ValueError("eps must be nonnegative")
-        if self.boundary not in ("pinned-profile", "fully-periodic"):
-            raise ValueError(f"unknown boundary mode {self.boundary!r}")
 
     @property
     def visc_mult(self) -> float:
@@ -95,7 +92,9 @@ class RunAbort(RuntimeError):
 
 
 # ghost_source(t) -> (10, 2) array whose columns are the left and right x1
-# ghost cells: primitives (rho, u1, u2, u3, theta) over conserved values
+# ghost cells: primitives (rho, u1, u2, u3, theta) over conserved values.
+# It is the one x1 boundary input of rhs, step and run: a source pins the x1
+# ghosts to its columns, None wraps x1 like the transverse axes
 GhostSource = Callable[[float], np.ndarray]
 
 
@@ -249,10 +248,8 @@ class _Workspace:
         self.wraps = [(state[_along(ax, slice(0, None, n + 1))],
                        state[_along(ax, slice(n, 0, 1 - n))])
                       for ax, n in ((ax, shape[ax]) for ax in active)]
-        n1 = shape[0]
-        self.x1_ghosts = state[:, ::n1 + 1]           # pinned: planes 0 and n1 + 1 ...
-        self.x1_edges = state[:, 1:n1 + 1:n1 - 1]     # ... copy planes 1 and n1 ...
-        self.x1_columns = self.x1_ghosts.transpose(2, 3, 0, 1)  # ... or the (10, 2) ghost columns
+        # the x1 ghost planes 0 and n1 + 1 as (..., 10, 2) ghost columns
+        self.x1_columns = state[:, ::shape[0] + 1].transpose(2, 3, 0, 1)
 
         widest = N - min(self.stride[ax] for ax in active)
         pools = {name: np.empty(k * widest) for name, k in _AxisWork.FACE.items()}
@@ -275,27 +272,22 @@ def _workspace(shape: tuple[int, int, int]) -> _Workspace:
     return _Workspace(shape)
 
 
-def _ringed_state(ws: _Workspace, fs: FieldSet, g: GasParams, cfg: SolverConfig,
+def _ringed_state(ws: _Workspace, fs: FieldSet, g: GasParams,
                   ghost_source: GhostSource | None, t: float) -> None:
     """Fill ws.state with primitives (rho, u, theta) over U, one ghost ring on active axes.
 
-    Transverse directions wrap; x1 wraps on fully-periodic runs and otherwise
-    carries the ghost columns supplied by ghost_source (edge copy without
-    one).  Axes are filled in order over the full ring, so corner cells are
-    wrap-of-wrap on the torus and x1 ghost values on pinned runs.  Inactive
-    axes stay single-cell wide.  The interior of the last five rows is fs.U.
-    Every entry is written, so whatever state held before does not matter.
+    Transverse directions wrap.  x1 carries the ghost columns supplied by
+    ghost_source, or wraps too when it is None.  Axes are filled in order over
+    the full ring, so corner cells are wrap-of-wrap on the torus and x1 ghost
+    values on pinned runs.  Inactive axes stay single-cell wide.  The interior
+    of the last five rows is fs.U.  Every entry is written, so whatever state
+    held before does not matter.
     """
     ws.prim_in[...] = fs.primitives(g)
     ws.U_in[...] = fs.U
-    periodic = cfg.boundary == "fully-periodic"
-    for ghosts, source in (ws.wraps if periodic else ws.wraps[1:]):
+    for ghosts, source in (ws.wraps if ghost_source is None else ws.wraps[1:]):
         ghosts[...] = source
-    if periodic:
-        return
-    if ghost_source is None:
-        ws.x1_ghosts[...] = ws.x1_edges
-    else:
+    if ghost_source is not None:
         ws.x1_columns[...] = ghost_source(t)
 
 
@@ -307,6 +299,7 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     Returns (tendency(5, n1, n2, n3), boundary_flux(5,)) where boundary_flux is
     the instantaneous net inflow rate through the two x1 boundaries, so that
     d/dt of each conserved total equals the matching entry on pinned runs.
+    ghost_source pins the x1 ghosts at time t; None wraps x1 (a torus run).
     Both are new arrays the caller owns; the work arrays are the grid's.
     """
     tt = fs.time if t is None else t
@@ -314,7 +307,7 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     if (fs.rho <= 0.0).any():
         raise RunAbort("nonpositive density entering rhs")
     ws = _workspace(grid.shape)
-    _ringed_state(ws, fs, g, cfg, ghost_source, tt)
+    _ringed_state(ws, fs, g, ghost_source, tt)
     thP = ws.thP
     if (thP <= 0.0).any():
         raise RunAbort("nonpositive temperature entering rhs")
@@ -529,7 +522,8 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
     """Advance to the horizon, sampling diagnostics every sample_dt time units.
 
     Steps are capped so that every sample lands on its time t0 + k sample_dt
-    and the last on the horizon.  Each record carries the base diagnostic
+    and the last on the horizon.  ghost_source pins the x1 ghosts; None
+    wraps x1, as on the torus.  Each record carries the base diagnostic
     columns plus whatever the observer callbacks return; records are plain
     dicts ready for CSV emission.
     """

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate
 
-from .gas import GasParams, PrimState, VACUUM_RHO, sound_speed, pressure
+from .gas import GasParams, PrimState, VACUUM_RHO, sound_speed
 
 
 @dataclass(frozen=True)
@@ -334,36 +334,3 @@ def smooth_cutoff_distance(spec: WaveSpec, t: float, n: int = 4001,
         "u1": float(np.max(np.abs(pr.u1 - cu.u1))),
         "theta": float(np.max(np.abs(pr.theta - cu.theta))),
     }
-
-
-def planar_wave_residual(spec: WaveSpec, t: float, x1,
-                         h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual of the inviscid planar-wave equations on the smooth profile.
-
-    Central differences of width h in both t and x1; the profile solves the
-    system exactly, so the residual measures only the stencil error O(h^2).
-    """
-    if t - h < 0.0:
-        raise ValueError("need t >= h for the central time difference")
-    x1v = np.atleast_1d(np.asarray(x1, dtype=float))
-    g = spec.g
-
-    def fields(tt, xx):
-        pr = smooth_profile(spec, tt, xx)
-        return pr.rho, pr.u1, pr.theta
-
-    rho, u1, theta = fields(t, x1v)
-    rho_tp, u1_tp, th_tp = fields(t + h, x1v)
-    rho_tm, u1_tm, th_tm = fields(t - h, x1v)
-    rho_xp, u1_xp, th_xp = fields(t, x1v + h)
-    rho_xm, u1_xm, th_xm = fields(t, x1v - h)
-
-    d_t = lambda fp, fm: (fp - fm) / (2.0 * h)
-    d_x = lambda fp, fm: (fp - fm) / (2.0 * h)
-
-    p = pressure(g, rho, theta)
-    p_xp, p_xm = pressure(g, rho_xp, th_xp), pressure(g, rho_xm, th_xm)
-    r1 = d_t(rho_tp, rho_tm) + d_x(rho_xp * u1_xp, rho_xm * u1_xm)
-    r2 = rho * d_t(u1_tp, u1_tm) + rho * u1 * d_x(u1_xp, u1_xm) + d_x(p_xp, p_xm)
-    r3 = rho * d_t(th_tp, th_tm) + rho * u1 * d_x(th_xp, th_xm) + p * d_x(u1_xp, u1_xm)
-    return r1, r2, r3

@@ -132,7 +132,7 @@ def test_criterion_07_solver_conservation_and_mms():
         u[1] = 0.1 * np.sin(K * X2)
         theta = 1.0 + 0.1 * np.cos(K * (X1 + X2))
         fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-        cfg = SolverConfig(eps=0.05, boundary="fully-periodic")
+        cfg = SolverConfig(eps=0.05)
         tot0 = fs.totals()
         f = fs
         for _ in range(1000):
@@ -153,8 +153,8 @@ def test_criterion_07_solver_conservation_and_mms():
         u[1] = 0.05 * np.sin(K * x)
         theta = 1.0 + 0.2 * np.sin(K * x + 0.7)
         fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-        tv, _ = rhs(fs, GAS, SolverConfig(eps=eps, boundary="fully-periodic"))
-        t_inv, _ = rhs(fs, GAS, SolverConfig(eps=0.0, boundary="fully-periodic"))
+        tv, _ = rhs(fs, GAS, SolverConfig(eps=eps))
+        t_inv, _ = rhs(fs, GAS, SolverConfig(eps=0.0))
         visc = tv - t_inv
         du1 = -0.1 * K * np.sin(K * x)
         d2u1 = -0.1 * K * K * np.cos(K * x)

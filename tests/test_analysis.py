@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from rarefan.gas import GasParams
 from rarefan.fields import SlabGrid
-from rarefan.analysis import (decompose, lp_slab, lp_line, projection_bounds_check,
+from rarefan.analysis import (decompose, lp_slab, lp_line,
                               energy_report, nonzero_mode_energy, gn_check, gn_sample,
                               sup_distance, fit_rate, gradient)
 
@@ -77,24 +77,27 @@ def test_quadratic_commutator():
 
 @pytest.mark.parametrize("p", [1, 2, 4, np.inf])
 def test_projection_bounds(p):
+    # |D0 f| <= |f| and |Dneq f| <= 2 |f| in L^p, the second with the
+    # triangle-inequality constant 2
     grid = slab()
     rng = np.random.default_rng(10)
     for i in range(25):
         f = rng.standard_normal(grid.shape)
-        rep = projection_bounds_check(f, grid, p)
-        assert rep["zero_ok"] and rep["nonzero_ok"]
+        ms = decompose(f, grid)
+        nf = lp_slab(f, grid, p)
+        assert lp_line(ms.zero, grid, p) <= nf * (1.0 + 1e-12)
+        assert lp_slab(ms.nonzero, grid, p) <= 2.0 * nf * (1.0 + 1e-12)
 
 
 def test_projection_bounds_edge_cases():
     grid = slab()
     const = np.ones(grid.shape)
-    rep = projection_bounds_check(const, grid, 2)
-    assert rep["zero"] == pytest.approx(rep["f"], rel=1e-12)
+    assert lp_line(decompose(const, grid).zero, grid, 2) == \
+        pytest.approx(lp_slab(const, grid, 2), rel=1e-12)
     x2 = grid.x2()
     osc = np.broadcast_to(np.cos(2 * np.pi * x2 / grid.period)[None, :, None],
                           grid.shape).copy()
-    rep = projection_bounds_check(osc, grid, 2)
-    assert rep["zero"] < 1e-14
+    assert lp_line(decompose(osc, grid).zero, grid, 2) < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from rarefan.waves import WaveSpec, smooth_profile
 from rarefan.solver import SolverConfig
 from rarefan.ansatz import (PerturbationSpec, make_perturbation, x1_window,
                             assemble_initial, wave_conserved, build_ansatz,
-                            ansatz_weights, ansatz_errors, constant_conserved,
+                            ansatz_errors, constant_conserved, _blend_weights,
                             evolve_periodic_background, perturbed_constant_state,
                             tile_deviation)
 
@@ -144,7 +144,7 @@ def test_ansatz_zero_deviation_is_wave():
 def test_ansatz_weight_sandwich():
     spec = monotone_spec()
     grid = SlabGrid(L=14.0, n1=512)
-    W = ansatz_weights(spec, grid, GAS, 2.0)
+    W = _blend_weights(spec, GAS, wave_conserved(spec, grid, GAS, 2.0).U)
     assert W.min() > -1e-12 and W.max() < 1.0 + 1e-12
     # far right the rho weight saturates at 1
     assert W[0, -1, 0, 0] == pytest.approx(1.0, abs=1e-10)
@@ -161,7 +161,7 @@ def test_ansatz_weights_refuse_shared_momentum():
     assert constant_conserved(spec.left_state(), GAS)[1] == constant_conserved(spec.right, GAS)[1]
     grid = SlabGrid(L=6.0, n1=64)
     with pytest.raises(ValueError, match="degenerate weight: component 1"):
-        ansatz_weights(spec, grid, GAS, 1.5)
+        _blend_weights(spec, GAS, wave_conserved(spec, grid, GAS, 1.5).U)
     with pytest.raises(ValueError, match="degenerate weight: component 1"):
         build_ansatz(spec, grid, GAS, 1.5, dev_plus=np.zeros((5,) + grid.shape))
 
@@ -243,7 +243,7 @@ def test_ansatz_errors_vanish_in_constant_region():
 
 def test_background_zero_perturbation_is_exact():
     grid = SlabGrid.torus(0.5, 16, 8, dims=2)
-    cfg = SolverConfig(eps=0.2, boundary="fully-periodic")
+    cfg = SolverConfig(eps=0.2)
     rep = evolve_periodic_background(RIGHT, PerturbationSpec(0.0, 2, 0), GAS, cfg,
                                      grid, horizon=0.05, n_samples=5)
     assert np.max(rep.dev_sup) < 1e-14
@@ -255,7 +255,7 @@ def test_background_initial_deviation_exactly_zero():
     # so an unperturbed start deviates by exactly nothing; this u1 is one where
     # u1 ** 2 and u1 * u1 differ in the last bit
     grid = SlabGrid.torus(0.5, 16, 8, dims=2)
-    cfg = SolverConfig(eps=0.2, boundary="fully-periodic")
+    cfg = SolverConfig(eps=0.2)
     rep = evolve_periodic_background(PrimState(1.0, -1.4394943995478604, 1.0),
                                      PerturbationSpec(0.0, 2, 0), GAS, cfg,
                                      grid, horizon=0.05, n_samples=5)
@@ -264,7 +264,7 @@ def test_background_initial_deviation_exactly_zero():
 
 def test_background_decay_and_mean_conservation():
     grid = SlabGrid.torus(0.5, 24, 24, dims=2)
-    cfg = SolverConfig(eps=0.2, boundary="fully-periodic")
+    cfg = SolverConfig(eps=0.2)
     rep = evolve_periodic_background(PrimState(1.0, 0.2, 1.0),
                                      PerturbationSpec(5e-3, 2, seed=2), GAS, cfg,
                                      grid, horizon=0.35, n_samples=24)
@@ -297,7 +297,7 @@ def test_ansatz_error_terms_decay():
     L = 5.0
     slab = SlabGrid(L=L, n1=int(round(2 * L / (period / nt))), period=period,
                     n2=nt, dims=2)
-    scfg = SolverConfig(eps=0.1, boundary="fully-periodic")
+    scfg = SolverConfig(eps=0.1)
     ps = PerturbationSpec(1e-3, 2, seed=6)
     eps = 0.1
     dt_fd = 2e-3

@@ -127,6 +127,24 @@ def test_paper_scaling_arithmetic(tmp_path):
         cfg.resolve_nu_delta(eps)
 
 
+@pytest.mark.parametrize("eps, match", [(1.0, r"nu = .* = 0 outside \(0, rho_plus"),
+                                        (0.0, r"needs eps > 0 .* eps = 0")],
+                         ids=["eps=1", "eps=0"])
+def test_paper_scaling_refuses_eps_without_cutoff(tmp_path, eps, match):
+    # eps = 1 gives nu = |log 1| = 0 and eps = 0 has no log: both are
+    # configuration errors, exit code 2 before any output
+    from rarefan.cli import main
+    text = (BASE.replace("kind = cutoff-study", "kind = profile-study")
+                .replace("sweep = 0.1, 0.05, 0.025", "paper_scaling = true")
+                .replace("eps = 0.02", f"eps = {eps}")
+                .replace("dir = out", f"dir = {tmp_path}/out"))
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(path).resolve_nu_delta(eps)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_paper_scaling_feasible_when_small():
     # a synthetic right state large enough that the scaling fits
     from rarefan.gas import GasParams
@@ -166,7 +184,8 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("line, named", [
-    ("boundary = wrapped", "wrapped"),
+    # [solver] has no boundary key: the driver's ghost source sets the x1 rule
+    pytest.param("boundary = wrapped", "unknown key 'boundary'", id="boundary = wrapped-wrapped"),
     ("cfl = 1.5", "cfl"),
 ])
 def test_bad_solver_value_refused_at_parse(tmp_path, line, named):
@@ -187,13 +206,14 @@ def test_bad_boolean_refused_at_parse(tmp_path):
 
 
 def test_simulate_fully_periodic_refused_at_parse(tmp_path):
-    # a torus run of the wave would wrap x1 across its two end states
+    # a torus run of the wave would wrap x1 across its two end states; no key
+    # asks for one, simulate always pins the x1 ghosts to the profile
     from rarefan.cli import main
     text = (BASE.replace("kind = cutoff-study", "kind = simulate")
                 .replace("eps = 0.02", "eps = 0.02\nboundary = fully-periodic")
                 .replace("dir = out", f"dir = {tmp_path}/out"))
     path = write(tmp_path, text)
-    with pytest.raises(ConfigError, match="fully-periodic"):
+    with pytest.raises(ConfigError, match="unknown key 'boundary'"):
         parse_config(path)
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()

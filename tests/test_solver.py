@@ -17,10 +17,6 @@ GAS = GasParams.normalized(5.0 / 3.0, 0.5)
 K = 2.0 * np.pi
 
 
-def periodic_cfg(eps=0.1):
-    return SolverConfig(eps=eps, boundary="fully-periodic")
-
-
 def smooth_fields(grid):
     x = grid.x1()[:, None, None] * np.ones(grid.shape)
     rho = 2.0 + 0.3 * np.sin(K * x)
@@ -41,7 +37,7 @@ def test_constant_state_zero_tendency():
         u = np.zeros((3,) + grid.shape)
         u[0], u[1] = 0.3, -0.2
         fs = FieldSet.from_primitives(grid, GAS, 1.3, u, 0.9)
-        tend, bflux = rhs(fs, GAS, periodic_cfg())
+        tend, bflux = rhs(fs, GAS, SolverConfig(eps=0.1))
         assert np.max(np.abs(tend)) == 0.0
         assert np.max(np.abs(bflux)) == 0.0
 
@@ -50,12 +46,12 @@ def test_eps_zero_matches_euler_tendency():
     grid = SlabGrid.torus(1.0, 64)
     _, rho, u, theta = smooth_fields(grid)
     fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-    t_euler, _ = rhs(fs, GAS, periodic_cfg(eps=0.0))
+    t_euler, _ = rhs(fs, GAS, SolverConfig(eps=0.0))
     # physical variables with eps = 0: the viscous branch must be bypassed,
     # leaving bitwise the inviscid tendency
-    t_again, _ = rhs(fs, GAS, periodic_cfg(eps=0.0))
+    t_again, _ = rhs(fs, GAS, SolverConfig(eps=0.0))
     assert np.array_equal(t_euler, t_again)
-    t_visc, _ = rhs(fs, GAS, periodic_cfg(eps=0.05))
+    t_visc, _ = rhs(fs, GAS, SolverConfig(eps=0.05))
     assert not np.array_equal(t_euler, t_visc)
 
 
@@ -83,8 +79,8 @@ def test_manufactured_viscous_order():
         grid = SlabGrid.torus(1.0, n)
         x, rho, u, theta = smooth_fields(grid)
         fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-        tv, _ = rhs(fs, GAS, periodic_cfg(eps=eps))
-        t0, _ = rhs(fs, GAS, periodic_cfg(eps=0.0))
+        tv, _ = rhs(fs, GAS, SolverConfig(eps=eps))
+        t0, _ = rhs(fs, GAS, SolverConfig(eps=0.0))
         visc = tv - t0
         m1, m2, en = _exact_viscous(GAS, eps, x, u, theta)
         errs.append(np.sqrt(np.mean((visc[1] - m1) ** 2 + (visc[2] - m2) ** 2
@@ -115,7 +111,7 @@ def test_manufactured_full_rhs_first_order():
         grid = SlabGrid.torus(1.0, n)
         x, rho, u, theta = smooth_fields(grid)
         fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-        t0, _ = rhs(fs, GAS, periodic_cfg(eps=0.0))
+        t0, _ = rhs(fs, GAS, SolverConfig(eps=0.0))
         e_rho, e_mom, e_en = exact_euler(x, rho, u, theta)
         errs.append(np.sqrt(np.mean((t0[0] - e_rho) ** 2 + (t0[1] - e_mom) ** 2
                                     + (t0[4] - e_en) ** 2)))
@@ -135,12 +131,13 @@ def _transverse_state(grid, seed):
 
 def test_pinned_rhs_commutes_with_transverse_roll():
     # the corner ghosts (x1 ghost x x2 ghost) enter the cross derivatives at
-    # the x1 faces; filled consistently, a roll along x2 commutes with rhs
+    # the x1 faces; filled consistently, a roll along x2 commutes with rhs,
+    # with the x1 ghosts pinned to the profile and with x1 wrapping (None)
     grid = SlabGrid(L=2.0, n1=12, n2=8, dims=2)
     spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
     fs = _transverse_state(grid, 11)
     rolled = FieldSet(grid, np.roll(fs.U, 3, axis=2))
-    cfg = SolverConfig(eps=0.05, boundary="pinned-profile")
+    cfg = SolverConfig(eps=0.05)
     for ghost in (profile_ghost_source(spec, grid), None):
         tend, _ = rhs(fs, GAS, cfg, ghost, t=0.0)
         tend_rolled, _ = rhs(rolled, GAS, cfg, ghost, t=0.0)
@@ -153,9 +150,12 @@ def test_x3_constant_state_matches_2d_rhs():
     grid3 = SlabGrid(L=2.0, n1=12, n2=6, n3=4, dims=3)
     fs2 = _transverse_state(grid2, 12)
     fs3 = FieldSet(grid3, np.repeat(fs2.U, 4, axis=3))
-    for cfg in (SolverConfig(eps=0.05, boundary="pinned-profile"), periodic_cfg(0.05)):
-        t2, _ = rhs(fs2, GAS, cfg, profile_ghost_source(spec, grid2), t=0.0)
-        t3, _ = rhs(fs3, GAS, cfg, profile_ghost_source(spec, grid3), t=0.0)
+    cfg = SolverConfig(eps=0.05)
+    # x1 ghosts pinned to the profile, then x1 wrapping
+    for ghost2, ghost3 in ((profile_ghost_source(spec, grid2), profile_ghost_source(spec, grid3)),
+                           (None, None)):
+        t2, _ = rhs(fs2, GAS, cfg, ghost2, t=0.0)
+        t3, _ = rhs(fs3, GAS, cfg, ghost3, t=0.0)
         assert np.max(np.abs(t3 - t2)) <= 1e-14 * np.max(np.abs(t2))
 
 
@@ -163,7 +163,7 @@ def test_step_dt_is_stable_dt():
     grid = SlabGrid.torus(1.0, 32, 4, dims=2)
     _, rho, u, theta = smooth_fields(grid)
     fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-    cfg = periodic_cfg(eps=0.05)
+    cfg = SolverConfig(eps=0.05)
     _, diag = step(fs, GAS, cfg)
     assert diag.dt == stable_dt(fs, GAS, cfg)[0]
 
@@ -172,7 +172,7 @@ def test_rhs_unaffected_by_caller_mutation():
     grid = SlabGrid.torus(1.0, 32, 4, dims=2)
     _, rho, u, theta = smooth_fields(grid)
     fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-    cfg = periodic_cfg(eps=0.05)
+    cfg = SolverConfig(eps=0.05)
     tend0, bflux0 = rhs(fs, GAS, cfg)
     fs.velocity()[0] -= 1.0
     fs.temperature(GAS)[:] = -1.0
@@ -190,20 +190,19 @@ def _workspace_cases():
     inactive x2 between active x1 and x3, and a two-cell transverse axis.
     """
     spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
-    layouts = ((SlabGrid(L=2.0, n1=16), "pinned-profile"),
-               (SlabGrid(L=2.0, n1=12, n2=6, dims=2), "pinned-profile"),
-               (SlabGrid.torus(1.0, 12, 6, dims=2), "fully-periodic"),
-               (SlabGrid.torus(1.0, 8, 4, 6, dims=3), "fully-periodic"),
-               (SlabGrid(L=2.0, n1=10, n2=4, n3=6, dims=3), "pinned-profile"),
-               (SlabGrid(L=2.0, n1=10, n2=1, n3=5, dims=3), "pinned-profile"),
-               (SlabGrid.torus(1.0, 6, 1, 4, dims=3), "fully-periodic"),
-               (SlabGrid(L=2.0, n1=10, n2=2, dims=2), "pinned-profile"))
+    layouts = ((SlabGrid(L=2.0, n1=16), True),
+               (SlabGrid(L=2.0, n1=12, n2=6, dims=2), True),
+               (SlabGrid.torus(1.0, 12, 6, dims=2), False),
+               (SlabGrid.torus(1.0, 8, 4, 6, dims=3), False),
+               (SlabGrid(L=2.0, n1=10, n2=4, n3=6, dims=3), True),
+               (SlabGrid(L=2.0, n1=10, n2=1, n3=5, dims=3), True),
+               (SlabGrid.torus(1.0, 6, 1, 4, dims=3), False),
+               (SlabGrid(L=2.0, n1=10, n2=2, dims=2), True))
     cases = []
     for eps in (0.0, 0.05):
-        for grid, boundary in layouts:
-            ghost = profile_ghost_source(spec, grid) if boundary == "pinned-profile" else None
-            cases.append((_transverse_state(grid, len(cases)),
-                          SolverConfig(eps=eps, boundary=boundary), ghost))
+        for grid, pinned in layouts:
+            ghost = profile_ghost_source(spec, grid) if pinned else None
+            cases.append((_transverse_state(grid, len(cases)), SolverConfig(eps=eps), ghost))
     return cases
 
 
@@ -236,7 +235,7 @@ def test_workspace_reuse_is_bitwise_neutral():
 
 def test_rhs_result_survives_next_rhs():
     grid = SlabGrid.torus(1.0, 12, 6, dims=2)
-    cfg = periodic_cfg(eps=0.05)
+    cfg = SolverConfig(eps=0.05)
     tend, bflux = rhs(_transverse_state(grid, 1), GAS, cfg)
     kept = [tend.copy(), bflux.copy()]
     again = rhs(_transverse_state(grid, 2), GAS, cfg)
@@ -265,23 +264,17 @@ def _ref_primitives(fs, g=GAS):
     return prim
 
 
-def _ref_ringed_state(fs, cfg, ghost_source, t, active):
+def _ref_ringed_state(fs, ghost_source, t, active):
     ring = [1 if ax in active else 0 for ax in range(3)]
     shape = fs.grid.shape
     state = np.empty((10,) + tuple(n + 2 * r for n, r in zip(shape, ring)))
     inner = tuple(slice(r, n + r) for n, r in zip(shape, ring))
     state[(slice(0, 5),) + inner] = _ref_primitives(fs)
     state[(slice(5, 10),) + inner] = fs.U
-    periodic = active if cfg.boundary == "fully-periodic" else active[1:]
-    for ax in periodic:
+    for ax in (active if ghost_source is None else active[1:]):
         planes = np.moveaxis(state, 1 + ax, 0)
         planes[0], planes[-1] = planes[-2], planes[1]
-    if cfg.boundary == "fully-periodic":
-        return state
-    if ghost_source is None:
-        state[:, 0] = state[:, 1]
-        state[:, -1] = state[:, -2]
-    else:
+    if ghost_source is not None:
         ghosts = ghost_source(t)
         state[:, 0] = ghosts[:, 0, None, None]
         state[:, -1] = ghosts[:, 1, None, None]
@@ -316,7 +309,7 @@ def _ref_face_cross_diff(uP, ax, bx, dxb, padded):
 def _ref_rhs(fs, cfg, ghost_source, t):
     g, grid = GAS, fs.grid
     active = [0] + [ax for ax, n in ((1, grid.n2), (2, grid.n3)) if n > 1]
-    state = _ref_ringed_state(fs, cfg, ghost_source, t, active)
+    state = _ref_ringed_state(fs, ghost_source, t, active)
     rhoP, uP, thP, UP = state[0], state[1:4], state[4], state[5:]
     pP = g.R * rhoP * thP
     cP = np.sqrt(g.gamma * g.R * thP)
@@ -403,15 +396,16 @@ def _ref_step(fs, cfg, ghost_source):
 
 
 def _planar_line_cases():
-    """The eps-sweep's layout: a pinned 1-D line whose u2 = u3 = 0 exactly, and
-    whose u1 changes sign, so signed zeros meet in the flux differences."""
+    """The eps-sweep's layout: a 1-D line whose u2 = u3 = 0 exactly, and whose
+    u1 changes sign, so signed zeros meet in the flux differences; its x1
+    ghosts pinned to the profile, or x1 wrapping (None)."""
     grid = SlabGrid(L=2.0, n1=16)
     spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
     x = grid.x1()[:, None, None]
     u = np.zeros((3,) + grid.shape)
     u[0] = 0.3 * np.sin(x)
     fs = FieldSet.from_primitives(grid, GAS, 1.0 + 0.2 * np.tanh(x), u, 1.0 + 0.1 * np.cos(x))
-    return [(fs, SolverConfig(eps=eps, boundary="pinned-profile"), ghost)
+    return [(fs, SolverConfig(eps=eps), ghost)
             for eps in (0.0, 0.05) for ghost in (profile_ghost_source(spec, grid), None)]
 
 
@@ -425,15 +419,15 @@ def _cellwise_random_cases():
     spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
     rng = np.random.default_rng(7)
     cases = []
-    for grid, boundary in ((SlabGrid(L=2.0, n1=12, n2=6, dims=2), "pinned-profile"),
-                           (SlabGrid.torus(1.0, 8, 4, 6, dims=3), "fully-periodic"),
-                           (SlabGrid(L=2.0, n1=3, n2=100, n3=100, dims=3), "pinned-profile")):
+    for grid, pinned in ((SlabGrid(L=2.0, n1=12, n2=6, dims=2), True),
+                         (SlabGrid.torus(1.0, 8, 4, 6, dims=3), False),
+                         (SlabGrid(L=2.0, n1=3, n2=100, n3=100, dims=3), True)):
         shp = grid.shape
         fs = FieldSet.from_primitives(grid, GAS, 1.0 + 0.2 * rng.random(shp),
                                       0.3 * (rng.random((3,) + shp) - 0.5),
                                       1.0 + 0.2 * rng.random(shp))
-        ghost = profile_ghost_source(spec, grid) if boundary == "pinned-profile" else None
-        cases.append((fs, SolverConfig(eps=0.05, boundary=boundary), ghost))
+        ghost = profile_ghost_source(spec, grid) if pinned else None
+        cases.append((fs, SolverConfig(eps=0.05), ghost))
     return cases
 
 
@@ -459,10 +453,10 @@ def test_pinned_ghosts_do_not_leak_into_torus_run():
     spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
     pinned, torus = SlabGrid(L=2.0, n1=12, n2=6, dims=2), SlabGrid.torus(1.0, 12, 6, dims=2)
     fs = _transverse_state(torus, 4)
-    cfg = periodic_cfg(eps=0.05)
+    cfg = SolverConfig(eps=0.05)
     solver._workspace.cache_clear()
     fresh = _rhs_then_step(fs, cfg, None)
-    run(_transverse_state(pinned, 5), GAS, SolverConfig(eps=0.05, boundary="pinned-profile"),
+    run(_transverse_state(pinned, 5), GAS, SolverConfig(eps=0.05),
         0.01, ghost_source=profile_ghost_source(spec, pinned))
     assert _same_bytes(_rhs_then_step(fs, cfg, None), fresh)
 
@@ -510,7 +504,7 @@ def test_viscous_dt_within_rk3_stability_limit():
     line = SlabGrid(L=2.0 * max(-line_spec.w_minus, line_spec.w_plus) + 2.0, n1=192)
     fs_line = assemble_initial(line_spec, PerturbationSpec(eta=0.0), line, GAS)
     for spec, fs, eps in ((slab_spec, fs_slab, 0.08), (line_spec, fs_line, 0.01)):
-        cfg = SolverConfig(eps=eps, boundary="pinned-profile")
+        cfg = SolverConfig(eps=eps)
         ghost = profile_ghost_source(spec, fs.grid)
         dt_visc, _ = stable_dt(fs, GAS, cfg)
         assert dt_visc < stable_dt(fs, GAS, dataclasses.replace(cfg, eps=0.0))[0]
@@ -537,7 +531,7 @@ def test_viscous_dt_bounds_operator_for_any_coefficients(mu1, lambda1, kappa1, g
     theta = 1.0 - 0.01 * wave
     u = 0.01 * np.stack([wave, np.roll(wave, 1, axis=0), np.roll(wave, 2, axis=0)])
     fs = FieldSet.from_primitives(grid, g, rho, u, theta)
-    cfg = periodic_cfg(eps=0.1)
+    cfg = SolverConfig(eps=0.1)
     dt_visc, _ = stable_dt(fs, g, cfg)
     assert dt_visc < stable_dt(fs, g, dataclasses.replace(cfg, eps=0.0))[0]
     reach = dt_visc * _viscous_spectral_radius(fs, cfg, None, g)
@@ -560,7 +554,7 @@ def test_periodic_conservation_per_kilostep():
     tot0 = fs.totals()
     f = fs
     for _ in range(1000):
-        f, _ = step(f, GAS, periodic_cfg(eps=0.05))
+        f, _ = step(f, GAS, SolverConfig(eps=0.05))
     tot1 = f.totals()
     scale = max(abs(tot0["mass"]), abs(tot0["energy"]))
     for key in tot0:
@@ -570,37 +564,44 @@ def test_periodic_conservation_per_kilostep():
 def test_constant_state_unchanged():
     grid = SlabGrid.torus(1.0, 16, 4, dims=2)
     fs = FieldSet.from_primitives(grid, GAS, 1.0, np.zeros((3,) + grid.shape), 1.0)
-    f, diag = step(fs, GAS, periodic_cfg())
+    f, diag = step(fs, GAS, SolverConfig(eps=0.1))
     assert np.array_equal(f.rho, fs.rho)
     assert np.array_equal(f.E, fs.E)
     assert diag.dt > 0.0
 
 
 def test_pinned_boundary_flux_bookkeeping():
+    # the conserved totals change by exactly the accumulated x1 boundary flux:
+    # on the planar line, and on a 2-D slab whose transverse perturbation is
+    # windowed off the pinned ghosts
     spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
-    grid = SlabGrid(L=4.0, n1=128)
-    pr = smooth_profile(spec, 0.0, grid.x1())
-    u = np.zeros((3,) + grid.shape)
+    line, slab = SlabGrid(L=4.0, n1=128), SlabGrid(L=4.0, n1=64, n2=8, dims=2)
+    pr = smooth_profile(spec, 0.0, line.x1())
+    u = np.zeros((3,) + line.shape)
     u[0] = pr.u1[:, None, None]
-    fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u, pr.theta[:, None, None])
-    cfg = SolverConfig(eps=0.02, boundary="pinned-profile")
-    ghost = profile_ghost_source(spec, grid)
-    tot0 = fs.totals()
-    acc = np.zeros(5)
-    f = fs
-    for _ in range(100):
-        f, d = step(f, GAS, cfg, ghost_source=ghost)
-        acc += d.boundary_flux
-    tot1 = f.totals()
-    for i, key in enumerate(("mass", "momentum1", "momentum2", "momentum3", "energy")):
-        assert abs(tot1[key] - tot0[key] - acc[i]) <= 1e-10
+    fs_line = FieldSet.from_primitives(line, GAS, pr.rho[:, None, None], u,
+                                       pr.theta[:, None, None])
+    fs_slab = assemble_initial(spec, PerturbationSpec(eta=1e-2, mode_cap=2), slab, GAS,
+                               window=x1_window(slab, 1.0, 0.2), modes="transverse")
+    cfg = SolverConfig(eps=0.02)
+    for fs in (fs_line, fs_slab):
+        ghost = profile_ghost_source(spec, fs.grid)
+        tot0 = fs.totals()
+        acc = np.zeros(5)
+        f = fs
+        for _ in range(100):
+            f, d = step(f, GAS, cfg, ghost_source=ghost)
+            acc += d.boundary_flux
+        tot1 = f.totals()
+        for i, key in enumerate(("mass", "momentum1", "momentum2", "momentum3", "energy")):
+            assert abs(tot1[key] - tot0[key] - acc[i]) <= 1e-10, (fs.grid.shape, key)
 
 
 def test_dt_underflow_aborts():
     grid = SlabGrid.torus(1.0, 16)
     fs = FieldSet.from_primitives(grid, GAS, 1.0, np.zeros((3,) + grid.shape), 1.0)
     with pytest.raises(RunAbort):
-        step(fs, GAS, periodic_cfg(), dt=1e-13)
+        step(fs, GAS, SolverConfig(eps=0.1), dt=1e-13)
 
 
 def test_positivity_floor_aborts():
@@ -612,7 +613,7 @@ def test_positivity_floor_aborts():
     u[0] = np.sign(np.sin(K * x)) * 2.0
     theta = np.full(grid.shape, 1.0)
     fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-    cfg = SolverConfig(eps=0.0, boundary="fully-periodic", floor_rho=0.5, floor_theta=0.5)
+    cfg = SolverConfig(eps=0.0, floor_rho=0.5, floor_theta=0.5)
     with pytest.raises(RunAbort) as err:
         f = fs
         for _ in range(500):
@@ -627,7 +628,7 @@ def test_positivity_floor_aborts():
 def test_run_zero_horizon_identity():
     grid = SlabGrid.torus(1.0, 16)
     fs = FieldSet.from_primitives(grid, GAS, 1.0, np.zeros((3,) + grid.shape), 1.0)
-    out, records = run(fs, GAS, periodic_cfg(), horizon=0.0)
+    out, records = run(fs, GAS, SolverConfig(eps=0.1), horizon=0.0)
     assert np.array_equal(out.rho, fs.rho)
     assert len(records) == 1
 
@@ -636,7 +637,7 @@ def test_run_reaches_horizon_and_samples():
     grid = SlabGrid.torus(1.0, 32)
     _, rho, u, theta = smooth_fields(grid)
     fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-    out, records = run(fs, GAS, periodic_cfg(eps=0.05), horizon=0.02, sample_dt=0.005)
+    out, records = run(fs, GAS, SolverConfig(eps=0.05), horizon=0.02, sample_dt=0.005)
     assert out.time == pytest.approx(0.02, abs=1e-12)
     assert len(records) >= 4
     assert all("mass" in r for r in records)
@@ -649,7 +650,7 @@ def test_run_records_land_on_sample_times():
     spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GAS, nu=0.1, delta=0.2)
     grid = SlabGrid(L=4.0, n1=128)
     fs = assemble_initial(spec, PerturbationSpec(eta=0.0), grid, GAS)
-    cfg = SolverConfig(eps=0.05, boundary="pinned-profile")
+    cfg = SolverConfig(eps=0.05)
     ghost = profile_ghost_source(spec, grid)
     for horizon, sample_dt in ((0.05, 0.0125), (0.05, 0.007)):
         out, records = run(fs, GAS, cfg, horizon, ghost_source=ghost, sample_dt=sample_dt)
@@ -692,7 +693,7 @@ def test_galilean_shift_advection():
     u = np.zeros((3,) + grid.shape)
     u[0] = amp * np.sin(K * x + 0.3)
     U, T = 1.0, 1.0
-    cfg = SolverConfig(eps=0.02, boundary="fully-periodic")
+    cfg = SolverConfig(eps=0.02)
     fs1 = FieldSet.from_primitives(grid, GAS, rho, u, theta)
     fs2 = FieldSet.from_primitives(grid, GAS, rho, u + np.array([U, 0, 0])[:, None, None, None], theta)
     dt = 2.5e-4  # same forced step sequence for both frames
@@ -715,7 +716,7 @@ def test_riemann_run_monotone_in_fan():
     u = np.zeros((3,) + grid.shape)
     u[0] = pr.u1[:, None, None]
     fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u, pr.theta[:, None, None])
-    cfg = SolverConfig(eps=0.02, boundary="pinned-profile")
+    cfg = SolverConfig(eps=0.02)
     ghost = profile_ghost_source(spec, grid)
     out, _ = run(fs, GAS, cfg, horizon=1.0, ghost_source=ghost)
     x = grid.x1()
@@ -735,7 +736,7 @@ def test_refinement_subdominant():
         u[0] = pr.u1[:, None, None]
         fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u,
                                       pr.theta[:, None, None])
-        cfg = SolverConfig(eps=0.04, boundary="pinned-profile")
+        cfg = SolverConfig(eps=0.04)
         ghost = profile_ghost_source(spec, grid)
         out, _ = run(fs, GAS, cfg, horizon=1.0, ghost_source=ghost)
         dists[n1] = sup_distance(out, spec, GAS)["max"]
@@ -748,8 +749,8 @@ def test_scaled_variables_unit_multiplier():
     grid = SlabGrid.torus(1.0, 64)
     _, rho, u, theta = smooth_fields(grid)
     fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-    t_scaled, _ = rhs(fs, GAS, SolverConfig(eps=0.02, boundary="fully-periodic", scaled=True))
-    t_unit, _ = rhs(fs, GAS, SolverConfig(eps=1.0, boundary="fully-periodic", scaled=False))
+    t_scaled, _ = rhs(fs, GAS, SolverConfig(eps=0.02, scaled=True))
+    t_unit, _ = rhs(fs, GAS, SolverConfig(eps=1.0, scaled=False))
     assert np.array_equal(t_scaled, t_unit)
 
 
@@ -767,7 +768,7 @@ def test_domain_truncation_subdominant():
         u[0] = pr.u1[:, None, None]
         fs = FieldSet.from_primitives(grid, GAS, pr.rho[:, None, None], u,
                                       pr.theta[:, None, None])
-        cfg = SolverConfig(eps=0.04, boundary="pinned-profile")
+        cfg = SolverConfig(eps=0.04)
         ghost = profile_ghost_source(spec, grid)
         out, _ = run(fs, GAS, cfg, horizon=0.5, ghost_source=ghost)
         dists[fac] = sup_distance(out, spec, GAS)["max"]
@@ -782,7 +783,7 @@ def test_eps_cauchy_consistency():
 
     def solve(eps):
         fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-        out, _ = run(fs, GAS, SolverConfig(eps=eps, boundary="fully-periodic"),
+        out, _ = run(fs, GAS, SolverConfig(eps=eps),
                      horizon=0.15)
         return out.U
 
