@@ -3,8 +3,9 @@
 
 Every <kind>.csv found in either directory is compared line by line after
 masking the wall_time and config_hash columns and the '# commit=' and
-'# config_hash=' header lines. Each other differing line is printed, and for
-each differing CSV the largest relative difference |b - a| / |a| and the
+'# config_hash=' header lines. Rows are read with the csv module, so a quoted
+cell holding a comma stays one cell. Each other differing line is printed, and
+for each differing CSV the largest relative difference |b - a| / |a| and the
 largest absolute difference |b - a| of every numeric column that moved, rows
 paired in order; the absolute one tells a round-off column (a conservation
 drift near 1e-16, say) from a physical move. The exit status is 1 if
@@ -13,13 +14,25 @@ there is any differing line (a CSV present on one side only counts), else 0.
 Usage: python scripts/diff_study_outputs.py DIR_A DIR_B
 """
 
+import csv
 import difflib
+import io
 import math
 import sys
 from pathlib import Path
 
 MASKED_COLUMNS = ("wall_time", "config_hash")
 MASKED_HEADERS = ("# commit=", "# config_hash=")
+
+
+def _cells(line: str) -> list[str]:
+    return next(csv.reader([line]))
+
+
+def _line(cells: list[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
 
 
 def masked_lines(path: Path) -> list[str]:
@@ -31,16 +44,16 @@ def masked_lines(path: Path) -> list[str]:
         elif line.startswith("#"):
             out.append(line)
         else:
-            cells = line.split(",")
+            cells = _cells(line)
             if keep is None:  # the column-name line
                 keep = [i for i, c in enumerate(cells) if c not in MASKED_COLUMNS]
-            out.append(",".join(cells[i] for i in keep if i < len(cells)))
+            out.append(_line([cells[i] for i in keep if i < len(cells)]))
     return out
 
 
 def table(path: Path) -> tuple[list[str], list[list[str]]]:
     """Column names and data rows of one study CSV (comment lines dropped)."""
-    lines = [l.split(",") for l in path.read_text().splitlines() if not l.startswith("#")]
+    lines = [_cells(l) for l in path.read_text().splitlines() if not l.startswith("#")]
     return (lines[0], lines[1:]) if lines else ([], [])
 
 

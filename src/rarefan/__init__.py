@@ -11,6 +11,6 @@ from .analysis import decompose, ModeSplit, energy_report, gn_check, gn_sample, 
     fit_rate
 from .ansatz import PerturbationSpec, make_perturbation, assemble_initial, \
     build_ansatz, ansatz_errors, evolve_periodic_background
-from .config import ExperimentConfig, ConfigError, parse_config, emit_config, paper_constants
+from .config import ExperimentConfig, ConfigError, parse_config, paper_constants
 
 __version__ = "0.1.0"

@@ -245,12 +245,12 @@ def gn_sample(u: np.ndarray, grid: SlabGrid, torus: bool) -> GNSample:
                     lp_slab(np.sqrt(gsq), grid, 2), lp_slab(np.sqrt(hsq), grid, 2))
 
 
-def gn_check(s: GNSample, case: str, Lambda: float | None = None) -> dict:
+def gn_check(s: GNSample, case: str) -> dict:
     """Ratio LHS/RHS of one interpolation-inequality special case.
 
-    Slab cases live on R x T^2 with torus width Lambda and sum the k=1..3
-    dimensional contributions with their width prefactors; torus cases are the
-    extended form on T^3 with the additive low-mode term.  The returned ratio
+    Slab cases live on R x T^2 with the grid's period as torus width and sum
+    the k=1..3 dimensional contributions with their width prefactors; torus
+    cases are the extended form on T^3 with the additive low-mode term.  The returned ratio
     plays the role of the empirical constant; only its boundedness matters.
     """
     if case not in GN_CASES:
@@ -258,8 +258,8 @@ def gn_check(s: GNSample, case: str, Lambda: float | None = None) -> dict:
     domain = case.rsplit("-", 1)[1]
     if (domain == "torus") != s.torus:
         raise ValueError(f"case {case!r} needs a {domain} sample")
-    lam = s.grid.period if Lambda is None else Lambda
     u, grid, l2, g1, g2 = s.u, s.grid, s.l2, s.g1, s.g2
+    lam = grid.period
     if l2 == 0.0:
         return {"case": case, "Lambda": lam, "lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
     if case == "L4-slab":
@@ -292,19 +292,19 @@ def gn_check(s: GNSample, case: str, Lambda: float | None = None) -> dict:
 # distance to the exact wave and rate fitting
 # ---------------------------------------------------------------------------
 
-def sup_distance(fs: FieldSet, spec: WaveSpec, g: GasParams, t: float | None = None,
+def sup_distance(fs: FieldSet, spec: WaveSpec, g: GasParams,
                  exclude_t_below: float = 0.0) -> dict:
-    """Componentwise sup gaps of (rho, m1, n) against the exact wave at x1/t.
+    """Componentwise sup gaps of (rho, m1, n) against the exact wave at x1/t, t = fs.time.
 
     Returns nan entries when t falls below the exclusion threshold, so callers
     taking a running supremum skip them by construction.
     """
-    tt = fs.time if t is None else t
-    if tt < exclude_t_below or tt <= 0.0:
-        return {"t": tt, "rho": float("nan"), "m": float("nan"), "n": float("nan"),
+    t = fs.time
+    if t < exclude_t_below or t <= 0.0:
+        return {"t": t, "rho": float("nan"), "m": float("nan"), "n": float("nan"),
                 "max": float("nan"), "argmax_x1": float("nan")}
     x1 = fs.grid.x1()
-    wave = sample_exact(spec, x1 / tt)
+    wave = sample_exact(spec, x1 / t)
     shape_line = (fs.grid.n1, 1, 1)
     drho = np.abs(fs.rho - wave.rho.reshape(shape_line))
     dm = np.abs(fs.m[0] - wave.m.reshape(shape_line))
@@ -313,7 +313,7 @@ def sup_distance(fs: FieldSet, spec: WaveSpec, g: GasParams, t: float | None = N
     comp = np.maximum(np.maximum(drho, dm), dn)
     flat = int(np.argmax(comp))
     i1 = np.unravel_index(flat, fs.grid.shape)[0]
-    return {"t": tt,
+    return {"t": t,
             "rho": float(np.max(drho)), "m": float(np.max(dm)), "n": float(np.max(dn)),
             "max": float(np.max(comp)), "argmax_x1": float(x1[i1])}
 

@@ -1,9 +1,9 @@
 """Declarative experiment configuration: INI sections, validation, couplings.
 
 The wave's cut-off density and smoothing width may be given literally, linked
-to the viscosity scale by desk-scale power laws, or derived from the coupled
-asymptotic scalings (paper_scaling) which are refused outright when they
-produce an infeasible cut-off instead of being clamped.
+to the viscosity scale by desk-scale square-root laws, or derived from the
+coupled asymptotic scalings (paper_scaling) which are refused outright when
+they produce an infeasible cut-off instead of being clamped.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ class WaveBlock:
     rho_plus: float = 1.0
     u1_plus: float = 0.0
     theta_plus: float = 1.0
-    # the cut-off density and smoothing width: literal, or coeff * eps^exp
-    # (exp defaults to 1/2); paper_scaling overrides both
+    # the cut-off density and smoothing width: literal, or coeff * eps^(1/2);
+    # paper_scaling overrides both
     nu: float | None = None
     delta: float | None = None
     nu_coeff: float | None = None
-    nu_exp: float | None = None
     delta_coeff: float | None = None
-    delta_exp: float | None = None
 
 
 @dataclass
@@ -54,7 +52,6 @@ class GridBlock:
 @dataclass
 class SolverBlock:
     eps: float = 0.02
-    cfl: float = 0.4
     floor_rho: float = 1e-9
     floor_theta: float = 1e-9
 
@@ -76,11 +73,6 @@ class ExperimentBlock:
     seed: int = 0
     mode_cap: int = 3
     paper_scaling: bool = False
-    # verdict bands: engineering defaults, overridable because the analysis
-    # provides no constants
-    band_factor: float = 2.0
-    exp_tol: float = 0.15
-    r2_min: float = 0.95
     samples: int = 50
 
 
@@ -116,33 +108,29 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     # ------------------------------------------------------------------
-    def paper_constants(self) -> tuple[float, float]:
-        """(a, Z) of the coupled asymptotic scalings."""
-        return paper_constants(self.gas.gamma, self.gas.alpha)
-
     def resolve_nu_delta(self, eps: float) -> tuple[float, float]:
         """Cut-off density and smoothing width for one viscosity value.
 
         paper_scaling uses nu = eps^(Z a) |log eps|, delta = eps^a for eps > 0;
-        the desk-scale link uses user powers of eps; plain literals otherwise.
+        the desk-scale link uses coeff * eps^(1/2); plain literals otherwise.
         A nu outside (0, rho_plus) is refused, not clamped.
         """
         paper = self.experiment.paper_scaling
         if paper:
             if eps <= 0.0:
                 raise ConfigError(f"paper-scaling needs eps > 0 for log eps, got eps = {eps:.6g}")
-            a, Z = self.paper_constants()
+            a, Z = paper_constants(self.gas.gamma, self.gas.alpha)
             nu, delta = eps ** (Z * a) * abs(math.log(eps)), eps ** a
         else:
             w = self.wave
             if w.nu_coeff is not None:
-                nu = w.nu_coeff * eps ** (w.nu_exp if w.nu_exp is not None else 0.5)
+                nu = w.nu_coeff * eps ** 0.5
             elif w.nu is not None:
                 nu = w.nu
             else:
                 raise ConfigError("wave.nu missing: set nu, nu_coeff, or paper_scaling")
             if w.delta_coeff is not None:
-                delta = w.delta_coeff * eps ** (w.delta_exp if w.delta_exp is not None else 0.5)
+                delta = w.delta_coeff * eps ** 0.5
             elif w.delta is not None:
                 delta = w.delta
             else:
@@ -166,7 +154,7 @@ def paper_constants(gamma: float, alpha: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# parsing / emission
+# parsing
 # ---------------------------------------------------------------------------
 
 def _get(cp, section, key, cast, default):
@@ -192,7 +180,7 @@ _BLOCKS = {"wave": WaveBlock, "grid": GridBlock, "solver": SolverBlock,
 _CASTS = {float | None: float, tuple[float, ...]: _sweep}
 
 _KEYS = {
-    "gas": {"gamma", "alpha", "mu1", "lambda1", "kappa1", "normalized", "R", "A"},
+    "gas": {"gamma", "alpha", "mu1", "lambda1", "kappa1"},
     **{sec: {f.name for f in fields(cls)} for sec, cls in _BLOCKS.items()},
     "output": {"dir"},
 }
@@ -223,20 +211,11 @@ def parse_config(path) -> ExperimentConfig:
             if key not in _KEYS[sec]:
                 raise ConfigError(f"unknown key {key!r} in section [{sec}]")
 
-    gamma = _get(cp, "gas", "gamma", float, 5.0 / 3.0)
-    alpha = _get(cp, "gas", "alpha", float, 0.5)
-    mu1 = _get(cp, "gas", "mu1", float, 1.0)
-    lambda1 = _get(cp, "gas", "lambda1", float, 1.0)
-    kappa1 = _get(cp, "gas", "kappa1", float, 1.0)
-    normalized = _get(cp, "gas", "normalized", bool, True)
-    if normalized:
-        gas = GasParams.normalized(gamma, alpha, mu1, lambda1, kappa1)
-    else:
-        R = _get(cp, "gas", "R", float, None)
-        A = _get(cp, "gas", "A", float, None)
-        if R is None or A is None:
-            raise ConfigError("[gas] non-normalized runs need explicit R and A")
-        gas = GasParams(gamma, R, A, alpha, mu1, lambda1, kappa1)
+    gas = GasParams.normalized(_get(cp, "gas", "gamma", float, 5.0 / 3.0),
+                               _get(cp, "gas", "alpha", float, 0.5),
+                               _get(cp, "gas", "mu1", float, 1.0),
+                               _get(cp, "gas", "lambda1", float, 1.0),
+                               _get(cp, "gas", "kappa1", float, 1.0))
 
     from .experiments import DRIVERS  # the one list of study kinds
 
@@ -249,33 +228,6 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"[experiment] kind must be one of {tuple(DRIVERS)}, "
                           f"got {cfg.experiment.kind!r}")
     return cfg
-
-
-def _ini_value(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, tuple):
-        return ", ".join(repr(x) for x in v)
-    return repr(v)
-
-
-def emit_config(cfg: ExperimentConfig, path) -> None:
-    """Write a config back out; emit + parse round-trips to an equal config."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    d = cfg.as_dict()
-    gas = {"gamma": cfg.gas.gamma, "alpha": cfg.gas.alpha, "mu1": cfg.gas.mu1,
-           "lambda1": cfg.gas.lambda1, "kappa1": cfg.gas.kappa1,
-           "normalized": cfg.gas.is_normalized}
-    if not cfg.gas.is_normalized:
-        gas["R"] = cfg.gas.R
-        gas["A"] = cfg.gas.A
-    cp["gas"] = {k: _ini_value(v) for k, v in gas.items()}
-    for sec in _BLOCKS:
-        cp[sec] = {k: _ini_value(v) for k, v in d[sec].items() if v is not None}
-    cp["output"] = d["output"]
-    with open(path, "w") as fh:
-        cp.write(fh)
 
 
 def git_commit() -> str:

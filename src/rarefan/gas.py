@@ -47,10 +47,6 @@ class GasParams:
         return cls(gamma=gamma, R=gamma - 1.0, A=gamma - 1.0, alpha=alpha,
                    mu1=mu1, lambda1=lambda1, kappa1=kappa1)
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.A == self.R == self.gamma - 1.0
-
 
 @dataclass(frozen=True)
 class PrimState:

@@ -47,6 +47,9 @@ _RK3_WEIGHTS = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
 _RK3_REAL_LIMIT = 2.5127453266183286
 _VISC_FRACTION = 0.8
 
+# Courant number of the convective step
+_CFL = 0.4
+
 # smallest step taken; a sample or horizon time counts as reached within this
 # gap, so landing on it never asks for a smaller step
 _DT_MIN = 1e-12
@@ -57,14 +60,11 @@ class SolverConfig:
     """Run-level numerical parameters."""
 
     eps: float = 1.0
-    cfl: float = 0.4
     floor_rho: float = 1e-10
     floor_theta: float = 1e-10
     scaled: bool = False               # tau/y variables: unit viscous multiplier
 
     def __post_init__(self):
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must be in (0, 1)")
         if self.eps < 0.0:
             raise ValueError("eps must be nonnegative")
 
@@ -428,7 +428,7 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
         sp = float(speed.max())
         max_speed = max(max_speed, sp)
         if sp > 0.0:
-            dt_conv = min(dt_conv, cfg.cfl * spacing[ax] / sp)
+            dt_conv = min(dt_conv, _CFL * spacing[ax] / sp)
 
     # Viscous/heat symbol at the largest theta^alpha/rho, with q_a = 4/h_a^2, y_a =
     # sin^2(k_a h_a/2), s_a = sin(k_a h_a)/h_a, c = mu + lambda: velocity mu S I +

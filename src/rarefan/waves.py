@@ -150,11 +150,12 @@ def sample_cutoff(spec: WaveSpec, xi) -> WaveTable:
     return WaveTable(xi, rho, u1, theta, rho * u1, rho * theta, branch)
 
 
-def cutoff_exact_distance(spec: WaveSpec, n: int = 4001, pad: float = 1.0) -> dict[str, float]:
-    """Sup over xi of the componentwise (rho, m, n) gap between cut-off and exact wave."""
-    lo = min(spec.u1_vacuum, spec.w_minus) - pad
-    hi = spec.w_plus + pad
-    xi = np.linspace(lo, hi, n)
+def cutoff_exact_distance(spec: WaveSpec) -> dict[str, float]:
+    """Sup over xi of the componentwise (rho, m, n) gap between cut-off and exact wave,
+    on 4001 points reaching one past the wave's ends."""
+    lo = min(spec.u1_vacuum, spec.w_minus) - 1.0
+    hi = spec.w_plus + 1.0
+    xi = np.linspace(lo, hi, 4001)
     # the gap is extremal at the wave corners; pin them into the grid
     xi = np.unique(np.concatenate([xi, [spec.u1_vacuum, spec.w_minus, spec.w_plus]]))
     ex, cu = sample_exact(spec, xi), sample_cutoff(spec, xi)
@@ -319,14 +320,14 @@ def velocity_span(spec: WaveSpec) -> float:
     return spec.right.u1 - spec.left_state().u1
 
 
-def smooth_cutoff_distance(spec: WaveSpec, t: float, n: int = 4001,
-                           pad: float = 1.0) -> dict[str, float]:
-    """Sup over x1 of |smooth profile(t) - cutoff wave(x1/t)| per component."""
+def smooth_cutoff_distance(spec: WaveSpec, t: float) -> dict[str, float]:
+    """Sup over x1 of |smooth profile(t) - cutoff wave(x1/t)| per component, on 4001
+    points reaching 1 + 50 delta past the fan."""
     if t <= 0.0:
         raise ValueError("distance to the self-similar wave needs t > 0")
-    lo = spec.w_minus * t - pad - 50.0 * spec.delta
-    hi = spec.w_plus * t + pad + 50.0 * spec.delta
-    x1 = np.linspace(lo, hi, n)
+    lo = spec.w_minus * t - 1.0 - 50.0 * spec.delta
+    hi = spec.w_plus * t + 1.0 + 50.0 * spec.delta
+    x1 = np.linspace(lo, hi, 4001)
     pr = smooth_profile(spec, t, x1)
     cu = sample_cutoff(spec, x1 / t)
     return {

@@ -182,8 +182,7 @@ def test_criterion_07_solver_conservation_and_mms():
 def test_criterion_08_vanishing_viscosity_trend():
     t0 = time.time()
     cfg = _config(kind="eps-sweep", sweep=(0.04, 0.02, 0.01), horizon=1.0, h=0.25,
-                  wave=WaveBlock(nu_coeff=0.5, nu_exp=0.5, delta_coeff=1.0,
-                                 delta_exp=0.5),
+                  wave=WaveBlock(nu_coeff=0.5, delta_coeff=1.0),
                   grid=GridBlock(n1=384))
     rep = run_viscosity_sweep(cfg)
     dists = [r["distance"] for r in rep.rows if r.get("eta", 0.0) == 0.0

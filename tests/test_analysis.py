@@ -217,7 +217,7 @@ def test_pinned_gradient_needs_three_cells():
 
 def test_gn_zero_field():
     grid = slab()
-    res = gn_check(gn_sample(np.zeros(grid.shape), grid, False), "L4-slab", Lambda=0.5)
+    res = gn_check(gn_sample(np.zeros(grid.shape), grid, False), "L4-slab")
     assert res["ratio"] == 0.0
 
 
@@ -236,7 +236,7 @@ def test_gn_gaussian_bump_scaling():
         x1 = grid.x1()[:, None, None]
         u = gn_sample(np.exp(-x1 ** 2) * np.ones(grid.shape), grid, False)
         for case in ratios:
-            r = gn_check(u, case, Lambda=lam)["ratio"]
+            r = gn_check(u, case)["ratio"]
             assert np.isfinite(r) and r > 0.0
             ratios[case].append(r)
     for case, rs in ratios.items():
@@ -248,9 +248,9 @@ def test_gn_torus_single_mode():
     grid = SlabGrid.torus(lam, 16, 16, 16, dims=3)
     X1, X2, _ = grid.meshgrid()
     u = gn_sample(np.cos(2 * np.pi * (X1 + 2 * X2) / lam), grid, True)
-    res = gn_check(u, "L6-torus", Lambda=lam)
+    res = gn_check(u, "L6-torus")
     assert 0.0 < res["ratio"] < 3.0
-    res4 = gn_check(u, "L4-torus", Lambda=lam)
+    res4 = gn_check(u, "L4-torus")
     assert 0.0 < res4["ratio"] < 3.0
 
 

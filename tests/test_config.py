@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rarefan.config import (ConfigError, ExperimentConfig, parse_config, emit_config,
-                            paper_constants)
+from rarefan.config import ConfigError, ExperimentConfig, parse_config, paper_constants
 
 
 BASE = """
@@ -46,7 +45,7 @@ def write(tmp_path, text, name="c.ini"):
 def test_parse_basic(tmp_path):
     cfg = parse_config(write(tmp_path, BASE))
     assert cfg.gas.gamma == pytest.approx(5.0 / 3.0)
-    assert cfg.gas.is_normalized
+    assert cfg.gas.A == cfg.gas.R == cfg.gas.gamma - 1.0
     assert cfg.right.rho == 1.0
     assert cfg.experiment.sweep == (0.1, 0.05, 0.025)
     assert cfg.wave.nu == 0.05
@@ -79,14 +78,10 @@ SHIPPED = sorted(ROOT.glob("configs/*.ini")) + [ROOT / "perfbench/configs/slab2d
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
-def test_roundtrip_equality(tmp_path, path):
+def test_roundtrip_equality(path):
+    # every shipped config parses and names a study
     from rarefan.experiments import DRIVERS
-    cfg = parse_config(path)
-    assert cfg.experiment.kind in DRIVERS
-    out = tmp_path / "echo.ini"
-    emit_config(cfg, out)
-    cfg2 = parse_config(out)
-    assert cfg2 == cfg
+    assert parse_config(path).experiment.kind in DRIVERS
 
 
 def test_config_hash_stable(tmp_path):
@@ -106,9 +101,10 @@ def test_config_hash_ignores_output_dir(tmp_path):
     assert moved.config_hash() == cfg.config_hash()
     # the CLI's --out override goes the same way
     assert dataclasses.replace(cfg, out_dir=str(tmp_path)).config_hash() == cfg.config_hash()
-    recfl = parse_config(write(tmp_path, BASE.replace("eps = 0.02", "eps = 0.02\ncfl = 0.3"),
-                               name="cfl.ini"))
-    assert recfl.config_hash() != cfg.config_hash()
+    refloor = parse_config(write(tmp_path, BASE.replace("eps = 0.02",
+                                                        "eps = 0.02\nfloor_rho = 1e-8"),
+                                 name="floor.ini"))
+    assert refloor.config_hash() != cfg.config_hash()
 
 
 def test_paper_scaling_arithmetic(tmp_path):
@@ -117,7 +113,7 @@ def test_paper_scaling_arithmetic(tmp_path):
     text = BASE.replace("kind = cutoff-study", "kind = eps-sweep") \
                .replace("sweep = 0.1, 0.05, 0.025", "paper_scaling = true")
     cfg = parse_config(write(tmp_path, text))
-    a, Z = cfg.paper_constants()
+    a, Z = paper_constants(cfg.gas.gamma, cfg.gas.alpha)
     assert a == pytest.approx(1.5 / 34.5, abs=1e-12)
     assert Z == pytest.approx(0.1, abs=1e-12)
     eps = 0.01
@@ -160,7 +156,7 @@ def test_paper_scaling_feasible_when_small():
 
 def test_desk_scale_links(tmp_path):
     text = BASE.replace("nu = 0.05\ndelta = 0.1",
-                        "nu_coeff = 0.5\nnu_exp = 0.5\ndelta_coeff = 1.0\ndelta_exp = 0.5")
+                        "nu_coeff = 0.5\ndelta_coeff = 1.0")
     cfg = parse_config(write(tmp_path, text))
     nu, delta = cfg.resolve_nu_delta(0.04)
     assert nu == pytest.approx(0.5 * 0.2, abs=1e-14)
@@ -186,12 +182,30 @@ def test_cli_exit_codes(tmp_path):
 @pytest.mark.parametrize("line, named", [
     # [solver] has no boundary key: the driver's ghost source sets the x1 rule
     pytest.param("boundary = wrapped", "unknown key 'boundary'", id="boundary = wrapped-wrapped"),
-    ("cfl = 1.5", "cfl"),
+    # the Courant number is the solver's constant, not a key
+    pytest.param("cfl = 1.5", "unknown key 'cfl'", id="cfl = 1.5-cfl"),
 ])
 def test_bad_solver_value_refused_at_parse(tmp_path, line, named):
     from rarefan.cli import main
     path = write(tmp_path, BASE.replace("eps = 0.02", f"eps = 0.02\n{line}"))
     with pytest.raises(ConfigError, match=named):
+        parse_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+
+
+# knobs that only ever took one value are constants, not keys: the CFL number,
+# the desk-scale powers, the verdict bounds and the gas normalization
+DELETED_KEYS = [("eps = 0.02", "cfl"), ("delta = 0.1", "nu_exp"), ("delta = 0.1", "delta_exp"),
+                ("kind = cutoff-study", "band_factor"), ("kind = cutoff-study", "exp_tol"),
+                ("kind = cutoff-study", "r2_min"), ("alpha = 0.5", "normalized"),
+                ("alpha = 0.5", "R"), ("alpha = 0.5", "A")]
+
+
+@pytest.mark.parametrize("after, key", DELETED_KEYS, ids=[k for _, k in DELETED_KEYS])
+def test_deleted_key_refused_at_parse(tmp_path, after, key):
+    from rarefan.cli import main
+    path = write(tmp_path, BASE.replace(after, f"{after}\n{key} = 1"))
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(path)
     assert main(["run", "--config", str(path)]) == 2
 

@@ -33,6 +33,15 @@ def test_cutoff_study_passes_and_reports():
     assert rep.rows[0]["nu"] == 0.1  # sorted by descending nu
 
 
+@pytest.mark.parametrize("exponent, ok", [(1.149, True), (1.151, False)])
+def test_cutoff_study_exponent_tolerance(monkeypatch, exponent, ok):
+    # the fitted density power passes within 0.15 of one and fails past it
+    import rarefan.experiments as ex
+    monkeypatch.setattr(ex, "fit_rate", lambda xs, ys, model: (exponent, 1.0))
+    rep = run_cutoff_study(config(kind="cutoff-study", sweep=(0.1, 0.05, 0.025, 0.0125)))
+    assert rep.checks["rho_power_is_one"] is ok
+
+
 def test_profile_study_passes():
     rep = run_profile_study(config(kind="profile-study"))
     assert rep.passed
@@ -79,7 +88,7 @@ def test_decay_requires_transverse():
 def test_eps_sweep_small_with_pairing():
     cfg = config(kind="eps-sweep", sweep=(0.05, 0.035, 0.02), horizon=0.4, h=0.15,
                  eta=1e-3, mode_cap=2, seed=3,
-                 wave=WaveBlock(nu_coeff=0.5, nu_exp=0.5, delta_coeff=1.0, delta_exp=0.5),
+                 wave=WaveBlock(nu_coeff=0.5, delta_coeff=1.0),
                  grid=GridBlock(n1=160, period=0.8))
     rep = run_viscosity_sweep(cfg)
     # this short-horizon smoke run exercises the paired perturbed run; the
@@ -109,17 +118,25 @@ def test_decay_zero_mode_unaffected_by_transverse_resolution():
     assert abs(dists[12] - dists[24]) <= 0.01 * dists[24]
 
 
-def test_eps_sweep_partial_report_on_failure():
+def test_eps_sweep_partial_report_on_failure(tmp_path):
     # a floor tight enough to abort every run must yield failure rows and a
-    # FAIL verdict, not an exception
+    # FAIL verdict, not an exception; the CSV keeps each comma-bearing
+    # failure message in its one cell
+    import csv
     cfg = config(kind="eps-sweep", sweep=(0.05, 0.035, 0.02), horizon=0.3, h=0.1,
-                 wave=WaveBlock(nu_coeff=0.5, nu_exp=0.5, delta_coeff=1.0, delta_exp=0.5),
+                 wave=WaveBlock(nu_coeff=0.5, delta_coeff=1.0),
                  grid=GridBlock(n1=96, period=0.8),
                  solver=SolverBlock(floor_rho=0.5))
     rep = run_viscosity_sweep(cfg)
     assert not rep.passed
     assert not rep.checks["no_run_failures"]
     assert any("failed" in r for r in rep.rows)
+    with open(rep.emit(str(tmp_path))) as fh:
+        read = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    failed = [r for r in rep.rows if "failed" in r]
+    assert "," in failed[0]["failed"]
+    assert [r["failed"] for r in read if r["failed"]] == [r["failed"] for r in failed]
+    assert all(None not in r for r in read)
 
 
 def test_diff_study_outputs_masks_run_fields(tmp_path):
@@ -153,6 +170,12 @@ def test_diff_study_outputs_masks_run_fields(tmp_path):
     # unmoved and masked columns are not listed
     report = res.stdout.split("largest relative and absolute difference per numeric column")[1]
     assert report.split() == ["distance:", "relative", "4.000e-07,", "absolute", "1.000e-07"]
+    # a quoted cell holding a comma keeps the wall_time mask on its own column
+    for name, wall in (("d", 1.0), ("e", 2.0)):
+        rows = [{"eps": 0.1, "failed": "floor hit: min rho 1e-3, min theta 2e-3",
+                 "wall_time": wall, "n1": 96}]
+        StudyReport("eps-sweep", rows, {"ok": False}, "aaaa", 0, wall).emit(str(tmp_path / name))
+    assert diff("d", "e").returncode == 0
 
 
 def test_eps_sweep_paired_run_abort_is_a_failure_row():
@@ -160,7 +183,7 @@ def test_eps_sweep_paired_run_abort_is_a_failure_row():
     # abort must become a failure row and a FAIL verdict, not an exception
     cfg = config(kind="eps-sweep", sweep=(0.05, 0.035, 0.02), horizon=0.3, h=0.1,
                  eta=1e-3, mode_cap=2,
-                 wave=WaveBlock(nu_coeff=0.5, nu_exp=0.5, delta_coeff=1.0, delta_exp=0.5),
+                 wave=WaveBlock(nu_coeff=0.5, delta_coeff=1.0),
                  grid=GridBlock(n1=160, period=0.8),
                  solver=SolverBlock(floor_rho=0.5))
     rep = run_viscosity_sweep(cfg)

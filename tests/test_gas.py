@@ -14,7 +14,6 @@ def gas():
 
 def test_normalization(gas):
     assert gas.A == gas.R == gas.gamma - 1.0
-    assert gas.is_normalized
 
 
 def test_invalid_params():

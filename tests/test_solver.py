@@ -364,7 +364,7 @@ def _ref_stable_dt(fs, cfg, g=GAS):
         sp = float(np.max(np.abs(u[ax]) + c))
         max_speed = max(max_speed, sp)
         if sp > 0.0:
-            dt_conv = min(dt_conv, cfg.cfl * spacing[ax] / sp)
+            dt_conv = min(dt_conv, 0.4 * spacing[ax] / sp)
     if cfg.visc_mult > 0.0:
         inv_h2 = sum(spacing[ax] ** -2 for ax in active)
         f = min(spacing[ax] for ax in active) ** -2 / inv_h2
