@@ -96,7 +96,8 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        # numpy 2 reprs an np.float64 as 'np.float64(...)'
+        return repr(float(v))
     return str(v)
 
 

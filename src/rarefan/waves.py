@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .gas import GasParams, PrimState, VACUUM_RHO, sound_speed
 
@@ -289,8 +288,14 @@ def profile_lp_norm(spec: WaveSpec, t: float, p: float) -> float:
     """L^p(R) norm of d(u1)/dx1 of the smooth profile at Burgers time t.
 
     Substituting the characteristic base point x0 turns the integral into
-    int w0'(x0)^p (1 + t w0'(x0))^(1-p) dx0 over the fixed tanh transition
-    zone, which adaptive quadrature resolves independently of t.
+    int (fac w0'(x0))^p (1 + t w0'(x0))^(1-p) dx0 over the fixed tanh
+    transition zone, with w0' proportional to sech^2(x0/delta), so the grid
+    need not follow t.  The integrand is analytic in the strip
+    |Im x0| < pi delta/2 and decays like exp(-2p|x0|/delta), so the uniform
+    trapezoid rule of step h converges exponentially, with error about
+    exp(-pi^2 delta/h) (Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458).
+    At h = delta/8 over |x0| <= 45 delta that is e^-79 relative, and the cut
+    tails e^-90p: the sum is exact to round-off for every p >= 1, t >= 0.
     """
     if spec.nu <= 0.0:
         raise ValueError("profile norms require nu > 0")
@@ -300,19 +305,16 @@ def profile_lp_norm(spec: WaveSpec, t: float, p: float) -> float:
     fac = 2.0 / (g.gamma + 1.0)
     if np.isinf(p):
         # integrand is increasing in w0', so the sup sits at the tanh midpoint
-        s0 = _burgers_data_d1(spec, 0.0)
+        s0 = float(_burgers_data_d1(spec, 0.0))
         return fac * s0 / (1.0 + t * s0)
     if p < 1:
         raise ValueError("p must be >= 1")
 
-    def integrand(x0):
-        s = _burgers_data_d1(spec, x0)
-        return (fac * s) ** p * (1.0 + t * s) ** (1.0 - p)
-
-    lim = 45.0 * spec.delta
-    val, _ = integrate.quad(integrand, -lim, lim, limit=200,
-                            points=[-spec.delta, 0.0, spec.delta])
-    return val ** (1.0 / p)
+    h = spec.delta / 8.0
+    s = _burgers_data_d1(spec, h * np.arange(-360, 361))
+    f = (fac * s) ** p * (1.0 + t * s) ** (1.0 - p)
+    val = h * (f.sum() - 0.5 * (f[0] + f[-1]))
+    return float(val) ** (1.0 / p)
 
 
 def velocity_span(spec: WaveSpec) -> float:

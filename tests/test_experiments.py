@@ -139,6 +139,35 @@ def test_eps_sweep_partial_report_on_failure(tmp_path):
     assert all(None not in r for r in read)
 
 
+def test_emit_writes_numpy_scalars_as_plain_numbers(tmp_path):
+    # np.float64 is a float subclass whose repr under numpy 2 is
+    # 'np.float64(...)'; every numeric cell must read back with float()
+    import csv
+    from rarefan.experiments import StudyReport
+    row = {"a": np.float64(9.986423047088328), "b": np.float64(1e-300), "c": 0.1,
+           "n": np.int64(384), "k": 7, "ok": True, "np_ok": np.bool_(False)}
+    path = StudyReport("profile-study", [row], {"ok": True}, "aaaa", 0, 1.0).emit(str(tmp_path))
+    with open(path) as fh:
+        read = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(read) == 1
+    for col in ("a", "b", "c", "n", "k"):
+        assert float(read[0][col]) == row[col]
+    assert (read[0]["ok"], read[0]["np_ok"]) == ("True", "False")
+
+
+def test_import_path_loads_no_scipy():
+    # scipy costs a fresh process most of its start-up time and memory; no
+    # module that a run imports may pull it in
+    import subprocess
+    import sys
+    code = ("import sys, rarefan, rarefan.experiments, rarefan.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_diff_study_outputs_masks_run_fields(tmp_path):
     import subprocess
     import sys

@@ -324,6 +324,27 @@ def test_profile_lp_norms():
     assert max(prods) / min(prods) < 2.0
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.0125])
+def test_profile_lp_norm_closed_form(delta):
+    # with A = (w+ - w-)/(2 delta), b = tA and fac = 2/(gamma+1),
+    # ||du1||_2^2 = fac^2 A^2 delta I(b), I(0) = 4/3 and
+    # I(b) = (2 - 2 artanh(sqrt(b/(1+b))) / sqrt(b(1+b))) / b
+    spec = make_spec(delta=delta)
+    amp = (spec.w_plus - spec.w_minus) / (2.0 * delta)
+    fac = 2.0 / (GAS.gamma + 1.0)
+    for t in (0.0, 1.0, 2.0, 4.0, 8.0, 64.0):
+        b = t * amp
+        if b == 0.0:
+            integral = 4.0 / 3.0
+        else:
+            integral = (2.0 - 2.0 * np.arctanh(np.sqrt(b / (1.0 + b)))
+                        / np.sqrt(b * (1.0 + b))) / b
+        exact = np.sqrt(fac ** 2 * amp ** 2 * delta * integral)
+        assert profile_lp_norm(spec, t, 2) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert profile_lp_norm(spec, t, 1) == pytest.approx(velocity_span(spec),
+                                                            rel=0.0, abs=1e-13)
+
+
 def test_smooth_cutoff_distance_scaling():
     # delta |log delta| law at t = 2, one constant across halvings
     ratios = []
