@@ -16,6 +16,11 @@ resident set of any one process in the tree. ``peak_rss_mb`` sees only an
 operation's own process, so these show what a wall-time gain costs in CPU
 and in worker memory.
 
+Each side's ``commits`` entry is the sha of its checkout's HEAD, and its
+``dirty`` entry says whether ``git status --porcelain -- src`` lists anything
+there (null outside a git checkout): a change run from an uncommitted tree
+carries its parent's sha and ``dirty: true``.
+
 Adds the workload's entry to ``BENCH_<topic>.json`` (in --out, default the
 current directory), so that one file holds several workloads: the machine,
 each side's median and quartiles of every end-to-end metric and of the
@@ -67,6 +72,16 @@ def invoke(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": metrics, "correct": result["correct"],
             "operations": sum(1 for ln in lines if ln.startswith("op ")),
             "provenance": provenance}
+
+
+def src_dirty(root: Path) -> bool | None:
+    """Whether the checkout at root has uncommitted changes under src/; None
+    when root is not a git checkout."""
+    if not (root / ".git").exists():
+        return None
+    out = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
+                         capture_output=True, text=True, timeout=10, check=True)
+    return bool(out.stdout.strip())
 
 
 def quartiles(values: list[float]) -> dict:
@@ -136,6 +151,7 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --workload W --seed <pair> --seconds S --trace 0",
         "machine": machine,
         "commits": {s: provenance[s]["commit"] for s in SIDES},
+        "dirty": {s: src_dirty(roots[s]) for s in SIDES},
         "src_sha256": {s: provenance[s]["src_sha256"] for s in SIDES},
         "src_py_lines": {s: provenance[s]["src_py_lines"] for s in SIDES},
         "summary": summarise(pairs, better),

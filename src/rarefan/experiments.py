@@ -125,14 +125,16 @@ def _concurrently(here, elsewhere) -> list:
     """[here(), fn(*args) for each (fn, args) of elsewhere], in that order.
 
     here() runs in this process while forked workers, min(len(elsewhere),
-    usable CPUs - 1) but at least one, run the others. The fn must pickle by
-    name and the args and results by value; each worker takes them through
-    the same code as this process, so the results are bitwise the serial
-    ones. An exception of here() or of a worker is raised here (here's first,
-    then the workers' in the order of elsewhere), a worker that dies raises
-    BrokenProcessPool, and the call returns or raises only once every worker
-    has exited.
+    usable CPUs - 1) but at least one, run the others; with nothing elsewhere
+    no pool is made. The fn must pickle by name and the args and results by
+    value; each worker takes them through the same code as this process, so
+    the results are bitwise the serial ones. An exception of here() or of a
+    worker is raised here (here's first, then the workers' in the order of
+    elsewhere), a worker that dies raises BrokenProcessPool, and the call
+    returns or raises only once every worker has exited.
     """
+    if not elsewhere:
+        return [here()]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -552,30 +554,60 @@ def _torus_sample(rng: np.random.Generator, grid: SlabGrid, lam: float) -> np.nd
     return u
 
 
+def _gn_max_ratios(seed: int, pieces) -> dict[str, dict[float, float]]:
+    """Per case and width, the largest gn_check ratio over samples [lo, hi) of
+    each (lam, lo, hi) piece, every value starting from 0.0 so a NaN ratio is
+    ignored. Each width draws from its own default_rng(seed), and the samples
+    before lo are drawn and dropped, so every sample is bitwise the serial one.
+    """
+    ratios: dict[str, dict[float, float]] = {c: {} for c in GN_CASES}
+    for lam, lo, hi in pieces:
+        slab = SlabGrid(L=4.0, n1=128, period=lam, n2=12, n3=12, dims=3)
+        torus = SlabGrid.torus(lam, 16, 16, 16, dims=3)
+        rng = np.random.default_rng(seed)
+        for i in range(hi):
+            u_slab = _slab_sample(rng, slab, lam, i % 5 == 0)
+            u_torus = _torus_sample(rng, torus, lam)
+            if i < lo:
+                continue
+            # each grid's derivative norms once, shared by its three cases
+            samples = {"slab": gn_sample(u_slab, slab, False),
+                       "torus": gn_sample(u_torus, torus, True)}
+            for case in GN_CASES:
+                res = gn_check(samples[case.rsplit("-", 1)[1]], case)
+                ratios[case][lam] = max(ratios[case].get(lam, 0.0), res["ratio"])
+    return ratios
+
+
 def run_gn_check(cfg: ExperimentConfig) -> StudyReport:
     """Empirical-constant scan of every inequality special case across widths.
 
     One constant per case must cover all samples at all widths: no blowup as
-    the torus narrows means the width prefactors absorb the scaling.
+    the torus narrows means the width prefactors absorb the scaling. The
+    (width, sample) range is cut into one contiguous piece per usable CPU;
+    the first runs here, the others in workers, and their maxima merge.
     """
     t0 = time.time()
     lambdas = [1.0, 0.5, 0.25]
     nsamples = cfg.experiment.samples
     seed = cfg.experiment.seed
-    rows = []
+    # the flat index w * nsamples + i of sample i of width w, cut evenly into
+    # one piece per CPU; a piece is its (lam, lo, hi) runs of samples
+    total, npieces = len(lambdas) * nsamples, len(os.sched_getaffinity(0))
+    bounds = [total * j // npieces for j in range(npieces + 1)]
+    pieces = [[(lam, max(a - w * nsamples, 0), min(b - w * nsamples, nsamples))
+               for w, lam in enumerate(lambdas)
+               if max(a, w * nsamples) < min(b, (w + 1) * nsamples)]
+              for a, b in zip(bounds, bounds[1:]) if a < b]
+    first, *rest = pieces
+    parts = _concurrently(lambda: _gn_max_ratios(seed, first),
+                          [(_gn_max_ratios, (seed, p)) for p in rest])
     case_ratios: dict[str, dict[float, float]] = {c: {} for c in GN_CASES}
-    for lam in lambdas:
-        slab = SlabGrid(L=4.0, n1=128, period=lam, n2=12, n3=12, dims=3)
-        torus = SlabGrid.torus(lam, 16, 16, 16, dims=3)
-        rng = np.random.default_rng(seed)
-        for i in range(nsamples):
-            # each grid's derivative norms once, shared by its three cases
-            samples = {"slab": gn_sample(_slab_sample(rng, slab, lam, i % 5 == 0), slab, False),
-                       "torus": gn_sample(_torus_sample(rng, torus, lam), torus, True)}
-            for case in GN_CASES:
-                res = gn_check(samples[case.rsplit("-", 1)[1]], case)
-                cur = case_ratios[case].get(lam, 0.0)
-                case_ratios[case][lam] = max(cur, res["ratio"])
+    for part in parts:
+        for case, per_lam in part.items():
+            for lam, ratio in per_lam.items():
+                case_ratios[case][lam] = max(case_ratios[case].get(lam, 0.0), ratio)
+    rows = []
     for case in GN_CASES:
         per_lam = case_ratios[case]
         worst = max(per_lam.values())

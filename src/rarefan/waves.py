@@ -155,8 +155,9 @@ def cutoff_exact_distance(spec: WaveSpec) -> dict[str, float]:
     lo = min(spec.u1_vacuum, spec.w_minus) - 1.0
     hi = spec.w_plus + 1.0
     xi = np.linspace(lo, hi, 4001)
-    # the gap is extremal at the wave corners; pin them into the grid
-    xi = np.unique(np.concatenate([xi, [spec.u1_vacuum, spec.w_minus, spec.w_plus]]))
+    # the gap is extremal at the wave corners; pin them into the grid (a
+    # duplicate point cannot change a sup, and np.unique would load numpy.ma)
+    xi = np.sort(np.concatenate([xi, [spec.u1_vacuum, spec.w_minus, spec.w_plus]]))
     ex, cu = sample_exact(spec, xi), sample_cutoff(spec, xi)
     return {
         "rho": float(np.max(np.abs(cu.rho - ex.rho))),

@@ -56,22 +56,39 @@ def test_gn_check_small_battery():
 
 def test_gn_check_shares_derivatives_across_cases(monkeypatch):
     # one gradient and three of its components per sample and grid, one
-    # gn_check call per case: 6 samples x 3 widths x 2 grids
+    # gn_check call per case: 6 samples x 3 widths x 2 grids; the counters
+    # are shared with the forked workers that run the other pieces
     import rarefan.analysis as an
     import rarefan.experiments as ex
-    calls = {"gradient": 0, "gn_check": 0}
+    ctx = multiprocessing.get_context("fork")
+    calls = {"gradient": ctx.Value("i", 0), "gn_check": ctx.Value("i", 0)}
 
     def counted(mod, name):
         real = getattr(mod, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with calls[name].get_lock():
+                calls[name].value += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(mod, name, wrapper)
     counted(an, "gradient")
     counted(ex, "gn_check")
     assert run_gn_check(config(kind="gn-check", samples=6, seed=1)).passed
-    assert calls == {"gradient": 4 * 6 * 3 * 2, "gn_check": 6 * 6 * 3}
+    assert {name: c.value for name, c in calls.items()} == {"gradient": 4 * 6 * 3 * 2,
+                                                            "gn_check": 6 * 6 * 3}
+
+
+def test_gn_check_rows_do_not_depend_on_the_cpu_count(monkeypatch):
+    # 21 (width, sample) pairs cut into 1, 2, 3 and 5 uneven pieces
+    import rarefan.experiments as ex
+    outs = []
+    for ncpu in (1, 2, 3, 5):
+        monkeypatch.setattr(ex.os, "sched_getaffinity", lambda pid, n=ncpu: set(range(n)))
+        rep = run_gn_check(config(kind="gn-check", samples=7, seed=2))
+        outs.append(([{k: v for k, v in r.items() if k != "wall_time"} for r in rep.rows],
+                     rep.checks))
+    assert all(out == outs[0] for out in outs[1:])
+    assert multiprocessing.active_children() == []
 
 
 def test_background_requires_eta():
@@ -166,6 +183,45 @@ def test_import_path_loads_no_scipy():
                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cutoff_study_loads_no_numpy_ma():
+    # numpy.ma costs a fresh process about 15 ms, and np.unique's first call
+    # loads it
+    import subprocess
+    import sys
+    from pathlib import Path
+    ini = Path(__file__).resolve().parent.parent / "configs" / "cutoff_study.ini"
+    code = ("import sys; from rarefan.config import parse_config; "
+            "from rarefan.experiments import run_cutoff_study; "
+            f"assert run_cutoff_study(parse_config({str(ini)!r})).passed; "
+            "print('numpy.ma' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_bench_pairs_marks_a_checkout_with_uncommitted_src(tmp_path):
+    import importlib.util
+    import subprocess
+    from pathlib import Path
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", script)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    assert bench_pairs.src_dirty(tmp_path) is None
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.md").write_text("draft\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+           "-C", str(tmp_path)]
+    for args in (["init", "-q"], ["add", "src"], ["commit", "-q", "-m", "a"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    assert bench_pairs.src_dirty(tmp_path) is False
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    assert bench_pairs.src_dirty(tmp_path) is True
 
 
 def test_diff_study_outputs_masks_run_fields(tmp_path):
