@@ -125,16 +125,13 @@ def _concurrently(here, elsewhere) -> list:
     """[here(), fn(*args) for each (fn, args) of elsewhere], in that order.
 
     here() runs in this process while forked workers, min(len(elsewhere),
-    usable CPUs - 1) but at least one, run the others; with nothing elsewhere
-    no pool is made. The fn must pickle by name and the args and results by
-    value; each worker takes them through the same code as this process, so
-    the results are bitwise the serial ones. An exception of here() or of a
+    usable CPUs - 1) but at least one, run the others. The fn must pickle by
+    name and the args and results by value; each worker takes them through
+    the same code as this process, so the results are bitwise the serial ones. An exception of here() or of a
     worker is raised here (here's first, then the workers' in the order of
     elsewhere), a worker that dies raises BrokenProcessPool, and the call
     returns or raises only once every worker has exited.
     """
-    if not elsewhere:
-        return [here()]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
