@@ -52,8 +52,8 @@ class GridBlock:
 @dataclass
 class SolverBlock:
     eps: float = 0.02
-    floor_rho: float = 1e-9
-    floor_theta: float = 1e-9
+    floor_rho: float = SolverConfig.floor_rho
+    floor_theta: float = SolverConfig.floor_theta
 
     def solver_config(self, **overrides) -> SolverConfig:
         """The one config-to-solver map: this block, with a driver's overrides."""

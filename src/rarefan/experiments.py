@@ -194,8 +194,8 @@ def run_profile_study(cfg: ExperimentConfig) -> StudyReport:
     distance to the self-similar wave carries the delta |log delta| scaling.
     """
     t0 = time.time()
-    nu, delta = cfg.resolve_nu_delta(cfg.solver.eps)
-    spec = WaveSpec(cfg.right, cfg.gas, nu=nu, delta=delta)
+    spec = cfg.wave_spec()
+    delta = spec.delta
     ts = list(cfg.experiment.sweep) or [0.0, 1.0, 2.0, 4.0, 8.0]
     span = velocity_span(spec)
     w_span = spec.w_plus - spec.w_minus
@@ -222,7 +222,7 @@ def run_profile_study(cfg: ExperimentConfig) -> StudyReport:
     dist_rows = []
     for k in range(4):
         dk = delta / 2 ** k
-        sp = WaveSpec(cfg.right, cfg.gas, nu=nu, delta=dk)
+        sp = WaveSpec(cfg.right, cfg.gas, nu=spec.nu, delta=dk)
         dist = max(smooth_cutoff_distance(sp, t_dist).values())
         env = dk * (np.log(1.0 + t_dist) + abs(np.log(dk))) / t_dist
         dist_rows.append({"t": t_dist, "delta": dk, "dist": dist, "envelope": env,
@@ -624,21 +624,22 @@ def run_gn_check(cfg: ExperimentConfig) -> StudyReport:
 # wave dump and plain simulation
 # ---------------------------------------------------------------------------
 
-def run_wave_dump(spec: WaveSpec, t: float, n: int, out_path: str) -> str:
-    """CSV over x1 of the exact, cut-off and smooth (rho, u1, theta) at time t > 0;
-    the exact and cut-off waves are sampled at x1/t."""
+def run_wave_dump(cfg: ExperimentConfig) -> StudyReport:
+    """Rows over x1 of the exact, cut-off and smooth (rho, u1, theta) at time
+    t = [experiment] horizon > 0 on [grid] n1 points; the exact and cut-off
+    waves are sampled at x1/t."""
+    t0 = time.time()
+    spec, t = cfg.wave_spec(), cfg.experiment.horizon
     if t <= 0.0:
-        raise ValueError(f"the wave dump needs t > 0, got {t}")
+        raise ConfigError(f"the wave dump needs [experiment] horizon > 0, got {t}")
     x1 = np.linspace(spec.w_minus * t - 20.0 * spec.delta - 1.0,
-                     spec.w_plus * t + 20.0 * spec.delta + 1.0, n)
+                     spec.w_plus * t + 20.0 * spec.delta + 1.0, cfg.grid.n1)
     waves = {"exact": sample_exact(spec, x1 / t), "cutoff": sample_cutoff(spec, x1 / t),
              "smooth": smooth_profile(spec, t, x1)}
-    names = ("rho", "u1", "theta")
-    data = np.column_stack([x1] + [getattr(w, f) for w in waves.values() for f in names])
-    header = ",".join(["x1"] + [f"{f}_{k}" for k in waves for f in names])
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    np.savetxt(out_path, data, delimiter=",", header=header, comments="")
-    return out_path
+    cols = {"x1": x1, **{f"{f}_{k}": getattr(w, f) for k, w in waves.items()
+                         for f in ("rho", "u1", "theta")}}
+    rows = [dict(zip(cols, vals)) for vals in zip(*(c.tolist() for c in cols.values()))]
+    return _report("wave-dump", cfg, t0, rows, {"completed": True})
 
 
 def run_simulate(cfg: ExperimentConfig) -> StudyReport:
@@ -663,4 +664,5 @@ DRIVERS = {
     "background": run_background_decay,
     "gn-check": run_gn_check,
     "simulate": run_simulate,
+    "wave-dump": run_wave_dump,
 }

@@ -127,21 +127,15 @@ class FieldSet:
     def primitives(self, g: GasParams) -> np.ndarray:
         """Read-only stacked (rho, u1, u2, u3, theta), computed once per FieldSet."""
         if self._prim is None or self._prim[0] is not g:
-            # (gamma - 1)/R (E/rho - 0.5 sum_c u_c u_c) in place, in that order
             U = self.U
             rho = U[0]
             prim = np.empty_like(U)
-            u, theta, scratch = prim[1:4], prim[4], prim[0]   # row 0 before rho
-            np.divide(U[1:4], rho, out=u)
-            np.multiply(u[:2], u[:2], out=prim[::4])    # u1^2 + u2^2 = u2^2 + u1^2
-            theta += scratch
-            np.multiply(u[2], u[2], out=scratch)
-            theta += scratch
-            theta *= 0.5
-            e = np.divide(U[4], rho, out=scratch)
-            np.subtract(e, theta, out=theta)
-            theta *= (g.gamma - 1.0) / g.R
             prim[0] = rho
+            u = np.divide(U[1:4], rho, out=prim[1:4])
+            # theta = (gamma - 1)/R (E/rho - 0.5 sum_c u_c^2)
+            theta = np.divide(U[4], rho, out=prim[4])
+            theta -= 0.5 * (u * u).sum(axis=0)
+            theta *= (g.gamma - 1.0) / g.R
             prim.flags.writeable = False
             self._prim = (g, prim)
         return self._prim[1]

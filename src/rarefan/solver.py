@@ -50,6 +50,9 @@ _VISC_FRACTION = 0.8
 # Courant number of the convective step
 _CFL = 0.4
 
+# a run that has not reached its horizon after this many steps aborts
+_MAX_STEPS = 10_000_000
+
 # smallest step taken; a sample or horizon time counts as reached within this
 # gap, so landing on it never asks for a smaller step
 _DT_MIN = 1e-12
@@ -517,8 +520,7 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
         observers: dict[str, Callable[[FieldSet, GasParams], dict]] | None = None,
         ghost_source: GhostSource | None = None,
-        sample_dt: float | None = None,
-        max_steps: int = 10_000_000) -> tuple[FieldSet, list[dict]]:
+        sample_dt: float | None = None) -> tuple[FieldSet, list[dict]]:
     """Advance to the horizon, sampling diagnostics every sample_dt time units.
 
     Steps are capped so that every sample lands on its time t0 + k sample_dt
@@ -555,7 +557,7 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
     t_end = t0 + horizon
     n_sample = 1
     next_sample = t0 + sample_dt if sample_dt else np.inf
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         # land on the next sample or the horizon; a gap left open here exceeds
         # _DT_MIN, so the cap never forces a step below the underflow limit
         target = min(t_end, next_sample)
@@ -568,4 +570,4 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
             if records[-1]["tau"] < fs.time:
                 record(diag)
             return fs, records
-    raise RunAbort(f"max_steps={max_steps} exhausted before reaching horizon")
+    raise RunAbort(f"{_MAX_STEPS} steps exhausted before reaching horizon")

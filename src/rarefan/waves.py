@@ -170,6 +170,11 @@ def cutoff_exact_distance(spec: WaveSpec) -> dict[str, float]:
 # Burgers profile by the method of characteristics
 # ---------------------------------------------------------------------------
 
+# the characteristic solve's relative residual target, and its bisection cap
+_BURGERS_TOL = 1e-13
+_MAX_BISECT = 200
+
+
 def burgers_data(spec: WaveSpec, x1):
     """tanh initial datum ramping from w_minus to w_plus over width delta."""
     wm, wp = spec.w_minus, spec.w_plus
@@ -192,8 +197,7 @@ def _burgers_data_d2(spec: WaveSpec, x0):
     return -(wp - wm) / spec.delta ** 2 * _sech2(x0 / spec.delta) * np.tanh(x0 / spec.delta)
 
 
-def _burgers_base_point(spec: WaveSpec, t: float, x1: np.ndarray,
-                        tol: float = 1e-13, max_bisect: int = 200) -> np.ndarray:
+def _burgers_base_point(spec: WaveSpec, t: float, x1: np.ndarray) -> np.ndarray:
     """Characteristic base point x0 with x0 + w0(x0) t = x1.
 
     w0 is strictly increasing, so f(x0) = x0 + w0(x0) t - x1 is strictly
@@ -211,7 +215,7 @@ def _burgers_base_point(spec: WaveSpec, t: float, x1: np.ndarray,
     def f(x0):
         return x0 + burgers_data(spec, x0) * t - x1
 
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         lo = np.where(fm < 0.0, mid, lo)
@@ -222,11 +226,11 @@ def _burgers_base_point(spec: WaveSpec, t: float, x1: np.ndarray,
     for _ in range(8):
         res = f(x0)
         x0 = x0 - res / (1.0 + t * _burgers_data_d1(spec, x0))
-        if np.max(np.abs(res)) < tol * max(1.0, float(np.max(np.abs(x1))) + abs(t)):
+        if np.max(np.abs(res)) < _BURGERS_TOL * max(1.0, float(np.max(np.abs(x1))) + abs(t)):
             break
     res = np.abs(f(x0))
     scale = max(1.0, float(np.max(np.abs(x1))) + abs(t))
-    if np.max(res) > 1e3 * tol * scale:
+    if np.max(res) > 1e3 * _BURGERS_TOL * scale:
         worst = int(np.argmax(res))
         raise RuntimeError(
             f"Burgers characteristic solve failed: residual {res.flat[worst]:.3e} "

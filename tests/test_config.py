@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -298,18 +299,24 @@ def test_cli_worker_abort_exit_code(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+WAVE_DUMP = (BASE.replace("kind = cutoff-study\nsweep = 0.1, 0.05, 0.025",
+                          "kind = wave-dump\nhorizon = 1.5")
+                 .replace("n1 = 256", "n1 = 101"))
+
+
 def test_cli_wave_dump(tmp_path):
     from rarefan.cli import main
     from rarefan.gas import GasParams, PrimState
     from rarefan.waves import WaveSpec, sample_exact, smooth_profile
-    out = tmp_path / "wave.csv"
-    assert main(["wave", "--nu", "0.05", "--t", "1.5", "--grid", "101", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
+    path = write(tmp_path, WAVE_DUMP)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    lines = [l for l in (tmp_path / "out" / "wave_dump.csv").read_text().splitlines()
+             if not l.startswith("#")]
     assert lines[0] == ("x1,rho_exact,u1_exact,theta_exact,rho_cutoff,u1_cutoff,theta_cutoff,"
-                        "rho_smooth,u1_smooth,theta_smooth")
+                        "rho_smooth,u1_smooth,theta_smooth,config_hash,wall_time")
     assert len(lines) == 102
     # a row inside the fan, against the library at the same x1 and time
-    row = np.array(lines[1 + 50].split(","), dtype=float)
+    row = np.array(lines[1 + 50].split(",")[:10], dtype=float)
     spec = WaveSpec(PrimState(1.0, 0.0, 1.0), GasParams.normalized(5.0 / 3.0, 0.5),
                     nu=0.05, delta=0.1)
     ex = sample_exact(spec, row[:1] / 1.5)
@@ -317,14 +324,28 @@ def test_cli_wave_dump(tmp_path):
     assert ex.branch[0] == 0
     assert np.array_equal(row[1:4], [ex.rho[0], ex.u1[0], ex.theta[0]])
     assert np.allclose(row[7:10], [pr.rho[0], pr.u1[0], pr.theta[0]], rtol=1e-12, atol=0.0)
+    # the sidecar records the wave it dumped and the hash of its config
+    side = json.loads((tmp_path / "out" / "wave_dump.config.json").read_text())
+    assert (side["config"]["wave"]["nu"], side["config"]["wave"]["delta"]) == (0.05, 0.1)
+    assert side["config_hash"] == parse_config(path).config_hash()
 
 
 @pytest.mark.parametrize("t", ["0", "-1"])
 def test_cli_wave_dump_refuses_nonpositive_time(tmp_path, t):
     from rarefan.cli import main
-    out = tmp_path / "wave.csv"
-    assert main(["wave", "--t", t, "--out", str(out)]) == 2
-    assert not out.exists()
+    path = write(tmp_path, WAVE_DUMP.replace("horizon = 1.5", f"horizon = {t}"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["wave", "--t", "2.0"],
+                                  ["run", "--config", "configs/wave_dump.ini", "--seed", "3"]],
+                         ids=["wave", "seed"])
+def test_cli_refuses_removed_commands(argv):
+    from rarefan.cli import main
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
 
 
 def test_report_determinism(tmp_path):
