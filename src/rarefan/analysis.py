@@ -52,7 +52,8 @@ def lp_slab(f: np.ndarray, grid: SlabGrid, p: float) -> float:
     f = np.asarray(f, dtype=float)
     if np.isinf(p):
         return float(np.max(np.abs(f)))
-    return float((np.sum(np.abs(f) ** p) * grid.cell_volume) ** (1.0 / p))
+    fp = f * f if p == 2 else np.abs(f) ** p  # |f|^2 is f^2 to the bit
+    return float((np.sum(fp) * grid.cell_volume) ** (1.0 / p))
 
 
 def lp_line(f0: np.ndarray, grid: SlabGrid, p: float) -> float:
@@ -72,48 +73,74 @@ def _on(ax: int, s) -> tuple:
     return (slice(None),) * ax + (s,)
 
 
-def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndarray:
+def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
+             out: np.ndarray | None = None) -> np.ndarray:
     """2nd-order central gradient (3, n1, n2, n3); transverse axes periodic,
-    x1 one-sided 2nd-order at the ends unless periodic_x1.
+    x1 one-sided 2nd-order at the ends unless periodic_x1.  Writes into out,
+    a C-contiguous (3, n1, n2, n3) array, when given.
 
-    The pinned x1 closure uses np.gradient's uniform-spacing edge_order=2
-    formulas in its operation order, so it matches np.gradient to the bit.
+    Each axis of flat stride s is one contiguous difference of the flattened
+    field, cells j + s minus j - s; its end cells, which pick up the wrong
+    neighbours there, are then overwritten by the wrapped ends or the pinned
+    closure.  The pinned x1 closure uses np.gradient's uniform-spacing
+    edge_order=2 formulas in its operation order, so it matches np.gradient
+    to the bit.
     """
-    f = np.asarray(f, dtype=float)
-    out = np.zeros((3,) + f.shape)
+    f = np.ascontiguousarray(f, dtype=float)
+    if out is None:
+        out = np.empty((3,) + f.shape)
+    elif out.shape != (3,) + f.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous (3,) + f.shape array")
+    flat, n_all = f.reshape(-1), f.size
     for ax, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        o = out[ax]
         if n == 1:
+            o.fill(0.0)
             continue
-        o, first, last, mid = out[ax], _on(ax, 0), _on(ax, -1), _on(ax, slice(1, -1))
-        np.subtract(f[_on(ax, slice(2, None))], f[_on(ax, slice(None, -2))], out=o[mid])
+        s = f.strides[ax] // f.itemsize
+        np.subtract(flat[2 * s:], flat[:n_all - 2 * s], out=o.reshape(-1)[s:n_all - s])
+        first, last = _on(ax, 0), _on(ax, -1)
         if ax > 0 or periodic_x1:
-            o[first], o[last] = f[_on(ax, 1)] - f[last], f[first] - f[_on(ax, -2)]  # wrapped ends
+            np.subtract(f[_on(ax, 1)], f[last], out=o[first])  # wrapped ends
+            np.subtract(f[first], f[_on(ax, -2)], out=o[last])
             o /= 2.0 * h
         elif n < 3:
             raise ValueError("the one-sided x1 closure needs n1 >= 3")
         else:
-            o[mid] /= 2.0 * h
+            o[1:-1] /= 2.0 * h
             o[first] = (-1.5 / h) * f[first] + (2.0 / h) * f[_on(ax, 1)] + (-0.5 / h) * f[_on(ax, 2)]
             o[last] = (0.5 / h) * f[_on(ax, -3)] + (-2.0 / h) * f[_on(ax, -2)] + (1.5 / h) * f[last]
     return out
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """(a[0] + a[1]) + a[2] written into a[0], the order of a.sum(axis=0)."""
+    np.add(a[0], a[1], out=a[0])
+    a[0] += a[2]
+    return a[0]
+
+
 def grad_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndarray:
     """|grad f|^2 cellwise."""
     gr = gradient(f, grid, periodic_x1)
-    return np.sum(gr * gr, axis=0)
+    return _row_sum(np.multiply(gr, gr, out=gr))
 
 
 def derivative_sq(f: np.ndarray, grid: SlabGrid,
                   periodic_x1: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """|grad f|^2 and the Frobenius |grad^2 f|^2 cellwise, both from one
-    gradient of f; the second differentiates each of its components again."""
+    gradient of f; the second differentiates each of its components again,
+    into one reused buffer."""
     gr = gradient(f, grid, periodic_x1)
-    hess = np.zeros(grid.shape)
+    g2 = np.empty_like(gr)
     for b in range(3):
-        g2 = gradient(gr[b], grid, periodic_x1)
-        hess += np.sum(g2 * g2, axis=0)
-    return np.sum(gr * gr, axis=0), hess
+        gradient(gr[b], grid, periodic_x1, out=g2)
+        row = _row_sum(np.multiply(g2, g2, out=g2))
+        if b == 0:
+            hess = row.copy()  # 0.0 + row to the bit: a sum of squares is never -0
+        else:
+            hess += row
+    return _row_sum(np.multiply(gr, gr, out=gr)), hess
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +268,10 @@ class GNSample:
 def gn_sample(u: np.ndarray, grid: SlabGrid, torus: bool) -> GNSample:
     """The shared norms of u, from one gradient and the gradient of that gradient."""
     gsq, hsq = derivative_sq(u, grid, periodic_x1=torus)
+    np.sqrt(gsq, out=gsq)
+    np.sqrt(hsq, out=hsq)
     return GNSample(u, grid, torus, lp_slab(u, grid, 2),
-                    lp_slab(np.sqrt(gsq), grid, 2), lp_slab(np.sqrt(hsq), grid, 2))
+                    lp_slab(gsq, grid, 2), lp_slab(hsq, grid, 2))
 
 
 def gn_check(s: GNSample, case: str) -> dict:

@@ -231,11 +231,18 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def git_commit() -> str:
-    """Short HEAD of the checkout this package is imported from, else "unknown"."""
+    """Short HEAD of the checkout this package is imported from, suffixed
+    "-dirty" when git lists a changed or untracked file in the package
+    directory, else "unknown"."""
     try:
-        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+        out = subprocess.run(["git", "status", "--porcelain=v2", "--branch", "--", "."],
                              cwd=os.path.dirname(os.path.abspath(__file__)),
                              capture_output=True, text=True, timeout=5)
-        return out.stdout.strip() or "unknown"
-    except Exception:
+    except (OSError, subprocess.SubprocessError):
         return "unknown"
+    lines = out.stdout.splitlines()
+    oid = next((ln.split()[2] for ln in lines if ln.startswith("# branch.oid ")), "(initial)")
+    if out.returncode != 0 or oid == "(initial)":
+        return "unknown"
+    dirty = any(not ln.startswith("#") for ln in lines)
+    return oid[:7] + ("-dirty" if dirty else "")

@@ -127,10 +127,11 @@ def _concurrently(here, elsewhere) -> list:
     here() runs in this process while forked workers, min(len(elsewhere),
     usable CPUs - 1) but at least one, run the others. The fn must pickle by
     name and the args and results by value; each worker takes them through
-    the same code as this process, so the results are bitwise the serial ones. An exception of here() or of a
-    worker is raised here (here's first, then the workers' in the order of
-    elsewhere), a worker that dies raises BrokenProcessPool, and the call
-    returns or raises only once every worker has exited.
+    the same code as this process, so the results are bitwise the serial
+    ones. An exception of here() or of a worker is raised here (here's first,
+    then the workers' in the order of elsewhere), a worker that dies raises
+    BrokenProcessPool, and the call returns or raises only once every worker
+    has exited.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -520,7 +521,7 @@ def _slab_sample(rng: np.random.Generator, grid: SlabGrid, lam: float,
     """Band-limited decaying sample: Gaussian envelopes times a transverse
     trigonometric factor with modes bounded independently of lambda."""
     x1, x2, x3 = np.ix_(grid.x1(), grid.x2(), grid.x3())
-    u = np.zeros(grid.shape)
+    u, mode = np.zeros(grid.shape), np.empty(grid.shape)
     for _ in range(rng.integers(1, 4)):
         amp = rng.normal()
         c = rng.uniform(-1.5, 1.5)
@@ -535,19 +536,26 @@ def _slab_sample(rng: np.random.Generator, grid: SlabGrid, lam: float,
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 trig = trig + rng.normal() * np.cos(
                     2.0 * np.pi * (k2 * x2 + k3 * x3) / lam + phase)
-        u += env * trig
+        u += np.multiply(env, trig, out=mode)
     return u
 
 
 def _torus_sample(rng: np.random.Generator, grid: SlabGrid, lam: float) -> np.ndarray:
     x1, x2, x3 = np.ix_(grid.x1(), grid.x2(), grid.x3())
-    u = np.full(grid.shape, rng.normal())
+    u, mode = np.full(grid.shape, rng.normal()), np.empty(grid.shape)
     for _ in range(rng.integers(2, 6)):
         ks = rng.integers(-3, 4, size=3)
         if not np.any(ks):
             continue
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        u += rng.normal() * np.cos(2.0 * np.pi * (ks[0] * x1 + ks[1] * x2 + ks[2] * x3) / lam + phase)
+        # a * cos(2 pi (k . x) / lam + phase), in the order that expression evaluates
+        amp = rng.normal()
+        np.add(ks[0] * x1 + ks[1] * x2, ks[2] * x3, out=mode)
+        mode *= 2.0 * np.pi
+        mode /= lam
+        mode += phase
+        np.cos(mode, out=mode)
+        u += np.multiply(amp, mode, out=mode)
     return u
 
 

@@ -191,21 +191,123 @@ def test_nonzero_mode_energy_vanishes_on_planar_fields():
 # interpolation inequality checks
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("shape", [(24, 8, 8), (5, 2, 3), (6, 1, 1)])
-def test_periodic_gradient_matches_roll_form(shape):
-    # the slice fills do the roll form's arithmetic, so they agree to the bit
-    grid = SlabGrid(L=2.0, n1=shape[0], period=0.5, n2=shape[1], n3=shape[2],
+# the gn slab and torus, the decay slab, a two-cell transverse axis and lines
+GRADIENT_SHAPES = [(24, 8, 8), (5, 2, 3), (6, 1, 1), (128, 12, 12), (16, 16, 16),
+                   (256, 32, 1), (7, 2, 5)]
+
+
+def shaped_grid(shape):
+    return SlabGrid(L=2.0, n1=shape[0], period=0.5, n2=shape[1], n3=shape[2],
                     dims=1 + sum(n > 1 for n in shape[1:]))
+
+
+def layouts(f):
+    """f itself, its Fortran-ordered copy and a strided view of the same values."""
+    wide = np.empty(f.shape[:-1] + (2 * f.shape[-1],))
+    wide[..., ::2] = f
+    return [f, np.asfortranarray(f), wide[..., ::2]]
+
+
+@pytest.mark.parametrize("shape", GRADIENT_SHAPES)
+def test_periodic_gradient_matches_roll_form(shape):
+    # the flat differences do the roll form's arithmetic, so they agree to the bit
+    grid = shaped_grid(shape)
     f = random_field(grid, 3)
     for periodic_x1 in (False, True):
-        got = gradient(f, grid, periodic_x1)
-        for ax in range(0 if periodic_x1 else 1, 3):
-            want = ((np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * grid.spacing[ax])
-                    if shape[ax] > 1 else np.zeros(shape))
-            assert got[ax].tobytes() == want.tobytes()
-    # the pinned x1 closure is np.gradient's, to the bit
-    want = np.gradient(f, grid.dx1, axis=0, edge_order=2)
-    assert gradient(f, grid, False)[0].tobytes() == want.tobytes()
+        for view in layouts(f):
+            got = gradient(view, grid, periodic_x1)
+            for ax in range(0 if periodic_x1 else 1, 3):
+                want = ((np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax))
+                        / (2.0 * grid.spacing[ax]) if shape[ax] > 1 else np.zeros(shape))
+                assert got[ax].tobytes() == want.tobytes()
+            # the pinned x1 closure is np.gradient's, to the bit
+            if not periodic_x1:
+                want = np.gradient(f, grid.dx1, axis=0, edge_order=2)
+                assert got[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", GRADIENT_SHAPES)
+def test_gradient_out_is_fully_written(shape):
+    grid = shaped_grid(shape)
+    f = random_field(grid, 4)
+    for periodic_x1 in (False, True):
+        out = np.full((3,) + shape, np.nan)
+        assert gradient(f, grid, periodic_x1, out=out) is out
+        assert not np.isnan(out).any()
+        assert out.tobytes() == gradient(f, grid, periodic_x1).tobytes()
+    for bad in (np.empty((3,) + shape, order="F"), np.empty((2,) + shape)):
+        with pytest.raises(ValueError):
+            gradient(f, grid, out=bad)
+
+
+# the allocating forms the in-place kernels replace, kept as the reference
+
+def _on(ax, s):
+    return (slice(None),) * ax + (s,)
+
+
+def ref_gradient(f, grid, periodic_x1=False):
+    f = np.asarray(f, dtype=float)
+    out = np.zeros((3,) + f.shape)
+    for ax, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        if n == 1:
+            continue
+        o, first, last, mid = out[ax], _on(ax, 0), _on(ax, -1), _on(ax, slice(1, -1))
+        np.subtract(f[_on(ax, slice(2, None))], f[_on(ax, slice(None, -2))], out=o[mid])
+        if ax > 0 or periodic_x1:
+            o[first], o[last] = f[_on(ax, 1)] - f[last], f[first] - f[_on(ax, -2)]
+            o /= 2.0 * h
+        else:
+            o[mid] /= 2.0 * h
+            o[first] = (-1.5 / h) * f[first] + (2.0 / h) * f[_on(ax, 1)] + (-0.5 / h) * f[_on(ax, 2)]
+            o[last] = (0.5 / h) * f[_on(ax, -3)] + (-2.0 / h) * f[_on(ax, -2)] + (1.5 / h) * f[last]
+    return out
+
+
+def ref_grad_sq(f, grid, periodic_x1=False):
+    gr = ref_gradient(f, grid, periodic_x1)
+    return np.sum(gr * gr, axis=0)
+
+
+def ref_derivative_sq(f, grid, periodic_x1=False):
+    gr = ref_gradient(f, grid, periodic_x1)
+    hess = np.zeros(grid.shape)
+    for b in range(3):
+        g2 = ref_gradient(gr[b], grid, periodic_x1)
+        hess += np.sum(g2 * g2, axis=0)
+    return np.sum(gr * gr, axis=0), hess
+
+
+def ref_l2(f, grid):
+    return float((np.sum(np.abs(f) ** 2) * grid.cell_volume) ** 0.5)
+
+
+def ref_gn_norms(u, grid, torus):
+    gsq, hsq = ref_derivative_sq(u, grid, periodic_x1=torus)
+    return ref_l2(u, grid), ref_l2(np.sqrt(gsq), grid), ref_l2(np.sqrt(hsq), grid)
+
+
+@pytest.mark.parametrize("shape", GRADIENT_SHAPES)
+def test_derivative_norms_match_allocating_reference(shape):
+    from rarefan.analysis import derivative_sq, grad_sq
+    grid = shaped_grid(shape)
+    rng = np.random.default_rng(5)
+    with np.errstate(all="raise"):
+        for periodic_x1 in (False, True):
+            for _ in range(3):
+                f = rng.standard_normal(shape)
+                assert gradient(f, grid, periodic_x1).tobytes() == \
+                    ref_gradient(f, grid, periodic_x1).tobytes()
+                assert grad_sq(f, grid, periodic_x1).tobytes() == \
+                    ref_grad_sq(f, grid, periodic_x1).tobytes()
+                got = derivative_sq(f, grid, periodic_x1)
+                want = ref_derivative_sq(f, grid, periodic_x1)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                s = gn_sample(f, grid, periodic_x1)
+                assert np.array([s.l2, s.g1, s.g2]).tobytes() == \
+                    np.array(ref_gn_norms(f, grid, periodic_x1)).tobytes()
+                assert lp_slab(f, grid, 2) == ref_l2(f, grid)
 
 
 def test_pinned_gradient_needs_three_cells():

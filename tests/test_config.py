@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,53 @@ def test_git_commit_names_own_checkout(tmp_path, monkeypatch):
         pytest.skip("not a git checkout")
     monkeypatch.chdir(tmp_path)
     assert git_commit() == here
+
+
+def _fake_git(monkeypatch, stdout="", returncode=0, raises=None):
+    """Make subprocess.run answer git_commit's one git call with this output."""
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(cmd)
+        if raises is not None:
+            raise raises
+        return subprocess.CompletedProcess(cmd, returncode, stdout, "")
+    monkeypatch.setattr(subprocess, "run", run)
+    return calls
+
+
+BRANCH = ("# branch.oid 0123456789abcdef0123456789abcdef01234567\n"
+          "# branch.head main\n")
+
+
+def test_git_commit_clean_checkout(monkeypatch):
+    from rarefan.config import git_commit
+    calls = _fake_git(monkeypatch, BRANCH + "# branch.ab +0 -0\n")
+    assert git_commit() == "0123456"
+    assert calls == [["git", "status", "--porcelain=v2", "--branch", "--", "."]]
+
+
+@pytest.mark.parametrize("entry", [
+    "1 .M N... 100644 100644 100644 aa aa analysis.py",
+    "? new_module.py",
+])
+def test_git_commit_marks_a_modified_package(monkeypatch, entry):
+    from rarefan.config import git_commit
+    calls = _fake_git(monkeypatch, BRANCH + entry + "\n")
+    assert git_commit() == "0123456-dirty"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fake", [
+    {"stdout": "", "returncode": 128},  # not a git checkout
+    {"stdout": "# branch.oid (initial)\n# branch.head main\n"},  # no commit yet
+    {"raises": FileNotFoundError("git")},  # no git executable
+    {"raises": subprocess.TimeoutExpired("git", 5)},
+])
+def test_git_commit_unknown_when_git_fails(monkeypatch, fake):
+    from rarefan.config import git_commit
+    _fake_git(monkeypatch, **fake)
+    assert git_commit() == "unknown"
 
 
 def test_cli_numerical_abort_exit_code(tmp_path, capsys):
