@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Time the solver (layer 2) and the analysis observers (layer 3) of a checkout.
+"""Time the solver (layer 2) and the analysis observers (layer 3) of a checkout,
+or of two checkouts interleaved in one process.
 
     python scripts/bench_step.py DIR [--repeats 7]
+    python scripts/bench_step.py DIR DIR_B [--rounds 41] [--seconds 0.05]
 
 Imports rarefan from DIR/src, so one copy of this script times any checkout
 (the parent and a change, say) on the same inputs. The states are the
@@ -15,11 +17,21 @@ initial states the studies start from:
 - ``box160x16x16``: the same study on a 3-D grid, ``[grid] n1 = 160,
   n2 = n3 = 16, dims = 3``.
 
-Each call is timed with ``timeit``: the number of calls per repeat is the one
-``Timer.autorange`` picks (at least 0.2 s), and the best of --repeats
-repeats is reported, in microseconds per call and nanoseconds per cell.
-``step`` is called on the same state every time, so each call does the same
-work: one ``stable_dt`` and three ``rhs``.
+With one DIR, each call is timed with ``timeit``: the number of calls per
+repeat is the one ``Timer.autorange`` picks (at least 0.2 s), and the best
+of --repeats repeats is reported, in microseconds per call and nanoseconds
+per cell. ``step`` is called on the same state every time, so each call
+does the same work: one ``stable_dt`` and three ``rhs``.
+
+With DIR_B as well, DIR_B/src/rarefan is imported from a temporary copy
+under the package name ``rarefan_b``, and each tree builds its own states
+from its own configs. Every call is then timed in --rounds rounds; in each
+round both trees make the same number of calls (about --seconds of DIR's
+tree), DIR's tree first in even rounds and DIR_B's first in odd ones, so
+that drift of the machine's speed falls on both. For each call it prints
+each tree's median microseconds per call, their ratio (DIR_B over DIR) and
+the number of rounds DIR_B's tree was faster. Separate invocations spread
+by about 15% on a 2-core VM; interleaved rounds resolve a few percent.
 
 The analysis calls, under ``"analysis"`` in microseconds per call:
 
@@ -35,20 +47,27 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import platform
+import shutil
+import statistics
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
 
-def cases(root: Path) -> dict:
-    """name -> (FieldSet, GasParams, SolverConfig, ghost source) of each timed state."""
-    from rarefan.config import parse_config
-    from rarefan.experiments import _perturbation, _pinned_window, sweep_grid
-    from rarefan.ansatz import assemble_initial
-    from rarefan.solver import profile_ghost_source
+def cases(root: Path, pkg: str = "rarefan") -> dict:
+    """name -> (FieldSet, GasParams, SolverConfig, ghost source) of each timed
+    state, built by the package pkg."""
+    parse_config = importlib.import_module(f"{pkg}.config").parse_config
+    experiments = importlib.import_module(f"{pkg}.experiments")
+    _perturbation, _pinned_window = experiments._perturbation, experiments._pinned_window
+    sweep_grid = experiments.sweep_grid
+    assemble_initial = importlib.import_module(f"{pkg}.ansatz").assemble_initial
+    profile_ghost_source = importlib.import_module(f"{pkg}.solver").profile_ghost_source
 
     def pinned(cfg, eps, eta, n1=None):
         spec = cfg.wave_spec(eps)
@@ -69,14 +88,15 @@ def cases(root: Path) -> dict:
             "box160x16x16": pinned(box, box.solver.eps, box.experiment.eta)}
 
 
-def analysis_calls(root: Path, fs, g) -> dict:
+def analysis_calls(root: Path, fs, g, pkg: str = "rarefan") -> dict:
     """name -> (grid, zero-argument call) of each timed analysis call; fs and
     g are the state and gas of the slab256x32 case."""
     import numpy as np
-    from rarefan.analysis import gn_sample, nonzero_mode_energy
-    from rarefan.config import parse_config
-    from rarefan.experiments import _smooth_background
-    from rarefan.fields import SlabGrid
+    analysis = importlib.import_module(f"{pkg}.analysis")
+    gn_sample, nonzero_mode_energy = analysis.gn_sample, analysis.nonzero_mode_energy
+    parse_config = importlib.import_module(f"{pkg}.config").parse_config
+    _smooth_background = importlib.import_module(f"{pkg}.experiments")._smooth_background
+    SlabGrid = importlib.import_module(f"{pkg}.fields").SlabGrid
 
     rng = np.random.default_rng(0)
     gn_slab = SlabGrid(L=4.0, n1=128, period=1.0, n2=12, n3=12, dims=3)
@@ -98,35 +118,96 @@ def best_us(fn, repeats: int) -> float:
     return min(timer.repeat(repeat=repeats, number=number)) / number * 1e6
 
 
+def calls(root: Path, pkg: str) -> dict:
+    """(section, case, call) -> (shape, zero-argument call) of every timed
+    call of the tree root, imported as the package pkg."""
+    solver = importlib.import_module(f"{pkg}.solver")
+    out = {}
+    timed = cases(root, pkg)
+    for name, (fs, g, cfg, ghost) in timed.items():
+        out["cases", name, "rhs"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
+                                     solver.rhs(fs, g, cfg, ghost, t=fs.time))
+        out["cases", name, "step"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
+                                      solver.step(fs, g, cfg, ghost))
+    for name, (grid, call) in analysis_calls(root, *timed["slab256x32"][:2], pkg).items():
+        out["analysis", name, "us"] = (grid.shape, call)
+    return out
+
+
+def load_copy(root: Path, tmp: Path, pkg: str) -> None:
+    """Import root/src/rarefan from a copy in tmp under the package name pkg."""
+    shutil.copytree(root / "src" / "rarefan", tmp / pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    sys.path.insert(0, str(tmp))
+    importlib.import_module(pkg)
+
+
+def interleaved(root: Path, root_b: Path, rounds: int, seconds: float) -> dict:
+    """Both trees' calls timed in alternating rounds; see the module docstring."""
+    with tempfile.TemporaryDirectory() as tmp:
+        load_copy(root_b, Path(tmp), "rarefan_b")
+        a, b = calls(root, "rarefan"), calls(root_b, "rarefan_b")
+    us = {key: ([], []) for key in a}
+    numbers = {}
+    for key, (_, call) in a.items():
+        call()
+        b[key][1]()
+        single = timeit.Timer(call).timeit(number=1)
+        numbers[key] = max(1, round(seconds / max(single, 1e-9)))
+    for i in range(rounds):
+        for key, number in numbers.items():
+            sides = ((0, a), (1, b)) if i % 2 == 0 else ((1, b), (0, a))
+            for side, tree in sides:
+                t = timeit.Timer(tree[key][1]).timeit(number=number)
+                us[key][side].append(t / number * 1e6)
+    out = {"cases": {}, "analysis": {}}
+    for (section, name, call), (ua, ub) in us.items():
+        ma, mb = statistics.median(ua), statistics.median(ub)
+        row = {"us": round(ma, 2), "us_b": round(mb, 2), "ratio": round(mb / ma, 4),
+               "b_wins": sum(y < x for x, y in zip(ua, ub)), "calls_per_round": numbers[
+                   section, name, call]}
+        shape = a[section, name, call][0]
+        entry = out[section].setdefault(name, {"shape": list(shape), "cells": math.prod(shape)})
+        entry[call] = row
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dir", type=Path, help="checkout whose src/rarefan is timed")
+    ap.add_argument("dir_b", type=Path, nargs="?",
+                    help="second checkout, timed against DIR in interleaved rounds")
     ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--rounds", type=int, default=41)
+    ap.add_argument("--seconds", type=float, default=0.05,
+                    help="time of DIR's calls of one kind in one round")
     args = ap.parse_args(argv)
     root = args.dir.resolve()
     sys.path.insert(0, str(root / "src"))
     import numpy as np
     import rarefan
-    from rarefan.solver import rhs, step
     if Path(rarefan.__file__).resolve().parent != root / "src" / "rarefan":
         ap.error(f"imported rarefan from {rarefan.__file__}, not from {root}/src")
 
     out = {"dir": str(root), "machine": platform.machine(), "processor": platform.processor(),
-           "python": platform.python_version(), "numpy": np.__version__,
-           "repeats": args.repeats, "cases": {}, "analysis": {}}
-    timed = cases(root)
-    for name, (fs, g, cfg, ghost) in timed.items():
-        cells = fs.rho.size
-        rhs_us = best_us(lambda: rhs(fs, g, cfg, ghost, t=fs.time), args.repeats)
-        step_us = best_us(lambda: step(fs, g, cfg, ghost), args.repeats)
-        out["cases"][name] = {"shape": list(fs.grid.shape), "cells": cells,
-                              "rhs_us": round(rhs_us, 2), "step_us": round(step_us, 2),
-                              "rhs_ns_per_cell": round(rhs_us * 1e3 / cells, 1),
-                              "step_ns_per_cell": round(step_us * 1e3 / cells, 1)}
-    for name, (grid, call) in analysis_calls(root, *timed["slab256x32"][:2]).items():
-        us = best_us(call, args.repeats)
-        out["analysis"][name] = {"shape": list(grid.shape), "us": round(us, 2),
-                                 "ns_per_cell": round(us * 1e3 / math.prod(grid.shape), 1)}
+           "python": platform.python_version(), "numpy": np.__version__}
+    if args.dir_b is not None:
+        out.update({"dir_b": str(args.dir_b.resolve()), "rounds": args.rounds,
+                    "seconds": args.seconds})
+        out.update(interleaved(root, args.dir_b.resolve(), args.rounds, args.seconds))
+        print(json.dumps(out, indent=2))
+        return 0
+
+    out.update({"repeats": args.repeats, "cases": {}, "analysis": {}})
+    for (section, name, call), (shape, fn) in calls(root, "rarefan").items():
+        us = best_us(fn, args.repeats)
+        cells = math.prod(shape)
+        entry = out[section].setdefault(name, {"shape": list(shape), "cells": cells})
+        if section == "cases":
+            entry.update({f"{call}_us": round(us, 2),
+                          f"{call}_ns_per_cell": round(us * 1e3 / cells, 1)})
+        else:
+            entry.update({"us": round(us, 2), "ns_per_cell": round(us * 1e3 / cells, 1)})
     print(json.dumps(out, indent=2))
     return 0
 

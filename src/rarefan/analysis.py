@@ -77,40 +77,63 @@ def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
              out: np.ndarray | None = None) -> np.ndarray:
     """2nd-order central gradient (3, n1, n2, n3); transverse axes periodic,
     x1 one-sided 2nd-order at the ends unless periodic_x1.  Writes into out,
-    a C-contiguous (3, n1, n2, n3) array, when given.
-
-    Each axis of flat stride s is one contiguous difference of the flattened
-    field, cells j + s minus j - s; its end cells, which pick up the wrong
-    neighbours there, are then overwritten by the wrapped ends or the pinned
-    closure.  The pinned x1 closure uses np.gradient's uniform-spacing
-    edge_order=2 formulas in its operation order, so it matches np.gradient
-    to the bit.
+    a C-contiguous (3, n1, n2, n3) array, when given.  Component ax is
+    axis_derivative(f, grid, ax, periodic_x1).
     """
     f = np.ascontiguousarray(f, dtype=float)
     if out is None:
         out = np.empty((3,) + f.shape)
     elif out.shape != (3,) + f.shape or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous (3,) + f.shape array")
-    flat, n_all = f.reshape(-1), f.size
-    for ax, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-        o = out[ax]
-        if n == 1:
-            o.fill(0.0)
-            continue
-        s = f.strides[ax] // f.itemsize
-        np.subtract(flat[2 * s:], flat[:n_all - 2 * s], out=o.reshape(-1)[s:n_all - s])
-        first, last = _on(ax, 0), _on(ax, -1)
-        if ax > 0 or periodic_x1:
-            np.subtract(f[_on(ax, 1)], f[last], out=o[first])  # wrapped ends
-            np.subtract(f[first], f[_on(ax, -2)], out=o[last])
-            o /= 2.0 * h
-        elif n < 3:
-            raise ValueError("the one-sided x1 closure needs n1 >= 3")
-        else:
-            o[1:-1] /= 2.0 * h
-            o[first] = (-1.5 / h) * f[first] + (2.0 / h) * f[_on(ax, 1)] + (-0.5 / h) * f[_on(ax, 2)]
-            o[last] = (0.5 / h) * f[_on(ax, -3)] + (-2.0 / h) * f[_on(ax, -2)] + (1.5 / h) * f[last]
+    for ax in range(3):
+        _axis_pass(f, grid, ax, periodic_x1, out[ax])
     return out
+
+
+def axis_derivative(f: np.ndarray, grid: SlabGrid, ax: int, periodic_x1: bool = False,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """2nd-order central d f / d x_ax (n1, n2, n3), component ax of gradient,
+    without forming the other two.  Writes into out, a C-contiguous f-shaped
+    array, when given."""
+    f = np.ascontiguousarray(f, dtype=float)
+    if out is None:
+        out = np.empty(f.shape)
+    elif out.shape != f.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous f-shaped array")
+    return _axis_pass(f, grid, ax, periodic_x1, out)
+
+
+def _axis_pass(f: np.ndarray, grid: SlabGrid, ax: int, periodic_x1: bool,
+               o: np.ndarray) -> np.ndarray:
+    """d f / d x_ax of a C-contiguous f into the C-contiguous o; zero along an
+    axis of one cell.
+
+    The axis's flat stride s makes its difference one contiguous difference
+    of the flattened field, cells j + s minus j - s; its end cells, which
+    pick up the wrong neighbours there, are then overwritten by the wrapped
+    ends or the pinned closure.  The pinned x1 closure uses np.gradient's
+    uniform-spacing edge_order=2 formulas in its operation order, so it
+    matches np.gradient to the bit.
+    """
+    n, h = grid.shape[ax], grid.spacing[ax]
+    if n == 1:
+        o.fill(0.0)
+        return o
+    flat, n_all = f.reshape(-1), f.size
+    s = f.strides[ax] // f.itemsize
+    np.subtract(flat[2 * s:], flat[:n_all - 2 * s], out=o.reshape(-1)[s:n_all - s])
+    first, last = _on(ax, 0), _on(ax, -1)
+    if ax > 0 or periodic_x1:
+        np.subtract(f[_on(ax, 1)], f[last], out=o[first])  # wrapped ends
+        np.subtract(f[first], f[_on(ax, -2)], out=o[last])
+        o /= 2.0 * h
+    elif n < 3:
+        raise ValueError("the one-sided x1 closure needs n1 >= 3")
+    else:
+        o[1:-1] /= 2.0 * h
+        o[first] = (-1.5 / h) * f[first] + (2.0 / h) * f[_on(ax, 1)] + (-0.5 / h) * f[_on(ax, 2)]
+        o[last] = (0.5 / h) * f[_on(ax, -3)] + (-2.0 / h) * f[_on(ax, -2)] + (1.5 / h) * f[last]
+    return o
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:

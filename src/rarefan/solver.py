@@ -7,23 +7,28 @@ Time stepping is 3-stage SSP Runge-Kutta.  The energy equation is integrated
 in conserved total-energy form; temperature is always a derived view.
 
 Each grid shape has one work area (the ghost-ringed state, its pressure,
-sound speed and Euler flux, and the face terms of each axis pass), allocated
-on the first rhs and reused by every stage of every step, so that a run does
-not hand its temporaries to the allocator and fault them in again each
-stage.  rhs fills it in place and returns a new tendency and boundary flux
-that the caller owns; step forms each SSP-RK3 stage in place on the tendency
-it got for it.  The work area makes rhs unsafe to call from concurrent
-threads on grids of one shape.
+sound speed and Euler flux, the face terms of each axis pass, and step's
+registers), allocated on the first rhs and reused by every stage of every
+step, so that a run does not hand its temporaries to the allocator and fault
+them in again each stage.  rhs fills it in place and writes the tendency into
+out=, an array the caller owns, or into a new one without out=; the boundary
+flux is always a new array.  step passes rhs its register k, copies each
+stage state into the ring's conserved rows and has rhs compute the stage's
+primitives there, so a step allocates only the state it returns and that
+state's primitives.  The work area makes rhs and step unsafe to call from
+concurrent threads on grids of one shape.
 
 rhs builds no index and no view per call: the work area binds, once, every
 view rhs reads or writes, since on the 1-D sweep lines a call costs its numpy
 dispatches more than its arithmetic.  The ring is flat, (rows, N) over its N
 cells, with strides (r2 r3, r3, 1) for ring extents (r1, r2, r3): along an
-axis of stride s face j lies between cells j and j + s, so each face pair is
-the contiguous slice pair [:N - s], [s:], not a view of short runs.  Pairs
-across a row end or on a transverse ghost are computed and never read.  The
-face terms of (u1, u2, u3, theta) are the rows state[1:5], so their face
-average and normal difference are one operation each.
+axis of stride s face j lies between cells j and j + s.  The face arrays have
+the same row pitch N, so that a face pair over k rows is the contiguous
+slice pair [:kN - s], [s:kN] of the flattened rows: one 1-D operation, not a
+view of k short runs.  Pairs across a row end or on a transverse ghost are
+computed and never read.  The face terms of (u1, u2, u3, theta) are the rows
+state[1:5], so their face average and normal difference are one operation
+each.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .gas import GasParams
-from .fields import FieldSet, SlabGrid, conserved
+from .fields import FieldSet, SlabGrid, conserved, primitives_into
 
 # SSP-RK3 expands to a convex combination of Euler steps with these weights
 _RK3_WEIGHTS = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
@@ -144,17 +149,32 @@ def _along(ax: int, index) -> tuple:
     return (Ellipsis, *out)
 
 
+class _Stage:
+    """An SSP-RK3 stage that step has copied into the ring's conserved rows.
+
+    rhs, given it, computes the primitives there instead of copying a
+    FieldSet's in.  One per work area; step sets grid before each step, and
+    always passes rhs the stage time.
+    """
+
+    def __init__(self, rho: np.ndarray):
+        self.grid: SlabGrid | None = None
+        self.rho = rho
+
+
 class _CrossWork:
     """Views of one transverse pair (ax, bx) of an axis pass: d u_c / d x_bx at the faces
     along ax for the two components c = ax, bx that the stress column reads.
 
     The rows are the stepped slice lo:hi+1:hi-lo of (u1, u2, u3), a view.  cd
     is central in bx on cells [sb, N - sb); its face average covers faces
-    [sb, N - sa - sb), which hold every face of the grid.
+    [sb, N - sa - sb), which hold every face of the grid.  On those faces the
+    pass adds d u_bx / d x_bx into divu and writes tau[bx] = dn_u[bx] +
+    d u_ax / d x_bx.
     """
 
     def __init__(self, ax: int, bx: int, sa: int, sb: int, uP: np.ndarray, take,
-                 divu: np.ndarray, dc_uax: np.ndarray):
+                 w: "_AxisWork"):
         n = uP.shape[1] - 2 * sb              # the cells with both bx neighbours
         lo, hi = min(ax, bx), max(ax, bx)
         rows = uP[lo:hi + 1:hi - lo]
@@ -163,59 +183,77 @@ class _CrossWork:
         self.cd, self.face = cd, face = take("cd", n), take("cd_face", n - sa)
         self.cd_lo, self.cd_hi = cd[:, :n - sa], cd[:, sa:]
         self.d_bx, self.d_ax = face[int(bx > ax)], face[int(ax > bx)]  # d u_bx, d u_ax / d x_bx
-        self.divu, self.dc_bx = divu[sb:sb + n - sa], dc_uax[bx, sb:sb + n - sa]
+        faces = slice(sb, sb + n - sa)
+        self.divu, self.dn_bx, self.tau_bx = w.divu_row[faces], w.dq[bx, faces], w.tau[bx, faces]
 
 
 class _AxisWork:
-    """Work arrays of one axis pass of rhs, and every view of them and of the
-    ring that the pass reads or writes, bound once.
+    """Every view of the work area and of the ring that one axis pass of rhs
+    reads or writes, bound once.
 
-    Face arrays hold the N - s faces j between flat cells j and j + s.  q holds
-    the face averages of the four rows (u1, u2, u3, theta), dq their normal
-    differences; coef holds one of the face coefficients mu, lambda, kappa at
-    a time.
+    The face arrays have the ring's row pitch N: along an axis of stride s,
+    face j of row r, between flat cells j and j + s, sits at r N + j.  So a
+    k-row face pair is the contiguous slice pair [:kN - s], [s:kN] of the
+    flattened rows, one 1-D operation.  The last s entries of a row are
+    formed from the next row or left unwritten, and never read.  q holds the
+    face averages of the four rows (u1, u2, u3, theta), dq their normal
+    differences; divu accumulates in dq's row ax once tau[ax] has read it.
+    coef holds one of the face coefficients mu, lambda, kappa at a time.
     """
 
-    FACE = {"F": 5, "dU": 5, "s": 1, "q": 4, "dq": 4, "coef": 1, "tau": 3, "divu": 1,
-            "heat": 1, "cd": 2, "cd_face": 2}
+    FACE = {"F": 5, "dU": 5, "s": 1, "q": 4, "dq": 4, "coef": 1, "tau": 4}
 
     def __init__(self, ax: int, ws: "_Workspace", take):
         self.ax = ax
-        s, s0, N = ws.stride[ax], ws.stride[0], ws.state.shape[1]
+        s, s0, N = ws.stride[ax], ws.stride[0], ws.N
         nf = N - s
-        vars(self).update({name: take(name, nf) for name in self.FACE})
-        state, flux, U, uP = ws.state, ws.flux, ws.state[5:], ws.state[1:4]
+        state, flux = ws.state, ws.flux
+        ring, fluxes = state.reshape(-1), flux.reshape(-1)
+        F, dU, q, dq, tau_heat = (ws.faces[name] for name in ("F", "dU", "q", "dq", "tau"))
+        tau = tau_heat[:3]
+        self.dq, self.tau = dq, tau
 
         # Euler flux on the ring: f[0] = U[1+ax], f[1:4] = U[1:4] un with p
         # added on row 1+ax, f[4] = (U[4] + p) un
         self.un = state[1 + ax]
-        self.f_mass, self.U_normal = flux[0], U[1 + ax]
-        self.f_mom, self.U_mom, self.f_ax = flux[1:4], U[1:4], flux[1 + ax]
-        self.f_E, self.U_E = flux[4], U[4]
+        self.f_mass, self.U_normal = flux[0], state[6 + ax]
+        self.f_mom, self.U_mom, self.f_ax = flux[1:4], state[6:9], flux[1 + ax]
+        self.f_E, self.U_E = flux[4], state[9]
 
-        # the two cells of every face
-        self.FL, self.FR = flux[:, :nf], flux[:, s:]
-        self.UL, self.UR = U[:, :nf], U[:, s:]
+        # the two cells of every face, and the face arrays they fill
+        self.F, self.FL, self.FR = F.reshape(-1)[:5 * N - s], fluxes[:5 * N - s], fluxes[s:]
+        self.dU, self.dU_rows = dU.reshape(-1)[:5 * N - s], dU
+        self.UL, self.UR = ring[5 * N:10 * N - s], ring[5 * N + s:]
         self.aL, self.aR = ws.speed[:nf], ws.speed[s:]
-        self.qL, self.qR = state[1:5, :nf], state[1:5, s:]
-        self.uF, self.pw = self.q[:3], self.q[3]
-        self.dn_u, self.dthdn, self.dn_uax = self.dq[:3], self.dq[3], self.dq[ax]
-        self.F_mom, self.F_E, self.tau_ax = self.F[1:4], self.F[4], self.tau[ax]
+        self.s, self.s_row = ws.faces["s"][:nf], ws.faces["s"]
+        self.q, self.dq_flat = q.reshape(-1)[:4 * N - s], dq.reshape(-1)[:4 * N - s]
+        self.qL, self.qR = ring[N:5 * N - s], ring[N + s:5 * N]
+        self.pw, self.uF, self.uF_rows = q[3, :nf], q[:3].reshape(-1), q[:3]
+        self.dn_uax, self.dthdn, self.divu_row = dq[ax, :nf], dq[3, :nf], dq[ax]
+        self.coef, self.coef_row = ws.faces["coef"][:nf], ws.faces["coef"]
+        self.tau_ax, self.tau_flat = tau[ax, :nf], tau.reshape(-1)
+        self.heat, self.heat_row = tau_heat[3, :nf], tau_heat[3]
+        # the viscous terms (tau, heat) of F[1:5], rows 1 to 4, as one pair
+        self.visc_terms, self.F_visc = tau_heat.reshape(-1)[:4 * N - s], F.reshape(-1)[N:5 * N - s]
+        # the rows of the inactive axes, one slice: tau = dn_u + 0 there
+        still = [c for c in range(3) if c not in ws.active]
+        self.still = (dq[still[0]:still[-1] + 1], tau[still[0]:still[-1] + 1]) if still else None
         # the faces i - s and i of the x1-interior cells i in [s0, N - s0)
-        self.F_lo = self.F[:, s0 - s:N - s0 - s].reshape(ws.slab_shape)
-        self.F_hi = self.F[:, s0:N - s0].reshape(ws.slab_shape)
-        if ax == 0:   # the first and last x1 faces, summed from a contiguous copy
+        self.F_hi = F.reshape(-1)[s0:5 * N - s0]
+        self.F_lo = F.reshape(-1)[s0 - s:5 * N - s0 - s]
+        if ax == 0:   # the first and last x1 faces, summed from a contiguous copy in 2-D/3-D
             n1, n2, n3 = ws.tend_shape[1:]
-            self.F_ends = self.F.reshape((5, n1 + 1) + ws.slab_shape[2:])[:, ::n1][ws.slab_in]
-            self.ends_in = np.empty((5, 2, n2 * n3))
-            self.ends_copy = self.ends_in.reshape(5, 2, n2, n3)
-            self.ends = np.empty((5, 2))                # their sums
+            F_ends = F.reshape((5,) + ws.ring)[:, 0:n1 + 1:n1][ws.slab_in]
+            self.ends_copy = None
+            if n2 * n3 == 1:      # one face each: the sum is the face itself
+                self.ends = F_ends.reshape(5, 2)
+            else:
+                self.ends_copy, self.ends_in = F_ends, np.empty((5, 2, n2 * n3))
+                self.ends_to = self.ends_in.reshape(5, 2, n2, n3)
+                self.ends = np.empty((5, 2))
             self.ends_first, self.ends_last = self.ends[:, 0], self.ends[:, 1]
 
-        # d u_ax / d x_c has its own array: rows of inactive axes stay zero
-        self.dc_uax = np.zeros((3, nf))
-        self.dc_ax = self.dc_uax[ax]
-        self.cross = [_CrossWork(ax, bx, s, ws.stride[bx], uP, take, self.divu, self.dc_uax)
+        self.cross = [_CrossWork(ax, bx, s, ws.stride[bx], state[1:4], take, self)
                       for bx in ws.active if bx != ax]
 
 
@@ -223,28 +261,31 @@ class _Workspace:
     """The arrays rhs and step fill on one grid, allocated once per grid shape,
     with the views rhs reads and writes, bound once.
 
-    The ring-sized arrays are flat and filled through a (rows,) + ring view.
-    The divergence runs over the x1-interior cells [s0, N - s0), accumulated
-    in T (the tendency itself in 1-D) whose transverse ghosts are never read.
-    Each face-sized array of _AxisWork is a view of one flat buffer sized for
-    the widest axis: the axes take turns on it, so an axis pass writes every
-    entry it reads.
+    The ring-sized arrays are flat, (rows, N), and filled through a (rows,) +
+    ring view.  The face arrays of _AxisWork share the ring's row pitch and
+    are taken by the axes in turn, so an axis pass writes every entry it
+    reads; they are zero-filled once, which keeps the never-read entries
+    finite.  The divergence runs over the x1-interior cells [s0, N - s0),
+    accumulated in T, whose interior is then copied into the tendency.  k
+    and r are step's registers: k receives each stage's tendency, r holds the
+    stage states U1 and U2 (and 0.75 U0 on the way), which are copied into
+    the ring's conserved rows for rhs to compute their primitives there.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
         self.tend_shape = (5,) + shape
         self.active = active = _active_axes(shape)
-        ring = tuple(n + 2 if ax in active else n for ax, n in enumerate(shape))
-        N = math.prod(ring)
+        self.ring = ring = tuple(n + 2 if ax in active else n for ax, n in enumerate(shape))
+        self.N = N = math.prod(ring)
         self.stride = (ring[1] * ring[2], ring[2], 1)
         self.state = np.empty((10, N))
         self.p, self.c, self.speed = np.empty(N), np.empty(N), np.empty(N)
         self.flux = np.empty((5, N))
-        self.slab_shape = (5, shape[0]) + ring[1:]
-        inner = tuple(slice(1, -1) if ax in active else slice(None) for ax in range(3))
-        self.slab_in = (slice(None), slice(None)) + inner[1:]   # a slab's interior
+        inner = (slice(None),) + tuple(slice(1, -1) if ax in active else slice(None)
+                                       for ax in range(3))
+        self.slab_in = (slice(None), slice(None)) + inner[2:]  # interior of (5, k) + ring[1:]
         state = self.state.reshape((10,) + ring)
-        self.prim_in, self.U_in = state[(slice(0, 5),) + inner], state[(slice(5, 10),) + inner]
+        self.prim_in, self.U_in = state[0:5][inner], state[5:10][inner]
         self.rhoP, self.thP = self.state[0], self.state[4]
         # ghost planes 0 and n + 1 of each active axis and their periodic
         # sources n and 1, as one stepped view each
@@ -254,20 +295,27 @@ class _Workspace:
         # the x1 ghost planes 0 and n1 + 1 as (..., 10, 2) ghost columns
         self.x1_columns = state[:, ::shape[0] + 1].transpose(2, 3, 0, 1)
 
-        widest = N - min(self.stride[ax] for ax in active)
-        pools = {name: np.empty(k * widest) for name, k in _AxisWork.FACE.items()}
+        # step's registers and scratch; the flux rows are free between rhs calls
+        self.k, self.r = np.empty(self.tend_shape), np.empty(self.tend_shape)
+        self.stage = _Stage(self.r[0])   # r holds the stage rhs is given
+        cells = math.prod(shape)
+        self.usq = self.flux.reshape(-1)[:3 * cells].reshape(3, cells)
+        self.p_cells, self.c_cells, self.speed_cells = self.p[:cells], self.c[:cells], \
+            self.speed[:cells]
+        self.finite = np.empty((2,) + shape, dtype=bool)
+
+        self.faces = {name: np.zeros((k, N) if k > 1 else N)
+                      for name, k in _AxisWork.FACE.items()}
+        cross = {name: np.zeros(2 * N) for name in ("cd", "cd_face")}
 
         def take(name, n):
-            k = _AxisWork.FACE[name]
-            flat = pools[name][:k * n]
-            return flat.reshape(k, n) if k > 1 else flat
+            return cross[name][:2 * n].reshape(2, n)
 
         self.axes = [_AxisWork(ax, self, take) for ax in active]
-        self.T = None
-        if len(active) > 1:   # ddx shares dU's buffer, free once an axis pass has formed F
-            self.T = np.empty(self.slab_shape)
-            self.ddx = take("dU", N - 2 * self.stride[0]).reshape(self.slab_shape)
-            self.T_inner, self.ddx_inner = self.T[self.slab_in], self.ddx[self.slab_in]
+        # ddx shares dU's buffer, free once an axis pass has formed F
+        s0, ddx, T = self.stride[0], self.faces["dU"], np.zeros((5, N))
+        self.T_seg, self.ddx_seg = T.reshape(-1)[s0:5 * N - s0], ddx.reshape(-1)[s0:5 * N - s0]
+        self.T_in = T.reshape((5,) + ring)[inner]
 
 
 @functools.lru_cache(maxsize=8)
@@ -275,7 +323,7 @@ def _workspace(shape: tuple[int, int, int]) -> _Workspace:
     return _Workspace(shape)
 
 
-def _ringed_state(ws: _Workspace, fs: FieldSet, g: GasParams,
+def _ringed_state(ws: _Workspace, fs: FieldSet | _Stage, g: GasParams,
                   ghost_source: GhostSource | None, t: float) -> None:
     """Fill ws.state with primitives (rho, u, theta) over U, one ghost ring on active axes.
 
@@ -283,11 +331,16 @@ def _ringed_state(ws: _Workspace, fs: FieldSet, g: GasParams,
     ghost_source, or wraps too when it is None.  Axes are filled in order over
     the full ring, so corner cells are wrap-of-wrap on the torus and x1 ghost
     values on pinned runs.  Inactive axes stay single-cell wide.  The interior
-    of the last five rows is fs.U.  Every entry is written, so whatever state
-    held before does not matter.
+    of the last five rows is fs.U; a stage is already there, and its
+    primitives are computed on whole ring rows, the ghosts left by the last
+    fill included.  Every entry is written, so whatever state held before
+    does not matter.
     """
-    ws.prim_in[...] = fs.primitives(g)
-    ws.U_in[...] = fs.U
+    if fs is ws.stage:
+        primitives_into(g, ws.state[5:10], ws.state[0:5], ws.flux[:3])
+    else:
+        ws.prim_in[...] = fs.primitives(g)
+        ws.U_in[...] = fs.U
     for ghosts, source in (ws.wraps if ghost_source is None else ws.wraps[1:]):
         ghosts[...] = source
     if ghost_source is not None:
@@ -296,23 +349,26 @@ def _ringed_state(ws: _Workspace, fs: FieldSet, g: GasParams,
 
 def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
         ghost_source: GhostSource | None = None,
-        t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        t: float | None = None,
+        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete tendency of the stacked conserved fields.
 
     Returns (tendency(5, n1, n2, n3), boundary_flux(5,)) where boundary_flux is
     the instantaneous net inflow rate through the two x1 boundaries, so that
     d/dt of each conserved total equals the matching entry on pinned runs.
     ghost_source pins the x1 ghosts at time t; None wraps x1 (a torus run).
-    Both are new arrays the caller owns; the work arrays are the grid's.
+    The tendency is written into out when given, else into a new array; the
+    boundary flux is a new array.  Both are the caller's; the work arrays are
+    the grid's.
     """
     tt = fs.time if t is None else t
     grid = fs.grid
-    if (fs.rho <= 0.0).any():
+    if np.fmin.reduce(fs.rho, axis=None) <= 0.0:
         raise RunAbort("nonpositive density entering rhs")
     ws = _workspace(grid.shape)
     _ringed_state(ws, fs, g, ghost_source, tt)
     thP = ws.thP
-    if (thP <= 0.0).any():
+    if np.fmin.reduce(thP) <= 0.0:
         raise RunAbort("nonpositive temperature entering rhs")
     pP = np.multiply(g.R, ws.rhoP, out=ws.p)
     pP *= thP
@@ -322,9 +378,8 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
     visc = cfg.visc_mult
     spacing = grid.spacing
-    tend = np.empty(ws.tend_shape)
-    T = tend if ws.T is None else ws.T
-    bflux = np.zeros(5)
+    tend = np.empty(ws.tend_shape) if out is None else out
+    bflux = np.empty(5)
 
     # each in-place sequence below performs its formula's operations in the
     # order the plain expression would, so the work arrays change no bit
@@ -344,9 +399,9 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
         s *= 0.5
         F = np.add(w.FL, w.FR, out=w.F)
         F *= 0.5
-        dU = np.subtract(w.UR, w.UL, out=w.dU)
-        dU *= s
-        F -= dU
+        np.subtract(w.UR, w.UL, out=w.dU)
+        w.dU_rows *= w.s_row
+        F -= w.dU
 
         if visc > 0.0:
             # face average and normal difference of (u1, u2, u3, theta) at once:
@@ -355,80 +410,83 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
             q *= 0.5
             pw = w.pw
             pw **= g.alpha
-            dq = np.subtract(w.qR, w.qL, out=w.dq)
+            dq = np.subtract(w.qR, w.qL, out=w.dq_flat)
             dq /= dx
 
-            # velocity gradient at the face: exact normal difference,
-            # averaged central differences in the transverse directions;
-            # derivatives along inactive axes vanish identically
-            divu = w.divu                            # dc_uax: d u_ax / d x_c
-            divu[...] = w.dn_uax
-            w.dc_ax[...] = w.dn_uax
+            # stress column tau = mu (dn_u + dc_uax), plus lambda divu on ax,
+            # with dc_uax = d u_ax / d x_c: dn_uax itself on ax, averaged
+            # central differences on the other active axes, zero on the
+            # inactive ones
+            np.add(w.dn_uax, w.dn_uax, out=w.tau_ax)
             for c in w.cross:   # central in bx, averaged across the face
                 cd = np.subtract(c.plus, c.minus, out=c.cd)
                 cd /= 2.0 * spacing[c.bx]
                 np.add(c.cd_lo, c.cd_hi, out=c.face)
                 c.face *= 0.5
+                np.add(c.dn_bx, c.d_ax, out=c.tau_bx)
                 c.divu += c.d_bx
-                c.dc_bx[...] = c.d_ax
-            # stress column T[:, ax] = mu (dn_u + dc_uax), plus lambda divu on ax
-            tau = np.add(w.dn_u, w.dc_uax, out=w.tau)
+            if w.still is not None:
+                np.add(w.still[0], 0.0, out=w.still[1])
+            tau = w.tau
             coef = np.multiply(g.mu1, pw, out=w.coef)
-            tau *= coef
+            tau *= w.coef_row
             np.multiply(g.lambda1, pw, out=coef)
+            divu = w.dn_uax
             divu *= coef
             w.tau_ax += divu
             dthdn = w.dthdn
             np.multiply(g.kappa1, pw, out=coef)
             dthdn *= coef
 
-            # F[4] -= visc (sum_c uF_c tau_c + kappa dthdn); F[1:4] -= visc tau
-            uF = w.uF
-            uF *= tau
-            heat = np.add.reduce(uF, axis=0, out=w.heat)
-            heat += dthdn
-            heat *= visc
-            w.F_E -= heat
-            tau *= visc
-            w.F_mom -= tau
+            # F[1:4] -= visc tau; F[4] -= visc (sum_c uF_c tau_c + kappa dthdn),
+            # with the heat term in the row after tau's
+            w.uF *= w.tau_flat
+            np.add.reduce(w.uF_rows, axis=0, out=w.heat_row)
+            w.heat += dthdn
+            w.visc_terms *= visc
+            w.F_visc -= w.visc_terms
 
-        # tend -= np.diff(F) / dx along ax, from tend = 0, summed on the slab T
-        # whose interior the last axis writes into tend.  The first axis takes
+        # tend -= np.diff(F) / dx along ax, from tend = 0, summed on T whose
+        # interior is then copied into tend.  The first axis takes
         # 0 - np.diff(F) / dx, which keeps the +0 that (F_lo - F_hi) / dx would
         # turn into -0 where F_lo = -0 meets F_hi = +0
-        ddx = np.subtract(w.F_hi, w.F_lo, out=T if w.ax == 0 else ws.ddx)
+        ddx = np.subtract(w.F_hi, w.F_lo, out=ws.T_seg if w.ax == 0 else ws.ddx_seg)
         ddx /= dx
         if w.ax == 0:
-            np.subtract(0.0, T, out=T)
-            w.ends_copy[...] = w.F_ends
-            np.add.reduce(w.ends_in, axis=2, out=w.ends)
-            bflux += (w.ends_first - w.ends_last) * (grid.cell_volume / dx)
-        elif w.ax == ws.active[-1]:
-            np.subtract(ws.T_inner, ws.ddx_inner, out=tend)
+            np.subtract(0.0, ddx, out=ddx)
+            if w.ends_copy is not None:
+                w.ends_to[...] = w.ends_copy
+                np.add.reduce(w.ends_in, axis=2, out=w.ends)
+            # bflux = 0 + (first - last) area; += 0.0 keeps that sign of zero
+            np.subtract(w.ends_first, w.ends_last, out=bflux)
+            bflux *= grid.cell_volume / dx
+            bflux += 0.0
         else:
-            T -= ddx
+            ws.T_seg -= ddx
 
+    tend[...] = ws.T_in    # a strided copy costs less than strided arithmetic
     return tend, bflux
 
 
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
     """(dt, max wave speed): min of the CFL step and the per-axis SSP-RK3 viscous step."""
     grid = fs.grid
-    prim = fs.primitives(g)
+    prim = fs.primitives(g).reshape(5, -1)   # flat rows: 1-D operations cost less
     u, theta = prim[1:4], prim[4]
-    c = np.maximum(theta, 0.0)
+    ws = _workspace(grid.shape)       # its p, c and signal speed rows as scratch
+    c = np.maximum(theta, 0.0, out=ws.c_cells)
     c *= g.gamma * g.R
     np.sqrt(c, out=c)
-    active = _active_axes(grid.shape)
+    active = ws.active
     spacing = grid.spacing
 
     max_speed = 0.0
     dt_conv = np.inf
-    speed = np.empty_like(c)
+    speed = ws.speed_cells
     for ax in active:
         np.abs(u[ax], out=speed)
         speed += c
-        sp = float(speed.max())
+        sp = float(np.maximum.reduce(speed, axis=None))
         max_speed = max(max_speed, sp)
         if sp > 0.0:
             dt_conv = min(dt_conv, _CFL * spacing[ax] / sp)
@@ -447,15 +505,17 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
         longitudinal = max(1.0, d * c / (2.0 * c + d * g.mu1)) * (
             (2.0 * g.mu1 + g.lambda1) * f + g.mu1 * (1.0 - f))
         # diff = visc max(longitudinal pw, kappa pw (gamma - 1) / R) / rho
-        pw = theta ** g.alpha
+        pw = ws.p_cells
+        pw[...] = theta
+        pw **= g.alpha      # the in-place power, like theta ** alpha, takes sqrt at 0.5
         diff = np.multiply(longitudinal, pw, out=speed)
         heat = np.multiply(g.kappa1, pw, out=pw)
         heat *= g.gamma - 1.0
         heat /= g.R
         np.maximum(diff, heat, out=diff)
         diff *= cfg.visc_mult
-        diff /= fs.rho
-        dmax = float(diff.max())
+        diff /= prim[0]
+        dmax = float(np.maximum.reduce(diff, axis=None))
         if dmax > 0.0:
             dt_visc = _VISC_FRACTION * _RK3_REAL_LIMIT / (4.0 * dmax * inv_h2)
 
@@ -468,12 +528,14 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
          dt_cap: float | None = None) -> tuple[FieldSet, StepDiagnostics]:
     """One SSP-RK3 step; dt may be forced (paired-run tests), else from stable_dt.
 
-    Each stage is formed in place on the tendency rhs returned for it and
-    wrapped in a FieldSet, so each computes its primitives once; the result's
-    primitives feed the diagnostics here and the next step's stable_dt and
-    first rhs.  The in-place forms evaluate U0 + dt k1,
-    0.75 U0 + 0.25 (U1 + dt k2) and (U0 + 2 (U2 + dt k3)) / 3 operation by
-    operation in that order.
+    Each tendency goes into the work area's register k and each stage state
+    U1, U2 into its register r, which is copied into the ring's conserved
+    rows, where the next rhs computes the stage's primitives; only the result
+    and its primitives are new arrays.  The result's primitives feed the
+    diagnostics here and the next step's stable_dt and first rhs.  The
+    in-place forms evaluate U0 + dt k1, 0.75 U0 + 0.25 (U1 + dt k2) and
+    (U0 + 2 (U2 + dt k3)) / 3 operation by operation in that order, and the
+    boundary flux sum_i w_i dt b_i from 0.
     """
     auto_dt, max_speed = stable_dt(fs, g, cfg)
     if dt is None:
@@ -483,32 +545,45 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
     t0 = fs.time
     U0 = fs.U
-    bflux = np.zeros(5)
+    ws = _workspace(fs.grid.shape)
+    k, r, stage, U_stage = ws.k, ws.r, ws.stage, ws.U_in
+    stage.grid = fs.grid
+    w1, w2, w3 = _RK3_WEIGHTS
 
-    U1, b1 = rhs(fs, g, cfg, ghost_source, t=t0)
-    U1 *= dt
-    U1 += U0
-    U2, b2 = rhs(FieldSet(fs.grid, U1, t0 + dt), g, cfg, ghost_source, t=t0 + dt)
-    U2 *= dt
-    U2 += U1
-    U2 *= 0.25
-    np.multiply(0.75, U0, out=U1)  # U1 is spent: it now holds 0.75 U0
-    U2 += U1
-    U3, b3 = rhs(FieldSet(fs.grid, U2, t0 + 0.5 * dt), g, cfg, ghost_source, t=t0 + 0.5 * dt)
-    U3 *= dt
-    U3 += U2
-    U3 *= 2.0
-    U3 += U0
-    U3 /= 3.0
-
-    for w, b in zip(_RK3_WEIGHTS, (b1, b2, b3)):
-        bflux += w * dt * b
+    _, bflux = rhs(fs, g, cfg, ghost_source, t=t0, out=k)
+    bflux *= w1 * dt
+    bflux += 0.0
+    k *= dt
+    np.add(k, U0, out=r)
+    U_stage[...] = r                                 # U1
+    _, b = rhs(stage, g, cfg, ghost_source, t=t0 + dt, out=k)
+    b *= w2 * dt
+    bflux += b
+    k *= dt
+    k += r
+    k *= 0.25
+    np.multiply(0.75, U0, out=r)
+    r += k
+    U_stage[...] = r                                 # U2
+    _, b = rhs(stage, g, cfg, ghost_source, t=t0 + 0.5 * dt, out=k)
+    b *= w3 * dt
+    bflux += b
+    k *= dt
+    k += r
+    k *= 2.0
+    k += U0
+    # the result and its primitives in one block: as two chunks, freed at the
+    # top of the heap a step later, glibc trimmed and faulted them in again
+    # (about 96 minor faults a step on the decay slab against 2)
+    result = np.empty((10,) + fs.grid.shape)
+    U3 = np.divide(k, 3.0, out=result[:5])
 
     out = FieldSet(fs.grid, U3, t0 + dt)
+    theta = out.primitives(g, usq=ws.usq, out=result[5:])[4]
     diag = StepDiagnostics(
-        dt=dt, max_speed=max_speed, min_rho=float(out.rho.min()),
-        min_theta=float(out.primitives(g)[4].min()), boundary_flux=bflux)
-    if not np.isfinite(U3[::4]).all():    # rows rho and E
+        dt=dt, max_speed=max_speed, min_rho=float(np.minimum.reduce(out.rho, axis=None)),
+        min_theta=float(np.minimum.reduce(theta, axis=None)), boundary_flux=bflux)
+    if not np.logical_and.reduce(np.isfinite(U3[::4], out=ws.finite), axis=None):  # rho, E
         raise RunAbort("non-finite state after step", diag)
     if diag.min_rho < cfg.floor_rho or diag.min_theta < cfg.floor_theta:
         raise RunAbort(

@@ -332,3 +332,36 @@ def test_ansatz_error_terms_decay():
     for key, vals in sups.items():
         assert vals[0] > vals[-1] > 0.0, (key, vals)
         assert vals[-1] < 0.3 * vals[0], (key, vals)
+
+
+def test_ansatz_errors_take_one_axis_derivative_per_divergence_term(monkeypatch):
+    # each divergence term differentiates along its one axis; the residuals
+    # must be bitwise those of taking the full gradient and keeping that
+    # component, on a pinned slab, a torus and a slab with an inactive axis
+    from rarefan import analysis
+
+    one_axis = analysis.axis_derivative
+
+    def component_of_full_gradient(f, grid, ax, periodic_x1=False, out=None):
+        d = np.stack([one_axis(f, grid, b, periodic_x1) for b in range(3)])[ax]
+        if out is not None:   # gradient's own calls
+            out[...] = d
+        return d
+
+    rng = np.random.default_rng(11)
+    for grid in (SlabGrid(L=2.0, n1=12, n2=6, n3=5, dims=3),
+                 SlabGrid.torus(1.0, 8, 6, 4, dims=3),
+                 SlabGrid(L=2.0, n1=10, n2=4, dims=2)):
+        shp = grid.shape
+        snaps = [FieldSet.from_primitives(grid, GAS, 1.0 + 0.2 * rng.random(shp),
+                                          0.3 * (rng.random((3,) + shp) - 0.5),
+                                          1.0 + 0.2 * rng.random(shp), time=t)
+                 for t in (0.9, 1.0, 1.1)]
+        for f in (snaps[1].rho, snaps[1].E):
+            for ax in range(3):
+                assert one_axis(f, grid, ax).tobytes() == analysis.gradient(f, grid)[ax].tobytes()
+        got = ansatz_errors(*snaps, GAS, 0.05)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "axis_derivative", component_of_full_gradient)
+            want = ansatz_errors(*snaps, GAS, 0.05)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))

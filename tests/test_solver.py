@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -206,9 +207,9 @@ def _workspace_cases():
     return cases
 
 
-def _rhs_then_step(fs, cfg, ghost):
-    tend, bflux = rhs(fs, GAS, cfg, ghost, t=fs.time)
-    out, diag = step(fs, GAS, cfg, ghost)
+def _rhs_then_step(fs, cfg, ghost, g=GAS):
+    tend, bflux = rhs(fs, g, cfg, ghost, t=fs.time)
+    out, diag = step(fs, g, cfg, ghost)
     return [tend, bflux, out.U, diag.boundary_flux]
 
 
@@ -445,6 +446,98 @@ def test_rhs_matches_allocating_reference():
             assert _same_bytes([tend, bflux], _ref_rhs(fs, cfg, ghost, fs.time))
             out, diag = step(fs, GAS, cfg, ghost)
             assert _same_bytes([out.U, diag.boundary_flux], _ref_step(fs, cfg, ghost))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _study_case(name):
+    """(fs, gas, cfg, ghost) of a study's initial state: the eps-sweep at its
+    largest eps on its 384-cell line ("line384") and on the 768-cell line of
+    its refinement run ("line768"), or the benchmark's 256 x 32 decay slab
+    ("slab256x32")."""
+    from rarefan.config import parse_config
+    from rarefan.experiments import _perturbation, _pinned_window, sweep_grid
+
+    if name == "slab256x32":
+        cfg = parse_config(ROOT / "perfbench" / "configs" / "slab2d_decay.ini")
+        eps, eta, n1 = cfg.solver.eps, cfg.experiment.eta, None
+    else:
+        cfg = parse_config(ROOT / "configs" / "eps_sweep.ini")
+        eps, eta = max(cfg.experiment.sweep), 0.0
+        n1 = 2 * cfg.grid.n1 if name == "line768" else None
+    spec = cfg.wave_spec(eps)
+    grid = sweep_grid(spec, cfg, n1)
+    fs = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
+                          window=_pinned_window(spec, grid))
+    return fs, cfg.gas, cfg.solver.solver_config(eps=eps), profile_ghost_source(spec, grid)
+
+
+@pytest.mark.parametrize("name", ["line384", "slab256x32"])
+def test_step_allocates_only_its_result(name):
+    # after the first step of a shape, a step may allocate two state-sized
+    # arrays, the state it returns and that state's primitives, and a few
+    # small objects; no tendency, stage or temporary of state size.  numpy's
+    # ufunc iterator buffers (up to bufsize elements an operand) are cut to
+    # 16 elements, so that the traced peak counts arrays
+    fs, g, cfg, ghost = _study_case(name)
+    assert fs.grid.shape[0] == (384 if name == "line384" else 256)
+    fs, _ = step(fs, g, cfg, ghost)
+    state = fs.U.nbytes
+    bufsize = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fs, _ = step(fs, g, cfg, ghost)
+            assert tracemalloc.get_traced_memory()[1] - start <= 2 * state + 4096
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+
+
+def _poisoned_workspace(shape):
+    """The shape's work area, built afresh with NaN in every entry of every
+    float array it owns."""
+    solver._workspace.cache_clear()
+    ws = solver._workspace(shape)
+    owners = {}
+
+    def collect(value):
+        if isinstance(value, np.ndarray):
+            while value.base is not None:
+                value = value.base
+            owners[id(value)] = value
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                collect(v)
+        elif isinstance(value, dict):
+            for v in value.values():
+                collect(v)
+        elif hasattr(value, "__dict__") and type(value).__module__ == solver.__name__:
+            for v in vars(value).values():
+                collect(v)
+
+    collect(ws)
+    for arr in owners.values():
+        if arr.dtype.kind == "f":
+            arr[...] = np.nan
+    return ws
+
+
+def test_rhs_ignores_unwritten_work_entries():
+    # every work array filled with NaN as the work area is built: rhs and
+    # step must still give bitwise a clean run's results, so no result reads
+    # a row-end or tail entry that the current call did not write
+    fs, g, cfg, ghost = _study_case("line768")
+    cases = [(*case, GAS) for case in _workspace_cases()] + [(fs, cfg, ghost, g)]
+    for case in cases:
+        solver._workspace.cache_clear()
+        clean = _rhs_then_step(*case)
+        _poisoned_workspace(case[0].grid.shape)
+        assert _same_bytes(_rhs_then_step(*case), clean)
+    solver._workspace.cache_clear()
 
 
 def test_pinned_ghosts_do_not_leak_into_torus_run():
