@@ -143,23 +143,24 @@ def load_copy(root: Path, tmp: Path, pkg: str) -> None:
 
 
 def interleaved(root: Path, root_b: Path, rounds: int, seconds: float) -> dict:
-    """Both trees' calls timed in alternating rounds; see the module docstring."""
+    """Both trees' calls timed in alternating rounds; see the module docstring.
+    The copy of root_b stays on disk while they run, for any import made late."""
     with tempfile.TemporaryDirectory() as tmp:
         load_copy(root_b, Path(tmp), "rarefan_b")
         a, b = calls(root, "rarefan"), calls(root_b, "rarefan_b")
-    us = {key: ([], []) for key in a}
-    numbers = {}
-    for key, (_, call) in a.items():
-        call()
-        b[key][1]()
-        single = timeit.Timer(call).timeit(number=1)
-        numbers[key] = max(1, round(seconds / max(single, 1e-9)))
-    for i in range(rounds):
-        for key, number in numbers.items():
-            sides = ((0, a), (1, b)) if i % 2 == 0 else ((1, b), (0, a))
-            for side, tree in sides:
-                t = timeit.Timer(tree[key][1]).timeit(number=number)
-                us[key][side].append(t / number * 1e6)
+        us = {key: ([], []) for key in a}
+        numbers = {}
+        for key, (_, call) in a.items():
+            call()
+            b[key][1]()
+            single = timeit.Timer(call).timeit(number=1)
+            numbers[key] = max(1, round(seconds / max(single, 1e-9)))
+        for i in range(rounds):
+            for key, number in numbers.items():
+                sides = ((0, a), (1, b)) if i % 2 == 0 else ((1, b), (0, a))
+                for side, tree in sides:
+                    t = timeit.Timer(tree[key][1]).timeit(number=number)
+                    us[key][side].append(t / number * 1e6)
     out = {"cases": {}, "analysis": {}}
     for (section, name, call), (ua, ub) in us.items():
         ma, mb = statistics.median(ua), statistics.median(ub)
