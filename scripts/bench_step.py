@@ -3,7 +3,7 @@
 or of two checkouts interleaved in one process.
 
     python scripts/bench_step.py DIR [--repeats 7]
-    python scripts/bench_step.py DIR DIR_B [--rounds 41] [--seconds 0.05]
+    python scripts/bench_step.py DIR DIR_B
 
 Imports rarefan from DIR/src, so one copy of this script times any checkout
 (the parent and a change, say) on the same inputs. The states are the
@@ -25,9 +25,9 @@ does the same work: one ``stable_dt`` and three ``rhs``.
 
 With DIR_B as well, DIR_B/src/rarefan is imported from a temporary copy
 under the package name ``rarefan_b``, and each tree builds its own states
-from its own configs. Every call is then timed in --rounds rounds; in each
-round both trees make the same number of calls (about --seconds of DIR's
-tree), DIR's tree first in even rounds and DIR_B's first in odd ones, so
+from its own configs. Every call is then timed in ROUNDS rounds; in each
+round both trees make the same number of calls (about ROUND_SECONDS of
+DIR's tree), DIR's tree first in even rounds and DIR_B's first in odd ones, so
 that drift of the machine's speed falls on both. For each call it prints
 each tree's median microseconds per call, their ratio (DIR_B over DIR) and
 the number of rounds DIR_B's tree was faster. Separate invocations spread
@@ -57,6 +57,10 @@ import sys
 import tempfile
 import timeit
 from pathlib import Path
+
+# interleaved rounds per call, and DIR's time for one call's batch in a round
+ROUNDS = 31
+ROUND_SECONDS = 0.05
 
 
 def cases(root: Path, pkg: str = "rarefan") -> dict:
@@ -142,7 +146,7 @@ def load_copy(root: Path, tmp: Path, pkg: str) -> None:
     importlib.import_module(pkg)
 
 
-def interleaved(root: Path, root_b: Path, rounds: int, seconds: float) -> dict:
+def interleaved(root: Path, root_b: Path) -> dict:
     """Both trees' calls timed in alternating rounds; see the module docstring.
     The copy of root_b stays on disk while they run, for any import made late."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -154,8 +158,8 @@ def interleaved(root: Path, root_b: Path, rounds: int, seconds: float) -> dict:
             call()
             b[key][1]()
             single = timeit.Timer(call).timeit(number=1)
-            numbers[key] = max(1, round(seconds / max(single, 1e-9)))
-        for i in range(rounds):
+            numbers[key] = max(1, round(ROUND_SECONDS / max(single, 1e-9)))
+        for i in range(ROUNDS):
             for key, number in numbers.items():
                 sides = ((0, a), (1, b)) if i % 2 == 0 else ((1, b), (0, a))
                 for side, tree in sides:
@@ -179,9 +183,6 @@ def main(argv=None) -> int:
     ap.add_argument("dir_b", type=Path, nargs="?",
                     help="second checkout, timed against DIR in interleaved rounds")
     ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--rounds", type=int, default=41)
-    ap.add_argument("--seconds", type=float, default=0.05,
-                    help="time of DIR's calls of one kind in one round")
     args = ap.parse_args(argv)
     root = args.dir.resolve()
     sys.path.insert(0, str(root / "src"))
@@ -193,9 +194,9 @@ def main(argv=None) -> int:
     out = {"dir": str(root), "machine": platform.machine(), "processor": platform.processor(),
            "python": platform.python_version(), "numpy": np.__version__}
     if args.dir_b is not None:
-        out.update({"dir_b": str(args.dir_b.resolve()), "rounds": args.rounds,
-                    "seconds": args.seconds})
-        out.update(interleaved(root, args.dir_b.resolve(), args.rounds, args.seconds))
+        out.update({"dir_b": str(args.dir_b.resolve()), "rounds": ROUNDS,
+                    "seconds": ROUND_SECONDS})
+        out.update(interleaved(root, args.dir_b.resolve()))
         print(json.dumps(out, indent=2))
         return 0
 

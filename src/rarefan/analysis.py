@@ -77,8 +77,7 @@ def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
              out: np.ndarray | None = None) -> np.ndarray:
     """2nd-order central gradient (3, n1, n2, n3); transverse axes periodic,
     x1 one-sided 2nd-order at the ends unless periodic_x1.  Writes into out,
-    a C-contiguous (3, n1, n2, n3) array, when given.  Component ax is
-    axis_derivative(f, grid, ax, periodic_x1).
+    a C-contiguous (3, n1, n2, n3) array, when given.
     """
     f = np.ascontiguousarray(f, dtype=float)
     if out is None:
@@ -90,17 +89,10 @@ def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
     return out
 
 
-def axis_derivative(f: np.ndarray, grid: SlabGrid, ax: int, periodic_x1: bool = False,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """2nd-order central d f / d x_ax (n1, n2, n3), component ax of gradient,
-    without forming the other two.  Writes into out, a C-contiguous f-shaped
-    array, when given."""
-    f = np.ascontiguousarray(f, dtype=float)
-    if out is None:
-        out = np.empty(f.shape)
-    elif out.shape != f.shape or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous f-shaped array")
-    return _axis_pass(f, grid, ax, periodic_x1, out)
+def axis_derivative(f: np.ndarray, grid: SlabGrid, ax: int) -> np.ndarray:
+    """2nd-order central d f / d x_ax (n1, n2, n3), component ax of the pinned
+    gradient, without forming the other two."""
+    return _axis_pass(np.ascontiguousarray(f, dtype=float), grid, ax, False, np.empty(np.shape(f)))
 
 
 def _axis_pass(f: np.ndarray, grid: SlabGrid, ax: int, periodic_x1: bool,

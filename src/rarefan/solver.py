@@ -295,7 +295,8 @@ class _Workspace:
         # the x1 ghost planes 0 and n1 + 1 as (..., 10, 2) ghost columns
         self.x1_columns = state[:, ::shape[0] + 1].transpose(2, 3, 0, 1)
 
-        # step's registers and scratch; the flux rows are free between rhs calls
+        # step's registers and scratch (its stable_dt's in p, c and speed);
+        # the flux rows are free between rhs calls
         self.k, self.r = np.empty(self.tend_shape), np.empty(self.tend_shape)
         self.stage = _Stage(self.r[0])   # r holds the stage rhs is given
         cells = math.prod(shape)
@@ -470,19 +471,24 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
     """(dt, max wave speed): min of the CFL step and the per-axis SSP-RK3 viscous step."""
+    return _stable_dt(fs, g, cfg, *np.empty((3, math.prod(fs.grid.shape))))
+
+
+def _stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig, c: np.ndarray,
+               speed: np.ndarray, pw: np.ndarray) -> tuple[float, float]:
+    """stable_dt with three flat cell-sized scratch arrays of the caller's;
+    step passes its work area's."""
     grid = fs.grid
     prim = fs.primitives(g).reshape(5, -1)   # flat rows: 1-D operations cost less
     u, theta = prim[1:4], prim[4]
-    ws = _workspace(grid.shape)       # its p, c and signal speed rows as scratch
-    c = np.maximum(theta, 0.0, out=ws.c_cells)
+    np.maximum(theta, 0.0, out=c)
     c *= g.gamma * g.R
     np.sqrt(c, out=c)
-    active = ws.active
+    active = _active_axes(grid.shape)
     spacing = grid.spacing
 
     max_speed = 0.0
     dt_conv = np.inf
-    speed = ws.speed_cells
     for ax in active:
         np.abs(u[ax], out=speed)
         speed += c
@@ -505,7 +511,6 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
         longitudinal = max(1.0, d * c / (2.0 * c + d * g.mu1)) * (
             (2.0 * g.mu1 + g.lambda1) * f + g.mu1 * (1.0 - f))
         # diff = visc max(longitudinal pw, kappa pw (gamma - 1) / R) / rho
-        pw = ws.p_cells
         pw[...] = theta
         pw **= g.alpha      # the in-place power, like theta ** alpha, takes sqrt at 0.5
         diff = np.multiply(longitudinal, pw, out=speed)
@@ -537,7 +542,8 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     (U0 + 2 (U2 + dt k3)) / 3 operation by operation in that order, and the
     boundary flux sum_i w_i dt b_i from 0.
     """
-    auto_dt, max_speed = stable_dt(fs, g, cfg)
+    ws = _workspace(fs.grid.shape)
+    auto_dt, max_speed = _stable_dt(fs, g, cfg, ws.c_cells, ws.speed_cells, ws.p_cells)
     if dt is None:
         dt = auto_dt if dt_cap is None else min(auto_dt, dt_cap)
     if dt < _DT_MIN:
@@ -545,7 +551,6 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
     t0 = fs.time
     U0 = fs.U
-    ws = _workspace(fs.grid.shape)
     k, r, stage, U_stage = ws.k, ws.r, ws.stage, ws.U_in
     stage.grid = fs.grid
     w1, w2, w3 = _RK3_WEIGHTS

@@ -7,7 +7,7 @@ from rarefan.gas import GasParams
 from rarefan.fields import SlabGrid
 from rarefan.analysis import (decompose, lp_slab, lp_line,
                               energy_report, nonzero_mode_energy, gn_check, gn_sample,
-                              sup_distance, fit_rate, gradient, axis_derivative)
+                              sup_distance, fit_rate, gradient)
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
 
@@ -238,13 +238,6 @@ def test_gradient_out_is_fully_written(shape):
     for bad in (np.empty((3,) + shape, order="F"), np.empty((2,) + shape)):
         with pytest.raises(ValueError):
             gradient(f, grid, out=bad)
-    for ax in range(3):   # one component alone, into its own out=
-        out = np.full(shape, np.nan)
-        assert axis_derivative(f, grid, ax, out=out) is out
-        assert out.tobytes() == gradient(f, grid)[ax].tobytes()
-        for bad in (np.empty(shape + (2,))[..., 0], np.empty((2,) + shape)):
-            with pytest.raises(ValueError):
-                axis_derivative(f, grid, ax, out=bad)
 
 
 # the allocating forms the in-place kernels replace, kept as the reference
