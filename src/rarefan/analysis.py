@@ -84,21 +84,22 @@ def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
         out = np.empty((3,) + f.shape)
     elif out.shape != (3,) + f.shape or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous (3,) + f.shape array")
-    for ax in range(3):
-        _axis_pass(f, grid, ax, periodic_x1, out[ax])
+    for ax, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
+        _axis_pass(f, ax, n, h, periodic_x1, out[ax])
     return out
 
 
 def axis_derivative(f: np.ndarray, grid: SlabGrid, ax: int) -> np.ndarray:
     """2nd-order central d f / d x_ax (n1, n2, n3), component ax of the pinned
     gradient, without forming the other two."""
-    return _axis_pass(np.ascontiguousarray(f, dtype=float), grid, ax, False, np.empty(np.shape(f)))
+    return _axis_pass(np.ascontiguousarray(f, dtype=float), ax, grid.shape[ax], grid.spacing[ax],
+                      False, np.empty(np.shape(f)))
 
 
-def _axis_pass(f: np.ndarray, grid: SlabGrid, ax: int, periodic_x1: bool,
+def _axis_pass(f: np.ndarray, ax: int, n: int, h: float, periodic_x1: bool,
                o: np.ndarray) -> np.ndarray:
-    """d f / d x_ax of a C-contiguous f into the C-contiguous o; zero along an
-    axis of one cell.
+    """d f / d x_ax of a C-contiguous f into the C-contiguous o, along an axis
+    of n cells of width h; zero when n is 1.
 
     The axis's flat stride s makes its difference one contiguous difference
     of the flattened field, cells j + s minus j - s; its end cells, which
@@ -107,7 +108,6 @@ def _axis_pass(f: np.ndarray, grid: SlabGrid, ax: int, periodic_x1: bool,
     uniform-spacing edge_order=2 formulas in its operation order, so it
     matches np.gradient to the bit.
     """
-    n, h = grid.shape[ax], grid.spacing[ax]
     if n == 1:
         o.fill(0.0)
         return o
