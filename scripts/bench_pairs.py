@@ -16,9 +16,9 @@ resident set of any one process in the tree. ``peak_rss_mb`` sees only an
 operation's own process, so these show what a wall-time gain costs in CPU
 and in worker memory.
 
-Each side's processes compile into a fresh bytecode cache of that side's
-(``PYTHONPYCACHEPREFIX``), so that a ``__pycache__`` left in one checkout
-does not shorten its ``setup_s``.
+Refuses two checkouts of which only one holds bytecode under
+``src/rarefan/__pycache__``: with ``PYTHONDONTWRITEBYTECODE`` set, that side
+alone skips compiling its sources, which shows as a shorter ``setup_s``.
 
 Each side's ``commits`` entry is the sha of its checkout's HEAD, and its
 ``dirty`` entry says whether ``git status --porcelain -- src`` lists anything
@@ -47,15 +47,13 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def invoke(root: Path, workload: str, seed: int, seconds: float, pycache: Path) -> dict:
+def invoke(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One run.py invocation: its end-to-end metrics, provenance and the usage
-    of its process tree. Its processes keep their bytecode under pycache."""
+    of its process tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
     with tempfile.TemporaryFile("w+") as err:
-        proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.PIPE, stderr=err,
-                                text=True)
+        proc = subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=err, text=True)
         out = proc.stdout.read()
         proc.stdout.close()
         # wait4 reports the invocation's own tree, where RUSAGE_CHILDREN's
@@ -129,29 +127,29 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    cached = {s: (roots[s] / "src" / "rarefan" / "__pycache__").is_dir() for s in SIDES}
+    if cached["parent"] != cached["change"]:
+        ap.error(f"only the {'parent' if cached['parent'] else 'change'} checkout has "
+                 "src/rarefan/__pycache__; remove it or bench from fresh clones")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better.update(minor_faults="lower", tree_cpu_s="lower", tree_max_rss_mb="lower")
-    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    # each side's bytecode in a fresh cache of its own, never the checkout's
-    # __pycache__, which one side may have and the other not
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as pycache:
-        for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"seed": i, "first": order[0]}
-            for side in order:
-                pair[side] = invoke(roots[side], args.workload, i, args.seconds,
-                                    Path(pycache) / side)
-            provenance = {s: pair[s].pop("provenance") for s in SIDES}
-            pair["better"] = {name: winner(pair, name, d) for name, d in better.items()}
-            pairs.append(pair)
-            print(f"pair {i}: " + ", ".join(
-                f"{s} wall {pair[s]['metrics']['wall_s']:.3f} s, "
-                f"cpu {pair[s]['metrics']['tree_cpu_s']:.2f} s, "
-                f"faults {pair[s]['metrics']['minor_faults']}" for s in SIDES), flush=True)
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": i, "first": order[0]}
+        for side in order:
+            pair[side] = invoke(roots[side], args.workload, i, args.seconds)
+        provenance = {s: pair[s].pop("provenance") for s in SIDES}
+        pair["better"] = {name: winner(pair, name, d) for name, d in better.items()}
+        pairs.append(pair)
+        print(f"pair {i}: " + ", ".join(
+            f"{s} wall {pair[s]['metrics']['wall_s']:.3f} s, "
+            f"cpu {pair[s]['metrics']['tree_cpu_s']:.2f} s, "
+            f"faults {pair[s]['metrics']['minor_faults']}" for s in SIDES), flush=True)
 
     machine = {k: provenance["change"][k] for k in ("cpu_model", "nproc", "caches", "python",
                                                     "numpy", "scipy", "blas_threads")}
