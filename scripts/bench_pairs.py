@@ -14,7 +14,12 @@ workers), as ``os.wait4`` reports it: ``minor_faults`` and ``tree_cpu_s``
 ``getrusage(RUSAGE_CHILDREN)``, and ``tree_max_rss_mb`` is the largest
 resident set of any one process in the tree. ``peak_rss_mb`` sees only an
 operation's own process, so these show what a wall-time gain costs in CPU
-and in worker memory.
+and in worker memory. An invocation runs operations until its seconds run
+out, so a faster tree runs more of them and its totals grow; the
+``tree_cpu_s_per_op`` and ``minor_faults_per_op`` entries divide the totals
+by the invocation's ``operations``. The totals, and so these quotients,
+still include run.py's set-up probes, which every invocation runs the same
+number of.
 
 Refuses two checkouts of which only one holds bytecode under
 ``src/rarefan/__pycache__``: with ``PYTHONDONTWRITEBYTECODE`` set, that side
@@ -73,8 +78,10 @@ def invoke(root: Path, workload: str, seed: int, seconds: float) -> dict:
     metrics["minor_faults"] = usage.ru_minflt
     metrics["tree_cpu_s"] = usage.ru_utime + usage.ru_stime
     metrics["tree_max_rss_mb"] = usage.ru_maxrss * 1024 / 1e6
-    return {"metrics": metrics, "correct": result["correct"],
-            "operations": sum(1 for ln in lines if ln.startswith("op ")),
+    operations = sum(1 for ln in lines if ln.startswith("op "))
+    metrics["tree_cpu_s_per_op"] = metrics["tree_cpu_s"] / operations
+    metrics["minor_faults_per_op"] = usage.ru_minflt / operations
+    return {"metrics": metrics, "correct": result["correct"], "operations": operations,
             "provenance": provenance}
 
 
@@ -135,7 +142,8 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    better.update(minor_faults="lower", tree_cpu_s="lower", tree_max_rss_mb="lower")
+    better.update(minor_faults="lower", tree_cpu_s="lower", tree_max_rss_mb="lower",
+                  tree_cpu_s_per_op="lower", minor_faults_per_op="lower")
 
     pairs = []
     for i in range(args.pairs):
@@ -148,8 +156,10 @@ def main(argv=None) -> int:
         pairs.append(pair)
         print(f"pair {i}: " + ", ".join(
             f"{s} wall {pair[s]['metrics']['wall_s']:.3f} s, "
-            f"cpu {pair[s]['metrics']['tree_cpu_s']:.2f} s, "
-            f"faults {pair[s]['metrics']['minor_faults']}" for s in SIDES), flush=True)
+            f"cpu {pair[s]['metrics']['tree_cpu_s']:.2f} s "
+            f"({pair[s]['metrics']['tree_cpu_s_per_op']:.3f} s/op), "
+            f"faults {pair[s]['metrics']['minor_faults']} "
+            f"({pair[s]['metrics']['minor_faults_per_op']:.0f}/op)" for s in SIDES), flush=True)
 
     machine = {k: provenance["change"][k] for k in ("cpu_model", "nproc", "caches", "python",
                                                     "numpy", "scipy", "blas_threads")}

@@ -3,8 +3,8 @@ compressible flow: exact/cut-off/smooth wave construction, an explicit
 finite-volume solver with temperature-dependent transport, mode-decomposition
 and energy diagnostics, and batch experiment drivers."""
 
-from .gas import GasParams, PrimState, pressure, sound_speed, transport
-from .waves import WaveSpec, burgers_smooth, smooth_profile, riemann_invariants
+from .gas import GasParams, PrimState, sound_speed
+from .waves import WaveSpec, smooth_profile, riemann_invariants
 from .fields import SlabGrid, FieldSet
 from .solver import SolverConfig, StepDiagnostics, RunAbort, rhs, step, run
 from .analysis import decompose, ModeSplit, energy_report, gn_check, gn_sample, sup_distance, \

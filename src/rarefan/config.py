@@ -1,9 +1,9 @@
 """Declarative experiment configuration: INI sections, validation, couplings.
 
-The wave's cut-off density and smoothing width may be given literally, linked
-to the viscosity scale by desk-scale square-root laws, or derived from the
-coupled asymptotic scalings (paper_scaling) which are refused outright when
-they produce an infeasible cut-off instead of being clamped.
+The wave's cut-off density and smoothing width are each given one of two
+ways: literally, or linked to the viscosity scale by a desk-scale
+square-root law. Giving one both ways is refused at parse time, and a
+resolved cut-off density outside (0, rho_plus) is refused, not clamped.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-import math
 import os
 import subprocess
 import typing
@@ -31,8 +30,7 @@ class WaveBlock:
     rho_plus: float = 1.0
     u1_plus: float = 0.0
     theta_plus: float = 1.0
-    # the cut-off density and smoothing width: literal, or coeff * eps^(1/2);
-    # paper_scaling overrides both
+    # the cut-off density and smoothing width: literal, or coeff * eps^(1/2)
     nu: float | None = None
     delta: float | None = None
     nu_coeff: float | None = None
@@ -72,7 +70,6 @@ class ExperimentBlock:
     eta: float = 0.0
     seed: int = 0
     mode_cap: int = 3
-    paper_scaling: bool = False
     samples: int = 50
 
 
@@ -111,34 +108,18 @@ class ExperimentConfig:
     def resolve_nu_delta(self, eps: float) -> tuple[float, float]:
         """Cut-off density and smoothing width for one viscosity value.
 
-        paper_scaling uses nu = eps^(Z a) |log eps|, delta = eps^a for eps > 0;
-        the desk-scale link uses coeff * eps^(1/2); plain literals otherwise.
-        A nu outside (0, rho_plus) is refused, not clamped.
+        Each is coeff * eps^(1/2) when its coefficient is set, else the
+        literal. A nu outside (0, rho_plus) is refused, not clamped.
         """
-        paper = self.experiment.paper_scaling
-        if paper:
-            if eps <= 0.0:
-                raise ConfigError(f"paper-scaling needs eps > 0 for log eps, got eps = {eps:.6g}")
-            a, Z = paper_constants(self.gas.gamma, self.gas.alpha)
-            nu, delta = eps ** (Z * a) * abs(math.log(eps)), eps ** a
-        else:
-            w = self.wave
-            if w.nu_coeff is not None:
-                nu = w.nu_coeff * eps ** 0.5
-            elif w.nu is not None:
-                nu = w.nu
-            else:
-                raise ConfigError("wave.nu missing: set nu, nu_coeff, or paper_scaling")
-            if w.delta_coeff is not None:
-                delta = w.delta_coeff * eps ** 0.5
-            elif w.delta is not None:
-                delta = w.delta
-            else:
-                raise ConfigError("wave.delta missing: set delta, delta_coeff, or paper_scaling")
+        w = self.wave
+        nu = w.nu if w.nu_coeff is None else w.nu_coeff * eps ** 0.5
+        delta = w.delta if w.delta_coeff is None else w.delta_coeff * eps ** 0.5
+        for name, value in (("nu", nu), ("delta", delta)):
+            if value is None:
+                raise ConfigError(f"wave.{name} missing: set {name} or {name}_coeff")
         if not 0.0 < nu < self.right.rho:
-            what = "paper-scaling infeasible: nu = eps^(Z a)|log eps|" if paper else "resolved nu"
-            raise ConfigError(f"{what} = {nu:.6g} outside (0, rho_plus = {self.right.rho:.6g}) "
-                              f"at eps = {eps:.6g}")
+            raise ConfigError(f"resolved nu = {nu:.6g} outside (0, rho_plus = "
+                              f"{self.right.rho:.6g}) at eps = {eps:.6g}")
         return nu, delta
 
     def wave_spec(self, eps: float | None = None) -> WaveSpec:
@@ -162,8 +143,6 @@ def _get(cp, section, key, cast, default):
         return default
     raw = cp.get(section, key)
     try:
-        if cast is bool:
-            return cp.getboolean(section, key)
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
@@ -221,9 +200,16 @@ def parse_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(gas=gas, **{sec: _block(cp, sec) for sec in _BLOCKS},
                            out_dir=_get(cp, "output", "dir", str, "out"))
-    # an invalid right state, [solver] block or kind fails here, not mid-run
+    # an invalid right state, [solver] block, kind or sample count, or a wave
+    # quantity given both ways, fails here, not mid-run
     cfg.right
     cfg.solver.solver_config()
+    for name in ("nu", "delta"):
+        if getattr(cfg.wave, name) is not None and getattr(cfg.wave, f"{name}_coeff") is not None:
+            raise ConfigError(f"[wave] {name} and {name}_coeff both given: set one")
+    if cfg.experiment.samples < 1:
+        raise ConfigError(f"[experiment] samples must be at least 1, "
+                          f"got {cfg.experiment.samples}")
     if cfg.experiment.kind not in DRIVERS:
         raise ConfigError(f"[experiment] kind must be one of {tuple(DRIVERS)}, "
                           f"got {cfg.experiment.kind!r}")

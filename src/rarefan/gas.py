@@ -1,9 +1,10 @@
 """Polytropic gas model with power-law transport coefficients.
 
-Everything downstream (wave construction, solver, diagnostics) goes through
-the functions here, so the conventions are fixed once: pressure p = R*rho*theta,
-internal energy e = R/(gamma-1)*theta, and transport coefficients
-mu = mu1*theta**alpha, lambda = lambda1*theta**alpha, kappa = kappa1*theta**alpha.
+The conventions are pressure p = R*rho*theta, internal energy
+e = R/(gamma-1)*theta, and transport coefficients mu = mu1*theta**alpha,
+lambda = lambda1*theta**alpha, kappa = kappa1*theta**alpha. The solver and
+the diagnostics form p and the coefficients inline on their own arrays from
+GasParams; the sound speed and the entropy are computed here.
 """
 
 from __future__ import annotations
@@ -89,16 +90,6 @@ def entropy(g: GasParams, rho, theta):
     return float(s) if s.ndim == 0 else s
 
 
-def pressure(g: GasParams, rho, theta):
-    """Ideal gas pressure p = R rho theta; zero at vacuum."""
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(rho < 0.0) or np.any(theta < 0.0):
-        raise ValueError("pressure: rho and theta must be nonnegative")
-    p = g.R * rho * theta
-    return float(p) if p.ndim == 0 else p
-
-
 def sound_speed(g: GasParams, theta):
     """c = sqrt(gamma R theta) = sqrt(p_rho at fixed entropy); zero at vacuum."""
     theta = np.asarray(theta, dtype=float)
@@ -106,18 +97,3 @@ def sound_speed(g: GasParams, theta):
         raise ValueError("sound_speed: theta must be nonnegative")
     c = np.sqrt(g.gamma * g.R * theta)
     return float(c) if c.ndim == 0 else c
-
-
-def transport(g: GasParams, theta):
-    """Power-law transport coefficients (mu, lambda, kappa) at temperature theta.
-
-    All three vanish at vacuum since alpha > 0.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0):
-        raise ValueError("transport: theta must be nonnegative")
-    pw = theta ** g.alpha
-    mu, lam, kap = g.mu1 * pw, g.lambda1 * pw, g.kappa1 * pw
-    if pw.ndim == 0:
-        return float(mu), float(lam), float(kap)
-    return mu, lam, kap

@@ -238,15 +238,6 @@ def _burgers_base_point(spec: WaveSpec, t: float, x1: np.ndarray) -> np.ndarray:
     return x0
 
 
-def burgers_smooth(spec: WaveSpec, t: float, x1):
-    """Smooth Burgers solution w(t, x1) of the tanh initial-value problem."""
-    scalar = np.isscalar(x1) or np.asarray(x1).ndim == 0
-    x1v = np.atleast_1d(np.asarray(x1, dtype=float))
-    x0 = _burgers_base_point(spec, t, x1v)
-    w = burgers_data(spec, x0)
-    return float(w[0]) if scalar else w
-
-
 @dataclass
 class SmoothProfile:
     """Smooth-wave fields and x1-derivatives on a grid at one time."""

@@ -226,13 +226,19 @@ def test_criterion_11_paper_constant_arithmetic():
     t0 = time.time()
     a, Z = paper_constants(5.0 / 3.0, 0.5)
     arithmetic_ok = abs(a - 1.5 / 34.5) <= 1e-12 and abs(Z - 0.1) <= 1e-12
-    cfg = _config(kind="eps-sweep", paper_scaling=True)
+    # the coupled scaling nu = eps^(Z a)|log eps| gives no cut-off density in
+    # (0, rho_plus) at eps = 0.01
+    coupled_nu = 0.01 ** (Z * a) * abs(np.log(0.01))
+    infeasible = coupled_nu > RIGHT.rho
+    # an infeasible resolved nu (nu_coeff * eps^(1/2) = 2 > rho_plus) is
+    # refused, not clamped
+    cfg = _config(kind="eps-sweep", wave=WaveBlock(nu_coeff=20.0, delta=0.1))
     refused = False
     try:
         cfg.resolve_nu_delta(0.01)
     except ConfigError:
         refused = True
     _report(11, "coupled-scaling arithmetic and infeasibility refusal",
-            arithmetic_ok and refused,
-            f"a={a:.12f}, Z={Z:.3f}, infeasible nu refused={refused} "
-            f"({time.time() - t0:.2f}s)")
+            arithmetic_ok and infeasible and refused,
+            f"a={a:.12f}, Z={Z:.3f}, coupled nu(0.01)={coupled_nu:.3f}, "
+            f"infeasible nu refused={refused} ({time.time() - t0:.2f}s)")

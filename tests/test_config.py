@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rarefan.config import ConfigError, ExperimentConfig, parse_config, paper_constants
+from rarefan.config import ConfigError, parse_config
 
 
 BASE = """
@@ -109,53 +109,6 @@ def test_config_hash_ignores_output_dir(tmp_path):
     assert refloor.config_hash() != cfg.config_hash()
 
 
-def test_paper_scaling_arithmetic(tmp_path):
-    # gamma = 5/3, alpha = 1/2: a = 1.5/34.5, Z = 0.1; at eps = 0.01 the
-    # implied nu exceeds rho_plus and must be refused, not clamped
-    text = BASE.replace("kind = cutoff-study", "kind = eps-sweep") \
-               .replace("sweep = 0.1, 0.05, 0.025", "paper_scaling = true")
-    cfg = parse_config(write(tmp_path, text))
-    a, Z = paper_constants(cfg.gas.gamma, cfg.gas.alpha)
-    assert a == pytest.approx(1.5 / 34.5, abs=1e-12)
-    assert Z == pytest.approx(0.1, abs=1e-12)
-    eps = 0.01
-    implied_nu = eps ** (Z * a) * abs(np.log(eps))
-    assert implied_nu > cfg.right.rho  # infeasible at desk scale
-    with pytest.raises(ConfigError, match="infeasible"):
-        cfg.resolve_nu_delta(eps)
-
-
-@pytest.mark.parametrize("eps, match", [(1.0, r"nu = .* = 0 outside \(0, rho_plus"),
-                                        (0.0, r"needs eps > 0 .* eps = 0")],
-                         ids=["eps=1", "eps=0"])
-def test_paper_scaling_refuses_eps_without_cutoff(tmp_path, eps, match):
-    # eps = 1 gives nu = |log 1| = 0 and eps = 0 has no log: both are
-    # configuration errors, exit code 2 before any output
-    from rarefan.cli import main
-    text = (BASE.replace("kind = cutoff-study", "kind = profile-study")
-                .replace("sweep = 0.1, 0.05, 0.025", "paper_scaling = true")
-                .replace("eps = 0.02", f"eps = {eps}")
-                .replace("dir = out", f"dir = {tmp_path}/out"))
-    path = write(tmp_path, text)
-    with pytest.raises(ConfigError, match=match):
-        parse_config(path).resolve_nu_delta(eps)
-    assert main(["run", "--config", str(path)]) == 2
-    assert not (tmp_path / "out").exists()
-
-
-def test_paper_scaling_feasible_when_small():
-    # a synthetic right state large enough that the scaling fits
-    from rarefan.gas import GasParams
-    from rarefan.config import WaveBlock, GridBlock, SolverBlock, ExperimentBlock
-    cfg = ExperimentConfig(
-        gas=GasParams.normalized(5.0 / 3.0, 0.5), wave=WaveBlock(rho_plus=10.0),
-        grid=GridBlock(), solver=SolverBlock(),
-        experiment=ExperimentBlock(paper_scaling=True))
-    nu, delta = cfg.resolve_nu_delta(0.01)
-    assert 0.0 < nu < 10.0
-    assert delta == pytest.approx(0.01 ** (1.5 / 34.5), abs=1e-12)
-
-
 def test_desk_scale_links(tmp_path):
     text = BASE.replace("nu = 0.05\ndelta = 0.1",
                         "nu_coeff = 0.5\ndelta_coeff = 1.0")
@@ -165,11 +118,55 @@ def test_desk_scale_links(tmp_path):
     assert delta == pytest.approx(0.2, abs=1e-14)
 
 
+@pytest.mark.parametrize("literal, coeff", [("nu = 0.05", "nu_coeff = 0.5"),
+                                            ("delta = 0.1", "delta_coeff = 1.0")],
+                         ids=["nu", "delta"])
+def test_quantity_given_both_ways_refused_at_parse(tmp_path, literal, coeff):
+    # the link would silently win over the literal
+    from rarefan.cli import main
+    key = coeff.split()[0]
+    path = write(tmp_path, BASE.replace(literal, f"{literal}\n{coeff}")
+                               .replace("dir = out", f"dir = {tmp_path}/out"))
+    with pytest.raises(ConfigError, match=f"{key.removesuffix('_coeff')} and {key} both given"):
+        parse_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_gn_check_without_samples_refused_at_parse(tmp_path, samples):
+    from rarefan.cli import main
+    text = (BASE.replace("kind = cutoff-study", f"kind = gn-check\nsamples = {samples}")
+                .replace("dir = out", f"dir = {tmp_path}/out"))
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"\[experiment\] samples must be at least 1"):
+        parse_config(path)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_nu_refused(tmp_path):
     text = BASE.replace("nu = 0.05\n", "")
     cfg = parse_config(write(tmp_path, text))
     with pytest.raises(ConfigError, match="nu"):
         cfg.resolve_nu_delta(0.02)
+
+
+@pytest.mark.parametrize("wave, eps", [("nu = 0", 0.02), ("nu_coeff = 20", 0.01)],
+                         ids=["nu=0", "nu=2"])
+def test_resolved_nu_outside_range_refused(tmp_path, wave, eps):
+    # a cut-off density outside (0, rho_plus) is refused, not clamped: exit
+    # code 2 before any output
+    from rarefan.cli import main
+    text = (BASE.replace("kind = cutoff-study", "kind = profile-study")
+                .replace("nu = 0.05", wave)
+                .replace("eps = 0.02", f"eps = {eps}")
+                .replace("dir = out", f"dir = {tmp_path}/out"))
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"resolved nu = .* outside \(0, rho_plus"):
+        parse_config(path).resolve_nu_delta(eps)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_codes(tmp_path):
@@ -196,11 +193,13 @@ def test_bad_solver_value_refused_at_parse(tmp_path, line, named):
 
 
 # knobs that only ever took one value are constants, not keys: the CFL number,
-# the desk-scale powers, the verdict bounds and the gas normalization
+# the desk-scale powers, the verdict bounds and the gas normalization; and the
+# coupled (nu, delta) scalings, infeasible at every desk-scale eps
 DELETED_KEYS = [("eps = 0.02", "cfl"), ("delta = 0.1", "nu_exp"), ("delta = 0.1", "delta_exp"),
                 ("kind = cutoff-study", "band_factor"), ("kind = cutoff-study", "exp_tol"),
                 ("kind = cutoff-study", "r2_min"), ("alpha = 0.5", "normalized"),
-                ("alpha = 0.5", "R"), ("alpha = 0.5", "A")]
+                ("alpha = 0.5", "R"), ("alpha = 0.5", "A"),
+                ("kind = cutoff-study", "paper_scaling")]
 
 
 @pytest.mark.parametrize("after, key", DELETED_KEYS, ids=[k for _, k in DELETED_KEYS])
@@ -208,15 +207,6 @@ def test_deleted_key_refused_at_parse(tmp_path, after, key):
     from rarefan.cli import main
     path = write(tmp_path, BASE.replace(after, f"{after}\n{key} = 1"))
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-        parse_config(path)
-    assert main(["run", "--config", str(path)]) == 2
-
-
-def test_bad_boolean_refused_at_parse(tmp_path):
-    from rarefan.cli import main
-    path = write(tmp_path, BASE.replace("kind = cutoff-study",
-                                        "kind = cutoff-study\npaper_scaling = ture"))
-    with pytest.raises(ConfigError, match="paper_scaling"):
         parse_config(path)
     assert main(["run", "--config", str(path)]) == 2
 
