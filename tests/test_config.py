@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rarefan.config import ConfigError, parse_config
+from rarefan.config import ConfigError, paper_constants, parse_config
 
 
 BASE = """
@@ -107,6 +107,23 @@ def test_config_hash_ignores_output_dir(tmp_path):
                                                         "eps = 0.02\nfloor_rho = 1e-8"),
                                  name="floor.ini"))
     assert refloor.config_hash() != cfg.config_hash()
+
+
+def test_paper_scaling_arithmetic(tmp_path):
+    # gamma = 5/3, alpha = 1/2: a = 1.5/34.5, Z = 0.1; at eps = 0.01 the
+    # coupled nu = eps^(Z a)|log eps| exceeds rho_plus, and a cut-off
+    # density that large must be refused, not clamped
+    cfg = parse_config(write(tmp_path, BASE))
+    a, Z = paper_constants(cfg.gas.gamma, cfg.gas.alpha)
+    assert a == pytest.approx(1.5 / 34.5, abs=1e-12)
+    assert Z == pytest.approx(0.1, abs=1e-12)
+    eps = 0.01
+    implied_nu = eps ** (Z * a) * abs(np.log(eps))
+    assert implied_nu > cfg.right.rho  # infeasible at desk scale
+    coupled = parse_config(write(tmp_path, BASE.replace("nu = 0.05", f"nu = {float(implied_nu)!r}"),
+                                 name="coupled.ini"))
+    with pytest.raises(ConfigError, match=r"outside \(0, rho_plus"):
+        coupled.resolve_nu_delta(eps)
 
 
 def test_desk_scale_links(tmp_path):
