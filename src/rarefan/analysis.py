@@ -28,21 +28,18 @@ class ModeSplit:
 
     zero: np.ndarray     # (n1, 1, 1)
     nonzero: np.ndarray  # (n1, n2, n3)
-    note: str = ""
 
 
 def decompose(f: np.ndarray, grid: SlabGrid) -> ModeSplit:
     """Split f into its transverse mean and the zero-average remainder.
 
     The mean is the plain discrete average over the periodic cross-section,
-    which makes the projector identities exact up to round-off.
+    which makes the projector identities exact up to round-off; on a 1-D
+    grid it is f itself, so the non-zero part is 0 wherever f is finite.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise ValueError("field shape does not match grid")
-    if grid.dims == 1:
-        return ModeSplit(f.copy(), np.zeros_like(f),
-                         note="1-D grid: non-zero part is identically zero")
     zero = f.mean(axis=(1, 2), keepdims=True)
     return ModeSplit(zero, f - zero)
 
@@ -171,7 +168,6 @@ class EnergyReport:
     dissipation: float    # int th^alpha |grad psi|^2 + th^(alpha-1) |grad zeta|^2
     rel_entropy: float    # int rho * Ehat
     sandwich_violations: int
-    worst_cell: tuple | None
 
     def as_row(self) -> dict:
         return {"tau": self.tau, "basic": self.basic, "grad1": self.grad1,
@@ -230,12 +226,8 @@ def energy_report(phi: np.ndarray, psi: np.ndarray, zeta: np.ndarray,
 
     bad = ((rho < 0.5 * rho_bar) | (rho > 1.5 * rho_bar)
            | (theta < 0.5 * theta_bar) | (theta > 1.5 * theta_bar))
-    nbad = int(np.count_nonzero(bad))
-    worst = None
-    if nbad:
-        ratios = np.maximum(np.abs(rho / rho_bar - 1.0), np.abs(theta / theta_bar - 1.0))
-        worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(ratios)), grid.shape))
-    return EnergyReport(tau, basic, grad1, grad2, dissipation, rel_entropy, nbad, worst)
+    return EnergyReport(tau, basic, grad1, grad2, dissipation, rel_entropy,
+                        int(np.count_nonzero(bad)))
 
 
 def nonzero_mode_energy(phi: np.ndarray, psi: np.ndarray, zeta: np.ndarray,

@@ -50,8 +50,6 @@ class GridBlock:
 @dataclass
 class SolverBlock:
     eps: float = 0.02
-    floor_rho: float = SolverConfig.floor_rho
-    floor_theta: float = SolverConfig.floor_theta
 
     def solver_config(self, **overrides) -> SolverConfig:
         """The one config-to-solver map: this block, with a driver's overrides."""
@@ -109,8 +107,10 @@ class ExperimentConfig:
         """Cut-off density and smoothing width for one viscosity value.
 
         Each is coeff * eps^(1/2) when its coefficient is set, else the
-        literal. A nu outside (0, rho_plus) is refused, not clamped.
+        literal. A negative eps or a nu outside (0, rho_plus) is refused, not clamped.
         """
+        if eps < 0.0:
+            raise ConfigError(f"eps = {eps:.6g} is negative: a viscosity must be nonnegative")
         w = self.wave
         nu = w.nu if w.nu_coeff is None else w.nu_coeff * eps ** 0.5
         delta = w.delta if w.delta_coeff is None else w.delta_coeff * eps ** 0.5

@@ -1,10 +1,11 @@
 """Polytropic gas model with power-law transport coefficients.
 
 The conventions are pressure p = R*rho*theta, internal energy
-e = R/(gamma-1)*theta, and transport coefficients mu = mu1*theta**alpha,
-lambda = lambda1*theta**alpha, kappa = kappa1*theta**alpha. The solver and
-the diagnostics form p and the coefficients inline on their own arrays from
-GasParams; the sound speed and the entropy are computed here.
+e = R/(gamma-1)*theta, transport coefficients mu = mu1*theta**alpha,
+lambda = lambda1*theta**alpha, kappa = kappa1*theta**alpha, and A = R in the
+adiabatic form p = A rho^gamma exp((gamma-1) S / R), so no field holds A.
+The solver and the diagnostics form p and the coefficients inline on their
+own arrays from GasParams; the sound speed and the entropy are computed here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class GasParams:
 
     gamma: float
     R: float
-    A: float
     alpha: float
     mu1: float = 1.0
     lambda1: float = 1.0
@@ -34,7 +34,7 @@ class GasParams:
     def __post_init__(self):
         if not self.gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        for name in ("R", "A", "alpha", "mu1", "kappa1"):
+        for name in ("R", "alpha", "mu1", "kappa1"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         # mu + lambda >= 0 keeps the viscous stress dissipative for all theta > 0
@@ -44,8 +44,8 @@ class GasParams:
     @classmethod
     def normalized(cls, gamma: float, alpha: float,
                    mu1: float = 1.0, lambda1: float = 1.0, kappa1: float = 1.0) -> "GasParams":
-        """Standard normalization A = R = gamma - 1."""
-        return cls(gamma=gamma, R=gamma - 1.0, A=gamma - 1.0, alpha=alpha,
+        """Standard normalization R = gamma - 1 (and A = R)."""
+        return cls(gamma=gamma, R=gamma - 1.0, alpha=alpha,
                    mu1=mu1, lambda1=lambda1, kappa1=kappa1)
 
 
@@ -73,19 +73,19 @@ class PrimState:
         return self.rho < VACUUM_RHO
 
     def entropy(self, g: GasParams) -> float:
-        """S such that p = A rho^gamma exp((gamma-1) S / R); nan at vacuum."""
+        """S such that p = R rho^gamma exp((gamma-1) S / R); nan at vacuum."""
         return entropy(g, self.rho, self.theta)
 
 
 def entropy(g: GasParams, rho, theta):
-    """Entropy from (rho, theta).
+    """Entropy S = R/(gamma-1) log(theta rho^(1-gamma)) from (rho, theta), as A = R.
 
-    Under the normalization A = R = gamma-1 this is -(gamma-1) log rho + log theta.
+    Under the normalization R = gamma-1 this is -(gamma-1) log rho + log theta.
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = g.R / (g.gamma - 1.0) * np.log((g.R / g.A) * theta * rho ** (1.0 - g.gamma))
+        s = g.R / (g.gamma - 1.0) * np.log(theta * rho ** (1.0 - g.gamma))
     s = np.where(rho < VACUUM_RHO, np.nan, s)
     return float(s) if s.ndim == 0 else s
 

@@ -4,7 +4,8 @@ Convection uses a local Lax-Friedrichs (Rusanov) flux, robust next to the
 near-vacuum cut-off state; viscous and heat fluxes are 2nd-order central with
 temperature-dependent coefficients evaluated at face-averaged temperature.
 Time stepping is 3-stage SSP Runge-Kutta.  The energy equation is integrated
-in conserved total-energy form; temperature is always a derived view.
+in conserved total-energy form; temperature is always a derived view.  A step
+that leaves rho or theta below the constant positivity floor _FLOOR aborts.
 
 Each grid shape has one work area (the ghost-ringed state, its pressure,
 sound speed and Euler flux, the face terms of each axis pass, and step's
@@ -15,8 +16,9 @@ out=, an array the caller owns, or into a new one without out=; the boundary
 flux is always a new array.  step passes rhs its register k, copies each
 stage state into the ring's conserved rows and has rhs compute the stage's
 primitives there, so a step allocates only the state it returns and that
-state's primitives.  The work area makes rhs and step unsafe to call from
-concurrent threads on grids of one shape.
+state's primitives; stable_dt takes its scratch there too.  The work area
+makes rhs, stable_dt and step unsafe to call from concurrent threads on grids
+of one shape.
 
 rhs builds no index and no view per call: the work area binds, once, every
 view rhs reads or writes, since on the 1-D sweep lines a call costs its numpy
@@ -58,6 +60,9 @@ _CFL = 0.4
 # a run that has not reached its horizon after this many steps aborts
 _MAX_STEPS = 10_000_000
 
+# a step whose result has min rho or min theta below this aborts
+_FLOOR = 1e-10
+
 # smallest step taken; a sample or horizon time counts as reached within this
 # gap, so landing on it never asks for a smaller step
 _DT_MIN = 1e-12
@@ -68,8 +73,6 @@ class SolverConfig:
     """Run-level numerical parameters."""
 
     eps: float = 1.0
-    floor_rho: float = 1e-10
-    floor_theta: float = 1e-10
     scaled: bool = False               # tau/y variables: unit viscous multiplier
 
     def __post_init__(self):
@@ -92,7 +95,7 @@ class StepDiagnostics:
 
 
 class RunAbort(RuntimeError):
-    """Raised when positivity floors are hit or the step size underflows."""
+    """Raised when the positivity floor is hit or the step size underflows."""
 
     def __init__(self, message: str, diagnostics: StepDiagnostics | None = None):
         super().__init__(message)
@@ -295,14 +298,13 @@ class _Workspace:
         # the x1 ghost planes 0 and n1 + 1 as (..., 10, 2) ghost columns
         self.x1_columns = state[:, ::shape[0] + 1].transpose(2, 3, 0, 1)
 
-        # step's registers and scratch (its stable_dt's in p, c and speed);
-        # the flux rows are free between rhs calls
+        # step's registers, and stable_dt's scratch rows (the cells of c,
+        # speed and p); the flux rows are free between rhs calls
         self.k, self.r = np.empty(self.tend_shape), np.empty(self.tend_shape)
         self.stage = _Stage(self.r[0])   # r holds the stage rhs is given
         cells = math.prod(shape)
         self.usq = self.flux.reshape(-1)[:3 * cells].reshape(3, cells)
-        self.p_cells, self.c_cells, self.speed_cells = self.p[:cells], self.c[:cells], \
-            self.speed[:cells]
+        self.dt_scratch = self.c[:cells], self.speed[:cells], self.p[:cells]
         self.finite = np.empty((2,) + shape, dtype=bool)
 
         self.faces = {name: np.zeros((k, N) if k > 1 else N)
@@ -471,14 +473,8 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
     """(dt, max wave speed): min of the CFL step and the per-axis SSP-RK3 viscous step."""
-    return _stable_dt(fs, g, cfg, *np.empty((3, math.prod(fs.grid.shape))))
-
-
-def _stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig, c: np.ndarray,
-               speed: np.ndarray, pw: np.ndarray) -> tuple[float, float]:
-    """stable_dt with three flat cell-sized scratch arrays of the caller's;
-    step passes its work area's."""
     grid = fs.grid
+    c, speed, pw = _workspace(grid.shape).dt_scratch   # every rhs refills these rows
     prim = fs.primitives(g).reshape(5, -1)   # flat rows: 1-D operations cost less
     u, theta = prim[1:4], prim[4]
     np.maximum(theta, 0.0, out=c)
@@ -543,7 +539,7 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     boundary flux sum_i w_i dt b_i from 0.
     """
     ws = _workspace(fs.grid.shape)
-    auto_dt, max_speed = _stable_dt(fs, g, cfg, ws.c_cells, ws.speed_cells, ws.p_cells)
+    auto_dt, max_speed = stable_dt(fs, g, cfg)
     if dt is None:
         dt = auto_dt if dt_cap is None else min(auto_dt, dt_cap)
     if dt < _DT_MIN:
@@ -590,7 +586,7 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
         min_theta=float(np.minimum.reduce(theta, axis=None)), boundary_flux=bflux)
     if not np.logical_and.reduce(np.isfinite(U3[::4], out=ws.finite), axis=None):  # rho, E
         raise RunAbort("non-finite state after step", diag)
-    if diag.min_rho < cfg.floor_rho or diag.min_theta < cfg.floor_theta:
+    if diag.min_rho < _FLOOR or diag.min_theta < _FLOOR:
         raise RunAbort(
             f"positivity floor hit: min rho {diag.min_rho:.3e}, min theta {diag.min_theta:.3e}",
             diag)

@@ -78,13 +78,11 @@ class WaveSpec:
 class WaveTable:
     """Vectorized wave evaluation over a xi grid."""
 
-    xi: np.ndarray
     rho: np.ndarray
     u1: np.ndarray
     theta: np.ndarray
     m: np.ndarray
     n: np.ndarray
-    branch: np.ndarray  # -1 left, 0 fan, +1 right
 
 
 def riemann_invariants(g: GasParams, state: PrimState) -> tuple[float, float]:
@@ -125,8 +123,7 @@ def sample_exact(spec: WaveSpec, xi) -> WaveTable:
     vac = rho < VACUUM_RHO
     m = np.where(vac, 0.0, rho * u1)
     n = np.where(vac, 0.0, rho * theta)
-    branch = np.where(left, -1, np.where(right, 1, 0))
-    return WaveTable(xi, rho, u1, theta, m, n, branch)
+    return WaveTable(rho, u1, theta, m, n)
 
 
 def sample_cutoff(spec: WaveSpec, xi) -> WaveTable:
@@ -145,8 +142,7 @@ def sample_cutoff(spec: WaveSpec, xi) -> WaveTable:
     rho = np.where(left, leftst.rho, np.where(right, spec.right.rho, rho_f))
     u1 = np.where(left, leftst.u1, np.where(right, spec.right.u1, u1_f))
     theta = np.where(left, leftst.theta, np.where(right, spec.right.theta, th_f))
-    branch = np.where(left, -1, np.where(right, 1, 0))
-    return WaveTable(xi, rho, u1, theta, rho * u1, rho * theta, branch)
+    return WaveTable(rho, u1, theta, rho * u1, rho * theta)
 
 
 def cutoff_exact_distance(spec: WaveSpec) -> dict[str, float]:

@@ -47,7 +47,7 @@ def write(tmp_path, text, name="c.ini"):
 def test_parse_basic(tmp_path):
     cfg = parse_config(write(tmp_path, BASE))
     assert cfg.gas.gamma == pytest.approx(5.0 / 3.0)
-    assert cfg.gas.A == cfg.gas.R == cfg.gas.gamma - 1.0
+    assert cfg.gas.R == cfg.gas.gamma - 1.0
     assert cfg.right.rho == 1.0
     assert cfg.experiment.sweep == (0.1, 0.05, 0.025)
     assert cfg.wave.nu == 0.05
@@ -103,10 +103,6 @@ def test_config_hash_ignores_output_dir(tmp_path):
     assert moved.config_hash() == cfg.config_hash()
     # the CLI's --out override goes the same way
     assert dataclasses.replace(cfg, out_dir=str(tmp_path)).config_hash() == cfg.config_hash()
-    refloor = parse_config(write(tmp_path, BASE.replace("eps = 0.02",
-                                                        "eps = 0.02\nfloor_rho = 1e-8"),
-                                 name="floor.ini"))
-    assert refloor.config_hash() != cfg.config_hash()
 
 
 def test_paper_scaling_arithmetic(tmp_path):
@@ -184,6 +180,25 @@ def test_resolved_nu_outside_range_refused(tmp_path, wave, eps):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_eps_in_sweep_refused(tmp_path, capsys):
+    # eps^(1/2) of a negative eps is complex: the sweep must end in one
+    # configuration error that names eps, not in a traceback, and write no CSV
+    from rarefan.cli import main
+    text = (BASE.replace("nu = 0.05\ndelta = 0.1", "nu_coeff = 0.5\ndelta_coeff = 1.0")
+                .replace("kind = cutoff-study\nsweep = 0.1, 0.05, 0.025",
+                         "kind = eps-sweep\nsweep = -0.01, 0.02, 0.01\nhorizon = 0.02\nh = 0.01")
+                .replace("n1 = 256", "n1 = 64")
+                .replace("dir = out", f"dir = {tmp_path}/out"))
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"eps = -0\.01 is negative"):
+        parse_config(path).resolve_nu_delta(-0.01)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["configuration error: eps = -0.01 is negative: "
+                   "a viscosity must be nonnegative"]
+    assert not (tmp_path / "out" / "eps_sweep.csv").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     from rarefan.cli import main
     cfgpath = write(tmp_path, BASE.replace("dir = out", f"dir = {tmp_path}/out"))
@@ -208,13 +223,15 @@ def test_bad_solver_value_refused_at_parse(tmp_path, line, named):
 
 
 # knobs that only ever took one value are constants, not keys: the CFL number,
-# the desk-scale powers, the verdict bounds and the gas normalization; and the
-# coupled (nu, delta) scalings, infeasible at every desk-scale eps
+# the desk-scale powers, the verdict bounds, the gas normalization and the
+# positivity floors; and the coupled (nu, delta) scalings, infeasible at every
+# desk-scale eps
 DELETED_KEYS = [("eps = 0.02", "cfl"), ("delta = 0.1", "nu_exp"), ("delta = 0.1", "delta_exp"),
                 ("kind = cutoff-study", "band_factor"), ("kind = cutoff-study", "exp_tol"),
                 ("kind = cutoff-study", "r2_min"), ("alpha = 0.5", "normalized"),
                 ("alpha = 0.5", "R"), ("alpha = 0.5", "A"),
-                ("kind = cutoff-study", "paper_scaling")]
+                ("kind = cutoff-study", "paper_scaling"), ("eps = 0.02", "floor_rho"),
+                ("eps = 0.02", "floor_theta")]
 
 
 @pytest.mark.parametrize("after, key", DELETED_KEYS, ids=[k for _, k in DELETED_KEYS])
@@ -297,12 +314,14 @@ def test_git_commit_unknown_when_git_fails(monkeypatch, fake):
     assert git_commit() == "unknown"
 
 
-def test_cli_numerical_abort_exit_code(tmp_path, capsys):
-    # the cut-off density 0.05 sits below floor_rho, so the first step aborts
+def test_cli_numerical_abort_exit_code(tmp_path, capsys, monkeypatch):
+    # the cut-off density 0.05 sits below a floor raised to 0.5, so the first
+    # step aborts
+    from rarefan import solver
     from rarefan.cli import main
+    monkeypatch.setattr(solver, "_FLOOR", 0.5)
     text = (BASE.replace("kind = cutoff-study", "kind = simulate")
                 .replace("n1 = 256", "n1 = 64")
-                .replace("eps = 0.02", "eps = 0.02\nfloor_rho = 0.5")
                 .replace("dir = out", f"dir = {tmp_path}/out"))
     assert main(["run", "--config", str(write(tmp_path, text))]) == 3
     err = capsys.readouterr().err.strip().splitlines()
@@ -374,7 +393,7 @@ def test_cli_wave_dump(tmp_path):
                     nu=0.05, delta=0.1)
     ex = sample_exact(spec, row[:1] / 1.5)
     pr = smooth_profile(spec, 1.5, row[:1])
-    assert ex.branch[0] == 0
+    assert spec.u1_vacuum < row[0] / 1.5 < spec.w_plus   # inside the fan
     assert np.array_equal(row[1:4], [ex.rho[0], ex.u1[0], ex.theta[0]])
     assert np.allclose(row[7:10], [pr.rho[0], pr.u1[0], pr.theta[0]], rtol=1e-12, atol=0.0)
     # the sidecar records the wave it dumped and the hash of its config

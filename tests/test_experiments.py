@@ -135,15 +135,16 @@ def test_decay_zero_mode_unaffected_by_transverse_resolution():
     assert abs(dists[12] - dists[24]) <= 0.01 * dists[24]
 
 
-def test_eps_sweep_partial_report_on_failure(tmp_path):
+def test_eps_sweep_partial_report_on_failure(tmp_path, monkeypatch):
     # a floor tight enough to abort every run must yield failure rows and a
     # FAIL verdict, not an exception; the CSV keeps each comma-bearing
-    # failure message in its one cell
+    # failure message in its one cell.  The forked workers inherit the patch
     import csv
+    from rarefan import solver
+    monkeypatch.setattr(solver, "_FLOOR", 0.5)
     cfg = config(kind="eps-sweep", sweep=(0.05, 0.035, 0.02), horizon=0.3, h=0.1,
                  wave=WaveBlock(nu_coeff=0.5, delta_coeff=1.0),
-                 grid=GridBlock(n1=96, period=0.8),
-                 solver=SolverBlock(floor_rho=0.5))
+                 grid=GridBlock(n1=96, period=0.8))
     rep = run_viscosity_sweep(cfg)
     assert not rep.passed
     assert not rep.checks["no_run_failures"]
@@ -263,14 +264,15 @@ def test_diff_study_outputs_masks_run_fields(tmp_path):
     assert diff("d", "e").returncode == 0
 
 
-def test_eps_sweep_paired_run_abort_is_a_failure_row():
-    # every run aborts on the floor, the paired perturbed one included: its
-    # abort must become a failure row and a FAIL verdict, not an exception
+def test_eps_sweep_paired_run_abort_is_a_failure_row(monkeypatch):
+    # every run aborts on the raised floor, the paired perturbed one included:
+    # its abort must become a failure row and a FAIL verdict, not an exception
+    from rarefan import solver
+    monkeypatch.setattr(solver, "_FLOOR", 0.5)
     cfg = config(kind="eps-sweep", sweep=(0.05, 0.035, 0.02), horizon=0.3, h=0.1,
                  eta=1e-3, mode_cap=2,
                  wave=WaveBlock(nu_coeff=0.5, delta_coeff=1.0),
-                 grid=GridBlock(n1=160, period=0.8),
-                 solver=SolverBlock(floor_rho=0.5))
+                 grid=GridBlock(n1=160, period=0.8))
     rep = run_viscosity_sweep(cfg)
     assert not rep.passed
     assert not rep.checks["no_run_failures"]

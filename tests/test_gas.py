@@ -12,34 +12,34 @@ def gas():
 
 
 def test_normalization(gas):
-    assert gas.A == gas.R == gas.gamma - 1.0
+    assert gas.R == gas.gamma - 1.0
 
 
 def test_invalid_params():
     with pytest.raises(ValueError):
-        GasParams(gamma=1.0, R=1.0, A=1.0, alpha=0.5)
+        GasParams(gamma=1.0, R=1.0, alpha=0.5)
     with pytest.raises(ValueError):
-        GasParams(gamma=1.4, R=-1.0, A=1.0, alpha=0.5)
+        GasParams(gamma=1.4, R=-1.0, alpha=0.5)
     with pytest.raises(ValueError):
-        GasParams(gamma=1.4, R=0.4, A=0.4, alpha=0.5, mu1=1.0, lambda1=-2.0)
+        GasParams(gamma=1.4, R=0.4, alpha=0.5, mu1=1.0, lambda1=-2.0)
 
 
 def test_pressure_two_forms_agree(gas):
     # the fan state at xi = 0 has S = 0, where R rho theta and the adiabatic
-    # form A rho^gamma exp((gamma-1) S / R) coincide
+    # form A rho^gamma exp((gamma-1) S / R), A = R, coincide
     rho, theta = 0.421875, 0.5625
     p1 = gas.R * rho * theta
-    p2 = gas.A * rho ** gas.gamma
+    p2 = gas.R * rho ** gas.gamma
     assert abs(p1 - p2) <= 1e-12 * p1
 
 
 def test_pressure_consistency_random(gas):
-    # 1e4 random states: |R rho theta - A rho^g e^((g-1)S/R)| < 1e-12 p
+    # 1e4 random states: |R rho theta - R rho^g e^((g-1)S/R)| < 1e-12 p
     rng = np.random.default_rng(1)
     rho = rng.uniform(1e-6, 10.0, size=10_000)
     theta = rng.uniform(1e-6, 10.0, size=10_000)
     p1 = gas.R * rho * theta
-    p2 = gas.A * rho ** gas.gamma * np.exp((gas.gamma - 1.0) / gas.R * entropy(gas, rho, theta))
+    p2 = gas.R * rho ** gas.gamma * np.exp((gas.gamma - 1.0) / gas.R * entropy(gas, rho, theta))
     assert np.all(np.abs(p1 - p2) < 1e-12 * p1)
 
 

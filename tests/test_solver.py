@@ -169,6 +169,25 @@ def test_step_dt_is_stable_dt():
     assert diag.dt == stable_dt(fs, GAS, cfg)[0]
 
 
+def test_step_reaches_stable_dt_through_the_module(monkeypatch):
+    # a wrapper bound in the module's globals, as a tracer binds one, sees
+    # the one stable_dt call of every step, on the state being stepped
+    grid = SlabGrid.torus(1.0, 32, 4, dims=2)
+    _, rho, u, theta = smooth_fields(grid)
+    fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
+    cfg = SolverConfig(eps=0.05)
+    seen, real = [], solver.stable_dt
+
+    def counted(state, *args):
+        seen.append(state)
+        return real(state, *args)
+    monkeypatch.setattr(solver, "stable_dt", counted)
+    for n in range(1, 4):
+        nxt, _ = step(fs, GAS, cfg)
+        assert len(seen) == n and seen[-1] is fs
+        fs = nxt
+
+
 def test_rhs_unaffected_by_caller_mutation():
     grid = SlabGrid.torus(1.0, 32, 4, dims=2)
     _, rho, u, theta = smooth_fields(grid)
@@ -434,7 +453,7 @@ def _cellwise_random_cases():
 
 def test_rhs_matches_allocating_reference():
     # a gas whose heat entry sets the viscous step, with R != gamma - 1
-    heat_bound = GasParams(gamma=1.4, R=0.287, A=1.0, alpha=0.7, lambda1=0.0, kappa1=10.0)
+    heat_bound = GasParams(gamma=1.4, R=0.287, alpha=0.7, lambda1=0.0, kappa1=10.0)
     cases = _workspace_cases() + _planar_line_cases() + _cellwise_random_cases()
     with np.errstate(all="raise"):
         for fs, cfg, ghost in cases:
@@ -697,7 +716,7 @@ def test_dt_underflow_aborts():
         step(fs, GAS, SolverConfig(eps=0.1), dt=1e-13)
 
 
-def test_positivity_floor_aborts():
+def test_positivity_floor_aborts(monkeypatch):
     grid = SlabGrid.torus(1.0, 64)
     x = grid.x1()[:, None, None] * np.ones(grid.shape)
     # steep expansion drives theta below the (high) floor quickly
@@ -706,7 +725,8 @@ def test_positivity_floor_aborts():
     u[0] = np.sign(np.sin(K * x)) * 2.0
     theta = np.full(grid.shape, 1.0)
     fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-    cfg = SolverConfig(eps=0.0, floor_rho=0.5, floor_theta=0.5)
+    monkeypatch.setattr(solver, "_FLOOR", 0.5)
+    cfg = SolverConfig(eps=0.0)
     with pytest.raises(RunAbort) as err:
         f = fs
         for _ in range(500):

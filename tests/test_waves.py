@@ -59,17 +59,15 @@ def test_exact_branches():
     vac = sample_exact(spec, -10.0)
     assert (vac.rho[0], vac.u1[0], vac.theta[0]) == \
         pytest.approx((0.0, -3.162278, 0.0), abs=1e-6)
-    assert vac.m[0] == 0.0 and vac.n[0] == 0.0 and vac.branch[0] == -1
+    assert vac.m[0] == 0.0 and vac.n[0] == 0.0
 
     rgt = sample_exact(spec, 2.0)
     assert (rgt.rho[0], rgt.u1[0], rgt.theta[0]) == (1.0, 0.0, 1.0)
-    assert rgt.branch[0] == 1
 
     fan = sample_exact(spec, 0.0)
     assert fan.rho[0] == pytest.approx(0.421875, abs=1e-9)
     assert fan.u1[0] == pytest.approx(-0.790569, abs=1e-6)
     assert fan.theta[0] == pytest.approx(0.5625, abs=1e-9)
-    assert fan.branch[0] == 0
 
 
 def _fan_state_bisect(xi):
@@ -136,7 +134,6 @@ def test_cutoff_left_branch_constant():
     s = sample_cutoff(spec, spec.w_minus - 5.0)
     assert (s.rho[0], s.u1[0], s.theta[0]) == \
         pytest.approx((left.rho, left.u1, left.theta), abs=1e-14)
-    assert s.branch[0] == -1
 
 
 def test_cutoff_matches_exact_above_cut():
