@@ -6,8 +6,10 @@ or of two checkouts interleaved in one process.
     python scripts/bench_step.py DIR DIR_B
 
 Imports rarefan from DIR/src, so one copy of this script times any checkout
-(the parent and a change, say) on the same inputs. The states are the
-initial states the studies start from:
+(the parent and a change, say) on the same inputs, as long as the checkout
+has ``experiments.pinned_start``; a commit from before it needs that
+commit's copy of this script. The states are the initial states the studies
+start from, built by ``experiments.pinned_start``:
 
 - ``line384`` and ``line768``: the eps-sweep of DIR/configs/eps_sweep.ini at
   its first (largest) eps, on its n1 = 384 grid and on the 768-cell grid of
@@ -67,19 +69,11 @@ def cases(root: Path, pkg: str = "rarefan") -> dict:
     """name -> (FieldSet, GasParams, SolverConfig, ghost source) of each timed
     state, built by the package pkg."""
     parse_config = importlib.import_module(f"{pkg}.config").parse_config
-    experiments = importlib.import_module(f"{pkg}.experiments")
-    _perturbation, _pinned_window = experiments._perturbation, experiments._pinned_window
-    sweep_grid = experiments.sweep_grid
-    assemble_initial = importlib.import_module(f"{pkg}.ansatz").assemble_initial
-    profile_ghost_source = importlib.import_module(f"{pkg}.solver").profile_ghost_source
+    pinned_start = importlib.import_module(f"{pkg}.experiments").pinned_start
 
     def pinned(cfg, eps, eta, n1=None):
-        spec = cfg.wave_spec(eps)
-        grid = sweep_grid(spec, cfg, n1)
-        fs = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
-                              window=_pinned_window(spec, grid))
-        scfg = cfg.solver.solver_config(eps=eps)
-        return fs, cfg.gas, scfg, profile_ghost_source(spec, grid)
+        _, _, fs, scfg, ghost = pinned_start(cfg, eps, eta, n1)
+        return fs, cfg.gas, scfg, ghost
 
     sweep = parse_config(root / "configs" / "eps_sweep.ini")
     eps = max(sweep.experiment.sweep)

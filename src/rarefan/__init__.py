@@ -10,7 +10,7 @@ from .solver import SolverConfig, StepDiagnostics, RunAbort, rhs, step, run
 from .analysis import decompose, ModeSplit, energy_report, gn_check, gn_sample, sup_distance, \
     fit_rate
 from .ansatz import PerturbationSpec, make_perturbation, assemble_initial, \
-    build_ansatz, ansatz_errors, evolve_periodic_background
+    build_ansatz, ansatz_errors
 from .config import ExperimentConfig, ConfigError, parse_config, paper_constants
 
 __version__ = "0.1.0"

@@ -159,23 +159,6 @@ def derivative_sq(f: np.ndarray, grid: SlabGrid,
 # weighted energy functionals
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EnergyReport:
-    tau: float
-    basic: float          # int rho_bar^(g-2) phi^2 + rho_bar |psi|^2 + rho_bar^(2-g) zeta^2
-    grad1: float          # int th/rho |grad phi|^2 + rho |grad psi|^2 + rho/th |grad zeta|^2
-    grad2: float          # second-order analogue
-    dissipation: float    # int th^alpha |grad psi|^2 + th^(alpha-1) |grad zeta|^2
-    rel_entropy: float    # int rho * Ehat
-    sandwich_violations: int
-
-    def as_row(self) -> dict:
-        return {"tau": self.tau, "basic": self.basic, "grad1": self.grad1,
-                "grad2": self.grad2, "dissipation": self.dissipation,
-                "rel_entropy": self.rel_entropy,
-                "sandwich_violations": self.sandwich_violations}
-
-
 def _phi_hat(s: np.ndarray) -> np.ndarray:
     """Convex entropy kernel s - ln s - 1, nonnegative and vanishing at 1."""
     return s - np.log(s) - 1.0
@@ -183,12 +166,20 @@ def _phi_hat(s: np.ndarray) -> np.ndarray:
 
 def energy_report(phi: np.ndarray, psi: np.ndarray, zeta: np.ndarray,
                   rho_bar: np.ndarray, theta_bar: np.ndarray,
-                  grid: SlabGrid, g: GasParams, tau: float = 0.0) -> EnergyReport:
-    """Weighted perturbation energies against a positive background.
+                  grid: SlabGrid, g: GasParams) -> dict:
+    """Weighted perturbation energies against a positive background, as a row.
 
     phi, psi (3 components), zeta are the perturbations of (rho, u, theta)
     around the background (rho_bar, theta_bar); gradients by central
-    differences with one-sided closure at the pinned x1 ends.
+    differences with one-sided closure at the pinned x1 ends. The row's
+    keys, in order (g = gamma):
+      basic: int rho_bar^(g-2) phi^2 + rho_bar |psi|^2 + rho_bar^(2-g) zeta^2
+      grad1: int th_bar/rho_bar |grad phi|^2 + rho_bar |grad psi|^2
+             + rho_bar/th_bar |grad zeta|^2
+      grad2: grad1 with the second derivatives
+      dissipation: int th_bar^alpha |grad psi|^2 + th_bar^(alpha-1) |grad zeta|^2
+      rel_entropy: int rho Ehat, rho = rho_bar + phi
+      sandwich_violations: cells where rho or theta leaves [1/2, 3/2] of its background
     """
     rho_bar = np.broadcast_to(np.asarray(rho_bar, dtype=float), grid.shape)
     theta_bar = np.broadcast_to(np.asarray(theta_bar, dtype=float), grid.shape)
@@ -226,8 +217,8 @@ def energy_report(phi: np.ndarray, psi: np.ndarray, zeta: np.ndarray,
 
     bad = ((rho < 0.5 * rho_bar) | (rho > 1.5 * rho_bar)
            | (theta < 0.5 * theta_bar) | (theta > 1.5 * theta_bar))
-    return EnergyReport(tau, basic, grad1, grad2, dissipation, rel_entropy,
-                        int(np.count_nonzero(bad)))
+    return {"basic": basic, "grad1": grad1, "grad2": grad2, "dissipation": dissipation,
+            "rel_entropy": rel_entropy, "sandwich_violations": int(np.count_nonzero(bad))}
 
 
 def nonzero_mode_energy(phi: np.ndarray, psi: np.ndarray, zeta: np.ndarray,

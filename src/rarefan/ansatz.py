@@ -1,5 +1,5 @@
-"""Periodic perturbations, initial-data assembly, background evolution, and
-the interpolated-background ansatz with its asymptotic-system error terms.
+"""Periodic perturbations, initial-data assembly, constant-state backgrounds,
+and the interpolated-background ansatz with its asymptotic-system error terms.
 
 The ansatz carries the far-field oscillation of a periodically perturbed run:
 smooth wave plus the deviations of the two constant-state periodic solutions,
@@ -15,8 +15,6 @@ import numpy as np
 from .gas import GasParams, PrimState
 from .fields import FieldSet, SlabGrid, conserved
 from .waves import WaveSpec, smooth_profile
-from .solver import SolverConfig, run
-from .analysis import fit_rate
 
 
 @dataclass(frozen=True)
@@ -174,42 +172,6 @@ def perturbed_constant_state(state: PrimState, pspec: PerturbationSpec,
     u = np.array([state.u1, 0.0, 0.0])[:, None, None, None]
     return _add_perturbation(FieldSet.from_primitives(grid, g, state.rho, u, state.theta),
                              pspec, "all", None)
-
-
-@dataclass
-class BackgroundReport:
-    dev_sup: np.ndarray        # (nt,) max over the 5 conserved deviations
-    mean_drift: float           # worst cell-average drift of any deviation
-    rate: float
-    r2: float
-
-
-def evolve_periodic_background(state: PrimState, pspec: PerturbationSpec,
-                               g: GasParams, cfg: SolverConfig, grid: SlabGrid,
-                               horizon: float, n_samples: int = 40) -> BackgroundReport:
-    """Evolve constant state + periodic perturbation on one torus cell.
-
-    Tracks the sup norm and the cell averages of the conserved deviations;
-    the decay rate is a semilog fit over the second half of the samples.
-    """
-    base = constant_conserved(state, g)
-    fs = perturbed_constant_state(state, pspec, grid, g)
-
-    def observe(f: FieldSet, gg: GasParams) -> dict:
-        dev = f.U - base[:, None, None, None]
-        return {"sup": float(np.max(np.abs(dev))),
-                "drift": float(np.max(np.abs(dev.mean(axis=(1, 2, 3)))))}
-
-    _, records = run(fs, g, cfg, horizon, observers={"bg": observe},
-                     sample_dt=horizon / n_samples)
-    taus = np.array([r["tau"] for r in records])
-    sups = np.array([r["bg.sup"] for r in records])
-    mean_drift = max(r["bg.drift"] for r in records)
-    rate, r2 = float("nan"), float("nan")
-    tail = taus > taus[-1] / 2.0
-    if pspec.eta > 0.0 and np.count_nonzero(tail) >= 3 and np.all(sups[tail] > 0.0):
-        rate, r2 = fit_rate(taus[tail], sups[tail], model="exponential")
-    return BackgroundReport(sups, mean_drift, rate, r2)
 
 
 def tile_deviation(torus_fs: FieldSet, base: np.ndarray, slab_grid: SlabGrid) -> np.ndarray:

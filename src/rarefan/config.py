@@ -196,12 +196,13 @@ def parse_config(path) -> ExperimentConfig:
                                _get(cp, "gas", "lambda1", float, 1.0),
                                _get(cp, "gas", "kappa1", float, 1.0))
 
-    from .experiments import DRIVERS  # the one list of study kinds
+    from .experiments import DRIVERS, DEFAULT_EPS_SWEEP  # DRIVERS: the one list of study kinds
 
     cfg = ExperimentConfig(gas=gas, **{sec: _block(cp, sec) for sec in _BLOCKS},
                            out_dir=_get(cp, "output", "dir", str, "out"))
-    # an invalid right state, [solver] block, kind or sample count, or a wave
-    # quantity given both ways, fails here, not mid-run
+    # an invalid right state, [solver] block, kind or sample count, a wave
+    # quantity given both ways, or an eps-sweep eps whose wave cannot be
+    # resolved, fails here, not mid-run
     cfg.right
     cfg.solver.solver_config()
     for name in ("nu", "delta"):
@@ -213,6 +214,9 @@ def parse_config(path) -> ExperimentConfig:
     if cfg.experiment.kind not in DRIVERS:
         raise ConfigError(f"[experiment] kind must be one of {tuple(DRIVERS)}, "
                           f"got {cfg.experiment.kind!r}")
+    if cfg.experiment.kind == "eps-sweep":
+        for eps in cfg.experiment.sweep or DEFAULT_EPS_SWEEP:
+            cfg.wave_spec(eps)
     return cfg
 
 

@@ -23,8 +23,8 @@ from .waves import (WaveSpec, cutoff_exact_distance, profile_lp_norm, velocity_s
 from .solver import RunAbort, SolverConfig, run, profile_ghost_source
 from .analysis import (decompose, sup_distance, fit_rate, gn_check, gn_sample, GN_CASES,
                        nonzero_mode_energy)
-from .ansatz import (PerturbationSpec, assemble_initial, x1_window,
-                     evolve_periodic_background)
+from .ansatz import (PerturbationSpec, assemble_initial, x1_window, constant_conserved,
+                     perturbed_constant_state)
 from .config import ExperimentConfig, ConfigError, git_commit
 
 # verdict bounds, engineering values because the analysis provides no constants:
@@ -32,6 +32,9 @@ from .config import ExperimentConfig, ConfigError, git_commit
 _BAND_FACTOR = 2.0
 _EXP_TOL = 0.15
 _R2_MIN = 0.95
+
+# the eps values of an eps-sweep whose [experiment] sweep is empty
+DEFAULT_EPS_SWEEP = (0.04, 0.02, 0.01)
 
 
 @dataclass
@@ -255,11 +258,6 @@ def sweep_grid(spec: WaveSpec, cfg: ExperimentConfig, n1: int | None = None) -> 
                     n2=cfg.grid.n2, n3=cfg.grid.n3, dims=cfg.grid.dims)
 
 
-def _pinned_window(spec: WaveSpec, grid: SlabGrid) -> np.ndarray:
-    """x1 window keeping the perturbation clear of the pinned ghost cells."""
-    return x1_window(grid, margin=10.0 * spec.delta + 0.5, width=max(0.1, 5.0 * grid.dx1))
-
-
 def _distance_observer(spec: WaveSpec, h: float):
     def obs(fs: FieldSet, g: GasParams) -> dict:
         return sup_distance(fs, spec, g, exclude_t_below=h)
@@ -271,16 +269,18 @@ def _perturbation(cfg: ExperimentConfig, eta: float) -> PerturbationSpec:
                             seed=cfg.experiment.seed)
 
 
-def _pinned_run(cfg: ExperimentConfig, spec: WaveSpec, grid: SlabGrid, eta: float,
-                observers: dict, sample_dt: float, modes: str = "all",
-                **solver_overrides) -> tuple[FieldSet, list[dict]]:
-    """Run to the horizon from the smooth wave at t = 0 plus the x1-windowed
+def pinned_start(cfg: ExperimentConfig, eps: float, eta: float, n1: int | None = None,
+                 modes: str = "all"):
+    """(wave spec, grid, initial state, solver config, ghost source) of a pinned
+    slab run at viscosity eps: the smooth wave at t = 0 plus the x1-windowed
     perturbation of amplitude eta, ghosts pinned to the profile."""
-    scfg = cfg.solver.solver_config(**solver_overrides)
+    spec = cfg.wave_spec(eps)
+    grid = sweep_grid(spec, cfg, n1)
+    scfg = cfg.solver.solver_config(eps=eps)
+    window = x1_window(grid, margin=10.0 * spec.delta + 0.5, width=max(0.1, 5.0 * grid.dx1))
     initial = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
-                               window=_pinned_window(spec, grid), modes=modes)
-    return run(initial, cfg.gas, scfg, cfg.experiment.horizon, observers=observers,
-               ghost_source=profile_ghost_source(spec, grid), sample_dt=sample_dt)
+                               window=window, modes=modes)
+    return spec, grid, initial, scfg, profile_ghost_source(spec, grid)
 
 
 def _eps_sweep_point(cfg: ExperimentConfig, eps: float, n1: int | None = None,
@@ -290,13 +290,12 @@ def _eps_sweep_point(cfg: ExperimentConfig, eps: float, n1: int | None = None,
     A solver abort, or a run with no sample at t >= h, becomes a failure row.
     """
     tic = time.time()
-    spec = cfg.wave_spec(eps)
     horizon, h = cfg.experiment.horizon, cfg.experiment.h
-    grid = sweep_grid(spec, cfg, n1)
     try:
-        final, records = _pinned_run(cfg, spec, grid, eta, {"dist": _distance_observer(spec, h)},
-                                     sample_dt=max((horizon - h) / 3.0, h / 2.0),
-                                     eps=eps)
+        spec, grid, initial, scfg, ghost = pinned_start(cfg, eps, eta, n1)
+        final, records = run(initial, cfg.gas, scfg, horizon,
+                             observers={"dist": _distance_observer(spec, h)},
+                             ghost_source=ghost, sample_dt=max((horizon - h) / 3.0, h / 2.0))
         dists = [r["dist.max"] for r in records if np.isfinite(r.get("dist.max", np.nan))]
         if not dists:
             raise RuntimeError("no samples at t >= h; lower sample_dt or h")
@@ -320,7 +319,7 @@ def run_viscosity_sweep(cfg: ExperimentConfig) -> StudyReport:
     runs go to workers.
     """
     t0 = time.time()
-    eps_list = sorted(cfg.experiment.sweep or (0.04, 0.02, 0.01), reverse=True)
+    eps_list = sorted(cfg.experiment.sweep or DEFAULT_EPS_SWEEP, reverse=True)
     eta = cfg.experiment.eta
     mid = eps_list[len(eps_list) // 2]
     points = [(_eps_sweep_point, (cfg, e)) for e in eps_list]
@@ -383,7 +382,7 @@ def _smooth_background(spec: WaveSpec, fs: FieldSet):
 
 
 def energy_observer(spec: WaveSpec):
-    """Observer emitting EnergyReport rows against the smooth-wave background."""
+    """Observer emitting the energy_report row against the smooth-wave background."""
     from .analysis import energy_report
 
     def obs(fs: FieldSet, g: GasParams) -> dict:
@@ -391,13 +390,10 @@ def energy_observer(spec: WaveSpec):
         psi = fs.velocity()
         psi[0] -= u1_bar
         try:
-            rep = energy_report(fs.rho - rho_bar, psi, fs.temperature(g) - th_bar,
-                                rho_bar, th_bar, fs.grid, g, tau=fs.time)
+            return energy_report(fs.rho - rho_bar, psi, fs.temperature(g) - th_bar,
+                                 rho_bar, th_bar, fs.grid, g)
         except ValueError as exc:
             raise RunAbort(f"energy observer at t = {fs.time:.6g}: {exc}") from exc
-        row = rep.as_row()
-        row.pop("tau", None)  # the base record already carries the time
-        return row
     return obs
 
 
@@ -418,13 +414,13 @@ def _dneq_observer(spec: WaveSpec):
 
 
 def _decay_run(cfg: ExperimentConfig, modes: str) -> tuple[list[dict], SlabGrid]:
-    spec = cfg.wave_spec(cfg.solver.eps)
-    grid = sweep_grid(spec, cfg)
-    if grid.dims < 2:
+    if cfg.grid.dims < 2:
         raise ConfigError("non-zero-mode decay needs a transverse direction (grid.dims >= 2)")
+    spec, grid, initial, scfg, ghost = pinned_start(cfg, cfg.solver.eps, cfg.experiment.eta,
+                                                    modes=modes)
     obs = {"dneq": _dneq_observer(spec), "dist": _distance_observer(spec, cfg.experiment.h)}
-    _, records = _pinned_run(cfg, spec, grid, cfg.experiment.eta, obs,
-                             sample_dt=cfg.experiment.horizon / 24.0, modes=modes)
+    _, records = run(initial, cfg.gas, scfg, cfg.experiment.horizon, observers=obs,
+                     ghost_source=ghost, sample_dt=cfg.experiment.horizon / 24.0)
     return records, grid
 
 
@@ -475,13 +471,30 @@ def run_nonzero_decay(cfg: ExperimentConfig) -> StudyReport:
 
 def _background_row(cfg: ExperimentConfig, grid: SlabGrid, scfg: SolverConfig,
                     eta: float) -> dict:
-    """One torus run at amplitude eta; wall_time is this run's own."""
+    """One torus run at amplitude eta: 40 samples of the deviation's sup and
+    worst cell-average drift, and a semilog fit of the sup over the second
+    half; wall_time is this run's own."""
     tic = time.time()
-    rep = evolve_periodic_background(cfg.right, _perturbation(cfg, eta), cfg.gas, scfg,
-                                     grid, cfg.experiment.horizon)
-    return {"eta": eta, "rate": rep.rate, "r2": rep.r2,
-            "mean_drift": rep.mean_drift, "amp0": float(rep.dev_sup[0]),
-            "amp_final": float(rep.dev_sup[-1]), "wall_time": time.time() - tic}
+    horizon = cfg.experiment.horizon
+    base = constant_conserved(cfg.right, cfg.gas)
+    fs = perturbed_constant_state(cfg.right, _perturbation(cfg, eta), grid, cfg.gas)
+
+    def observe(f: FieldSet, g: GasParams) -> dict:
+        dev = f.U - base[:, None, None, None]
+        return {"sup": float(np.max(np.abs(dev))),
+                "drift": float(np.max(np.abs(dev.mean(axis=(1, 2, 3)))))}
+
+    _, records = run(fs, cfg.gas, scfg, horizon, observers={"bg": observe},
+                     sample_dt=horizon / 40)
+    taus = np.array([r["tau"] for r in records])
+    sups = np.array([r["bg.sup"] for r in records])
+    rate, r2 = float("nan"), float("nan")
+    tail = taus > taus[-1] / 2.0
+    if eta > 0.0 and np.count_nonzero(tail) >= 3 and np.all(sups[tail] > 0.0):
+        rate, r2 = fit_rate(taus[tail], sups[tail], model="exponential")
+    return {"eta": eta, "rate": rate, "r2": r2,
+            "mean_drift": max(r["bg.drift"] for r in records), "amp0": float(sups[0]),
+            "amp_final": float(sups[-1]), "wall_time": time.time() - tic}
 
 
 def run_background_decay(cfg: ExperimentConfig) -> StudyReport:
@@ -653,12 +666,12 @@ def run_wave_dump(cfg: ExperimentConfig) -> StudyReport:
 def run_simulate(cfg: ExperimentConfig) -> StudyReport:
     """Pinned run from a config: observer CSV rows plus a final snapshot."""
     t0 = time.time()
-    spec = cfg.wave_spec(cfg.solver.eps)
     horizon = cfg.experiment.horizon
+    spec, _, initial, scfg, ghost = pinned_start(cfg, cfg.solver.eps, cfg.experiment.eta)
     obs = {"dist": _distance_observer(spec, cfg.experiment.h),
            "energy": energy_observer(spec)}
-    final, records = _pinned_run(cfg, spec, sweep_grid(spec, cfg), cfg.experiment.eta, obs,
-                                 sample_dt=horizon / 20.0)
+    final, records = run(initial, cfg.gas, scfg, horizon, observers=obs, ghost_source=ghost,
+                         sample_dt=horizon / 20.0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_fields(final, os.path.join(cfg.out_dir, "final.bin"))
     return _report("simulate", cfg, t0, records, {"completed": True})

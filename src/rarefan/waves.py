@@ -106,19 +106,18 @@ def _fan_state(g: GasParams, xi, r31: float, s: float):
     return rho, u1, theta
 
 
-def sample_exact(spec: WaveSpec, xi) -> WaveTable:
-    """Exact vacuum-attached 3-rarefaction wave on a xi = x1/t grid."""
-    g = spec.g
+def _sample(spec: WaveSpec, xi, left: PrimState, lo: float) -> WaveTable:
+    """The wave on a xi grid: the constant left state below the fan edge lo,
+    the fan from lo to w_plus, the right state above it. The vacuum mask on m
+    and n acts only on a vacuum left state: a cut-off one has rho >= nu."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    r31, s = spec.r31_plus, spec.s_plus
-    u1m, lam3p = spec.u1_vacuum, spec.w_plus
-
-    rho_f, u1_f, th_f = _fan_state(g, np.clip(xi, u1m, lam3p), r31, s)
-    left = xi < u1m
-    right = xi > lam3p
-    rho = np.where(left, 0.0, np.where(right, spec.right.rho, rho_f))
-    u1 = np.where(left, u1m, np.where(right, spec.right.u1, u1_f))
-    theta = np.where(left, 0.0, np.where(right, spec.right.theta, th_f))
+    hi, right = spec.w_plus, spec.right
+    rho_f, u1_f, th_f = _fan_state(spec.g, np.clip(xi, lo, hi), spec.r31_plus, spec.s_plus)
+    below = xi < lo
+    above = xi > hi
+    rho = np.where(below, left.rho, np.where(above, right.rho, rho_f))
+    u1 = np.where(below, left.u1, np.where(above, right.u1, u1_f))
+    theta = np.where(below, left.theta, np.where(above, right.theta, th_f))
     # momentum and internal energy vanish identically at vacuum
     vac = rho < VACUUM_RHO
     m = np.where(vac, 0.0, rho * u1)
@@ -126,23 +125,21 @@ def sample_exact(spec: WaveSpec, xi) -> WaveTable:
     return WaveTable(rho, u1, theta, m, n)
 
 
+def sample_exact(spec: WaveSpec, xi) -> WaveTable:
+    """Exact vacuum-attached 3-rarefaction wave on a xi = x1/t grid."""
+    return _sample(spec, xi, PrimState(0.0, spec.u1_vacuum, 0.0), spec.u1_vacuum)
+
+
 def sample_cutoff(spec: WaveSpec, xi) -> WaveTable:
     """Cut-off 3-rarefaction wave: constant left state below lambda3(left)."""
     if spec.nu <= 0.0:
         raise ValueError("cutoff wave requires nu > 0")
-    g = spec.g
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    leftst = spec.left_state()
-    lam3m, lam3p = spec.w_minus, spec.w_plus
-    r31, s = spec.r31_plus, spec.s_plus
+    return _sample(spec, xi, spec.left_state(), spec.w_minus)
 
-    rho_f, u1_f, th_f = _fan_state(g, np.clip(xi, lam3m, lam3p), r31, s)
-    left = xi < lam3m
-    right = xi > lam3p
-    rho = np.where(left, leftst.rho, np.where(right, spec.right.rho, rho_f))
-    u1 = np.where(left, leftst.u1, np.where(right, spec.right.u1, u1_f))
-    theta = np.where(left, leftst.theta, np.where(right, spec.right.theta, th_f))
-    return WaveTable(rho, u1, theta, rho * u1, rho * theta)
+
+def _sup_gaps(a, b, names) -> dict[str, float]:
+    """Sup over the grid of |a.f - b.f| for each field name f."""
+    return {f: float(np.max(np.abs(getattr(a, f) - getattr(b, f)))) for f in names}
 
 
 def cutoff_exact_distance(spec: WaveSpec) -> dict[str, float]:
@@ -154,12 +151,7 @@ def cutoff_exact_distance(spec: WaveSpec) -> dict[str, float]:
     # the gap is extremal at the wave corners; pin them into the grid (a
     # duplicate point cannot change a sup, and np.unique would load numpy.ma)
     xi = np.sort(np.concatenate([xi, [spec.u1_vacuum, spec.w_minus, spec.w_plus]]))
-    ex, cu = sample_exact(spec, xi), sample_cutoff(spec, xi)
-    return {
-        "rho": float(np.max(np.abs(cu.rho - ex.rho))),
-        "m": float(np.max(np.abs(cu.m - ex.m))),
-        "n": float(np.max(np.abs(cu.n - ex.n))),
-    }
+    return _sup_gaps(sample_cutoff(spec, xi), sample_exact(spec, xi), ("rho", "m", "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +230,6 @@ def _burgers_base_point(spec: WaveSpec, t: float, x1: np.ndarray) -> np.ndarray:
 class SmoothProfile:
     """Smooth-wave fields and x1-derivatives on a grid at one time."""
 
-    x1: np.ndarray
     w: np.ndarray
     rho: np.ndarray
     u1: np.ndarray
@@ -247,7 +238,6 @@ class SmoothProfile:
     drho: np.ndarray
     dtheta: np.ndarray
     d2u1: np.ndarray    # d2(u1)/dx1^2
-    t: float = 0.0
 
 
 def smooth_profile(spec: WaveSpec, t: float, x1) -> SmoothProfile:
@@ -273,7 +263,7 @@ def smooth_profile(spec: WaveSpec, t: float, x1) -> SmoothProfile:
     # Riemann-invariant constancy ties the other slopes to du1
     drho = rho ** ((3.0 - g.gamma) / 2.0) / np.sqrt(g.gamma * g.R * np.exp(spec.s_plus)) * du1
     dtheta = (g.gamma - 1.0) / np.sqrt(g.gamma * g.R) * np.sqrt(theta) * du1
-    return SmoothProfile(x1v, w, rho, u1, theta, du1, drho, dtheta, d2u1, t=t)
+    return SmoothProfile(w, rho, u1, theta, du1, drho, dtheta, d2u1)
 
 
 def profile_lp_norm(spec: WaveSpec, t: float, p: float) -> float:
@@ -322,10 +312,5 @@ def smooth_cutoff_distance(spec: WaveSpec, t: float) -> dict[str, float]:
     lo = spec.w_minus * t - 1.0 - 50.0 * spec.delta
     hi = spec.w_plus * t + 1.0 + 50.0 * spec.delta
     x1 = np.linspace(lo, hi, 4001)
-    pr = smooth_profile(spec, t, x1)
-    cu = sample_cutoff(spec, x1 / t)
-    return {
-        "rho": float(np.max(np.abs(pr.rho - cu.rho))),
-        "u1": float(np.max(np.abs(pr.u1 - cu.u1))),
-        "theta": float(np.max(np.abs(pr.theta - cu.theta))),
-    }
+    return _sup_gaps(smooth_profile(spec, t, x1), sample_cutoff(spec, x1 / t),
+                     ("rho", "u1", "theta"))

@@ -111,9 +111,9 @@ def test_energy_zero_perturbation():
     zero = np.zeros(grid.shape)
     rep = energy_report(zero, np.zeros((3,) + grid.shape), zero,
                         np.full(grid.shape, 0.7), np.full(grid.shape, 0.8), grid, GAS)
-    assert rep.basic == rep.grad1 == rep.grad2 == rep.dissipation == 0.0
-    assert rep.rel_entropy == 0.0
-    assert rep.sandwich_violations == 0
+    assert rep["basic"] == rep["grad1"] == rep["grad2"] == rep["dissipation"] == 0.0
+    assert rep["rel_entropy"] == 0.0
+    assert rep["sandwich_violations"] == 0
 
 
 def test_energy_nonnegative_and_entropy_equivalence():
@@ -126,10 +126,10 @@ def test_energy_nonnegative_and_entropy_equivalence():
         psi = 0.3 * rng.standard_normal((3,) + grid.shape)
         zeta = 0.2 * rng.uniform(-1, 1, grid.shape) * th_bar
         rep = energy_report(phi, psi, zeta, rho_bar, th_bar, grid, GAS)
-        assert rep.basic >= 0.0 and rep.rel_entropy >= 0.0
-        assert rep.sandwich_violations == 0  # ratios within [1/2, 3/2] by construction
+        assert rep["basic"] >= 0.0 and rep["rel_entropy"] >= 0.0
+        assert rep["sandwich_violations"] == 0  # ratios within [1/2, 3/2] by construction
         # relative entropy is equivalent to the basic energy from below
-        assert rep.rel_entropy >= 0.05 * rep.basic
+        assert rep["rel_entropy"] >= 0.05 * rep["basic"]
 
 
 def test_energy_sandwich_flagging():
@@ -140,7 +140,7 @@ def test_energy_sandwich_flagging():
     phi[3, 2, 1] = 0.9  # rho = 1.9 > 3/2 rho_bar there
     rep = energy_report(phi, np.zeros((3,) + grid.shape), np.zeros(grid.shape),
                         rho_bar, th_bar, grid, GAS)
-    assert rep.sandwich_violations == 1
+    assert rep["sandwich_violations"] == 1
 
 
 def test_energy_domain_errors():

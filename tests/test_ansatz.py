@@ -8,8 +8,9 @@ from rarefan.solver import SolverConfig
 from rarefan.ansatz import (PerturbationSpec, make_perturbation, x1_window,
                             assemble_initial, wave_conserved, build_ansatz,
                             ansatz_errors, constant_conserved, _blend_weights,
-                            evolve_periodic_background, perturbed_constant_state,
-                            tile_deviation)
+                            perturbed_constant_state, tile_deviation)
+from rarefan.config import ExperimentConfig, WaveBlock, SolverBlock, ExperimentBlock, GridBlock
+from rarefan import experiments
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
 RIGHT = PrimState(1.0, 0.0, 1.0)
@@ -241,37 +242,49 @@ def test_ansatz_errors_vanish_in_constant_region():
 # periodic background
 # ---------------------------------------------------------------------------
 
-def test_background_zero_perturbation_is_exact():
-    grid = SlabGrid.torus(0.5, 16, 8, dims=2)
-    cfg = SolverConfig(eps=0.2)
-    rep = evolve_periodic_background(RIGHT, PerturbationSpec(0.0, 2, 0), GAS, cfg,
-                                     grid, horizon=0.05, n_samples=5)
-    assert np.max(rep.dev_sup) < 1e-14
-    assert rep.mean_drift < 1e-14
+def background_row(state: PrimState, eta: float, grid: SlabGrid, horizon: float,
+                   seed: int = 0) -> dict:
+    """The background study's row of one torus run: state plus the mode_cap 2
+    perturbation of amplitude eta, eps = 0.2."""
+    cfg = ExperimentConfig(gas=GAS, wave=WaveBlock(rho_plus=state.rho, u1_plus=state.u1,
+                                                   theta_plus=state.theta),
+                           grid=GridBlock(), solver=SolverBlock(eps=0.2),
+                           experiment=ExperimentBlock(kind="background", horizon=horizon,
+                                                      mode_cap=2, seed=seed))
+    return experiments._background_row(cfg, grid, cfg.solver.solver_config(), eta)
+
+
+def test_background_zero_perturbation_is_exact(monkeypatch):
+    # the row keeps the first and last sup; a spy on the run reads them all
+    records, real_run = [], experiments.run
+
+    def spy(*args, **kwargs):
+        final, recs = real_run(*args, **kwargs)
+        records.extend(recs)
+        return final, recs
+    monkeypatch.setattr(experiments, "run", spy)
+    row = background_row(RIGHT, 0.0, SlabGrid.torus(0.5, 16, 8, dims=2), horizon=0.05)
+    assert len(records) == 41
+    assert max(r["bg.sup"] for r in records) < 1e-14
+    assert row["mean_drift"] < 1e-14
 
 
 def test_background_initial_deviation_exactly_zero():
     # the constant state and its field share one primitive-to-conserved map,
     # so an unperturbed start deviates by exactly nothing; this u1 is one where
     # u1 ** 2 and u1 * u1 differ in the last bit
-    grid = SlabGrid.torus(0.5, 16, 8, dims=2)
-    cfg = SolverConfig(eps=0.2)
-    rep = evolve_periodic_background(PrimState(1.0, -1.4394943995478604, 1.0),
-                                     PerturbationSpec(0.0, 2, 0), GAS, cfg,
-                                     grid, horizon=0.05, n_samples=5)
-    assert rep.dev_sup[0] == 0.0
+    row = background_row(PrimState(1.0, -1.4394943995478604, 1.0), 0.0,
+                         SlabGrid.torus(0.5, 16, 8, dims=2), horizon=0.05)
+    assert row["amp0"] == 0.0
 
 
 def test_background_decay_and_mean_conservation():
-    grid = SlabGrid.torus(0.5, 24, 24, dims=2)
-    cfg = SolverConfig(eps=0.2)
-    rep = evolve_periodic_background(PrimState(1.0, 0.2, 1.0),
-                                     PerturbationSpec(5e-3, 2, seed=2), GAS, cfg,
-                                     grid, horizon=0.35, n_samples=24)
-    assert rep.mean_drift < 1e-10
-    assert rep.rate < 0.0
-    assert rep.r2 >= 0.95
-    assert rep.dev_sup[-1] < 0.3 * rep.dev_sup[0]
+    row = background_row(PrimState(1.0, 0.2, 1.0), 5e-3, SlabGrid.torus(0.5, 24, 24, dims=2),
+                         horizon=0.35, seed=2)
+    assert row["mean_drift"] < 1e-10
+    assert row["rate"] < 0.0
+    assert row["r2"] >= 0.95
+    assert row["amp_final"] < 0.3 * row["amp0"]
 
 
 def test_tile_deviation_exact_map():

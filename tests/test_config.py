@@ -199,6 +199,33 @@ def test_negative_eps_in_sweep_refused(tmp_path, capsys):
     assert not (tmp_path / "out" / "eps_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("wave, sweep, named", [
+    pytest.param("nu_coeff = 0.5", "sweep = -0.01, 0.02, 0.01\n", r"eps = -0\.01 is negative",
+                 id="negative eps"),
+    pytest.param("nu_coeff = 20", "", r"resolved nu = .* outside \(0, rho_plus",
+                 id="nu_coeff = 20, default sweep"),
+])
+def test_eps_sweep_waves_resolved_at_parse(tmp_path, monkeypatch, wave, sweep, named):
+    # every eps an eps-sweep will run, its sweep or the driver's default,
+    # resolves its wave in parse_config, so the CLI exits 2 before any run
+    import rarefan.experiments as ex
+    from rarefan.cli import main
+    text = (BASE.replace("nu = 0.05\ndelta = 0.1", f"{wave}\ndelta_coeff = 1.0")
+                .replace("kind = cutoff-study\nsweep = 0.1, 0.05, 0.025\n",
+                         f"kind = eps-sweep\n{sweep}horizon = 0.02\nh = 0.01\n")
+                .replace("n1 = 256", "n1 = 64")
+                .replace("dir = out", f"dir = {tmp_path}/out"))
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=named):
+        parse_config(path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a solver run started")
+    monkeypatch.setattr(ex, "run", no_run)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     from rarefan.cli import main
     cfgpath = write(tmp_path, BASE.replace("dir = out", f"dir = {tmp_path}/out"))

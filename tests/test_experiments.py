@@ -392,11 +392,22 @@ def test_run_abort_keeps_message_and_diagnostics_across_processes():
     assert multiprocessing.active_children() == []
 
 
+def test_only_experiments_starts_solver_runs():
+    # the drivers alone start solver runs: of the package's modules only the
+    # package namespace, the solver and experiments bind solver.run
+    import sys
+    import rarefan.cli  # noqa: F401, loads every module
+    from rarefan import solver
+    binders = sorted(name for name, mod in sys.modules.items()
+                     if (name == "rarefan" or name.startswith("rarefan.")) and mod is not None
+                     and any(v is solver.run for v in vars(mod).values()))
+    assert binders == ["rarefan", "rarefan.experiments", "rarefan.solver"]
+
+
 def test_background_rows_carry_their_own_wall_time(monkeypatch):
-    # every evolve call takes one tick of a fake clock; serially the second
+    # every torus run takes one tick of a fake clock; serially the second
     # row used to read two ticks, the time since the study began
     import rarefan.experiments as ex
-    from rarefan.ansatz import BackgroundReport
 
     class Clock:
         now = 0.0
@@ -405,11 +416,12 @@ def test_background_rows_carry_their_own_wall_time(monkeypatch):
             return self.now
     clock = Clock()
 
-    def one_tick(state, pspec, g, cfg, grid, horizon):
+    def one_tick(fs, g, cfg, horizon, observers, sample_dt):
         clock.now += 1.0
-        return BackgroundReport(np.array([pspec.eta, 0.1 * pspec.eta]), 0.0, -1.0, 1.0)
+        return fs, [{"tau": 0.0, "bg.sup": 1.0, "bg.drift": 0.0},
+                    {"tau": horizon, "bg.sup": 0.1, "bg.drift": 0.0}]
     monkeypatch.setattr(ex, "time", clock)
-    monkeypatch.setattr(ex, "evolve_periodic_background", one_tick)
+    monkeypatch.setattr(ex, "run", one_tick)
     rep = run_background_decay(config(kind="background", eta=1e-3, sweep=(1e-3, 5e-4, 2.5e-4)))
     assert [r["eta"] for r in rep.rows] == [1e-3, 5e-4, 2.5e-4]
     assert [r["wall_time"] for r in rep.rows] == [1.0, 1.0, 1.0]

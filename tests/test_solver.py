@@ -476,7 +476,7 @@ def _study_case(name):
     its refinement run ("line768"), or the benchmark's 256 x 32 decay slab
     ("slab256x32")."""
     from rarefan.config import parse_config
-    from rarefan.experiments import _perturbation, _pinned_window, sweep_grid
+    from rarefan.experiments import pinned_start
 
     if name == "slab256x32":
         cfg = parse_config(ROOT / "perfbench" / "configs" / "slab2d_decay.ini")
@@ -485,11 +485,8 @@ def _study_case(name):
         cfg = parse_config(ROOT / "configs" / "eps_sweep.ini")
         eps, eta = max(cfg.experiment.sweep), 0.0
         n1 = 2 * cfg.grid.n1 if name == "line768" else None
-    spec = cfg.wave_spec(eps)
-    grid = sweep_grid(spec, cfg, n1)
-    fs = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
-                          window=_pinned_window(spec, grid))
-    return fs, cfg.gas, cfg.solver.solver_config(eps=eps), profile_ghost_source(spec, grid)
+    _, _, fs, scfg, ghost = pinned_start(cfg, eps, eta, n1)
+    return fs, cfg.gas, scfg, ghost
 
 
 @pytest.mark.parametrize("name", ["line384", "slab256x32"])
