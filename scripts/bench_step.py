@@ -8,8 +8,9 @@ or of two checkouts interleaved in one process.
 Imports rarefan from DIR/src, so one copy of this script times any checkout
 (the parent and a change, say) on the same inputs, as long as the checkout
 has ``experiments.pinned_start``; a commit from before it needs that
-commit's copy of this script. The states are the initial states the studies
-start from, built by ``experiments.pinned_start``:
+commit's copy of this script, and two trees on either side of it cannot be
+interleaved, so time each with its own copy. The states are the initial
+states the studies start from, built by ``experiments.pinned_start``:
 
 - ``line384`` and ``line768``: the eps-sweep of DIR/configs/eps_sweep.ini at
   its first (largest) eps, on its n1 = 384 grid and on the 768-cell grid of
