@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the solver (layer 2) and the analysis observers (layer 3) of a checkout,
-or of two checkouts interleaved in one process.
+"""Time the solver (layer 2), the analysis observers (layer 3) and the study
+layer's fixed costs (layer 4) of a checkout, or of two checkouts interleaved in
+one process.
 
     python scripts/bench_step.py DIR [--repeats 7]
     python scripts/bench_step.py DIR DIR_B
@@ -42,6 +43,12 @@ The analysis calls, under ``"analysis"`` in microseconds per call:
   field on gn-check's slab (pinned x1) and torus grids at width 1;
 - ``nonzero_energy_slab256x32``: ``nonzero_mode_energy`` of the slab256x32
   state against the smooth wave, as the decay study's observer calls it.
+
+The study layer's fixed costs, under ``"fanout"`` in microseconds per call:
+
+- ``concurrently``: ``experiments._concurrently(lambda: None, [(noop, ())])``,
+  one forked worker that does nothing, started, answered and reaped;
+- ``git_commit``: ``config.git_commit()``, which each report's emit calls.
 
 Prints one JSON object.
 """
@@ -111,6 +118,10 @@ def analysis_calls(root: Path, fs, g, pkg: str = "rarefan") -> dict:
                 phi, u, zeta, rho_bar, th_bar, fs.grid, g))}
 
 
+def _noop():
+    return None
+
+
 def best_us(fn, repeats: int) -> float:
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
@@ -119,7 +130,8 @@ def best_us(fn, repeats: int) -> float:
 
 def calls(root: Path, pkg: str) -> dict:
     """(section, case, call) -> (shape, zero-argument call) of every timed
-    call of the tree root, imported as the package pkg."""
+    call of the tree root, imported as the package pkg; the shape of a
+    fan-out call, which has no grid, is None."""
     solver = importlib.import_module(f"{pkg}.solver")
     out = {}
     timed = cases(root, pkg)
@@ -130,6 +142,10 @@ def calls(root: Path, pkg: str) -> dict:
                                       solver.step(fs, g, cfg, ghost))
     for name, (grid, call) in analysis_calls(root, *timed["slab256x32"][:2], pkg).items():
         out["analysis", name, "us"] = (grid.shape, call)
+    concurrently = importlib.import_module(f"{pkg}.experiments")._concurrently
+    out["fanout", "concurrently", "us"] = (None, lambda: concurrently(lambda: None,
+                                                                      [(_noop, ())]))
+    out["fanout", "git_commit", "us"] = (None, importlib.import_module(f"{pkg}.config").git_commit)
     return out
 
 
@@ -160,13 +176,16 @@ def interleaved(root: Path, root_b: Path) -> dict:
                 for side, tree in sides:
                     t = timeit.Timer(tree[key][1]).timeit(number=number)
                     us[key][side].append(t / number * 1e6)
-    out = {"cases": {}, "analysis": {}}
+    out = {"cases": {}, "analysis": {}, "fanout": {}}
     for (section, name, call), (ua, ub) in us.items():
         ma, mb = statistics.median(ua), statistics.median(ub)
         row = {"us": round(ma, 2), "us_b": round(mb, 2), "ratio": round(mb / ma, 4),
                "b_wins": sum(y < x for x, y in zip(ua, ub)), "calls_per_round": numbers[
                    section, name, call]}
         shape = a[section, name, call][0]
+        if shape is None:
+            out[section][name] = row
+            continue
         entry = out[section].setdefault(name, {"shape": list(shape), "cells": math.prod(shape)})
         entry[call] = row
     return out
@@ -195,9 +214,12 @@ def main(argv=None) -> int:
         print(json.dumps(out, indent=2))
         return 0
 
-    out.update({"repeats": args.repeats, "cases": {}, "analysis": {}})
+    out.update({"repeats": args.repeats, "cases": {}, "analysis": {}, "fanout": {}})
     for (section, name, call), (shape, fn) in calls(root, "rarefan").items():
         us = best_us(fn, args.repeats)
+        if shape is None:
+            out[section][name] = {"us": round(us, 2)}
+            continue
         cells = math.prod(shape)
         entry = out[section].setdefault(name, {"shape": list(shape), "cells": cells})
         if section == "cases":

@@ -9,6 +9,7 @@ resolved cut-off density outside (0, rho_plus) is refused, not clamped.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import os
@@ -220,10 +221,12 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
+@functools.cache
 def git_commit() -> str:
     """Short HEAD of the checkout this package is imported from, suffixed
     "-dirty" when git lists a changed or untracked file in the package
-    directory, else "unknown"."""
+    directory, else "unknown". Asked once per process: the answer names the
+    code this process imported."""
     try:
         out = subprocess.run(["git", "status", "--porcelain=v2", "--branch", "--", "."],
                              cwd=os.path.dirname(os.path.abspath(__file__)),

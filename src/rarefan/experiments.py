@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -128,22 +129,81 @@ def _concurrently(here, elsewhere) -> list:
     """[here(), fn(*args) for each (fn, args) of elsewhere], in that order.
 
     here() runs in this process while forked workers, min(len(elsewhere),
-    usable CPUs - 1) but at least one, run the others. The fn must pickle by
-    name and the args and results by value; each worker takes them through
-    the same code as this process, so the results are bitwise the serial
-    ones. An exception of here() or of a worker is raised here (here's first,
-    then the workers' in the order of elsewhere), a worker that dies raises
-    BrokenProcessPool, and the call returns or raises only once every worker
-    has exited.
+    usable CPUs - 1) but at least one, and none when elsewhere is empty, run
+    the others, worker j the calls j, j + w, j + 2w, ... of the w workers.
+    Only the results cross back, pickled through a pipe; each worker takes
+    its calls through the same code as this process, so the results are
+    bitwise the serial ones. An exception of here() or of a call is raised
+    here (here's first, then the calls' in the order of elsewhere; a worker
+    stops at its first), a worker that dies raises BrokenProcessPool, and
+    the call returns or raises only once every worker has been reaped.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
 
-    workers = max(1, min(len(elsewhere), len(os.sched_getaffinity(0)) - 1))
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-        pending = [pool.submit(fn, *args) for fn, args in elsewhere]
+    nworkers = min(len(elsewhere), max(1, len(os.sched_getaffinity(0)) - 1))
+    workers = []
+    # else a worker that flushes would write this process's buffered output again
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for j in range(nworkers):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(rfd)
+                _work(wfd, elsewhere[j::nworkers])
+            os.close(wfd)
+            workers.append((pid, rfd))
         mine = here()
-        return [mine] + [f.result() for f in pending]
+    finally:
+        sent = [_reap(pid, rfd) for pid, rfd in workers]
+    outcomes = [None if data is None else pickle.loads(data) for data in sent]
+    results = [mine]
+    for i in range(len(elsewhere)):
+        if outcomes[i % nworkers] is None:
+            from concurrent.futures.process import BrokenProcessPool
+            raise BrokenProcessPool("a forked worker ended without sending its results")
+        done, exc = outcomes[i % nworkers]
+        if i // nworkers == len(done):
+            raise exc
+        results.append(done[i // nworkers])
+    return results
+
+
+def _work(wfd: int, calls) -> None:
+    """A forked worker's life: run the calls in order up to the first that
+    raises, send (results, exception or None) pickled through wfd and exit
+    without returning into the caller's stack."""
+    import pickle
+
+    status = 1
+    try:
+        done, exc = [], None
+        try:
+            for fn, args in calls:
+                done.append(fn(*args))
+        except BaseException as e:
+            exc = e
+        try:
+            data = pickle.dumps((done, exc))
+        except Exception as e:
+            data = pickle.dumps(([], RuntimeError(f"a worker's outcome does not pickle: {e!r}")))
+        with os.fdopen(wfd, "wb") as out:
+            out.write(data)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, rfd: int) -> bytes | None:
+    """Everything a worker sent, read to its end, once the worker is reaped;
+    None when it did not exit normally."""
+    with os.fdopen(rfd, "rb") as src:
+        data = src.read()
+    _, status = os.waitpid(pid, 0)
+    return data if status == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -529,40 +589,60 @@ def run_background_decay(cfg: ExperimentConfig) -> StudyReport:
 # interpolation-inequality battery
 # ---------------------------------------------------------------------------
 
-def _slab_sample(rng: np.random.Generator, grid: SlabGrid, lam: float,
-                 transverse_constant: bool) -> np.ndarray:
+def _slab_draw(rng: np.random.Generator, transverse_constant: bool) -> list:
+    """The parameters of one _slab_sample, drawn in the order its expression
+    reads them: per Gaussian envelope (amp, c, sig, modes), modes None for a
+    transversally constant sample, else its (k2, k3, phase, a) terms."""
+    envelopes = []
+    for _ in range(rng.integers(1, 4)):
+        amp, c, sig = rng.normal(), rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.0)
+        modes = None
+        if not transverse_constant:
+            modes = []
+            for _ in range(rng.integers(1, 4)):
+                k2, k3 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                modes.append((k2, k3, phase, rng.normal()))
+        envelopes.append((amp, c, sig, modes))
+    return envelopes
+
+
+def _slab_sample(grid: SlabGrid, lam: float, envelopes: list) -> np.ndarray:
     """Band-limited decaying sample: Gaussian envelopes times a transverse
     trigonometric factor with modes bounded independently of lambda."""
     x1, x2, x3 = np.ix_(grid.x1(), grid.x2(), grid.x3())
     u, mode = np.zeros(grid.shape), np.empty(grid.shape)
-    for _ in range(rng.integers(1, 4)):
-        amp = rng.normal()
-        c = rng.uniform(-1.5, 1.5)
-        sig = rng.uniform(0.3, 1.0)
+    for amp, c, sig, modes in envelopes:
         env = amp * np.exp(-((x1 - c) ** 2) / (2.0 * sig ** 2))
-        if transverse_constant:
+        if modes is None:
             trig = 1.0
         else:
             trig = 0.0
-            for _ in range(rng.integers(1, 4)):
-                k2, k3 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                trig = trig + rng.normal() * np.cos(
-                    2.0 * np.pi * (k2 * x2 + k3 * x3) / lam + phase)
+            for k2, k3, phase, a in modes:
+                trig = trig + a * np.cos(2.0 * np.pi * (k2 * x2 + k3 * x3) / lam + phase)
         u += np.multiply(env, trig, out=mode)
     return u
 
 
-def _torus_sample(rng: np.random.Generator, grid: SlabGrid, lam: float) -> np.ndarray:
-    x1, x2, x3 = np.ix_(grid.x1(), grid.x2(), grid.x3())
-    u, mode = np.full(grid.shape, rng.normal()), np.empty(grid.shape)
+def _torus_draw(rng: np.random.Generator) -> tuple[float, list]:
+    """The parameters of one _torus_sample: its mean and, per Fourier mode
+    (the zero wave vector drawn and dropped), (ks, phase, amp)."""
+    mean, modes = rng.normal(), []
     for _ in range(rng.integers(2, 6)):
         ks = rng.integers(-3, 4, size=3)
         if not np.any(ks):
             continue
         phase = rng.uniform(0.0, 2.0 * np.pi)
+        modes.append((ks, phase, rng.normal()))
+    return mean, modes
+
+
+def _torus_sample(grid: SlabGrid, lam: float, draw: tuple[float, list]) -> np.ndarray:
+    mean, modes = draw
+    x1, x2, x3 = np.ix_(grid.x1(), grid.x2(), grid.x3())
+    u, mode = np.full(grid.shape, mean), np.empty(grid.shape)
+    for ks, phase, amp in modes:
         # a * cos(2 pi (k . x) / lam + phase), in the order that expression evaluates
-        amp = rng.normal()
         np.add(ks[0] * x1 + ks[1] * x2, ks[2] * x3, out=mode)
         mode *= 2.0 * np.pi
         mode /= lam
@@ -576,7 +656,8 @@ def _gn_max_ratios(seed: int, pieces) -> dict[str, dict[float, float]]:
     """Per case and width, the largest gn_check ratio over samples [lo, hi) of
     each (lam, lo, hi) piece, every value starting from 0.0 so a NaN ratio is
     ignored. Each width draws from its own default_rng(seed), and the samples
-    before lo are drawn and dropped, so every sample is bitwise the serial one.
+    before lo are drawn but not built, so every sample is bitwise the serial
+    one.
     """
     ratios: dict[str, dict[float, float]] = {c: {} for c in GN_CASES}
     for lam, lo, hi in pieces:
@@ -584,13 +665,12 @@ def _gn_max_ratios(seed: int, pieces) -> dict[str, dict[float, float]]:
         torus = SlabGrid.torus(lam, 16, 16, 16, dims=3)
         rng = np.random.default_rng(seed)
         for i in range(hi):
-            u_slab = _slab_sample(rng, slab, lam, i % 5 == 0)
-            u_torus = _torus_sample(rng, torus, lam)
+            slab_draw, torus_draw = _slab_draw(rng, i % 5 == 0), _torus_draw(rng)
             if i < lo:
                 continue
             # each grid's derivative norms once, shared by its three cases
-            samples = {"slab": gn_sample(u_slab, slab, False),
-                       "torus": gn_sample(u_torus, torus, True)}
+            samples = {"slab": gn_sample(_slab_sample(slab, lam, slab_draw), slab, False),
+                       "torus": gn_sample(_torus_sample(torus, lam, torus_draw), torus, True)}
             for case in GN_CASES:
                 res = gn_check(samples[case.rsplit("-", 1)[1]], case)
                 ratios[case][lam] = max(ratios[case].get(lam, 0.0), res["ratio"])

@@ -291,10 +291,16 @@ class _Workspace:
         self.prim_in, self.U_in = state[0:5][inner], state[5:10][inner]
         self.rhoP, self.thP = self.state[0], self.state[4]
         # ghost planes 0 and n + 1 of each active axis and their periodic
-        # sources n and 1, as one stepped view each
-        self.wraps = [(state[_along(ax, slice(0, None, n + 1))],
-                       state[_along(ax, slice(n, 0, 1 - n))])
-                      for ax, n in ((ax, shape[ax]) for ax in active)]
+        # sources n and 1, as one stepped view each, and a buffer of the
+        # sources' shape: numpy cannot prove two stepped views of one array
+        # disjoint, so assigning one to the other would copy the source into
+        # a new temporary on every fill
+        self.wraps = []
+        for ax in active:
+            n = shape[ax]
+            sources = state[_along(ax, slice(n, 0, 1 - n))]
+            self.wraps.append((state[_along(ax, slice(0, None, n + 1))], sources,
+                               np.empty(sources.shape)))
         # the x1 ghost planes 0 and n1 + 1 as (..., 10, 2) ghost columns
         self.x1_columns = state[:, ::shape[0] + 1].transpose(2, 3, 0, 1)
 
@@ -344,8 +350,9 @@ def _ringed_state(ws: _Workspace, fs: FieldSet | _Stage, g: GasParams,
     else:
         ws.prim_in[...] = fs.primitives(g)
         ws.U_in[...] = fs.U
-    for ghosts, source in (ws.wraps if ghost_source is None else ws.wraps[1:]):
-        ghosts[...] = source
+    for ghosts, sources, buf in (ws.wraps if ghost_source is None else ws.wraps[1:]):
+        np.copyto(buf, sources)
+        np.copyto(ghosts, buf)
     if ghost_source is not None:
         ws.x1_columns[...] = ghost_source(t)
 

@@ -287,33 +287,46 @@ def test_simulate_fully_periodic_refused_at_parse(tmp_path):
 def test_git_commit_names_own_checkout(tmp_path, monkeypatch):
     from rarefan.config import git_commit
     monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    git_commit.cache_clear()
     here = git_commit()
     if here == "unknown":
         pytest.skip("not a git checkout")
+    # asked afresh from elsewhere, git still answers for the package's checkout
     monkeypatch.chdir(tmp_path)
+    git_commit.cache_clear()
     assert git_commit() == here
 
 
-def _fake_git(monkeypatch, stdout="", returncode=0, raises=None):
-    """Make subprocess.run answer git_commit's one git call with this output."""
-    calls = []
+@pytest.fixture
+def fake_git(monkeypatch):
+    """fake(stdout="", returncode=0, raises=None) makes subprocess.run answer
+    git_commit's one git call with this output and returns the list of calls.
+    git_commit's cached answer is cleared before and after the test, so
+    neither the real one nor the fake one leaks."""
+    from rarefan.config import git_commit
+    git_commit.cache_clear()
 
-    def run(cmd, **kwargs):
-        calls.append(cmd)
-        if raises is not None:
-            raise raises
-        return subprocess.CompletedProcess(cmd, returncode, stdout, "")
-    monkeypatch.setattr(subprocess, "run", run)
-    return calls
+    def fake(stdout="", returncode=0, raises=None):
+        calls = []
+
+        def run(cmd, **kwargs):
+            calls.append(cmd)
+            if raises is not None:
+                raise raises
+            return subprocess.CompletedProcess(cmd, returncode, stdout, "")
+        monkeypatch.setattr(subprocess, "run", run)
+        return calls
+    yield fake
+    git_commit.cache_clear()
 
 
 BRANCH = ("# branch.oid 0123456789abcdef0123456789abcdef01234567\n"
           "# branch.head main\n")
 
 
-def test_git_commit_clean_checkout(monkeypatch):
+def test_git_commit_clean_checkout(fake_git):
     from rarefan.config import git_commit
-    calls = _fake_git(monkeypatch, BRANCH + "# branch.ab +0 -0\n")
+    calls = fake_git(BRANCH + "# branch.ab +0 -0\n")
     assert git_commit() == "0123456"
     assert calls == [["git", "status", "--porcelain=v2", "--branch", "--", "."]]
 
@@ -322,9 +335,9 @@ def test_git_commit_clean_checkout(monkeypatch):
     "1 .M N... 100644 100644 100644 aa aa analysis.py",
     "? new_module.py",
 ])
-def test_git_commit_marks_a_modified_package(monkeypatch, entry):
+def test_git_commit_marks_a_modified_package(fake_git, entry):
     from rarefan.config import git_commit
-    calls = _fake_git(monkeypatch, BRANCH + entry + "\n")
+    calls = fake_git(BRANCH + entry + "\n")
     assert git_commit() == "0123456-dirty"
     assert len(calls) == 1
 
@@ -335,10 +348,21 @@ def test_git_commit_marks_a_modified_package(monkeypatch, entry):
     {"raises": FileNotFoundError("git")},  # no git executable
     {"raises": subprocess.TimeoutExpired("git", 5)},
 ])
-def test_git_commit_unknown_when_git_fails(monkeypatch, fake):
+def test_git_commit_unknown_when_git_fails(fake_git, fake):
     from rarefan.config import git_commit
-    _fake_git(monkeypatch, **fake)
+    fake_git(**fake)
     assert git_commit() == "unknown"
+
+
+def test_reports_ask_git_once_per_process(tmp_path, fake_git):
+    # every report of a process carries the commit of the code it imported,
+    # so the second emit reuses the first one's git call
+    from rarefan.experiments import StudyReport
+    calls = fake_git(BRANCH)
+    for kind in ("cutoff-study", "gn-check"):
+        path = StudyReport(kind, [{"a": 1.0}], {"ok": True}, "h", 0, 0.1).emit(str(tmp_path))
+        assert "# commit=0123456\n" in Path(path).read_text()
+    assert len(calls) == 1
 
 
 def test_cli_numerical_abort_exit_code(tmp_path, capsys, monkeypatch):
@@ -396,6 +420,8 @@ def test_cli_worker_abort_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["numerical abort: positivity floor hit in the worker"]
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 WAVE_DUMP = (BASE.replace("kind = cutoff-study\nsweep = 0.1, 0.05, 0.025",

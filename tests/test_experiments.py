@@ -88,7 +88,71 @@ def test_gn_check_rows_do_not_depend_on_the_cpu_count(monkeypatch):
         outs.append(([{k: v for k, v in r.items() if k != "wall_time"} for r in rep.rows],
                      rep.checks))
     assert all(out == outs[0] for out in outs[1:])
-    assert multiprocessing.active_children() == []
+    _assert_no_worker_left()
+
+
+def _ref_slab_sample(rng, grid, lam, transverse_constant):
+    """The gn-check slab sampler as it was before its draws and its build
+    were split: drawing and building in one pass."""
+    x1, x2, x3 = np.ix_(grid.x1(), grid.x2(), grid.x3())
+    u, mode = np.zeros(grid.shape), np.empty(grid.shape)
+    for _ in range(rng.integers(1, 4)):
+        amp = rng.normal()
+        c = rng.uniform(-1.5, 1.5)
+        sig = rng.uniform(0.3, 1.0)
+        env = amp * np.exp(-((x1 - c) ** 2) / (2.0 * sig ** 2))
+        if transverse_constant:
+            trig = 1.0
+        else:
+            trig = 0.0
+            for _ in range(rng.integers(1, 4)):
+                k2, k3 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                trig = trig + rng.normal() * np.cos(
+                    2.0 * np.pi * (k2 * x2 + k3 * x3) / lam + phase)
+        u += np.multiply(env, trig, out=mode)
+    return u
+
+
+def _ref_torus_sample(rng, grid, lam):
+    """The gn-check torus sampler before the split, likewise."""
+    x1, x2, x3 = np.ix_(grid.x1(), grid.x2(), grid.x3())
+    u, mode = np.full(grid.shape, rng.normal()), np.empty(grid.shape)
+    for _ in range(rng.integers(2, 6)):
+        ks = rng.integers(-3, 4, size=3)
+        if not np.any(ks):
+            continue
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        amp = rng.normal()
+        np.add(ks[0] * x1 + ks[1] * x2, ks[2] * x3, out=mode)
+        mode *= 2.0 * np.pi
+        mode /= lam
+        mode += phase
+        np.cos(mode, out=mode)
+        u += np.multiply(amp, mode, out=mode)
+    return u
+
+
+@pytest.mark.parametrize("transverse_constant", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_gn_draws_leave_the_rng_where_the_samplers_do(seed, transverse_constant):
+    # a gn-check piece only draws the samples before its own, so a draw must
+    # take exactly the numbers the one-pass sampler takes, and the array built
+    # from the draw must be that sampler's, byte for byte
+    from rarefan.fields import SlabGrid
+    from rarefan.experiments import _slab_draw, _slab_sample, _torus_draw, _torus_sample
+    lam = 0.5
+    slab = SlabGrid(L=4.0, n1=32, period=lam, n2=6, n3=6, dims=3)
+    torus = SlabGrid.torus(lam, 6, 6, 6, dims=3)
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(40):
+        u_slab = _ref_slab_sample(ref, slab, lam, transverse_constant)
+        u_torus = _ref_torus_sample(ref, torus, lam)
+        slab_draw = _slab_draw(rng, transverse_constant)
+        torus_draw = _torus_draw(rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert _slab_sample(slab, lam, slab_draw).tobytes() == u_slab.tobytes()
+        assert _torus_sample(torus, lam, torus_draw).tobytes() == u_torus.tobytes()
 
 
 def test_background_requires_eta():
@@ -327,6 +391,14 @@ def test_run_simulate(tmp_path, monkeypatch):
 
 
 # workers take their function by name, so the helpers they run live here
+def _assert_no_worker_left():
+    # multiprocessing lists only the children it started; the OS lists every
+    # child, bare forks and unreaped ones included
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _pid_tagged(tag):
     return tag, os.getpid()
 
@@ -351,13 +423,13 @@ def test_concurrently_keeps_call_order_and_runs_here_in_caller():
     assert [tag for tag, _ in out] == ["here", "a", "b"]
     assert out[0][1] == os.getpid()
     assert os.getpid() not in {pid for _, pid in out[1:]}
-    assert multiprocessing.active_children() == []
+    _assert_no_worker_left()
 
 
 def test_concurrently_raises_worker_exception_and_leaves_no_worker():
     with pytest.raises(ValueError, match="from the worker"):
         _concurrently(lambda: 1, [(_raise_value_error, ("from the worker",))])
-    assert multiprocessing.active_children() == []
+    _assert_no_worker_left()
 
 
 def test_concurrently_raises_here_exception_after_workers_exit():
@@ -365,7 +437,7 @@ def test_concurrently_raises_here_exception_after_workers_exit():
         raise ValueError("from the caller")
     with pytest.raises(ValueError, match="from the caller"):
         _concurrently(here, [(time.sleep, (0.2,))])
-    assert multiprocessing.active_children() == []
+    _assert_no_worker_left()
 
 
 def test_concurrently_raises_when_a_worker_dies():
@@ -373,7 +445,7 @@ def test_concurrently_raises_when_a_worker_dies():
     from concurrent.futures.process import BrokenProcessPool
     with pytest.raises(BrokenProcessPool):
         _concurrently(lambda: 1, [(_kill_self, ())])
-    assert multiprocessing.active_children() == []
+    _assert_no_worker_left()
 
 
 def test_run_abort_keeps_message_and_diagnostics_across_processes():
@@ -389,7 +461,23 @@ def test_run_abort_keeps_message_and_diagnostics_across_processes():
         _concurrently(lambda: 1, [(_abort_with_diagnostics, ())])
     assert err.value.diagnostics.dt == 1e-4
     np.testing.assert_array_equal(err.value.diagnostics.boundary_flux, np.arange(5.0))
-    assert multiprocessing.active_children() == []
+    _assert_no_worker_left()
+
+
+def test_concurrently_loads_no_pool_module():
+    # the workers are bare forks with a pipe each: fanning out one call in a
+    # fresh process loads neither process-pool module (their first use costs
+    # set-up time and memory)
+    import subprocess
+    import sys
+    code = ("import sys; from rarefan.experiments import _concurrently; "
+            "assert _concurrently(lambda: 1, [(abs, (-2,))]) == [1, 2]; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_only_experiments_starts_solver_runs():
