@@ -432,6 +432,24 @@ def test_concurrently_raises_worker_exception_and_leaves_no_worker():
     _assert_no_worker_left()
 
 
+@pytest.mark.parametrize("failing, raised", [((1, 2), "call 1"), ((2, 3), "call 2"),
+                                             ((3,), "call 3"), ((), None)])
+def test_concurrently_orders_results_and_errors_across_workers(monkeypatch, failing, raised):
+    # three CPUs, two workers: worker 0 runs calls 0 and 2, worker 1 calls 1
+    # and 3, each up to its first error; the earliest failing call's error is
+    # raised, else the results come back in call order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    calls = [(_raise_value_error, (f"call {i}",)) if i in failing else (_pid_tagged, (i,))
+             for i in range(4)]
+    if raised is None:
+        assert [tag for tag, _ in _concurrently(lambda: ("here", 0), calls)] == [
+            "here", 0, 1, 2, 3]
+    else:
+        with pytest.raises(ValueError, match=raised):
+            _concurrently(lambda: 1, calls)
+    _assert_no_worker_left()
+
+
 def test_concurrently_raises_here_exception_after_workers_exit():
     def here():
         raise ValueError("from the caller")
