@@ -24,8 +24,17 @@ states the studies start from, built by ``experiments.pinned_start``:
 With one DIR, each call is timed with ``timeit``: the number of calls per
 repeat is the one ``Timer.autorange`` picks (at least 0.2 s), and the best
 of --repeats repeats is reported, in microseconds per call and nanoseconds
-per cell. ``step`` is called on the same state every time, so each call
-does the same work: one ``stable_dt`` and three ``rhs``.
+per cell, next to the minor page faults per call over those repeats.
+``step`` is called on the same state every time, so each call does the
+same work: one ``stable_dt`` and three ``rhs``.
+
+The sections are built and timed in order: the analysis calls first, with
+only the slab256x32 state built, then the fan-out calls, then the solver
+cases. A freed allocation of several MB (the 160x16x16 box's states, say)
+raises glibc's dynamic mmap threshold, after which arrays of a few hundred
+KB come from the heap and no longer fault in on every call; timed after
+the cases, an analysis call that allocates such arrays would hide that
+cost, which gn-check's loop pays.
 
 With DIR_B as well, DIR_B/src/rarefan is imported from a temporary copy
 under the package name ``rarefan_b``, and each tree builds its own states
@@ -34,8 +43,9 @@ round both trees make the same number of calls (about ROUND_SECONDS of
 DIR's tree), DIR's tree first in even rounds and DIR_B's first in odd ones, so
 that drift of the machine's speed falls on both. For each call it prints
 each tree's median microseconds per call, their ratio (DIR_B over DIR) and
-the number of rounds DIR_B's tree was faster. Separate invocations spread
-by about 15% on a 2-core VM; interleaved rounds resolve a few percent.
+the number of rounds DIR_B's tree was faster, and each tree's median minor
+faults per call. Separate invocations spread by about 15% on a 2-core VM;
+interleaved rounds resolve a few percent.
 
 The analysis calls, under ``"analysis"`` in microseconds per call:
 
@@ -61,6 +71,7 @@ import importlib
 import json
 import math
 import platform
+import resource
 import shutil
 import statistics
 import sys
@@ -73,9 +84,12 @@ ROUNDS = 31
 ROUND_SECONDS = 0.05
 
 
-def cases(root: Path, pkg: str = "rarefan") -> dict:
-    """name -> (FieldSet, GasParams, SolverConfig, ghost source) of each timed
-    state, built by the package pkg."""
+CASES = ("line384", "line768", "slab256x32", "box160x16x16")
+
+
+def cases(root: Path, pkg: str = "rarefan", names=CASES) -> dict:
+    """name -> (FieldSet, GasParams, SolverConfig, ghost source) of the timed
+    states in names, built by the package pkg."""
     parse_config = importlib.import_module(f"{pkg}.config").parse_config
     pinned_start = importlib.import_module(f"{pkg}.experiments").pinned_start
 
@@ -88,15 +102,15 @@ def cases(root: Path, pkg: str = "rarefan") -> dict:
     slab = parse_config(root / "perfbench" / "configs" / "slab2d_decay.ini")
     box = dataclasses.replace(slab, grid=dataclasses.replace(slab.grid, n1=160, n2=16, n3=16,
                                                              dims=3))
-    return {"line384": pinned(sweep, eps, 0.0),
-            "line768": pinned(sweep, eps, 0.0, 2 * sweep.grid.n1),
-            "slab256x32": pinned(slab, slab.solver.eps, slab.experiment.eta),
-            "box160x16x16": pinned(box, box.solver.eps, box.experiment.eta)}
+    starts = {"line384": (sweep, eps, 0.0),
+              "line768": (sweep, eps, 0.0, 2 * sweep.grid.n1),
+              "slab256x32": (slab, slab.solver.eps, slab.experiment.eta),
+              "box160x16x16": (box, box.solver.eps, box.experiment.eta)}
+    return {name: pinned(*starts[name]) for name in names}
 
 
-def analysis_calls(root: Path, fs, g, pkg: str = "rarefan") -> dict:
-    """name -> (grid, zero-argument call) of each timed analysis call; fs and
-    g are the state and gas of the slab256x32 case."""
+def analysis_calls(root: Path, pkg: str = "rarefan") -> dict:
+    """name -> (grid, zero-argument call) of each timed analysis call."""
     import numpy as np
     analysis = importlib.import_module(f"{pkg}.analysis")
     gn_sample, nonzero_mode_energy = analysis.gn_sample, analysis.nonzero_mode_energy
@@ -108,6 +122,7 @@ def analysis_calls(root: Path, fs, g, pkg: str = "rarefan") -> dict:
     gn_slab = SlabGrid(L=4.0, n1=128, period=1.0, n2=12, n3=12, dims=3)
     gn_torus = SlabGrid.torus(1.0, 16, 16, 16, dims=3)
     u_slab, u_torus = rng.standard_normal(gn_slab.shape), rng.standard_normal(gn_torus.shape)
+    fs, g, _, _ = cases(root, pkg, ("slab256x32",))["slab256x32"]
     decay = parse_config(root / "perfbench" / "configs" / "slab2d_decay.ini")
     rho_bar, _, th_bar = _smooth_background(decay.wave_spec(decay.solver.eps), fs)
     u, theta = fs.velocity(), fs.temperature(g)
@@ -122,31 +137,39 @@ def _noop():
     return None
 
 
-def best_us(fn, repeats: int) -> float:
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def best_us(fn, repeats: int) -> tuple[float, float]:
+    """Best-of-repeats µs per call of fn, and the minor faults per call over
+    all the repeats."""
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeat=repeats, number=number)) / number * 1e6
+    f0 = _minflt()
+    best = min(timer.repeat(repeat=repeats, number=number))
+    return best / number * 1e6, (_minflt() - f0) / (repeats * number)
 
 
-def calls(root: Path, pkg: str) -> dict:
-    """(section, case, call) -> (shape, zero-argument call) of every timed
-    call of the tree root, imported as the package pkg; the shape of a
+def calls(root: Path, pkg: str):
+    """Yield (section, {(section, case, call): (shape, zero-argument call)})
+    for the sections of the tree root, imported as the package pkg, in
+    timing order; each section is built only when asked for. The shape of a
     fan-out call, which has no grid, is None."""
+    yield "analysis", {("analysis", name, "us"): (grid.shape, call)
+                       for name, (grid, call) in analysis_calls(root, pkg).items()}
+    concurrently = importlib.import_module(f"{pkg}.experiments")._concurrently
+    git_commit = importlib.import_module(f"{pkg}.config").git_commit
+    yield "fanout", {("fanout", "concurrently", "us"): (None, lambda: concurrently(
+        lambda: None, [(_noop, ())])), ("fanout", "git_commit", "us"): (None, git_commit)}
     solver = importlib.import_module(f"{pkg}.solver")
     out = {}
-    timed = cases(root, pkg)
-    for name, (fs, g, cfg, ghost) in timed.items():
+    for name, (fs, g, cfg, ghost) in cases(root, pkg).items():
         out["cases", name, "rhs"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
                                      solver.rhs(fs, g, cfg, ghost, t=fs.time))
         out["cases", name, "step"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
                                       solver.step(fs, g, cfg, ghost))
-    for name, (grid, call) in analysis_calls(root, *timed["slab256x32"][:2], pkg).items():
-        out["analysis", name, "us"] = (grid.shape, call)
-    concurrently = importlib.import_module(f"{pkg}.experiments")._concurrently
-    out["fanout", "concurrently", "us"] = (None, lambda: concurrently(lambda: None,
-                                                                      [(_noop, ())]))
-    out["fanout", "git_commit", "us"] = (None, importlib.import_module(f"{pkg}.config").git_commit)
-    return out
+    yield "cases", out
 
 
 def load_copy(root: Path, tmp: Path, pkg: str) -> None:
@@ -158,36 +181,45 @@ def load_copy(root: Path, tmp: Path, pkg: str) -> None:
 
 
 def interleaved(root: Path, root_b: Path) -> dict:
-    """Both trees' calls timed in alternating rounds; see the module docstring.
-    The copy of root_b stays on disk while they run, for any import made late."""
+    """Both trees' calls timed in alternating rounds, a section at a time;
+    see the module docstring. The copy of root_b stays on disk while they
+    run, for any import made late."""
+    out = {"cases": {}, "analysis": {}, "fanout": {}}
     with tempfile.TemporaryDirectory() as tmp:
         load_copy(root_b, Path(tmp), "rarefan_b")
-        a, b = calls(root, "rarefan"), calls(root_b, "rarefan_b")
-        us = {key: ([], []) for key in a}
-        numbers = {}
-        for key, (_, call) in a.items():
-            call()
-            b[key][1]()
-            single = timeit.Timer(call).timeit(number=1)
-            numbers[key] = max(1, round(ROUND_SECONDS / max(single, 1e-9)))
-        for i in range(ROUNDS):
-            for key, number in numbers.items():
-                sides = ((0, a), (1, b)) if i % 2 == 0 else ((1, b), (0, a))
-                for side, tree in sides:
-                    t = timeit.Timer(tree[key][1]).timeit(number=number)
-                    us[key][side].append(t / number * 1e6)
-    out = {"cases": {}, "analysis": {}, "fanout": {}}
-    for (section, name, call), (ua, ub) in us.items():
-        ma, mb = statistics.median(ua), statistics.median(ub)
-        row = {"us": round(ma, 2), "us_b": round(mb, 2), "ratio": round(mb / ma, 4),
-               "b_wins": sum(y < x for x, y in zip(ua, ub)), "calls_per_round": numbers[
-                   section, name, call]}
-        shape = a[section, name, call][0]
-        if shape is None:
-            out[section][name] = row
-            continue
-        entry = out[section].setdefault(name, {"shape": list(shape), "cells": math.prod(shape)})
-        entry[call] = row
+        for (section, a), (_, b) in zip(calls(root, "rarefan"), calls(root_b, "rarefan_b")):
+            us = {key: ([], []) for key in a}
+            faults = {key: ([], []) for key in a}
+            numbers = {}
+            for key, (_, call) in a.items():
+                call()
+                b[key][1]()
+                single = timeit.Timer(call).timeit(number=1)
+                numbers[key] = max(1, round(ROUND_SECONDS / max(single, 1e-9)))
+            for i in range(ROUNDS):
+                for key, number in numbers.items():
+                    sides = ((0, a), (1, b)) if i % 2 == 0 else ((1, b), (0, a))
+                    for side, tree in sides:
+                        f0 = _minflt()
+                        t = timeit.Timer(tree[key][1]).timeit(number=number)
+                        faults[key][side].append((_minflt() - f0) / number)
+                        us[key][side].append(t / number * 1e6)
+            for key, (ua, ub) in us.items():
+                ma, mb = statistics.median(ua), statistics.median(ub)
+                fa, fb = faults[key]
+                row = {"us": round(ma, 2), "us_b": round(mb, 2), "ratio": round(mb / ma, 4),
+                       "b_wins": sum(y < x for x, y in zip(ua, ub)),
+                       "calls_per_round": numbers[key],
+                       "faults": round(statistics.median(fa), 2),
+                       "faults_b": round(statistics.median(fb), 2)}
+                _, name, call = key
+                shape = a[key][0]
+                if shape is None:
+                    out[section][name] = row
+                    continue
+                entry = out[section].setdefault(name, {"shape": list(shape),
+                                                       "cells": math.prod(shape)})
+                entry[call] = row
     return out
 
 
@@ -215,18 +247,18 @@ def main(argv=None) -> int:
         return 0
 
     out.update({"repeats": args.repeats, "cases": {}, "analysis": {}, "fanout": {}})
-    for (section, name, call), (shape, fn) in calls(root, "rarefan").items():
-        us = best_us(fn, args.repeats)
-        if shape is None:
-            out[section][name] = {"us": round(us, 2)}
-            continue
-        cells = math.prod(shape)
-        entry = out[section].setdefault(name, {"shape": list(shape), "cells": cells})
-        if section == "cases":
-            entry.update({f"{call}_us": round(us, 2),
-                          f"{call}_ns_per_cell": round(us * 1e3 / cells, 1)})
-        else:
-            entry.update({"us": round(us, 2), "ns_per_cell": round(us * 1e3 / cells, 1)})
+    for _, section_calls in calls(root, "rarefan"):
+        for (section, name, call), (shape, fn) in section_calls.items():
+            us, faults = best_us(fn, args.repeats)
+            if shape is None:
+                out[section][name] = {"us": round(us, 2), "faults": round(faults, 2)}
+                continue
+            cells = math.prod(shape)
+            entry = out[section].setdefault(name, {"shape": list(shape), "cells": cells})
+            prefix = f"{call}_" if section == "cases" else ""
+            entry.update({f"{prefix}us": round(us, 2),
+                          f"{prefix}ns_per_cell": round(us * 1e3 / cells, 1),
+                          f"{prefix}faults": round(faults, 2)})
     print(json.dumps(out, indent=2))
     return 0
 

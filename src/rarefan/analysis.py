@@ -9,6 +9,8 @@ consistent measures at machine precision.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +127,13 @@ def _axis_pass(f: np.ndarray, ax: int, n: int, h: float, periodic_x1: bool,
     return o
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """(a[0] + a[1]) + a[2] written into a[0], the order of a.sum(axis=0)."""
-    np.add(a[0], a[1], out=a[0])
-    a[0] += a[2]
-    return a[0]
+def _row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(a[0] + a[1]) + a[2] written into out, by default a[0], the order of
+    a.sum(axis=0)."""
+    out = a[0] if out is None else out
+    np.add(a[0], a[1], out=out)
+    out += a[2]
+    return out
 
 
 def grad_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndarray:
@@ -138,20 +142,31 @@ def grad_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndar
     return _row_sum(np.multiply(gr, gr, out=gr))
 
 
-def derivative_sq(f: np.ndarray, grid: SlabGrid,
-                  periodic_x1: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def derivative_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
+                  work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """|grad f|^2 and the Frobenius |grad^2 f|^2 cellwise, both from one
-    gradient of f; the second differentiates each of its components again,
-    into one reused buffer."""
-    gr = gradient(f, grid, periodic_x1)
-    g2 = np.empty_like(gr)
+    gradient of f; the second differentiates each of its components again.
+
+    Everything is written into work, a C-contiguous (7,) + f.shape block:
+    rows 0-2 the gradient, 3-5 the second gradient of one component, 6 the
+    Hessian sum.  The two results are its rows 0 and 6, so the next call
+    with the same block overwrites them; without a block one is allocated
+    and the results are the caller's.
+    """
+    shape = np.shape(f)
+    if work is None:
+        work = np.empty((7,) + shape)
+    elif work.shape != (7,) + shape or not work.flags.c_contiguous:
+        raise ValueError("work must be a C-contiguous (7,) + f.shape array")
+    gr, g2, hess = work[:3], work[3:6], work[6]
+    gradient(f, grid, periodic_x1, out=gr)
     for b in range(3):
         gradient(gr[b], grid, periodic_x1, out=g2)
-        row = _row_sum(np.multiply(g2, g2, out=g2))
+        np.multiply(g2, g2, out=g2)
         if b == 0:
-            hess = row.copy()  # 0.0 + row to the bit: a sum of squares is never -0
+            _row_sum(g2, out=hess)  # 0.0 + row to the bit: a sum of squares is never -0
         else:
-            hess += row
+            hess += _row_sum(g2)
     return _row_sum(np.multiply(gr, gr, out=gr)), hess
 
 
@@ -263,13 +278,36 @@ class GNSample:
     g2: float
 
 
+@functools.lru_cache(maxsize=8)
+def _gn_work(shape: tuple[int, int, int]) -> np.ndarray:
+    """gn_sample's derivative_sq block for one grid shape, starting on a 64-byte
+    boundary.  malloc may hand a block this large out of its own mmap, 16
+    bytes past a page boundary; off a 32-byte boundary, a sample on gn-check's
+    slab took about 8% longer."""
+    n = 7 * math.prod(shape)
+    buf = np.empty(n + 8)
+    k = -buf.ctypes.data % 64 // 8
+    return buf[k:k + n].reshape((7,) + shape)
+
+
 def gn_sample(u: np.ndarray, grid: SlabGrid, torus: bool) -> GNSample:
-    """The shared norms of u, from one gradient and the gradient of that gradient."""
-    gsq, hsq = derivative_sq(u, grid, periodic_x1=torus)
+    """The shared norms of u, from one gradient and the gradient of that gradient.
+
+    The derivatives go into one work block per grid shape, kept between
+    calls as solver.rhs keeps its work area, so a sample allocates no array
+    of the field's size; like rhs, it is not thread-safe per shape.
+    """
+    u = np.ascontiguousarray(u, dtype=float)
+    work = _gn_work(grid.shape)
+    gsq, hsq = derivative_sq(u, grid, periodic_x1=torus, work=work)
     np.sqrt(gsq, out=gsq)
     np.sqrt(hsq, out=hsq)
-    return GNSample(u, grid, torus, lp_slab(u, grid, 2),
-                    lp_slab(gsq, grid, 2), lp_slab(hsq, grid, 2))
+    sq = work[3]  # a second-gradient row, free once hsq is summed
+
+    def l2(f):  # lp_slab(f, grid, 2), squaring into sq
+        return float((np.sum(np.multiply(f, f, out=sq)) * grid.cell_volume) ** 0.5)
+
+    return GNSample(u, grid, torus, l2(u), l2(gsq), l2(hsq))
 
 
 def gn_check(s: GNSample, case: str) -> dict:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rarefan import analysis
 from rarefan.gas import GasParams
 from rarefan.fields import SlabGrid
 from rarefan.analysis import (decompose, lp_slab, lp_line,
@@ -292,6 +295,10 @@ def ref_gn_norms(u, grid, torus):
 def test_derivative_norms_match_allocating_reference(shape):
     from rarefan.analysis import derivative_sq, grad_sq
     grid = shaped_grid(shape)
+    # a second shape sampled between this one's calls, so each gn_sample
+    # reads its norms out of a work block the other shape's call left alone
+    other = GRADIENT_SHAPES[(GRADIENT_SHAPES.index(shape) + 1) % len(GRADIENT_SHAPES)]
+    other_grid = shaped_grid(other)
     rng = np.random.default_rng(5)
     with np.errstate(all="raise"):
         for periodic_x1 in (False, True):
@@ -305,10 +312,57 @@ def test_derivative_norms_match_allocating_reference(shape):
                 want = ref_derivative_sq(f, grid, periodic_x1)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
-                s = gn_sample(f, grid, periodic_x1)
-                assert np.array([s.l2, s.g1, s.g2]).tobytes() == \
-                    np.array(ref_gn_norms(f, grid, periodic_x1)).tobytes()
+                for h, h_grid in ((f, grid), (rng.standard_normal(other), other_grid)):
+                    s = gn_sample(h, h_grid, periodic_x1)
+                    assert np.array([s.l2, s.g1, s.g2]).tobytes() == \
+                        np.array(ref_gn_norms(h, h_grid, periodic_x1)).tobytes()
                 assert lp_slab(f, grid, 2) == ref_l2(f, grid)
+
+
+def test_derivative_sq_without_work_returns_the_callers_arrays():
+    # energy_report holds the results of five calls at once
+    from rarefan.analysis import derivative_sq
+    grid = shaped_grid((24, 8, 8))
+    rng = np.random.default_rng(9)
+    f, h = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    first = derivative_sq(f, grid)
+    kept = [a.copy() for a in first]
+    second = derivative_sq(h, grid)
+    for a, b, k in zip(first, second, kept):
+        assert a.tobytes() == k.tobytes()
+        assert not np.shares_memory(a, b)
+    assert first[0].tobytes() != second[0].tobytes()
+
+
+def test_derivative_sq_refuses_a_wrong_work_block():
+    from rarefan.analysis import derivative_sq
+    grid = shaped_grid((6, 2, 3))
+    f = np.ones(grid.shape)
+    for work in (np.empty((6,) + grid.shape), np.empty((7, 3, 2, 6)).transpose(0, 3, 2, 1)):
+        with pytest.raises(ValueError):
+            derivative_sq(f, grid, work=work)
+
+
+def test_gn_sample_allocates_no_field_sized_array_once_warm():
+    # gn-check's two grids; after one call per shape the derivatives live in
+    # that shape's cached work block
+    grids = [(SlabGrid(L=4.0, n1=128, period=1.0, n2=12, n3=12, dims=3), False),
+             (SlabGrid.torus(1.0, 16, 16, 16, dims=3), True)]
+    rng = np.random.default_rng(3)
+    fields = [rng.standard_normal(grid.shape) for grid, _ in grids]
+    for u, (grid, torus) in zip(fields, grids):
+        gn_sample(u, grid, torus)
+        # a block off a 32-byte boundary made the slab's samples about 8% slower
+        assert analysis._gn_work(grid.shape).ctypes.data % 64 == 0
+    tracemalloc.start()
+    try:
+        for u, (grid, torus) in zip(fields, grids):
+            tracemalloc.reset_peak()
+            gn_sample(u, grid, torus)
+            current, peak = tracemalloc.get_traced_memory()
+            assert peak - current < u.nbytes, grid.shape
+    finally:
+        tracemalloc.stop()
 
 
 def test_pinned_gradient_needs_three_cells():
