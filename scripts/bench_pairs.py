@@ -21,6 +21,16 @@ by the invocation's ``operations``. The totals, and so these quotients,
 still include run.py's set-up probes, which every invocation runs the same
 number of.
 
+Refuses two checkouts whose resolved paths differ in length. The heap
+state of a run, and with it ``wall_s`` and the fault counts, depends on the
+length of the checkout's path: at one commit, ``nosolver-studies`` read
+about 40k faults and 0.122 s an operation from directory names of most
+lengths and 12.7k faults and 0.107 s from 9-character ones. Of the two ways
+ROADMAP item 4 names, fixing glibc's thresholds in the benchmark's child
+environment or refusing such pairs here, this is the second, so
+``BENCHMARK.json`` and ``perfbench/`` stay as they are: bench from
+directories with names of equal length.
+
 Refuses two checkouts of which only one holds bytecode under
 ``src/rarefan/__pycache__``: with ``PYTHONDONTWRITEBYTECODE`` set, that side
 alone skips compiling its sources, which shows as a shorter ``setup_s``.
@@ -135,6 +145,11 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    lengths = {s: len(str(roots[s])) for s in SIDES}
+    if lengths["parent"] != lengths["change"]:
+        ap.error(f"the parent checkout's path has {lengths['parent']} characters and the "
+                 f"change's {lengths['change']}; the heap state depends on it, so bench "
+                 "from directories with names of equal length")
     cached = {s: (roots[s] / "src" / "rarefan" / "__pycache__").is_dir() for s in SIDES}
     if cached["parent"] != cached["change"]:
         ap.error(f"only the {'parent' if cached['parent'] else 'change'} checkout has "

@@ -10,13 +10,12 @@ consistent measures at machine precision.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gas import GasParams
-from .fields import FieldSet, SlabGrid
+from .fields import FieldSet, SlabGrid, aligned_empty
 from .waves import WaveSpec, sample_exact
 
 
@@ -284,10 +283,7 @@ def _gn_work(shape: tuple[int, int, int]) -> np.ndarray:
     boundary.  malloc may hand a block this large out of its own mmap, 16
     bytes past a page boundary; off a 32-byte boundary, a sample on gn-check's
     slab took about 8% longer."""
-    n = 7 * math.prod(shape)
-    buf = np.empty(n + 8)
-    k = -buf.ctypes.data % 64 // 8
-    return buf[k:k + n].reshape((7,) + shape)
+    return aligned_empty((7,) + shape)
 
 
 def gn_sample(u: np.ndarray, grid: SlabGrid, torus: bool) -> GNSample:

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .gas import GasParams
-from .fields import FieldSet, SlabGrid, conserved, primitives_into
+from .fields import FieldSet, SlabGrid, aligned_empty, conserved, primitives_into
 
 # SSP-RK3 expands to a convex combination of Euler steps with these weights
 _RK3_WEIGHTS = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
@@ -251,9 +251,9 @@ class _AxisWork:
             if n2 * n3 == 1:      # one face each: the sum is the face itself
                 self.ends = F_ends.reshape(5, 2)
             else:
-                self.ends_copy, self.ends_in = F_ends, np.empty((5, 2, n2 * n3))
+                self.ends_copy, self.ends_in = F_ends, aligned_empty((5, 2, n2 * n3))
                 self.ends_to = self.ends_in.reshape(5, 2, n2, n3)
-                self.ends = np.empty((5, 2))
+                self.ends = aligned_empty((5, 2))
             self.ends_first, self.ends_last = self.ends[:, 0], self.ends[:, 1]
 
         self.cross = [_CrossWork(ax, bx, s, ws.stride[bx], state[1:4], take, self)
@@ -269,7 +269,9 @@ class _Workspace:
     are taken by the axes in turn, so an axis pass writes every entry it
     reads; they are zero-filled once, which keeps the never-read entries
     finite.  The divergence runs over the x1-interior cells [s0, N - s0),
-    accumulated in T, whose interior is then copied into the tendency.  k
+    accumulated in T, whose interior is then copied into the tendency.
+    Every array comes from fields.aligned_empty and starts on a 64-byte
+    boundary, T at its flat entry s0, where the divergence starts.  k
     and r are step's registers: k receives each stage's tendency, r holds the
     stage states U1 and U2 (and 0.75 U0 on the way), which are copied into
     the ring's conserved rows for rhs to compute their primitives there.
@@ -281,9 +283,9 @@ class _Workspace:
         self.ring = ring = tuple(n + 2 if ax in active else n for ax, n in enumerate(shape))
         self.N = N = math.prod(ring)
         self.stride = (ring[1] * ring[2], ring[2], 1)
-        self.state = np.empty((10, N))
-        self.p, self.c, self.speed = np.empty(N), np.empty(N), np.empty(N)
-        self.flux = np.empty((5, N))
+        self.state = aligned_empty((10, N))
+        self.p, self.c, self.speed = aligned_empty(N), aligned_empty(N), aligned_empty(N)
+        self.flux = aligned_empty((5, N))
         inner = (slice(None),) + tuple(slice(1, -1) if ax in active else slice(None)
                                        for ax in range(3))
         self.slab_in = (slice(None), slice(None)) + inner[2:]  # interior of (5, k) + ring[1:]
@@ -300,30 +302,38 @@ class _Workspace:
             n = shape[ax]
             sources = state[_along(ax, slice(n, 0, 1 - n))]
             self.wraps.append((state[_along(ax, slice(0, None, n + 1))], sources,
-                               np.empty(sources.shape)))
+                               aligned_empty(sources.shape)))
         # the x1 ghost planes 0 and n1 + 1 as (..., 10, 2) ghost columns
         self.x1_columns = state[:, ::shape[0] + 1].transpose(2, 3, 0, 1)
 
         # step's registers, and stable_dt's scratch rows (the cells of c,
         # speed and p); the flux rows are free between rhs calls
-        self.k, self.r = np.empty(self.tend_shape), np.empty(self.tend_shape)
+        self.k, self.r = aligned_empty(self.tend_shape), aligned_empty(self.tend_shape)
         self.stage = _Stage(self.r[0])   # r holds the stage rhs is given
         cells = math.prod(shape)
         self.usq = self.flux.reshape(-1)[:3 * cells].reshape(3, cells)
         self.dt_scratch = self.c[:cells], self.speed[:cells], self.p[:cells]
         self.finite = np.empty((2,) + shape, dtype=bool)
 
-        self.faces = {name: np.zeros((k, N) if k > 1 else N)
-                      for name, k in _AxisWork.FACE.items()}
-        cross = {name: np.zeros(2 * N) for name in ("cd", "cd_face")}
+        def zeros(shape, first=0):
+            block = aligned_empty(shape, first)
+            block.fill(0.0)
+            return block
+
+        self.faces = {name: zeros((k, N) if k > 1 else N) for name, k in _AxisWork.FACE.items()}
+        cross = {name: zeros(2 * N) for name in ("cd", "cd_face")}
 
         def take(name, n):
             return cross[name][:2 * n].reshape(2, n)
 
         self.axes = [_AxisWork(ax, self, take) for ax in active]
-        # ddx shares dU's buffer, free once an axis pass has formed F
-        s0, ddx, T = self.stride[0], self.faces["dU"], np.zeros((5, N))
-        self.T_seg, self.ddx_seg = T.reshape(-1)[s0:5 * N - s0], ddx.reshape(-1)[s0:5 * N - s0]
+        # the first axis writes its divergence into T_seg, which starts on the
+        # boundary; the other axes' ddx is a temporary at the start of dU's
+        # buffer, free once an axis pass has formed F
+        s0 = self.stride[0]
+        T = zeros((5, N), first=s0)
+        self.T_seg = T.reshape(-1)[s0:5 * N - s0]
+        self.ddx_seg = self.faces["dU"].reshape(-1)[:5 * N - 2 * s0]
         self.T_in = T.reshape((5,) + ring)[inner]
 
 
@@ -582,12 +592,14 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     k += U0
     # the result and its primitives in one block: as two chunks, freed at the
     # top of the heap a step later, glibc trimmed and faulted them in again
-    # (about 96 minor faults a step on the decay slab against 2)
-    result = np.empty((10,) + fs.grid.shape)
-    U3 = np.divide(k, 3.0, out=result[:5])
+    # (about 96 minor faults a step on the decay slab against 2).  Its row
+    # pitch is rounded up to 8 entries, so both halves start on the boundary
+    size = k.size
+    result = aligned_empty((2, size + -size % 8))
+    U3 = np.divide(k, 3.0, out=result[0, :size].reshape(k.shape))
 
     out = FieldSet(fs.grid, U3, t0 + dt)
-    theta = out.primitives(g, usq=ws.usq, out=result[5:])[4]
+    theta = out.primitives(g, usq=ws.usq, out=result[1, :size].reshape(k.shape))[4]
     diag = StepDiagnostics(
         dt=dt, max_speed=max_speed, min_rho=float(np.minimum.reduce(out.rho, axis=None)),
         min_theta=float(np.minimum.reduce(theta, axis=None)), boundary_flux=bflux)

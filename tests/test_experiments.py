@@ -267,15 +267,20 @@ def test_cutoff_study_loads_no_numpy_ma():
     assert res.stdout.strip() == "False"
 
 
-def test_bench_pairs_marks_a_checkout_with_uncommitted_src(tmp_path):
+def _bench_pairs():
+    """scripts/bench_pairs.py, imported as a module."""
     import importlib.util
-    import subprocess
     from pathlib import Path
     script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", script)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
 
+
+def test_bench_pairs_marks_a_checkout_with_uncommitted_src(tmp_path):
+    import subprocess
+    bench_pairs = _bench_pairs()
     assert bench_pairs.src_dirty(tmp_path) is None
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "a.py").write_text("x = 1\n")
@@ -287,6 +292,22 @@ def test_bench_pairs_marks_a_checkout_with_uncommitted_src(tmp_path):
     assert bench_pairs.src_dirty(tmp_path) is False
     (tmp_path / "src" / "a.py").write_text("x = 2\n")
     assert bench_pairs.src_dirty(tmp_path) is True
+
+
+def test_bench_pairs_refuses_paths_of_different_lengths(tmp_path, capsys):
+    # the heap state, and with it wall_s, depends on the checkout's path length
+    bench_pairs = _bench_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change7"
+    parent.mkdir()
+    change.mkdir()
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(parent), str(change), "--workload", "slab2d-decay",
+                          "--pairs", "1", "--topic", "t", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    n = len(str(parent.resolve()))
+    assert f"has {n} characters and the change's {n + 1};" in err
+    assert not list(tmp_path.glob("BENCH_*.json"))
 
 
 def test_diff_study_outputs_masks_run_fields(tmp_path):

@@ -90,6 +90,64 @@ def test_manufactured_viscous_order():
     assert np.all(orders >= 1.7)
 
 
+def _spectral_d(f, grid, ax):
+    """d f / d x_ax of a periodic grid field by FFT; zero on a one-cell axis
+    and in the Nyquist mode of an even axis."""
+    n = f.shape[ax]
+    if n == 1:
+        return np.zeros_like(f)
+    k = 2j * np.pi * np.fft.fftfreq(n, d=grid.spacing[ax])
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    shape = [1, 1, 1]
+    shape[ax] = n
+    return np.fft.ifft(k.reshape(shape) * np.fft.fft(f, axis=ax), axis=ax).real
+
+
+def _spectral_viscous(g, eps, grid, u, theta):
+    """eps (div tau, div (tau u + kappa grad theta)) on a torus grid, every
+    derivative spectral: tau = mu (grad u + grad u^T) + lambda div u I with
+    mu, lambda, kappa = (mu1, lambda1, kappa1) theta^alpha."""
+    pw = theta ** g.alpha
+    du = [[_spectral_d(u[c], grid, b) for b in range(3)] for c in range(3)]  # du[c][b]
+    divu = du[0][0] + du[1][1] + du[2][2]
+    tau = [[g.mu1 * pw * (du[c][a] + du[a][c]) + (g.lambda1 * pw * divu if a == c else 0.0)
+            for a in range(3)] for c in range(3)]                      # tau[c][a]
+    out = np.zeros((4,) + grid.shape)
+    for a in range(3):
+        for c in range(3):
+            out[c] += _spectral_d(tau[c][a], grid, a)
+        work = sum(u[c] * tau[c][a] for c in range(3))
+        out[3] += _spectral_d(work + g.kappa1 * pw * _spectral_d(theta, grid, a), grid, a)
+    return eps * out
+
+
+@pytest.mark.parametrize("dims, sizes", [(2, (32, 64, 128)), (3, (8, 16, 32))], ids=["2d", "3d"])
+def test_manufactured_viscous_order_multid(dims, sizes):
+    # the viscous part rhs(eps) - rhs(0) against a spectral reference on tori
+    # whose fields vary along every active axis, so the cross derivatives,
+    # lambda div u and the theta^alpha weights along x2 and x3 are all in it;
+    # criterion 07's bound on the observed order
+    g = GasParams.normalized(5.0 / 3.0, 0.5, mu1=1.0, lambda1=0.5, kappa1=2.0)
+    eps = 0.3
+    errs = []
+    for n in sizes:
+        grid = SlabGrid.torus(1.0, n, n, n if dims == 3 else 1, dims=dims)
+        x1, x2, x3 = grid.meshgrid()
+        rho = 2.0 + 0.3 * np.sin(K * (x1 + x2) + 0.2) * np.cos(K * x3)
+        u = np.stack([0.2 + 0.1 * np.cos(K * x1) * np.sin(K * (x2 + x3)),
+                      0.05 * np.sin(K * (x1 - x2)) + 0.03 * np.cos(K * x3),
+                      0.04 * np.cos(K * (x1 + x3) + 0.4) * np.sin(K * x2)])
+        theta = 1.0 + 0.2 * np.sin(K * x1 + 0.7) * np.cos(K * (x2 - x3))
+        fs = FieldSet.from_primitives(grid, g, rho, u, theta)
+        visc = rhs(fs, g, SolverConfig(eps=eps))[0] - rhs(fs, g, SolverConfig(eps=0.0))[0]
+        ref = _spectral_viscous(g, eps, grid, u, theta)
+        errs.append(np.sqrt(np.mean((visc[1:] - ref) ** 2)))
+    solver._workspace.cache_clear()
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.7), orders
+
+
 def test_manufactured_full_rhs_first_order():
     # convective Rusanov is (at least) 1st order on smooth data
     def exact_euler(x, rho, u, theta):
@@ -143,6 +201,57 @@ def test_pinned_rhs_commutes_with_transverse_roll():
         tend, _ = rhs(fs, GAS, cfg, ghost, t=0.0)
         tend_rolled, _ = rhs(rolled, GAS, cfg, ghost, t=0.0)
         assert np.array_equal(tend_rolled, np.roll(tend, 3, axis=2))
+
+
+def _background_state(grid):
+    """The background study's torus state (configs/background.ini: constant
+    (1, 0.2, 1), mode_cap 3, seed 11) at eta = 0.5."""
+    from rarefan.ansatz import perturbed_constant_state
+    return perturbed_constant_state(PrimState(1.0, 0.2, 1.0),
+                                    PerturbationSpec(eta=0.5, mode_cap=3, seed=11), grid, GAS)
+
+
+def _steps(fs, cfg, n=50):
+    for _ in range(n):
+        fs, _ = step(fs, GAS, cfg)
+    return fs
+
+
+def _mirror_x2(U):
+    """x2 -> -x2 with u2 -> -u2: cell j of n2 to cell n2 - 1 - j, m2 negated."""
+    out = U[:, :, ::-1].copy()
+    out[2] *= -1.0
+    return out
+
+
+def _swap_x2_x3(U):
+    """x2 <-> x3 with (u2, u3) swapped."""
+    return U[[0, 1, 3, 2, 4]].transpose(0, 1, 3, 2).copy()
+
+
+TORI = [SlabGrid.torus(1.0, 32, 32, dims=2), SlabGrid.torus(1.0, 16, 16, 16, dims=3)]
+
+
+@pytest.mark.parametrize("grid", TORI, ids=["32x32", "16x16x16"])
+def test_step_commutes_with_x2_mirror(grid):
+    # every x2 pass sees the mirrored faces in mirrored order and every
+    # formula is odd or even in u2, so 50 steps commute with the mirror to the bit
+    cfg = SolverConfig(eps=0.2)
+    fs = _background_state(grid)
+    ran, mirrored = _steps(fs, cfg), _steps(FieldSet(grid, _mirror_x2(fs.U)), cfg)
+    assert mirrored.time == ran.time
+    assert _same_bytes([mirrored.U], [_mirror_x2(ran.U)])
+
+
+def test_step_commutes_with_x2_x3_swap():
+    # the x2 and x3 passes run in a fixed order, so the swap holds to round-off
+    grid = TORI[1]
+    cfg = SolverConfig(eps=0.2)
+    fs = _background_state(grid)
+    ran, swapped = _steps(fs, cfg), _steps(FieldSet(grid, _swap_x2_x3(fs.U)), cfg)
+    assert swapped.time == ran.time
+    expected = _swap_x2_x3(ran.U)
+    assert np.max(np.abs(swapped.U - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_x3_constant_state_matches_2d_rhs():
@@ -535,18 +644,18 @@ def test_ghost_fill_takes_no_temporary(pinned):
         np.setbufsize(bufsize)
 
 
-def _poisoned_workspace(shape):
-    """The shape's work area, built afresh with NaN in every entry of every
-    float array it owns."""
-    solver._workspace.cache_clear()
-    ws = solver._workspace(shape)
+def _work_arrays(ws):
+    """The float arrays a work area owns, as (owner, views) pairs: every array
+    that the work area, its axis passes and their cross pairs hold, grouped
+    by the buffer that owns its memory."""
     owners = {}
 
     def collect(value):
         if isinstance(value, np.ndarray):
-            while value.base is not None:
-                value = value.base
-            owners[id(value)] = value
+            owner = value
+            while owner.base is not None:
+                owner = owner.base
+            owners.setdefault(id(owner), (owner, []))[1].append(value)
         elif isinstance(value, (list, tuple)):
             for v in value:
                 collect(v)
@@ -558,10 +667,45 @@ def _poisoned_workspace(shape):
                 collect(v)
 
     collect(ws)
-    for arr in owners.values():
-        if arr.dtype.kind == "f":
-            arr[...] = np.nan
+    return [(owner, views) for owner, views in owners.values() if owner.dtype.kind == "f"]
+
+
+def _poisoned_workspace(shape):
+    """The shape's work area, built afresh with NaN in every entry of every
+    float array it owns."""
+    solver._workspace.cache_clear()
+    ws = solver._workspace(shape)
+    for owner, _ in _work_arrays(ws):
+        owner[...] = np.nan
     return ws
+
+
+def test_work_area_is_64_byte_aligned():
+    # every block of the work area starts on a 64-byte boundary: the lowest
+    # entry any view reaches in each owned buffer (the buffer itself is the
+    # allocator's padded one), T at the flat entry s0 that the first axis's
+    # divergence writes from, a step's result and its primitives, and
+    # gn_sample's work block
+    from numpy.lib.array_utils import byte_bounds
+    from rarefan import analysis
+
+    cases = [case[:3] for case in _workspace_cases()]
+    cases += [(fs, cfg, ghost) for fs, _, cfg, ghost in map(_study_case, ("line768",
+                                                                         "slab256x32"))]
+    for fs, cfg, ghost in cases:
+        shape = fs.grid.shape
+        solver._workspace.cache_clear()
+        out, _ = step(fs, GAS, cfg, ghost)
+        ws = solver._workspace(shape)
+        blocks = _work_arrays(ws)
+        assert len(blocks) >= 16   # 1-D: ring, p, c, speed, flux, wrap, k, r, 7 faces, T
+        for owner, views in blocks:
+            assert min(byte_bounds(v)[0] for v in views) % 64 == 0, (shape, views[0].shape)
+        assert ws.T_seg.ctypes.data % 64 == 0, shape
+        assert out.U.ctypes.data % 64 == 0, shape
+        assert out.primitives(GAS).ctypes.data % 64 == 0, shape
+        assert analysis._gn_work(shape).ctypes.data % 64 == 0, shape
+    solver._workspace.cache_clear()
 
 
 def test_rhs_ignores_unwritten_work_entries():
