@@ -689,13 +689,12 @@ def test_work_area_is_64_byte_aligned():
     from numpy.lib.array_utils import byte_bounds
     from rarefan import analysis
 
-    cases = [case[:3] for case in _workspace_cases()]
-    cases += [(fs, cfg, ghost) for fs, _, cfg, ghost in map(_study_case, ("line768",
-                                                                         "slab256x32"))]
-    for fs, cfg, ghost in cases:
+    cases = [(fs, GAS, cfg, ghost) for fs, cfg, ghost in _workspace_cases()]
+    cases += [_study_case(name) for name in ("line768", "slab256x32")]
+    for fs, g, cfg, ghost in cases:
         shape = fs.grid.shape
         solver._workspace.cache_clear()
-        out, _ = step(fs, GAS, cfg, ghost)
+        out, _ = step(fs, g, cfg, ghost)
         ws = solver._workspace(shape)
         blocks = _work_arrays(ws)
         assert len(blocks) >= 16   # 1-D: ring, p, c, speed, flux, wrap, k, r, 7 faces, T
@@ -703,7 +702,7 @@ def test_work_area_is_64_byte_aligned():
             assert min(byte_bounds(v)[0] for v in views) % 64 == 0, (shape, views[0].shape)
         assert ws.T_seg.ctypes.data % 64 == 0, shape
         assert out.U.ctypes.data % 64 == 0, shape
-        assert out.primitives(GAS).ctypes.data % 64 == 0, shape
+        assert out.primitives(g).ctypes.data % 64 == 0, shape
         assert analysis._gn_work(shape).ctypes.data % 64 == 0, shape
     solver._workspace.cache_clear()
 
