@@ -60,6 +60,11 @@ The study layer's fixed costs, under ``"fanout"`` in microseconds per call:
   one forked worker that does nothing, started, answered and reaped;
 - ``git_commit``: ``config.git_commit()``, which each report's emit calls.
 
+The solver's C kernel, under ``"kernel"``: ``build_s``, the median seconds
+of KERNEL_BUILDS builds of the tree's ``_kernel.c`` into fresh temporary
+directories, the cost that the first solver call of a checkout pays (and
+``build_s_b`` for DIR_B); null for a tree without the kernel.
+
 Prints one JSON object.
 """
 
@@ -76,12 +81,15 @@ import shutil
 import statistics
 import sys
 import tempfile
+import time
 import timeit
 from pathlib import Path
 
 # interleaved rounds per call, and DIR's time for one call's batch in a round
 ROUNDS = 31
 ROUND_SECONDS = 0.05
+# cold builds of the solver's kernel timed per tree
+KERNEL_BUILDS = 3
 
 
 CASES = ("line384", "line768", "slab256x32", "box160x16x16")
@@ -172,6 +180,21 @@ def calls(root: Path, pkg: str):
     yield "cases", out
 
 
+def kernel_build_s(pkg: str) -> float | None:
+    """Median seconds of KERNEL_BUILDS builds of the package's solver kernel,
+    each into a fresh temporary directory; None without a kernel."""
+    solver = importlib.import_module(f"{pkg}.solver")
+    if not hasattr(solver, "_kernel_path"):
+        return None
+    seconds = []
+    for _ in range(KERNEL_BUILDS):
+        with tempfile.TemporaryDirectory() as tmp:
+            t0 = time.perf_counter()
+            solver._kernel_path(solver._KERNEL_SOURCE, Path(tmp))
+            seconds.append(time.perf_counter() - t0)
+    return round(statistics.median(seconds), 4)
+
+
 def load_copy(root: Path, tmp: Path, pkg: str) -> None:
     """Import root/src/rarefan from a copy in tmp under the package name pkg."""
     shutil.copytree(root / "src" / "rarefan", tmp / pkg,
@@ -187,6 +210,8 @@ def interleaved(root: Path, root_b: Path) -> dict:
     out = {"cases": {}, "analysis": {}, "fanout": {}}
     with tempfile.TemporaryDirectory() as tmp:
         load_copy(root_b, Path(tmp), "rarefan_b")
+        out["kernel"] = {"build_s": kernel_build_s("rarefan"),
+                         "build_s_b": kernel_build_s("rarefan_b")}
         for (section, a), (_, b) in zip(calls(root, "rarefan"), calls(root_b, "rarefan_b")):
             us = {key: ([], []) for key in a}
             faults = {key: ([], []) for key in a}
@@ -246,7 +271,8 @@ def main(argv=None) -> int:
         print(json.dumps(out, indent=2))
         return 0
 
-    out.update({"repeats": args.repeats, "cases": {}, "analysis": {}, "fanout": {}})
+    out.update({"repeats": args.repeats, "cases": {}, "analysis": {}, "fanout": {},
+                "kernel": {"build_s": kernel_build_s("rarefan")}})
     for _, section_calls in calls(root, "rarefan"):
         for (section, name, call), (shape, fn) in section_calls.items():
             us, faults = best_us(fn, args.repeats)

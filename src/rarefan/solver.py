@@ -7,37 +7,37 @@ Time stepping is 3-stage SSP Runge-Kutta.  The energy equation is integrated
 in conserved total-energy form; temperature is always a derived view.  A step
 that leaves rho or theta below the constant positivity floor _FLOOR aborts.
 
-Each grid shape has one work area (the ghost-ringed state, its pressure,
-sound speed and Euler flux, the face terms of each axis pass, and step's
-registers), allocated on the first rhs and reused by every stage of every
-step, so that a run does not hand its temporaries to the allocator and fault
-them in again each stage.  rhs fills it in place and writes the tendency into
-out=, an array the caller owns, or into a new one without out=; the boundary
-flux is always a new array.  step passes rhs its register k, copies each
-stage state into the ring's conserved rows and has rhs compute the stage's
-primitives there, so a step allocates only the state it returns and that
-state's primitives; stable_dt takes its scratch there too.  The work area
-makes rhs, stable_dt and step unsafe to call from concurrent threads on grids
-of one shape.
+Each grid shape has one work area (the ghost-ringed state, its pressure
+and sound speed, the kernel's face arrays, and step's registers), allocated
+on the first rhs and reused by every stage of every step, so that a run does
+not hand its temporaries to the allocator and fault them in again each
+stage.  rhs fills it in place and writes the tendency into out=, an array
+the caller owns, or into a new one without out=; the boundary flux is always
+a new array.  step passes rhs its register k, copies each stage state into
+the ring's conserved rows and has rhs compute the stage's primitives there,
+so a step allocates only the state it returns and that state's primitives;
+stable_dt takes its scratch there too.  The work area makes rhs, stable_dt
+and step unsafe to call from concurrent threads on grids of one shape.
 
-rhs builds no index and no view per call: the work area binds, once, every
-view rhs reads or writes, since on the 1-D sweep lines a call costs its numpy
-dispatches more than its arithmetic.  The ring is flat, (rows, N) over its N
-cells, with strides (r2 r3, r3, 1) for ring extents (r1, r2, r3): along an
-axis of stride s face j lies between cells j and j + s.  The face arrays have
-the same row pitch N, so that a face pair over k rows is the contiguous
-slice pair [:kN - s], [s:kN] of the flattened rows: one 1-D operation, not a
-view of k short runs.  Pairs across a row end or on a transverse ghost are
-computed and never read.  The face terms of (u1, u2, u3, theta) are the rows
-state[1:5], so their face average and normal difference are one operation
-each.
+The ring is flat, (rows, N) over its N cells, with strides (r2 r3, r3, 1)
+for ring extents (r1, r2, r3).  Once numpy has filled it, rhs's face passes
+run in one C kernel, _kernel.c: the pressure and sound speed, each axis's
+Euler flux, Rusanov face flux, viscous stress and heat term, and the flux
+divergence into the tendency, at the faces and cells the grid has.  The
+first of its two calls writes the face temperatures, which numpy raises to
+the power alpha in place before the second.  The kernel is compiled with
+the system C compiler (cc) on the first solver call of a process that does
+not find it built, into __pycache__ next to this file, and loaded through
+ctypes; import rarefan loads nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -165,116 +165,76 @@ class _Stage:
         self.rho = rho
 
 
-class _CrossWork:
-    """Views of one transverse pair (ax, bx) of an axis pass: d u_c / d x_bx at the faces
-    along ax for the two components c = ax, bx that the stress column reads.
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+# the kernel library is built here, under a name keyed by the source and the flags
+_BUILD_DIR = _KERNEL_SOURCE.parent / "__pycache__"
+# no -ffast-math or -march=native: rhs must keep every rounding of the numpy
+# sequence the kernel replaced, and no product may fuse with a sum
+_CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-    The rows are the stepped slice lo:hi+1:hi-lo of (u1, u2, u3), a view.  cd
-    is central in bx on cells [sb, N - sb); its face average covers faces
-    [sb, N - sa - sb), which hold every face of the grid.  On those faces the
-    pass adds d u_bx / d x_bx into divu and writes tau[bx] = dn_u[bx] +
-    d u_ax / d x_bx.
+
+def _kernel_path(source: Path, build_dir: Path) -> Path:
+    """The shared library of the C source in build_dir, compiled if absent.
+
+    It is compiled under a temporary name and renamed into place, so
+    processes that build it at once (a caller and its forked worker) each
+    load a whole file.
     """
+    import hashlib
+    import os
+    import subprocess
 
-    def __init__(self, ax: int, bx: int, sa: int, sb: int, uP: np.ndarray, take,
-                 w: "_AxisWork"):
-        n = uP.shape[1] - 2 * sb              # the cells with both bx neighbours
-        lo, hi = min(ax, bx), max(ax, bx)
-        rows = uP[lo:hi + 1:hi - lo]
-        self.bx = bx
-        self.plus, self.minus = rows[:, 2 * sb:], rows[:, :n]
-        self.cd, self.face = cd, face = take("cd", n), take("cd_face", n - sa)
-        self.cd_lo, self.cd_hi = cd[:, :n - sa], cd[:, sa:]
-        self.d_bx, self.d_ax = face[int(bx > ax)], face[int(ax > bx)]  # d u_bx, d u_ax / d x_bx
-        faces = slice(sb, sb + n - sa)
-        self.divu, self.dn_bx, self.tau_bx = w.divu_row[faces], w.dq[bx, faces], w.tau[bx, faces]
+    text = source.read_bytes()
+    key = hashlib.sha256(text + " ".join(_CC).encode()).hexdigest()[:16]
+    lib = build_dir / f"{source.stem}-{key}.so"
+    if lib.exists():
+        return lib
+    build_dir.mkdir(parents=True, exist_ok=True)
+    tmp = build_dir / f"{lib.name}.{os.getpid()}.tmp"
+    cmd = [*_CC, "-o", str(tmp), str(source), "-lm"]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:
+        raise RuntimeError(f"the solver's kernel needs a C compiler: {' '.join(cmd)}: {exc}") \
+            from None
+    if proc.returncode != 0:
+        tmp.unlink(missing_ok=True)
+        raise RuntimeError(f"{' '.join(cmd)} failed:\n{proc.stderr}")
+    os.replace(tmp, lib)
+    return lib
 
 
-class _AxisWork:
-    """Every view of the work area and of the ring that one axis pass of rhs
-    reads or writes, bound once.
+class _Layout(ctypes.Structure):
+    """The work area as _kernel.c's rk_work sees it."""
 
-    The face arrays have the ring's row pitch N: along an axis of stride s,
-    face j of row r, between flat cells j and j + s, sits at r N + j.  So a
-    k-row face pair is the contiguous slice pair [:kN - s], [s:kN] of the
-    flattened rows, one 1-D operation.  The last s entries of a row are
-    formed from the next row or left unwritten, and never read.  q holds the
-    face averages of the four rows (u1, u2, u3, theta), dq their normal
-    differences; divu accumulates in dq's row ax once tau[ax] has read it.
-    coef holds one of the face coefficients mu, lambda, kappa at a time.
-    """
+    _fields_ = [("n", ctypes.c_int64 * 3), ("stride", ctypes.c_int64 * 3),
+                ("active", ctypes.c_int64 * 3), ("N", ctypes.c_int64),
+                *((name, ctypes.c_void_p) for name in ("state", "p", "c", "pw", "F", "ends"))]
 
-    FACE = {"F": 5, "dU": 5, "s": 1, "q": 4, "dq": 4, "coef": 1, "tau": 4}
 
-    def __init__(self, ax: int, ws: "_Workspace", take):
-        self.ax = ax
-        s, s0, N = ws.stride[ax], ws.stride[0], ws.N
-        nf = N - s
-        state, flux = ws.state, ws.flux
-        ring, fluxes = state.reshape(-1), flux.reshape(-1)
-        F, dU, q, dq, tau_heat = (ws.faces[name] for name in ("F", "dU", "q", "dq", "tau"))
-        tau = tau_heat[:3]
-        self.dq, self.tau = dq, tau
-
-        # Euler flux on the ring: f[0] = U[1+ax], f[1:4] = U[1:4] un with p
-        # added on row 1+ax, f[4] = (U[4] + p) un
-        self.un = state[1 + ax]
-        self.f_mass, self.U_normal = flux[0], state[6 + ax]
-        self.f_mom, self.U_mom, self.f_ax = flux[1:4], state[6:9], flux[1 + ax]
-        self.f_E, self.U_E = flux[4], state[9]
-
-        # the two cells of every face, and the face arrays they fill
-        self.F, self.FL, self.FR = F.reshape(-1)[:5 * N - s], fluxes[:5 * N - s], fluxes[s:]
-        self.dU, self.dU_rows = dU.reshape(-1)[:5 * N - s], dU
-        self.UL, self.UR = ring[5 * N:10 * N - s], ring[5 * N + s:]
-        self.aL, self.aR = ws.speed[:nf], ws.speed[s:]
-        self.s, self.s_row = ws.faces["s"][:nf], ws.faces["s"]
-        self.q, self.dq_flat = q.reshape(-1)[:4 * N - s], dq.reshape(-1)[:4 * N - s]
-        self.qL, self.qR = ring[N:5 * N - s], ring[N + s:5 * N]
-        self.pw, self.uF, self.uF_rows = q[3, :nf], q[:3].reshape(-1), q[:3]
-        self.dn_uax, self.dthdn, self.divu_row = dq[ax, :nf], dq[3, :nf], dq[ax]
-        self.coef, self.coef_row = ws.faces["coef"][:nf], ws.faces["coef"]
-        self.tau_ax, self.tau_flat = tau[ax, :nf], tau.reshape(-1)
-        self.heat, self.heat_row = tau_heat[3, :nf], tau_heat[3]
-        # the viscous terms (tau, heat) of F[1:5], rows 1 to 4, as one pair
-        self.visc_terms, self.F_visc = tau_heat.reshape(-1)[:4 * N - s], F.reshape(-1)[N:5 * N - s]
-        # the rows of the inactive axes, one slice: tau = dn_u + 0 there
-        still = [c for c in range(3) if c not in ws.active]
-        self.still = (dq[still[0]:still[-1] + 1], tau[still[0]:still[-1] + 1]) if still else None
-        # the faces i - s and i of the x1-interior cells i in [s0, N - s0)
-        self.F_hi = F.reshape(-1)[s0:5 * N - s0]
-        self.F_lo = F.reshape(-1)[s0 - s:5 * N - s0 - s]
-        if ax == 0:   # the first and last x1 faces, summed from a contiguous copy in 2-D/3-D
-            n1, n2, n3 = ws.tend_shape[1:]
-            F_ends = F.reshape((5,) + ws.ring)[:, 0:n1 + 1:n1][ws.slab_in]
-            self.ends_copy = None
-            if n2 * n3 == 1:      # one face each: the sum is the face itself
-                self.ends = F_ends.reshape(5, 2)
-            else:
-                self.ends_copy, self.ends_in = F_ends, aligned_empty((5, 2, n2 * n3))
-                self.ends_to = self.ends_in.reshape(5, 2, n2, n3)
-                self.ends = aligned_empty((5, 2))
-            self.ends_first, self.ends_last = self.ends[:, 0], self.ends[:, 1]
-
-        self.cross = [_CrossWork(ax, bx, s, ws.stride[bx], state[1:4], take, self)
-                      for bx in ws.active if bx != ax]
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The face-pass kernel, built on first use and loaded once per process."""
+    lib = ctypes.CDLL(str(_kernel_path(_KERNEL_SOURCE, _BUILD_DIR)))
+    lib.rk_prepare.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_int)
+    lib.rk_prepare.restype = ctypes.c_int
+    lib.rk_faces.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_double,) * 7
+    lib.rk_faces.restype = None
+    return lib
 
 
 class _Workspace:
     """The arrays rhs and step fill on one grid, allocated once per grid shape,
-    with the views rhs reads and writes, bound once.
+    with the views rhs reads and writes and the kernel's layout, bound once.
 
     The ring-sized arrays are flat, (rows, N), and filled through a (rows,) +
-    ring view.  The face arrays of _AxisWork share the ring's row pitch and
-    are taken by the axes in turn, so an axis pass writes every entry it
-    reads; they are zero-filled once, which keeps the never-read entries
-    finite.  The divergence runs over the x1-interior cells [s0, N - s0),
-    accumulated in T, whose interior is then copied into the tendency.
-    Every array comes from fields.aligned_empty and starts on a 64-byte
-    boundary, T at its flat entry s0, where the divergence starts.  k
-    and r are step's registers: k receives each stage's tendency, r holds the
-    stage states U1 and U2 (and 0.75 U0 on the way), which are copied into
-    the ring's conserved rows for rhs to compute their primitives there.
+    ring view.  The kernel reads the ring and writes p, c, pw, F and the x1
+    end faces, only at the cells and faces the grid has; no result reads an
+    entry that the current call did not write.  Every array comes from
+    fields.aligned_empty and starts on a 64-byte boundary.  k and r are
+    step's registers: k receives each stage's tendency, r holds the stage
+    states U1 and U2 (and 0.75 U0 on the way), which are copied into the
+    ring's conserved rows for rhs to compute their primitives there.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
@@ -285,13 +245,11 @@ class _Workspace:
         self.stride = (ring[1] * ring[2], ring[2], 1)
         self.state = aligned_empty((10, N))
         self.p, self.c, self.speed = aligned_empty(N), aligned_empty(N), aligned_empty(N)
-        self.flux = aligned_empty((5, N))
+        self.usq_ring = aligned_empty((3, N))
         inner = (slice(None),) + tuple(slice(1, -1) if ax in active else slice(None)
                                        for ax in range(3))
-        self.slab_in = (slice(None), slice(None)) + inner[2:]  # interior of (5, k) + ring[1:]
         state = self.state.reshape((10,) + ring)
         self.prim_in, self.U_in = state[0:5][inner], state[5:10][inner]
-        self.rhoP, self.thP = self.state[0], self.state[4]
         # ghost planes 0 and n + 1 of each active axis and their periodic
         # sources n and 1, as one stepped view each, and a buffer of the
         # sources' shape: numpy cannot prove two stepped views of one array
@@ -307,34 +265,31 @@ class _Workspace:
         self.x1_columns = state[:, ::shape[0] + 1].transpose(2, 3, 0, 1)
 
         # step's registers, and stable_dt's scratch rows (the cells of c,
-        # speed and p); the flux rows are free between rhs calls
+        # speed and p) and step's |u|^2 scratch, free between rhs calls
         self.k, self.r = aligned_empty(self.tend_shape), aligned_empty(self.tend_shape)
         self.stage = _Stage(self.r[0])   # r holds the stage rhs is given
         cells = math.prod(shape)
-        self.usq = self.flux.reshape(-1)[:3 * cells].reshape(3, cells)
+        self.usq = self.usq_ring.reshape(-1)[:3 * cells].reshape(3, cells)
         self.dt_scratch = self.c[:cells], self.speed[:cells], self.p[:cells]
         self.finite = np.empty((2,) + shape, dtype=bool)
 
-        def zeros(shape, first=0):
-            block = aligned_empty(shape, first)
-            block.fill(0.0)
-            return block
+        # the kernel's face arrays: theta_face, raised to alpha in place,
+        # at the faces of each active axis in turn; one axis's face fluxes;
+        # the first and last x1 faces, summed over n2 n3 transverse cells
+        self.pw = aligned_empty(sum(cells // shape[ax] * (shape[ax] + 1) for ax in active))
+        self.F = aligned_empty((5, N))
+        m = shape[1] * shape[2]
+        self.ends_in = aligned_empty((5, 2, m))
+        self.summed_ends = m > 1
+        self.ends = aligned_empty((5, 2)) if self.summed_ends else self.ends_in.reshape(5, 2)
+        self.ends_first, self.ends_last = self.ends[:, 0], self.ends[:, 1]
 
-        self.faces = {name: zeros((k, N) if k > 1 else N) for name, k in _AxisWork.FACE.items()}
-        cross = {name: zeros(2 * N) for name in ("cd", "cd_face")}
-
-        def take(name, n):
-            return cross[name][:2 * n].reshape(2, n)
-
-        self.axes = [_AxisWork(ax, self, take) for ax in active]
-        # the first axis writes its divergence into T_seg, which starts on the
-        # boundary; the other axes' ddx is a temporary at the start of dU's
-        # buffer, free once an axis pass has formed F
-        s0 = self.stride[0]
-        T = zeros((5, N), first=s0)
-        self.T_seg = T.reshape(-1)[s0:5 * N - s0]
-        self.ddx_seg = self.faces["dU"].reshape(-1)[:5 * N - 2 * s0]
-        self.T_in = T.reshape((5,) + ring)[inner]
+        lib = _kernel()
+        self.prepare, self.faces = lib.rk_prepare, lib.rk_faces
+        self.layout = _Layout(shape, self.stride, tuple(int(ax in active) for ax in range(3)), N,
+                              *(a.ctypes.data for a in (self.state, self.p, self.c, self.pw,
+                                                         self.F, self.ends_in)))
+        self.layout_addr, self.k_addr = ctypes.addressof(self.layout), self.k.ctypes.data
 
 
 @functools.lru_cache(maxsize=8)
@@ -356,7 +311,7 @@ def _ringed_state(ws: _Workspace, fs: FieldSet | _Stage, g: GasParams,
     does not matter.
     """
     if fs is ws.stage:
-        primitives_into(g, ws.state[5:10], ws.state[0:5], ws.flux[:3])
+        primitives_into(g, ws.state[5:10], ws.state[0:5], ws.usq_ring)
     else:
         ws.prim_in[...] = fs.primitives(g)
         ws.U_in[...] = fs.U
@@ -377,9 +332,9 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     the instantaneous net inflow rate through the two x1 boundaries, so that
     d/dt of each conserved total equals the matching entry on pinned runs.
     ghost_source pins the x1 ghosts at time t; None wraps x1 (a torus run).
-    The tendency is written into out when given, else into a new array; the
-    boundary flux is a new array.  Both are the caller's; the work arrays are
-    the grid's.
+    The tendency is written into out, a C-contiguous float array of its
+    shape, when given, else into a new array; the boundary flux is a new
+    array.  Both are the caller's; the work arrays are the grid's.
     """
     tt = fs.time if t is None else t
     grid = fs.grid
@@ -387,105 +342,27 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
         raise RunAbort("nonpositive density entering rhs")
     ws = _workspace(grid.shape)
     _ringed_state(ws, fs, g, ghost_source, tt)
-    thP = ws.thP
-    if np.fmin.reduce(thP) <= 0.0:
-        raise RunAbort("nonpositive temperature entering rhs")
-    pP = np.multiply(g.R, ws.rhoP, out=ws.p)
-    pP *= thP
-    cP = np.multiply(g.gamma * g.R, thP, out=ws.c)
-    np.sqrt(cP, out=cP)
-    aP = ws.speed
-
     visc = cfg.visc_mult
-    spacing = grid.spacing
-    tend = np.empty(ws.tend_shape) if out is None else out
-    bflux = np.empty(5)
+    if ws.prepare(ws.layout_addr, g.R, g.gamma * g.R, visc > 0.0):
+        raise RunAbort("nonpositive temperature entering rhs")
+    if visc > 0.0:
+        # numpy's power, not libm's pow: they differ in the last bit
+        ws.pw **= g.alpha
+    if out is None:
+        out = np.empty(ws.tend_shape)
+    elif out.shape != ws.tend_shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float array shaped like the tendency")
+    ws.faces(ws.layout_addr, ws.k_addr if out is ws.k else out.ctypes.data, *grid.spacing,
+             g.mu1, g.lambda1, g.kappa1, visc)
 
-    # each in-place sequence below performs its formula's operations in the
-    # order the plain expression would, so the work arrays change no bit
-    for w in ws.axes:
-        dx = spacing[w.ax]
-
-        # cell fluxes and signal speeds once on the ringed array, then per face:
-        # F = 0.5 (FP[L] + FP[R]) - 0.5 s (UP[R] - UP[L])
-        w.f_mass[...] = w.U_normal
-        np.multiply(w.U_mom, w.un, out=w.f_mom)
-        w.f_ax += pP
-        np.add(w.U_E, pP, out=w.f_E)
-        w.f_E *= w.un
-        np.abs(w.un, out=aP)
-        aP += cP
-        s = np.maximum(w.aL, w.aR, out=w.s)
-        s *= 0.5
-        F = np.add(w.FL, w.FR, out=w.F)
-        F *= 0.5
-        np.subtract(w.UR, w.UL, out=w.dU)
-        w.dU_rows *= w.s_row
-        F -= w.dU
-
-        if visc > 0.0:
-            # face average and normal difference of (u1, u2, u3, theta) at once:
-            # uF, thF ** alpha and dn_u = d u_c / d x_ax, dthdn are their rows
-            q = np.add(w.qL, w.qR, out=w.q)
-            q *= 0.5
-            pw = w.pw
-            pw **= g.alpha
-            dq = np.subtract(w.qR, w.qL, out=w.dq_flat)
-            dq /= dx
-
-            # stress column tau = mu (dn_u + dc_uax), plus lambda divu on ax,
-            # with dc_uax = d u_ax / d x_c: dn_uax itself on ax, averaged
-            # central differences on the other active axes, zero on the
-            # inactive ones
-            np.add(w.dn_uax, w.dn_uax, out=w.tau_ax)
-            for c in w.cross:   # central in bx, averaged across the face
-                cd = np.subtract(c.plus, c.minus, out=c.cd)
-                cd /= 2.0 * spacing[c.bx]
-                np.add(c.cd_lo, c.cd_hi, out=c.face)
-                c.face *= 0.5
-                np.add(c.dn_bx, c.d_ax, out=c.tau_bx)
-                c.divu += c.d_bx
-            if w.still is not None:
-                np.add(w.still[0], 0.0, out=w.still[1])
-            tau = w.tau
-            coef = np.multiply(g.mu1, pw, out=w.coef)
-            tau *= w.coef_row
-            np.multiply(g.lambda1, pw, out=coef)
-            divu = w.dn_uax
-            divu *= coef
-            w.tau_ax += divu
-            dthdn = w.dthdn
-            np.multiply(g.kappa1, pw, out=coef)
-            dthdn *= coef
-
-            # F[1:4] -= visc tau; F[4] -= visc (sum_c uF_c tau_c + kappa dthdn),
-            # with the heat term in the row after tau's
-            w.uF *= w.tau_flat
-            np.add.reduce(w.uF_rows, axis=0, out=w.heat_row)
-            w.heat += dthdn
-            w.visc_terms *= visc
-            w.F_visc -= w.visc_terms
-
-        # tend -= np.diff(F) / dx along ax, from tend = 0, summed on T whose
-        # interior is then copied into tend.  The first axis takes
-        # 0 - np.diff(F) / dx, which keeps the +0 that (F_lo - F_hi) / dx would
-        # turn into -0 where F_lo = -0 meets F_hi = +0
-        ddx = np.subtract(w.F_hi, w.F_lo, out=ws.T_seg if w.ax == 0 else ws.ddx_seg)
-        ddx /= dx
-        if w.ax == 0:
-            np.subtract(0.0, ddx, out=ddx)
-            if w.ends_copy is not None:
-                w.ends_to[...] = w.ends_copy
-                np.add.reduce(w.ends_in, axis=2, out=w.ends)
-            # bflux = 0 + (first - last) area; += 0.0 keeps that sign of zero
-            np.subtract(w.ends_first, w.ends_last, out=bflux)
-            bflux *= grid.cell_volume / dx
-            bflux += 0.0
-        else:
-            ws.T_seg -= ddx
-
-    tend[...] = ws.T_in    # a strided copy costs less than strided arithmetic
-    return tend, bflux
+    # bflux = 0 + (first - last) area, the x1 end faces summed pairwise over
+    # the transverse cells; += 0.0 keeps that sign of zero
+    if ws.summed_ends:
+        np.add.reduce(ws.ends_in, axis=2, out=ws.ends)
+    bflux = np.subtract(ws.ends_first, ws.ends_last)
+    bflux *= grid.cell_volume / grid.spacing[0]
+    bflux += 0.0
+    return out, bflux
 
 
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
