@@ -31,9 +31,11 @@ environment or refusing such pairs here, this is the second, so
 ``BENCHMARK.json`` and ``perfbench/`` stay as they are: bench from
 directories with names of equal length.
 
-Refuses two checkouts of which only one holds bytecode under
+Refuses two checkouts of which only one holds bytecode (``*.pyc``) under
 ``src/rarefan/__pycache__``: with ``PYTHONDONTWRITEBYTECODE`` set, that side
-alone skips compiling its sources, which shows as a shorter ``setup_s``.
+alone skips compiling its sources, which shows as a shorter ``setup_s``. The
+solver's kernel library, which a checkout's first solver run builds there,
+is not bytecode and does not count.
 
 Each side's ``commits`` entry is the sha of its checkout's HEAD, and its
 ``dirty`` entry says whether ``git status --porcelain -- src`` lists anything
@@ -95,6 +97,11 @@ def invoke(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "provenance": provenance}
 
 
+def holds_bytecode(root: Path) -> bool:
+    """Whether the checkout holds compiled Python under src/rarefan/__pycache__."""
+    return any((root / "src" / "rarefan" / "__pycache__").glob("*.pyc"))
+
+
 def src_dirty(root: Path) -> bool | None:
     """Whether the checkout at root has uncommitted changes under src/; None
     when root is not a git checkout."""
@@ -150,10 +157,10 @@ def main(argv=None) -> int:
         ap.error(f"the parent checkout's path has {lengths['parent']} characters and the "
                  f"change's {lengths['change']}; the heap state depends on it, so bench "
                  "from directories with names of equal length")
-    cached = {s: (roots[s] / "src" / "rarefan" / "__pycache__").is_dir() for s in SIDES}
+    cached = {s: holds_bytecode(roots[s]) for s in SIDES}
     if cached["parent"] != cached["change"]:
         ap.error(f"only the {'parent' if cached['parent'] else 'change'} checkout has "
-                 "src/rarefan/__pycache__; remove it or bench from fresh clones")
+                 "bytecode in src/rarefan/__pycache__; remove it or bench from fresh clones")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}

@@ -7,12 +7,13 @@
    differences) and heat term at the faces and the flux divergence into the
    tendency.
 
-   Each formula performs the operations of the in-place numpy sequence that
-   rhs used before, in its order and with its signed-zero steps (0 - d,
-   x + 0.0), so the tendency equals tests/test_solver.py's allocating
-   reference bit for bit.  rarefan.solver compiles this file with
-   -ffp-contract=off and without -ffast-math, so that no product and sum
-   fuse into one rounding and no operation is reordered.
+   Each formula performs the operations of its plain numpy expression in
+   tests/test_solver.py's allocating reference, in that order and with its
+   signed-zero steps (the divergence is 0 - d, a stress entry with no cross
+   term dn + 0.0), so the tendency equals the reference bit for bit.
+   rarefan.solver compiles this file with -ffp-contract=off and without
+   -ffast-math, so that no product and sum fuse into one rounding and no
+   operation is reordered.
 
    The ring is flat, N cells with strides (r2 r3, r3, 1) for ring extents
    (r1, r2, r3); an active axis carries one ghost cell at each end, an
@@ -192,16 +193,17 @@ static void divergence(const rk_work *w, int a, double dx, int first, double *ou
     }
 }
 
-/* the first (ring x1 position 0) and last (n1) x1 faces of F into ends */
+/* the first and last x1 faces of F, at ring x1 positions 0 and n1, into
+   ends, over the interior transverse cells */
 static void end_faces(const rk_work *w)
 {
-    const int64_t N = w->N, last = w->n[0] * w->stride[0];
+    const int64_t planes[2] = {0, w->n[0] * w->stride[0]};
     double *ends = w->ends;
     for (int k = 0; k < 5; k++)
-        for (int64_t side = 0; side <= last; side += last)
+        for (int side = 0; side < 2; side++)
             for (int64_t i1 = w->active[1]; i1 < w->active[1] + w->n[1]; i1++)
                 for (int64_t i2 = w->active[2]; i2 < w->active[2] + w->n[2]; i2++)
-                    *ends++ = w->F[k * N + side + i1 * w->stride[1] + i2];
+                    *ends++ = w->F[k * w->N + planes[side] + i1 * w->stride[1] + i2];
 }
 
 /* the tendency (5, n1, n2, n3) into out, the x1 end faces into ends */

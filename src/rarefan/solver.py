@@ -28,7 +28,7 @@ first of its two calls writes the face temperatures, which numpy raises to
 the power alpha in place before the second.  The kernel is compiled with
 the system C compiler (cc) on the first solver call of a process that does
 not find it built, into __pycache__ next to this file, and loaded through
-ctypes; import rarefan loads nothing.
+ctypes; importing rarefan neither builds nor loads it.
 """
 
 from __future__ import annotations
@@ -239,10 +239,9 @@ class _Workspace:
 
     def __init__(self, shape: tuple[int, int, int]):
         self.tend_shape = (5,) + shape
-        self.active = active = _active_axes(shape)
-        self.ring = ring = tuple(n + 2 if ax in active else n for ax, n in enumerate(shape))
-        self.N = N = math.prod(ring)
-        self.stride = (ring[1] * ring[2], ring[2], 1)
+        active = _active_axes(shape)
+        ring = tuple(n + 2 if ax in active else n for ax, n in enumerate(shape))
+        N = math.prod(ring)
         self.state = aligned_empty((10, N))
         self.p, self.c, self.speed = aligned_empty(N), aligned_empty(N), aligned_empty(N)
         self.usq_ring = aligned_empty((3, N))
@@ -286,7 +285,8 @@ class _Workspace:
 
         lib = _kernel()
         self.prepare, self.faces = lib.rk_prepare, lib.rk_faces
-        self.layout = _Layout(shape, self.stride, tuple(int(ax in active) for ax in range(3)), N,
+        self.layout = _Layout(shape, (ring[1] * ring[2], ring[2], 1),
+                              tuple(int(ax in active) for ax in range(3)), N,
                               *(a.ctypes.data for a in (self.state, self.p, self.c, self.pw,
                                                          self.F, self.ends_in)))
         self.layout_addr, self.k_addr = ctypes.addressof(self.layout), self.k.ctypes.data
@@ -368,7 +368,7 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
     """(dt, max wave speed): min of the CFL step and the per-axis SSP-RK3 viscous step."""
     grid = fs.grid
-    c, speed, pw = _workspace(grid.shape).dt_scratch   # every rhs refills these rows
+    c, speed, pw = _workspace(grid.shape).dt_scratch   # rhs refills c and p; speed is free
     prim = fs.primitives(g).reshape(5, -1)   # flat rows: 1-D operations cost less
     u, theta = prim[1:4], prim[4]
     np.maximum(theta, 0.0, out=c)

@@ -310,6 +310,19 @@ def test_bench_pairs_refuses_paths_of_different_lengths(tmp_path, capsys):
     assert not list(tmp_path.glob("BENCH_*.json"))
 
 
+def test_bench_pairs_counts_bytecode_not_the_kernel_library(tmp_path):
+    # the solver's first run builds its kernel into __pycache__, which must
+    # not read as the compiled sources that shorten setup_s
+    bench_pairs = _bench_pairs()
+    cache = tmp_path / "src" / "rarefan" / "__pycache__"
+    assert not bench_pairs.holds_bytecode(tmp_path)
+    cache.mkdir(parents=True)
+    (cache / "_kernel-0123456789abcdef.so").write_bytes(b"")
+    assert not bench_pairs.holds_bytecode(tmp_path)
+    (cache / "solver.cpython-311.pyc").write_bytes(b"")
+    assert bench_pairs.holds_bytecode(tmp_path)
+
+
 def test_diff_study_outputs_masks_run_fields(tmp_path):
     import subprocess
     import sys
