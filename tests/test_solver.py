@@ -397,6 +397,20 @@ def test_rhs_result_survives_next_rhs():
     assert not _same_bytes(again, kept)
 
 
+def test_rhs_refuses_an_out_it_cannot_write():
+    # the kernel writes the tendency through out's address, so out must be
+    # a C-contiguous float array of the tendency's shape
+    grid = SlabGrid.torus(1.0, 12, 6, dims=2)
+    fs, cfg = _transverse_state(grid, 1), SolverConfig(eps=0.05)
+    shape = (5,) + grid.shape
+    for out in (np.empty(shape, order="F"), np.empty((5, 12, 7, 1))[:, :, :6],
+                np.empty(shape, dtype=np.float32), np.empty((5, 12, 3, 1))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            rhs(fs, GAS, cfg, out=out)
+    tend, _ = rhs(fs, GAS, cfg, out=np.empty(shape))
+    assert _same_bytes([tend], [rhs(fs, GAS, cfg)[0]])
+
+
 # The allocating kernel from before the work area: every index, view and
 # temporary is made afresh on each call, each formula written as one plain
 # expression.  primitives, stable_dt, rhs and step must reproduce it to the bit.
