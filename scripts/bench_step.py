@@ -18,6 +18,9 @@ states the studies start from, built by ``experiments.pinned_start``:
   its refinement pre-check;
 - ``slab256x32``: the decay study of DIR/perfbench/configs/slab2d_decay.ini
   (256 x 32 cells, perturbed);
+- ``slab256x32_alpha07``: the same state under ``GasParams.normalized(5/3,
+  0.7)``, where a face's theta^alpha is a ``pow`` call rather than a square
+  root (every shipped config sets alpha = 0.5);
 - ``box160x16x16``: the same study on a 3-D grid, ``[grid] n1 = 160,
   n2 = n3 = 16, dims = 3``.
 
@@ -92,7 +95,7 @@ ROUND_SECONDS = 0.05
 KERNEL_BUILDS = 3
 
 
-CASES = ("line384", "line768", "slab256x32", "box160x16x16")
+CASES = ("line384", "line768", "slab256x32", "slab256x32_alpha07", "box160x16x16")
 
 
 def cases(root: Path, pkg: str = "rarefan", names=CASES) -> dict:
@@ -100,6 +103,7 @@ def cases(root: Path, pkg: str = "rarefan", names=CASES) -> dict:
     states in names, built by the package pkg."""
     parse_config = importlib.import_module(f"{pkg}.config").parse_config
     pinned_start = importlib.import_module(f"{pkg}.experiments").pinned_start
+    GasParams = importlib.import_module(f"{pkg}.gas").GasParams
 
     def pinned(cfg, eps, eta, n1=None):
         _, _, fs, scfg, ghost = pinned_start(cfg, eps, eta, n1)
@@ -114,7 +118,14 @@ def cases(root: Path, pkg: str = "rarefan", names=CASES) -> dict:
               "line768": (sweep, eps, 0.0, 2 * sweep.grid.n1),
               "slab256x32": (slab, slab.solver.eps, slab.experiment.eta),
               "box160x16x16": (box, box.solver.eps, box.experiment.eta)}
-    return {name: pinned(*starts[name]) for name in names}
+    out = {}
+    for name in names:
+        if name == "slab256x32_alpha07":
+            fs, _, scfg, ghost = pinned(*starts["slab256x32"])
+            out[name] = fs, GasParams.normalized(5.0 / 3.0, 0.7), scfg, ghost
+        else:
+            out[name] = pinned(*starts[name])
+    return out
 
 
 def analysis_calls(root: Path, pkg: str = "rarefan") -> dict:

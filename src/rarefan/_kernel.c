@@ -1,19 +1,21 @@
-/* The face passes of rarefan.solver.rhs on the ghost-ringed state.
+/* rarefan.solver.rhs on the ghost-ringed state, in one call.
 
-   rk_prepare checks the temperature, forms the pressure and sound speed of
-   every ring cell and, on a viscous call, the face temperatures of every
-   axis.  Python raises those to the power alpha with numpy, and rk_faces
-   then forms each axis's Rusanov flux, viscous stress (with the cross
-   differences) and heat term at the faces and the flux divergence into the
-   tendency.
+   rk_rhs checks the temperature and forms the pressure and sound speed of
+   every ring cell; then, axis by axis, the Rusanov flux, viscous stress
+   (with the cross differences) and heat term at the faces and the flux
+   divergence into the tendency; and the net inflow through the two x1
+   boundaries.
 
    Each formula performs the operations of its plain numpy expression in
    tests/test_solver.py's allocating reference, in that order and with its
    signed-zero steps (the divergence is 0 - d, a stress entry with no cross
-   term dn + 0.0), so the tendency equals the reference bit for bit.
-   rarefan.solver compiles this file with -ffp-contract=off and without
-   -ffast-math, so that no product and sum fuse into one rounding and no
-   operation is reordered.
+   term dn + 0.0), so the tendency equals the reference bit for bit.  Two
+   rules are the kernel's own, and the reference follows them: a face's
+   theta^alpha is sqrt at alpha = 0.5, which is also numpy's ** 0.5, and
+   libm's pow otherwise; and each x1 end plane is summed in order over its
+   transverse cells.  rarefan.solver compiles this file with
+   -ffp-contract=off and without -ffast-math, so that no product and sum
+   fuse into one rounding and no operation is reordered.
 
    The ring is flat, N cells with strides (r2 r3, r3, 1) for ring extents
    (r1, r2, r3); an active axis carries one ghost cell at each end, an
@@ -32,9 +34,7 @@ typedef struct {
     int64_t N;           /* ring cells */
     double *state;       /* (10, N): rho, u1, u2, u3, theta, then rho, m1, m2, m3, E */
     double *p, *c;       /* (N,): pressure and sound speed */
-    double *pw;          /* the faces of every active axis in turn: theta, then theta^alpha */
     double *F;           /* (5, N): the current axis's face fluxes */
-    double *ends;        /* (5, 2, n2 n3): the first and last x1 faces */
 } rk_work;
 
 /* the loops of a pass over axis a's faces, or over the interior cells
@@ -62,42 +62,11 @@ static double maximum(double x, double y)
     return (x >= y || x != x) ? x : y;
 }
 
-/* 1 if some ring cell has theta <= 0, else 0 once p, c and, when viscous,
-   the face temperatures are written */
-int rk_prepare(const rk_work *w, double R, double gR, int viscous)
-{
-    const int64_t N = w->N;
-    const double *rho = w->state, *th = w->state + 4 * N;
-    for (int64_t j = 0; j < N; j++)
-        if (th[j] <= 0.0)
-            return 1;
-    for (int64_t j = 0; j < N; j++) {
-        w->p[j] = R * rho[j] * th[j];
-        w->c[j] = sqrt(gR * th[j]);
-    }
-    if (!viscous)
-        return 0;
-    double *pw = w->pw;
-    for (int a = 0; a < 3; a++) {
-        if (!w->active[a])
-            continue;
-        const int64_t s = w->stride[a];
-        const box b = span(w, a);
-        for (int64_t i0 = b.lo[0]; i0 < b.hi[0]; i0++)
-            for (int64_t i1 = b.lo[1]; i1 < b.hi[1]; i1++) {
-                const int64_t row = i0 * b.st[0] + i1 * b.st[1];
-                for (int64_t j = row + b.lo[2]; j < row + b.hi[2]; j++)
-                    *pw++ = (th[j] + th[j + s]) * 0.5;
-            }
-    }
-    return 0;
-}
-
-/* the faces of axis a into F; returns pw advanced past them.  Inlined
-   with a constant a, so that each axis's component loops unroll */
-static inline __attribute__((always_inline)) const double *
+/* the faces of axis a into F.  Inlined with a constant a, so that each
+   axis's component loops unroll */
+static inline __attribute__((always_inline)) void
 faces(const rk_work *w, const int a, const double dx[3], double mu1, double lambda1,
-      double kappa1, double visc, const double *pw)
+      double kappa1, double alpha, double visc)
 {
     const int64_t N = w->N, s = w->stride[a];
     const double *u[3], *U[5], *th = w->state + 4 * N, *p = w->p, *c = w->c;
@@ -132,7 +101,8 @@ faces(const rk_work *w, const int a, const double dx[3], double mu1, double lamb
                     /* tau = mu (dn_u + dc_ua) + lambda div u on a, dc_ua =
                        d u_a / d x_c: dn_ua on a, the face average of central
                        differences on the other active axes, 0 on the inactive */
-                    const double pwf = *pw++;
+                    const double thF = (th[L] + th[R]) * 0.5;
+                    const double pwf = alpha == 0.5 ? sqrt(thF) : pow(thF, alpha);
                     double uF[3], dn[3], tau[3];
                     for (int k = 0; k < 3; k++) {
                         uF[k] = (u[k][L] + u[k][R]) * 0.5;
@@ -169,7 +139,6 @@ faces(const rk_work *w, const int a, const double dx[3], double mu1, double lamb
                     F[k * N + L] = f[k];
             }
         }
-    return pw;
 }
 
 /* out = 0 - (F(i) - F(i - s)) / dx on the first axis, out - that on the
@@ -193,33 +162,50 @@ static void divergence(const rk_work *w, int a, double dx, int first, double *ou
     }
 }
 
-/* the first and last x1 faces of F, at ring x1 positions 0 and n1, into
-   ends, over the interior transverse cells */
-static void end_faces(const rk_work *w)
+/* bflux = 0 + (first - last) area, first and last the x1 faces of F at
+   ring x1 positions 0 and n1, each plane summed in order over the interior
+   transverse cells */
+static void boundary_flux(const rk_work *w, double area, double *bflux)
 {
-    const int64_t planes[2] = {0, w->n[0] * w->stride[0]};
-    double *ends = w->ends;
-    for (int k = 0; k < 5; k++)
-        for (int side = 0; side < 2; side++)
-            for (int64_t i1 = w->active[1]; i1 < w->active[1] + w->n[1]; i1++)
-                for (int64_t i2 = w->active[2]; i2 < w->active[2] + w->n[2]; i2++)
-                    *ends++ = w->F[k * w->N + planes[side] + i1 * w->stride[1] + i2];
+    const int64_t end = w->n[0] * w->stride[0];
+    for (int k = 0; k < 5; k++) {
+        const double *F = w->F + k * w->N;
+        double first = 0.0, last = 0.0;
+        for (int64_t i1 = w->active[1]; i1 < w->active[1] + w->n[1]; i1++)
+            for (int64_t i2 = w->active[2]; i2 < w->active[2] + w->n[2]; i2++) {
+                first += F[i1 * w->stride[1] + i2];
+                last += F[end + i1 * w->stride[1] + i2];
+            }
+        bflux[k] = 0.0 + (first - last) * area;
+    }
 }
 
-/* the tendency (5, n1, n2, n3) into out, the x1 end faces into ends */
-void rk_faces(const rk_work *w, double *out, double dx0, double dx1, double dx2, double mu1,
-              double lambda1, double kappa1, double visc)
+/* 1 if some ring cell has theta <= 0; else 0 once the tendency (5, n1, n2,
+   n3) is in out and the boundary flux (5,) in bflux */
+int rk_rhs(const rk_work *w, double *out, double *bflux, double dx0, double dx1, double dx2,
+           double R, double gR, double mu1, double lambda1, double kappa1, double alpha,
+           double visc, double area)
 {
+    const int64_t N = w->N;
+    const double *rho = w->state, *th = w->state + 4 * N;
+    for (int64_t j = 0; j < N; j++)
+        if (th[j] <= 0.0)
+            return 1;
+    for (int64_t j = 0; j < N; j++) {
+        w->p[j] = R * rho[j] * th[j];
+        w->c[j] = sqrt(gR * th[j]);
+    }
     const double dx[3] = {dx0, dx1, dx2};
-    const double *pw = faces(w, 0, dx, mu1, lambda1, kappa1, visc, w->pw);
-    end_faces(w);
+    faces(w, 0, dx, mu1, lambda1, kappa1, alpha, visc);
+    boundary_flux(w, area, bflux);
     divergence(w, 0, dx0, 1, out);
     if (w->active[1]) {
-        pw = faces(w, 1, dx, mu1, lambda1, kappa1, visc, pw);
+        faces(w, 1, dx, mu1, lambda1, kappa1, alpha, visc);
         divergence(w, 1, dx1, 0, out);
     }
     if (w->active[2]) {
-        faces(w, 2, dx, mu1, lambda1, kappa1, visc, pw);
+        faces(w, 2, dx, mu1, lambda1, kappa1, alpha, visc);
         divergence(w, 2, dx2, 0, out);
     }
+    return 0;
 }

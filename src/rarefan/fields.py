@@ -89,8 +89,8 @@ class SlabGrid:
         return cls(L=period / 2.0, n1=n1, period=period, n2=n2, n3=n3, dims=dims)
 
 
-def aligned_empty(shape: int | tuple[int, ...], first: int = 0) -> np.ndarray:
-    """np.empty(shape) of floats whose flat entry first starts on a 64-byte boundary.
+def aligned_empty(shape: int | tuple[int, ...]) -> np.ndarray:
+    """np.empty(shape) of floats that starts on a 64-byte boundary.
 
     The one allocator of the solver's and the analysis's work arrays.  malloc
     aligns a block to 16 bytes only, and numpy's vector loops write an output
@@ -101,7 +101,7 @@ def aligned_empty(shape: int | tuple[int, ...], first: int = 0) -> np.ndarray:
     """
     n = math.prod(shape) if isinstance(shape, tuple) else shape
     buf = np.empty(n + 7)
-    k = (-first - buf.ctypes.data // 8) % 8
+    k = -(buf.ctypes.data // 8) % 8
     return buf[k:k + n].reshape(shape)
 
 

@@ -20,15 +20,15 @@ stable_dt takes its scratch there too.  The work area makes rhs, stable_dt
 and step unsafe to call from concurrent threads on grids of one shape.
 
 The ring is flat, (rows, N) over its N cells, with strides (r2 r3, r3, 1)
-for ring extents (r1, r2, r3).  Once numpy has filled it, rhs's face passes
-run in one C kernel, _kernel.c: the pressure and sound speed, each axis's
-Euler flux, Rusanov face flux, viscous stress and heat term, and the flux
-divergence into the tendency, at the faces and cells the grid has.  The
-first of its two calls writes the face temperatures, which numpy raises to
-the power alpha in place before the second.  The kernel is compiled with
-the system C compiler (cc) on the first solver call of a process that does
-not find it built, into __pycache__ next to this file, and loaded through
-ctypes; importing rarefan neither builds nor loads it.
+for ring extents (r1, r2, r3).  Once numpy has filled it, the rest of rhs
+is one call of a C kernel, _kernel.c: the pressure and sound speed, each
+axis's Euler flux, Rusanov face flux, viscous stress and heat term, the
+flux divergence into the tendency, at the faces and cells the grid has, and
+the boundary flux.  A face's theta^alpha is sqrt at alpha = 0.5 and libm's
+pow otherwise, and each x1 end plane is summed in order.  The kernel is
+compiled with the system C compiler (cc) on the first solver call of a
+process that does not find it built, into __pycache__ next to this file,
+and loaded through ctypes; importing rarefan neither builds nor loads it.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ class _Stage:
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # the kernel library is built here, under a name keyed by the source and the flags
 _BUILD_DIR = _KERNEL_SOURCE.parent / "__pycache__"
-# no -ffast-math or -march=native: rhs must keep every rounding of the numpy
-# sequence the kernel replaced, and no product may fuse with a sum
+# no -ffast-math or -march=native: rhs must keep every rounding of the
+# reference's numpy expressions, and no product may fuse with a sum
 _CC = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 
@@ -209,17 +209,15 @@ class _Layout(ctypes.Structure):
 
     _fields_ = [("n", ctypes.c_int64 * 3), ("stride", ctypes.c_int64 * 3),
                 ("active", ctypes.c_int64 * 3), ("N", ctypes.c_int64),
-                *((name, ctypes.c_void_p) for name in ("state", "p", "c", "pw", "F", "ends"))]
+                *((name, ctypes.c_void_p) for name in ("state", "p", "c", "F"))]
 
 
 @functools.cache
 def _kernel() -> ctypes.CDLL:
-    """The face-pass kernel, built on first use and loaded once per process."""
+    """rhs's kernel, built on first use and loaded once per process."""
     lib = ctypes.CDLL(str(_kernel_path(_KERNEL_SOURCE, _BUILD_DIR)))
-    lib.rk_prepare.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_int)
-    lib.rk_prepare.restype = ctypes.c_int
-    lib.rk_faces.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_double,) * 7
-    lib.rk_faces.restype = None
+    lib.rk_rhs.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_double,) * 11
+    lib.rk_rhs.restype = ctypes.c_int
     return lib
 
 
@@ -228,13 +226,13 @@ class _Workspace:
     with the views rhs reads and writes and the kernel's layout, bound once.
 
     The ring-sized arrays are flat, (rows, N), and filled through a (rows,) +
-    ring view.  The kernel reads the ring and writes p, c, pw, F and the x1
-    end faces, only at the cells and faces the grid has; no result reads an
-    entry that the current call did not write.  Every array comes from
-    fields.aligned_empty and starts on a 64-byte boundary.  k and r are
-    step's registers: k receives each stage's tendency, r holds the stage
-    states U1 and U2 (and 0.75 U0 on the way), which are copied into the
-    ring's conserved rows for rhs to compute their primitives there.
+    ring view.  The kernel reads the ring and writes p, c and F, only at the
+    cells and faces the grid has; no result reads an entry that the current
+    call did not write.  Every array comes from fields.aligned_empty and
+    starts on a 64-byte boundary.  k and r are step's registers: k receives
+    each stage's tendency, r holds the stage states U1 and U2 (and 0.75 U0
+    on the way), which are copied into the ring's conserved rows for rhs to
+    compute their primitives there.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
@@ -272,23 +270,13 @@ class _Workspace:
         self.dt_scratch = self.c[:cells], self.speed[:cells], self.p[:cells]
         self.finite = np.empty((2,) + shape, dtype=bool)
 
-        # the kernel's face arrays: theta_face, raised to alpha in place,
-        # at the faces of each active axis in turn; one axis's face fluxes;
-        # the first and last x1 faces, summed over n2 n3 transverse cells
-        self.pw = aligned_empty(sum(cells // shape[ax] * (shape[ax] + 1) for ax in active))
+        # the kernel's face fluxes, one axis at a time
         self.F = aligned_empty((5, N))
-        m = shape[1] * shape[2]
-        self.ends_in = aligned_empty((5, 2, m))
-        self.summed_ends = m > 1
-        self.ends = aligned_empty((5, 2)) if self.summed_ends else self.ends_in.reshape(5, 2)
-        self.ends_first, self.ends_last = self.ends[:, 0], self.ends[:, 1]
 
-        lib = _kernel()
-        self.prepare, self.faces = lib.rk_prepare, lib.rk_faces
+        self.kernel = _kernel().rk_rhs
         self.layout = _Layout(shape, (ring[1] * ring[2], ring[2], 1),
                               tuple(int(ax in active) for ax in range(3)), N,
-                              *(a.ctypes.data for a in (self.state, self.p, self.c, self.pw,
-                                                         self.F, self.ends_in)))
+                              *(a.ctypes.data for a in (self.state, self.p, self.c, self.F)))
         self.layout_addr, self.k_addr = ctypes.addressof(self.layout), self.k.ctypes.data
 
 
@@ -342,26 +330,16 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
         raise RunAbort("nonpositive density entering rhs")
     ws = _workspace(grid.shape)
     _ringed_state(ws, fs, g, ghost_source, tt)
-    visc = cfg.visc_mult
-    if ws.prepare(ws.layout_addr, g.R, g.gamma * g.R, visc > 0.0):
-        raise RunAbort("nonpositive temperature entering rhs")
-    if visc > 0.0:
-        # numpy's power, not libm's pow: they differ in the last bit
-        ws.pw **= g.alpha
     if out is None:
         out = np.empty(ws.tend_shape)
     elif out.shape != ws.tend_shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float array shaped like the tendency")
-    ws.faces(ws.layout_addr, ws.k_addr if out is ws.k else out.ctypes.data, *grid.spacing,
-             g.mu1, g.lambda1, g.kappa1, visc)
-
-    # bflux = 0 + (first - last) area, the x1 end faces summed pairwise over
-    # the transverse cells; += 0.0 keeps that sign of zero
-    if ws.summed_ends:
-        np.add.reduce(ws.ends_in, axis=2, out=ws.ends)
-    bflux = np.subtract(ws.ends_first, ws.ends_last)
-    bflux *= grid.cell_volume / grid.spacing[0]
-    bflux += 0.0
+    bflux = np.empty(5)
+    dx = grid.spacing
+    if ws.kernel(ws.layout_addr, ws.k_addr if out is ws.k else out.ctypes.data,
+                 bflux.ctypes.data, *dx, g.R, g.gamma * g.R, g.mu1, g.lambda1, g.kappa1,
+                 g.alpha, cfg.visc_mult, grid.cell_volume / dx[0]):
+        raise RunAbort("nonpositive temperature entering rhs")
     return out, bflux
 
 
