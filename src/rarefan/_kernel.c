@@ -1,21 +1,32 @@
-/* rarefan.solver.rhs on the ghost-ringed state, in one call.
+/* rarefan.solver.rhs of a conserved stack, in one call.
 
-   rk_rhs checks the temperature and forms the pressure and sound speed of
-   every ring cell; then, axis by axis, the Rusanov flux, viscous stress
-   (with the cross differences) and heat term at the faces and the flux
-   divergence into the tendency; and the net inflow through the two x1
-   boundaries.
+   rk_rhs checks the density (returning 1 if some cell has rho <= 0),
+   fills the ghost-ringed state from the conserved stack U, checks the
+   temperature (returning 2 if some ring cell has theta <= 0) and forms
+   the pressure and sound speed of every ring cell; then, axis by axis,
+   the Rusanov flux, viscous stress (with the cross differences) and heat
+   term at the faces and the flux divergence into the tendency; and the
+   net inflow through the two x1 boundaries.
+
+   The fill follows tests/test_solver.py's _ref_ringed_state.  Each interior
+   cell's primitives come first, in FieldSet.primitives' order: u = m / rho,
+   theta = (E / rho - ((u1 u1 + u2 u2) + u3 u3) 0.5) cth with the one
+   constant cth = (gamma - 1) / R, then its conserved values.  Then each
+   active axis in turn, x1 first, wraps over the whole ring: its ghost
+   planes 0 and n + 1 copy planes n and 1, so corner cells are
+   wrap-of-wrap.  Given ghost columns, x1 does not wrap; its two ghost
+   planes take the columns after the transverse wraps.
 
    Each formula performs the operations of its plain numpy expression in
-   tests/test_solver.py's allocating reference, in that order and with its
-   signed-zero steps (the divergence is 0 - d, a stress entry with no cross
-   term dn + 0.0), so the tendency equals the reference bit for bit.  Two
-   rules are the kernel's own, and the reference follows them: a face's
-   theta^alpha is sqrt at alpha = 0.5, which is also numpy's ** 0.5, and
-   libm's pow otherwise; and each x1 end plane is summed in order over its
-   transverse cells.  rarefan.solver compiles this file with
-   -ffp-contract=off and without -ffast-math, so that no product and sum
-   fuse into one rounding and no operation is reordered.
+   that reference, in that order and with its signed-zero steps (the
+   divergence is 0 - d, a stress entry with no cross term dn + 0.0), so the
+   tendency equals the reference bit for bit.  Two rules are the kernel's
+   own, and the reference follows them: a face's theta^alpha is sqrt at
+   alpha = 0.5, which is also numpy's ** 0.5, and libm's pow otherwise; and
+   each x1 end plane is summed in order over its transverse cells.
+   rarefan.solver compiles this file with -ffp-contract=off and without
+   -ffast-math, so that no product and sum fuse into one rounding and no
+   operation is reordered.
 
    The ring is flat, N cells with strides (r2 r3, r3, 1) for ring extents
    (r1, r2, r3); an active axis carries one ghost cell at each end, an
@@ -180,17 +191,70 @@ static void boundary_flux(const rk_work *w, double area, double *bflux)
     }
 }
 
-/* 1 if some ring cell has theta <= 0; else 0 once the tendency (5, n1, n2,
-   n3) is in out and the boundary flux (5,) in bflux */
-int rk_rhs(const rk_work *w, double *out, double *bflux, double dx0, double dx1, double dx2,
-           double R, double gR, double mu1, double lambda1, double kappa1, double alpha,
-           double visc, double area)
+/* the ring of U (5, n1, n2, n3) in C order; ghosts (10, 2), primitives
+   over conserved values, pins the x1 ghost planes, and NULL wraps x1 */
+static void fill(const rk_work *w, const double *U, const double *ghosts, double cth)
 {
-    const int64_t N = w->N;
+    const int64_t N = w->N, cells = w->n[0] * w->n[1] * w->n[2];
+    double *st = w->state;
+    const box b = span(w, -1);
+    int64_t j = 0;
+    for (int64_t i0 = b.lo[0]; i0 < b.hi[0]; i0++)
+        for (int64_t i1 = b.lo[1]; i1 < b.hi[1]; i1++) {
+            const int64_t row = i0 * b.st[0] + i1 * b.st[1];
+            for (int64_t i = row + b.lo[2]; i < row + b.hi[2]; i++, j++) {
+                const double rho = U[j];
+                double u[3];
+                for (int k = 0; k < 3; k++)
+                    u[k] = U[(1 + k) * cells + j] / rho;
+                st[i] = rho;
+                for (int k = 0; k < 3; k++)
+                    st[(1 + k) * N + i] = u[k];
+                st[4 * N + i] = (U[4 * cells + j] / rho
+                                 - ((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2]) * 0.5) * cth;
+                for (int k = 0; k < 5; k++)
+                    st[(5 + k) * N + i] = U[k * cells + j];
+            }
+        }
+    for (int a = ghosts ? 1 : 0; a < 3; a++) {
+        if (!w->active[a])
+            continue;
+        const int64_t s = w->stride[a], n = w->n[a];
+        for (int64_t o = 0; o < N; o += (n + 2) * s)
+            for (int k = 0; k < 10; k++) {
+                double *x = st + k * N + o;
+                for (int64_t i = 0; i < s; i++) {
+                    x[i] = x[n * s + i];
+                    x[(n + 1) * s + i] = x[s + i];
+                }
+            }
+    }
+    if (ghosts) {
+        const int64_t s = w->stride[0], last = (w->n[0] + 1) * s;
+        for (int k = 0; k < 10; k++)
+            for (int64_t i = 0; i < s; i++) {
+                st[k * N + i] = ghosts[2 * k];
+                st[k * N + last + i] = ghosts[2 * k + 1];
+            }
+    }
+}
+
+/* 1 if some cell of U has rho <= 0, 2 if some ring cell has theta <= 0;
+   else 0 once the tendency (5, n1, n2, n3) is in out and the boundary flux
+   (5,) in bflux */
+int rk_rhs(const rk_work *w, const double *U, const double *ghosts, double *out, double *bflux,
+           double dx0, double dx1, double dx2, double R, double gR, double cth, double mu1,
+           double lambda1, double kappa1, double alpha, double visc, double area)
+{
+    const int64_t N = w->N, cells = w->n[0] * w->n[1] * w->n[2];
+    for (int64_t j = 0; j < cells; j++)
+        if (U[j] <= 0.0)
+            return 1;
+    fill(w, U, ghosts, cth);
     const double *rho = w->state, *th = w->state + 4 * N;
     for (int64_t j = 0; j < N; j++)
         if (th[j] <= 0.0)
-            return 1;
+            return 2;
     for (int64_t j = 0; j < N; j++) {
         w->p[j] = R * rho[j] * th[j];
         w->c[j] = sqrt(gR * th[j]);

@@ -118,24 +118,6 @@ def conserved(g: GasParams, rho, u, theta) -> np.ndarray:
     return np.concatenate([rho[None], m, E[None]], axis=0)
 
 
-def primitives_into(g: GasParams, U: np.ndarray, prim: np.ndarray, usq: np.ndarray) -> None:
-    """Write the primitives (rho, u1, u2, u3, theta) of the conserved stack U into prim.
-
-    theta = (gamma - 1)/R (E/rho - 0.5 |u|^2): one division gives u and E/rho
-    in rows 1 to 4, |u|^2 = (u1^2 + u2^2) + u3^2 is summed from usq, a
-    scratch shaped like U[1:4], into rho's row before rho is copied there.
-    """
-    rho = U[0]
-    np.divide(U[1:5], rho, out=prim[1:5])
-    u, theta = prim[1:4], prim[4]
-    np.multiply(u, u, out=usq)
-    half_usq = np.add.reduce(usq, axis=0, out=prim[0])
-    half_usq *= 0.5
-    theta -= half_usq
-    theta *= (g.gamma - 1.0) / g.R
-    prim[0] = rho
-
-
 @dataclass(eq=False)
 class FieldSet:
     """Cell-averaged conserved fields on a SlabGrid, stacked as U = (rho, m1, m2, m3, E).
@@ -165,18 +147,30 @@ class FieldSet:
                    out: np.ndarray | None = None) -> np.ndarray:
         """Read-only stacked (rho, u1, u2, u3, theta), computed once per FieldSet.
 
-        usq, a C-contiguous (3, n1 n2 n3) scratch, spares the |u|^2 temporary;
-        out, a C-contiguous array shaped like U, receives the primitives when
-        they are computed.  The work runs on flat (rows, n1 n2 n3) views,
-        whose 1-D operations cost less than 3-D ones.
+        theta = (gamma - 1)/R (E/rho - 0.5 |u|^2): one division gives u and
+        E/rho in rows 1 to 4, |u|^2 = (u1^2 + u2^2) + u3^2 is summed from usq
+        into rho's row before rho is copied there, and the product with
+        (gamma - 1)/R comes last; the solver kernel's ring fill follows this
+        order.  usq, a C-contiguous (3, n1 n2 n3) scratch, spares the |u|^2
+        temporary; out, a C-contiguous array shaped like U, receives the
+        primitives when they are computed.  The work runs on flat (rows,
+        n1 n2 n3) views, whose 1-D operations cost less than 3-D ones.
         """
         if self._prim is None or self._prim[0] is not g:
             if out is not None and (out.shape != self.U.shape or not out.flags.c_contiguous):
                 raise ValueError("out must be a C-contiguous array shaped like U")
             prim = np.empty(self.U.shape) if out is None else out
             cells = prim[0].size
-            primitives_into(g, self.U.reshape(5, cells), prim.reshape(5, cells),
-                            np.empty((3, cells)) if usq is None else usq)
+            U, flat = self.U.reshape(5, cells), prim.reshape(5, cells)
+            rho = U[0]
+            np.divide(U[1:5], rho, out=flat[1:5])
+            u, theta = flat[1:4], flat[4]
+            usq = np.multiply(u, u, out=usq)
+            half_usq = np.add.reduce(usq, axis=0, out=flat[0])
+            half_usq *= 0.5
+            theta -= half_usq
+            theta *= (g.gamma - 1.0) / g.R
+            flat[0] = rho
             prim.flags.writeable = False
             self._prim = (g, prim)
         return self._prim[1]

@@ -8,24 +8,27 @@ in conserved total-energy form; temperature is always a derived view.  A step
 that leaves rho or theta below the constant positivity floor _FLOOR aborts.
 
 Each grid shape has one work area (the ghost-ringed state, its pressure
-and sound speed, the kernel's face arrays, and step's registers), allocated
-on the first rhs and reused by every stage of every step, so that a run does
-not hand its temporaries to the allocator and fault them in again each
-stage.  rhs fills it in place and writes the tendency into out=, an array
-the caller owns, or into a new one without out=; the boundary flux is always
-a new array.  step passes rhs its register k, copies each stage state into
-the ring's conserved rows and has rhs compute the stage's primitives there,
-so a step allocates only the state it returns and that state's primitives;
-stable_dt takes its scratch there too.  The work area makes rhs, stable_dt
-and step unsafe to call from concurrent threads on grids of one shape.
+and sound speed, the kernel's face arrays, the ghost columns, the boundary
+flux and step's registers), allocated on the first rhs and reused by every
+stage of every step, so that a run does not hand its temporaries to the
+allocator and fault them in again each stage.  rhs writes the tendency
+into out=, an array the caller owns, or into a new one without out=; the
+boundary flux is always a new array.  step passes rhs its register k, and
+each stage state as a FieldSet over its register r, so a step allocates
+only the state it returns and that state's primitives; stable_dt takes its
+scratch there too.  The work area makes rhs, stable_dt and step unsafe to
+call from concurrent threads on grids of one shape.
 
-The ring is flat, (rows, N) over its N cells, with strides (r2 r3, r3, 1)
-for ring extents (r1, r2, r3).  Once numpy has filled it, the rest of rhs
-is one call of a C kernel, _kernel.c: the pressure and sound speed, each
-axis's Euler flux, Rusanov face flux, viscous stress and heat term, the
-flux divergence into the tendency, at the faces and cells the grid has, and
-the boundary flux.  A face's theta^alpha is sqrt at alpha = 0.5 and libm's
-pow otherwise, and each x1 end plane is summed in order.  The kernel is
+rhs is one call of a C kernel, _kernel.c, given the address of the
+conserved stack and of the x1 ghost columns: the density check, the ring
+fill (the interior's primitives and conserved values, the periodic wraps,
+the pinned x1 planes), the temperature check, the pressure and sound speed,
+each axis's Euler flux, Rusanov face flux, viscous stress and heat term,
+the flux divergence into the tendency, at the faces and cells the grid
+has, and the boundary flux.  The ring is flat, (rows, N) over its N cells,
+with strides (r2 r3, r3, 1) for ring extents (r1, r2, r3).  A face's
+theta^alpha is sqrt at alpha = 0.5 and libm's pow otherwise, and each x1
+end plane is summed in order.  The kernel is
 compiled with the system C compiler (cc) on the first solver call of a
 process that does not find it built, into __pycache__ next to this file,
 and loaded through ctypes; importing rarefan neither builds nor loads it.
@@ -43,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .gas import GasParams
-from .fields import FieldSet, SlabGrid, aligned_empty, conserved, primitives_into
+from .fields import FieldSet, SlabGrid, aligned_empty, conserved
 
 # SSP-RK3 expands to a convex combination of Euler steps with these weights
 _RK3_WEIGHTS = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
@@ -145,26 +148,6 @@ def _active_axes(shape: tuple[int, int, int]) -> tuple[int, ...]:
     return (0,) + tuple(ax for ax in (1, 2) if shape[ax] > 1)
 
 
-def _along(ax: int, index) -> tuple:
-    """Index of a stacked array picking index on spatial axis ax and everything elsewhere."""
-    out = [slice(None)] * 3
-    out[ax] = index
-    return (Ellipsis, *out)
-
-
-class _Stage:
-    """An SSP-RK3 stage that step has copied into the ring's conserved rows.
-
-    rhs, given it, computes the primitives there instead of copying a
-    FieldSet's in.  One per work area; step sets grid before each step, and
-    always passes rhs the stage time.
-    """
-
-    def __init__(self, rho: np.ndarray):
-        self.grid: SlabGrid | None = None
-        self.rho = rho
-
-
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 # the kernel library is built here, under a name keyed by the source and the flags
 _BUILD_DIR = _KERNEL_SOURCE.parent / "__pycache__"
@@ -216,23 +199,23 @@ class _Layout(ctypes.Structure):
 def _kernel() -> ctypes.CDLL:
     """rhs's kernel, built on first use and loaded once per process."""
     lib = ctypes.CDLL(str(_kernel_path(_KERNEL_SOURCE, _BUILD_DIR)))
-    lib.rk_rhs.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_double,) * 11
+    lib.rk_rhs.argtypes = (ctypes.c_void_p,) * 5 + (ctypes.c_double,) * 12
     lib.rk_rhs.restype = ctypes.c_int
     return lib
 
 
 class _Workspace:
     """The arrays rhs and step fill on one grid, allocated once per grid shape,
-    with the views rhs reads and writes and the kernel's layout, bound once.
+    with the kernel's layout and the addresses rhs passes it, bound once.
 
-    The ring-sized arrays are flat, (rows, N), and filled through a (rows,) +
-    ring view.  The kernel reads the ring and writes p, c and F, only at the
-    cells and faces the grid has; no result reads an entry that the current
-    call did not write.  Every array comes from fields.aligned_empty and
-    starts on a 64-byte boundary.  k and r are step's registers: k receives
-    each stage's tendency, r holds the stage states U1 and U2 (and 0.75 U0
-    on the way), which are copied into the ring's conserved rows for rhs to
-    compute their primitives there.
+    The ring-sized arrays are flat, (rows, N).  The kernel fills the ring
+    and writes p, c and F, only at the cells and faces the grid has; no
+    result reads an entry that the current call did not write.  rhs copies
+    a ghost source's columns into ghosts, and the kernel writes the boundary
+    flux into bflux.  Every array comes from fields.aligned_empty and starts
+    on a 64-byte boundary.  k and r are step's registers: k receives each
+    stage's tendency, r holds the stage states U1 and U2 (and 0.75 U0 on
+    the way), which rhs hands the kernel by r's address.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
@@ -242,31 +225,13 @@ class _Workspace:
         N = math.prod(ring)
         self.state = aligned_empty((10, N))
         self.p, self.c, self.speed = aligned_empty(N), aligned_empty(N), aligned_empty(N)
-        self.usq_ring = aligned_empty((3, N))
-        inner = (slice(None),) + tuple(slice(1, -1) if ax in active else slice(None)
-                                       for ax in range(3))
-        state = self.state.reshape((10,) + ring)
-        self.prim_in, self.U_in = state[0:5][inner], state[5:10][inner]
-        # ghost planes 0 and n + 1 of each active axis and their periodic
-        # sources n and 1, as one stepped view each, and a buffer of the
-        # sources' shape: numpy cannot prove two stepped views of one array
-        # disjoint, so assigning one to the other would copy the source into
-        # a new temporary on every fill
-        self.wraps = []
-        for ax in active:
-            n = shape[ax]
-            sources = state[_along(ax, slice(n, 0, 1 - n))]
-            self.wraps.append((state[_along(ax, slice(0, None, n + 1))], sources,
-                               aligned_empty(sources.shape)))
-        # the x1 ghost planes 0 and n1 + 1 as (..., 10, 2) ghost columns
-        self.x1_columns = state[:, ::shape[0] + 1].transpose(2, 3, 0, 1)
+        self.ghosts, self.bflux = aligned_empty((10, 2)), aligned_empty(5)
 
         # step's registers, and stable_dt's scratch rows (the cells of c,
         # speed and p) and step's |u|^2 scratch, free between rhs calls
         self.k, self.r = aligned_empty(self.tend_shape), aligned_empty(self.tend_shape)
-        self.stage = _Stage(self.r[0])   # r holds the stage rhs is given
         cells = math.prod(shape)
-        self.usq = self.usq_ring.reshape(-1)[:3 * cells].reshape(3, cells)
+        self.usq = aligned_empty((3, cells))
         self.dt_scratch = self.c[:cells], self.speed[:cells], self.p[:cells]
         self.finite = np.empty((2,) + shape, dtype=bool)
 
@@ -277,37 +242,14 @@ class _Workspace:
         self.layout = _Layout(shape, (ring[1] * ring[2], ring[2], 1),
                               tuple(int(ax in active) for ax in range(3)), N,
                               *(a.ctypes.data for a in (self.state, self.p, self.c, self.F)))
-        self.layout_addr, self.k_addr = ctypes.addressof(self.layout), self.k.ctypes.data
+        self.layout_addr = ctypes.addressof(self.layout)
+        self.k_addr, self.r_addr, self.ghosts_addr, self.bflux_addr = (
+            a.ctypes.data for a in (self.k, self.r, self.ghosts, self.bflux))
 
 
 @functools.lru_cache(maxsize=8)
 def _workspace(shape: tuple[int, int, int]) -> _Workspace:
     return _Workspace(shape)
-
-
-def _ringed_state(ws: _Workspace, fs: FieldSet | _Stage, g: GasParams,
-                  ghost_source: GhostSource | None, t: float) -> None:
-    """Fill ws.state with primitives (rho, u, theta) over U, one ghost ring on active axes.
-
-    Transverse directions wrap.  x1 carries the ghost columns supplied by
-    ghost_source, or wraps too when it is None.  Axes are filled in order over
-    the full ring, so corner cells are wrap-of-wrap on the torus and x1 ghost
-    values on pinned runs.  Inactive axes stay single-cell wide.  The interior
-    of the last five rows is fs.U; a stage is already there, and its
-    primitives are computed on whole ring rows, the ghosts left by the last
-    fill included.  Every entry is written, so whatever state held before
-    does not matter.
-    """
-    if fs is ws.stage:
-        primitives_into(g, ws.state[5:10], ws.state[0:5], ws.usq_ring)
-    else:
-        ws.prim_in[...] = fs.primitives(g)
-        ws.U_in[...] = fs.U
-    for ghosts, sources, buf in (ws.wraps if ghost_source is None else ws.wraps[1:]):
-        np.copyto(buf, sources)
-        np.copyto(ghosts, buf)
-    if ghost_source is not None:
-        ws.x1_columns[...] = ghost_source(t)
 
 
 def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
@@ -322,25 +264,29 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     ghost_source pins the x1 ghosts at time t; None wraps x1 (a torus run).
     The tendency is written into out, a C-contiguous float array of its
     shape, when given, else into a new array; the boundary flux is a new
-    array.  Both are the caller's; the work arrays are the grid's.
+    array.  Both are the caller's; the work arrays are the grid's.  Raises
+    RunAbort if a cell has rho <= 0 or a ring cell theta <= 0.
     """
-    tt = fs.time if t is None else t
     grid = fs.grid
-    if np.fmin.reduce(fs.rho, axis=None) <= 0.0:
-        raise RunAbort("nonpositive density entering rhs")
     ws = _workspace(grid.shape)
-    _ringed_state(ws, fs, g, ghost_source, tt)
     if out is None:
         out = np.empty(ws.tend_shape)
     elif out.shape != ws.tend_shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float array shaped like the tendency")
-    bflux = np.empty(5)
+    # held for the call: the kernel reads U through its address
+    U = np.ascontiguousarray(fs.U, dtype=np.float64)
+    ghosts = None
+    if ghost_source is not None:
+        ws.ghosts[...] = ghost_source(fs.time if t is None else t)
+        ghosts = ws.ghosts_addr
     dx = grid.spacing
-    if ws.kernel(ws.layout_addr, ws.k_addr if out is ws.k else out.ctypes.data,
-                 bflux.ctypes.data, *dx, g.R, g.gamma * g.R, g.mu1, g.lambda1, g.kappa1,
-                 g.alpha, cfg.visc_mult, grid.cell_volume / dx[0]):
-        raise RunAbort("nonpositive temperature entering rhs")
-    return out, bflux
+    err = ws.kernel(ws.layout_addr, ws.r_addr if U is ws.r else U.ctypes.data, ghosts,
+                    ws.k_addr if out is ws.k else out.ctypes.data, ws.bflux_addr, *dx,
+                    g.R, g.gamma * g.R, (g.gamma - 1.0) / g.R, g.mu1, g.lambda1, g.kappa1,
+                    g.alpha, cfg.visc_mult, grid.cell_volume / dx[0])
+    if err:
+        raise RunAbort(f"nonpositive {'density' if err == 1 else 'temperature'} entering rhs")
+    return out, ws.bflux.copy()
 
 
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
@@ -402,10 +348,9 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     """One SSP-RK3 step; dt may be forced (paired-run tests), else from stable_dt.
 
     Each tendency goes into the work area's register k and each stage state
-    U1, U2 into its register r, which is copied into the ring's conserved
-    rows, where the next rhs computes the stage's primitives; only the result
-    and its primitives are new arrays.  The result's primitives feed the
-    diagnostics here and the next step's stable_dt and first rhs.  The
+    U1, U2 into its register r, which the next rhs reads in place; only the
+    result and its primitives are new arrays.  The result's primitives feed
+    the diagnostics here and the next step's stable_dt.  The
     in-place forms evaluate U0 + dt k1, 0.75 U0 + 0.25 (U1 + dt k2) and
     (U0 + 2 (U2 + dt k3)) / 3 operation by operation in that order, and the
     boundary flux sum_i w_i dt b_i from 0.
@@ -419,26 +364,24 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
     t0 = fs.time
     U0 = fs.U
-    k, r, stage, U_stage = ws.k, ws.r, ws.stage, ws.U_in
-    stage.grid = fs.grid
+    k, r = ws.k, ws.r
     w1, w2, w3 = _RK3_WEIGHTS
 
     _, bflux = rhs(fs, g, cfg, ghost_source, t=t0, out=k)
     bflux *= w1 * dt
     bflux += 0.0
     k *= dt
-    np.add(k, U0, out=r)
-    U_stage[...] = r                                 # U1
-    _, b = rhs(stage, g, cfg, ghost_source, t=t0 + dt, out=k)
+    np.add(k, U0, out=r)                             # U1
+    _, b = rhs(FieldSet(fs.grid, r, t0 + dt), g, cfg, ghost_source, t=t0 + dt, out=k)
     b *= w2 * dt
     bflux += b
     k *= dt
     k += r
     k *= 0.25
     np.multiply(0.75, U0, out=r)
-    r += k
-    U_stage[...] = r                                 # U2
-    _, b = rhs(stage, g, cfg, ghost_source, t=t0 + 0.5 * dt, out=k)
+    r += k                                           # U2
+    _, b = rhs(FieldSet(fs.grid, r, t0 + 0.5 * dt), g, cfg, ghost_source, t=t0 + 0.5 * dt,
+               out=k)
     b *= w3 * dt
     bflux += b
     k *= dt
