@@ -8,8 +8,9 @@
    term at the faces and the flux divergence into the tendency; and the
    net inflow through the two x1 boundaries.
 
-   The fill follows tests/test_solver.py's _ref_ringed_state.  Each interior
-   cell's primitives come first, in FieldSet.primitives' order: u = m / rho,
+   The fill follows the ghost ring of the allocating reference in
+   tests/test_solver.py.  Each interior cell's primitives come first, in
+   FieldSet.primitives' order: u = m / rho,
    theta = (E / rho - ((u1 u1 + u2 u2) + u3 u3) 0.5) cth with the one
    constant cth = (gamma - 1) / R, then its conserved values.  Then each
    active axis in turn, x1 first, wraps over the whole ring: its ghost
@@ -191,8 +192,8 @@ static void boundary_flux(const rk_work *w, double area, double *bflux)
     }
 }
 
-/* the ring of U (5, n1, n2, n3) in C order; ghosts (10, 2), primitives
-   over conserved values, pins the x1 ghost planes, and NULL wraps x1 */
+/* the ring of U (5, n1, n2, n3) in C order.  ghosts, (10, 2) columns of
+   primitives over conserved values, pins the x1 ghost planes; NULL wraps x1 */
 static void fill(const rk_work *w, const double *U, const double *ghosts, double cth)
 {
     const int64_t N = w->N, cells = w->n[0] * w->n[1] * w->n[2];
