@@ -25,9 +25,22 @@
    own, and the reference follows them: a face's theta^alpha is sqrt at
    alpha = 0.5, which is also numpy's ** 0.5, and libm's pow otherwise; and
    each x1 end plane is summed in order over its transverse cells.
-   rarefan.solver compiles this file with -ffp-contract=off and without
-   -ffast-math, so that no product and sum fuse into one rounding and no
-   operation is reordered.
+
+   The face and fill passes are vectorized, and the rule that keeps them so
+   is: the innermost loop of a pass is a row function, a loop over the
+   cells or faces of one row with no branch in its body, whose every row is
+   its own restrict parameter and whose axis, active axes and kind are
+   compile-time constants, so that the pass picks its instance once.  GCC
+   drops the restrict of an inlined function's parameters, so the function
+   that runs a row function's loops takes the rows as restrict parameters
+   of its own.  rarefan.solver compiles this file with -O3 -fno-math-errno
+   -ffp-contract=off and without -ffast-math or -march=native, for SSE2's
+   16-byte vectors.  That keeps every bit: each vector lane performs the
+   scalar IEEE operation, sqrt included (-fno-math-errno only lets it skip
+   errno, which nothing reads), no product and sum fuse into one rounding,
+   and no operation is reordered, so the in-order end-plane sums stay
+   scalar.  libm's pow has no vector form here, so the pow instances stay
+   scalar.
 
    The ring is flat, N cells with strides (r2 r3, r3, 1) for ring extents
    (r1, r2, r3); an active axis carries one ghost cell at each end, an
@@ -49,6 +62,11 @@ typedef struct {
     double *F;           /* (5, N): the current axis's face fluxes */
 } rk_work;
 
+/* the run's constants of the face fluxes */
+typedef struct {
+    double dx[3], mu1, lambda1, kappa1, alpha, visc;
+} coeffs;
+
 /* the loops of a pass over axis a's faces, or over the interior cells
    (a = -1): [lo, hi) and stride of each active axis, the innermost last, its
    stride 1; the unused outer loops run once at offset 0 */
@@ -68,90 +86,129 @@ static box span(const rk_work *w, int a)
     return b;
 }
 
-/* np.maximum */
-static double maximum(double x, double y)
+/* np.maximum, as a select */
+static inline double maximum(double x, double y)
 {
-    return (x >= y || x != x) ? x : y;
+    return (x >= y) | (x != x) ? x : y;
 }
 
-/* the faces of axis a into F.  Inlined with a constant a, so that each
-   axis's component loops unroll */
+/* the rows a face pass reads (the state's u, theta and conserved rows, p
+   and c), then the five flux rows it writes */
+#define FACE_ROWS                                                                       \
+    const double *restrict u1, const double *restrict u2, const double *restrict u3,    \
+        const double *restrict th, const double *restrict U0, const double *restrict U1, \
+        const double *restrict U2, const double *restrict U3, const double *restrict U4, \
+        const double *restrict p, const double *restrict c, double *restrict F0,        \
+        double *restrict F1, double *restrict F2, double *restrict F3, double *restrict F4
+#define FACE_ARGS u1, u2, u3, th, U0, U1, U2, U3, U4, p, c, F0, F1, F2, F3, F4
+
+/* the faces [lo, hi) of one row of axis a, on a grid whose active axes are
+   the bits of m (x1 is bit 0), with viscosity if vis, theta^alpha by sqrt
+   if sq */
 static inline __attribute__((always_inline)) void
-faces(const rk_work *w, const int a, const double dx[3], double mu1, double lambda1,
-      double kappa1, double alpha, double visc)
+face_row(const int64_t lo, const int64_t hi, const int a, const int m, const int vis,
+         const int sq, const int64_t stride[3], const coeffs *q, FACE_ROWS)
 {
-    const int64_t N = w->N, s = w->stride[a];
-    const double *u[3], *U[5], *th = w->state + 4 * N, *p = w->p, *c = w->c;
-    double *F = w->F;
-    for (int k = 0; k < 3; k++)
-        u[k] = w->state + (1 + k) * N;
-    for (int k = 0; k < 5; k++)
-        U[k] = w->state + (5 + k) * N;
+    const double *const u[3] = {u1, u2, u3}, *const U[5] = {U0, U1, U2, U3, U4};
+    double *const F[5] = {F0, F1, F2, F3, F4};
+    /* read before the loop: the stores to F could alias q and stride */
+    const int64_t s = stride[a], sb[3] = {stride[0], stride[1], stride[2]};
+    const double dx[3] = {q->dx[0], q->dx[1], q->dx[2]}, mu1 = q->mu1, lambda1 = q->lambda1,
+                 kappa1 = q->kappa1, alpha = q->alpha, visc = q->visc;
+    for (int64_t L = lo; L < hi; L++) {
+        const int64_t R = L + s;
+        const double unL = u[a][L], unR = u[a][R];
+        /* F = 0.5 (f(L) + f(R)) - 0.5 max(|un| + c) (U(R) - U(L)) */
+        const double sf = maximum(fabs(unL) + c[L], fabs(unR) + c[R]) * 0.5;
+        double f[5];
+        f[0] = (U[1 + a][L] + U[1 + a][R]) * 0.5 - (U[0][R] - U[0][L]) * sf;
+        for (int k = 0; k < 3; k++) {
+            double fL = U[1 + k][L] * unL, fR = U[1 + k][R] * unR;
+            if (k == a) {
+                fL += p[L];
+                fR += p[R];
+            }
+            f[1 + k] = (fL + fR) * 0.5 - (U[1 + k][R] - U[1 + k][L]) * sf;
+        }
+        f[4] = ((U[4][L] + p[L]) * unL + (U[4][R] + p[R]) * unR) * 0.5
+               - (U[4][R] - U[4][L]) * sf;
+
+        if (vis) {
+            /* tau = mu (dn_u + dc_ua) + lambda div u on a, dc_ua =
+               d u_a / d x_c: dn_ua on a, the face average of central
+               differences on the other active axes, 0 on the inactive */
+            const double thF = (th[L] + th[R]) * 0.5;
+            const double pwf = sq ? sqrt(thF) : pow(thF, alpha);
+            double uF[3], dn[3], tau[3];
+            for (int k = 0; k < 3; k++) {
+                uF[k] = (u[k][L] + u[k][R]) * 0.5;
+                dn[k] = (u[k][R] - u[k][L]) / dx[a];
+            }
+            double divu = dn[a];
+            for (int k = 0; k < 3; k++) {
+                if (k == a) {
+                    tau[k] = dn[k] + dn[k];
+                } else if (m >> k & 1) {
+                    const int64_t b = sb[k];
+                    const double h2 = 2.0 * dx[k];
+                    const double da = ((u[a][L + b] - u[a][L - b]) / h2
+                                       + (u[a][R + b] - u[a][R - b]) / h2) * 0.5;
+                    const double db = ((u[k][L + b] - u[k][L - b]) / h2
+                                       + (u[k][R + b] - u[k][R - b]) / h2) * 0.5;
+                    tau[k] = dn[k] + da;
+                    divu += db;
+                } else {
+                    tau[k] = dn[k] + 0.0;
+                }
+            }
+            const double mu = mu1 * pwf;
+            for (int k = 0; k < 3; k++)
+                tau[k] *= mu;
+            tau[a] += divu * (lambda1 * pwf);
+            const double dthdn = (th[R] - th[L]) / dx[a] * (kappa1 * pwf);
+            const double heat = (uF[0] * tau[0] + uF[1] * tau[1]) + uF[2] * tau[2] + dthdn;
+            for (int k = 0; k < 3; k++)
+                f[1 + k] -= tau[k] * visc;
+            f[4] -= heat * visc;
+        }
+        for (int k = 0; k < 5; k++)
+            F[k][L] = f[k];
+    }
+}
+
+/* the faces of axis a into F, row by row */
+static inline __attribute__((always_inline)) void
+faces(const rk_work *w, const int a, const int m, const int vis, const int sq, const coeffs *q,
+      FACE_ROWS)
+{
     const box b = span(w, a);
     for (int64_t i0 = b.lo[0]; i0 < b.hi[0]; i0++)
         for (int64_t i1 = b.lo[1]; i1 < b.hi[1]; i1++) {
             const int64_t row = i0 * b.st[0] + i1 * b.st[1];
-            for (int64_t L = row + b.lo[2]; L < row + b.hi[2]; L++) {
-                const int64_t R = L + s;
-                const double unL = u[a][L], unR = u[a][R];
-                /* F = 0.5 (f(L) + f(R)) - 0.5 max(|un| + c) (U(R) - U(L)) */
-                const double sf = maximum(fabs(unL) + c[L], fabs(unR) + c[R]) * 0.5;
-                double f[5];
-                f[0] = (U[1 + a][L] + U[1 + a][R]) * 0.5 - (U[0][R] - U[0][L]) * sf;
-                for (int k = 0; k < 3; k++) {
-                    double fL = U[1 + k][L] * unL, fR = U[1 + k][R] * unR;
-                    if (k == a) {
-                        fL += p[L];
-                        fR += p[R];
-                    }
-                    f[1 + k] = (fL + fR) * 0.5 - (U[1 + k][R] - U[1 + k][L]) * sf;
-                }
-                f[4] = ((U[4][L] + p[L]) * unL + (U[4][R] + p[R]) * unR) * 0.5
-                       - (U[4][R] - U[4][L]) * sf;
-
-                if (visc > 0.0) {
-                    /* tau = mu (dn_u + dc_ua) + lambda div u on a, dc_ua =
-                       d u_a / d x_c: dn_ua on a, the face average of central
-                       differences on the other active axes, 0 on the inactive */
-                    const double thF = (th[L] + th[R]) * 0.5;
-                    const double pwf = alpha == 0.5 ? sqrt(thF) : pow(thF, alpha);
-                    double uF[3], dn[3], tau[3];
-                    for (int k = 0; k < 3; k++) {
-                        uF[k] = (u[k][L] + u[k][R]) * 0.5;
-                        dn[k] = (u[k][R] - u[k][L]) / dx[a];
-                    }
-                    double divu = dn[a];
-                    for (int k = 0; k < 3; k++) {
-                        if (k == a) {
-                            tau[k] = dn[k] + dn[k];
-                        } else if (w->active[k]) {
-                            const int64_t sb = w->stride[k];
-                            const double h2 = 2.0 * dx[k];
-                            const double da = ((u[a][L + sb] - u[a][L - sb]) / h2
-                                               + (u[a][R + sb] - u[a][R - sb]) / h2) * 0.5;
-                            const double db = ((u[k][L + sb] - u[k][L - sb]) / h2
-                                               + (u[k][R + sb] - u[k][R - sb]) / h2) * 0.5;
-                            tau[k] = dn[k] + da;
-                            divu += db;
-                        } else {
-                            tau[k] = dn[k] + 0.0;
-                        }
-                    }
-                    const double mu = mu1 * pwf;
-                    for (int k = 0; k < 3; k++)
-                        tau[k] *= mu;
-                    tau[a] += divu * (lambda1 * pwf);
-                    const double dthdn = (th[R] - th[L]) / dx[a] * (kappa1 * pwf);
-                    const double heat = (uF[0] * tau[0] + uF[1] * tau[1]) + uF[2] * tau[2] + dthdn;
-                    for (int k = 0; k < 3; k++)
-                        f[1 + k] -= tau[k] * visc;
-                    f[4] -= heat * visc;
-                }
-                for (int k = 0; k < 5; k++)
-                    F[k * N + L] = f[k];
-            }
+            face_row(row + b.lo[2], row + b.hi[2], a, m, vis, sq, w->stride, q, FACE_ARGS);
         }
 }
+
+/* the face pass of axis a on a grid of active axes m, its kind (viscosity,
+   and sqrt or pow) picked once */
+#define FACES(a, m)                                                                    \
+    static void faces_##a##_##m(const rk_work *w, const coeffs *q, FACE_ROWS)          \
+    {                                                                                  \
+        if (!(q->visc > 0.0))                                                          \
+            faces(w, a, m, 0, 0, q, FACE_ARGS);                                        \
+        else if (q->alpha == 0.5)                                                      \
+            faces(w, a, m, 1, 1, q, FACE_ARGS);                                        \
+        else                                                                           \
+            faces(w, a, m, 1, 0, q, FACE_ARGS);                                        \
+    }
+FACES(0, 1) FACES(0, 3) FACES(0, 5) FACES(0, 7) FACES(1, 3) FACES(1, 7) FACES(2, 5) FACES(2, 7)
+
+/* the face pass of axis a by the active axes m, for the (a, m) a grid can have */
+static void (*const face_pass[3][8])(const rk_work *, const coeffs *, FACE_ROWS) = {
+    {[1] = faces_0_1, [3] = faces_0_3, [5] = faces_0_5, [7] = faces_0_7},
+    {[3] = faces_1_3, [7] = faces_1_7},
+    {[5] = faces_2_5, [7] = faces_2_7},
+};
 
 /* out = 0 - (F(i) - F(i - s)) / dx on the first axis, out - that on the
    others, over the interior cells i */
@@ -192,31 +249,56 @@ static void boundary_flux(const rk_work *w, double area, double *bflux)
     }
 }
 
-/* the ring of U (5, n1, n2, n3) in C order.  ghosts, (10, 2) columns of
-   primitives over conserved values, pins the x1 ghost planes; NULL wraps x1 */
-static void fill(const rk_work *w, const double *U, const double *ghosts, double cth)
+/* the primitives and conserved values of n cells: the five rows of U in,
+   the state's ten rows out */
+static inline __attribute__((always_inline)) void
+fill_row(const int64_t n, const double cth, const double *restrict U0,
+         const double *restrict U1, const double *restrict U2, const double *restrict U3,
+         const double *restrict U4, double *restrict rho, double *restrict u1,
+         double *restrict u2, double *restrict u3, double *restrict th, double *restrict V0,
+         double *restrict V1, double *restrict V2, double *restrict V3, double *restrict V4)
 {
-    const int64_t N = w->N, cells = w->n[0] * w->n[1] * w->n[2];
-    double *st = w->state;
+    for (int64_t i = 0; i < n; i++) {
+        const double r = U0[i], v1 = U1[i] / r, v2 = U2[i] / r, v3 = U3[i] / r;
+        rho[i] = r;
+        u1[i] = v1;
+        u2[i] = v2;
+        u3[i] = v3;
+        th[i] = (U4[i] / r - ((v1 * v1 + v2 * v2) + v3 * v3) * 0.5) * cth;
+        V0[i] = r;
+        V1[i] = U1[i];
+        V2[i] = U2[i];
+        V3[i] = U3[i];
+        V4[i] = U4[i];
+    }
+}
+
+/* the interior cells of the ring from U (5, n1, n2, n3) in C order, row by
+   row; S0..S9 are the state's rows */
+static void fill(const rk_work *w, const double cth, const double *restrict U0,
+                 const double *restrict U1, const double *restrict U2,
+                 const double *restrict U3, const double *restrict U4, double *restrict S0,
+                 double *restrict S1, double *restrict S2, double *restrict S3,
+                 double *restrict S4, double *restrict S5, double *restrict S6,
+                 double *restrict S7, double *restrict S8, double *restrict S9)
+{
     const box b = span(w, -1);
+    const int64_t n = b.hi[2] - b.lo[2];
     int64_t j = 0;
     for (int64_t i0 = b.lo[0]; i0 < b.hi[0]; i0++)
-        for (int64_t i1 = b.lo[1]; i1 < b.hi[1]; i1++) {
-            const int64_t row = i0 * b.st[0] + i1 * b.st[1];
-            for (int64_t i = row + b.lo[2]; i < row + b.hi[2]; i++, j++) {
-                const double rho = U[j];
-                double u[3];
-                for (int k = 0; k < 3; k++)
-                    u[k] = U[(1 + k) * cells + j] / rho;
-                st[i] = rho;
-                for (int k = 0; k < 3; k++)
-                    st[(1 + k) * N + i] = u[k];
-                st[4 * N + i] = (U[4 * cells + j] / rho
-                                 - ((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2]) * 0.5) * cth;
-                for (int k = 0; k < 5; k++)
-                    st[(5 + k) * N + i] = U[k * cells + j];
-            }
+        for (int64_t i1 = b.lo[1]; i1 < b.hi[1]; i1++, j += n) {
+            const int64_t i = i0 * b.st[0] + i1 * b.st[1] + b.lo[2];
+            fill_row(n, cth, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, S0 + i, S1 + i, S2 + i,
+                     S3 + i, S4 + i, S5 + i, S6 + i, S7 + i, S8 + i, S9 + i);
         }
+}
+
+/* the ghost ring around the filled interior.  ghosts, (10, 2) columns of
+   primitives over conserved values, pins the x1 ghost planes; NULL wraps x1 */
+static void ring(const rk_work *w, const double *ghosts)
+{
+    const int64_t N = w->N;
+    double *st = w->state;
     for (int a = ghosts ? 1 : 0; a < 3; a++) {
         if (!w->active[a])
             continue;
@@ -251,8 +333,12 @@ int rk_rhs(const rk_work *w, const double *U, const double *ghosts, double *out,
     for (int64_t j = 0; j < cells; j++)
         if (U[j] <= 0.0)
             return 1;
-    fill(w, U, ghosts, cth);
-    const double *rho = w->state, *th = w->state + 4 * N;
+    double *st = w->state;
+    fill(w, cth, U, U + cells, U + 2 * cells, U + 3 * cells, U + 4 * cells, st, st + N,
+         st + 2 * N, st + 3 * N, st + 4 * N, st + 5 * N, st + 6 * N, st + 7 * N, st + 8 * N,
+         st + 9 * N);
+    ring(w, ghosts);
+    const double *rho = st, *th = st + 4 * N;
     for (int64_t j = 0; j < N; j++)
         if (th[j] <= 0.0)
             return 2;
@@ -260,17 +346,18 @@ int rk_rhs(const rk_work *w, const double *U, const double *ghosts, double *out,
         w->p[j] = R * rho[j] * th[j];
         w->c[j] = sqrt(gR * th[j]);
     }
-    const double dx[3] = {dx0, dx1, dx2};
-    faces(w, 0, dx, mu1, lambda1, kappa1, alpha, visc);
-    boundary_flux(w, area, bflux);
-    divergence(w, 0, dx0, 1, out);
-    if (w->active[1]) {
-        faces(w, 1, dx, mu1, lambda1, kappa1, alpha, visc);
-        divergence(w, 1, dx1, 0, out);
-    }
-    if (w->active[2]) {
-        faces(w, 2, dx, mu1, lambda1, kappa1, alpha, visc);
-        divergence(w, 2, dx2, 0, out);
+    const coeffs q = {{dx0, dx1, dx2}, mu1, lambda1, kappa1, alpha, visc};
+    const int m = (int)(w->active[0] | w->active[1] << 1 | w->active[2] << 2);
+    double *F = w->F;
+    for (int a = 0; a < 3; a++) {
+        if (!w->active[a])
+            continue;
+        face_pass[a][m](w, &q, st + N, st + 2 * N, st + 3 * N, st + 4 * N, st + 5 * N,
+                        st + 6 * N, st + 7 * N, st + 8 * N, st + 9 * N, w->p, w->c, F, F + N,
+                        F + 2 * N, F + 3 * N, F + 4 * N);
+        if (a == 0)
+            boundary_flux(w, area, bflux);
+        divergence(w, a, q.dx[a], a == 0, out);
     }
     return 0;
 }
