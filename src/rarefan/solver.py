@@ -28,7 +28,10 @@ the flux divergence into the tendency, at the faces and cells the grid
 has, and the boundary flux.  The ring is flat, (rows, N) over its N cells,
 with strides (r2 r3, r3, 1) for ring extents (r1, r2, r3).  A face's
 theta^alpha is sqrt at alpha = 0.5 and libm's pow otherwise, and each x1
-end plane is summed in order.  The kernel is
+end plane is summed in order.  The face and fill passes run as vectorized
+rows, built at -O3 -fno-math-errno for SSE2's 16-byte vectors; each lane
+performs the scalar IEEE operation, so the bits are a scalar build's, and
+the pow rows stay scalar.  The kernel is
 compiled with the system C compiler (cc) on the first solver call of a
 process that does not find it built, into __pycache__ next to this file,
 and loaded through ctypes; importing rarefan neither builds nor loads it.
