@@ -32,15 +32,15 @@
    its own restrict parameter and whose axis, active axes and kind are
    compile-time constants, so that the pass picks its instance once.  GCC
    drops the restrict of an inlined function's parameters, so the function
-   that runs a row function's loops takes the rows as restrict parameters
-   of its own.  rarefan.solver compiles this file with -O3 -fno-math-errno
+   a row function is inlined into takes the rows as restrict parameters of
+   its own.  rarefan.solver compiles this file with -O3 -fno-math-errno
    -ffp-contract=off and without -ffast-math or -march=native, for SSE2's
    16-byte vectors.  That keeps every bit: each vector lane performs the
    scalar IEEE operation, sqrt included (-fno-math-errno only lets it skip
    errno, which nothing reads), no product and sum fuse into one rounding,
-   and no operation is reordered, so the in-order end-plane sums stay
-   scalar.  libm's pow has no vector form here, so the pow instances stay
-   scalar.
+   and no operation is reordered: GCC may load an end plane in vectors, but
+   sums it in order.  libm's pow has no vector form here, so the pow
+   instances stay scalar.
 
    The ring is flat, N cells with strides (r2 r3, r3, 1) for ring extents
    (r1, r2, r3); an active axis carries one ghost cell at each end, an

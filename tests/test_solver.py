@@ -824,7 +824,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
            "-o", str(tmp_path / "kernel.so"), str(source), "-lm"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    version = subprocess.run([solver._CC[0], "-v"], capture_output=True, text=True)
+    version = subprocess.run([solver._CC[0], "-v"], capture_output=True, text=True,
+                             timeout=60)
     if "gcc version" not in version.stderr:
         pytest.skip("the vectorizer report is GCC's")
     vectorized = proc.stderr.splitlines()
