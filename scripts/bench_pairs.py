@@ -46,7 +46,10 @@ Adds the workload's entry to ``BENCH_<topic>.json`` (in --out, default the
 current directory), so that one file holds several workloads: the machine,
 each side's median and quartiles of every end-to-end metric and of the
 faults, per pair the values and which side was better, and per metric the
-number of pairs the change won (ties count for neither side).
+number of pairs the change won (ties count for neither side). A metric with
+a ``bound`` in ``BENCHMARK.json`` carries ``over_bound``: true when the
+change's median is worse than the parent's by more than that fraction of
+it, which the summary also prints as a warning line.
 """
 
 from __future__ import annotations
@@ -126,16 +129,22 @@ def winner(pair: dict, name: str, direction: str) -> str:
     return "change" if (b < a) == (direction == "lower") else "parent"
 
 
-def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's quartiles, the change's wins and the median change."""
+def summarise(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per metric: each side's quartiles, the change's wins and the median
+    change, and for a metric in bounds whether that change is worse than its
+    bound."""
     out = {}
     for name, direction in better.items():
         side = {s: quartiles([p[s]["metrics"][name] for p in pairs]) for s in SIDES}
         wins = sum(p["better"][name] == "change" for p in pairs)
         base = side["parent"]["median"]
+        change = (side["change"]["median"] - base) / base if base else 0.0
         out[name] = {"better": direction, **side, "change_wins": wins, "pairs": len(pairs),
-                     "median_change": (side["change"]["median"] - base) / base if base else 0.0,
+                     "median_change": change,
                      "parent_iqr": side["parent"]["q3"] - side["parent"]["q1"]}
+        if name in bounds:
+            worse = change if direction == "lower" else -change
+            out[name]["over_bound"] = worse > bounds[name]
     return out
 
 
@@ -164,6 +173,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     better.update(minor_faults="lower", tree_cpu_s="lower", tree_max_rss_mb="lower",
                   tree_cpu_s_per_op="lower", minor_faults_per_op="lower")
 
@@ -194,7 +204,7 @@ def main(argv=None) -> int:
         "dirty": {s: src_dirty(roots[s]) for s in SIDES},
         "src_sha256": {s: provenance[s]["src_sha256"] for s in SIDES},
         "src_py_lines": {s: provenance[s]["src_py_lines"] for s in SIDES},
-        "summary": summarise(pairs, better),
+        "summary": summarise(pairs, better, bounds),
         "per_pair": pairs,
     }
     path = args.out / f"BENCH_{args.topic}.json"
@@ -205,6 +215,9 @@ def main(argv=None) -> int:
         print(f"{name}: parent {s['parent']['median']:.6g} (q1 {s['parent']['q1']:.6g}, "
               f"q3 {s['parent']['q3']:.6g}), change {s['change']['median']:.6g} "
               f"({s['median_change']:+.1%}), change better in {s['change_wins']}/{s['pairs']}")
+        if s.get("over_bound"):
+            print(f"WARNING: {name} moved {s['median_change']:+.1%}, worse than its bound "
+                  f"{bounds[name]:.0%} in BENCHMARK.json")
     print(f"wrote {path}")
     return 0
 

@@ -28,8 +28,10 @@ With one DIR, each call is timed with ``timeit``: the number of calls per
 repeat is the one ``Timer.autorange`` picks (at least 0.2 s), and the best
 of --repeats repeats is reported, in microseconds per call and nanoseconds
 per cell, next to the minor page faults per call over those repeats.
-``step`` is called on the same state every time, so each call does the
-same work: one ``stable_dt`` and three ``rhs``.
+``rhs``, ``stable_dt`` and ``step`` are timed on each case; ``step`` is
+called on the same state every time, so each call does the same work: one
+``stable_dt``, three ``rhs`` and the stages, whose cost is what ``step``
+takes beyond one ``stable_dt`` and three ``rhs``.
 
 The sections are built and timed in order: the analysis calls first, with
 only the slab256x32 state built, then the fan-out calls, then the solver
@@ -186,6 +188,8 @@ def calls(root: Path, pkg: str):
     for name, (fs, g, cfg, ghost) in cases(root, pkg).items():
         out["cases", name, "rhs"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
                                      solver.rhs(fs, g, cfg, ghost, t=fs.time))
+        out["cases", name, "stable_dt"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg:
+                                           solver.stable_dt(fs, g, cfg))
         out["cases", name, "step"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
                                       solver.step(fs, g, cfg, ghost))
     yield "cases", out

@@ -1,46 +1,56 @@
-/* rarefan.solver.rhs of a conserved stack, in one call.
+/* rarefan.solver's rhs, stable_dt and SSP-RK3 stages of a conserved stack.
 
-   rk_rhs checks the density (returning 1 if some cell has rho <= 0),
-   fills the ghost-ringed state from the conserved stack U, checks the
-   temperature (returning 2 if some ring cell has theta <= 0) and forms
-   the pressure and sound speed of every ring cell; then, axis by axis,
-   the Rusanov flux, viscous stress (with the cross differences) and heat
-   term at the faces and the flux divergence into the tendency; and the
-   net inflow through the two x1 boundaries.
+   Three entries.  rk_rhs checks the density (returning 1 if some cell has
+   rho <= 0), fills the ghost-ringed state from the conserved stack U,
+   checks the temperature (returning 2 if some ring cell has theta <= 0)
+   and forms the pressure and sound speed of every ring cell; then, axis by
+   axis, the Rusanov flux, viscous stress (with the cross differences) and
+   heat term at the faces and the flux divergence into the tendency; and
+   the net inflow through the two x1 boundaries.  rk_dt reduces U's cells
+   to stable_dt's limits: each axis's max(|u_a| + c) and the largest
+   diffusivity.  rk_stage forms one SSP-RK3 stage state from step's
+   registers, adds that stage's share of the boundary flux, and on the last
+   stage writes the result and returns its min rho, min theta and whether
+   its rho and E rows are finite.
 
-   The fill follows the ghost ring of the allocating reference in
-   tests/test_solver.py.  Each interior cell's primitives come first, in
-   FieldSet.primitives' order: u = m / rho,
-   theta = (E / rho - ((u1 u1 + u2 u2) + u3 u3) 0.5) cth with the one
-   constant cth = (gamma - 1) / R, then its conserved values.  Then each
-   active axis in turn, x1 first, wraps over the whole ring: its ghost
-   planes 0 and n + 1 copy planes n and 1, so corner cells are
+   Every primitive comes from one helper, theta() after u = m / rho, in
+   FieldSet.primitives' order: theta = (E / rho - ((u1 u1 + u2 u2) + u3 u3)
+   0.5) cth with the one constant cth = (gamma - 1) / R.  The fill follows
+   the ghost ring of the allocating reference in tests/test_solver.py.
+   Each interior cell's primitives come first, then its conserved values.
+   Then each active axis in turn, x1 first, wraps over the whole ring: its
+   ghost planes 0 and n + 1 copy planes n and 1, so corner cells are
    wrap-of-wrap.  Given ghost columns, x1 does not wrap; its two ghost
    planes take the columns after the transverse wraps.
 
    Each formula performs the operations of its plain numpy expression in
    that reference, in that order and with its signed-zero steps (the
    divergence is 0 - d, a stress entry with no cross term dn + 0.0), so the
-   tendency equals the reference bit for bit.  Two rules are the kernel's
-   own, and the reference follows them: a face's theta^alpha is sqrt at
-   alpha = 0.5, which is also numpy's ** 0.5, and libm's pow otherwise; and
-   each x1 end plane is summed in order over its transverse cells.
+   tendency equals the reference bit for bit.  The stages keep step's
+   order: U1 = k1 dt + U0, U2 = 0.75 U0 + (k2 dt + U1) 0.25, U3 = ((k3 dt
+   + U2) 2 + U0) / 3, and the boundary flux b1 (w1 dt) + 0.0, then +=
+   b_i (w_i dt).  Maxima and minima are np.maximum's and np.minimum's
+   selects, which carry a NaN through; they are exact in any order, so
+   the reductions run lane by lane and fold the lanes last.  Two rules are
+   the kernel's own, and the reference follows them: theta^alpha is sqrt
+   at alpha = 0.5, which is also numpy's ** 0.5, and libm's pow otherwise;
+   and each x1 end plane is summed in order over its transverse cells.
 
-   The face and fill passes are vectorized, and the rule that keeps them so
-   is: the innermost loop of a pass is a row function, a loop over the
-   cells or faces of one row with no branch in its body, whose every row is
-   its own restrict parameter and whose axis, active axes and kind are
-   compile-time constants, so that the pass picks its instance once.  GCC
-   drops the restrict of an inlined function's parameters, so the function
-   a row function is inlined into takes the rows as restrict parameters of
-   its own.  rarefan.solver compiles this file with -O3 -fno-math-errno
-   -ffp-contract=off and without -ffast-math or -march=native, for SSE2's
-   16-byte vectors.  That keeps every bit: each vector lane performs the
-   scalar IEEE operation, sqrt included (-fno-math-errno only lets it skip
-   errno, which nothing reads), no product and sum fuse into one rounding,
-   and no operation is reordered: GCC may load an end plane in vectors, but
-   sums it in order.  libm's pow has no vector form here, so the pow
-   instances stay scalar.
+   The face, fill and stage passes are vectorized, and the rule that keeps
+   them so is: the innermost loop of a pass is a row function, a loop over
+   the cells or faces of one row with no branch in its body, whose every
+   row is its own restrict parameter and whose axis, active axes and kind
+   are compile-time constants, so that the pass picks its instance once.
+   GCC drops the restrict of an inlined function's parameters, so the
+   function a row function is inlined into takes the rows as restrict
+   parameters of its own.  rarefan.solver compiles this file with -O3
+   -fno-math-errno -ffp-contract=off and without -ffast-math or
+   -march=native, for SSE2's 16-byte vectors.  That keeps every bit: each
+   vector lane performs the scalar IEEE operation, sqrt included
+   (-fno-math-errno only lets it skip errno, which nothing reads), no
+   product and sum fuse into one rounding, and no operation is reordered:
+   GCC may load an end plane in vectors, but sums it in order.  libm's pow
+   has no vector form here, so the pow instances stay scalar.
 
    The ring is flat, N cells with strides (r2 r3, r3, 1) for ring extents
    (r1, r2, r3); an active axis carries one ghost cell at each end, an
@@ -60,6 +70,8 @@ typedef struct {
     double *state;       /* (10, N): rho, u1, u2, u3, theta, then rho, m1, m2, m3, E */
     double *p, *c;       /* (N,): pressure and sound speed */
     double *F;           /* (5, N): the current axis's face fluxes */
+    double *k, *r;       /* (5, cells): step's registers, the tendency and the stage state */
+    double *b, *sum;     /* (5,): rk_rhs's boundary flux and step's weighted sum of them */
 } rk_work;
 
 /* the run's constants of the face fluxes */
@@ -86,10 +98,21 @@ static box span(const rk_work *w, int a)
     return b;
 }
 
-/* np.maximum, as a select */
+/* np.maximum and np.minimum, as selects */
 static inline double maximum(double x, double y)
 {
     return (x >= y) | (x != x) ? x : y;
+}
+
+static inline double minimum(double x, double y)
+{
+    return (x <= y) | (x != x) ? x : y;
+}
+
+/* the temperature of a cell of energy E, density r and velocity v */
+static inline double theta(double E, double r, double v1, double v2, double v3, double cth)
+{
+    return (E / r - ((v1 * v1 + v2 * v2) + v3 * v3) * 0.5) * cth;
 }
 
 /* the rows a face pass reads (the state's u, theta and conserved rows, p
@@ -264,7 +287,7 @@ fill_row(const int64_t n, const double cth, const double *restrict U0,
         u1[i] = v1;
         u2[i] = v2;
         u3[i] = v3;
-        th[i] = (U4[i] / r - ((v1 * v1 + v2 * v2) + v3 * v3) * 0.5) * cth;
+        th[i] = theta(U4[i], r, v1, v2, v3, cth);
         V0[i] = r;
         V1[i] = U1[i];
         V2[i] = U2[i];
@@ -360,4 +383,187 @@ int rk_rhs(const rk_work *w, const double *U, const double *ghosts, double *out,
         divergence(w, a, q.dx[a], a == 0, out);
     }
     return 0;
+}
+
+/* the reductions run over blocks of LANES cells, a lane per cell */
+#define LANES 16
+
+/* the constants of stable_dt's limits */
+typedef struct {
+    double gR, cth, lon, kappa1, gm1, R, alpha, visc;
+} limits;
+
+/* fold n <= LANES cells into the lanes: each axis's |u_a| + c, c =
+   sqrt(max(theta, 0) gamma R), into s0, s1 and s2, and with viscosity (vis)
+   the diffusivity max(lon pw, kappa1 pw (gamma - 1) / R) visc / rho into d,
+   pw = theta^alpha by sqrt if sq */
+static inline __attribute__((always_inline)) void
+dt_lanes(const int64_t n, const int vis, const int sq, const limits *q, const double *restrict U0,
+         const double *restrict U1, const double *restrict U2, const double *restrict U3,
+         const double *restrict U4, double *restrict s0, double *restrict s1, double *restrict s2,
+         double *restrict d)
+{
+    const double gR = q->gR, cth = q->cth, lon = q->lon, kappa1 = q->kappa1, gm1 = q->gm1,
+                 R = q->R, alpha = q->alpha, visc = q->visc;
+    for (int64_t i = 0; i < n; i++) {
+        const double r = U0[i], v1 = U1[i] / r, v2 = U2[i] / r, v3 = U3[i] / r;
+        const double th = theta(U4[i], r, v1, v2, v3, cth), c = sqrt(maximum(th, 0.0) * gR);
+        s0[i] = maximum(s0[i], fabs(v1) + c);
+        s1[i] = maximum(s1[i], fabs(v2) + c);
+        s2[i] = maximum(s2[i], fabs(v3) + c);
+        if (vis) {
+            const double pw = sq ? sqrt(th) : pow(th, alpha);
+            d[i] = maximum(d[i], maximum(lon * pw, kappa1 * pw * gm1 / R) * visc / r);
+        }
+    }
+}
+
+/* fold n <= LANES cells of the result into the lanes: rho into mr, theta
+   into mt, and (rho - rho) + (E - E), 0 while both are finite and NaN
+   after, into nf */
+static inline __attribute__((always_inline)) void
+check_lanes(const int64_t n, const double cth, const double *restrict U0,
+            const double *restrict U1, const double *restrict U2, const double *restrict U3,
+            const double *restrict U4, double *restrict mr, double *restrict mt,
+            double *restrict nf)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double r = U0[i], v1 = U1[i] / r, v2 = U2[i] / r, v3 = U3[i] / r;
+        mr[i] = minimum(mr[i], r);
+        mt[i] = minimum(mt[i], theta(U4[i], r, v1, v2, v3, cth));
+        nf[i] += (r - r) + (U4[i] - U4[i]);
+    }
+}
+
+static double fold_max(const double *x)
+{
+    double m = x[0];
+    for (int j = 1; j < LANES; j++)
+        m = maximum(m, x[j]);
+    return m;
+}
+
+static double fold_min(const double *x)
+{
+    double m = x[0];
+    for (int j = 1; j < LANES; j++)
+        m = minimum(m, x[j]);
+    return m;
+}
+
+/* the limits of the cells of U's rows into lim, block by block */
+static inline __attribute__((always_inline)) void
+dt_blocks(const int64_t cells, const int vis, const int sq, const limits *q,
+          const double *restrict U0, const double *restrict U1, const double *restrict U2,
+          const double *restrict U3, const double *restrict U4, double *restrict lim)
+{
+    double s[4][LANES];
+    for (int a = 0; a < 4; a++)
+        for (int j = 0; j < LANES; j++)
+            s[a][j] = -INFINITY;
+    int64_t j = 0;
+    for (; j + LANES <= cells; j += LANES)
+        dt_lanes(LANES, vis, sq, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2],
+                 s[3]);
+    dt_lanes(cells - j, vis, sq, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2],
+             s[3]);
+    for (int a = 0; a < 4; a++)
+        lim[a] = fold_max(s[a]);
+}
+
+/* the limits by kind (no viscosity, sqrt or pow), picked once */
+static void dt_pass(const int64_t cells, const limits *q, const double *restrict U0,
+                    const double *restrict U1, const double *restrict U2,
+                    const double *restrict U3, const double *restrict U4, double *restrict lim)
+{
+    if (!(q->visc > 0.0))
+        dt_blocks(cells, 0, 0, q, U0, U1, U2, U3, U4, lim);
+    else if (q->alpha == 0.5)
+        dt_blocks(cells, 1, 1, q, U0, U1, U2, U3, U4, lim);
+    else
+        dt_blocks(cells, 1, 0, q, U0, U1, U2, U3, U4, lim);
+}
+
+/* stable_dt's limits of the conserved stack U (5, n1, n2, n3) in C order:
+   lim[a] = max(|u_a| + c) for a = 0, 1, 2 and, if visc > 0, lim[3] = the
+   largest diffusivity.  No work array is written */
+void rk_dt(const rk_work *w, const double *U, double gR, double cth, double lon, double kappa1,
+           double gm1, double R, double alpha, double visc, double *lim)
+{
+    const int64_t cells = w->n[0] * w->n[1] * w->n[2];
+    const limits q = {gR, cth, lon, kappa1, gm1, R, alpha, visc};
+    dt_pass(cells, &q, U, U + cells, U + 2 * cells, U + 3 * cells, U + 4 * cells, lim);
+}
+
+/* stage s of n state entries: U1 = k dt + U0 into r (s = 1), U2 = 0.75 U0
+   + (k dt + U1) 0.25 over U1 in r (s = 2), U3 = ((k dt + U2) 2 + U0) / 3
+   into out (s = 3) */
+static inline __attribute__((always_inline)) void
+stage_row(const int64_t n, const int s, const double dt, const double *restrict U0,
+          const double *restrict k, double *restrict r, double *restrict out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double kdt = k[i] * dt;
+        if (s == 1)
+            r[i] = kdt + U0[i];
+        else if (s == 2)
+            r[i] = 0.75 * U0[i] + (kdt + r[i]) * 0.25;
+        else
+            out[i] = ((kdt + r[i]) * 2.0 + U0[i]) / 3.0;
+    }
+}
+
+/* the stage pass, its stage picked once */
+static void stage_pass(const int64_t n, const int s, const double dt, const double *restrict U0,
+                       const double *restrict k, double *restrict r, double *restrict out)
+{
+    if (s == 1)
+        stage_row(n, 1, dt, U0, k, r, out);
+    else if (s == 2)
+        stage_row(n, 2, dt, U0, k, r, out);
+    else
+        stage_row(n, 3, dt, U0, k, r, out);
+}
+
+/* min rho and min theta of the result's cells into mins; 1 if its rho and
+   E rows are finite, else 0 */
+static int check(const int64_t cells, const double cth, const double *restrict U0,
+                 const double *restrict U1, const double *restrict U2, const double *restrict U3,
+                 const double *restrict U4, double *restrict mins)
+{
+    double mr[LANES], mt[LANES], nf[LANES];
+    for (int j = 0; j < LANES; j++) {
+        mr[j] = mt[j] = INFINITY;
+        nf[j] = 0.0;
+    }
+    int64_t j = 0;
+    for (; j + LANES <= cells; j += LANES)
+        check_lanes(LANES, cth, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, mr, mt, nf);
+    check_lanes(cells - j, cth, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, mr, mt, nf);
+    mins[0] = fold_min(mr);
+    mins[1] = fold_min(mt);
+    double bad = 0.0;
+    for (int i = 0; i < LANES; i++)
+        bad += nf[i];
+    return bad == 0.0;
+}
+
+/* stage s (1, 2 or 3) of an SSP-RK3 step of size dt from the conserved
+   stack U0, over the registers k (this stage's tendency) and r, and this
+   stage's share of the boundary flux b into sum.  The last stage writes the
+   result into out, its min rho and min theta into mins, and returns 1 if
+   its rho and E rows are finite, else 0; the others return 1 */
+int rk_stage(const rk_work *w, int s, const double *U0, double *out, double dt, double cth,
+             double *mins)
+{
+    static const double weight[3] = {1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0};
+    const double wdt = weight[s - 1] * dt;
+    for (int k = 0; k < 5; k++)
+        w->sum[k] = s == 1 ? w->b[k] * wdt + 0.0 : w->sum[k] + w->b[k] * wdt;
+    const int64_t cells = w->n[0] * w->n[1] * w->n[2];
+    stage_pass(5 * cells, s, dt, U0, w->k, w->r, out);
+    if (s < 3)
+        return 1;
+    return check(cells, cth, out, out + cells, out + 2 * cells, out + 3 * cells, out + 4 * cells,
+                 mins);
 }

@@ -143,30 +143,24 @@ class FieldSet:
     def copy(self) -> "FieldSet":
         return FieldSet(self.grid, self.U.copy(), self.time)
 
-    def primitives(self, g: GasParams, usq: np.ndarray | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
+    def primitives(self, g: GasParams) -> np.ndarray:
         """Read-only stacked (rho, u1, u2, u3, theta), computed once per FieldSet.
 
         theta = (gamma - 1)/R (E/rho - 0.5 |u|^2): one division gives u and
-        E/rho in rows 1 to 4, |u|^2 = (u1^2 + u2^2) + u3^2 is summed from usq
-        into rho's row before rho is copied there, and the product with
-        (gamma - 1)/R comes last; the solver kernel's ring fill follows this
-        order.  usq, a C-contiguous (3, n1 n2 n3) scratch, spares the |u|^2
-        temporary; out, a C-contiguous array shaped like U, receives the
-        primitives when they are computed.  The work runs on flat (rows,
+        E/rho in rows 1 to 4, |u|^2 = (u1^2 + u2^2) + u3^2 is summed into
+        rho's row before rho is copied there, and the product with
+        (gamma - 1)/R comes last; the solver kernel follows this order.  The
+        block comes from aligned_empty, and the work runs on flat (rows,
         n1 n2 n3) views, whose 1-D operations cost less than 3-D ones.
         """
         if self._prim is None or self._prim[0] is not g:
-            if out is not None and (out.shape != self.U.shape or not out.flags.c_contiguous):
-                raise ValueError("out must be a C-contiguous array shaped like U")
-            prim = np.empty(self.U.shape) if out is None else out
+            prim = aligned_empty(self.U.shape)
             cells = prim[0].size
             U, flat = self.U.reshape(5, cells), prim.reshape(5, cells)
             rho = U[0]
             np.divide(U[1:5], rho, out=flat[1:5])
             u, theta = flat[1:4], flat[4]
-            usq = np.multiply(u, u, out=usq)
-            half_usq = np.add.reduce(usq, axis=0, out=flat[0])
+            half_usq = np.add.reduce(u * u, axis=0, out=flat[0])
             half_usq *= 0.5
             theta -= half_usq
             theta *= (g.gamma - 1.0) / g.R

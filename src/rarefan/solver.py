@@ -9,32 +9,34 @@ that leaves rho or theta below the constant positivity floor _FLOOR aborts.
 
 Each grid shape has one work area (the ghost-ringed state, its pressure
 and sound speed, the kernel's face arrays, the ghost columns, the boundary
-flux and step's registers), allocated on the first rhs and reused by every
-stage of every step, so that a run does not hand its temporaries to the
-allocator and fault them in again each stage.  rhs writes the tendency
-into out=, an array the caller owns, or into a new one without out=; the
-boundary flux is always a new array.  step passes rhs its register k, and
-each stage state as a FieldSet over its register r, so a step allocates
-only the state it returns and that state's primitives; stable_dt takes its
-scratch there too.  The work area makes rhs, stable_dt and step unsafe to
-call from concurrent threads on grids of one shape.
+flux, step's registers k and r and its boundary-flux sum), allocated on
+the first solver call and reused by every stage of every step, so that a
+run does not hand its temporaries to the allocator and fault them in again
+each stage.  rhs writes the tendency into out=, an array the caller owns,
+or into a new one without out=; the boundary flux is always a new array.
+step passes rhs its register k, and each stage state as a FieldSet over
+its register r, so a step allocates only the state it returns.  The work
+area makes rhs, stable_dt and step unsafe to call from concurrent threads
+on grids of one shape.
 
-rhs is one call of a C kernel, _kernel.c, given the address of the
-conserved stack and of the x1 ghost columns: the density check, the ring
-fill (the interior's primitives and conserved values, the periodic wraps,
-the pinned x1 planes), the temperature check, the pressure and sound speed,
-each axis's Euler flux, Rusanov face flux, viscous stress and heat term,
-the flux divergence into the tendency, at the faces and cells the grid
-has, and the boundary flux.  The ring is flat, (rows, N) over its N cells,
-with strides (r2 r3, r3, 1) for ring extents (r1, r2, r3).  A face's
-theta^alpha is sqrt at alpha = 0.5 and libm's pow otherwise, and each x1
-end plane is summed in order.  The face and fill passes run as vectorized
-rows, built at -O3 -fno-math-errno for SSE2's 16-byte vectors; each lane
-performs the scalar IEEE operation, so the bits are a scalar build's, and
-the pow rows stay scalar.  The kernel is
-compiled with the system C compiler (cc) on the first solver call of a
-process that does not find it built, into __pycache__ next to this file,
-and loaded through ctypes; importing rarefan neither builds nor loads it.
+rhs, stable_dt and step's stages are calls of a C kernel, _kernel.c, given
+the address of the conserved stack.  rhs is one call: the density check,
+the ring fill (the interior's primitives and conserved values, the periodic
+wraps, the pinned x1 planes), the temperature check, the pressure and sound
+speed, each axis's Euler flux, Rusanov face flux, viscous stress and heat
+term, the flux divergence into the tendency, at the faces and cells the
+grid has, and the boundary flux.  stable_dt's per-cell maxima are one pass
+over the conserved stack, and each of step's stages one pass over its
+registers.  The ring is flat, (rows, N) over its N cells, with strides
+(r2 r3, r3, 1) for ring extents (r1, r2, r3).  theta^alpha is sqrt at
+alpha = 0.5 and libm's pow otherwise, and each x1 end plane is summed in
+order.  The face, fill and stage passes run as vectorized rows, built at
+-O3 -fno-math-errno for SSE2's 16-byte vectors; each lane performs the
+scalar IEEE operation, so the bits are a scalar build's, and the pow rows
+stay scalar.  The kernel is compiled with the system C compiler (cc) on
+the first solver call of a process that does not find it built, into
+__pycache__ next to this file, and loaded through ctypes; importing rarefan
+neither builds nor loads it.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ import numpy as np
 
 from .gas import GasParams
 from .fields import FieldSet, SlabGrid, aligned_empty, conserved
-
-# SSP-RK3 expands to a convex combination of Euler steps with these weights
-_RK3_WEIGHTS = (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0)
 
 # SSP-RK3 is stable on the negative real axis down to -2.5127..., the real
 # root of 1 + z + z^2/2 + z^3/6 = -1 (Gottlieb, Shu & Tadmor, SIAM Rev. 43
@@ -162,6 +161,14 @@ _BUILD_DIR = _KERNEL_SOURCE.parent / "__pycache__"
 _CC = ("cc", "-O3", "-fno-math-errno", "-fPIC", "-shared", "-ffp-contract=off")
 
 
+def _kernel_name(source: Path) -> str:
+    """The file name of the C source's shared library, keyed by its bytes and _CC."""
+    import hashlib
+
+    key = hashlib.sha256(source.read_bytes() + " ".join(_CC).encode()).hexdigest()[:16]
+    return f"{source.stem}-{key}.so"
+
+
 def _kernel_path(source: Path, build_dir: Path) -> Path:
     """The shared library of the C source in build_dir, compiled if absent.
 
@@ -169,13 +176,10 @@ def _kernel_path(source: Path, build_dir: Path) -> Path:
     processes that build it at once (a caller and its forked worker) each
     load a whole file.
     """
-    import hashlib
     import os
     import subprocess
 
-    text = source.read_bytes()
-    key = hashlib.sha256(text + " ".join(_CC).encode()).hexdigest()[:16]
-    lib = build_dir / f"{source.stem}-{key}.so"
+    lib = build_dir / _kernel_name(source)
     if lib.exists():
         return lib
     build_dir.mkdir(parents=True, exist_ok=True)
@@ -198,30 +202,39 @@ class _Layout(ctypes.Structure):
 
     _fields_ = [("n", ctypes.c_int64 * 3), ("stride", ctypes.c_int64 * 3),
                 ("active", ctypes.c_int64 * 3), ("N", ctypes.c_int64),
-                *((name, ctypes.c_void_p) for name in ("state", "p", "c", "F"))]
+                *((name, ctypes.c_void_p)
+                  for name in ("state", "p", "c", "F", "k", "r", "b", "sum"))]
 
 
 @functools.cache
 def _kernel() -> ctypes.CDLL:
-    """rhs's kernel, built on first use and loaded once per process."""
+    """The solver's kernel, built on first use and loaded once per process."""
     lib = ctypes.CDLL(str(_kernel_path(_KERNEL_SOURCE, _BUILD_DIR)))
     lib.rk_rhs.argtypes = (ctypes.c_void_p,) * 5 + (ctypes.c_double,) * 12
     lib.rk_rhs.restype = ctypes.c_int
+    lib.rk_dt.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_double,) * 8 + (ctypes.c_void_p,)
+    lib.rk_dt.restype = None
+    lib.rk_stage.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
+                             ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
+    lib.rk_stage.restype = ctypes.c_int
     return lib
 
 
 class _Workspace:
-    """The arrays rhs and step fill on one grid, allocated once per grid shape,
-    with the kernel's layout and the addresses rhs passes it, bound once.
+    """The arrays the kernel fills on one grid, allocated once per grid shape,
+    with the kernel's layout and the addresses the solver passes it, bound once.
 
-    The ring-sized arrays are flat, (rows, N).  The kernel fills the ring
-    and writes p, c and F, only at the cells and faces the grid has; no
-    result reads an entry that the current call did not write.  rhs copies
-    a ghost source's columns into ghosts, and the kernel writes the boundary
-    flux into bflux.  Every array comes from fields.aligned_empty and starts
-    on a 64-byte boundary.  k and r are step's registers: k receives each
-    stage's tendency, r holds the stage states U1 and U2 (and 0.75 U0 on
-    the way), which rhs hands the kernel by r's address.
+    The work area is nine blocks: the ring state, p, c, the ghost columns,
+    the boundary flux bflux, step's weighted sum of it (sum), step's
+    registers k and r, and the face fluxes F.  The ring-sized arrays are
+    flat, (rows, N).  The kernel fills the ring and writes p, c
+    and F, only at the cells and faces the grid has; no result reads an
+    entry that the current call did not write.  rhs copies a ghost source's
+    columns into ghosts, and the kernel writes the boundary flux into
+    bflux.  Every array comes from fields.aligned_empty and starts on a
+    64-byte boundary.  k receives each stage's tendency, r holds the stage
+    states U1 and U2, which rhs hands the kernel by r's address.  limits
+    and mins receive stable_dt's maxima and the result's minima.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
@@ -230,24 +243,20 @@ class _Workspace:
         ring = tuple(n + 2 if ax in active else n for ax, n in enumerate(shape))
         N = math.prod(ring)
         self.state = aligned_empty((10, N))
-        self.p, self.c, self.speed = aligned_empty(N), aligned_empty(N), aligned_empty(N)
-        self.ghosts, self.bflux = aligned_empty((10, 2)), aligned_empty(5)
-
-        # step's registers, and stable_dt's scratch rows (the cells of c,
-        # speed and p) and step's |u|^2 scratch, free between rhs calls
+        self.p, self.c = aligned_empty(N), aligned_empty(N)
+        self.ghosts, self.bflux, self.sum = aligned_empty((10, 2)), aligned_empty(5), \
+            aligned_empty(5)
         self.k, self.r = aligned_empty(self.tend_shape), aligned_empty(self.tend_shape)
-        cells = math.prod(shape)
-        self.usq = aligned_empty((3, cells))
-        self.dt_scratch = self.c[:cells], self.speed[:cells], self.p[:cells]
-        self.finite = np.empty((2,) + shape, dtype=bool)
-
         # the kernel's face fluxes, one axis at a time
         self.F = aligned_empty((5, N))
+        self.limits, self.mins = (ctypes.c_double * 4)(), (ctypes.c_double * 2)()
 
-        self.kernel = _kernel().rk_rhs
+        lib = _kernel()
+        self.kernel, self.dt_kernel, self.stage = lib.rk_rhs, lib.rk_dt, lib.rk_stage
         self.layout = _Layout(shape, (ring[1] * ring[2], ring[2], 1),
                               tuple(int(ax in active) for ax in range(3)), N,
-                              *(a.ctypes.data for a in (self.state, self.p, self.c, self.F)))
+                              *(a.ctypes.data for a in (self.state, self.p, self.c, self.F,
+                                                        self.k, self.r, self.bflux, self.sum)))
         self.layout_addr = ctypes.addressof(self.layout)
         self.k_addr, self.r_addr, self.ghosts_addr, self.bflux_addr = (
             a.ctypes.data for a in (self.k, self.r, self.ghosts, self.bflux))
@@ -296,26 +305,18 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
 
 
 def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, float]:
-    """(dt, max wave speed): min of the CFL step and the per-axis SSP-RK3 viscous step."""
+    """(dt, max wave speed): min of the CFL step and the per-axis SSP-RK3 viscous step.
+
+    The kernel reduces the cells in one pass over the conserved stack to each
+    axis's max(|u_a| + c), c = sqrt(max(theta, 0) gamma R), and the largest
+    diffusivity visc max(longitudinal pw, kappa pw (gamma - 1) / R) / rho,
+    pw = theta^alpha by the kernel's rule; a NaN carries through both.
+    """
     grid = fs.grid
-    c, speed, pw = _workspace(grid.shape).dt_scratch   # rhs refills c and p; speed is free
-    prim = fs.primitives(g).reshape(5, -1)   # flat rows: 1-D operations cost less
-    u, theta = prim[1:4], prim[4]
-    np.maximum(theta, 0.0, out=c)
-    c *= g.gamma * g.R
-    np.sqrt(c, out=c)
+    ws = _workspace(grid.shape)
     active = _active_axes(grid.shape)
     spacing = grid.spacing
-
-    max_speed = 0.0
-    dt_conv = np.inf
-    for ax in active:
-        np.abs(u[ax], out=speed)
-        speed += c
-        sp = float(np.maximum.reduce(speed, axis=None))
-        max_speed = max(max_speed, sp)
-        if sp > 0.0:
-            dt_conv = min(dt_conv, _CFL * spacing[ax] / sp)
+    visc = cfg.visc_mult
 
     # Viscous/heat symbol at the largest theta^alpha/rho, with q_a = 4/h_a^2, y_a =
     # sin^2(k_a h_a/2), s_a = sin(k_a h_a)/h_a, c = mu + lambda: velocity mu S I +
@@ -323,24 +324,29 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
     # y = 1 (s = 0) entry a is ((2 mu + lambda) f_a + mu (1 - f_a)) sum q, f_a =
     # q_a / sum q, largest on the finest axis; the cross terms lift it by at most
     # max(1, d c / (2c + d mu)), > 1 only in 3-D with lambda > 2 mu (README proof).
-    dt_visc = np.inf
-    if cfg.visc_mult > 0.0:
+    longitudinal = 0.0
+    if visc > 0.0:
         inv_h2 = sum(spacing[ax] ** -2 for ax in active)
         f = min(spacing[ax] for ax in active) ** -2 / inv_h2
         d, c = len(active), g.mu1 + g.lambda1
         longitudinal = max(1.0, d * c / (2.0 * c + d * g.mu1)) * (
             (2.0 * g.mu1 + g.lambda1) * f + g.mu1 * (1.0 - f))
-        # diff = visc max(longitudinal pw, kappa pw (gamma - 1) / R) / rho
-        pw[...] = theta
-        pw **= g.alpha      # the in-place power, like theta ** alpha, takes sqrt at 0.5
-        diff = np.multiply(longitudinal, pw, out=speed)
-        heat = np.multiply(g.kappa1, pw, out=pw)
-        heat *= g.gamma - 1.0
-        heat /= g.R
-        np.maximum(diff, heat, out=diff)
-        diff *= cfg.visc_mult
-        diff /= prim[0]
-        dmax = float(np.maximum.reduce(diff, axis=None))
+    U = np.ascontiguousarray(fs.U, dtype=np.float64)
+    ws.dt_kernel(ws.layout_addr, U.ctypes.data, g.gamma * g.R, (g.gamma - 1.0) / g.R,
+                 longitudinal, g.kappa1, g.gamma - 1.0, g.R, g.alpha, visc, ws.limits)
+    limits = ws.limits
+
+    max_speed = 0.0
+    dt_conv = np.inf
+    for ax in active:
+        sp = limits[ax]
+        max_speed = max(max_speed, sp)
+        if sp > 0.0:
+            dt_conv = min(dt_conv, _CFL * spacing[ax] / sp)
+
+    dt_visc = np.inf
+    if visc > 0.0:
+        dmax = limits[3]
         if dmax > 0.0:
             dt_visc = _VISC_FRACTION * _RK3_REAL_LIMIT / (4.0 * dmax * inv_h2)
 
@@ -353,11 +359,12 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
          dt_cap: float | None = None) -> tuple[FieldSet, StepDiagnostics]:
     """One SSP-RK3 step; dt may be forced (paired-run tests), else from stable_dt.
 
-    Each tendency goes into the work area's register k and each stage state
-    U1, U2 into its register r, which the next rhs reads in place; only the
-    result and its primitives are new arrays.  The result's primitives feed
-    the diagnostics here and the next step's stable_dt.  The
-    in-place forms evaluate U0 + dt k1, 0.75 U0 + 0.25 (U1 + dt k2) and
+    Each tendency goes into the work area's register k.  After each rhs the
+    kernel forms the stage state U1 or U2 in the register r, which the next
+    rhs reads in place, and adds the stage's share of the boundary flux; the
+    last stage writes the result, the one array a step allocates, with its
+    min rho, min theta and whether its rho and E are finite.  The stages
+    evaluate U0 + dt k1, 0.75 U0 + 0.25 (U1 + dt k2) and
     (U0 + 2 (U2 + dt k3)) / 3 operation by operation in that order, and the
     boundary flux sum_i w_i dt b_i from 0.
     """
@@ -369,51 +376,27 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
         raise RunAbort(f"time step underflow: dt = {dt:.3e}")
 
     t0 = fs.time
-    U0 = fs.U
-    k, r = ws.k, ws.r
-    w1, w2, w3 = _RK3_WEIGHTS
+    # held for the step: the kernel reads U0 through its address
+    U0 = np.ascontiguousarray(fs.U, dtype=np.float64)
+    u0, cth = U0.ctypes.data, (g.gamma - 1.0) / g.R
+    rhs(fs, g, cfg, ghost_source, t=t0, out=ws.k)
+    ws.stage(ws.layout_addr, 1, u0, None, dt, cth, None)
+    rhs(FieldSet(fs.grid, ws.r, t0 + dt), g, cfg, ghost_source, t=t0 + dt, out=ws.k)
+    ws.stage(ws.layout_addr, 2, u0, None, dt, cth, None)
+    rhs(FieldSet(fs.grid, ws.r, t0 + 0.5 * dt), g, cfg, ghost_source, t=t0 + 0.5 * dt,
+        out=ws.k)
+    U3 = aligned_empty(ws.tend_shape)
+    finite = ws.stage(ws.layout_addr, 3, u0, U3.ctypes.data, dt, cth, ws.mins)
 
-    _, bflux = rhs(fs, g, cfg, ghost_source, t=t0, out=k)
-    bflux *= w1 * dt
-    bflux += 0.0
-    k *= dt
-    np.add(k, U0, out=r)                             # U1
-    _, b = rhs(FieldSet(fs.grid, r, t0 + dt), g, cfg, ghost_source, t=t0 + dt, out=k)
-    b *= w2 * dt
-    bflux += b
-    k *= dt
-    k += r
-    k *= 0.25
-    np.multiply(0.75, U0, out=r)
-    r += k                                           # U2
-    _, b = rhs(FieldSet(fs.grid, r, t0 + 0.5 * dt), g, cfg, ghost_source, t=t0 + 0.5 * dt,
-               out=k)
-    b *= w3 * dt
-    bflux += b
-    k *= dt
-    k += r
-    k *= 2.0
-    k += U0
-    # the result and its primitives in one block: as two chunks, freed at the
-    # top of the heap a step later, glibc trimmed and faulted them in again
-    # (about 96 minor faults a step on the decay slab against 2).  Its row
-    # pitch is rounded up to 8 entries, so both halves start on the boundary
-    size = k.size
-    result = aligned_empty((2, size + -size % 8))
-    U3 = np.divide(k, 3.0, out=result[0, :size].reshape(k.shape))
-
-    out = FieldSet(fs.grid, U3, t0 + dt)
-    theta = out.primitives(g, usq=ws.usq, out=result[1, :size].reshape(k.shape))[4]
-    diag = StepDiagnostics(
-        dt=dt, max_speed=max_speed, min_rho=float(np.minimum.reduce(out.rho, axis=None)),
-        min_theta=float(np.minimum.reduce(theta, axis=None)), boundary_flux=bflux)
-    if not np.logical_and.reduce(np.isfinite(U3[::4], out=ws.finite), axis=None):  # rho, E
+    diag = StepDiagnostics(dt=dt, max_speed=max_speed, min_rho=ws.mins[0],
+                           min_theta=ws.mins[1], boundary_flux=ws.sum.copy())
+    if not finite:
         raise RunAbort("non-finite state after step", diag)
     if diag.min_rho < _FLOOR or diag.min_theta < _FLOOR:
         raise RunAbort(
             f"positivity floor hit: min rho {diag.min_rho:.3e}, min theta {diag.min_theta:.3e}",
             diag)
-    return out, diag
+    return FieldSet(fs.grid, U3, t0 + dt), diag
 
 
 def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,

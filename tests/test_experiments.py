@@ -323,6 +323,29 @@ def test_bench_pairs_counts_bytecode_not_the_kernel_library(tmp_path):
     assert bench_pairs.holds_bytecode(tmp_path)
 
 
+def test_bench_pairs_marks_a_median_worse_than_its_bound():
+    # a metric whose change median is worse than the parent's by more than
+    # its bound is marked, whichever direction is better; a gain, a loss
+    # within the bound and a metric without a bound are not
+    bench_pairs = _bench_pairs()
+    better = {"wall_s": "lower", "setup_s": "lower", "pass_ratio": "higher", "faults": "lower"}
+    sides = ([(1.0, 0.10, 1.0, 100), (0.7, 0.13, 0.9, 300)],
+             [(1.2, 0.12, 1.0, 100), (0.8, 0.16, 0.9, 300)],
+             [(1.1, 0.11, 1.0, 100), (0.75, 0.14, 1.0, 300)])
+    pairs = []
+    for values in sides:
+        pair = {s: {"metrics": dict(zip(better, v))} for s, v in zip(bench_pairs.SIDES, values)}
+        pair["better"] = {n: bench_pairs.winner(pair, n, d) for n, d in better.items()}
+        pairs.append(pair)
+    # setup_s +27%, pass_ratio -10%
+    out = bench_pairs.summarise(pairs, better, {"wall_s": 0.25, "setup_s": 0.25,
+                                                "pass_ratio": 0.05})
+    assert [out[n].get("over_bound") for n in better] == [False, True, True, None]
+    out = bench_pairs.summarise(pairs, better, {"wall_s": 0.25, "setup_s": 0.3,
+                                                "pass_ratio": 0.15})
+    assert [out[n].get("over_bound") for n in better] == [False, False, False, None]
+
+
 def test_diff_study_outputs_masks_run_fields(tmp_path):
     import subprocess
     import sys

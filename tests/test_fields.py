@@ -40,10 +40,9 @@ def test_primitive_views_roundtrip():
 
 
 
-def test_primitives_of_any_layout_and_into_out():
+def test_primitives_of_any_layout():
     # primitives work on flat row views: a Fortran-ordered or strided U must
-    # give the C-ordered U's primitives bitwise; out= receives them, and an
-    # out that is not a C-contiguous U-shaped array is refused
+    # give the C-ordered U's primitives bitwise
     grid = SlabGrid.torus(1.0, 6, 4, 3, dims=3)
     rng = np.random.default_rng(5)
     fs = FieldSet.from_primitives(grid, GAS, 1.0 + 0.3 * rng.random(grid.shape),
@@ -54,12 +53,6 @@ def test_primitives_of_any_layout_and_into_out():
     wide[..., 0] = fs.U
     for U in (np.asfortranarray(fs.U), wide[..., 0]):
         assert FieldSet(grid, U).primitives(GAS).tobytes() == want
-    out = np.empty((10,) + grid.shape)
-    prim = FieldSet(grid, fs.U).primitives(GAS, out=out[5:])
-    assert np.shares_memory(prim, out) and prim.tobytes() == want
-    for bad in (np.empty((5,) + grid.shape, order="F"), np.empty((4,) + grid.shape)):
-        with pytest.raises(ValueError):
-            FieldSet(grid, fs.U).primitives(GAS, out=bad)
 
 
 def test_binary_roundtrip(tmp_path):
