@@ -31,7 +31,11 @@ per cell, next to the minor page faults per call over those repeats.
 ``rhs``, ``stable_dt`` and ``step`` are timed on each case; ``step`` is
 called on the same state every time, so each call does the same work: one
 ``stable_dt``, three ``rhs`` and the stages, whose cost is what ``step``
-takes beyond one ``stable_dt`` and three ``rhs``.
+takes beyond one ``stable_dt`` and three ``rhs``. On ``line768``, ``run``
+is ``solver.run`` from its state over RUN_HORIZON time units (about 230
+steps), reported per step (``run_steps`` of them, counted once per tree):
+the loop that sets the ``line1d-sweep`` benchmark's wall time, each step
+on the state the last one returned, with ``run``'s own per-step cost.
 
 The sections are built and timed in order: the analysis calls first, with
 only the slab256x32 state built, then the fan-out calls, then the solver
@@ -95,6 +99,8 @@ ROUNDS = 31
 ROUND_SECONDS = 0.05
 # cold builds of the solver's kernel timed per tree
 KERNEL_BUILDS = 3
+# time units of the run row's solver.run on line768
+RUN_HORIZON = 0.05
 
 
 CASES = ("line384", "line768", "slab256x32", "slab256x32_alpha07", "box160x16x16")
@@ -172,26 +178,48 @@ def best_us(fn, repeats: int) -> tuple[float, float]:
     return best / number * 1e6, (_minflt() - f0) / (repeats * number)
 
 
+def run_steps(solver, fs, g, cfg, ghost) -> int:
+    """The steps of solver.run from fs over RUN_HORIZON, counted through the
+    module's step, which run calls."""
+    step, count = solver.step, [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return step(*args, **kwargs)
+    solver.step = counted
+    try:
+        solver.run(fs, g, cfg, RUN_HORIZON, ghost_source=ghost)
+    finally:
+        solver.step = step
+    return count[0]
+
+
 def calls(root: Path, pkg: str):
-    """Yield (section, {(section, case, call): (shape, zero-argument call)})
-    for the sections of the tree root, imported as the package pkg, in
-    timing order; each section is built only when asked for. The shape of a
-    fan-out call, which has no grid, is None."""
-    yield "analysis", {("analysis", name, "us"): (grid.shape, call)
+    """Yield (section, {(section, case, call): (shape, zero-argument call,
+    units)}) for the sections of the tree root, imported as the package pkg,
+    in timing order; each section is built only when asked for. A call's
+    time is reported per unit: per step for ``run``, per call otherwise
+    (units 1). The shape of a fan-out call, which has no grid, is None."""
+    yield "analysis", {("analysis", name, "us"): (grid.shape, call, 1)
                        for name, (grid, call) in analysis_calls(root, pkg).items()}
     concurrently = importlib.import_module(f"{pkg}.experiments")._concurrently
     git_commit = importlib.import_module(f"{pkg}.config").git_commit
     yield "fanout", {("fanout", "concurrently", "us"): (None, lambda: concurrently(
-        lambda: None, [(_noop, ())])), ("fanout", "git_commit", "us"): (None, git_commit)}
+        lambda: None, [(_noop, ())]), 1), ("fanout", "git_commit", "us"): (None, git_commit, 1)}
     solver = importlib.import_module(f"{pkg}.solver")
     out = {}
     for name, (fs, g, cfg, ghost) in cases(root, pkg).items():
         out["cases", name, "rhs"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
-                                     solver.rhs(fs, g, cfg, ghost, t=fs.time))
+                                     solver.rhs(fs, g, cfg, ghost, t=fs.time), 1)
         out["cases", name, "stable_dt"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg:
-                                           solver.stable_dt(fs, g, cfg))
+                                           solver.stable_dt(fs, g, cfg), 1)
         out["cases", name, "step"] = (fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
-                                      solver.step(fs, g, cfg, ghost))
+                                      solver.step(fs, g, cfg, ghost), 1)
+        if name == "line768":
+            out["cases", name, "run"] = (
+                fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
+                solver.run(fs, g, cfg, RUN_HORIZON, ghost_source=ghost),
+                run_steps(solver, fs, g, cfg, ghost))
     yield "cases", out
 
 
@@ -231,7 +259,7 @@ def interleaved(root: Path, root_b: Path) -> dict:
             us = {key: ([], []) for key in a}
             faults = {key: ([], []) for key in a}
             numbers = {}
-            for key, (_, call) in a.items():
+            for key, (_, call, _) in a.items():
                 call()
                 b[key][1]()
                 single = timeit.Timer(call).timeit(number=1)
@@ -240,10 +268,11 @@ def interleaved(root: Path, root_b: Path) -> dict:
                 for key, number in numbers.items():
                     sides = ((0, a), (1, b)) if i % 2 == 0 else ((1, b), (0, a))
                     for side, tree in sides:
+                        _, call, units = tree[key]
                         f0 = _minflt()
-                        t = timeit.Timer(tree[key][1]).timeit(number=number)
-                        faults[key][side].append((_minflt() - f0) / number)
-                        us[key][side].append(t / number * 1e6)
+                        t = timeit.Timer(call).timeit(number=number)
+                        faults[key][side].append((_minflt() - f0) / (number * units))
+                        us[key][side].append(t / (number * units) * 1e6)
             for key, (ua, ub) in us.items():
                 ma, mb = statistics.median(ua), statistics.median(ub)
                 fa, fb = faults[key]
@@ -253,13 +282,15 @@ def interleaved(root: Path, root_b: Path) -> dict:
                        "faults": round(statistics.median(fa), 2),
                        "faults_b": round(statistics.median(fb), 2)}
                 _, name, call = key
-                shape = a[key][0]
+                shape, _, units = a[key]
                 if shape is None:
                     out[section][name] = row
                     continue
                 entry = out[section].setdefault(name, {"shape": list(shape),
                                                        "cells": math.prod(shape)})
                 entry[call] = row
+                if call == "run":
+                    entry["run_steps"], entry["run_steps_b"] = units, b[key][2]
     return out
 
 
@@ -289,8 +320,9 @@ def main(argv=None) -> int:
     out.update({"repeats": args.repeats, "cases": {}, "analysis": {}, "fanout": {},
                 "kernel": {"build_s": kernel_build_s("rarefan")}})
     for _, section_calls in calls(root, "rarefan"):
-        for (section, name, call), (shape, fn) in section_calls.items():
+        for (section, name, call), (shape, fn, units) in section_calls.items():
             us, faults = best_us(fn, args.repeats)
+            us, faults = us / units, faults / units
             if shape is None:
                 out[section][name] = {"us": round(us, 2), "faults": round(faults, 2)}
                 continue
@@ -300,6 +332,8 @@ def main(argv=None) -> int:
             entry.update({f"{prefix}us": round(us, 2),
                           f"{prefix}ns_per_cell": round(us * 1e3 / cells, 1),
                           f"{prefix}faults": round(faults, 2)})
+            if call == "run":
+                entry["run_steps"] = units
     print(json.dumps(out, indent=2))
     return 0
 

@@ -11,7 +11,10 @@
    diffusivity.  rk_stage forms one SSP-RK3 stage state from step's
    registers, adds that stage's share of the boundary flux, and on the last
    stage writes the result and returns its min rho, min theta and whether
-   its rho and E rows are finite.
+   its rho and E rows are finite.  Each entry takes the work area's layout
+   w, filled once per grid shape, and the run's constants q, filled once
+   per grid, gas and solver config; beside them a call passes only the
+   addresses of its arrays and, to rk_stage, the stage and dt.
 
    Every primitive comes from one helper, theta() after u = m / rho, in
    FieldSet.primitives' order: theta = (E / rho - ((u1 u1 + u2 u2) + u3 u3)
@@ -74,9 +77,12 @@ typedef struct {
     double *b, *sum;     /* (5,): rk_rhs's boundary flux and step's weighted sum of them */
 } rk_work;
 
-/* the run's constants of the face fluxes */
+/* the run's constants, filled once per grid, gas and solver config: the
+   spacing, the x1 end-face area, R, gamma R, cth = (gamma - 1) / R, the
+   transport prefactors, alpha, the viscous multiplier, and stable_dt's
+   longitudinal coefficient and gamma - 1 */
 typedef struct {
-    double dx[3], mu1, lambda1, kappa1, alpha, visc;
+    double dx[3], area, R, gR, cth, mu1, lambda1, kappa1, alpha, visc, lon, gm1;
 } coeffs;
 
 /* the loops of a pass over axis a's faces, or over the interior cells
@@ -347,17 +353,15 @@ static void ring(const rk_work *w, const double *ghosts)
 
 /* 1 if some cell of U has rho <= 0, 2 if some ring cell has theta <= 0;
    else 0 once the tendency (5, n1, n2, n3) is in out and the boundary flux
-   (5,) in bflux */
-int rk_rhs(const rk_work *w, const double *U, const double *ghosts, double *out, double *bflux,
-           double dx0, double dx1, double dx2, double R, double gR, double cth, double mu1,
-           double lambda1, double kappa1, double alpha, double visc, double area)
+   (5,) in the work area's b */
+int rk_rhs(const rk_work *w, const coeffs *q, const double *U, const double *ghosts, double *out)
 {
     const int64_t N = w->N, cells = w->n[0] * w->n[1] * w->n[2];
     for (int64_t j = 0; j < cells; j++)
         if (U[j] <= 0.0)
             return 1;
     double *st = w->state;
-    fill(w, cth, U, U + cells, U + 2 * cells, U + 3 * cells, U + 4 * cells, st, st + N,
+    fill(w, q->cth, U, U + cells, U + 2 * cells, U + 3 * cells, U + 4 * cells, st, st + N,
          st + 2 * N, st + 3 * N, st + 4 * N, st + 5 * N, st + 6 * N, st + 7 * N, st + 8 * N,
          st + 9 * N);
     ring(w, ghosts);
@@ -365,22 +369,23 @@ int rk_rhs(const rk_work *w, const double *U, const double *ghosts, double *out,
     for (int64_t j = 0; j < N; j++)
         if (th[j] <= 0.0)
             return 2;
+    /* read before the loop: the stores to p and c could alias q */
+    const double R = q->R, gR = q->gR;
     for (int64_t j = 0; j < N; j++) {
         w->p[j] = R * rho[j] * th[j];
         w->c[j] = sqrt(gR * th[j]);
     }
-    const coeffs q = {{dx0, dx1, dx2}, mu1, lambda1, kappa1, alpha, visc};
     const int m = (int)(w->active[0] | w->active[1] << 1 | w->active[2] << 2);
     double *F = w->F;
     for (int a = 0; a < 3; a++) {
         if (!w->active[a])
             continue;
-        face_pass[a][m](w, &q, st + N, st + 2 * N, st + 3 * N, st + 4 * N, st + 5 * N,
+        face_pass[a][m](w, q, st + N, st + 2 * N, st + 3 * N, st + 4 * N, st + 5 * N,
                         st + 6 * N, st + 7 * N, st + 8 * N, st + 9 * N, w->p, w->c, F, F + N,
                         F + 2 * N, F + 3 * N, F + 4 * N);
         if (a == 0)
-            boundary_flux(w, area, bflux);
-        divergence(w, a, q.dx[a], a == 0, out);
+            boundary_flux(w, q->area, w->b);
+        divergence(w, a, q->dx[a], a == 0, out);
     }
     return 0;
 }
@@ -388,17 +393,12 @@ int rk_rhs(const rk_work *w, const double *U, const double *ghosts, double *out,
 /* the reductions run over blocks of LANES cells, a lane per cell */
 #define LANES 16
 
-/* the constants of stable_dt's limits */
-typedef struct {
-    double gR, cth, lon, kappa1, gm1, R, alpha, visc;
-} limits;
-
 /* fold n <= LANES cells into the lanes: each axis's |u_a| + c, c =
    sqrt(max(theta, 0) gamma R), into s0, s1 and s2, and with viscosity (vis)
    the diffusivity max(lon pw, kappa1 pw (gamma - 1) / R) visc / rho into d,
    pw = theta^alpha by sqrt if sq */
 static inline __attribute__((always_inline)) void
-dt_lanes(const int64_t n, const int vis, const int sq, const limits *q, const double *restrict U0,
+dt_lanes(const int64_t n, const int vis, const int sq, const coeffs *q, const double *restrict U0,
          const double *restrict U1, const double *restrict U2, const double *restrict U3,
          const double *restrict U4, double *restrict s0, double *restrict s1, double *restrict s2,
          double *restrict d)
@@ -453,7 +453,7 @@ static double fold_min(const double *x)
 
 /* the limits of the cells of U's rows into lim, block by block */
 static inline __attribute__((always_inline)) void
-dt_blocks(const int64_t cells, const int vis, const int sq, const limits *q,
+dt_blocks(const int64_t cells, const int vis, const int sq, const coeffs *q,
           const double *restrict U0, const double *restrict U1, const double *restrict U2,
           const double *restrict U3, const double *restrict U4, double *restrict lim)
 {
@@ -472,7 +472,7 @@ dt_blocks(const int64_t cells, const int vis, const int sq, const limits *q,
 }
 
 /* the limits by kind (no viscosity, sqrt or pow), picked once */
-static void dt_pass(const int64_t cells, const limits *q, const double *restrict U0,
+static void dt_pass(const int64_t cells, const coeffs *q, const double *restrict U0,
                     const double *restrict U1, const double *restrict U2,
                     const double *restrict U3, const double *restrict U4, double *restrict lim)
 {
@@ -487,12 +487,10 @@ static void dt_pass(const int64_t cells, const limits *q, const double *restrict
 /* stable_dt's limits of the conserved stack U (5, n1, n2, n3) in C order:
    lim[a] = max(|u_a| + c) for a = 0, 1, 2 and, if visc > 0, lim[3] = the
    largest diffusivity.  No work array is written */
-void rk_dt(const rk_work *w, const double *U, double gR, double cth, double lon, double kappa1,
-           double gm1, double R, double alpha, double visc, double *lim)
+void rk_dt(const rk_work *w, const coeffs *q, const double *U, double *lim)
 {
     const int64_t cells = w->n[0] * w->n[1] * w->n[2];
-    const limits q = {gR, cth, lon, kappa1, gm1, R, alpha, visc};
-    dt_pass(cells, &q, U, U + cells, U + 2 * cells, U + 3 * cells, U + 4 * cells, lim);
+    dt_pass(cells, q, U, U + cells, U + 2 * cells, U + 3 * cells, U + 4 * cells, lim);
 }
 
 /* stage s of n state entries: U1 = k dt + U0 into r (s = 1), U2 = 0.75 U0
@@ -553,7 +551,7 @@ static int check(const int64_t cells, const double cth, const double *restrict U
    stage's share of the boundary flux b into sum.  The last stage writes the
    result into out, its min rho and min theta into mins, and returns 1 if
    its rho and E rows are finite, else 0; the others return 1 */
-int rk_stage(const rk_work *w, int s, const double *U0, double *out, double dt, double cth,
+int rk_stage(const rk_work *w, const coeffs *q, int s, const double *U0, double *out, double dt,
              double *mins)
 {
     static const double weight[3] = {1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0};
@@ -564,6 +562,6 @@ int rk_stage(const rk_work *w, int s, const double *U0, double *out, double dt, 
     stage_pass(5 * cells, s, dt, U0, w->k, w->r, out);
     if (s < 3)
         return 1;
-    return check(cells, cth, out, out + cells, out + 2 * cells, out + 3 * cells, out + 4 * cells,
+    return check(cells, q->cth, out, out + cells, out + 2 * cells, out + 3 * cells, out + 4 * cells,
                  mins);
 }

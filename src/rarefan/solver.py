@@ -37,6 +37,14 @@ stay scalar.  The kernel is compiled with the system C compiler (cc) on
 the first solver call of a process that does not find it built, into
 __pycache__ next to this file, and loaded through ctypes; importing rarefan
 neither builds nor loads it.
+
+A kernel call passes only addresses, and to a stage its index and dt: the
+work area's layout, bound once per grid shape, and a struct of the run's
+constants, which the work area fills from a call's grid, gas and solver
+config and refills when a call brings other objects (compared by
+identity).  The work area keeps the last state address it read, with a
+weak reference to that array; step leaves there its result's address,
+taken as it allocates the result, so the next step reads no address.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -51,7 +60,7 @@ from typing import Callable
 import numpy as np
 
 from .gas import GasParams
-from .fields import FieldSet, SlabGrid, aligned_empty, conserved
+from .fields import FieldSet, SlabGrid, aligned_block, aligned_empty, conserved
 
 # SSP-RK3 is stable on the negative real axis down to -2.5127..., the real
 # root of 1 + z + z^2/2 + z^3/6 = -1 (Gottlieb, Shu & Tadmor, SIAM Rev. 43
@@ -206,23 +215,32 @@ class _Layout(ctypes.Structure):
                   for name in ("state", "p", "c", "F", "k", "r", "b", "sum"))]
 
 
+class _Coeffs(ctypes.Structure):
+    """A run's constants as _kernel.c's coeffs sees them."""
+
+    _fields_ = [("dx", ctypes.c_double * 3),
+                *((name, ctypes.c_double) for name in ("area", "R", "gR", "cth", "mu1", "lambda1",
+                                                       "kappa1", "alpha", "visc", "lon", "gm1"))]
+
+
 @functools.cache
 def _kernel() -> ctypes.CDLL:
     """The solver's kernel, built on first use and loaded once per process."""
     lib = ctypes.CDLL(str(_kernel_path(_KERNEL_SOURCE, _BUILD_DIR)))
-    lib.rk_rhs.argtypes = (ctypes.c_void_p,) * 5 + (ctypes.c_double,) * 12
+    ptr = ctypes.c_void_p
+    lib.rk_rhs.argtypes = (ptr,) * 5
     lib.rk_rhs.restype = ctypes.c_int
-    lib.rk_dt.argtypes = (ctypes.c_void_p,) * 2 + (ctypes.c_double,) * 8 + (ctypes.c_void_p,)
+    lib.rk_dt.argtypes = (ptr,) * 4
     lib.rk_dt.restype = None
-    lib.rk_stage.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
-                             ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
+    lib.rk_stage.argtypes = (ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_double, ptr)
     lib.rk_stage.restype = ctypes.c_int
     return lib
 
 
 class _Workspace:
     """The arrays the kernel fills on one grid, allocated once per grid shape,
-    with the kernel's layout and the addresses the solver passes it, bound once.
+    with the kernel's layout and the addresses the solver passes it, bound
+    once, and the run's constants, bound once per grid, gas and config.
 
     The work area is nine blocks: the ring state, p, c, the ghost columns,
     the boundary flux bflux, step's weighted sum of it (sum), step's
@@ -235,6 +253,14 @@ class _Workspace:
     64-byte boundary.  k receives each stage's tendency, r holds the stage
     states U1 and U2, which rhs hands the kernel by r's address.  limits
     and mins receive stable_dt's maxima and the result's minima.
+
+    coeffs holds the kernel's constants of the grid, gas and solver config
+    it was filled from, which it keeps as grid, g and cfg; bind refills it
+    when a call brings other objects, compared by identity.  last_state and
+    last_addr are the address of the last state array whose address was
+    read, kept with a weak reference to that array, so that the work area
+    holds no caller's state and a step's result reaches the next step with
+    its address.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
@@ -257,14 +283,60 @@ class _Workspace:
                               tuple(int(ax in active) for ax in range(3)), N,
                               *(a.ctypes.data for a in (self.state, self.p, self.c, self.F,
                                                         self.k, self.r, self.bflux, self.sum)))
-        self.layout_addr = ctypes.addressof(self.layout)
-        self.k_addr, self.r_addr, self.ghosts_addr, self.bflux_addr = (
-            a.ctypes.data for a in (self.k, self.r, self.ghosts, self.bflux))
+        self.coeffs = _Coeffs()
+        self.layout_addr, self.coeffs_addr, self.limits_addr, self.mins_addr = (
+            ctypes.addressof(a) for a in (self.layout, self.coeffs, self.limits, self.mins))
+        self.k_addr, self.r_addr, self.ghosts_addr = (
+            a.ctypes.data for a in (self.k, self.r, self.ghosts))
+        self.grid = self.g = self.cfg = None
+        # no state yet: calling NoneType gives None, as a dead weak reference does
+        self.last_state, self.last_addr = type(None), 0
+
+    def bind(self, grid: SlabGrid, g: GasParams, cfg: SolverConfig) -> None:
+        """Fill coeffs and stable_dt's constants from grid, g and cfg, and keep them."""
+        active = _active_axes(grid.shape)
+        spacing = grid.spacing
+        visc = cfg.visc_mult
+        inv_h2 = sum(spacing[ax] ** -2 for ax in active)
+        # Viscous/heat symbol at the largest theta^alpha/rho, with q_a = 4/h_a^2, y_a =
+        # sin^2(k_a h_a/2), s_a = sin(k_a h_a)/h_a, c = mu + lambda: velocity mu S I +
+        # c (diag(q_a y_a^2) + s s^T), S = sum q_a y_a; theta kappa (gamma-1)/R S.  At
+        # y = 1 (s = 0) entry a is ((2 mu + lambda) f_a + mu (1 - f_a)) sum q, f_a =
+        # q_a / sum q, largest on the finest axis; the cross terms lift it by at most
+        # max(1, d c / (2c + d mu)), > 1 only in 3-D with lambda > 2 mu (README proof).
+        longitudinal = 0.0
+        if visc > 0.0:
+            f = min(spacing[ax] for ax in active) ** -2 / inv_h2
+            d, c = len(active), g.mu1 + g.lambda1
+            longitudinal = max(1.0, d * c / (2.0 * c + d * g.mu1)) * (
+                (2.0 * g.mu1 + g.lambda1) * f + g.mu1 * (1.0 - f))
+        q = self.coeffs
+        q.dx[:] = spacing
+        q.area = grid.cell_volume / spacing[0]
+        q.R, q.gR, q.cth = g.R, g.gamma * g.R, (g.gamma - 1.0) / g.R
+        q.mu1, q.lambda1, q.kappa1, q.alpha = g.mu1, g.lambda1, g.kappa1, g.alpha
+        q.visc, q.lon, q.gm1 = visc, longitudinal, g.gamma - 1.0
+        self.active, self.spacing, self.visc, self.inv_h2 = active, spacing, visc, inv_h2
+        self.grid, self.g, self.cfg = grid, g, cfg
+
+    def address(self, U: np.ndarray) -> int:
+        """The address of the state array U, read only if U is not the last state's."""
+        if self.last_state() is not U:
+            self.last_state, self.last_addr = weakref.ref(U), U.ctypes.data
+        return self.last_addr
 
 
 @functools.lru_cache(maxsize=8)
 def _workspace(shape: tuple[int, int, int]) -> _Workspace:
     return _Workspace(shape)
+
+
+def _bound(grid: SlabGrid, g: GasParams, cfg: SolverConfig) -> _Workspace:
+    """grid's work area, its constants bound to grid, g and cfg."""
+    ws = _workspace(grid.shape)
+    if grid is not ws.grid or g is not ws.g or cfg is not ws.cfg:
+        ws.bind(grid, g, cfg)
+    return ws
 
 
 def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
@@ -282,23 +354,24 @@ def rhs(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     array.  Both are the caller's; the work arrays are the grid's.  Raises
     RunAbort if a cell has rho <= 0 or a ring cell theta <= 0.
     """
-    grid = fs.grid
-    ws = _workspace(grid.shape)
-    if out is None:
+    ws = _bound(fs.grid, g, cfg)
+    if out is ws.k:
+        out_addr = ws.k_addr
+    elif out is None:
         out = np.empty(ws.tend_shape)
+        out_addr = out.ctypes.data
     elif out.shape != ws.tend_shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float array shaped like the tendency")
+    else:
+        out_addr = out.ctypes.data
     # held for the call: the kernel reads U through its address
     U = np.ascontiguousarray(fs.U, dtype=np.float64)
     ghosts = None
     if ghost_source is not None:
         ws.ghosts[...] = ghost_source(fs.time if t is None else t)
         ghosts = ws.ghosts_addr
-    dx = grid.spacing
-    err = ws.kernel(ws.layout_addr, ws.r_addr if U is ws.r else U.ctypes.data, ghosts,
-                    ws.k_addr if out is ws.k else out.ctypes.data, ws.bflux_addr, *dx,
-                    g.R, g.gamma * g.R, (g.gamma - 1.0) / g.R, g.mu1, g.lambda1, g.kappa1,
-                    g.alpha, cfg.visc_mult, grid.cell_volume / dx[0])
+    err = ws.kernel(ws.layout_addr, ws.coeffs_addr, ws.r_addr if U is ws.r else ws.address(U),
+                    ghosts, out_addr)
     if err:
         raise RunAbort(f"nonpositive {'density' if err == 1 else 'temperature'} entering rhs")
     return out, ws.bflux.copy()
@@ -312,43 +385,25 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
     diffusivity visc max(longitudinal pw, kappa pw (gamma - 1) / R) / rho,
     pw = theta^alpha by the kernel's rule; a NaN carries through both.
     """
-    grid = fs.grid
-    ws = _workspace(grid.shape)
-    active = _active_axes(grid.shape)
-    spacing = grid.spacing
-    visc = cfg.visc_mult
-
-    # Viscous/heat symbol at the largest theta^alpha/rho, with q_a = 4/h_a^2, y_a =
-    # sin^2(k_a h_a/2), s_a = sin(k_a h_a)/h_a, c = mu + lambda: velocity mu S I +
-    # c (diag(q_a y_a^2) + s s^T), S = sum q_a y_a; theta kappa (gamma-1)/R S.  At
-    # y = 1 (s = 0) entry a is ((2 mu + lambda) f_a + mu (1 - f_a)) sum q, f_a =
-    # q_a / sum q, largest on the finest axis; the cross terms lift it by at most
-    # max(1, d c / (2c + d mu)), > 1 only in 3-D with lambda > 2 mu (README proof).
-    longitudinal = 0.0
-    if visc > 0.0:
-        inv_h2 = sum(spacing[ax] ** -2 for ax in active)
-        f = min(spacing[ax] for ax in active) ** -2 / inv_h2
-        d, c = len(active), g.mu1 + g.lambda1
-        longitudinal = max(1.0, d * c / (2.0 * c + d * g.mu1)) * (
-            (2.0 * g.mu1 + g.lambda1) * f + g.mu1 * (1.0 - f))
+    ws = _bound(fs.grid, g, cfg)
+    # held for the call: the kernel reads U through its address
     U = np.ascontiguousarray(fs.U, dtype=np.float64)
-    ws.dt_kernel(ws.layout_addr, U.ctypes.data, g.gamma * g.R, (g.gamma - 1.0) / g.R,
-                 longitudinal, g.kappa1, g.gamma - 1.0, g.R, g.alpha, visc, ws.limits)
-    limits = ws.limits
+    ws.dt_kernel(ws.layout_addr, ws.coeffs_addr, ws.address(U), ws.limits_addr)
+    limits, spacing = ws.limits, ws.spacing
 
     max_speed = 0.0
     dt_conv = np.inf
-    for ax in active:
+    for ax in ws.active:
         sp = limits[ax]
         max_speed = max(max_speed, sp)
         if sp > 0.0:
             dt_conv = min(dt_conv, _CFL * spacing[ax] / sp)
 
     dt_visc = np.inf
-    if visc > 0.0:
+    if ws.visc > 0.0:
         dmax = limits[3]
         if dmax > 0.0:
-            dt_visc = _VISC_FRACTION * _RK3_REAL_LIMIT / (4.0 * dmax * inv_h2)
+            dt_visc = _VISC_FRACTION * _RK3_REAL_LIMIT / (4.0 * dmax * ws.inv_h2)
 
     return min(dt_conv, dt_visc), max_speed
 
@@ -366,10 +421,16 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     min rho, min theta and whether its rho and E are finite.  The stages
     evaluate U0 + dt k1, 0.75 U0 + 0.25 (U1 + dt k2) and
     (U0 + 2 (U2 + dt k3)) / 3 operation by operation in that order, and the
-    boundary flux sum_i w_i dt b_i from 0.
+    boundary flux sum_i w_i dt b_i from 0.  A state with a NaN u or theta
+    somewhere, which makes stable_dt's speed limits NaN and its dt infinite,
+    raises RunAbort before the first stage.
     """
-    ws = _workspace(fs.grid.shape)
+    ws = _bound(fs.grid, g, cfg)
     auto_dt, max_speed = stable_dt(fs, g, cfg)
+    limits = ws.limits
+    # a speed limit is NaN only where a cell's u or theta is
+    if math.isnan(limits[0] + limits[1] + limits[2]):
+        raise RunAbort("non-finite state entering step")
     if dt is None:
         dt = auto_dt if dt_cap is None else min(auto_dt, dt_cap)
     if dt < _DT_MIN:
@@ -378,15 +439,17 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     t0 = fs.time
     # held for the step: the kernel reads U0 through its address
     U0 = np.ascontiguousarray(fs.U, dtype=np.float64)
-    u0, cth = U0.ctypes.data, (g.gamma - 1.0) / g.R
+    u0, w, q = ws.address(U0), ws.layout_addr, ws.coeffs_addr
     rhs(fs, g, cfg, ghost_source, t=t0, out=ws.k)
-    ws.stage(ws.layout_addr, 1, u0, None, dt, cth, None)
+    ws.stage(w, q, 1, u0, None, dt, None)
     rhs(FieldSet(fs.grid, ws.r, t0 + dt), g, cfg, ghost_source, t=t0 + dt, out=ws.k)
-    ws.stage(ws.layout_addr, 2, u0, None, dt, cth, None)
+    ws.stage(w, q, 2, u0, None, dt, None)
     rhs(FieldSet(fs.grid, ws.r, t0 + 0.5 * dt), g, cfg, ghost_source, t=t0 + 0.5 * dt,
         out=ws.k)
-    U3 = aligned_empty(ws.tend_shape)
-    finite = ws.stage(ws.layout_addr, 3, u0, U3.ctypes.data, dt, cth, ws.mins)
+    U3, u3 = aligned_block(ws.tend_shape)
+    finite = ws.stage(w, q, 3, u0, u3, dt, ws.mins_addr)
+    # the next step's stable_dt, U0 and first rhs read the result's address here
+    ws.last_state, ws.last_addr = weakref.ref(U3), u3
 
     diag = StepDiagnostics(dt=dt, max_speed=max_speed, min_rho=ws.mins[0],
                            min_theta=ws.mins[1], boundary_flux=ws.sum.copy())

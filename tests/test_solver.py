@@ -674,17 +674,64 @@ def test_rhs_matches_allocating_reference():
             assert _same_bytes([out.U, diag.boundary_flux], _ref_step(fs, cfg, ghost, g))
 
 
+def test_rhs_and_step_rebind_per_grid_gas_and_config():
+    # the grids of one shape share a work area, whose kernel constants are
+    # bound to the last call's grid, gas and config and whose last state
+    # address is kept: calls that alternate two grids of different L, two
+    # gases, two configs and a strided copy of U, and steps from a step's
+    # result, must each give bitwise the reference's results.  The gases
+    # and configs are shared objects, so that a call may change only one of
+    # grid, gas and config; the viscous dt binds at eps = 0.5, the CFL one
+    # at eps = 0.02
+    spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
+    gases = (GAS, GasParams.normalized(5.0 / 3.0, 0.7))
+    configs = (SolverConfig(eps=0.5), SolverConfig(eps=0.02))
+    cases = []
+    for L in (2.0, 3.0):
+        grid = SlabGrid(L=L, n1=12, n2=6, dims=2)
+        fs = _transverse_state(grid, int(L))
+        wide = np.zeros(fs.U.shape + (2,))
+        wide[..., 0] = fs.U
+        strided = FieldSet(grid, wide[..., 0])
+        assert not strided.U.flags.c_contiguous
+        for g in gases:
+            for cfg in configs:
+                for state in (fs, strided):
+                    ghost = profile_ghost_source(spec, grid)
+                    U1, b1 = _ref_step(state, cfg, ghost, g)
+                    after = FieldSet(grid, U1, state.time + _ref_stable_dt(state, cfg, g)[0])
+                    cases.append((state, g, cfg, ghost, {
+                        "rhs": _ref_rhs(state, cfg, ghost, state.time, g),
+                        "stable_dt": _ref_stable_dt(state, cfg, g),
+                        "step": (U1, b1), "next": _ref_step(after, cfg, ghost, g)}))
+    calls = [(i, call) for i in range(len(cases)) for call in ("rhs", "stable_dt", "step")] * 2
+    np.random.default_rng(5).shuffle(calls)
+    for i, call in calls:
+        fs, g, cfg, ghost, want = cases[i]
+        if call == "rhs":
+            assert _same_bytes(rhs(fs, g, cfg, ghost, t=fs.time), want["rhs"]), i
+        elif call == "stable_dt":
+            assert stable_dt(fs, g, cfg) == want["stable_dt"], i
+        else:
+            out, diag = step(fs, g, cfg, ghost)
+            assert _same_bytes([out.U, diag.boundary_flux], want["step"]), i
+            # the state stepped from keeps its own address
+            assert stable_dt(fs, g, cfg) == want["stable_dt"], i
+            nxt, diag = step(out, g, cfg, ghost)
+            assert _same_bytes([nxt.U, diag.boundary_flux], want["next"]), i
+
+
 def test_stable_dt_carries_nan_like_numpy():
     # the kernel's maxima carry a NaN the way numpy's do: a cell with theta
     # < 0 (its sqrt NaN) or a NaN energy (at alpha = 0.7 too, its pow NaN)
-    # gives the reference's dt and speed, and step then meets rhs's refusal.
-    # A NaN energy makes every axis's maximum NaN, so dt is infinite and
-    # the first stage leaves a density nonpositive
+    # gives the reference's dt and speed.  step then meets rhs's refusal of
+    # the theta < 0 cell; a NaN energy makes every axis's maximum NaN, and
+    # step refuses it before taking the infinite dt it gives
     grid = SlabGrid(L=2.0, n1=12, n2=6, dims=2)
     g07 = GasParams.normalized(5.0 / 3.0, 0.7)
     for value, g, abort in ((-1.0, GAS, "nonpositive temperature"),
-                            (np.nan, GAS, "nonpositive density"),
-                            (np.nan, g07, "nonpositive density")):
+                            (np.nan, GAS, "non-finite state entering step"),
+                            (np.nan, g07, "non-finite state entering step")):
         U = _transverse_state(grid, 5).U.copy()
         U[4, 5, 2] = value
         bad = FieldSet(grid, U)
