@@ -3,15 +3,13 @@
 layer's fixed costs (layer 4) of a checkout, or of two checkouts interleaved in
 one process.
 
-    python scripts/bench_step.py DIR [--repeats 7]
+    python scripts/bench_step.py DIR
     python scripts/bench_step.py DIR DIR_B
 
 Imports rarefan from DIR/src, so one copy of this script times any checkout
-(the parent and a change, say) on the same inputs, as long as the checkout
-has ``experiments.pinned_start``; a commit from before it needs that
-commit's copy of this script, and two trees on either side of it cannot be
-interleaved, so time each with its own copy. The states are the initial
-states the studies start from, built by ``experiments.pinned_start``:
+that has ``experiments.pinned_start`` (the parent and a change, say) on the
+same inputs; time an older commit with its own copy. The states are the
+initial states the studies start from, built by ``pinned_start``:
 
 - ``line384`` and ``line768``: the eps-sweep of DIR/configs/eps_sweep.ini at
   its first (largest) eps, on its n1 = 384 grid and on the 768-cell grid of
@@ -24,10 +22,6 @@ states the studies start from, built by ``experiments.pinned_start``:
 - ``box160x16x16``: the same study on a 3-D grid, ``[grid] n1 = 160,
   n2 = n3 = 16, dims = 3``.
 
-With one DIR, each call is timed with ``timeit``: the number of calls per
-repeat is the one ``Timer.autorange`` picks (at least 0.2 s), and the best
-of --repeats repeats is reported, in microseconds per call and nanoseconds
-per cell, next to the minor page faults per call over those repeats.
 ``rhs``, ``stable_dt`` and ``step`` are timed on each case; ``step`` is
 called on the same state every time, so each call does the same work: one
 ``stable_dt``, three ``rhs`` and the stages, whose cost is what ``step``
@@ -37,6 +31,20 @@ steps), reported per step (``run_steps`` of them, counted once per tree):
 the loop that sets the ``line1d-sweep`` benchmark's wall time, each step
 on the state the last one returned, with ``run``'s own per-step cost.
 
+Every call is timed in ROUNDS rounds of about ROUND_SECONDS each (a round's
+number of calls is fixed from one timed call). Each call's row holds the
+median microseconds per call (``us``), nanoseconds per cell on a grid
+(``ns_per_cell``) and median minor page faults per call (``faults``).
+
+With DIR_B as well, DIR_B/src/rarefan is imported from a temporary copy
+under the package name ``rarefan_b``, and each tree builds its own states
+from its own configs. In each round both trees make the same number of
+calls, DIR's tree first in even rounds and DIR_B's first in odd ones, so
+that drift of the machine's speed falls on both. Each row adds DIR_B's
+medians (``us_b``, ``faults_b``), their ratio to DIR's (``ratio``) and the
+rounds DIR_B was faster (``b_wins``). Separate invocations spread by about
+15% on a 2-core VM; interleaved rounds resolve a few percent.
+
 The sections are built and timed in order: the analysis calls first, with
 only the slab256x32 state built, then the fan-out calls, then the solver
 cases. A freed allocation of several MB (the 160x16x16 box's states, say)
@@ -44,17 +52,6 @@ raises glibc's dynamic mmap threshold, after which arrays of a few hundred
 KB come from the heap and no longer fault in on every call; timed after
 the cases, an analysis call that allocates such arrays would hide that
 cost, which gn-check's loop pays.
-
-With DIR_B as well, DIR_B/src/rarefan is imported from a temporary copy
-under the package name ``rarefan_b``, and each tree builds its own states
-from its own configs. Every call is then timed in ROUNDS rounds; in each
-round both trees make the same number of calls (about ROUND_SECONDS of
-DIR's tree), DIR's tree first in even rounds and DIR_B's first in odd ones, so
-that drift of the machine's speed falls on both. For each call it prints
-each tree's median microseconds per call, their ratio (DIR_B over DIR) and
-the number of rounds DIR_B's tree was faster, and each tree's median minor
-faults per call. Separate invocations spread by about 15% on a 2-core VM;
-interleaved rounds resolve a few percent.
 
 The analysis calls, under ``"analysis"`` in microseconds per call:
 
@@ -72,9 +69,8 @@ The study layer's fixed costs, under ``"fanout"`` in microseconds per call:
 The solver's C kernel, under ``"kernel"``: ``build_s``, the median seconds
 of KERNEL_BUILDS builds of the tree's ``_kernel.c`` into fresh temporary
 directories, the cost that the first solver call of a checkout pays (and
-``build_s_b`` for DIR_B); null for a tree without the kernel.
-
-Prints one JSON object.
+``build_s_b`` for DIR_B); null for a tree without the kernel. Prints one
+JSON object.
 """
 
 from __future__ import annotations
@@ -168,16 +164,6 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def best_us(fn, repeats: int) -> tuple[float, float]:
-    """Best-of-repeats µs per call of fn, and the minor faults per call over
-    all the repeats."""
-    timer = timeit.Timer(fn)
-    number, _ = timer.autorange()
-    f0 = _minflt()
-    best = min(timer.repeat(repeat=repeats, number=number))
-    return best / number * 1e6, (_minflt() - f0) / (repeats * number)
-
-
 def run_steps(solver, fs, g, cfg, ghost) -> int:
     """The steps of solver.run from fs over RUN_HORIZON, counted through the
     module's step, which run calls."""
@@ -195,17 +181,18 @@ def run_steps(solver, fs, g, cfg, ghost) -> int:
 
 
 def calls(root: Path, pkg: str):
-    """Yield (section, {(section, case, call): (shape, zero-argument call,
-    units)}) for the sections of the tree root, imported as the package pkg,
-    in timing order; each section is built only when asked for. A call's
-    time is reported per unit: per step for ``run``, per call otherwise
-    (units 1). The shape of a fan-out call, which has no grid, is None."""
-    yield "analysis", {("analysis", name, "us"): (grid.shape, call, 1)
+    """Yield the call table {(section, name, call): (shape, zero-argument call,
+    units)} of each section of the tree root, imported as the package pkg,
+    in timing order; each section is built only when asked for. call is None
+    for an analysis or fan-out call. A call's time is reported per unit: per
+    step for ``run``, per call otherwise (units 1). The shape of a fan-out
+    call, which has no grid, is None."""
+    yield {("analysis", name, None): (grid.shape, call, 1)
                        for name, (grid, call) in analysis_calls(root, pkg).items()}
     concurrently = importlib.import_module(f"{pkg}.experiments")._concurrently
     git_commit = importlib.import_module(f"{pkg}.config").git_commit
-    yield "fanout", {("fanout", "concurrently", "us"): (None, lambda: concurrently(
-        lambda: None, [(_noop, ())]), 1), ("fanout", "git_commit", "us"): (None, git_commit, 1)}
+    yield {("fanout", "concurrently", None): (None, lambda: concurrently(
+        lambda: None, [(_noop, ())]), 1), ("fanout", "git_commit", None): (None, git_commit, 1)}
     solver = importlib.import_module(f"{pkg}.solver")
     out = {}
     for name, (fs, g, cfg, ghost) in cases(root, pkg).items():
@@ -220,7 +207,7 @@ def calls(root: Path, pkg: str):
                 fs.grid.shape, lambda fs=fs, g=g, cfg=cfg, ghost=ghost:
                 solver.run(fs, g, cfg, RUN_HORIZON, ghost_source=ghost),
                 run_steps(solver, fs, g, cfg, ghost))
-    yield "cases", out
+    yield out
 
 
 def kernel_build_s(pkg: str) -> float | None:
@@ -246,51 +233,39 @@ def load_copy(root: Path, tmp: Path, pkg: str) -> None:
     importlib.import_module(pkg)
 
 
-def interleaved(root: Path, root_b: Path) -> dict:
-    """Both trees' calls timed in alternating rounds, a section at a time;
-    see the module docstring. The copy of root_b stays on disk while they
-    run, for any import made late."""
-    out = {"cases": {}, "analysis": {}, "fanout": {}}
-    with tempfile.TemporaryDirectory() as tmp:
-        load_copy(root_b, Path(tmp), "rarefan_b")
-        out["kernel"] = {"build_s": kernel_build_s("rarefan"),
-                         "build_s_b": kernel_build_s("rarefan_b")}
-        for (section, a), (_, b) in zip(calls(root, "rarefan"), calls(root_b, "rarefan_b")):
-            us = {key: ([], []) for key in a}
-            faults = {key: ([], []) for key in a}
-            numbers = {}
-            for key, (_, call, _) in a.items():
-                call()
-                b[key][1]()
-                single = timeit.Timer(call).timeit(number=1)
-                numbers[key] = max(1, round(ROUND_SECONDS / max(single, 1e-9)))
-            for i in range(ROUNDS):
-                for key, number in numbers.items():
-                    sides = ((0, a), (1, b)) if i % 2 == 0 else ((1, b), (0, a))
-                    for side, tree in sides:
-                        _, call, units = tree[key]
-                        f0 = _minflt()
-                        t = timeit.Timer(call).timeit(number=number)
-                        faults[key][side].append((_minflt() - f0) / (number * units))
-                        us[key][side].append(t / (number * units) * 1e6)
-            for key, (ua, ub) in us.items():
-                ma, mb = statistics.median(ua), statistics.median(ub)
-                fa, fb = faults[key]
-                row = {"us": round(ma, 2), "us_b": round(mb, 2), "ratio": round(mb / ma, 4),
-                       "b_wins": sum(y < x for x, y in zip(ua, ub)),
-                       "calls_per_round": numbers[key],
-                       "faults": round(statistics.median(fa), 2),
-                       "faults_b": round(statistics.median(fb), 2)}
-                _, name, call = key
-                shape, _, units = a[key]
-                if shape is None:
-                    out[section][name] = row
-                    continue
-                entry = out[section].setdefault(name, {"shape": list(shape),
-                                                       "cells": math.prod(shape)})
-                entry[call] = row
-                if call == "run":
-                    entry["run_steps"], entry["run_steps_b"] = units, b[key][2]
+def timed_rounds(tables: list[dict]) -> dict:
+    """key -> row of each call in the call tables (key -> (shape, zero-argument
+    call, units)) of one tree or two, timed in ROUNDS alternating rounds;
+    see the module docstring."""
+    numbers = {}
+    for key, (_, call, _) in tables[0].items():
+        for table in tables:
+            table[key][1]()
+        numbers[key] = max(1, round(ROUND_SECONDS / max(timeit.timeit(call, number=1), 1e-9)))
+    us, faults = ({key: [[] for _ in tables] for key in numbers} for _ in range(2))
+    for i in range(ROUNDS):
+        for key, number in numbers.items():
+            for side in range(len(tables))[::1 if i % 2 == 0 else -1]:
+                _, call, units = tables[side][key]
+                f0 = _minflt()
+                t = timeit.Timer(call).timeit(number=number)
+                faults[key][side].append((_minflt() - f0) / (number * units))
+                us[key][side].append(t / (number * units) * 1e6)
+    out = {}
+    for key, number in numbers.items():
+        shape = tables[0][key][0]
+        (ua, *ub), (fa, *fb) = us[key], faults[key]
+        ma = statistics.median(ua)
+        row = {"us": round(ma, 2)}
+        if shape is not None:
+            row["ns_per_cell"] = round(ma * 1e3 / math.prod(shape), 1)
+        row.update({"faults": round(statistics.median(fa), 2), "calls_per_round": number})
+        if ub:
+            mb = statistics.median(ub[0])
+            row.update({"us_b": round(mb, 2), "faults_b": round(statistics.median(fb[0]), 2),
+                        "ratio": round(mb / ma, 4),
+                        "b_wins": sum(y < x for x, y in zip(ua, ub[0]))})
+        out[key] = row
     return out
 
 
@@ -299,7 +274,6 @@ def main(argv=None) -> int:
     ap.add_argument("dir", type=Path, help="checkout whose src/rarefan is timed")
     ap.add_argument("dir_b", type=Path, nargs="?",
                     help="second checkout, timed against DIR in interleaved rounds")
-    ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args(argv)
     root = args.dir.resolve()
     sys.path.insert(0, str(root / "src"))
@@ -309,31 +283,30 @@ def main(argv=None) -> int:
         ap.error(f"imported rarefan from {rarefan.__file__}, not from {root}/src")
 
     out = {"dir": str(root), "machine": platform.machine(), "processor": platform.processor(),
-           "python": platform.python_version(), "numpy": np.__version__}
-    if args.dir_b is not None:
-        out.update({"dir_b": str(args.dir_b.resolve()), "rounds": ROUNDS,
-                    "seconds": ROUND_SECONDS})
-        out.update(interleaved(root, args.dir_b.resolve()))
-        print(json.dumps(out, indent=2))
-        return 0
-
-    out.update({"repeats": args.repeats, "cases": {}, "analysis": {}, "fanout": {},
-                "kernel": {"build_s": kernel_build_s("rarefan")}})
-    for _, section_calls in calls(root, "rarefan"):
-        for (section, name, call), (shape, fn, units) in section_calls.items():
-            us, faults = best_us(fn, args.repeats)
-            us, faults = us / units, faults / units
-            if shape is None:
-                out[section][name] = {"us": round(us, 2), "faults": round(faults, 2)}
-                continue
-            cells = math.prod(shape)
-            entry = out[section].setdefault(name, {"shape": list(shape), "cells": cells})
-            prefix = f"{call}_" if section == "cases" else ""
-            entry.update({f"{prefix}us": round(us, 2),
-                          f"{prefix}ns_per_cell": round(us * 1e3 / cells, 1),
-                          f"{prefix}faults": round(faults, 2)})
-            if call == "run":
-                entry["run_steps"] = units
+           "python": platform.python_version(), "numpy": np.__version__, "rounds": ROUNDS,
+           "seconds": ROUND_SECONDS}
+    trees = [(root, "rarefan")]
+    # the copy of DIR_B stays on disk while the calls run, for any import made late
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.dir_b is not None:
+            out["dir_b"] = str(args.dir_b.resolve())
+            load_copy(args.dir_b.resolve(), Path(tmp), "rarefan_b")
+            trees.append((args.dir_b.resolve(), "rarefan_b"))
+        out["kernel"] = {f"build_s{suffix}": kernel_build_s(pkg)
+                         for suffix, (_, pkg) in zip(("", "_b"), trees)}
+        for tables in zip(*(calls(r, pkg) for r, pkg in trees)):
+            for (section, name, call), row in timed_rounds(tables).items():
+                shape = tables[0][section, name, call][0]
+                entry = out.setdefault(section, {}).setdefault(
+                    name, {} if shape is None else {"shape": list(shape),
+                                                    "cells": math.prod(shape)})
+                if call is None:
+                    entry.update(row)
+                    continue
+                entry[call] = row
+                if call == "run":
+                    entry.update(zip(("run_steps", "run_steps_b"),
+                                     (table[section, name, call][2] for table in tables)))
     print(json.dumps(out, indent=2))
     return 0
 

@@ -473,15 +473,15 @@ def _dneq_observer(spec: WaveSpec):
     return obs
 
 
-def _decay_run(cfg: ExperimentConfig, modes: str) -> tuple[list[dict], SlabGrid]:
+def _decay_run(cfg: ExperimentConfig, modes: str) -> list[dict]:
     if cfg.grid.dims < 2:
         raise ConfigError("non-zero-mode decay needs a transverse direction (grid.dims >= 2)")
-    spec, grid, initial, scfg, ghost = pinned_start(cfg, cfg.solver.eps, cfg.experiment.eta,
-                                                    modes=modes)
+    spec, _, initial, scfg, ghost = pinned_start(cfg, cfg.solver.eps, cfg.experiment.eta,
+                                                 modes=modes)
     obs = {"dneq": _dneq_observer(spec), "dist": _distance_observer(spec, cfg.experiment.h)}
     _, records = run(initial, cfg.gas, scfg, cfg.experiment.horizon, observers=obs,
                      ghost_source=ghost, sample_dt=cfg.experiment.horizon / 24.0)
-    return records, grid
+    return records
 
 
 def run_nonzero_decay(cfg: ExperimentConfig) -> StudyReport:
@@ -491,8 +491,8 @@ def run_nonzero_decay(cfg: ExperimentConfig) -> StudyReport:
     if cfg.experiment.eta <= 0.0:
         raise ConfigError("decay experiment needs experiment.eta > 0")
     # the perturbed run here, the planar control in a worker
-    (records, grid), (control, _) = _concurrently(lambda: _decay_run(cfg, "all"),
-                                                  [(_decay_run, (cfg, "planar"))])
+    records, control = _concurrently(lambda: _decay_run(cfg, "all"),
+                                     [(_decay_run, (cfg, "planar"))])
 
     rows = []
     for r in records:
@@ -503,7 +503,6 @@ def run_nonzero_decay(cfg: ExperimentConfig) -> StudyReport:
     rows.append({"tau": control[-1]["tau"], "dneq_rho": control_max, "run": "planar-control"})
 
     taus = np.array([r["tau"] for r in records])
-    vals = np.array([r["dneq.rho"] for r in records])
     tail = taus >= taus[-1] / 3.0
     fits = {}
     for name in ("rho", "u", "theta", "H"):

@@ -183,7 +183,8 @@ def _kernel_path(source: Path, build_dir: Path) -> Path:
 
     It is compiled under a temporary name and renamed into place, so
     processes that build it at once (a caller and its forked worker) each
-    load a whole file.
+    load a whole file.  A build then removes the directory's other
+    libraries of the source, the builds of its earlier edits.
     """
     import os
     import subprocess
@@ -203,6 +204,9 @@ def _kernel_path(source: Path, build_dir: Path) -> Path:
         tmp.unlink(missing_ok=True)
         raise RuntimeError(f"{' '.join(cmd)} failed:\n{proc.stderr}")
     os.replace(tmp, lib)
+    for stale in build_dir.glob(f"{source.stem}-*.so"):
+        if stale != lib:
+            stale.unlink(missing_ok=True)
     return lib
 
 
@@ -471,8 +475,9 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
     Steps are capped so that every sample lands on its time t0 + k sample_dt
     and the last on the horizon.  ghost_source pins the x1 ghosts; None
     wraps x1, as on the torus.  Each record carries the base diagnostic
-    columns plus whatever the observer callbacks return; records are plain
-    dicts ready for CSV emission.
+    columns plus each observer's dict, its keys prefixed with the
+    observer's name and a dot; records are plain dicts ready for CSV
+    emission.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
@@ -487,11 +492,7 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
                "min_theta": float(np.min(fs.primitives(g)[4]))}
         row.update(fs.totals())
         for name, fn in observers.items():
-            out = fn(fs, g)
-            if isinstance(out, dict):
-                row.update({f"{name}.{k}" if k else name: v for k, v in out.items()})
-            else:
-                row[name] = out
+            row.update({f"{name}.{k}": v for k, v in fn(fs, g).items()})
         records.append(row)
 
     record(None)

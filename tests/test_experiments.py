@@ -194,7 +194,7 @@ def test_decay_zero_mode_unaffected_by_transverse_resolution():
                      wave=WaveBlock(nu=0.1, delta=0.2),
                      grid=GridBlock(n1=128, n2=n2, period=0.8, dims=2),
                      solver=SolverBlock(eps=0.08))
-        records, grid = _decay_run(cfg, modes="all")
+        records = _decay_run(cfg, modes="all")
         dists[n2] = records[-1]["dist.max"]
     assert abs(dists[12] - dists[24]) <= 0.01 * dists[24]
 
@@ -267,20 +267,40 @@ def test_cutoff_study_loads_no_numpy_ma():
     assert res.stdout.strip() == "False"
 
 
-def _bench_pairs():
-    """scripts/bench_pairs.py, imported as a module."""
+def _script(name):
+    """scripts/<name>.py, imported as a module."""
     import importlib.util
     from pathlib import Path
-    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", script)
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
-    return bench_pairs
+    script = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_step_times_one_tree_or_two_in_rounds(monkeypatch):
+    # bench_step.py's rounds loop on trivial call tables: one tree gets each
+    # call's medians, two trees add the second tree's, their ratio and its wins
+    bench_step = _script("bench_step")
+    monkeypatch.setattr(bench_step, "ROUNDS", 3)
+    monkeypatch.setattr(bench_step, "ROUND_SECONDS", 1e-4)
+    table = {("cases", "line8", "step"): ((8, 1, 1), lambda: sum(range(8)), 1),
+             ("fanout", "noop", None): (None, lambda: None, 1)}
+    one = bench_step.timed_rounds([table])
+    assert set(one) == set(table)
+    for row in one.values():
+        assert row["us"] > 0.0 and row["faults"] >= 0.0 and "us_b" not in row
+    assert one["cases", "line8", "step"]["ns_per_cell"] > 0.0
+    two = bench_step.timed_rounds([table, dict(table)])
+    assert set(two) == set(table)
+    for row in two.values():
+        assert row["us"] > 0.0 and row["us_b"] > 0.0 and row["faults_b"] >= 0.0
+        assert row["ratio"] > 0.0 and row["b_wins"] in range(4)
 
 
 def test_bench_pairs_marks_a_checkout_with_uncommitted_src(tmp_path):
     import subprocess
-    bench_pairs = _bench_pairs()
+    bench_pairs = _script("bench_pairs")
     assert bench_pairs.src_dirty(tmp_path) is None
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "a.py").write_text("x = 1\n")
@@ -296,7 +316,7 @@ def test_bench_pairs_marks_a_checkout_with_uncommitted_src(tmp_path):
 
 def test_bench_pairs_refuses_paths_of_different_lengths(tmp_path, capsys):
     # the heap state, and with it wall_s, depends on the checkout's path length
-    bench_pairs = _bench_pairs()
+    bench_pairs = _script("bench_pairs")
     parent, change = tmp_path / "parent", tmp_path / "change7"
     parent.mkdir()
     change.mkdir()
@@ -313,7 +333,7 @@ def test_bench_pairs_refuses_paths_of_different_lengths(tmp_path, capsys):
 def test_bench_pairs_counts_bytecode_not_the_kernel_library(tmp_path):
     # the solver's first run builds its kernel into __pycache__, which must
     # not read as the compiled sources that shorten setup_s
-    bench_pairs = _bench_pairs()
+    bench_pairs = _script("bench_pairs")
     cache = tmp_path / "src" / "rarefan" / "__pycache__"
     assert not bench_pairs.holds_bytecode(tmp_path)
     cache.mkdir(parents=True)
@@ -327,7 +347,7 @@ def test_bench_pairs_marks_a_median_worse_than_its_bound():
     # a metric whose change median is worse than the parent's by more than
     # its bound is marked, whichever direction is better; a gain, a loss
     # within the bound and a metric without a bound are not
-    bench_pairs = _bench_pairs()
+    bench_pairs = _script("bench_pairs")
     better = {"wall_s": "lower", "setup_s": "lower", "pass_ratio": "higher", "faults": "lower"}
     sides = ([(1.0, 0.10, 1.0, 100), (0.7, 0.13, 0.9, 300)],
              [(1.2, 0.12, 1.0, 100), (0.8, 0.16, 0.9, 300)],

@@ -856,29 +856,6 @@ def _poisoned_workspace(shape):
     return ws
 
 
-def test_kernel_builds_once_into_a_cold_directory(tmp_path, monkeypatch):
-    # the first solver call of a process builds the kernel into the build
-    # directory, once for every grid shape; an edited source gets a library
-    # name of its own, so a stale build is never loaded
-    cache = tmp_path / "cache"
-    monkeypatch.setattr(solver, "_BUILD_DIR", cache)
-    solver._kernel.cache_clear()
-    solver._workspace.cache_clear()
-    try:
-        for grid in (SlabGrid.torus(1.0, 16), SlabGrid.torus(1.0, 8, 4, dims=2)):
-            rhs(_transverse_state(grid, 0), GAS, SolverConfig(eps=0.1))
-        built = list(cache.iterdir())
-        assert [p.suffix for p in built] == [".so"]
-        assert solver._kernel_path(solver._KERNEL_SOURCE, cache) == built[0]
-    finally:
-        solver._kernel.cache_clear()
-        solver._workspace.cache_clear()
-    edited = tmp_path / "_kernel.c"
-    edited.write_bytes(solver._KERNEL_SOURCE.read_bytes() + b"\n/* edited */\n")
-    assert built[0].name == solver._kernel_name(solver._KERNEL_SOURCE)
-    assert solver._kernel_name(edited) != built[0].name
-
-
 def _row_loop_lines(source, name):
     """The line number of the first loop in the C function name."""
     lines = source.read_text().splitlines()
@@ -886,17 +863,45 @@ def _row_loop_lines(source, name):
     return next(i + 1 for i in range(start, len(lines)) if lines[i].lstrip().startswith("for ("))
 
 
-def test_kernel_compiles_without_warnings(tmp_path):
-    # at the build's own flags; with GCC, its vectorizer report must list the
-    # loops of face_row, fill_row and stage_row, so that a branch or an
-    # aliasing row that turns them scalar fails here
+def test_kernel_builds_once_without_warnings(tmp_path, monkeypatch):
+    # the first solver call of a process builds the kernel into the build
+    # directory, once for every grid shape, and removes the stale build of
+    # an earlier edit; an edited source gets a library name of its own, so
+    # a stale build is never loaded.  The build runs at the build's own
+    # flags plus -Wall -Wextra -Werror; with GCC, its vectorizer report must
+    # list the loops of face_row, fill_row and stage_row, so that a branch
+    # or an aliasing row that turns them scalar fails here
     source = solver._KERNEL_SOURCE
-    cmd = [*solver._CC, "-Wall", "-Wextra", "-Werror", "-fopt-info-vec-optimized",
-           "-o", str(tmp_path / "kernel.so"), str(source), "-lm"]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    version = subprocess.run([solver._CC[0], "-v"], capture_output=True, text=True,
-                             timeout=60)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"{source.stem}-0123456789abcdef.so").write_bytes(b"stale")
+    monkeypatch.setattr(solver, "_BUILD_DIR", cache)
+    monkeypatch.setattr(solver, "_CC", (*solver._CC, "-Wall", "-Wextra", "-Werror",
+                                        "-fopt-info-vec-optimized"))
+    real_run, compiles = subprocess.run, []
+
+    def spy(cmd, *args, **kwargs):
+        compiles.append((cmd, real_run(cmd, *args, **kwargs)))
+        return compiles[-1][1]
+    monkeypatch.setattr(subprocess, "run", spy)
+    solver._kernel.cache_clear()
+    solver._workspace.cache_clear()
+    try:
+        for grid in (SlabGrid.torus(1.0, 16), SlabGrid.torus(1.0, 8, 4, dims=2)):
+            rhs(_transverse_state(grid, 0), GAS, SolverConfig(eps=0.1))
+        lib = cache / solver._kernel_name(source)
+        assert list(cache.iterdir()) == [lib]
+        assert solver._kernel_path(source, cache) == lib
+    finally:
+        solver._kernel.cache_clear()
+        solver._workspace.cache_clear()
+    [(cmd, proc)] = compiles
+    assert cmd == [*solver._CC, "-o", f"{lib}.{os.getpid()}.tmp", str(source), "-lm"]
+    edited = tmp_path / "_kernel.c"
+    edited.write_bytes(source.read_bytes() + b"\n/* edited */\n")
+    assert solver._kernel_name(edited) != lib.name
+    assert "warning" not in proc.stderr
+    version = real_run([solver._CC[0], "-v"], capture_output=True, text=True, timeout=60)
     if "gcc version" not in version.stderr:
         pytest.skip("the vectorizer report is GCC's")
     vectorized = proc.stderr.splitlines()
