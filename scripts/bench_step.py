@@ -43,7 +43,8 @@ calls, DIR's tree first in even rounds and DIR_B's first in odd ones, so
 that drift of the machine's speed falls on both. Each row adds DIR_B's
 medians (``us_b``, ``faults_b``), their ratio to DIR's (``ratio``) and the
 rounds DIR_B was faster (``b_wins``). Separate invocations spread by about
-15% on a 2-core VM; interleaved rounds resolve a few percent.
+15% on a 2-core VM; interleaved rounds resolve a few percent while the
+machine's speed holds still.
 
 The sections are built and timed in order: the analysis calls first, with
 only the slab256x32 state built, then the fan-out calls, then the solver
@@ -188,7 +189,7 @@ def calls(root: Path, pkg: str):
     step for ``run``, per call otherwise (units 1). The shape of a fan-out
     call, which has no grid, is None."""
     yield {("analysis", name, None): (grid.shape, call, 1)
-                       for name, (grid, call) in analysis_calls(root, pkg).items()}
+           for name, (grid, call) in analysis_calls(root, pkg).items()}
     concurrently = importlib.import_module(f"{pkg}.experiments")._concurrently
     git_commit = importlib.import_module(f"{pkg}.config").git_commit
     yield {("fanout", "concurrently", None): (None, lambda: concurrently(
@@ -234,9 +235,8 @@ def load_copy(root: Path, tmp: Path, pkg: str) -> None:
 
 
 def timed_rounds(tables: list[dict]) -> dict:
-    """key -> row of each call in the call tables (key -> (shape, zero-argument
-    call, units)) of one tree or two, timed in ROUNDS alternating rounds;
-    see the module docstring."""
+    """key -> row of each call in the call tables of one tree or two (see
+    calls), timed in ROUNDS alternating rounds; see the module docstring."""
     numbers = {}
     for key, (_, call, _) in tables[0].items():
         for table in tables:
