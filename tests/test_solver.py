@@ -863,45 +863,66 @@ def _row_loop_lines(source, name):
     return next(i + 1 for i in range(start, len(lines)) if lines[i].lstrip().startswith("for ("))
 
 
-def test_kernel_builds_once_without_warnings(tmp_path, monkeypatch):
-    # the first solver call of a process builds the kernel into the build
-    # directory, once for every grid shape, and removes the stale build of
-    # an earlier edit; an edited source gets a library name of its own, so
-    # a stale build is never loaded.  The build runs at the build's own
-    # flags plus -Wall -Wextra -Werror; with GCC, its vectorizer report must
-    # list the loops of face_row, fill_row and stage_row, so that a branch
-    # or an aliasing row that turns them scalar fails here
+@pytest.fixture(scope="module")
+def cold_kernel_build(tmp_path_factory):
+    """One cold build of the kernel through the first rhs, into a fresh build
+    directory that holds a stale library of the same source, at the build's
+    own flags plus -Wall -Wextra -Werror and GCC's vectorizer report: the
+    directory's listing afterwards, the library's path, what _kernel_path
+    then returns, the compiler flags of the build and every compile run, as
+    (command, completed process) pairs."""
     source = solver._KERNEL_SOURCE
-    cache = tmp_path / "cache"
-    cache.mkdir()
+    cache = tmp_path_factory.mktemp("cache")
     (cache / f"{source.stem}-0123456789abcdef.so").write_bytes(b"stale")
-    monkeypatch.setattr(solver, "_BUILD_DIR", cache)
-    monkeypatch.setattr(solver, "_CC", (*solver._CC, "-Wall", "-Wextra", "-Werror",
-                                        "-fopt-info-vec-optimized"))
+    cc = (*solver._CC, "-Wall", "-Wextra", "-Werror", "-fopt-info-vec-optimized")
     real_run, compiles = subprocess.run, []
 
     def spy(cmd, *args, **kwargs):
         compiles.append((cmd, real_run(cmd, *args, **kwargs)))
         return compiles[-1][1]
-    monkeypatch.setattr(subprocess, "run", spy)
-    solver._kernel.cache_clear()
-    solver._workspace.cache_clear()
-    try:
-        for grid in (SlabGrid.torus(1.0, 16), SlabGrid.torus(1.0, 8, 4, dims=2)):
-            rhs(_transverse_state(grid, 0), GAS, SolverConfig(eps=0.1))
-        lib = cache / solver._kernel_name(source)
-        assert list(cache.iterdir()) == [lib]
-        assert solver._kernel_path(source, cache) == lib
-    finally:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_BUILD_DIR", cache)
+        mp.setattr(solver, "_CC", cc)
+        mp.setattr(subprocess, "run", spy)
         solver._kernel.cache_clear()
         solver._workspace.cache_clear()
-    [(cmd, proc)] = compiles
-    assert cmd == [*solver._CC, "-o", f"{lib}.{os.getpid()}.tmp", str(source), "-lm"]
+        try:
+            for grid in (SlabGrid.torus(1.0, 16), SlabGrid.torus(1.0, 8, 4, dims=2)):
+                rhs(_transverse_state(grid, 0), GAS, SolverConfig(eps=0.1))
+            lib = cache / solver._kernel_name(source)
+            built = list(cache.iterdir())
+            found = solver._kernel_path(source, cache)
+        finally:
+            solver._kernel.cache_clear()
+            solver._workspace.cache_clear()
+    return {"built": built, "lib": lib, "found": found, "cc": cc, "compiles": compiles}
+
+
+def test_kernel_builds_once_into_a_cold_directory(cold_kernel_build, tmp_path):
+    # the first solver call of a process builds the kernel into the build
+    # directory, once for every grid shape, and removes the stale build of
+    # an earlier edit; an edited source gets a library name of its own, so
+    # a stale build is never loaded
+    source, lib = solver._KERNEL_SOURCE, cold_kernel_build["lib"]
+    assert cold_kernel_build["built"] == [lib]
+    assert cold_kernel_build["found"] == lib
+    [(cmd, _)] = cold_kernel_build["compiles"]
+    assert cmd == [*cold_kernel_build["cc"], "-o", f"{lib}.{os.getpid()}.tmp", str(source), "-lm"]
     edited = tmp_path / "_kernel.c"
     edited.write_bytes(source.read_bytes() + b"\n/* edited */\n")
     assert solver._kernel_name(edited) != lib.name
+
+
+def test_kernel_compiles_without_warnings(cold_kernel_build):
+    # the cold build runs at the build's own flags plus -Wall -Wextra
+    # -Werror; with GCC, its vectorizer report must list the loops of
+    # face_row, fill_row and stage_row, so that a branch or an aliasing row
+    # that turns them scalar fails here
+    source = solver._KERNEL_SOURCE
+    [(_, proc)] = cold_kernel_build["compiles"]
+    assert proc.returncode == 0, proc.stderr
     assert "warning" not in proc.stderr
-    version = real_run([solver._CC[0], "-v"], capture_output=True, text=True, timeout=60)
+    version = subprocess.run([solver._CC[0], "-v"], capture_output=True, text=True, timeout=60)
     if "gcc version" not in version.stderr:
         pytest.skip("the vectorizer report is GCC's")
     vectorized = proc.stderr.splitlines()
