@@ -1,6 +1,7 @@
-/* rarefan.solver's rhs, stable_dt and SSP-RK3 stages of a conserved stack.
+/* rarefan.solver's rhs, stable_dt and SSP-RK3 stages of a conserved stack,
+   and rarefan.analysis's central differences of a field.
 
-   Three entries.  rk_rhs checks the density (returning 1 if some cell has
+   Three entries serve the solver.  rk_rhs checks the density (returning 1 if some cell has
    rho <= 0), fills the ghost-ringed state from the conserved stack U,
    checks the temperature (returning 2 if some ring cell has theta <= 0)
    and forms the pressure and sound speed of every ring cell; then, axis by
@@ -39,11 +40,30 @@
    at alpha = 0.5, which is also numpy's ** 0.5, and libm's pow otherwise;
    and each x1 end plane is summed in order over its transverse cells.
 
-   The face, fill and stage passes are vectorized, and the rule that keeps
-   them so is: the innermost loop of a pass is a row function, a loop over
-   the cells or faces of one row with no branch in its body, whose every
-   row is its own restrict parameter and whose axis, active axes and kind
-   are compile-time constants, so that the pass picks its instance once.
+   Two entries serve rarefan.analysis, on a field f of extents (n0, n1, n2)
+   in C order.  an_derivs writes f's gradient into rows 0-2 of the
+   caller's work block; at level 2 then the Frobenius |grad^2 f|^2 into
+   row 6, from each component's gradient in rows 3-5 in turn; at level >=
+   1 last |grad f|^2 into row 0.  an_axis writes one component of the pinned gradient.  Their rule
+   keeps the bits of the numpy forms they replaced (tests/test_analysis.py
+   holds them): along an axis of n >= 2 cells of width h a cell's
+   derivative is (f(i + 1) - f(i - 1)) / (2.0 h), a difference and then a
+   division by the product, with the neighbours wrapped at the ends;
+   pinned x1 ends take np.gradient's uniform edge_order=2 formulas in its
+   order, ((-1.5 / h) f(0) + (2.0 / h) f(1)) + (-0.5 / h) f(2) and ((0.5 /
+   h) f(n - 3) + (-2.0 / h) f(n - 2)) + (1.5 / h) f(n - 1); along an axis
+   of one cell it is 0.  Squares are summed (x x + y y) + z z, and the
+   Hessian sum adds component b's summed squares for b = 0, 1, 2 in turn.
+   An axis's differences are one flat difference of the field shifted by
+   the axis's stride, whose end rows, which take the wrong neighbours, are
+   then overwritten.
+
+   The face, fill and stage passes and the derivative rows are vectorized,
+   and the rule that keeps them so is: the innermost loop of a pass is a
+   row function, a loop over the cells or faces of one row with no branch
+   in its body, whose every row is its own restrict parameter and whose
+   axis, active axes and kind are compile-time constants, so that the pass
+   picks its instance once.
    GCC drops the restrict of an inlined function's parameters, so the
    function a row function is inlined into takes the rows as restrict
    parameters of its own.  rarefan.solver compiles this file with -O3
@@ -564,4 +584,129 @@ int rk_stage(const rk_work *w, const coeffs *q, int s, const double *U0, double 
         return 1;
     return check(cells, q->cth, out, out + cells, out + 2 * cells, out + 3 * cells, out + 4 * cells,
                  mins);
+}
+
+/* rarefan.analysis's central differences of a field f, C-ordered over
+   extents (n0, n1, n2) with P = n1 n2 cells a plane; see the header */
+
+/* o = (hi - lo) / h2 over n entries */
+static inline __attribute__((always_inline)) void
+diff_row(const int64_t n, const double h2, const double *restrict lo, const double *restrict hi,
+         double *restrict o)
+{
+    for (int64_t i = 0; i < n; i++)
+        o[i] = (hi[i] - lo[i]) / h2;
+}
+
+/* o = (c0 a + c1 b) + c2 c over n entries */
+static inline __attribute__((always_inline)) void
+end_row(const int64_t n, const double c0, const double c1, const double c2,
+        const double *restrict a, const double *restrict b, const double *restrict c,
+        double *restrict o)
+{
+    for (int64_t i = 0; i < n; i++)
+        o[i] = (c0 * a[i] + c1 * b[i]) + c2 * c[i];
+}
+
+/* o = (x x + y y) + z z over n entries, o + that if acc */
+static inline __attribute__((always_inline)) void
+square_row(const int64_t n, const int acc, const double *restrict x, const double *restrict y,
+           const double *restrict z, double *restrict o)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double q = (x[i] * x[i] + y[i] * y[i]) + z[i] * z[i];
+        o[i] = acc ? o[i] + q : q;
+    }
+}
+
+/* x = (x x + y y) + z z over n entries */
+static inline __attribute__((always_inline)) void
+norm_row(const int64_t n, double *restrict x, const double *restrict y, const double *restrict z)
+{
+    for (int64_t i = 0; i < n; i++)
+        x[i] = (x[i] * x[i] + y[i] * y[i]) + z[i] * z[i];
+}
+
+/* the end rows of an axis of n >= 2 cells of stride s and width h, f and o
+   at the axis's cell 0: cell 0's row into o0 if o0, cell n - 1's into o1
+   if o1; wrapped, or np.gradient's closure if pin (then n >= 3) */
+static void end_rows(const int64_t n, const int64_t s, const double h, const int pin,
+                     const double *restrict f, double *restrict o0, double *restrict o1)
+{
+    const double *last = f + (n - 1) * s;
+    if (pin) {
+        if (o0)
+            end_row(s, -1.5 / h, 2.0 / h, -0.5 / h, f, f + s, f + 2 * s, o0);
+        if (o1)
+            end_row(s, 0.5 / h, -2.0 / h, 1.5 / h, last - 2 * s, last - s, last, o1);
+    } else {
+        if (o0)
+            diff_row(s, 2.0 * h, last, f + s, o0);
+        if (o1)
+            diff_row(s, 2.0 * h, last - s, f, o1);
+    }
+}
+
+/* d f / d x along an axis of n cells of stride s and width h, at every cell
+   of outer consecutive blocks of n s entries, into o: one difference of
+   the flat field shifted by s, whose end rows, which pick up the wrong
+   neighbours, end_rows then overwrites, wrapped or by np.gradient's
+   closure if pin; 0 if n is 1 */
+static void axis_pass(const int64_t outer, const int64_t n, const int64_t s, const double h,
+                      const int pin, const double *restrict f, double *restrict o)
+{
+    const int64_t len = n * s;
+    if (n == 1) {
+        for (int64_t i = 0; i < outer * len; i++)
+            o[i] = 0.0;
+        return;
+    }
+    diff_row(outer * len - 2 * s, 2.0 * h, f, f + 2 * s, o + s);
+    for (int64_t k = 0; k < outer * len; k += len)
+        end_rows(n, s, h, pin, f + k, o + k, o + k + len - s);
+}
+
+/* the gradient of f, (n0, n1, n2) cells of widths dx, into o0, o1 and o2;
+   np.gradient's closure at the x1 ends if pin */
+static void grad(const int64_t n0, const int64_t n1, const int64_t n2, const double dx[3],
+                 const int pin, const double *restrict f, double *restrict o0,
+                 double *restrict o1, double *restrict o2)
+{
+    axis_pass(1, n0, n1 * n2, dx[0], pin, f, o0);
+    axis_pass(n0, n1, n2, dx[1], 0, f, o1);
+    axis_pass(n0 * n1, n2, 1, dx[2], 0, f, o2);
+}
+
+/* f's gradient, (n0, n1, n2) cells of widths dx0, dx1 and dx2, into rows
+   0-2 of work, (rows, n0, n1, n2); with level 2 its Frobenius |grad^2 f|^2
+   into row 6, each component's gradient in rows 3-5 in turn, and with
+   level >= 1 then |grad f|^2 into row 0.  pin takes np.gradient's closure
+   at the x1 ends (then n0 != 2) */
+void an_derivs(int64_t n0, int64_t n1, int64_t n2, double dx0, double dx1, double dx2, int pin,
+               int level, const double *f, double *work)
+{
+    const int64_t N = n0 * n1 * n2;
+    const double dx[3] = {dx0, dx1, dx2};
+    double *g[7];
+    for (int k = 0; k < 7; k++)
+        g[k] = work + k * N;
+    grad(n0, n1, n2, dx, pin, f, g[0], g[1], g[2]);
+    if (level == 2)
+        for (int b = 0; b < 3; b++) {
+            grad(n0, n1, n2, dx, pin, g[b], g[3], g[4], g[5]);
+            if (b == 0)
+                square_row(N, 0, g[3], g[4], g[5], g[6]);
+            else
+                square_row(N, 1, g[3], g[4], g[5], g[6]);
+        }
+    if (level >= 1)
+        norm_row(N, g[0], g[1], g[2]);
+}
+
+/* d f / d x_a of f, (n0, n1, n2) cells of width h along a, into o, the x1
+   ends by np.gradient's closure (then n0 != 2) */
+void an_axis(int64_t n0, int64_t n1, int64_t n2, int a, double h, const double *f, double *o)
+{
+    const int64_t n[3] = {n0, n1, n2}, s[3] = {n1 * n2, n2, 1}, outer[3] = {1, n0, n0 * n1};
+    axis_pass(outer[a], n[a], s[a], h, a == 0, f, o);
 }

@@ -5,6 +5,11 @@ Norm conventions: discrete integrals over the slab R x T^2 use the cell
 volume dx1*dx2*dx3; line quantities (transverse averages) carry the
 transverse area as measure so Parseval and the projection bounds hold with
 consistent measures at machine precision.
+
+The central differences (gradient, axis_derivative, grad_sq,
+derivative_sq) are calls of the C kernel that rarefan.solver builds and
+loads on first use (solver._kernel); without a C compiler the first of
+them raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .gas import GasParams
 from .fields import FieldSet, SlabGrid, aligned_empty
 from .waves import WaveSpec, sample_exact
@@ -66,79 +72,58 @@ def lp_line(f0: np.ndarray, grid: SlabGrid, p: float) -> float:
 # gradients
 # ---------------------------------------------------------------------------
 
-def _on(ax: int, s) -> tuple:
-    """Index tuple that applies s to axis ax of a field."""
-    return (slice(None),) * ax + (s,)
+def _derivatives(f: np.ndarray, grid: SlabGrid, periodic_x1: bool, level: int,
+                 work: np.ndarray | None = None) -> np.ndarray:
+    """The kernel's an_derivs of f into work, a C-contiguous float (rows,) +
+    grid.shape block, 7 rows at level 2 and 3 below, allocated when None:
+    the gradient in rows 0-2; at level 2 the Hessian sum in row 6, rows
+    3-5 the second gradient of one component at a time; at level >= 1 then
+    |grad f|^2 in row 0."""
+    f = np.ascontiguousarray(f, dtype=float)
+    if f.shape != grid.shape:
+        raise ValueError("field shape does not match grid")
+    shape = (7 if level == 2 else 3,) + f.shape
+    if work is None:
+        work = np.empty(shape)
+    elif work.shape != shape or work.dtype != np.float64 or not work.flags.c_contiguous:
+        raise ValueError(f"the derivatives' block must be a C-contiguous float {shape} array")
+    if grid.shape[0] == 2 and not periodic_x1:
+        raise ValueError("the one-sided x1 closure needs n1 >= 3")
+    solver._kernel().an_derivs(*grid.shape, *grid.spacing, not periodic_x1, level,
+                               f.ctypes.data, work.ctypes.data)
+    return work
 
 
 def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
              out: np.ndarray | None = None) -> np.ndarray:
     """2nd-order central gradient (3, n1, n2, n3); transverse axes periodic,
     x1 one-sided 2nd-order at the ends unless periodic_x1.  Writes into out,
-    a C-contiguous (3, n1, n2, n3) array, when given.
+    a C-contiguous float (3, n1, n2, n3) array, when given.
+
+    One kernel call: each component is (f(i + 1) - f(i - 1)) / (2 h) with
+    wrapped ends, 0 along an axis of one cell, and the pinned x1 ends take
+    np.gradient's uniform edge_order=2 formulas in its operation order, so
+    the result is np.gradient's and the roll form's to the bit.
     """
-    f = np.ascontiguousarray(f, dtype=float)
-    if out is None:
-        out = np.empty((3,) + f.shape)
-    elif out.shape != (3,) + f.shape or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous (3,) + f.shape array")
-    for ax, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
-        _axis_pass(f, ax, n, h, periodic_x1, out[ax])
-    return out
+    return _derivatives(f, grid, periodic_x1, 0, out)
 
 
 def axis_derivative(f: np.ndarray, grid: SlabGrid, ax: int) -> np.ndarray:
     """2nd-order central d f / d x_ax (n1, n2, n3), component ax of the pinned
     gradient, without forming the other two."""
-    return _axis_pass(np.ascontiguousarray(f, dtype=float), ax, grid.shape[ax], grid.spacing[ax],
-                      False, np.empty(np.shape(f)))
-
-
-def _axis_pass(f: np.ndarray, ax: int, n: int, h: float, periodic_x1: bool,
-               o: np.ndarray) -> np.ndarray:
-    """d f / d x_ax of a C-contiguous f into the C-contiguous o, along an axis
-    of n cells of width h; zero when n is 1.
-
-    The axis's flat stride s makes its difference one contiguous difference
-    of the flattened field, cells j + s minus j - s; its end cells, which
-    pick up the wrong neighbours there, are then overwritten by the wrapped
-    ends or the pinned closure.  The pinned x1 closure uses np.gradient's
-    uniform-spacing edge_order=2 formulas in its operation order, so it
-    matches np.gradient to the bit.
-    """
-    if n == 1:
-        o.fill(0.0)
-        return o
-    flat, n_all = f.reshape(-1), f.size
-    s = f.strides[ax] // f.itemsize
-    np.subtract(flat[2 * s:], flat[:n_all - 2 * s], out=o.reshape(-1)[s:n_all - s])
-    first, last = _on(ax, 0), _on(ax, -1)
-    if ax > 0 or periodic_x1:
-        np.subtract(f[_on(ax, 1)], f[last], out=o[first])  # wrapped ends
-        np.subtract(f[first], f[_on(ax, -2)], out=o[last])
-        o /= 2.0 * h
-    elif n < 3:
+    f = np.ascontiguousarray(f, dtype=float)
+    if f.shape != grid.shape:
+        raise ValueError("field shape does not match grid")
+    if ax == 0 and grid.shape[0] == 2:
         raise ValueError("the one-sided x1 closure needs n1 >= 3")
-    else:
-        o[1:-1] /= 2.0 * h
-        o[first] = (-1.5 / h) * f[first] + (2.0 / h) * f[_on(ax, 1)] + (-0.5 / h) * f[_on(ax, 2)]
-        o[last] = (0.5 / h) * f[_on(ax, -3)] + (-2.0 / h) * f[_on(ax, -2)] + (1.5 / h) * f[last]
+    o = np.empty(f.shape)
+    solver._kernel().an_axis(*grid.shape, ax, grid.spacing[ax], f.ctypes.data, o.ctypes.data)
     return o
 
 
-def _row_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(a[0] + a[1]) + a[2] written into out, by default a[0], the order of
-    a.sum(axis=0)."""
-    out = a[0] if out is None else out
-    np.add(a[0], a[1], out=out)
-    out += a[2]
-    return out
-
-
 def grad_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndarray:
-    """|grad f|^2 cellwise."""
-    gr = gradient(f, grid, periodic_x1)
-    return _row_sum(np.multiply(gr, gr, out=gr))
+    """|grad f|^2 cellwise: derivative_sq's first result, without the Hessian."""
+    return _derivatives(f, grid, periodic_x1, 1)[0]
 
 
 def derivative_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
@@ -146,27 +131,17 @@ def derivative_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
     """|grad f|^2 and the Frobenius |grad^2 f|^2 cellwise, both from one
     gradient of f; the second differentiates each of its components again.
 
-    Everything is written into work, a C-contiguous (7,) + f.shape block:
-    rows 0-2 the gradient, 3-5 the second gradient of one component, 6 the
-    Hessian sum.  The two results are its rows 0 and 6, so the next call
-    with the same block overwrites them; without a block one is allocated
-    and the results are the caller's.
+    One kernel call writes everything into work, a C-contiguous float (7,)
+    + f.shape block: gradient's components into rows 0-2; then the Hessian
+    sum into row 6, adding the squares (d1^2 + d2^2) + d3^2 of component
+    b's gradient, in rows 3-5, for b = 0, 1, 2 in turn; then |grad f|^2,
+    summed the same way, into row 0.  So both are the numpy forms' to the bit.
+    The two results are rows 0 and 6 of the block, so the next call with
+    the same block overwrites them; without a block one is allocated and
+    the results are the caller's.
     """
-    shape = np.shape(f)
-    if work is None:
-        work = np.empty((7,) + shape)
-    elif work.shape != (7,) + shape or not work.flags.c_contiguous:
-        raise ValueError("work must be a C-contiguous (7,) + f.shape array")
-    gr, g2, hess = work[:3], work[3:6], work[6]
-    gradient(f, grid, periodic_x1, out=gr)
-    for b in range(3):
-        gradient(gr[b], grid, periodic_x1, out=g2)
-        np.multiply(g2, g2, out=g2)
-        if b == 0:
-            _row_sum(g2, out=hess)  # 0.0 + row to the bit: a sum of squares is never -0
-        else:
-            hess += _row_sum(g2)
-    return _row_sum(np.multiply(gr, gr, out=gr)), hess
+    work = _derivatives(f, grid, periodic_x1, 2, work)
+    return work[0], work[6]
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +264,11 @@ def _gn_work(shape: tuple[int, int, int]) -> np.ndarray:
 def gn_sample(u: np.ndarray, grid: SlabGrid, torus: bool) -> GNSample:
     """The shared norms of u, from one gradient and the gradient of that gradient.
 
-    The derivatives go into one work block per grid shape, kept between
-    calls as solver.rhs keeps its work area, so a sample allocates no array
-    of the field's size; like rhs, it is not thread-safe per shape.
+    Both come from one derivative_sq, a single kernel call, into one work
+    block per grid shape, kept between calls as solver.rhs keeps its work
+    area, so a sample allocates no array of the field's size; like rhs, it
+    is not thread-safe per shape.  The square roots and the L^2 sums stay
+    numpy's.
     """
     u = np.ascontiguousarray(u, dtype=float)
     work = _gn_work(grid.shape)

@@ -198,7 +198,7 @@ def _kernel_path(source: Path, build_dir: Path) -> Path:
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
     except OSError as exc:
-        raise RuntimeError(f"the solver's kernel needs a C compiler: {' '.join(cmd)}: {exc}") \
+        raise RuntimeError(f"rarefan's kernel needs a C compiler: {' '.join(cmd)}: {exc}") \
             from None
     if proc.returncode != 0:
         tmp.unlink(missing_ok=True)
@@ -229,7 +229,8 @@ class _Coeffs(ctypes.Structure):
 
 @functools.cache
 def _kernel() -> ctypes.CDLL:
-    """The solver's kernel, built on first use and loaded once per process."""
+    """The C kernel of the solver and of analysis's derivatives, built on first
+    use and loaded once per process."""
     lib = ctypes.CDLL(str(_kernel_path(_KERNEL_SOURCE, _BUILD_DIR)))
     ptr = ctypes.c_void_p
     lib.rk_rhs.argtypes = (ptr,) * 5
@@ -238,6 +239,11 @@ def _kernel() -> ctypes.CDLL:
     lib.rk_dt.restype = None
     lib.rk_stage.argtypes = (ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_double, ptr)
     lib.rk_stage.restype = ctypes.c_int
+    i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int
+    lib.an_derivs.argtypes = (i64, i64, i64, f64, f64, f64, i32, i32, ptr, ptr)
+    lib.an_derivs.restype = None
+    lib.an_axis.argtypes = (i64, i64, i64, i32, f64, ptr, ptr)
+    lib.an_axis.restype = None
     return lib
 
 
@@ -477,7 +483,9 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
     wraps x1, as on the torus.  Each record carries the base diagnostic
     columns plus each observer's dict, its keys prefixed with the
     observer's name and a dot; records are plain dicts ready for CSV
-    emission.
+    emission.  A stepped sample takes its min rho and min theta from the
+    step's diagnostics, which the kernel reduces in FieldSet.primitives'
+    order, so only the initial sample forms the primitives for them.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
@@ -486,10 +494,12 @@ def run(initial: FieldSet, g: GasParams, cfg: SolverConfig, horizon: float,
     records: list[dict] = []
 
     def record(diag: StepDiagnostics | None):
-        row = {"tau": fs.time,
-               "dt": diag.dt if diag else 0.0,
-               "min_rho": float(np.min(fs.rho)),
-               "min_theta": float(np.min(fs.primitives(g)[4]))}
+        if diag is None:
+            min_rho, min_theta = float(np.min(fs.rho)), float(np.min(fs.primitives(g)[4]))
+        else:  # the kernel's minima of the step that made fs
+            min_rho, min_theta = diag.min_rho, diag.min_theta
+        row = {"tau": fs.time, "dt": diag.dt if diag else 0.0, "min_rho": min_rho,
+               "min_theta": min_theta}
         row.update(fs.totals())
         for name, fn in observers.items():
             row.update({f"{name}.{k}": v for k, v in fn(fs, g).items()})

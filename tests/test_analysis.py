@@ -195,9 +195,10 @@ def test_nonzero_mode_energy_vanishes_on_planar_fields():
 # interpolation inequality checks
 # ---------------------------------------------------------------------------
 
-# the gn slab and torus, the decay slab, a two-cell transverse axis and lines
+# the gn slab and torus, the decay slab, a two-cell transverse axis, lines,
+# the shortest pinned closure and two-cell periodic axes
 GRADIENT_SHAPES = [(24, 8, 8), (5, 2, 3), (6, 1, 1), (128, 12, 12), (16, 16, 16),
-                   (256, 32, 1), (7, 2, 5)]
+                   (256, 32, 1), (7, 2, 5), (3, 1, 1), (3, 2, 2)]
 
 
 def shaped_grid(shape):

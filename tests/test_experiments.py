@@ -55,13 +55,14 @@ def test_gn_check_small_battery():
 
 
 def test_gn_check_shares_derivatives_across_cases(monkeypatch):
-    # one gradient and three of its components per sample and grid, one
-    # gn_check call per case: 6 samples x 3 widths x 2 grids; the counters
-    # are shared with the forked workers that run the other pieces
+    # one derivative kernel call (the gradient and its components' second
+    # gradients) per sample and grid, 6 samples x 3 widths x 2 grids, and
+    # one gn_check call per case; the counters are shared with the forked
+    # workers that run the other pieces
     import rarefan.analysis as an
     import rarefan.experiments as ex
     ctx = multiprocessing.get_context("fork")
-    calls = {"gradient": ctx.Value("i", 0), "gn_check": ctx.Value("i", 0)}
+    calls = {"_derivatives": ctx.Value("i", 0), "gn_check": ctx.Value("i", 0)}
 
     def counted(mod, name):
         real = getattr(mod, name)
@@ -71,10 +72,10 @@ def test_gn_check_shares_derivatives_across_cases(monkeypatch):
                 calls[name].value += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(mod, name, wrapper)
-    counted(an, "gradient")
+    counted(an, "_derivatives")
     counted(ex, "gn_check")
     assert run_gn_check(config(kind="gn-check", samples=6, seed=1)).passed
-    assert {name: c.value for name, c in calls.items()} == {"gradient": 4 * 6 * 3 * 2,
+    assert {name: c.value for name, c in calls.items()} == {"_derivatives": 6 * 3 * 2,
                                                             "gn_check": 6 * 6 * 3}
 
 

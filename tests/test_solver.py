@@ -916,7 +916,8 @@ def test_kernel_builds_once_into_a_cold_directory(cold_kernel_build, tmp_path):
 def test_kernel_compiles_without_warnings(cold_kernel_build):
     # the cold build runs at the build's own flags plus -Wall -Wextra
     # -Werror; with GCC, its vectorizer report must list the loops of
-    # face_row, fill_row and stage_row, so that a branch or an aliasing row
+    # face_row, fill_row and stage_row and of the derivative rows diff_row,
+    # end_row, square_row and norm_row, so that a branch or an aliasing row
     # that turns them scalar fails here
     source = solver._KERNEL_SOURCE
     [(_, proc)] = cold_kernel_build["compiles"]
@@ -926,30 +927,32 @@ def test_kernel_compiles_without_warnings(cold_kernel_build):
     if "gcc version" not in version.stderr:
         pytest.skip("the vectorizer report is GCC's")
     vectorized = proc.stderr.splitlines()
-    for name in ("face_row", "fill_row", "stage_row"):
+    for name in ("face_row", "fill_row", "stage_row", "diff_row", "end_row", "square_row",
+                 "norm_row"):
         at = f"{source}:{_row_loop_lines(source, name)}:"
         assert any(r.startswith(at) and "loop vectorized" in r for r in vectorized), name
 
 
-def test_import_loads_no_kernel_and_rhs_names_the_missing_compiler(tmp_path):
-    # a fresh copy of the package, so that nothing is built yet, run with
-    # no C compiler on PATH: importing the study layer builds and loads no
-    # kernel, and the first rhs raises RuntimeError naming the command
+def _without_compiler(tmp_path, call):
+    """The output lines of a fresh copy of the package, so that nothing is
+    built yet, run with no C compiler on PATH: the built libraries and the
+    loaded kernels after importing the study layer, then the RuntimeError
+    of the first kernel call, call (Python source)."""
     import shutil
     shutil.copytree(ROOT / "src" / "rarefan", tmp_path / "rarefan",
                     ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "bin").mkdir()
-    script = """
+    script = f"""
 import numpy as np
 import rarefan.experiments
-from rarefan import solver
+from rarefan import analysis, solver
 from rarefan.fields import FieldSet, SlabGrid
 from rarefan.gas import GasParams
 print(sorted(p.name for p in solver._BUILD_DIR.glob("*.so")), solver._kernel.cache_info().currsize)
 g = GasParams.normalized(5.0 / 3.0, 0.5)
 fs = FieldSet.from_primitives(SlabGrid.torus(1.0, 8), g, 1.0, np.zeros((3, 8, 1, 1)), 1.0)
 try:
-    solver.rhs(fs, g, solver.SolverConfig(eps=0.1))
+    {call}
 except RuntimeError as exc:
     print("RuntimeError:", exc)
 """
@@ -957,7 +960,21 @@ except RuntimeError as exc:
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_import_loads_no_kernel_and_rhs_names_the_missing_compiler(tmp_path):
+    # importing the study layer builds and loads no kernel, and the first
+    # rhs raises RuntimeError naming the command
+    lines = _without_compiler(tmp_path, "solver.rhs(fs, g, solver.SolverConfig(eps=0.1))")
+    assert lines[0] == "[] 0"
+    assert lines[1].startswith("RuntimeError:") and " ".join(solver._CC) in lines[1]
+
+
+def test_import_loads_no_kernel_and_gradient_names_the_missing_compiler(tmp_path):
+    # analysis's derivatives are kernel calls too: the first gradient, with
+    # no solver call before it, raises the same RuntimeError
+    lines = _without_compiler(tmp_path, "analysis.gradient(fs.rho, fs.grid)")
     assert lines[0] == "[] 0"
     assert lines[1].startswith("RuntimeError:") and " ".join(solver._CC) in lines[1]
 
@@ -1218,6 +1235,26 @@ def test_run_records_land_on_sample_times():
         assert np.max(np.abs(np.array(taus) - expected)) <= 1e-12
         assert taus[-1] == out.time and abs(out.time - horizon) <= 1e-12
         assert max(r["dt"] for r in records) < sample_dt / 3.0
+
+
+def test_run_records_take_stepped_minima_from_the_step():
+    # a stepped sample's min rho and min theta are its step's kernel minima,
+    # bitwise np.min of the state's primitives, and the record forms no
+    # primitives for them; only the initial sample does
+    grid = SlabGrid.torus(1.0, 8, 4, dims=2)
+    states = []
+
+    def keep(state, g):
+        states.append(state)
+        return {}
+    _, records = run(_transverse_state(grid, 2), GAS, SolverConfig(eps=0.1), 0.02,
+                     observers={"keep": keep}, sample_dt=0.005)
+    assert len(records) == len(states) >= 5
+    assert states[0]._prim is not None
+    assert all(state._prim is None for state in states[1:])
+    for row, state in zip(records, states):
+        assert row["min_rho"] == float(np.min(state.rho))
+        assert row["min_theta"] == float(np.min(state.primitives(GAS)[4]))
 
 
 def test_sweep_distance_independent_of_dt(monkeypatch):
