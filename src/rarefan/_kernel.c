@@ -587,7 +587,7 @@ int rk_stage(const rk_work *w, const coeffs *q, int s, const double *U0, double 
 }
 
 /* rarefan.analysis's central differences of a field f, C-ordered over
-   extents (n0, n1, n2) with P = n1 n2 cells a plane; see the header */
+   extents (n0, n1, n2); see the header */
 
 /* o = (hi - lo) / h2 over n entries */
 static inline __attribute__((always_inline)) void
@@ -627,23 +627,19 @@ norm_row(const int64_t n, double *restrict x, const double *restrict y, const do
         x[i] = (x[i] * x[i] + y[i] * y[i]) + z[i] * z[i];
 }
 
-/* the end rows of an axis of n >= 2 cells of stride s and width h, f and o
-   at the axis's cell 0: cell 0's row into o0 if o0, cell n - 1's into o1
-   if o1; wrapped, or np.gradient's closure if pin (then n >= 3) */
+/* the end rows of an axis of n >= 2 cells of stride s and width h, f at
+   the axis's cell 0: cell 0's row into o0, cell n - 1's into o1; wrapped,
+   or np.gradient's closure if pin (then n >= 3) */
 static void end_rows(const int64_t n, const int64_t s, const double h, const int pin,
                      const double *restrict f, double *restrict o0, double *restrict o1)
 {
     const double *last = f + (n - 1) * s;
     if (pin) {
-        if (o0)
-            end_row(s, -1.5 / h, 2.0 / h, -0.5 / h, f, f + s, f + 2 * s, o0);
-        if (o1)
-            end_row(s, 0.5 / h, -2.0 / h, 1.5 / h, last - 2 * s, last - s, last, o1);
+        end_row(s, -1.5 / h, 2.0 / h, -0.5 / h, f, f + s, f + 2 * s, o0);
+        end_row(s, 0.5 / h, -2.0 / h, 1.5 / h, last - 2 * s, last - s, last, o1);
     } else {
-        if (o0)
-            diff_row(s, 2.0 * h, last, f + s, o0);
-        if (o1)
-            diff_row(s, 2.0 * h, last - s, f, o1);
+        diff_row(s, 2.0 * h, last, f + s, o0);
+        diff_row(s, 2.0 * h, last - s, f, o1);
     }
 }
 
@@ -688,7 +684,7 @@ void an_derivs(int64_t n0, int64_t n1, int64_t n2, double dx0, double dx1, doubl
     const int64_t N = n0 * n1 * n2;
     const double dx[3] = {dx0, dx1, dx2};
     double *g[7];
-    for (int k = 0; k < 7; k++)
+    for (int k = 0; k < (level == 2 ? 7 : 3); k++)
         g[k] = work + k * N;
     grad(n0, n1, n2, dx, pin, f, g[0], g[1], g[2]);
     if (level == 2)
