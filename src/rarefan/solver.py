@@ -33,10 +33,11 @@ alpha = 0.5 and libm's pow otherwise, and each x1 end plane is summed in
 order.  The face, fill and stage passes run as vectorized rows, built at
 -O3 -fno-math-errno for SSE2's 16-byte vectors; each lane performs the
 scalar IEEE operation, so the bits are a scalar build's, and the pow rows
-stay scalar.  The kernel is compiled with the system C compiler (cc) on
-the first solver call of a process that does not find it built, into
-__pycache__ next to this file, and loaded through ctypes; importing rarefan
-neither builds nor loads it.
+stay scalar.  The kernel, which also holds rarefan.analysis's central
+differences, is compiled with the system C compiler (cc) on the first
+kernel call of a process that does not find it built, into __pycache__
+next to this file, and loaded through ctypes; importing rarefan neither
+builds nor loads it.
 
 A kernel call passes only addresses, and to a stage its index and dt: the
 work area's layout, bound once per grid shape, and a struct of the run's
