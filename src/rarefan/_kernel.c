@@ -40,23 +40,22 @@
    at alpha = 0.5, which is also numpy's ** 0.5, and libm's pow otherwise;
    and each x1 end plane is summed in order over its transverse cells.
 
-   Two entries serve rarefan.analysis, on a field f of extents (n0, n1, n2)
-   in C order.  an_derivs writes f's gradient into rows 0-2 of the
-   caller's work block; at level 2 then the Frobenius |grad^2 f|^2 into
-   row 6, from each component's gradient in rows 3-5 in turn; at level >=
-   1 last |grad f|^2 into row 0.  an_axis writes one component of the pinned gradient.  Their rule
-   keeps the bits of the numpy forms they replaced (tests/test_analysis.py
-   holds them): along an axis of n >= 2 cells of width h a cell's
-   derivative is (f(i + 1) - f(i - 1)) / (2.0 h), a difference and then a
-   division by the product, with the neighbours wrapped at the ends;
-   pinned x1 ends take np.gradient's uniform edge_order=2 formulas in its
-   order, ((-1.5 / h) f(0) + (2.0 / h) f(1)) + (-0.5 / h) f(2) and ((0.5 /
-   h) f(n - 3) + (-2.0 / h) f(n - 2)) + (1.5 / h) f(n - 1); along an axis
-   of one cell it is 0.  Squares are summed (x x + y y) + z z, and the
-   Hessian sum adds component b's summed squares for b = 0, 1, 2 in turn.
-   An axis's differences are one flat difference of the field shifted by
-   the axis's stride, whose end rows, which take the wrong neighbours, are
-   then overwritten.
+   One entry serves rarefan.analysis, on a field f of extents (n0, n1, n2)
+   in C order.  an_derivs writes f's gradient into rows 0-2 of the caller's
+   work block; at level 2 then the Frobenius |grad^2 f|^2 into row 6, from
+   each component's gradient in rows 3-5 in turn; at level >= 1 last
+   |grad f|^2 into row 0.  Its rule keeps the bits of the numpy forms it
+   replaced (tests/test_analysis.py holds them): along an axis of n >= 2
+   cells of width h a cell's derivative is (f(i + 1) - f(i - 1)) / (2.0 h),
+   a difference and then a division by the product, with the neighbours
+   wrapped at the ends; pinned x1 ends take np.gradient's uniform
+   edge_order=2 formulas in its order, ((-1.5 / h) f(0) + (2.0 / h) f(1)) +
+   (-0.5 / h) f(2) and ((0.5 / h) f(n - 3) + (-2.0 / h) f(n - 2)) +
+   (1.5 / h) f(n - 1); along an axis of one cell it is 0.  Squares are
+   summed (x x + y y) + z z, and the Hessian sum adds component b's summed
+   squares for b = 0, 1, 2 in turn.  An axis's differences are one flat
+   difference of the field shifted by the axis's stride, whose end rows,
+   which take the wrong neighbours, are then overwritten.
 
    The face, fill and stage passes and the derivative rows are vectorized,
    and the rule that keeps them so is: the innermost loop of a pass is a
@@ -697,12 +696,4 @@ void an_derivs(int64_t n0, int64_t n1, int64_t n2, double dx0, double dx1, doubl
         }
     if (level >= 1)
         norm_row(N, g[0], g[1], g[2]);
-}
-
-/* d f / d x_a of f, (n0, n1, n2) cells of width h along a, into o, the x1
-   ends by np.gradient's closure (then n0 != 2) */
-void an_axis(int64_t n0, int64_t n1, int64_t n2, int a, double h, const double *f, double *o)
-{
-    const int64_t n[3] = {n0, n1, n2}, s[3] = {n1 * n2, n2, 1}, outer[3] = {1, n0, n0 * n1};
-    axis_pass(outer[a], n[a], s[a], h, a == 0, f, o);
 }

@@ -6,10 +6,10 @@ volume dx1*dx2*dx3; line quantities (transverse averages) carry the
 transverse area as measure so Parseval and the projection bounds hold with
 consistent measures at machine precision.
 
-The central differences (gradient, axis_derivative, grad_sq,
-derivative_sq) are calls of the C kernel that rarefan.solver builds and
-loads on first use (solver._kernel); without a C compiler the first of
-them raises RuntimeError.
+The central differences (gradient, grad_sq, derivative_sq) are calls of
+the C kernel that rarefan.solver builds and loads on first use
+(solver._kernel); without a C compiler the first of them raises
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -94,31 +94,16 @@ def _derivatives(f: np.ndarray, grid: SlabGrid, periodic_x1: bool, level: int,
     return work
 
 
-def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False,
-             out: np.ndarray | None = None) -> np.ndarray:
+def gradient(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndarray:
     """2nd-order central gradient (3, n1, n2, n3); transverse axes periodic,
-    x1 one-sided 2nd-order at the ends unless periodic_x1.  Writes into out,
-    a C-contiguous float (3, n1, n2, n3) array, when given.
+    x1 one-sided 2nd-order at the ends unless periodic_x1.
 
     One kernel call: each component is (f(i + 1) - f(i - 1)) / (2 h) with
     wrapped ends, 0 along an axis of one cell, and the pinned x1 ends take
     np.gradient's uniform edge_order=2 formulas in its operation order, so
     the result is np.gradient's and the roll form's to the bit.
     """
-    return _derivatives(f, grid, periodic_x1, 0, out)
-
-
-def axis_derivative(f: np.ndarray, grid: SlabGrid, ax: int) -> np.ndarray:
-    """2nd-order central d f / d x_ax (n1, n2, n3), component ax of the pinned
-    gradient, without forming the other two."""
-    f = np.ascontiguousarray(f, dtype=float)
-    if f.shape != grid.shape:
-        raise ValueError("field shape does not match grid")
-    if ax == 0 and grid.shape[0] == 2:
-        raise ValueError("the one-sided x1 closure needs n1 >= 3")
-    o = np.empty(f.shape)
-    solver._kernel().an_axis(*grid.shape, ax, grid.spacing[ax], f.ctypes.data, o.ctypes.data)
-    return o
+    return _derivatives(f, grid, periodic_x1, 0)
 
 
 def grad_sq(f: np.ndarray, grid: SlabGrid, periodic_x1: bool = False) -> np.ndarray:

@@ -251,7 +251,7 @@ def ansatz_errors(prev: FieldSet, now: FieldSet, nxt: FieldSet,
     e0 corrections, all in the unscaled variables where the viscous terms
     carry the explicit factor eps.
     """
-    from .analysis import axis_derivative, gradient
+    from .analysis import gradient
 
     grid = now.grid
     dt = 0.5 * (nxt.time - prev.time)
@@ -283,7 +283,7 @@ def ansatz_errors(prev: FieldSet, now: FieldSet, nxt: FieldSet,
 
     # e0 = rho_t + div(rho u)
     m = rho[None] * u
-    div_m = sum(axis_derivative(m[c], grid, c) for c in range(3))
+    div_m = sum(gradient(m[c], grid)[c] for c in range(3))
     e0 = rho_t + div_m
 
     # stress tensor T[c, b] = mu (d_b u_c + d_c u_b) + lam divu delta
@@ -292,14 +292,14 @@ def ansatz_errors(prev: FieldSet, now: FieldSet, nxt: FieldSet,
         for b in range(3):
             tau[c, b] = mu * (grad_u[c, b] + grad_u[b, c])
         tau[c, c] += lam * divu
-    div_tau = np.stack([sum(axis_derivative(tau[c, b], grid, b) for b in range(3))
+    div_tau = np.stack([sum(gradient(tau[c, b], grid)[b] for b in range(3))
                         for c in range(3)], axis=0)
 
     conv_u = np.stack([sum(u[b] * grad_u[c][b] for b in range(3)) for c in range(3)], axis=0)
     mom_defect = rho[None] * u_t + rho[None] * conv_u + grad_p - eps * div_tau
     evec = mom_defect + e0[None] * u
 
-    heat = sum(axis_derivative(kap * grad_th[b], grid, b) for b in range(3))
+    heat = sum(gradient(kap * grad_th[b], grid)[b] for b in range(3))
     shear_sq = np.zeros(grid.shape)
     for c in range(3):
         for b in range(3):

@@ -243,8 +243,6 @@ def _kernel() -> ctypes.CDLL:
     i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int
     lib.an_derivs.argtypes = (i64, i64, i64, f64, f64, f64, i32, i32, ptr, ptr)
     lib.an_derivs.restype = None
-    lib.an_axis.argtypes = (i64, i64, i64, i32, f64, ptr, ptr)
-    lib.an_axis.restype = None
     return lib
 
 

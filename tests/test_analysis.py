@@ -233,16 +233,21 @@ def test_periodic_gradient_matches_roll_form(shape):
 
 @pytest.mark.parametrize("shape", GRADIENT_SHAPES)
 def test_gradient_out_is_fully_written(shape):
+    # the kernel writes every entry of the rows a level returns, into a
+    # block filled with NaN first: the gradient's rows 0-2 at level 0,
+    # |grad f|^2 and the Hessian sum, rows 0 and 6, at level 2
     grid = shaped_grid(shape)
     f = random_field(grid, 4)
     for periodic_x1 in (False, True):
-        out = np.full((3,) + shape, np.nan)
-        assert gradient(f, grid, periodic_x1, out=out) is out
-        assert not np.isnan(out).any()
-        assert out.tobytes() == gradient(f, grid, periodic_x1).tobytes()
+        for level, rows, want in ((0, [0, 1, 2], gradient(f, grid, periodic_x1)),
+                                  (2, [0, 6], analysis.derivative_sq(f, grid, periodic_x1))):
+            work = np.full((7 if level == 2 else 3,) + shape, np.nan)
+            assert analysis._derivatives(f, grid, periodic_x1, level, work) is work
+            assert not np.isnan(work[rows]).any()
+            assert work[rows].tobytes() == np.stack(want).tobytes()
     for bad in (np.empty((3,) + shape, order="F"), np.empty((2,) + shape)):
         with pytest.raises(ValueError):
-            gradient(f, grid, out=bad)
+            analysis._derivatives(f, grid, False, 0, bad)
 
 
 # the allocating forms the in-place kernels replace, kept as the reference

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rarefan.gas import GasParams
+from rarefan.fields import SlabGrid
 from rarefan.config import (ExperimentConfig, WaveBlock, GridBlock, SolverBlock,
                             ExperimentBlock, ConfigError)
 from rarefan.experiments import (run_cutoff_study, run_profile_study, run_viscosity_sweep,
@@ -80,7 +81,7 @@ def test_gn_check_shares_derivatives_across_cases(monkeypatch):
 
 
 def test_gn_check_rows_do_not_depend_on_the_cpu_count(monkeypatch):
-    # 21 (width, sample) pairs cut into 1, 2, 3 and 5 uneven pieces
+    # 7 samples in 1, 2, 3 and 5 pieces
     import rarefan.experiments as ex
     outs = []
     for ncpu in (1, 2, 3, 5):
@@ -501,6 +502,31 @@ def test_concurrently_keeps_call_order_and_runs_here_in_caller():
     assert [tag for tag, _ in out] == ["here", "a", "b"]
     assert out[0][1] == os.getpid()
     assert os.getpid() not in {pid for _, pid in out[1:]}
+    _assert_no_worker_left()
+
+
+def test_concurrently_loads_the_kernel_once_before_it_forks(monkeypatch):
+    # the caller and its worker both take a derivative, but the kernel is
+    # looked up once, by the caller before it forks; the lookup returns the
+    # library already built, so nothing compiles
+    from rarefan import analysis, solver
+    built = solver._kernel_path(solver._KERNEL_SOURCE, solver._BUILD_DIR)
+    ctx = multiprocessing.get_context("fork")
+    calls, pid = ctx.Value("i", 0), ctx.Value("i", 0)
+
+    def recorded(source, build_dir):
+        with calls.get_lock():
+            calls.value += 1
+            pid.value = os.getpid()
+        return built
+    monkeypatch.setattr(solver, "_kernel_path", recorded)
+    solver._kernel.cache_clear()
+    grid = SlabGrid.torus(1.0, 8, 6, 4, dims=3)
+    f = np.random.default_rng(3).standard_normal(grid.shape)
+    here, there = _concurrently(lambda: analysis.gradient(f, grid),
+                                [(analysis.gradient, (f, grid))])
+    assert (calls.value, pid.value) == (1, os.getpid())
+    assert here.tobytes() == there.tobytes()
     _assert_no_worker_left()
 
 
