@@ -11,11 +11,14 @@
    to stable_dt's limits: each axis's max(|u_a| + c) and the largest
    diffusivity.  rk_stage forms one SSP-RK3 stage state from step's
    registers, adds that stage's share of the boundary flux, and on the last
-   stage writes the result and returns its min rho, min theta and whether
-   its rho and E rows are finite.  Each entry takes the work area's layout
-   w, filled once per grid shape, and the run's constants q, filled once
-   per grid, gas and solver config; beside them a call passes only the
-   addresses of its arrays and, to rk_stage, the stage and dt.
+   stage writes the result and, in one pass over it, reduces its
+   stable_dt limits, its min rho, min theta and whether its rho and E rows
+   are finite: the reduction of rk_dt, so the next step's stable_dt need
+   not run it.  Each entry takes the work area's layout w, filled once per
+   grid shape, which also holds the addresses of the limits and minima, and
+   the run's constants q, filled once per grid, gas and solver config;
+   beside them a call passes only the addresses of its arrays and, to
+   rk_stage, the stage and dt.
 
    Every primitive comes from one helper, theta() after u = m / rho, in
    FieldSet.primitives' order: theta = (E / rho - ((u1 u1 + u2 u2) + u3 u3)
@@ -57,22 +60,23 @@
    difference of the field shifted by the axis's stride, whose end rows,
    which take the wrong neighbours, are then overwritten.
 
-   The face, fill and stage passes and the derivative rows are vectorized,
-   and the rule that keeps them so is: the innermost loop of a pass is a
-   row function, a loop over the cells or faces of one row with no branch
-   in its body, whose every row is its own restrict parameter and whose
-   axis, active axes and kind are compile-time constants, so that the pass
-   picks its instance once.
+   The face, fill, stage and reduction passes and the derivative rows are
+   vectorized, and the rule that keeps them so is: the innermost loop of a
+   pass is a row function, a loop over the cells or faces of one row with
+   no branch in its body, whose every row is its own restrict parameter and
+   whose axis, active axes and kind are compile-time constants, so that the
+   pass picks its instance once.
    GCC drops the restrict of an inlined function's parameters, so the
    function a row function is inlined into takes the rows as restrict
    parameters of its own.  rarefan.solver compiles this file with -O3
-   -fno-math-errno -ffp-contract=off and without -ffast-math or
-   -march=native, for SSE2's 16-byte vectors.  That keeps every bit: each
-   vector lane performs the scalar IEEE operation, sqrt included
-   (-fno-math-errno only lets it skip errno, which nothing reads), no
-   product and sum fuse into one rounding, and no operation is reordered:
-   GCC may load an end plane in vectors, but sums it in order.  libm's pow
-   has no vector form here, so the pow instances stay scalar.
+   -march=native -fno-math-errno -ffp-contract=off, for the vectors of the
+   host CPU, whatever their width.  -ffp-contract=off and the absence of
+   -ffast-math keep every bit at any width: each vector lane performs the
+   scalar IEEE operation, sqrt included (-fno-math-errno only lets it skip
+   errno, which nothing reads), no product and sum fuse into one rounding,
+   even where the CPU has FMA, and no operation is reordered: GCC may load
+   an end plane in vectors, but sums it in order.  libm's pow has no vector
+   form without -ffast-math, so the pow instances stay scalar.
 
    The ring is flat, N cells with strides (r2 r3, r3, 1) for ring extents
    (r1, r2, r3); an active axis carries one ghost cell at each end, an
@@ -94,6 +98,7 @@ typedef struct {
     double *F;           /* (5, N): the current axis's face fluxes */
     double *k, *r;       /* (5, cells): step's registers, the tendency and the stage state */
     double *b, *sum;     /* (5,): rk_rhs's boundary flux and step's weighted sum of them */
+    double *lim, *mins;  /* (4,) and (2,): stable_dt's limits and the last stage's minima */
 } rk_work;
 
 /* the run's constants, filled once per grid, gas and solver config: the
@@ -413,14 +418,15 @@ int rk_rhs(const rk_work *w, const coeffs *q, const double *U, const double *gho
 #define LANES 16
 
 /* fold n <= LANES cells into the lanes: each axis's |u_a| + c, c =
-   sqrt(max(theta, 0) gamma R), into s0, s1 and s2, and with viscosity (vis)
-   the diffusivity max(lon pw, kappa1 pw (gamma - 1) / R) visc / rho into d,
-   pw = theta^alpha by sqrt if sq */
+   sqrt(max(theta, 0) gamma R), into s0, s1 and s2; with viscosity (vis) the
+   diffusivity max(lon pw, kappa1 pw (gamma - 1) / R) visc / rho into d, pw =
+   theta^alpha by sqrt if sq; rho into mr, theta into mt, and (rho - rho) +
+   (E - E), 0 while both are finite and NaN after, into nf */
 static inline __attribute__((always_inline)) void
-dt_lanes(const int64_t n, const int vis, const int sq, const coeffs *q, const double *restrict U0,
-         const double *restrict U1, const double *restrict U2, const double *restrict U3,
-         const double *restrict U4, double *restrict s0, double *restrict s1, double *restrict s2,
-         double *restrict d)
+lanes(const int64_t n, const int vis, const int sq, const coeffs *q, const double *restrict U0,
+      const double *restrict U1, const double *restrict U2, const double *restrict U3,
+      const double *restrict U4, double *restrict s0, double *restrict s1, double *restrict s2,
+      double *restrict d, double *restrict mr, double *restrict mt, double *restrict nf)
 {
     const double gR = q->gR, cth = q->cth, lon = q->lon, kappa1 = q->kappa1, gm1 = q->gm1,
                  R = q->R, alpha = q->alpha, visc = q->visc;
@@ -434,22 +440,8 @@ dt_lanes(const int64_t n, const int vis, const int sq, const coeffs *q, const do
             const double pw = sq ? sqrt(th) : pow(th, alpha);
             d[i] = maximum(d[i], maximum(lon * pw, kappa1 * pw * gm1 / R) * visc / r);
         }
-    }
-}
-
-/* fold n <= LANES cells of the result into the lanes: rho into mr, theta
-   into mt, and (rho - rho) + (E - E), 0 while both are finite and NaN
-   after, into nf */
-static inline __attribute__((always_inline)) void
-check_lanes(const int64_t n, const double cth, const double *restrict U0,
-            const double *restrict U1, const double *restrict U2, const double *restrict U3,
-            const double *restrict U4, double *restrict mr, double *restrict mt,
-            double *restrict nf)
-{
-    for (int64_t i = 0; i < n; i++) {
-        const double r = U0[i], v1 = U1[i] / r, v2 = U2[i] / r, v3 = U3[i] / r;
         mr[i] = minimum(mr[i], r);
-        mt[i] = minimum(mt[i], theta(U4[i], r, v1, v2, v3, cth));
+        mt[i] = minimum(mt[i], th);
         nf[i] += (r - r) + (U4[i] - U4[i]);
     }
 }
@@ -470,46 +462,58 @@ static double fold_min(const double *x)
     return m;
 }
 
-/* the limits of the cells of U's rows into lim, block by block */
-static inline __attribute__((always_inline)) void
-dt_blocks(const int64_t cells, const int vis, const int sq, const coeffs *q,
-          const double *restrict U0, const double *restrict U1, const double *restrict U2,
-          const double *restrict U3, const double *restrict U4, double *restrict lim)
+/* the limits of the cells of U's rows into lim and their min rho and min
+   theta into mins, block by block; 1 if the rho and E rows are finite,
+   else 0 */
+static inline __attribute__((always_inline)) int
+blocks(const int64_t cells, const int vis, const int sq, const coeffs *q,
+       const double *restrict U0, const double *restrict U1, const double *restrict U2,
+       const double *restrict U3, const double *restrict U4, double *restrict lim,
+       double *restrict mins)
 {
-    double s[4][LANES];
-    for (int a = 0; a < 4; a++)
-        for (int j = 0; j < LANES; j++)
-            s[a][j] = -INFINITY;
+    double s[7][LANES];
+    for (int j = 0; j < LANES; j++) {
+        s[0][j] = s[1][j] = s[2][j] = s[3][j] = -INFINITY;
+        s[4][j] = s[5][j] = INFINITY;
+        s[6][j] = 0.0;
+    }
     int64_t j = 0;
     for (; j + LANES <= cells; j += LANES)
-        dt_lanes(LANES, vis, sq, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2],
-                 s[3]);
-    dt_lanes(cells - j, vis, sq, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2],
-             s[3]);
+        lanes(LANES, vis, sq, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2], s[3],
+              s[4], s[5], s[6]);
+    lanes(cells - j, vis, sq, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2], s[3],
+          s[4], s[5], s[6]);
     for (int a = 0; a < 4; a++)
         lim[a] = fold_max(s[a]);
+    mins[0] = fold_min(s[4]);
+    mins[1] = fold_min(s[5]);
+    double bad = 0.0;
+    for (int i = 0; i < LANES; i++)
+        bad += s[6][i];
+    return bad == 0.0;
 }
 
-/* the limits by kind (no viscosity, sqrt or pow), picked once */
-static void dt_pass(const int64_t cells, const coeffs *q, const double *restrict U0,
-                    const double *restrict U1, const double *restrict U2,
-                    const double *restrict U3, const double *restrict U4, double *restrict lim)
-{
-    if (!(q->visc > 0.0))
-        dt_blocks(cells, 0, 0, q, U0, U1, U2, U3, U4, lim);
-    else if (q->alpha == 0.5)
-        dt_blocks(cells, 1, 1, q, U0, U1, U2, U3, U4, lim);
-    else
-        dt_blocks(cells, 1, 0, q, U0, U1, U2, U3, U4, lim);
-}
-
-/* stable_dt's limits of the conserved stack U (5, n1, n2, n3) in C order:
+/* the limits, minima and finiteness of the conserved stack U (5, n1, n2,
+   n3) in C order, by kind (no viscosity, sqrt or pow), picked once:
    lim[a] = max(|u_a| + c) for a = 0, 1, 2 and, if visc > 0, lim[3] = the
-   largest diffusivity.  No work array is written */
-void rk_dt(const rk_work *w, const coeffs *q, const double *U, double *lim)
+   largest diffusivity */
+static int reduce(const rk_work *w, const coeffs *q, const double *U, double *lim, double *mins)
 {
     const int64_t cells = w->n[0] * w->n[1] * w->n[2];
-    dt_pass(cells, q, U, U + cells, U + 2 * cells, U + 3 * cells, U + 4 * cells, lim);
+    const double *U1 = U + cells, *U2 = U + 2 * cells, *U3 = U + 3 * cells, *U4 = U + 4 * cells;
+    if (!(q->visc > 0.0))
+        return blocks(cells, 0, 0, q, U, U1, U2, U3, U4, lim, mins);
+    if (q->alpha == 0.5)
+        return blocks(cells, 1, 1, q, U, U1, U2, U3, U4, lim, mins);
+    return blocks(cells, 1, 0, q, U, U1, U2, U3, U4, lim, mins);
+}
+
+/* stable_dt's limits of the conserved stack U into the work area's lim.
+   No work array is written */
+void rk_dt(const rk_work *w, const coeffs *q, const double *U)
+{
+    double mins[2];
+    reduce(w, q, U, w->lim, mins);
 }
 
 /* stage s of n state entries: U1 = k dt + U0 into r (s = 1), U2 = 0.75 U0
@@ -542,47 +546,22 @@ static void stage_pass(const int64_t n, const int s, const double dt, const doub
         stage_row(n, 3, dt, U0, k, r, out);
 }
 
-/* min rho and min theta of the result's cells into mins; 1 if its rho and
-   E rows are finite, else 0 */
-static int check(const int64_t cells, const double cth, const double *restrict U0,
-                 const double *restrict U1, const double *restrict U2, const double *restrict U3,
-                 const double *restrict U4, double *restrict mins)
-{
-    double mr[LANES], mt[LANES], nf[LANES];
-    for (int j = 0; j < LANES; j++) {
-        mr[j] = mt[j] = INFINITY;
-        nf[j] = 0.0;
-    }
-    int64_t j = 0;
-    for (; j + LANES <= cells; j += LANES)
-        check_lanes(LANES, cth, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, mr, mt, nf);
-    check_lanes(cells - j, cth, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, mr, mt, nf);
-    mins[0] = fold_min(mr);
-    mins[1] = fold_min(mt);
-    double bad = 0.0;
-    for (int i = 0; i < LANES; i++)
-        bad += nf[i];
-    return bad == 0.0;
-}
-
 /* stage s (1, 2 or 3) of an SSP-RK3 step of size dt from the conserved
    stack U0, over the registers k (this stage's tendency) and r, and this
    stage's share of the boundary flux b into sum.  The last stage writes the
-   result into out, its min rho and min theta into mins, and returns 1 if
-   its rho and E rows are finite, else 0; the others return 1 */
-int rk_stage(const rk_work *w, const coeffs *q, int s, const double *U0, double *out, double dt,
-             double *mins)
+   result into out, its stable_dt limits into the work area's lim and its
+   min rho and min theta into mins, and returns 1 if its rho and E rows are
+   finite, else 0; the others return 1 */
+int rk_stage(const rk_work *w, const coeffs *q, int s, const double *U0, double *out, double dt)
 {
     static const double weight[3] = {1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0};
     const double wdt = weight[s - 1] * dt;
     for (int k = 0; k < 5; k++)
         w->sum[k] = s == 1 ? w->b[k] * wdt + 0.0 : w->sum[k] + w->b[k] * wdt;
-    const int64_t cells = w->n[0] * w->n[1] * w->n[2];
-    stage_pass(5 * cells, s, dt, U0, w->k, w->r, out);
+    stage_pass(5 * w->n[0] * w->n[1] * w->n[2], s, dt, U0, w->k, w->r, out);
     if (s < 3)
         return 1;
-    return check(cells, q->cth, out, out + cells, out + 2 * cells, out + 3 * cells, out + 4 * cells,
-                 mins);
+    return reduce(w, q, out, w->lim, w->mins);
 }
 
 /* rarefan.analysis's central differences of a field f, C-ordered over

@@ -135,8 +135,12 @@ class FieldSet:
     """Cell-averaged conserved fields on a SlabGrid, stacked as U = (rho, m1, m2, m3, E).
 
     rho, m and E are views into U.  The primitives are computed once per
-    FieldSet and cached, so a FieldSet must not be modified in place once
-    they have been read: build a new one instead (the solver always does).
+    FieldSet and cached, and the solver keeps the stable_dt maxima of the
+    last U it reduced, so a FieldSet must not be modified in place once
+    its primitives have been read or a solver call has read it: build a
+    new one instead (the solver always does).  The U of a FieldSet that
+    solver.step returns is read-only, so such an edit raises ValueError
+    there; copy() gives a writable one.
     """
 
     grid: SlabGrid

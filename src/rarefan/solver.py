@@ -27,17 +27,22 @@ speed, each axis's Euler flux, Rusanov face flux, viscous stress and heat
 term, the flux divergence into the tendency, at the faces and cells the
 grid has, and the boundary flux.  stable_dt's per-cell maxima are one pass
 over the conserved stack, and each of step's stages one pass over its
-registers.  The ring is flat, (rows, N) over its N cells, with strides
-(r2 r3, r3, 1) for ring extents (r1, r2, r3).  theta^alpha is sqrt at
-alpha = 0.5 and libm's pow otherwise, and each x1 end plane is summed in
-order.  The face, fill and stage passes run as vectorized rows, built at
--O3 -fno-math-errno for SSE2's 16-byte vectors; each lane performs the
-scalar IEEE operation, so the bits are a scalar build's, and the pow rows
-stay scalar.  The kernel, which also holds rarefan.analysis's central
+registers; the last stage's pass over the result also reduces the
+result's stable_dt maxima, with the one reduction row stable_dt's pass
+uses, so that the next step's stable_dt makes no pass.  The ring is flat,
+(rows, N) over its N cells, with strides (r2 r3, r3, 1) for ring extents
+(r1, r2, r3).  theta^alpha is sqrt at alpha = 0.5 and libm's pow
+otherwise, and each x1 end plane is summed in order.  The face, fill,
+stage and reduction passes run as vectorized rows, built at -O3
+-march=native for the host CPU's vectors, without -ffast-math and with
+-ffp-contract=off; each lane performs the scalar IEEE operation, so the
+bits are a scalar build's at any vector width, and the pow rows stay
+scalar.  The kernel, which also holds rarefan.analysis's central
 differences, is compiled with the system C compiler (cc) on the first
 kernel call of a process that does not find it built, into __pycache__
-next to this file, and loaded through ctypes; importing rarefan neither
-builds nor loads it.
+next to this file, under a name keyed by the source, the flags and the
+host CPU's feature line, and loaded through ctypes; importing rarefan
+neither builds nor loads it, nor reads the feature line.
 
 A kernel call passes only addresses, and to a stage its index and dt: the
 work area's layout, bound once per grid shape, and a struct of the run's
@@ -45,7 +50,11 @@ constants, which the work area fills from a call's grid, gas and solver
 config and refills when a call brings other objects (compared by
 identity).  The work area keeps the last state address it read, with a
 weak reference to that array; step leaves there its result's address,
-taken as it allocates the result, so the next step reads no address.
+taken as it allocates the result, so the next step reads no address.  It
+also keeps a weak reference to the state whose stable_dt maxima it holds:
+the last state stable_dt reduced, or the last step's result.  Rebinding
+the constants forgets it.  The state step returns is read-only, since an
+in-place edit would leave its maxima stale.
 """
 
 from __future__ import annotations
@@ -161,22 +170,46 @@ def _active_axes(shape: tuple[int, int, int]) -> tuple[int, ...]:
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
-# the kernel library is built here, under a name keyed by the source and the flags
+# the kernel library is built here, under a name keyed by the source, the
+# flags and the host CPU's features
 _BUILD_DIR = _KERNEL_SOURCE.parent / "__pycache__"
-# -O3 vectorizes the kernel's face and fill rows with SSE2's 16-byte vectors,
-# each lane the scalar IEEE operation; -fno-math-errno lets sqrt be one
-# instruction, correctly rounded either way (nothing reads errno).  No
-# -ffast-math or -march=native: rhs must keep every rounding of the
-# reference's numpy expressions, and no product may fuse with a sum
-_CC = ("cc", "-O3", "-fno-math-errno", "-fPIC", "-shared", "-ffp-contract=off")
+# -O3 -march=native vectorizes the kernel's rows with the host CPU's
+# vectors, each lane the scalar IEEE operation; -fno-math-errno lets sqrt be
+# one instruction, correctly rounded either way (nothing reads errno).
+# -ffp-contract=off and no -ffast-math: rhs must keep every rounding of the
+# reference's numpy expressions, so no product may fuse with a sum, even on
+# a CPU with FMA, and no sum is reordered; the bits are then a scalar
+# build's at any vector width.  -march=native makes the library the host's,
+# so its name is keyed by the host's feature line as well
+_CC = ("cc", "-O3", "-march=native", "-fno-math-errno", "-fPIC", "-shared",
+       "-ffp-contract=off")
+# where the host's feature line is read, at the first kernel load
+_CPUINFO = Path("/proc/cpuinfo")
+
+
+def _cpu_features() -> str:
+    """The host CPU's feature line: the first "flags" line of _CPUINFO (x86),
+    or its first "Features" line (arm64); "" where the file is absent."""
+    try:
+        with _CPUINFO.open() as f:
+            for line in f:
+                if line.partition(":")[0].strip() in ("flags", "Features"):
+                    return line.strip()
+    except OSError:
+        pass
+    return ""
 
 
 def _kernel_name(source: Path) -> str:
-    """The file name of the C source's shared library, keyed by its bytes and _CC."""
+    """The file name of the C source's shared library, <stem>-<build>-<cpu>.so:
+    <build> keyed by its bytes and _CC, <cpu> by the host CPU's feature line,
+    so that a checkout shared by two CPUs never loads a library built with
+    instructions that one of them lacks."""
     import hashlib
 
-    key = hashlib.sha256(source.read_bytes() + " ".join(_CC).encode()).hexdigest()[:16]
-    return f"{source.stem}-{key}.so"
+    build = hashlib.sha256(source.read_bytes() + " ".join(_CC).encode()).hexdigest()[:16]
+    cpu = hashlib.sha256(_cpu_features().encode()).hexdigest()[:8]
+    return f"{source.stem}-{build}-{cpu}.so"
 
 
 def _kernel_path(source: Path, build_dir: Path) -> Path:
@@ -184,8 +217,9 @@ def _kernel_path(source: Path, build_dir: Path) -> Path:
 
     It is compiled under a temporary name and renamed into place, so
     processes that build it at once (a caller and its forked worker) each
-    load a whole file.  A build then removes the directory's other
-    libraries of the source, the builds of its earlier edits.
+    load a whole file.  A build then removes the directory's libraries of
+    the source built from other bytes or flags, the builds of its earlier
+    edits, and keeps the other CPUs' builds of these.
     """
     import os
     import subprocess
@@ -205,8 +239,9 @@ def _kernel_path(source: Path, build_dir: Path) -> Path:
         tmp.unlink(missing_ok=True)
         raise RuntimeError(f"{' '.join(cmd)} failed:\n{proc.stderr}")
     os.replace(tmp, lib)
+    build = lib.name.rpartition("-")[0] + "-"
     for stale in build_dir.glob(f"{source.stem}-*.so"):
-        if stale != lib:
+        if not stale.name.startswith(build):
             stale.unlink(missing_ok=True)
     return lib
 
@@ -217,7 +252,7 @@ class _Layout(ctypes.Structure):
     _fields_ = [("n", ctypes.c_int64 * 3), ("stride", ctypes.c_int64 * 3),
                 ("active", ctypes.c_int64 * 3), ("N", ctypes.c_int64),
                 *((name, ctypes.c_void_p)
-                  for name in ("state", "p", "c", "F", "k", "r", "b", "sum"))]
+                  for name in ("state", "p", "c", "F", "k", "r", "b", "sum", "lim", "mins"))]
 
 
 class _Coeffs(ctypes.Structure):
@@ -236,9 +271,9 @@ def _kernel() -> ctypes.CDLL:
     ptr = ctypes.c_void_p
     lib.rk_rhs.argtypes = (ptr,) * 5
     lib.rk_rhs.restype = ctypes.c_int
-    lib.rk_dt.argtypes = (ptr,) * 4
+    lib.rk_dt.argtypes = (ptr,) * 3
     lib.rk_dt.restype = None
-    lib.rk_stage.argtypes = (ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_double, ptr)
+    lib.rk_stage.argtypes = (ptr, ptr, ctypes.c_int, ptr, ptr, ctypes.c_double)
     lib.rk_stage.restype = ctypes.c_int
     i64, f64, i32 = ctypes.c_int64, ctypes.c_double, ctypes.c_int
     lib.an_derivs.argtypes = (i64, i64, i64, f64, f64, f64, i32, i32, ptr, ptr)
@@ -261,7 +296,8 @@ class _Workspace:
     bflux.  Every array comes from fields.aligned_empty and starts on a
     64-byte boundary.  k receives each stage's tendency, r holds the stage
     states U1 and U2, which rhs hands the kernel by r's address.  limits
-    and mins receive stable_dt's maxima and the result's minima.
+    and mins, whose addresses the layout holds, receive stable_dt's maxima
+    and the result's minima.
 
     coeffs holds the kernel's constants of the grid, gas and solver config
     it was filled from, which it keeps as grid, g and cfg; bind refills it
@@ -269,7 +305,10 @@ class _Workspace:
     last_addr are the address of the last state array whose address was
     read, kept with a weak reference to that array, so that the work area
     holds no caller's state and a step's result reaches the next step with
-    its address.
+    its address.  limits_state is a weak reference to the state whose
+    limits are in limits, reduced under coeffs' constants: the last one
+    stable_dt reduced, or the last step's result, whose last stage reduced
+    them.  bind forgets it.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
@@ -291,18 +330,21 @@ class _Workspace:
         self.layout = _Layout(shape, (ring[1] * ring[2], ring[2], 1),
                               tuple(int(ax in active) for ax in range(3)), N,
                               *(a.ctypes.data for a in (self.state, self.p, self.c, self.F,
-                                                        self.k, self.r, self.bflux, self.sum)))
+                                                        self.k, self.r, self.bflux, self.sum)),
+                              ctypes.addressof(self.limits), ctypes.addressof(self.mins))
         self.coeffs = _Coeffs()
-        self.layout_addr, self.coeffs_addr, self.limits_addr, self.mins_addr = (
-            ctypes.addressof(a) for a in (self.layout, self.coeffs, self.limits, self.mins))
+        self.layout_addr, self.coeffs_addr = (
+            ctypes.addressof(a) for a in (self.layout, self.coeffs))
         self.k_addr, self.r_addr, self.ghosts_addr = (
             a.ctypes.data for a in (self.k, self.r, self.ghosts))
         self.grid = self.g = self.cfg = None
         # no state yet: calling NoneType gives None, as a dead weak reference does
         self.last_state, self.last_addr = type(None), 0
+        self.limits_state = type(None)
 
     def bind(self, grid: SlabGrid, g: GasParams, cfg: SolverConfig) -> None:
-        """Fill coeffs and stable_dt's constants from grid, g and cfg, and keep them."""
+        """Fill coeffs and stable_dt's constants from grid, g and cfg, and keep
+        them; limits, reduced under the old constants, belong to no state."""
         active = _active_axes(grid.shape)
         spacing = grid.spacing
         visc = cfg.visc_mult
@@ -327,6 +369,7 @@ class _Workspace:
         q.visc, q.lon, q.gm1 = visc, longitudinal, g.gamma - 1.0
         self.active, self.spacing, self.visc, self.inv_h2 = active, spacing, visc, inv_h2
         self.grid, self.g, self.cfg = grid, g, cfg
+        self.limits_state = type(None)
 
     def address(self, U: np.ndarray) -> int:
         """The address of the state array U, read only if U is not the last state's."""
@@ -392,12 +435,17 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
     The kernel reduces the cells in one pass over the conserved stack to each
     axis's max(|u_a| + c), c = sqrt(max(theta, 0) gamma R), and the largest
     diffusivity visc max(longitudinal pw, kappa pw (gamma - 1) / R) / rho,
-    pw = theta^alpha by the kernel's rule; a NaN carries through both.
+    pw = theta^alpha by the kernel's rule; a NaN carries through both.  The
+    pass is skipped when the work area's limits are U's already: a step's
+    last stage reduces them for its result, and a call reduces them for its
+    state, so that a run reduces only its first state here.
     """
     ws = _bound(fs.grid, g, cfg)
     # held for the call: the kernel reads U through its address
     U = np.ascontiguousarray(fs.U, dtype=np.float64)
-    ws.dt_kernel(ws.layout_addr, ws.coeffs_addr, ws.address(U), ws.limits_addr)
+    if ws.limits_state() is not U:
+        ws.dt_kernel(ws.layout_addr, ws.coeffs_addr, ws.address(U))
+        ws.limits_state = weakref.ref(U)
     limits, spacing = ws.limits, ws.spacing
 
     max_speed = 0.0
@@ -427,8 +475,10 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     kernel forms the stage state U1 or U2 in the register r, which the next
     rhs reads in place, and adds the stage's share of the boundary flux; the
     last stage writes the result, the one array a step allocates, with its
-    min rho, min theta and whether its rho and E are finite.  The stages
-    evaluate U0 + dt k1, 0.75 U0 + 0.25 (U1 + dt k2) and
+    stable_dt limits, which the next step's stable_dt reads, its min rho,
+    min theta and whether its rho and E are finite.  The result is
+    read-only, so that no in-place edit leaves those limits stale.  The
+    stages evaluate U0 + dt k1, 0.75 U0 + 0.25 (U1 + dt k2) and
     (U0 + 2 (U2 + dt k3)) / 3 operation by operation in that order, and the
     boundary flux sum_i w_i dt b_i from 0.  A state with a NaN u or theta
     somewhere, which makes stable_dt's speed limits NaN and its dt infinite,
@@ -450,15 +500,18 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     U0 = np.ascontiguousarray(fs.U, dtype=np.float64)
     u0, w, q = ws.address(U0), ws.layout_addr, ws.coeffs_addr
     rhs(fs, g, cfg, ghost_source, t=t0, out=ws.k)
-    ws.stage(w, q, 1, u0, None, dt, None)
+    ws.stage(w, q, 1, u0, None, dt)
     rhs(FieldSet(fs.grid, ws.r, t0 + dt), g, cfg, ghost_source, t=t0 + dt, out=ws.k)
-    ws.stage(w, q, 2, u0, None, dt, None)
+    ws.stage(w, q, 2, u0, None, dt)
     rhs(FieldSet(fs.grid, ws.r, t0 + 0.5 * dt), g, cfg, ghost_source, t=t0 + 0.5 * dt,
         out=ws.k)
     U3, u3 = aligned_block(ws.tend_shape)
-    finite = ws.stage(w, q, 3, u0, u3, dt, ws.mins_addr)
-    # the next step's stable_dt, U0 and first rhs read the result's address here
-    ws.last_state, ws.last_addr = weakref.ref(U3), u3
+    finite = ws.stage(w, q, 3, u0, u3, dt)
+    U3.flags.writeable = False
+    # the next step's stable_dt finds the result's limits here, and its U0
+    # and first rhs the result's address
+    ws.last_state = ws.limits_state = weakref.ref(U3)
+    ws.last_addr = u3
 
     diag = StepDiagnostics(dt=dt, max_speed=max_speed, min_rho=ws.mins[0],
                            min_theta=ws.mins[1], boundary_flux=ws.sum.copy())

@@ -323,6 +323,85 @@ def test_step_reaches_stable_dt_through_the_module(monkeypatch):
         fs = nxt
 
 
+def _counted_dt_kernel(monkeypatch, shape):
+    """The list of rk_dt calls of shape's work area, one entry per call."""
+    ws = solver._workspace(shape)
+    calls, real = [], ws.dt_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(ws, "dt_kernel", counted)
+    return calls
+
+
+def _step_record(fs, diag):
+    return (fs.U.tobytes(), fs.time, diag.dt, diag.max_speed, diag.min_rho, diag.min_theta,
+            diag.boundary_flux.tobytes())
+
+
+@pytest.mark.parametrize("alpha, eps", [(0.5, 0.05), (0.7, 0.05), (0.5, 0.0)],
+                         ids=["sqrt", "pow", "inviscid"])
+def test_steps_take_their_limits_from_the_last_stage(monkeypatch, alpha, eps):
+    # a step's last stage reduces its result's stable_dt limits, so the steps
+    # of a run call rk_dt once, on the first state, where steps each from a
+    # fresh copy of a state call it once a step; the states, dts and
+    # diagnostics are bitwise the fresh copies', without viscosity, with
+    # sqrt and with pow.  78 cells: 4 blocks of 16 lanes and 14 left over
+    n_steps = 5
+    grid = SlabGrid(L=2.0, n1=13, n2=6, dims=2)
+    spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
+    g, cfg = GasParams.normalized(5.0 / 3.0, alpha), SolverConfig(eps=eps)
+    ghost = profile_ghost_source(spec, grid)
+    calls = _counted_dt_kernel(monkeypatch, grid.shape)
+    states, records = [_transverse_state(grid, 4)], []
+    for _ in range(n_steps):
+        fs, diag = step(states[-1], g, cfg, ghost)
+        states.append(fs)
+        records.append(_step_record(fs, diag))
+    assert len(calls) == 1
+    for before, want in zip(states, records):
+        fresh = FieldSet(grid, before.U.copy(), before.time)
+        assert _step_record(*step(fresh, g, cfg, ghost)) == want
+    assert len(calls) == 1 + n_steps
+
+
+def test_stable_dt_between_steps_under_another_config():
+    # perfbench's dt probe calls stable_dt with eps = 0 between two steps,
+    # and a caller may pass another gas: each rebinds the work area, so the
+    # call reduces its state afresh and gives the reference's dt, on the
+    # step's input and on its result, whose limits the last stage left
+    # under the run's constants; the next step rebinds again and stays
+    # bitwise a fresh copy's
+    grid = SlabGrid(L=2.0, n1=12, n2=6, dims=2)
+    spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
+    ghost = profile_ghost_source(spec, grid)
+    cfg = SolverConfig(eps=0.5)
+    heat_bound = GasParams(gamma=1.4, R=0.287, alpha=0.7, lambda1=0.0, kappa1=10.0)
+    for probe_g, probe_cfg in ((GAS, dataclasses.replace(cfg, eps=0.0, scaled=False)),
+                               (heat_bound, cfg)):
+        for probed in ("input", "result"):
+            fs0 = _transverse_state(grid, 6)
+            fs1, _ = step(fs0, GAS, cfg, ghost)
+            state = fs1 if probed == "result" else fs0
+            assert stable_dt(state, probe_g, probe_cfg) == \
+                _ref_stable_dt(state, probe_cfg, probe_g), (probe_g, probed)
+            want = _step_record(*step(FieldSet(grid, fs1.U.copy(), fs1.time), GAS, cfg, ghost))
+            assert _step_record(*step(fs1, GAS, cfg, ghost)) == want, (probe_g, probed)
+            assert stable_dt(fs1, GAS, cfg) == _ref_stable_dt(fs1, cfg)
+
+
+def test_step_result_is_read_only():
+    # the next step reads its state's limits from the last stage that made
+    # it, so the state a step returns refuses in-place edits
+    grid = SlabGrid.torus(1.0, 12, 6, dims=2)
+    fs, _ = step(_transverse_state(grid, 2), GAS, SolverConfig(eps=0.05))
+    with pytest.raises(ValueError, match="read-only"):
+        fs.U[4, 0, 0, 0] = -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        fs.rho[...] *= 2.0
+
+
 def test_rhs_unaffected_by_caller_mutation():
     grid = SlabGrid.torus(1.0, 32, 4, dims=2)
     _, rho, u, theta = smooth_fields(grid)
@@ -916,7 +995,8 @@ def test_kernel_builds_once_into_a_cold_directory(cold_kernel_build, tmp_path):
 def test_kernel_compiles_without_warnings(cold_kernel_build):
     # the cold build runs at the build's own flags plus -Wall -Wextra
     # -Werror; with GCC, its vectorizer report must list the loops of
-    # face_row, fill_row and stage_row and of the derivative rows diff_row,
+    # face_row, fill_row, stage_row and of lanes, the reduction row of
+    # rk_dt and of the last stage, and of the derivative rows diff_row,
     # end_row, square_row and norm_row, so that a branch or an aliasing row
     # that turns them scalar fails here
     source = solver._KERNEL_SOURCE
@@ -927,10 +1007,72 @@ def test_kernel_compiles_without_warnings(cold_kernel_build):
     if "gcc version" not in version.stderr:
         pytest.skip("the vectorizer report is GCC's")
     vectorized = proc.stderr.splitlines()
-    for name in ("face_row", "fill_row", "stage_row", "diff_row", "end_row", "square_row",
-                 "norm_row"):
+    for name in ("face_row", "fill_row", "lanes", "stage_row", "diff_row", "end_row",
+                 "square_row", "norm_row"):
         at = f"{source}:{_row_loop_lines(source, name)}:"
         assert any(r.startswith(at) and "loop vectorized" in r for r in vectorized), name
+
+
+def test_kernel_name_is_keyed_by_the_cpu_feature_line(tmp_path, monkeypatch):
+    # the kernel is built for the host's vectors, so a checkout shared by
+    # two CPUs builds a library for each: the name follows the first flags
+    # line (x86) or Features line (arm64) of /proc/cpuinfo, and a host
+    # without the file gets a name of its own
+    source, names = solver._KERNEL_SOURCE, []
+    for i, text in enumerate(("processor\t: 0\nflags\t\t: fpu sse2 avx2\nvmx flags\t: ept\n",
+                              "processor\t: 0\nflags\t\t: fpu sse2 avx2 avx512f\n",
+                              "processor\t: 0\nFeatures\t: fp asimd\n", None)):
+        info = tmp_path / f"cpuinfo{i}"
+        if text is not None:
+            info.write_text(text)
+        monkeypatch.setattr(solver, "_CPUINFO", info)
+        names.append(solver._kernel_name(source))
+    assert len(set(names)) == 4
+    # only the first feature line counts
+    info.write_text("processor\t: 0\nmodel name\t: A\nflags\t\t: fpu sse2 avx2\n"
+                    "processor\t: 1\nmodel name\t: B\nflags\t\t: fpu\n")
+    assert solver._kernel_name(source) == names[0]
+
+
+def test_kernel_build_keeps_other_cpus_builds(tmp_path, monkeypatch):
+    # a build removes the libraries of the source's earlier edits and flags,
+    # but not this source's builds for other CPUs, so that the hosts of a
+    # shared checkout do not remove each other's library
+    source = solver._KERNEL_SOURCE
+    name = solver._kernel_name(source)
+    stem, build, _ = name[:-len(".so")].split("-")
+    other_cpu = tmp_path / f"{stem}-{build}-00000000.so"
+    stale = [tmp_path / f"{stem}-0123456789abcdef-00000000.so",
+             tmp_path / f"{stem}-0123456789abcdef.so"]
+    for lib in (other_cpu, *stale):
+        lib.write_bytes(b"")
+
+    def fake_cc(cmd, *args, **kwargs):
+        Path(cmd[cmd.index("-o") + 1]).write_bytes(b"built")
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+    monkeypatch.setattr(subprocess, "run", fake_cc)
+    assert solver._kernel_path(source, tmp_path) == tmp_path / name
+    assert sorted(tmp_path.iterdir()) == sorted([tmp_path / name, other_cpu])
+
+
+def test_import_reads_no_cpu_feature_line():
+    # the feature line is read at the first kernel load, not at import
+    script = """
+import sys
+opened = []
+sys.addaudithook(lambda event, args: opened.append(str(args[0])) if event == "open" else None)
+import rarefan.experiments
+from rarefan import solver
+imported = opened.count(str(solver._CPUINFO))
+solver._kernel_name(solver._KERNEL_SOURCE)
+print(imported, opened.count(str(solver._CPUINFO)))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def _without_compiler(tmp_path, call):
