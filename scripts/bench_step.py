@@ -156,7 +156,8 @@ def analysis_calls(root: Path, pkg: str = "rarefan") -> dict:
     fs, g, _, _ = cases(root, pkg, ("slab256x32",))["slab256x32"]
     decay = parse_config(root / "perfbench" / "configs" / "slab2d_decay.ini")
     rho_bar, _, th_bar = _smooth_background(decay.wave_spec(decay.solver.eps), fs)
-    u, theta = fs.velocity(), fs.temperature(g)
+    prim = fs.primitives(g)
+    u, theta = prim[1:4], prim[4]
     phi, zeta = fs.rho - rho_bar, theta - th_bar
     return {"gn_slab128x12x12": (gn_slab, lambda: gn_sample(u_slab, gn_slab, False)),
             "gn_torus16": (gn_torus, lambda: gn_sample(u_torus, gn_torus, True)),

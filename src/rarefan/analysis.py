@@ -331,8 +331,7 @@ def sup_distance(fs: FieldSet, spec: WaveSpec, g: GasParams,
     shape_line = (fs.grid.n1, 1, 1)
     drho = np.abs(fs.rho - wave.rho.reshape(shape_line))
     dm = np.abs(fs.m[0] - wave.m.reshape(shape_line))
-    nfield = fs.internal_energy_density(g)
-    dn = np.abs(nfield - wave.n.reshape(shape_line))
+    dn = np.abs(fs.rho * fs.primitives(g)[4] - wave.n.reshape(shape_line))
     comp = np.maximum(np.maximum(drho, dm), dn)
     flat = int(np.argmax(comp))
     i1 = np.unravel_index(flat, fs.grid.shape)[0]

@@ -148,7 +148,7 @@ def assemble_initial(spec: WaveSpec, pspec: PerturbationSpec, grid: SlabGrid,
     Positivity of the resulting (rho, theta) is checked cell by cell.
     """
     fs = _add_perturbation(wave_conserved(spec, grid, g, 0.0), pspec, modes, window)
-    theta = fs.temperature(g)
+    theta = fs.primitives(g)[4]
     if np.any(fs.rho <= 0.0) or np.any(theta <= 0.0):
         worst = np.unravel_index(int(np.argmin(np.minimum(fs.rho, theta))), grid.shape)
         raise ValueError(
@@ -222,7 +222,7 @@ def build_ansatz(spec: WaveSpec, grid: SlabGrid, g: GasParams, t: float,
     for c, wc in enumerate((0, 1, 1, 1, 2)):
         out[c] = U[c] + (1.0 - w[wc]) * dm[c] + w[wc] * dp[c]
     fs = FieldSet(grid, out, time=t)
-    if np.any(fs.rho <= 0.0) or np.any(fs.temperature(g) <= 0.0):
+    if np.any(fs.rho <= 0.0) or np.any(fs.primitives(g)[4] <= 0.0):
         raise ValueError("ansatz left the positive cone")
     return fs
 
@@ -259,7 +259,8 @@ def ansatz_errors(prev: FieldSet, now: FieldSet, nxt: FieldSet,
         raise ValueError("ansatz snapshots must be time-ordered")
 
     def prim(fs: FieldSet):
-        return fs.rho, fs.velocity(), fs.temperature(g)
+        p = fs.primitives(g)
+        return p[0], p[1:4], p[4]
 
     rho_p, u_p, th_p = prim(prev)
     rho, u, th = prim(now)

@@ -17,6 +17,7 @@ import subprocess
 import typing
 from dataclasses import dataclass, asdict, fields
 
+from .ansatz import PerturbationSpec
 from .gas import GasParams, PrimState
 from .solver import SolverConfig
 from .waves import WaveSpec
@@ -70,6 +71,14 @@ class ExperimentBlock:
     seed: int = 0
     mode_cap: int = 3
     samples: int = 50
+
+    def perturbation(self, eta: float | None = None) -> PerturbationSpec:
+        """The one config-to-perturbation map: this block's, at amplitude eta if given."""
+        try:
+            return PerturbationSpec(eta=self.eta if eta is None else eta,
+                                    mode_cap=self.mode_cap, seed=self.seed)
+        except ValueError as exc:
+            raise ConfigError(f"[experiment] {exc}") from exc
 
 
 @dataclass
@@ -201,11 +210,12 @@ def parse_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(gas=gas, **{sec: _block(cp, sec) for sec in _BLOCKS},
                            out_dir=_get(cp, "output", "dir", str, "out"))
-    # an invalid right state, [solver] block, kind or sample count, a wave
-    # quantity given both ways, or an eps-sweep eps whose wave cannot be
-    # resolved, fails here, not mid-run
+    # an invalid right state, [solver] block, perturbation, kind or sample
+    # count, a wave quantity given both ways, or an eps-sweep eps whose wave
+    # cannot be resolved, fails here, not mid-run
     cfg.right
     cfg.solver.solver_config()
+    cfg.experiment.perturbation()
     for name in ("nu", "delta"):
         if getattr(cfg.wave, name) is not None and getattr(cfg.wave, f"{name}_coeff") is not None:
             raise ConfigError(f"[wave] {name} and {name}_coeff both given: set one")

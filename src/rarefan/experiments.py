@@ -24,7 +24,7 @@ from .waves import (WaveSpec, cutoff_exact_distance, profile_lp_norm, velocity_s
 from .solver import RunAbort, SolverConfig, run, profile_ghost_source, _kernel
 from .analysis import (decompose, sup_distance, fit_rate, gn_check, gn_sample, GN_CASES,
                        nonzero_mode_energy)
-from .ansatz import (PerturbationSpec, assemble_initial, x1_window, constant_conserved,
+from .ansatz import (assemble_initial, x1_window, constant_conserved,
                      perturbed_constant_state)
 from .config import ExperimentConfig, ConfigError, git_commit
 
@@ -327,11 +327,6 @@ def _distance_observer(spec: WaveSpec, h: float):
     return obs
 
 
-def _perturbation(cfg: ExperimentConfig, eta: float) -> PerturbationSpec:
-    return PerturbationSpec(eta=eta, mode_cap=cfg.experiment.mode_cap,
-                            seed=cfg.experiment.seed)
-
-
 def pinned_start(cfg: ExperimentConfig, eps: float, eta: float, n1: int | None = None,
                  modes: str = "all"):
     """(wave spec, grid, initial state, solver config, ghost source) of a pinned
@@ -341,7 +336,7 @@ def pinned_start(cfg: ExperimentConfig, eps: float, eta: float, n1: int | None =
     grid = sweep_grid(spec, cfg, n1)
     scfg = cfg.solver.solver_config(eps=eps)
     window = x1_window(grid, margin=10.0 * spec.delta + 0.5, width=max(0.1, 5.0 * grid.dx1))
-    initial = assemble_initial(spec, _perturbation(cfg, eta), grid, cfg.gas,
+    initial = assemble_initial(spec, cfg.experiment.perturbation(eta), grid, cfg.gas,
                                window=window, modes=modes)
     return spec, grid, initial, scfg, profile_ghost_source(spec, grid)
 
@@ -450,10 +445,11 @@ def energy_observer(spec: WaveSpec):
 
     def obs(fs: FieldSet, g: GasParams) -> dict:
         rho_bar, u1_bar, th_bar = _smooth_background(spec, fs)
-        psi = fs.velocity()
+        prim = fs.primitives(g)
+        psi = prim[1:4]
         psi[0] -= u1_bar
         try:
-            return energy_report(fs.rho - rho_bar, psi, fs.temperature(g) - th_bar,
+            return energy_report(fs.rho - rho_bar, psi, prim[4] - th_bar,
                                  rho_bar, th_bar, fs.grid, g)
         except ValueError as exc:
             raise RunAbort(f"energy observer at t = {fs.time:.6g}: {exc}") from exc
@@ -463,8 +459,8 @@ def energy_observer(spec: WaveSpec):
 def _dneq_observer(spec: WaveSpec):
     def obs(fs: FieldSet, g: GasParams) -> dict:
         grid = fs.grid
-        u = fs.velocity()
-        theta = fs.temperature(g)
+        prim = fs.primitives(g)
+        u, theta = prim[1:4], prim[4]
         d_rho = decompose(fs.rho, grid).nonzero
         d_u = max(float(np.max(np.abs(decompose(u[c], grid).nonzero))) for c in range(3))
         d_th = decompose(theta, grid).nonzero
@@ -539,7 +535,7 @@ def _background_row(cfg: ExperimentConfig, grid: SlabGrid, scfg: SolverConfig,
     tic = time.time()
     horizon = cfg.experiment.horizon
     base = constant_conserved(cfg.right, cfg.gas)
-    fs = perturbed_constant_state(cfg.right, _perturbation(cfg, eta), grid, cfg.gas)
+    fs = perturbed_constant_state(cfg.right, cfg.experiment.perturbation(eta), grid, cfg.gas)
 
     def observe(f: FieldSet, g: GasParams) -> dict:
         dev = f.U - base[:, None, None, None]

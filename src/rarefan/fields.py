@@ -57,7 +57,8 @@ class SlabGrid:
     def dx3(self) -> float:
         return self.period / self.n3 if self.dims == 3 else self.period
 
-    # cached: the solver reads them on every rhs call
+    # cached: analysis's derivative and norm calls read them on every call;
+    # the solver reads them once per bind
     @functools.cached_property
     def spacing(self) -> tuple[float, float, float]:
         return (self.dx1, self.dx2, self.dx3)
@@ -134,13 +135,12 @@ def conserved(g: GasParams, rho, u, theta) -> np.ndarray:
 class FieldSet:
     """Cell-averaged conserved fields on a SlabGrid, stacked as U = (rho, m1, m2, m3, E).
 
-    rho, m and E are views into U.  The primitives are computed once per
-    FieldSet and cached, and the solver keeps the stable_dt maxima of the
-    last U it reduced, so a FieldSet must not be modified in place once
-    its primitives have been read or a solver call has read it: build a
-    new one instead (the solver always does).  The U of a FieldSet that
-    solver.step returns is read-only, so such an edit raises ValueError
-    there; copy() gives a writable one.
+    rho, m and E are views into U.  The solver's work area keeps the
+    address of the last state it read and the stable_dt maxima of the last
+    state it reduced, so a FieldSet must not be modified in place once a
+    solver call has read it: build a new one instead (the solver always
+    does).  The U of a FieldSet that solver.step returns is read-only, so
+    such an edit raises ValueError there; copy() gives a writable one.
     """
 
     grid: SlabGrid
@@ -150,7 +150,6 @@ class FieldSet:
     def __post_init__(self):
         if self.U.shape != (5,) + self.grid.shape:
             raise ValueError("field shapes do not match the grid")
-        self._prim: tuple[GasParams, np.ndarray] | None = None
 
     rho = property(lambda self: self.U[0], doc="(n1, n2, n3) view into U")
     m = property(lambda self: self.U[1:4], doc="(3, n1, n2, n3) view into U")
@@ -160,40 +159,28 @@ class FieldSet:
         return FieldSet(self.grid, self.U.copy(), self.time)
 
     def primitives(self, g: GasParams) -> np.ndarray:
-        """Read-only stacked (rho, u1, u2, u3, theta), computed once per FieldSet.
+        """Stacked (rho, u1, u2, u3, theta), a new writable block on every call.
 
-        theta = (gamma - 1)/R (E/rho - 0.5 |u|^2): one division gives u and
-        E/rho in rows 1 to 4, |u|^2 = (u1^2 + u2^2) + u3^2 is summed into
-        rho's row before rho is copied there, and the product with
-        (gamma - 1)/R comes last; the solver kernel follows this order.  The
-        block comes from aligned_empty, and the work runs on flat (rows,
-        n1 n2 n3) views, whose 1-D operations cost less than 3-D ones.
+        The one conserved-to-primitive map: theta = (gamma - 1)/R (E/rho -
+        0.5 |u|^2).  One division gives u and E/rho in rows 1 to 4, |u|^2 =
+        (u1^2 + u2^2) + u3^2 is summed into rho's row before rho is copied
+        there, and the product with (gamma - 1)/R comes last; the solver
+        kernel follows this order.  The block comes from aligned_empty, and
+        the work runs on flat (rows, n1 n2 n3) views, whose 1-D operations
+        cost less than 3-D ones.
         """
-        if self._prim is None or self._prim[0] is not g:
-            prim = aligned_empty(self.U.shape)
-            cells = prim[0].size
-            U, flat = self.U.reshape(5, cells), prim.reshape(5, cells)
-            rho = U[0]
-            np.divide(U[1:5], rho, out=flat[1:5])
-            u, theta = flat[1:4], flat[4]
-            half_usq = np.add.reduce(u * u, axis=0, out=flat[0])
-            half_usq *= 0.5
-            theta -= half_usq
-            theta *= (g.gamma - 1.0) / g.R
-            flat[0] = rho
-            prim.flags.writeable = False
-            self._prim = (g, prim)
-        return self._prim[1]
-
-    def velocity(self) -> np.ndarray:
-        return self.m / self.rho
-
-    def temperature(self, g: GasParams) -> np.ndarray:
-        return self.primitives(g)[4].copy()
-
-    def internal_energy_density(self, g: GasParams) -> np.ndarray:
-        """n = rho * theta."""
-        return self.rho * self.primitives(g)[4]
+        prim = aligned_empty(self.U.shape)
+        cells = prim[0].size
+        U, flat = self.U.reshape(5, cells), prim.reshape(5, cells)
+        rho = U[0]
+        np.divide(U[1:5], rho, out=flat[1:5])
+        u, theta = flat[1:4], flat[4]
+        half_usq = np.add.reduce(u * u, axis=0, out=flat[0])
+        half_usq *= 0.5
+        theta -= half_usq
+        theta *= (g.gamma - 1.0) / g.R
+        flat[0] = rho
+        return prim
 
     @classmethod
     def from_primitives(cls, grid: SlabGrid, g: GasParams, rho, u, theta,

@@ -467,9 +467,8 @@ def stable_dt(fs: FieldSet, g: GasParams, cfg: SolverConfig) -> tuple[float, flo
 
 def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
          ghost_source: GhostSource | None = None,
-         dt: float | None = None,
          dt_cap: float | None = None) -> tuple[FieldSet, StepDiagnostics]:
-    """One SSP-RK3 step; dt may be forced (paired-run tests), else from stable_dt.
+    """One SSP-RK3 step of stable_dt's dt, or of dt_cap where that is smaller.
 
     Each tendency goes into the work area's register k.  After each rhs the
     kernel forms the stage state U1 or U2 in the register r, which the next
@@ -490,8 +489,7 @@ def step(fs: FieldSet, g: GasParams, cfg: SolverConfig,
     # a speed limit is NaN only where a cell's u or theta is
     if math.isnan(limits[0] + limits[1] + limits[2]):
         raise RunAbort("non-finite state entering step")
-    if dt is None:
-        dt = auto_dt if dt_cap is None else min(auto_dt, dt_cap)
+    dt = auto_dt if dt_cap is None else min(auto_dt, dt_cap)
     if dt < _DT_MIN:
         raise RunAbort(f"time step underflow: dt = {dt:.3e}")
 

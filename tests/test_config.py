@@ -144,13 +144,23 @@ def test_quantity_given_both_ways_refused_at_parse(tmp_path, name, literal):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_gn_check_without_samples_refused_at_parse(tmp_path, samples):
+@pytest.mark.parametrize("kind, value, message", [
+    ("gn-check", "samples = 0", "samples must be at least 1"),
+    ("gn-check", "samples = -3", "samples must be at least 1"),
+    ("eps-sweep", "eta = -0.5", "eta must be nonnegative"),
+    ("cutoff-study", "eta = -0.5", "eta must be nonnegative"),
+    ("decay", "mode_cap = 0", "mode_cap must be at least 1"),
+    ("gn-check", "mode_cap = -2", "mode_cap must be at least 1"),
+], ids=["0", "-3", "eta-sweep", "eta-cutoff", "mode_cap-decay", "mode_cap-gn"])
+def test_gn_check_without_samples_refused_at_parse(tmp_path, kind, value, message):
+    # an invalid [experiment] value is refused at parse for every kind, even
+    # one that never reads it: an eps-sweep at eta < 0 would otherwise exit 0
+    # without its paired perturbed run
     from rarefan.cli import main
-    text = (BASE.replace("kind = cutoff-study", f"kind = gn-check\nsamples = {samples}")
+    text = (BASE.replace("kind = cutoff-study", f"kind = {kind}\n{value}")
                 .replace("dir = out", f"dir = {tmp_path}/out"))
     path = write(tmp_path, text)
-    with pytest.raises(ConfigError, match=r"\[experiment\] samples must be at least 1"):
+    with pytest.raises(ConfigError, match=r"\[experiment\] " + message):
         parse_config(path)
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()

@@ -34,9 +34,33 @@ def test_primitive_views_roundtrip():
     u = 0.2 * rng.standard_normal((3,) + grid.shape)
     theta = 0.8 + 0.3 * rng.random(grid.shape)
     fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
-    assert np.allclose(fs.velocity(), u, atol=1e-14)
-    assert np.allclose(fs.temperature(GAS), theta, atol=1e-13)
-    assert np.allclose(fs.internal_energy_density(GAS), rho * theta, atol=1e-13)
+    prim = fs.primitives(GAS)
+    assert prim.shape == (5,) + grid.shape
+    assert np.array_equal(prim[0], rho)
+    assert np.allclose(prim[1:4], u, atol=1e-14)
+    assert np.allclose(prim[4], theta, atol=1e-13)
+
+
+def test_primitives_are_a_new_writable_block_per_call():
+    # no cache: each call forms its own block, and writing into one leaves
+    # the conserved stack and every later call unchanged
+    grid = SlabGrid.torus(1.0, 8, 4, dims=2)
+    rng = np.random.default_rng(4)
+    fs = FieldSet.from_primitives(grid, GAS, 1.0 + 0.3 * rng.random(grid.shape),
+                                  0.2 * rng.standard_normal((3,) + grid.shape),
+                                  0.8 + 0.3 * rng.random(grid.shape))
+    U = fs.U.copy()
+    first, second = fs.primitives(GAS), fs.primitives(GAS)
+    assert first is not second and not np.shares_memory(first, second)
+    assert not np.shares_memory(first, fs.U)
+    assert first.flags.writeable and second.flags.writeable
+    assert first.ctypes.data % 64 == 0 and second.ctypes.data % 64 == 0
+    want = second.tobytes()
+    assert first.tobytes() == want
+    first[1] -= 1.0
+    first[4] = -1.0
+    assert np.array_equal(fs.U, U)
+    assert fs.primitives(GAS).tobytes() == want
 
 
 

@@ -408,8 +408,9 @@ def test_rhs_unaffected_by_caller_mutation():
     fs = FieldSet.from_primitives(grid, GAS, rho, u, theta)
     cfg = SolverConfig(eps=0.05)
     tend0, bflux0 = rhs(fs, GAS, cfg)
-    fs.velocity()[0] -= 1.0
-    fs.temperature(GAS)[:] = -1.0
+    prim = fs.primitives(GAS)
+    prim[1] -= 1.0
+    prim[4] = -1.0
     tend1, bflux1 = rhs(fs, GAS, cfg)
     assert np.array_equal(tend0, tend1) and np.array_equal(bflux0, bflux1)
     assert not np.shares_memory(tend0, tend1)
@@ -1314,7 +1315,7 @@ def test_dt_underflow_aborts():
     grid = SlabGrid.torus(1.0, 16)
     fs = FieldSet.from_primitives(grid, GAS, 1.0, np.zeros((3,) + grid.shape), 1.0)
     with pytest.raises(RunAbort):
-        step(fs, GAS, SolverConfig(eps=0.1), dt=1e-13)
+        step(fs, GAS, SolverConfig(eps=0.1), dt_cap=1e-13)
 
 
 def test_positivity_floor_aborts(monkeypatch):
@@ -1379,12 +1380,18 @@ def test_run_records_land_on_sample_times():
         assert max(r["dt"] for r in records) < sample_dt / 3.0
 
 
-def test_run_records_take_stepped_minima_from_the_step():
+def test_run_records_take_stepped_minima_from_the_step(monkeypatch):
     # a stepped sample's min rho and min theta are its step's kernel minima,
     # bitwise np.min of the state's primitives, and the record forms no
     # primitives for them; only the initial sample does
     grid = SlabGrid.torus(1.0, 8, 4, dims=2)
-    states = []
+    states, calls = [], []
+    primitives = FieldSet.primitives
+
+    def counted(fs, g):
+        calls.append(fs)
+        return primitives(fs, g)
+    monkeypatch.setattr(FieldSet, "primitives", counted)
 
     def keep(state, g):
         states.append(state)
@@ -1392,8 +1399,7 @@ def test_run_records_take_stepped_minima_from_the_step():
     _, records = run(_transverse_state(grid, 2), GAS, SolverConfig(eps=0.1), 0.02,
                      observers={"keep": keep}, sample_dt=0.005)
     assert len(records) == len(states) >= 5
-    assert states[0]._prim is not None
-    assert all(state._prim is None for state in states[1:])
+    assert len(calls) == 1 and calls[0] is states[0]
     for row, state in zip(records, states):
         assert row["min_rho"] == float(np.min(state.rho))
         assert row["min_theta"] == float(np.min(state.primitives(GAS)[4]))
@@ -1430,13 +1436,14 @@ def test_galilean_shift_advection():
     cfg = SolverConfig(eps=0.02)
     fs1 = FieldSet.from_primitives(grid, GAS, rho, u, theta)
     fs2 = FieldSet.from_primitives(grid, GAS, rho, u + np.array([U, 0, 0])[:, None, None, None], theta)
-    dt = 2.5e-4  # same forced step sequence for both frames
+    dt = 2.5e-4  # below both frames' stable_dt: the cap is the step
     f1, f2 = fs1, fs2
     for _ in range(int(T / dt)):
-        f1, _ = step(f1, GAS, cfg, dt=dt)
-        f2, _ = step(f2, GAS, cfg, dt=dt)
-    u1 = f1.velocity()[0]
-    u2 = f2.velocity()[0]
+        f1, d1 = step(f1, GAS, cfg, dt_cap=dt)
+        f2, d2 = step(f2, GAS, cfg, dt_cap=dt)
+        assert d1.dt == d2.dt == dt
+    u1 = f1.primitives(GAS)[1]
+    u2 = f2.primitives(GAS)[1]
     assert np.max(np.abs(f2.rho - f1.rho)) < 1e-8
     assert np.max(np.abs(u2 - (u1 + U))) < 1e-8
 
@@ -1455,7 +1462,8 @@ def test_riemann_run_monotone_in_fan():
     out, _ = run(fs, GAS, cfg, horizon=1.0, ghost_source=ghost)
     x = grid.x1()
     fan = (x / 1.0 > spec.w_minus + 0.2) & (x / 1.0 < spec.w_plus - 0.2)
-    for f in (out.rho[:, 0, 0], out.velocity()[0][:, 0, 0], out.temperature(GAS)[:, 0, 0]):
+    prim = out.primitives(GAS)
+    for f in (prim[0, :, 0, 0], prim[1, :, 0, 0], prim[4, :, 0, 0]):
         assert np.all(np.diff(f[fan]) > -1e-9)
 
 
