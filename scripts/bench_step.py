@@ -13,7 +13,12 @@ initial states the studies start from, built by ``pinned_start``:
 
 - ``line384`` and ``line768``: the eps-sweep of DIR/configs/eps_sweep.ini at
   its first (largest) eps, on its n1 = 384 grid and on the 768-cell grid of
-  its refinement pre-check;
+  its refinement pre-check. Their u2 = u3 = 0 exactly, so the kernel runs
+  its longitudinal-line kind on them;
+- ``line768_eta``: the 768-cell line perturbed at eta = 1e-3, whose m2 and
+  m3 rows are not zero, so the kernel runs its general rows on it: beside
+  ``line768`` it shows what the longitudinal kind saves and that the
+  general line rows did not slow down;
 - ``slab256x32``: the decay study of DIR/perfbench/configs/slab2d_decay.ini
   (256 x 32 cells, perturbed);
 - ``slab256x32_alpha07``: the same state under ``GasParams.normalized(5/3,
@@ -107,7 +112,8 @@ KERNEL_BUILDS = 3
 RUN_HORIZON = 0.05
 
 
-CASES = ("line384", "line768", "slab256x32", "slab256x32_alpha07", "box160x16x16")
+CASES = ("line384", "line768", "line768_eta", "slab256x32", "slab256x32_alpha07",
+         "box160x16x16")
 
 
 def cases(root: Path, pkg: str = "rarefan", names=CASES) -> dict:
@@ -128,6 +134,7 @@ def cases(root: Path, pkg: str = "rarefan", names=CASES) -> dict:
                                                              dims=3))
     starts = {"line384": (sweep, eps, 0.0),
               "line768": (sweep, eps, 0.0, 2 * sweep.grid.n1),
+              "line768_eta": (sweep, eps, 1e-3, 2 * sweep.grid.n1),
               "slab256x32": (slab, slab.solver.eps, slab.experiment.eta),
               "box160x16x16": (box, box.solver.eps, box.experiment.eta)}
     out = {}

@@ -43,6 +43,37 @@
    at alpha = 0.5, which is also numpy's ** 0.5, and libm's pow otherwise;
    and each x1 end plane is summed in order over its transverse cells.
 
+   The solver entries have a longitudinal-line kind, for the planar wave's
+   1-D runs, which carry no transverse velocity.  Each entry picks it from
+   the bits of its inputs, by an OR over rows: where the grid has x1 alone
+   and rows 2 and 3 (m2 and m3) of the state are all +0.0, in rk_rhs the
+   ghost columns' u2, u3, m2 and m3 too, and in rk_stage rows 2 and 3 of
+   U0, of k and, past stage 1, of r, with dt finite.  A -0.0 or a
+   subnormal entry takes the general rows.  The kind's rows are the
+   general ones with one more compile-time constant, tm = 0: fill_row and
+   lanes take u2 = u3 = 0.0 without dividing, face_row forms no k = 1, 2
+   flux, dn or uF, and its heat is uF0 tau0 + dthdn, the divergence and
+   the boundary flux write 0.0 into rows 2 and 3, and a stage runs rows 0,
+   1 and 4 and leaves +0.0 in rows 2 and 3 of its state.
+
+   Every bit stays.  With m2 = m3 = +0.0 and rho > 0 the general rows'
+   u2 = u3 = +0.  A face's F2 and F3 are ((±0 + ±0) 0.5 - (+0 - +0) sf)
+   - (±0) visc = ±0, so their tendencies are 0.0 - (±0 - ±0) / dx = +0
+   and their boundary fluxes 0.0 + (+0 - +0) area = +0.  A stage's
+   +0 dt + +0, its sums and its / 3 give +0.  |u2| + c and theta's
+   (v1 v1 + u2 u2) + u3 u3 are +0 + c and (v1 v1 + +0) + +0, as the kind
+   forms them, also where rho < 0 makes u2 -0.  In the heat term the extra
+   products uF1 tau1 and uF2 tau2 are ±0, and x + (±0) = x but for
+   -0 + +0 = +0, so they change only the sign of a heat that is exactly
+   zero, and so only the sign of an F4 that is exactly zero.  F4 reaches
+   the result through the tendency 0.0 - (F(i) - F(i - 1)) / dx, where a
+   difference with a nonzero operand does not see a zero's sign, a
+   difference of two zeros is a zero and 0.0 - (±0) = +0, and through the
+   boundary flux's 0.0 + F, which reads ±0 as +0.  The argument takes the
+   values finite: where a density is zero or a value is infinite or NaN,
+   the general rows can carry a NaN into rows 2 and 3, the limits or the
+   minima where the kind does not.
+
    One entry serves rarefan.analysis, on a field f of extents (n0, n1, n2)
    in C order.  an_derivs writes f's gradient into rows 0-2 of the caller's
    work block; at level 2 then the Frobenius |grad^2 f|^2 into row 6, from
@@ -87,6 +118,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef struct {
     int64_t n[3];        /* cells per axis */
@@ -157,10 +189,11 @@ static inline double theta(double E, double r, double v1, double v2, double v3, 
 
 /* the faces [lo, hi) of one row of axis a, on a grid whose active axes are
    the bits of m (x1 is bit 0), with viscosity if vis, theta^alpha by sqrt
-   if sq */
+   if sq, and the transverse rows if tm: the longitudinal kind (tm = 0)
+   reads no u2, u3, m2 or m3 and writes no F2 or F3 */
 static inline __attribute__((always_inline)) void
 face_row(const int64_t lo, const int64_t hi, const int a, const int m, const int vis,
-         const int sq, const int64_t stride[3], const coeffs *q, FACE_ROWS)
+         const int sq, const int tm, const int64_t stride[3], const coeffs *q, FACE_ROWS)
 {
     const double *const u[3] = {u1, u2, u3}, *const U[5] = {U0, U1, U2, U3, U4};
     double *const F[5] = {F0, F1, F2, F3, F4};
@@ -168,6 +201,8 @@ face_row(const int64_t lo, const int64_t hi, const int a, const int m, const int
     const int64_t s = stride[a], sb[3] = {stride[0], stride[1], stride[2]};
     const double dx[3] = {q->dx[0], q->dx[1], q->dx[2]}, mu1 = q->mu1, lambda1 = q->lambda1,
                  kappa1 = q->kappa1, alpha = q->alpha, visc = q->visc;
+    /* the velocity components formed: u1, u2 and u3, or u1 alone */
+    const int nk = tm ? 3 : 1;
     for (int64_t L = lo; L < hi; L++) {
         const int64_t R = L + s;
         const double unL = u[a][L], unR = u[a][R];
@@ -175,7 +210,7 @@ face_row(const int64_t lo, const int64_t hi, const int a, const int m, const int
         const double sf = maximum(fabs(unL) + c[L], fabs(unR) + c[R]) * 0.5;
         double f[5];
         f[0] = (U[1 + a][L] + U[1 + a][R]) * 0.5 - (U[0][R] - U[0][L]) * sf;
-        for (int k = 0; k < 3; k++) {
+        for (int k = 0; k < nk; k++) {
             double fL = U[1 + k][L] * unL, fR = U[1 + k][R] * unR;
             if (k == a) {
                 fL += p[L];
@@ -193,12 +228,12 @@ face_row(const int64_t lo, const int64_t hi, const int a, const int m, const int
             const double thF = (th[L] + th[R]) * 0.5;
             const double pwf = sq ? sqrt(thF) : pow(thF, alpha);
             double uF[3], dn[3], tau[3];
-            for (int k = 0; k < 3; k++) {
+            for (int k = 0; k < nk; k++) {
                 uF[k] = (u[k][L] + u[k][R]) * 0.5;
                 dn[k] = (u[k][R] - u[k][L]) / dx[a];
             }
             double divu = dn[a];
-            for (int k = 0; k < 3; k++) {
+            for (int k = 0; k < nk; k++) {
                 if (k == a) {
                     tau[k] = dn[k] + dn[k];
                 } else if (m >> k & 1) {
@@ -215,57 +250,62 @@ face_row(const int64_t lo, const int64_t hi, const int a, const int m, const int
                 }
             }
             const double mu = mu1 * pwf;
-            for (int k = 0; k < 3; k++)
+            for (int k = 0; k < nk; k++)
                 tau[k] *= mu;
             tau[a] += divu * (lambda1 * pwf);
             const double dthdn = (th[R] - th[L]) / dx[a] * (kappa1 * pwf);
-            const double heat = (uF[0] * tau[0] + uF[1] * tau[1]) + uF[2] * tau[2] + dthdn;
-            for (int k = 0; k < 3; k++)
+            const double heat = tm ? (uF[0] * tau[0] + uF[1] * tau[1]) + uF[2] * tau[2] + dthdn
+                                   : uF[0] * tau[0] + dthdn;
+            for (int k = 0; k < nk; k++)
                 f[1 + k] -= tau[k] * visc;
             f[4] -= heat * visc;
         }
         for (int k = 0; k < 5; k++)
-            F[k][L] = f[k];
+            if (tm || k < 2 || k == 4)
+                F[k][L] = f[k];
     }
 }
 
 /* the faces of axis a into F, row by row */
 static inline __attribute__((always_inline)) void
-faces(const rk_work *w, const int a, const int m, const int vis, const int sq, const coeffs *q,
-      FACE_ROWS)
+faces(const rk_work *w, const int a, const int m, const int vis, const int sq, const int tm,
+      const coeffs *q, FACE_ROWS)
 {
     const box b = span(w, a);
     for (int64_t i0 = b.lo[0]; i0 < b.hi[0]; i0++)
         for (int64_t i1 = b.lo[1]; i1 < b.hi[1]; i1++) {
             const int64_t row = i0 * b.st[0] + i1 * b.st[1];
-            face_row(row + b.lo[2], row + b.hi[2], a, m, vis, sq, w->stride, q, FACE_ARGS);
+            face_row(row + b.lo[2], row + b.hi[2], a, m, vis, sq, tm, w->stride, q, FACE_ARGS);
         }
 }
 
-/* the face pass of axis a on a grid of active axes m, its kind (viscosity,
-   and sqrt or pow) picked once */
-#define FACES(a, m)                                                                    \
-    static void faces_##a##_##m(const rk_work *w, const coeffs *q, FACE_ROWS)          \
+/* the face pass of axis a on a grid of active axes m, with the transverse
+   rows if tm, its kind (viscosity, and sqrt or pow) picked once */
+#define FACES(a, m, tm)                                                                \
+    static void faces_##a##_##m##_##tm(const rk_work *w, const coeffs *q, FACE_ROWS)   \
     {                                                                                  \
         if (!(q->visc > 0.0))                                                          \
-            faces(w, a, m, 0, 0, q, FACE_ARGS);                                        \
+            faces(w, a, m, 0, 0, tm, q, FACE_ARGS);                                    \
         else if (q->alpha == 0.5)                                                      \
-            faces(w, a, m, 1, 1, q, FACE_ARGS);                                        \
+            faces(w, a, m, 1, 1, tm, q, FACE_ARGS);                                    \
         else                                                                           \
-            faces(w, a, m, 1, 0, q, FACE_ARGS);                                        \
+            faces(w, a, m, 1, 0, tm, q, FACE_ARGS);                                    \
     }
-FACES(0, 1) FACES(0, 3) FACES(0, 5) FACES(0, 7) FACES(1, 3) FACES(1, 7) FACES(2, 5) FACES(2, 7)
+FACES(0, 1, 1) FACES(0, 3, 1) FACES(0, 5, 1) FACES(0, 7, 1) FACES(1, 3, 1) FACES(1, 7, 1)
+FACES(2, 5, 1) FACES(2, 7, 1) FACES(0, 1, 0)
 
-/* the face pass of axis a by the active axes m, for the (a, m) a grid can have */
+/* the face pass of axis a by the active axes m, for the (a, m) a grid can
+   have; faces_0_1_0 is the longitudinal kind's */
 static void (*const face_pass[3][8])(const rk_work *, const coeffs *, FACE_ROWS) = {
-    {[1] = faces_0_1, [3] = faces_0_3, [5] = faces_0_5, [7] = faces_0_7},
-    {[3] = faces_1_3, [7] = faces_1_7},
-    {[5] = faces_2_5, [7] = faces_2_7},
+    {[1] = faces_0_1_1, [3] = faces_0_3_1, [5] = faces_0_5_1, [7] = faces_0_7_1},
+    {[3] = faces_1_3_1, [7] = faces_1_7_1},
+    {[5] = faces_2_5_1, [7] = faces_2_7_1},
 };
 
 /* out = 0 - (F(i) - F(i - s)) / dx on the first axis, out - that on the
-   others, over the interior cells i */
-static void divergence(const rk_work *w, int a, double dx, int first, double *out)
+   others, over the interior cells i; the longitudinal kind (tm = 0), on a
+   grid of x1 alone, writes 0.0 into rows 2 and 3 */
+static void divergence(const rk_work *w, int a, double dx, int first, int tm, double *out)
 {
     const int64_t N = w->N, s = w->stride[a];
     const box b = span(w, -1);
@@ -274,7 +314,10 @@ static void divergence(const rk_work *w, int a, double dx, int first, double *ou
         for (int64_t i0 = b.lo[0]; i0 < b.hi[0]; i0++)
             for (int64_t i1 = b.lo[1]; i1 < b.hi[1]; i1++) {
                 const int64_t row = i0 * b.st[0] + i1 * b.st[1];
-                if (first)
+                if (!tm && (k == 2 || k == 3))
+                    for (int64_t i = row + b.lo[2]; i < row + b.hi[2]; i++)
+                        *out++ = 0.0;
+                else if (first)
                     for (int64_t i = row + b.lo[2]; i < row + b.hi[2]; i++)
                         *out++ = 0.0 - (F[i] - F[i - s]) / dx;
                 else
@@ -286,11 +329,15 @@ static void divergence(const rk_work *w, int a, double dx, int first, double *ou
 
 /* bflux = 0 + (first - last) area, first and last the x1 faces of F at
    ring x1 positions 0 and n1, each plane summed in order over the interior
-   transverse cells */
-static void boundary_flux(const rk_work *w, double area, double *bflux)
+   transverse cells; 0.0 in rows 2 and 3 of the longitudinal kind (tm = 0) */
+static void boundary_flux(const rk_work *w, double area, int tm, double *bflux)
 {
     const int64_t end = w->n[0] * w->stride[0];
     for (int k = 0; k < 5; k++) {
+        if (!tm && (k == 2 || k == 3)) {
+            bflux[k] = 0.0;
+            continue;
+        }
         const double *F = w->F + k * w->N;
         double first = 0.0, last = 0.0;
         for (int64_t i1 = w->active[1]; i1 < w->active[1] + w->n[1]; i1++)
@@ -303,32 +350,36 @@ static void boundary_flux(const rk_work *w, double area, double *bflux)
 }
 
 /* the primitives and conserved values of n cells: the five rows of U in,
-   the state's ten rows out */
+   the state's ten rows out; the longitudinal kind (tm = 0) reads no m2 or
+   m3, takes u2 = u3 = 0.0 and writes no u2, u3, m2 or m3 */
 static inline __attribute__((always_inline)) void
-fill_row(const int64_t n, const double cth, const double *restrict U0,
+fill_row(const int64_t n, const int tm, const double cth, const double *restrict U0,
          const double *restrict U1, const double *restrict U2, const double *restrict U3,
          const double *restrict U4, double *restrict rho, double *restrict u1,
          double *restrict u2, double *restrict u3, double *restrict th, double *restrict V0,
          double *restrict V1, double *restrict V2, double *restrict V3, double *restrict V4)
 {
     for (int64_t i = 0; i < n; i++) {
-        const double r = U0[i], v1 = U1[i] / r, v2 = U2[i] / r, v3 = U3[i] / r;
+        const double r = U0[i], v1 = U1[i] / r, v2 = tm ? U2[i] / r : 0.0,
+                     v3 = tm ? U3[i] / r : 0.0;
         rho[i] = r;
         u1[i] = v1;
-        u2[i] = v2;
-        u3[i] = v3;
         th[i] = theta(U4[i], r, v1, v2, v3, cth);
         V0[i] = r;
         V1[i] = U1[i];
-        V2[i] = U2[i];
-        V3[i] = U3[i];
         V4[i] = U4[i];
+        if (tm) {
+            u2[i] = v2;
+            u3[i] = v3;
+            V2[i] = U2[i];
+            V3[i] = U3[i];
+        }
     }
 }
 
 /* the interior cells of the ring from U (5, n1, n2, n3) in C order, row by
-   row; S0..S9 are the state's rows */
-static void fill(const rk_work *w, const double cth, const double *restrict U0,
+   row, with the transverse rows if tm; S0..S9 are the state's rows */
+static void fill(const rk_work *w, const int tm, const double cth, const double *restrict U0,
                  const double *restrict U1, const double *restrict U2,
                  const double *restrict U3, const double *restrict U4, double *restrict S0,
                  double *restrict S1, double *restrict S2, double *restrict S3,
@@ -341,8 +392,12 @@ static void fill(const rk_work *w, const double cth, const double *restrict U0,
     for (int64_t i0 = b.lo[0]; i0 < b.hi[0]; i0++)
         for (int64_t i1 = b.lo[1]; i1 < b.hi[1]; i1++, j += n) {
             const int64_t i = i0 * b.st[0] + i1 * b.st[1] + b.lo[2];
-            fill_row(n, cth, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, S0 + i, S1 + i, S2 + i,
-                     S3 + i, S4 + i, S5 + i, S6 + i, S7 + i, S8 + i, S9 + i);
+            if (tm)
+                fill_row(n, 1, cth, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, S0 + i, S1 + i,
+                         S2 + i, S3 + i, S4 + i, S5 + i, S6 + i, S7 + i, S8 + i, S9 + i);
+            else
+                fill_row(n, 0, cth, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, S0 + i, S1 + i,
+                         S2 + i, S3 + i, S4 + i, S5 + i, S6 + i, S7 + i, S8 + i, S9 + i);
         }
 }
 
@@ -375,6 +430,37 @@ static void ring(const rk_work *w, const double *ghosts)
     }
 }
 
+/* the reductions run over blocks of LANES cells, a lane per cell */
+#define LANES 16
+
+/* 1 if the n entries of x are all +0.0, bit for bit, else 0: the OR of
+   their bits, block by block */
+static int zeros(const int64_t n, const double *x)
+{
+    uint64_t lane[LANES] = {0}, bits = 0, b;
+    int64_t i = 0;
+    for (; i + LANES <= n; i += LANES)
+        for (int j = 0; j < LANES; j++) {
+            memcpy(&b, x + i + j, sizeof b);
+            lane[j] |= b;
+        }
+    for (; i < n; i++) {
+        memcpy(&b, x + i, sizeof b);
+        bits |= b;
+    }
+    for (int j = 0; j < LANES; j++)
+        bits |= lane[j];
+    return bits == 0;
+}
+
+/* 0 if the grid has x1 alone and rows 2 and 3 (m2 and m3) of X, (5, n1,
+   n2, n3), are all +0.0: the longitudinal kind; else 1 */
+static int transverse(const rk_work *w, const double *X)
+{
+    const int64_t cells = w->n[0] * w->n[1] * w->n[2];
+    return w->active[1] || w->active[2] || !zeros(2 * cells, X + 2 * cells);
+}
+
 /* 1 if some cell of U has rho <= 0, 2 if some ring cell has theta <= 0;
    else 0 once the tendency (5, n1, n2, n3) is in out and the boundary flux
    (5,) in the work area's b */
@@ -384,8 +470,11 @@ int rk_rhs(const rk_work *w, const coeffs *q, const double *U, const double *gho
     for (int64_t j = 0; j < cells; j++)
         if (U[j] <= 0.0)
             return 1;
+    /* the longitudinal kind needs the ghost columns' u2, u3 (entries 4-7)
+       and m2, m3 (entries 14-17) +0.0 too */
+    const int tm = transverse(w, U) || (ghosts && !(zeros(4, ghosts + 4) && zeros(4, ghosts + 14)));
     double *st = w->state;
-    fill(w, q->cth, U, U + cells, U + 2 * cells, U + 3 * cells, U + 4 * cells, st, st + N,
+    fill(w, tm, q->cth, U, U + cells, U + 2 * cells, U + 3 * cells, U + 4 * cells, st, st + N,
          st + 2 * N, st + 3 * N, st + 4 * N, st + 5 * N, st + 6 * N, st + 7 * N, st + 8 * N,
          st + 9 * N);
     ring(w, ghosts);
@@ -404,26 +493,26 @@ int rk_rhs(const rk_work *w, const coeffs *q, const double *U, const double *gho
     for (int a = 0; a < 3; a++) {
         if (!w->active[a])
             continue;
-        face_pass[a][m](w, q, st + N, st + 2 * N, st + 3 * N, st + 4 * N, st + 5 * N,
-                        st + 6 * N, st + 7 * N, st + 8 * N, st + 9 * N, w->p, w->c, F, F + N,
-                        F + 2 * N, F + 3 * N, F + 4 * N);
+        (tm ? face_pass[a][m] : faces_0_1_0)(w, q, st + N, st + 2 * N, st + 3 * N, st + 4 * N,
+                                             st + 5 * N, st + 6 * N, st + 7 * N, st + 8 * N,
+                                             st + 9 * N, w->p, w->c, F, F + N, F + 2 * N,
+                                             F + 3 * N, F + 4 * N);
         if (a == 0)
-            boundary_flux(w, q->area, w->b);
-        divergence(w, a, q->dx[a], a == 0, out);
+            boundary_flux(w, q->area, tm, w->b);
+        divergence(w, a, q->dx[a], a == 0, tm, out);
     }
     return 0;
 }
-
-/* the reductions run over blocks of LANES cells, a lane per cell */
-#define LANES 16
 
 /* fold n <= LANES cells into the lanes: each axis's |u_a| + c, c =
    sqrt(max(theta, 0) gamma R), into s0, s1 and s2; with viscosity (vis) the
    diffusivity max(lon pw, kappa1 pw (gamma - 1) / R) visc / rho into d, pw =
    theta^alpha by sqrt if sq; rho into mr, theta into mt, and (rho - rho) +
-   (E - E), 0 while both are finite and NaN after, into nf */
+   (E - E), 0 while both are finite and NaN after, into nf.  The
+   longitudinal kind (tm = 0) reads no m2 or m3 and takes u2 = u3 = 0.0 */
 static inline __attribute__((always_inline)) void
-lanes(const int64_t n, const int vis, const int sq, const coeffs *q, const double *restrict U0,
+lanes(const int64_t n, const int vis, const int sq, const int tm, const coeffs *q,
+      const double *restrict U0,
       const double *restrict U1, const double *restrict U2, const double *restrict U3,
       const double *restrict U4, double *restrict s0, double *restrict s1, double *restrict s2,
       double *restrict d, double *restrict mr, double *restrict mt, double *restrict nf)
@@ -431,7 +520,8 @@ lanes(const int64_t n, const int vis, const int sq, const coeffs *q, const doubl
     const double gR = q->gR, cth = q->cth, lon = q->lon, kappa1 = q->kappa1, gm1 = q->gm1,
                  R = q->R, alpha = q->alpha, visc = q->visc;
     for (int64_t i = 0; i < n; i++) {
-        const double r = U0[i], v1 = U1[i] / r, v2 = U2[i] / r, v3 = U3[i] / r;
+        const double r = U0[i], v1 = U1[i] / r, v2 = tm ? U2[i] / r : 0.0,
+                     v3 = tm ? U3[i] / r : 0.0;
         const double th = theta(U4[i], r, v1, v2, v3, cth), c = sqrt(maximum(th, 0.0) * gR);
         s0[i] = maximum(s0[i], fabs(v1) + c);
         s1[i] = maximum(s1[i], fabs(v2) + c);
@@ -466,7 +556,7 @@ static double fold_min(const double *x)
    theta into mins, block by block; 1 if the rho and E rows are finite,
    else 0 */
 static inline __attribute__((always_inline)) int
-blocks(const int64_t cells, const int vis, const int sq, const coeffs *q,
+blocks(const int64_t cells, const int vis, const int sq, const int tm, const coeffs *q,
        const double *restrict U0, const double *restrict U1, const double *restrict U2,
        const double *restrict U3, const double *restrict U4, double *restrict lim,
        double *restrict mins)
@@ -479,10 +569,10 @@ blocks(const int64_t cells, const int vis, const int sq, const coeffs *q,
     }
     int64_t j = 0;
     for (; j + LANES <= cells; j += LANES)
-        lanes(LANES, vis, sq, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2], s[3],
-              s[4], s[5], s[6]);
-    lanes(cells - j, vis, sq, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2], s[3],
-          s[4], s[5], s[6]);
+        lanes(LANES, vis, sq, tm, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2],
+              s[3], s[4], s[5], s[6]);
+    lanes(cells - j, vis, sq, tm, q, U0 + j, U1 + j, U2 + j, U3 + j, U4 + j, s[0], s[1], s[2],
+          s[3], s[4], s[5], s[6]);
     for (int a = 0; a < 4; a++)
         lim[a] = fold_max(s[a]);
     mins[0] = fold_min(s[4]);
@@ -494,18 +584,20 @@ blocks(const int64_t cells, const int vis, const int sq, const coeffs *q,
 }
 
 /* the limits, minima and finiteness of the conserved stack U (5, n1, n2,
-   n3) in C order, by kind (no viscosity, sqrt or pow), picked once:
-   lim[a] = max(|u_a| + c) for a = 0, 1, 2 and, if visc > 0, lim[3] = the
-   largest diffusivity */
-static int reduce(const rk_work *w, const coeffs *q, const double *U, double *lim, double *mins)
+   n3) in C order, by kind (no viscosity, sqrt or pow; with the transverse
+   rows if tm), picked once: lim[a] = max(|u_a| + c) for a = 0, 1, 2 and,
+   if visc > 0, lim[3] = the largest diffusivity */
+static int reduce(const rk_work *w, const coeffs *q, const int tm, const double *U, double *lim,
+                  double *mins)
 {
     const int64_t cells = w->n[0] * w->n[1] * w->n[2];
     const double *U1 = U + cells, *U2 = U + 2 * cells, *U3 = U + 3 * cells, *U4 = U + 4 * cells;
-    if (!(q->visc > 0.0))
-        return blocks(cells, 0, 0, q, U, U1, U2, U3, U4, lim, mins);
-    if (q->alpha == 0.5)
-        return blocks(cells, 1, 1, q, U, U1, U2, U3, U4, lim, mins);
-    return blocks(cells, 1, 0, q, U, U1, U2, U3, U4, lim, mins);
+    const int vis = q->visc > 0.0, sq = q->alpha == 0.5;
+#define BLOCKS(vis, sq, tm) blocks(cells, vis, sq, tm, q, U, U1, U2, U3, U4, lim, mins)
+    if (tm)
+        return !vis ? BLOCKS(0, 0, 1) : sq ? BLOCKS(1, 1, 1) : BLOCKS(1, 0, 1);
+    return !vis ? BLOCKS(0, 0, 0) : sq ? BLOCKS(1, 1, 0) : BLOCKS(1, 0, 0);
+#undef BLOCKS
 }
 
 /* stable_dt's limits of the conserved stack U into the work area's lim.
@@ -513,7 +605,7 @@ static int reduce(const rk_work *w, const coeffs *q, const double *U, double *li
 void rk_dt(const rk_work *w, const coeffs *q, const double *U)
 {
     double mins[2];
-    reduce(w, q, U, w->lim, mins);
+    reduce(w, q, transverse(w, U), U, w->lim, mins);
 }
 
 /* stage s of n state entries: U1 = k dt + U0 into r (s = 1), U2 = 0.75 U0
@@ -551,17 +643,31 @@ static void stage_pass(const int64_t n, const int s, const double dt, const doub
    stage's share of the boundary flux b into sum.  The last stage writes the
    result into out, its stable_dt limits into the work area's lim and its
    min rho and min theta into mins, and returns 1 if its rho and E rows are
-   finite, else 0; the others return 1 */
+   finite, else 0; the others return 1.  The longitudinal kind, where dt is
+   finite and rows 2 and 3 of U0, of k and (past stage 1) of r are +0.0,
+   runs rows 0, 1 and 4 and makes the stage state's rows 2 and 3 +0.0 */
 int rk_stage(const rk_work *w, const coeffs *q, int s, const double *U0, double *out, double dt)
 {
     static const double weight[3] = {1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0};
     const double wdt = weight[s - 1] * dt;
     for (int k = 0; k < 5; k++)
         w->sum[k] = s == 1 ? w->b[k] * wdt + 0.0 : w->sum[k] + w->b[k] * wdt;
-    stage_pass(5 * w->n[0] * w->n[1] * w->n[2], s, dt, U0, w->k, w->r, out);
+    const int64_t cells = w->n[0] * w->n[1] * w->n[2], e = 4 * cells;
+    const int tm = !(dt - dt == 0.0) || transverse(w, U0) || transverse(w, w->k)
+                   || (s > 1 && transverse(w, w->r));
+    if (tm) {
+        stage_pass(5 * cells, s, dt, U0, w->k, w->r, out);
+    } else {
+        stage_pass(2 * cells, s, dt, U0, w->k, w->r, out);
+        stage_pass(cells, s, dt, U0 + e, w->k + e, w->r + e, s == 3 ? out + e : out);
+        /* stage 2 keeps r's rows 2 and 3, +0.0 already */
+        double *z = s == 1 ? w->r : s == 3 ? out : NULL;
+        for (int64_t i = 2 * cells; z && i < e; i++)
+            z[i] = 0.0;
+    }
     if (s < 3)
         return 1;
-    return reduce(w, q, out, w->lim, w->mins);
+    return reduce(w, q, tm, out, w->lim, w->mins);
 }
 
 /* rarefan.analysis's central differences of a field f, C-ordered over

@@ -210,12 +210,16 @@ def parse_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(gas=gas, **{sec: _block(cp, sec) for sec in _BLOCKS},
                            out_dir=_get(cp, "output", "dir", str, "out"))
-    # an invalid right state, [solver] block, perturbation, kind or sample
-    # count, a wave quantity given both ways, or an eps-sweep eps whose wave
-    # cannot be resolved, fails here, not mid-run
+    # an invalid right state, [solver] block, perturbation (a background
+    # study's swept amplitudes included), kind or sample count, a wave
+    # quantity given both ways, or an eps-sweep eps whose wave cannot be
+    # resolved, fails here, not mid-run
     cfg.right
     cfg.solver.solver_config()
     cfg.experiment.perturbation()
+    if cfg.experiment.kind == "background":
+        for eta in cfg.experiment.sweep:
+            cfg.experiment.perturbation(eta)
     for name in ("nu", "delta"):
         if getattr(cfg.wave, name) is not None and getattr(cfg.wave, f"{name}_coeff") is not None:
             raise ConfigError(f"[wave] {name} and {name}_coeff both given: set one")

@@ -29,7 +29,13 @@ grid has, and the boundary flux.  stable_dt's per-cell maxima are one pass
 over the conserved stack, and each of step's stages one pass over its
 registers; the last stage's pass over the result also reduces the
 result's stable_dt maxima, with the one reduction row stable_dt's pass
-uses, so that the next step's stable_dt makes no pass.  The ring is flat,
+uses, so that the next step's stable_dt makes no pass.  On a 1-D line
+whose m2 and m3 are exactly +0.0, as the planar wave's runs are, each
+kernel entry picks its longitudinal-line kind, from an OR over the bits of
+those rows (and of the ghost columns' u2, u3, m2 and m3): it forms no u2,
+u3, transverse flux or m2 and m3 stage row, which could only give +0, and
+keeps every bit of the general rows, which every multi-D grid and every
+line with transverse momentum runs.  No option picks it.  The ring is flat,
 (rows, N) over its N cells, with strides (r2 r3, r3, 1) for ring extents
 (r1, r2, r3).  theta^alpha is sqrt at alpha = 0.5 and libm's pow
 otherwise, and each x1 end plane is summed in order.  The face, fill,

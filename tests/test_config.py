@@ -151,14 +151,19 @@ def test_quantity_given_both_ways_refused_at_parse(tmp_path, name, literal):
     ("cutoff-study", "eta = -0.5", "eta must be nonnegative"),
     ("decay", "mode_cap = 0", "mode_cap must be at least 1"),
     ("gn-check", "mode_cap = -2", "mode_cap must be at least 1"),
-], ids=["0", "-3", "eta-sweep", "eta-cutoff", "mode_cap-decay", "mode_cap-gn"])
+    ("background", "eta = 1e-2\nsweep = 1e-2, -5e-3", "eta must be nonnegative"),
+], ids=["0", "-3", "eta-sweep", "eta-cutoff", "mode_cap-decay", "mode_cap-gn",
+        "sweep-background"])
 def test_gn_check_without_samples_refused_at_parse(tmp_path, kind, value, message):
     # an invalid [experiment] value is refused at parse for every kind, even
     # one that never reads it: an eps-sweep at eta < 0 would otherwise exit 0
-    # without its paired perturbed run
+    # without its paired perturbed run, and a background study would start
+    # its runs before refusing a negative swept amplitude
     from rarefan.cli import main
-    text = (BASE.replace("kind = cutoff-study", f"kind = {kind}\n{value}")
-                .replace("dir = out", f"dir = {tmp_path}/out"))
+    text = BASE.replace("kind = cutoff-study", f"kind = {kind}\n{value}")
+    if "sweep" in value:  # the value's sweep stands in for BASE's
+        text = text.replace("sweep = 0.1, 0.05, 0.025\n", "")
+    text = text.replace("dir = out", f"dir = {tmp_path}/out")
     path = write(tmp_path, text)
     with pytest.raises(ConfigError, match=r"\[experiment\] " + message):
         parse_config(path)

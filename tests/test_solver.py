@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rarefan.gas import GasParams, PrimState, entropy
-from rarefan.fields import SlabGrid, FieldSet
+from rarefan.fields import SlabGrid, FieldSet, conserved
 from rarefan.waves import WaveSpec, smooth_profile
 from rarefan import solver
 from rarefan.solver import (SolverConfig, RunAbort, rhs, step, run, stable_dt,
@@ -709,6 +709,29 @@ def _planar_line_cases():
             for eps in (0.0, 0.05) for ghost in (profile_ghost_source(spec, grid), None)]
 
 
+def _near_planar_line_cases():
+    """Lines a bit or a ghost away from the kernel's longitudinal kind, which
+    must take its general rows: _planar_line_cases' state with one m2 entry
+    of -0.0, and with one m3 entry of 5e-324, the smallest subnormal; and
+    that state between pinned ghosts whose u2 is not 0."""
+    fs = _planar_line_cases()[0][0]
+    spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
+    profile = profile_ghost_source(spec, fs.grid)
+
+    def swirl(t):
+        cols = profile(t).copy()
+        cols[2] = (0.05, -0.05)
+        cols[5:] = conserved(GAS, cols[0], cols[1:4], cols[4])
+        return cols
+    cases = []
+    for row, col, value in ((2, 5, -0.0), (3, 9, 5e-324)):
+        U = fs.U.copy()
+        U[row, col] = value
+        cases += [(FieldSet(fs.grid, U), SolverConfig(eps=0.05), ghost)
+                  for ghost in (profile, None)]
+    return cases + [(fs, SolverConfig(eps=eps), swirl) for eps in (0.0, 0.05)]
+
+
 def _cellwise_random_cases():
     """Every field varies from cell to cell, so a reordered sum changes some bit.
 
@@ -733,25 +756,31 @@ def _cellwise_random_cases():
 def test_rhs_matches_allocating_reference():
     # a gas whose heat entry sets the viscous step, with R != gamma - 1
     heat_bound = GasParams(gamma=1.4, R=0.287, alpha=0.7, lambda1=0.0, kappa1=10.0)
-    cases = _workspace_cases() + _planar_line_cases() + _cellwise_random_cases()
-    with np.errstate(all="raise"):
-        for fs, cfg, ghost in cases:
+    # at alpha = 0.7 the face coefficients are libm's pow, not a square
+    # root; numpy's power differs from it in the last bit of some values
+    g07 = GasParams.normalized(5.0 / 3.0, 0.7)
+
+    def check(fs, cfg, ghost, g):
+        if g is GAS:
             assert _same_bytes([fs.primitives(GAS)], [_ref_primitives(fs)])
             assert stable_dt(fs, GAS, cfg) == _ref_stable_dt(fs, cfg)
             assert stable_dt(FieldSet(fs.grid, fs.U), heat_bound, cfg) == \
                 _ref_stable_dt(fs, cfg, heat_bound)
-            tend, bflux = rhs(fs, GAS, cfg, ghost, t=fs.time)
-            assert _same_bytes([tend, bflux], _ref_rhs(fs, cfg, ghost, fs.time))
-            out, diag = step(fs, GAS, cfg, ghost)
-            assert _same_bytes([out.U, diag.boundary_flux], _ref_step(fs, cfg, ghost))
-        # at alpha = 0.7 the face coefficients are libm's pow, not a square
-        # root; numpy's power differs from it in the last bit of some values
-        g = GasParams.normalized(5.0 / 3.0, 0.7)
-        for fs, cfg, ghost in _workspace_cases():
-            tend, bflux = rhs(fs, g, cfg, ghost, t=fs.time)
-            assert _same_bytes([tend, bflux], _ref_rhs(fs, cfg, ghost, fs.time, g))
-            out, diag = step(fs, g, cfg, ghost)
-            assert _same_bytes([out.U, diag.boundary_flux], _ref_step(fs, cfg, ghost, g))
+        tend, bflux = rhs(fs, g, cfg, ghost, t=fs.time)
+        assert _same_bytes([tend, bflux], _ref_rhs(fs, cfg, ghost, fs.time, g))
+        out, diag = step(fs, g, cfg, ghost)
+        assert _same_bytes([out.U, diag.boundary_flux], _ref_step(fs, cfg, ghost, g))
+
+    with np.errstate(all="raise"):
+        for case in _workspace_cases() + _planar_line_cases() + _cellwise_random_cases():
+            check(*case, GAS)
+        for case in _workspace_cases() + _planar_line_cases():
+            check(*case, g07)
+    # the subnormal m3 underflows in the reference's u3 u3
+    with np.errstate(all="raise", under="ignore"):
+        for case in _near_planar_line_cases():
+            check(*case, GAS)
+            check(*case, g07)
 
 
 def test_rhs_and_step_rebind_per_grid_gas_and_config():
@@ -825,9 +854,11 @@ def test_stable_dt_carries_nan_like_numpy():
 
 def test_rhs_every_kernel_instance_matches_reference():
     # the kernel has one face pass for each axis and set of active axes a
-    # grid can have, each without viscosity, with sqrt and with pow: these
-    # grids reach all 24, the x3-only mask included, with odd rows so that
-    # the vector loops' remainder faces and cells run
+    # grid can have, and one for the longitudinal kind (a line whose u2 = u3
+    # = 0), each without viscosity, with sqrt and with pow: these grids, the
+    # line with a u2 = u3 = 0 state too, reach all 27, the x3-only mask
+    # included, with odd rows so that the vector loops' remainder faces and
+    # cells run
     spec = WaveSpec(PrimState(1.0, 0.3, 1.0), GAS, nu=0.1, delta=0.2)
     rng = np.random.default_rng(11)
     shapes = ((7, 1, 5, 3), (5, 3, 1, 2), (9, 1, 1, 1), (6, 5, 3, 3), (4, 1, 7, 3))
@@ -837,17 +868,22 @@ def test_rhs_every_kernel_instance_matches_reference():
                 grid = (SlabGrid(L=2.0, n1=n1, n2=n2, n3=n3, dims=dims) if pinned
                         else SlabGrid.torus(1.0, n1, n2, n3, dims=dims))
                 shp = grid.shape
-                fs = FieldSet.from_primitives(grid, GAS, 1.0 + 0.2 * rng.random(shp),
-                                              0.3 * (rng.random((3,) + shp) - 0.5),
-                                              1.0 + 0.2 * rng.random(shp))
+                rho, u, theta = (1.0 + 0.2 * rng.random(shp), 0.3 * (rng.random((3,) + shp) - 0.5),
+                                 1.0 + 0.2 * rng.random(shp))
+                states = [FieldSet.from_primitives(grid, GAS, rho, u, theta)]
+                if dims == 1:
+                    planar = np.zeros_like(u)
+                    planar[0] = u[0]
+                    states.append(FieldSet.from_primitives(grid, GAS, rho, planar, theta))
                 ghost = profile_ghost_source(spec, grid) if pinned else None
-                for alpha in (0.5, 0.7):
-                    g = GasParams.normalized(5.0 / 3.0, alpha)
-                    for eps in (0.0, 0.05):
-                        cfg = SolverConfig(eps=eps)
-                        assert _same_bytes(rhs(fs, g, cfg, ghost, t=0.0),
-                                           _ref_rhs(fs, cfg, ghost, 0.0, g)), \
-                            (grid.shape, pinned, alpha, eps)
+                for fs in states:
+                    for alpha in (0.5, 0.7):
+                        g = GasParams.normalized(5.0 / 3.0, alpha)
+                        for eps in (0.0, 0.05):
+                            cfg = SolverConfig(eps=eps)
+                            assert _same_bytes(rhs(fs, g, cfg, ghost, t=0.0),
+                                               _ref_rhs(fs, cfg, ghost, 0.0, g)), \
+                                (grid.shape, pinned, alpha, eps)
 
 
 ROOT = Path(__file__).resolve().parent.parent
