@@ -50,11 +50,12 @@
    ghost columns' u2, u3, m2 and m3 too, and in rk_stage rows 2 and 3 of
    U0, of k and, past stage 1, of r, with dt finite.  A -0.0 or a
    subnormal entry takes the general rows.  The kind's rows are the
-   general ones with one more compile-time constant, tm = 0: fill_row and
-   lanes take u2 = u3 = 0.0 without dividing, face_row forms no k = 1, 2
-   flux, dn or uF, and its heat is uF0 tau0 + dthdn, the divergence and
-   the boundary flux write 0.0 into rows 2 and 3, and a stage runs rows 0,
-   1 and 4 and leaves +0.0 in rows 2 and 3 of its state.
+   general ones with one more compile-time constant, tm = 0: fill_row
+   takes u2 = u3 = 0.0 without dividing, and lanes 0.0 too but at rho =
+   ±0, where it takes the NaN of 0 / 0; face_row forms no k = 1, 2 flux,
+   dn or uF, and its heat is uF0 tau0 + dthdn; the divergence and the
+   boundary flux write 0.0 into rows 2 and 3; and a stage runs rows 0, 1
+   and 4 and leaves +0.0 in rows 2 and 3 of its state.
 
    Every bit stays.  With m2 = m3 = +0.0 and rho > 0 the general rows'
    u2 = u3 = +0.  A face's F2 and F3 are ((±0 + ±0) 0.5 - (+0 - +0) sf)
@@ -69,10 +70,15 @@
    the result through the tendency 0.0 - (F(i) - F(i - 1)) / dx, where a
    difference with a nonzero operand does not see a zero's sign, a
    difference of two zeros is a zero and 0.0 - (±0) = +0, and through the
-   boundary flux's 0.0 + F, which reads ±0 as +0.  The argument takes the
-   values finite: where a density is zero or a value is infinite or NaN,
-   the general rows can carry a NaN into rows 2 and 3, the limits or the
-   minima where the kind does not.
+   boundary flux's 0.0 + F, which reads ±0 as +0.  The argument takes
+   rho > 0, as rk_rhs's check makes it, and finite values.  lanes runs on
+   any state, and its NaN at rho = ±0 is the general rows' +0 / ±0, so on
+   every state stable_dt returns the general rows' values and step their
+   result or their abort.  Where a value is infinite or NaN the general
+   rows can carry a NaN into rows 2 and 3 where the kind writes 0: in the
+   tendency of a direct rhs call, and in the diagnostics of a step whose
+   stages overflow, which aborts in either kind.  step refuses a state
+   with such a value before its first stage.
 
    One entry serves rarefan.analysis, on a field f of extents (n0, n1, n2)
    in C order.  an_derivs writes f's gradient into rows 0-2 of the caller's
@@ -509,7 +515,7 @@ int rk_rhs(const rk_work *w, const coeffs *q, const double *U, const double *gho
    diffusivity max(lon pw, kappa1 pw (gamma - 1) / R) visc / rho into d, pw =
    theta^alpha by sqrt if sq; rho into mr, theta into mt, and (rho - rho) +
    (E - E), 0 while both are finite and NaN after, into nf.  The
-   longitudinal kind (tm = 0) reads no m2 or m3 and takes u2 = u3 = 0.0 */
+   longitudinal kind (tm = 0) reads no m2 or m3 */
 static inline __attribute__((always_inline)) void
 lanes(const int64_t n, const int vis, const int sq, const int tm, const coeffs *q,
       const double *restrict U0,
@@ -520,8 +526,10 @@ lanes(const int64_t n, const int vis, const int sq, const int tm, const coeffs *
     const double gR = q->gR, cth = q->cth, lon = q->lon, kappa1 = q->kappa1, gm1 = q->gm1,
                  R = q->R, alpha = q->alpha, visc = q->visc;
     for (int64_t i = 0; i < n; i++) {
-        const double r = U0[i], v1 = U1[i] / r, v2 = tm ? U2[i] / r : 0.0,
-                     v3 = tm ? U3[i] / r : 0.0;
+        /* the kind's u2 = u3 is +0 / rho without the division: 0.0, or at
+           rho = ±0 the NaN of 0 / 0, which r inf is */
+        const double r = U0[i], z = r == 0.0 ? r * INFINITY : 0.0, v1 = U1[i] / r,
+                     v2 = tm ? U2[i] / r : z, v3 = tm ? U3[i] / r : z;
         const double th = theta(U4[i], r, v1, v2, v3, cth), c = sqrt(maximum(th, 0.0) * gR);
         s0[i] = maximum(s0[i], fabs(v1) + c);
         s1[i] = maximum(s1[i], fabs(v2) + c);
@@ -660,10 +668,12 @@ int rk_stage(const rk_work *w, const coeffs *q, int s, const double *U0, double 
     } else {
         stage_pass(2 * cells, s, dt, U0, w->k, w->r, out);
         stage_pass(cells, s, dt, U0 + e, w->k + e, w->r + e, s == 3 ? out + e : out);
-        /* stage 2 keeps r's rows 2 and 3, +0.0 already */
-        double *z = s == 1 ? w->r : s == 3 ? out : NULL;
-        for (int64_t i = 2 * cells; z && i < e; i++)
-            z[i] = 0.0;
+        /* stage 2's r holds +0.0 in rows 2 and 3 already */
+        if (s != 2) {
+            double *z = s == 1 ? w->r : out;
+            for (int64_t i = 2 * cells; i < e; i++)
+                z[i] = 0.0;
+        }
     }
     if (s < 3)
         return 1;

@@ -835,19 +835,28 @@ def test_stable_dt_carries_nan_like_numpy():
     # < 0 (its sqrt NaN) or a NaN energy (at alpha = 0.7 too, its pow NaN)
     # gives the reference's dt and speed.  step then meets rhs's refusal of
     # the theta < 0 cell; a NaN energy makes every axis's maximum NaN, and
-    # step refuses it before taking the infinite dt it gives
+    # step refuses it before taking the infinite dt it gives.  So does a
+    # zero density on a line whose u2 = u3 = 0 (the longitudinal kind):
+    # with m1 != 0 and E < 0 its theta is NaN only through u2 = 0 / 0
     grid = SlabGrid(L=2.0, n1=12, n2=6, dims=2)
     g07 = GasParams.normalized(5.0 / 3.0, 0.7)
-    for value, g, abort in ((-1.0, GAS, "nonpositive temperature"),
-                            (np.nan, GAS, "non-finite state entering step"),
-                            (np.nan, g07, "non-finite state entering step")):
+
+    def bad_cell(value):
         U = _transverse_state(grid, 5).U.copy()
         U[4, 5, 2] = value
-        bad = FieldSet(grid, U)
+        return FieldSet(grid, U)
+    line = _planar_line_cases()[0][0]
+    U = line.U.copy()
+    U[:, 5] = np.array([0.0, 0.5, 0.0, 0.0, -1.0])[:, None, None]
+    for i, (bad, g, abort) in enumerate(((bad_cell(-1.0), GAS, "nonpositive temperature"),
+                                         (bad_cell(np.nan), GAS, "non-finite state entering step"),
+                                         (bad_cell(np.nan), g07, "non-finite state entering step"),
+                                         (FieldSet(line.grid, U), GAS,
+                                          "non-finite state entering step"))):
         for cfg in (SolverConfig(eps=0.0), SolverConfig(eps=0.05)):
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", divide="ignore"):
                 want = _ref_stable_dt(bad, cfg, g)
-            assert repr(stable_dt(bad, g, cfg)) == repr(want), (value, g.alpha, cfg.eps)
+            assert repr(stable_dt(bad, g, cfg)) == repr(want), (i, cfg.eps)
             with pytest.raises(RunAbort, match=abort):
                 step(bad, g, cfg)
 
