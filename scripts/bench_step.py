@@ -68,9 +68,17 @@ cost, which gn-check's loop pays.
 The analysis calls, under ``"analysis"`` in microseconds per call:
 
 - ``gn_slab128x12x12`` and ``gn_torus16``: ``gn_sample`` of a standard-normal
-  field on gn-check's slab (pinned x1) and torus grids at width 1;
+  field on gn-check's slab (pinned x1) and torus grids at width 1, what
+  gn-check runs at each width. A tree with ``analysis.gn_sums`` takes the
+  field's width-free sums once, before the timing; for an older tree, whose
+  ``gn_sample(u, grid, torus)`` takes the sum of u^2 itself, the row
+  includes that sum;
 - ``nonzero_energy_slab256x32``: ``nonzero_mode_energy`` of the slab256x32
-  state against the smooth wave, as the decay study's observer calls it.
+  state against the smooth wave, as the decay study's observer calls it;
+- ``gn_piece`` (layer 4): ``experiments._gn_max_ratios(3, [1.0, 0.5,
+  0.25], 0, 5)``, one gn-check piece of 5 samples at the study's three
+  widths, run in this process: the draws, the sample builds, their sums,
+  the derivative norms and the 90 ``gn_check`` calls.
 
 The study layer's fixed costs, under ``"fanout"`` in microseconds per call:
 
@@ -148,28 +156,36 @@ def cases(root: Path, pkg: str = "rarefan", names=CASES) -> dict:
 
 
 def analysis_calls(root: Path, pkg: str = "rarefan") -> dict:
-    """name -> (grid, zero-argument call) of each timed analysis call."""
+    """name -> (shape, zero-argument call) of each timed analysis call, the
+    shape None for a call without one grid."""
     import numpy as np
     analysis = importlib.import_module(f"{pkg}.analysis")
     gn_sample, nonzero_mode_energy = analysis.gn_sample, analysis.nonzero_mode_energy
     parse_config = importlib.import_module(f"{pkg}.config").parse_config
-    _smooth_background = importlib.import_module(f"{pkg}.experiments")._smooth_background
+    experiments = importlib.import_module(f"{pkg}.experiments")
     SlabGrid = importlib.import_module(f"{pkg}.fields").SlabGrid
 
     rng = np.random.default_rng(0)
     gn_slab = SlabGrid(L=4.0, n1=128, period=1.0, n2=12, n3=12, dims=3)
     gn_torus = SlabGrid.torus(1.0, 16, 16, 16, dims=3)
     u_slab, u_torus = rng.standard_normal(gn_slab.shape), rng.standard_normal(gn_torus.shape)
+    if hasattr(analysis, "gn_sums"):
+        # a width's share of a sample: its width-free sums are taken once
+        gn_args = [(u, analysis.gn_sums(u), grid, torus)
+                   for u, grid, torus in ((u_slab, gn_slab, False), (u_torus, gn_torus, True))]
+    else:
+        gn_args = [(u_slab, gn_slab, False), (u_torus, gn_torus, True)]
     fs, g, _, _ = cases(root, pkg, ("slab256x32",))["slab256x32"]
     decay = parse_config(root / "perfbench" / "configs" / "slab2d_decay.ini")
-    rho_bar, _, th_bar = _smooth_background(decay.wave_spec(decay.solver.eps), fs)
+    rho_bar, _, th_bar = experiments._smooth_background(decay.wave_spec(decay.solver.eps), fs)
     prim = fs.primitives(g)
     u, theta = prim[1:4], prim[4]
     phi, zeta = fs.rho - rho_bar, theta - th_bar
-    return {"gn_slab128x12x12": (gn_slab, lambda: gn_sample(u_slab, gn_slab, False)),
-            "gn_torus16": (gn_torus, lambda: gn_sample(u_torus, gn_torus, True)),
-            "nonzero_energy_slab256x32": (fs.grid, lambda: nonzero_mode_energy(
-                phi, u, zeta, rho_bar, th_bar, fs.grid, g))}
+    return {"gn_slab128x12x12": (gn_slab.shape, lambda: gn_sample(*gn_args[0])),
+            "gn_torus16": (gn_torus.shape, lambda: gn_sample(*gn_args[1])),
+            "nonzero_energy_slab256x32": (fs.grid.shape, lambda: nonzero_mode_energy(
+                phi, u, zeta, rho_bar, th_bar, fs.grid, g)),
+            "gn_piece": (None, lambda: experiments._gn_max_ratios(3, [1.0, 0.5, 0.25], 0, 5))}
 
 
 def _noop():
@@ -203,8 +219,8 @@ def calls(root: Path, pkg: str):
     for an analysis or fan-out call. A call's time is reported per unit: per
     step for ``run``, per call otherwise (units 1). The shape of a fan-out
     call, which has no grid, is None."""
-    yield {("analysis", name, None): (grid.shape, call, 1)
-           for name, (grid, call) in analysis_calls(root, pkg).items()}
+    yield {("analysis", name, None): (shape, call, 1)
+           for name, (shape, call) in analysis_calls(root, pkg).items()}
     concurrently = importlib.import_module(f"{pkg}.experiments")._concurrently
     git_commit = importlib.import_module(f"{pkg}.config").git_commit
     yield {("fanout", "concurrently", None): (None, lambda: concurrently(

@@ -51,13 +51,29 @@ def decompose(f: np.ndarray, grid: SlabGrid) -> ModeSplit:
     return ModeSplit(zero, f - zero)
 
 
-def lp_slab(f: np.ndarray, grid: SlabGrid, p: float) -> float:
-    """L^p norm over the slab with the discrete volume measure."""
-    f = np.asarray(f, dtype=float)
+def _lp_sum(f: np.ndarray, p: float, sq: np.ndarray) -> np.float64:
+    """lp_slab's part that the grid does not enter: sum |f|^p, max |f| at
+    p = inf, through sq, a float array of f's shape that it overwrites."""
     if np.isinf(p):
-        return float(np.max(np.abs(f)))
-    fp = f * f if p == 2 else np.abs(f) ** p  # |f|^2 is f^2 to the bit
-    return float((np.sum(fp) * grid.cell_volume) ** (1.0 / p))
+        return np.max(np.abs(f, out=sq))
+    if p == 2:
+        np.multiply(f, f, out=sq)  # |f|^2 is f^2 to the bit
+    else:
+        np.power(np.abs(f, out=sq), p, out=sq)
+    return np.sum(sq)
+
+
+def _lp_finish(s: np.float64, grid: SlabGrid, p: float) -> float:
+    """lp_slab from its _lp_sum s: (s * cell volume)^(1/p), s itself at p = inf."""
+    return float(s) if np.isinf(p) else float((s * grid.cell_volume) ** (1.0 / p))
+
+
+def lp_slab(f: np.ndarray, grid: SlabGrid, p: float) -> float:
+    """L^p norm over the slab with the discrete volume measure: _lp_finish of
+    f's _lp_sum, so a caller holding the sum finishes it on any grid of f's
+    shape, bitwise this."""
+    f = np.asarray(f, dtype=float)
+    return _lp_finish(_lp_sum(f, p, np.empty_like(f)), grid, p)
 
 
 def lp_line(f0: np.ndarray, grid: SlabGrid, p: float) -> float:
@@ -221,15 +237,17 @@ def nonzero_mode_energy(phi: np.ndarray, psi: np.ndarray, zeta: np.ndarray,
 # ---------------------------------------------------------------------------
 
 GN_CASES = ("L4-slab", "L6-slab", "Linf-slab", "L4-torus", "L6-torus", "Linf-torus")
+# the exponent p of each case's left-hand side, the L^p norm of the sample
+_GN_P = {"L4": 4, "L6": 6, "Linf": np.inf}
 
 
 @dataclass(frozen=True)
 class GNSample:
-    """One sample on one grid with the L^2 norms all its cases share: of u,
-    of grad u and of grad^2 u.  Slab cases take the pinned x1 closure, torus
-    cases the periodic one."""
+    """One sample on one grid with what all its cases share: its gn_sums and
+    the L^2 norms of u, of grad u and of grad^2 u on the grid.  Slab cases
+    take the pinned x1 closure, torus cases the periodic one."""
 
-    u: np.ndarray
+    sums: dict
     grid: SlabGrid
     torus: bool
     l2: float
@@ -240,20 +258,36 @@ class GNSample:
 @functools.lru_cache(maxsize=8)
 def _gn_work(shape: tuple[int, int, int]) -> np.ndarray:
     """gn_sample's derivative_sq block for one grid shape, starting on a 64-byte
-    boundary.  malloc may hand a block this large out of its own mmap, 16
-    bytes past a page boundary; off a 32-byte boundary, a sample on gn-check's
-    slab took about 8% longer."""
+    boundary, whose row 3 gn_sums also takes.  malloc may hand a block this
+    large out of its own mmap, 16 bytes past a page boundary; off a 32-byte
+    boundary, a sample on gn-check's slab took about 8% longer."""
     return aligned_empty((7,) + shape)
 
 
-def gn_sample(u: np.ndarray, grid: SlabGrid, torus: bool) -> GNSample:
-    """The shared norms of u, from one gradient and the gradient of that gradient.
+def gn_sums(u: np.ndarray) -> dict:
+    """The parts of u's norms that no grid enters, keyed by p: _lp_sum of u at
+    p = 2, 4, 6 and inf, that is sum u^2, sum |u|^4, sum |u|^6 and max |u|.
 
-    Both come from one derivative_sq, a single kernel call, into one work
-    block per grid shape, kept between calls as solver.rhs keeps its work
-    area, so a sample allocates no array of the field's size; like rhs, it
-    is not thread-safe per shape.  The square roots and the L^2 sums stay
-    numpy's.
+    Each goes through row 3 of u's shape's work block, so the sums allocate
+    no array of the field's size; like gn_sample, not thread-safe per shape.
+    A sample whose array is the same at several widths takes them once, and
+    gn_sample and gn_check finish them on each width's grid, bitwise
+    lp_slab's norms there.
+    """
+    u = np.asarray(u, dtype=float)
+    sq = _gn_work(u.shape)[3]
+    return {p: _lp_sum(u, p, sq) for p in (2, *_GN_P.values())}
+
+
+def gn_sample(u: np.ndarray, sums: dict, grid: SlabGrid, torus: bool) -> GNSample:
+    """u's norms on grid, from its gn_sums and from one gradient of u and the
+    gradient of that gradient.
+
+    Both gradients come from one derivative_sq, a single kernel call, into
+    one work block per grid shape, kept between calls as solver.rhs keeps
+    its work area, so a sample allocates no array of the field's size; like
+    rhs, it is not thread-safe per shape.  The square roots and the L^2
+    sums stay numpy's; u's own L^2 norm finishes sums[2].
     """
     u = np.ascontiguousarray(u, dtype=float)
     work = _gn_work(grid.shape)
@@ -261,11 +295,8 @@ def gn_sample(u: np.ndarray, grid: SlabGrid, torus: bool) -> GNSample:
     np.sqrt(gsq, out=gsq)
     np.sqrt(hsq, out=hsq)
     sq = work[3]  # a second-gradient row, free once hsq is summed
-
-    def l2(f):  # lp_slab(f, grid, 2), squaring into sq
-        return float((np.sum(np.multiply(f, f, out=sq)) * grid.cell_volume) ** 0.5)
-
-    return GNSample(u, grid, torus, l2(u), l2(gsq), l2(hsq))
+    g1, g2 = (_lp_finish(_lp_sum(f, 2, sq), grid, 2) for f in (gsq, hsq))
+    return GNSample(sums, grid, torus, _lp_finish(sums[2], grid, 2), g1, g2)
 
 
 def gn_check(s: GNSample, case: str) -> dict:
@@ -273,39 +304,36 @@ def gn_check(s: GNSample, case: str) -> dict:
 
     Slab cases live on R x T^2 with the grid's period as torus width and sum
     the k=1..3 dimensional contributions with their width prefactors; torus
-    cases are the extended form on T^3 with the additive low-mode term.  The returned ratio
-    plays the role of the empirical constant; only its boundedness matters.
+    cases are the extended form on T^3 with the additive low-mode term.  The
+    left-hand side is lp_slab of the sample, finished from its gn_sums on
+    its grid.  The returned ratio plays the role of the empirical constant;
+    only its boundedness matters.
     """
     if case not in GN_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {GN_CASES}")
-    domain = case.rsplit("-", 1)[1]
+    norm, domain = case.rsplit("-", 1)
     if (domain == "torus") != s.torus:
         raise ValueError(f"case {case!r} needs a {domain} sample")
-    u, grid, l2, g1, g2 = s.u, s.grid, s.l2, s.g1, s.g2
+    grid, l2, g1, g2 = s.grid, s.l2, s.g1, s.g2
     lam = grid.period
     if l2 == 0.0:
         return {"case": case, "Lambda": lam, "lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
+    lhs = _lp_finish(s.sums[_GN_P[norm]], grid, _GN_P[norm])
     if case == "L4-slab":
-        lhs = lp_slab(u, grid, 4)
         rhs = (lam ** -0.5 * g1 ** 0.25 * l2 ** 0.75
                + lam ** -0.25 * g1 ** 0.5 * l2 ** 0.5
                + g1 ** 0.75 * l2 ** 0.25)
     elif case == "L6-slab":
-        lhs = lp_slab(u, grid, 6)
         rhs = (lam ** (-2.0 / 3.0) * g1 ** (1.0 / 3.0) * l2 ** (2.0 / 3.0)
                + lam ** (-1.0 / 3.0) * g1 ** (2.0 / 3.0) * l2 ** (1.0 / 3.0)
                + g1)
     elif case == "Linf-slab":
-        lhs = lp_slab(u, grid, np.inf)
         rhs = lam ** -1.0 * g1 ** 0.5 * l2 ** 0.5 + lam ** -0.5 * g1 + g2 ** 0.75 * l2 ** 0.25
     elif case == "L4-torus":
-        lhs = lp_slab(u, grid, 4)
         rhs = g1 ** 0.75 * l2 ** 0.25 + lam ** -0.75 * l2
     elif case == "L6-torus":
-        lhs = lp_slab(u, grid, 6)
         rhs = g1 + lam ** -1.0 * l2
     else:  # Linf-torus
-        lhs = lp_slab(u, grid, np.inf)
         rhs = g2 ** 0.75 * l2 ** 0.25 + lam ** -1.5 * l2
     return {"case": case, "Lambda": lam, "lhs": lhs, "rhs": rhs,
             "ratio": lhs / rhs if rhs > 0.0 else 0.0}

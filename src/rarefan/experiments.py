@@ -22,8 +22,8 @@ from .fields import FieldSet, SlabGrid, save_fields
 from .waves import (WaveSpec, cutoff_exact_distance, profile_lp_norm, velocity_span,
                     smooth_cutoff_distance, sample_exact, sample_cutoff, smooth_profile)
 from .solver import RunAbort, SolverConfig, run, profile_ghost_source, _kernel
-from .analysis import (decompose, sup_distance, fit_rate, gn_check, gn_sample, GN_CASES,
-                       nonzero_mode_energy)
+from .analysis import (decompose, sup_distance, fit_rate, gn_check, gn_sample, gn_sums,
+                       GN_CASES, nonzero_mode_energy)
 from .ansatz import (assemble_initial, x1_window, constant_conserved,
                      perturbed_constant_state)
 from .config import ExperimentConfig, ConfigError, git_commit
@@ -587,6 +587,11 @@ def run_background_decay(cfg: ExperimentConfig) -> StudyReport:
 # interpolation-inequality battery
 # ---------------------------------------------------------------------------
 
+# gn-check's torus widths: powers of two, at which a draw's arrays are
+# byte-equal, so _gn_max_ratios builds and sums each draw once
+GN_WIDTHS = (1.0, 0.5, 0.25)
+
+
 def _slab_draw(rng: np.random.Generator, transverse_constant: bool) -> list:
     """The parameters of one _slab_sample, drawn in the order its expression
     reads them: per Gaussian envelope (amp, c, sig, modes), modes None for a
@@ -650,23 +655,37 @@ def _torus_sample(grid: SlabGrid, lam: float, draw: tuple[float, list]) -> np.nd
     return u
 
 
+def _gn_grids(lam: float) -> tuple[SlabGrid, SlabGrid]:
+    """gn-check's slab and torus grids at width lam."""
+    return (SlabGrid(L=4.0, n1=128, period=lam, n2=12, n3=12, dims=3),
+            SlabGrid.torus(lam, 16, 16, 16, dims=3))
+
+
 def _gn_max_ratios(seed: int, lambdas, lo: int, hi: int) -> dict[str, dict[float, float]]:
     """Per case and width of lambdas, the largest gn_check ratio over samples
     [lo, hi), every value starting from 0.0 so a NaN ratio is ignored. No
     draw depends on the width, so samples 0 ... hi - 1 are drawn once from
-    default_rng(seed) and those before lo dropped; each kept draw is then
-    built at every width, bitwise the serial sample.
+    default_rng(seed) and those before lo dropped.
+
+    At power-of-two widths such as GN_WIDTHS a draw's slab and torus arrays
+    are byte-equal at every width, so each kept draw is built once, on the
+    first width's grids, and its gn_sums taken once; only its derivative
+    norms (gn_sample) and the cases run at each width, bitwise the arrays
+    built and summed per width. The arrays are dropped after their widths.
     """
     rng = np.random.default_rng(seed)
     draws = [(_slab_draw(rng, i % 5 == 0), _torus_draw(rng)) for i in range(hi)][lo:]
+    grids = {lam: _gn_grids(lam) for lam in lambdas}
+    slab0, torus0 = grids[lambdas[0]]
     ratios = {c: dict.fromkeys(lambdas, 0.0) for c in GN_CASES}
-    for lam in lambdas:
-        slab = SlabGrid(L=4.0, n1=128, period=lam, n2=12, n3=12, dims=3)
-        torus = SlabGrid.torus(lam, 16, 16, 16, dims=3)
-        for slab_draw, torus_draw in draws:
+    for slab_draw, torus_draw in draws:
+        u_slab = _slab_sample(slab0, lambdas[0], slab_draw)
+        u_torus = _torus_sample(torus0, lambdas[0], torus_draw)
+        sums_slab, sums_torus = gn_sums(u_slab), gn_sums(u_torus)
+        for lam, (slab, torus) in grids.items():
             # each grid's derivative norms once, shared by its three cases
-            samples = {"slab": gn_sample(_slab_sample(slab, lam, slab_draw), slab, False),
-                       "torus": gn_sample(_torus_sample(torus, lam, torus_draw), torus, True)}
+            samples = {"slab": gn_sample(u_slab, sums_slab, slab, False),
+                       "torus": gn_sample(u_torus, sums_torus, torus, True)}
             for case in GN_CASES:
                 res = gn_check(samples[case.rsplit("-", 1)[1]], case)
                 ratios[case][lam] = max(ratios[case][lam], res["ratio"])
@@ -683,7 +702,7 @@ def run_gn_check(cfg: ExperimentConfig) -> StudyReport:
     and their maxima merge.
     """
     t0 = time.time()
-    lambdas = [1.0, 0.5, 0.25]
+    lambdas = list(GN_WIDTHS)
     nsamples, npieces = cfg.experiment.samples, len(os.sched_getaffinity(0))
     seed = cfg.experiment.seed
     bounds = [nsamples * j // npieces for j in range(npieces + 1)]

@@ -9,7 +9,7 @@ from rarefan import analysis
 from rarefan.gas import GasParams
 from rarefan.fields import SlabGrid
 from rarefan.analysis import (decompose, lp_slab, lp_line,
-                              energy_report, nonzero_mode_energy, gn_check, gn_sample,
+                              energy_report, nonzero_mode_energy, gn_check, gn_sample, gn_sums,
                               sup_distance, fit_rate, gradient)
 
 GAS = GasParams.normalized(5.0 / 3.0, 0.5)
@@ -21,6 +21,11 @@ def slab():
 
 def random_field(grid, seed=0):
     return np.random.default_rng(seed).standard_normal(grid.shape)
+
+
+def sample(u, grid, torus):
+    """gn_sample of u with its own gn_sums."""
+    return gn_sample(u, gn_sums(u), grid, torus)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +297,13 @@ def ref_l2(f, grid):
     return float((np.sum(np.abs(f) ** 2) * grid.cell_volume) ** 0.5)
 
 
+def ref_lp(f, grid, p):
+    """lp_slab as it was before its sum and its finish were split."""
+    if np.isinf(p):
+        return float(np.max(np.abs(f)))
+    return float((np.sum(np.abs(f) ** p) * grid.cell_volume) ** (1.0 / p))
+
+
 def ref_gn_norms(u, grid, torus):
     gsq, hsq = ref_derivative_sq(u, grid, periodic_x1=torus)
     return ref_l2(u, grid), ref_l2(np.sqrt(gsq), grid), ref_l2(np.sqrt(hsq), grid)
@@ -319,10 +331,12 @@ def test_derivative_norms_match_allocating_reference(shape):
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
                 for h, h_grid in ((f, grid), (rng.standard_normal(other), other_grid)):
-                    s = gn_sample(h, h_grid, periodic_x1)
+                    s = sample(h, h_grid, periodic_x1)
                     assert np.array([s.l2, s.g1, s.g2]).tobytes() == \
                         np.array(ref_gn_norms(h, h_grid, periodic_x1)).tobytes()
                 assert lp_slab(f, grid, 2) == ref_l2(f, grid)
+                for p in (4, 6, np.inf):
+                    assert lp_slab(f, grid, p) == ref_lp(f, grid, p)
 
 
 def test_derivative_sq_without_work_returns_the_callers_arrays():
@@ -350,21 +364,22 @@ def test_derivative_sq_refuses_a_wrong_work_block():
 
 
 def test_gn_sample_allocates_no_field_sized_array_once_warm():
-    # gn-check's two grids; after one call per shape the derivatives live in
-    # that shape's cached work block
+    # gn-check's two grids; after one call per shape the width-free sums and
+    # the derivatives live in that shape's cached work block
     grids = [(SlabGrid(L=4.0, n1=128, period=1.0, n2=12, n3=12, dims=3), False),
              (SlabGrid.torus(1.0, 16, 16, 16, dims=3), True)]
     rng = np.random.default_rng(3)
     fields = [rng.standard_normal(grid.shape) for grid, _ in grids]
     for u, (grid, torus) in zip(fields, grids):
-        gn_sample(u, grid, torus)
+        sample(u, grid, torus)
         # a block off a 32-byte boundary made the slab's samples about 8% slower
         assert analysis._gn_work(grid.shape).ctypes.data % 64 == 0
     tracemalloc.start()
     try:
         for u, (grid, torus) in zip(fields, grids):
             tracemalloc.reset_peak()
-            gn_sample(u, grid, torus)
+            sums = gn_sums(u)
+            gn_sample(u, sums, grid, torus)
             current, peak = tracemalloc.get_traced_memory()
             assert peak - current < u.nbytes, grid.shape
     finally:
@@ -380,15 +395,15 @@ def test_pinned_gradient_needs_three_cells():
 
 def test_gn_zero_field():
     grid = slab()
-    res = gn_check(gn_sample(np.zeros(grid.shape), grid, False), "L4-slab")
+    res = gn_check(sample(np.zeros(grid.shape), grid, False), "L4-slab")
     assert res["ratio"] == 0.0
 
 
 def test_gn_unknown_case():
     with pytest.raises(ValueError):
-        gn_check(gn_sample(np.ones(slab().shape), slab(), False), "L3-slab")
+        gn_check(sample(np.ones(slab().shape), slab(), False), "L3-slab")
     with pytest.raises(ValueError):  # a torus case on a slab sample
-        gn_check(gn_sample(np.ones(slab().shape), slab(), False), "L4-torus")
+        gn_check(sample(np.ones(slab().shape), slab(), False), "L4-torus")
 
 
 def test_gn_gaussian_bump_scaling():
@@ -397,7 +412,7 @@ def test_gn_gaussian_bump_scaling():
     for lam in (1.0, 0.5, 0.25):
         grid = SlabGrid(L=4.0, n1=96, period=lam, n2=8, n3=8, dims=3)
         x1 = grid.x1()[:, None, None]
-        u = gn_sample(np.exp(-x1 ** 2) * np.ones(grid.shape), grid, False)
+        u = sample(np.exp(-x1 ** 2) * np.ones(grid.shape), grid, False)
         for case in ratios:
             r = gn_check(u, case)["ratio"]
             assert np.isfinite(r) and r > 0.0
@@ -410,7 +425,7 @@ def test_gn_torus_single_mode():
     lam = 0.5
     grid = SlabGrid.torus(lam, 16, 16, 16, dims=3)
     X1, X2, _ = grid.meshgrid()
-    u = gn_sample(np.cos(2 * np.pi * (X1 + 2 * X2) / lam), grid, True)
+    u = sample(np.cos(2 * np.pi * (X1 + 2 * X2) / lam), grid, True)
     res = gn_check(u, "L6-torus")
     assert 0.0 < res["ratio"] < 3.0
     res4 = gn_check(u, "L4-torus")

@@ -56,14 +56,16 @@ def test_gn_check_small_battery():
 
 
 def test_gn_check_shares_derivatives_across_cases(monkeypatch):
-    # one derivative kernel call (the gradient and its components' second
-    # gradients) per sample and grid, 6 samples x 3 widths x 2 grids, and
-    # one gn_check call per case; the counters are shared with the forked
-    # workers that run the other pieces
+    # each sample built once, on the first width's grids, with one derivative
+    # kernel call (the gradient and its components' second gradients) per
+    # sample, width and grid, 6 samples x 3 widths x 2 grids, and one gn_check
+    # call per case; the counters are shared with the forked workers that run
+    # the other pieces
     import rarefan.analysis as an
     import rarefan.experiments as ex
     ctx = multiprocessing.get_context("fork")
-    calls = {"_derivatives": ctx.Value("i", 0), "gn_check": ctx.Value("i", 0)}
+    names = ("_slab_sample", "_torus_sample", "_derivatives", "gn_check")
+    calls = {name: ctx.Value("i", 0) for name in names}
 
     def counted(mod, name):
         real = getattr(mod, name)
@@ -73,11 +75,37 @@ def test_gn_check_shares_derivatives_across_cases(monkeypatch):
                 calls[name].value += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(mod, name, wrapper)
-    counted(an, "_derivatives")
-    counted(ex, "gn_check")
+    for name in names:
+        counted(an if name == "_derivatives" else ex, name)
     assert run_gn_check(config(kind="gn-check", samples=6, seed=1)).passed
-    assert {name: c.value for name, c in calls.items()} == {"_derivatives": 6 * 3 * 2,
-                                                            "gn_check": 6 * 6 * 3}
+    assert {name: c.value for name, c in calls.items()} == {
+        "_slab_sample": 6, "_torus_sample": 6, "_derivatives": 6 * 3 * 2,
+        "gn_check": 6 * 6 * 3}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_gn_samples_and_their_sums_are_the_same_at_every_width(seed):
+    # the premise of building and summing each gn-check draw once: at the
+    # study's widths every draw's slab and torus arrays are byte-equal to the
+    # first width's, and their width-free sums finish on each width's grid to
+    # that grid's lp_slab, bit for bit. A width that is not a power of two
+    # breaks the first.
+    from rarefan.analysis import _lp_finish, gn_sums, lp_slab
+    from rarefan.experiments import (GN_WIDTHS, _gn_grids, _slab_draw, _slab_sample,
+                                     _torus_draw, _torus_sample)
+    rng = np.random.default_rng(seed)
+    first = _gn_grids(GN_WIDTHS[0])
+    builds = (_slab_sample, _torus_sample)
+    for i in range(50):
+        draws = (_slab_draw(rng, i % 5 == 0), _torus_draw(rng))
+        us = [build(grid, GN_WIDTHS[0], draw) for build, grid, draw in zip(builds, first, draws)]
+        sums = [gn_sums(u) for u in us]
+        for lam in GN_WIDTHS:
+            grids = _gn_grids(lam)
+            for build, grid, draw, u, s in zip(builds, grids, draws, us, sums):
+                assert build(grid, lam, draw).tobytes() == u.tobytes(), (i, lam)
+                for p in (4, 6, np.inf):
+                    assert _lp_finish(s[p], grid, p) == lp_slab(u, grid, p), (i, lam, p)
 
 
 def test_gn_check_rows_do_not_depend_on_the_cpu_count(monkeypatch):
