@@ -671,7 +671,8 @@ def _gn_max_ratios(seed: int, lambdas, lo: int, hi: int) -> dict[str, dict[float
     are byte-equal at every width, so each kept draw is built once, on the
     first width's grids, and its gn_sums taken once; only its derivative
     norms (gn_sample) and the cases run at each width, bitwise the arrays
-    built and summed per width. The arrays are dropped after their widths.
+    built and summed per width. A draw's arrays are held only while its
+    widths run.
     """
     rng = np.random.default_rng(seed)
     draws = [(_slab_draw(rng, i % 5 == 0), _torus_draw(rng)) for i in range(hi)][lo:]
@@ -689,6 +690,7 @@ def _gn_max_ratios(seed: int, lambdas, lo: int, hi: int) -> dict[str, dict[float
             for case in GN_CASES:
                 res = gn_check(samples[case.rsplit("-", 1)[1]], case)
                 ratios[case][lam] = max(ratios[case][lam], res["ratio"])
+        del u_slab, u_torus
     return ratios
 
 
@@ -702,7 +704,7 @@ def run_gn_check(cfg: ExperimentConfig) -> StudyReport:
     and their maxima merge.
     """
     t0 = time.time()
-    lambdas = list(GN_WIDTHS)
+    lambdas = GN_WIDTHS
     nsamples, npieces = cfg.experiment.samples, len(os.sched_getaffinity(0))
     seed = cfg.experiment.seed
     bounds = [nsamples * j // npieces for j in range(npieces + 1)]
