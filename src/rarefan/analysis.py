@@ -318,7 +318,8 @@ def gn_check(s: GNSample, case: str) -> dict:
     lam = grid.period
     if l2 == 0.0:
         return {"case": case, "Lambda": lam, "lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
-    lhs = _lp_finish(s.sums[_GN_P[norm]], grid, _GN_P[norm])
+    p = _GN_P[norm]
+    lhs = _lp_finish(s.sums[p], grid, p)
     if case == "L4-slab":
         rhs = (lam ** -0.5 * g1 ** 0.25 * l2 ** 0.75
                + lam ** -0.25 * g1 ** 0.5 * l2 ** 0.5
